@@ -2,10 +2,10 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
+#include "obs/metrics.hpp"
 
 namespace codesign::advisor {
 
@@ -13,9 +13,6 @@ namespace {
 
 constexpr const char* kMagic = "codesign-checkpoint";
 constexpr const char* kVersion = "v1";
-
-/// Bit-exact double serialization: C99 hexfloat, parsed back by strtod.
-std::string hex_double(double v) { return str_format("%a", v); }
 
 double parse_hex_double(const std::string& s, const std::string& context) {
   char* end = nullptr;
@@ -42,6 +39,35 @@ std::string sanitize(std::string s) {
     if (c == '\t' || c == '\n' || c == '\r') c = ' ';
   }
   return s;
+}
+
+// One record line per entry, rendered once when the entry is recorded.
+// Doubles are C99 hexfloats ("%a"), parsed back bit-exactly by strtod.
+std::string shape_line(const std::string& name, const CheckpointShapeEntry& e) {
+  return "C\t" + name +
+         str_format("\t%a\t%a\t%a\t%a\t%a\t%d\n", e.layer_time,
+                    e.layer_tflops, e.speedup_vs_base, e.param_count,
+                    e.param_delta_frac, e.rules_pass ? 1 : 0);
+}
+
+std::string mlp_line(std::int64_t d_ff, const CheckpointMlpEntry& e) {
+  return str_format("M\t%lld\t%a\t%a\t%a\n", static_cast<long long>(d_ff),
+                    e.mlp_time, e.mlp_tflops, e.coefficient);
+}
+
+std::string skip_line(const std::string& key, const CheckpointSkipEntry& e) {
+  return "S\t" + key + '\t' + std::to_string(e.attempts) + '\t' + e.reason +
+         '\n';
+}
+
+/// Store `line` under `key`; false when the key already held that line.
+template <class Key>
+bool upsert(std::map<Key, std::string>& lines, const Key& key,
+            std::string line) {
+  const auto [it, inserted] = lines.try_emplace(key);
+  if (!inserted && it->second == line) return false;
+  it->second = std::move(line);
+  return true;
 }
 
 }  // namespace
@@ -144,81 +170,78 @@ void CheckpointWriter::seed_from(const SearchCheckpoint& resumed) {
         resumed.fingerprint() + "', this run: '" + fingerprint_ + "')");
   }
   std::lock_guard<std::mutex> lock(mu_);
-  shapes_.insert(resumed.shapes_.begin(), resumed.shapes_.end());
-  mlps_.insert(resumed.mlps_.begin(), resumed.mlps_.end());
-  skips_.insert(resumed.skips_.begin(), resumed.skips_.end());
+  // insert, not upsert: an entry recorded by this run wins over the file.
+  for (const auto& [name, e] : resumed.shapes_) {
+    dirty_ |= shapes_.emplace(name, shape_line(name, e)).second;
+  }
+  for (const auto& [d_ff, e] : resumed.mlps_) {
+    dirty_ |= mlps_.emplace(d_ff, mlp_line(d_ff, e)).second;
+  }
+  for (const auto& [key, e] : resumed.skips_) {
+    dirty_ |= skips_.emplace(key, skip_line(key, e)).second;
+  }
 }
 
 void CheckpointWriter::record_shape(const std::string& name,
                                     const CheckpointShapeEntry& e) {
+  const std::string key = sanitize(name);
+  std::string line = shape_line(key, e);
   std::lock_guard<std::mutex> lock(mu_);
-  shapes_[sanitize(name)] = e;
-  ++unflushed_;
-  maybe_flush_locked();
+  note_locked(upsert(shapes_, key, std::move(line)));
 }
 
 void CheckpointWriter::record_mlp(std::int64_t d_ff,
                                   const CheckpointMlpEntry& e) {
+  std::string line = mlp_line(d_ff, e);
   std::lock_guard<std::mutex> lock(mu_);
-  mlps_[d_ff] = e;
-  ++unflushed_;
-  maybe_flush_locked();
+  note_locked(upsert(mlps_, d_ff, std::move(line)));
 }
 
 void CheckpointWriter::record_skip(const std::string& key,
                                    const CheckpointSkipEntry& e) {
+  const std::string clean_key = sanitize(key);
+  std::string line =
+      skip_line(clean_key, {e.attempts, sanitize(e.reason)});
   std::lock_guard<std::mutex> lock(mu_);
-  CheckpointSkipEntry clean = e;
-  clean.reason = sanitize(clean.reason);
-  skips_[sanitize(key)] = clean;
-  ++unflushed_;
-  maybe_flush_locked();
+  note_locked(upsert(skips_, clean_key, std::move(line)));
 }
 
-void CheckpointWriter::maybe_flush_locked() {
-  if (unflushed_ < flush_every_) return;
-  const std::string doc = render_locked();
+void CheckpointWriter::note_locked(bool changed) {
+  if (!changed) return;
+  dirty_ = true;
+  if (++unflushed_ >= flush_every_) persist_locked();
+}
+
+void CheckpointWriter::persist_locked() {
+  obs::ScopedTimer timer("advisor.checkpoint.persist_us");
   unflushed_ = 0;
-  // Hold the lock through the write: flushes are rare (every flush_every
-  // completions) and an interleaved rename could persist a stale set.
+  // Hold the lock through the write: persists are rare (every flush_every
+  // new records) and an interleaved rename could persist a stale set.
   const std::string tmp = path_ + ".tmp";
   {
     std::ofstream f(tmp, std::ios::trunc);
     CODESIGN_CHECK(f.good(), "cannot open '" + tmp + "' for writing");
-    f << doc;
+    f << kMagic << '\t' << kVersion << "\nF\t" << fingerprint_ << '\n';
+    for (const auto& [name, line] : shapes_) f << line;
+    for (const auto& [d_ff, line] : mlps_) f << line;
+    for (const auto& [key, line] : skips_) f << line;
     f.flush();
     CODESIGN_CHECK(f.good(), "failed writing '" + tmp + "'");
   }
   CODESIGN_CHECK(std::rename(tmp.c_str(), path_.c_str()) == 0,
                  "cannot rename '" + tmp + "' to '" + path_ + "'");
-}
-
-std::string CheckpointWriter::render_locked() const {
-  std::ostringstream os;
-  os << kMagic << '\t' << kVersion << '\n';
-  os << "F\t" << fingerprint_ << '\n';
-  for (const auto& [name, e] : shapes_) {
-    os << "C\t" << name << '\t' << hex_double(e.layer_time) << '\t'
-       << hex_double(e.layer_tflops) << '\t' << hex_double(e.speedup_vs_base)
-       << '\t' << hex_double(e.param_count) << '\t'
-       << hex_double(e.param_delta_frac) << '\t' << (e.rules_pass ? 1 : 0)
-       << '\n';
-  }
-  for (const auto& [d_ff, e] : mlps_) {
-    os << "M\t" << d_ff << '\t' << hex_double(e.mlp_time) << '\t'
-       << hex_double(e.mlp_tflops) << '\t' << hex_double(e.coefficient)
-       << '\n';
-  }
-  for (const auto& [key, e] : skips_) {
-    os << "S\t" << key << '\t' << e.attempts << '\t' << e.reason << '\n';
-  }
-  return os.str();
+  dirty_ = false;
+  ++persists_;
 }
 
 void CheckpointWriter::flush() {
   std::lock_guard<std::mutex> lock(mu_);
-  unflushed_ = flush_every_;  // force
-  maybe_flush_locked();
+  if (dirty_) persist_locked();
+}
+
+std::size_t CheckpointWriter::persists() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return persists_;
 }
 
 }  // namespace codesign::advisor

@@ -17,9 +17,18 @@
 //   S	<key>	<attempts>	<reason>
 //
 // Writes are atomic (temp file + rename) and the records are sorted by
-// key, so the file itself is deterministic for a given completed set. The
-// writer flushes every `flush_every` records and on destruction; losing
-// the tail between flushes only costs re-evaluation, never correctness.
+// key, so the file itself is deterministic for a given completed set.
+//
+// Cadence: the writer persists every `flush_every` new records, on an
+// explicit flush(), and on destruction — and nowhere else. Each record is
+// rendered to its line once, when it is recorded, so a persist only
+// concatenates lines; a flush() with nothing new since the last persist
+// does not touch the file. The owner of a run flushes once when the run
+// ends (run_shape_search, run_mlp_search and run_sweep do; run_grid_search
+// leaves it to its caller), so a sweep of many small cells writes the file
+// about records/flush_every times, not once per cell. A kill loses at most
+// the records since the last persist; that costs re-evaluation, never
+// correctness.
 #pragma once
 
 #include <cstdint>
@@ -82,12 +91,12 @@ class SearchCheckpoint {
 };
 
 /// Thread-safe accumulator + periodic persister of completed candidates.
-/// The sweep's parallel workers record completions in any order; flush()
+/// The sweep's parallel workers record completions in any order; a persist
 /// always writes the full sorted set, so the file is deterministic for a
 /// given completed set regardless of interleaving.
 class CheckpointWriter {
  public:
-  /// `flush_every` = completed records between automatic persists (min 1).
+  /// `flush_every` = new records between automatic persists (min 1).
   CheckpointWriter(std::string path, std::string fingerprint,
                    std::size_t flush_every = 64);
   /// Best-effort final flush (IO errors are swallowed — the sweep result
@@ -99,31 +108,41 @@ class CheckpointWriter {
 
   /// Carry a loaded checkpoint's entries forward so the rewritten file
   /// stays a complete record of all finished work. Throws ConfigError if
-  /// the fingerprints differ.
+  /// the fingerprints differ. Seeded entries are persisted by the next
+  /// write; they do not count toward the cadence.
   void seed_from(const SearchCheckpoint& resumed);
 
+  /// Record one completed candidate. Re-recording a key with the same
+  /// payload changes nothing and does not count toward the cadence.
   void record_shape(const std::string& name, const CheckpointShapeEntry& e);
   void record_mlp(std::int64_t d_ff, const CheckpointMlpEntry& e);
   void record_skip(const std::string& key, const CheckpointSkipEntry& e);
 
-  /// Persist now (temp file + rename). Throws Error on IO failure.
+  /// Persist now (temp file + rename) unless the file already holds the
+  /// recorded set. The first flush always writes, so a run that completed
+  /// nothing still leaves a loadable file. Throws Error on IO failure.
   void flush();
 
   const std::string& path() const { return path_; }
+  /// Times the file has been written so far.
+  std::size_t persists() const;
 
  private:
-  void maybe_flush_locked();
-  std::string render_locked() const;
+  void note_locked(bool changed);
+  void persist_locked();
 
   std::string path_;
   std::string fingerprint_;
   std::size_t flush_every_;
 
-  std::mutex mu_;
-  std::map<std::string, CheckpointShapeEntry> shapes_;
-  std::map<std::int64_t, CheckpointMlpEntry> mlps_;
-  std::map<std::string, CheckpointSkipEntry> skips_;
-  std::size_t unflushed_ = 0;
+  mutable std::mutex mu_;
+  // Rendered record lines ("C\t...\n"), keyed as they sort in the file.
+  std::map<std::string, std::string> shapes_;
+  std::map<std::int64_t, std::string> mlps_;
+  std::map<std::string, std::string> skips_;
+  std::size_t unflushed_ = 0;  ///< new records since the last persist
+  bool dirty_ = true;          ///< the file does not hold the recorded set
+  std::size_t persists_ = 0;
 };
 
 }  // namespace codesign::advisor

@@ -163,7 +163,8 @@ SlotState run_guarded(const SearchOptions& options, GuardCounters& counters,
 /// evaluated candidate (applied to ranked survivors only, after the trim);
 /// `keep` filters (e.g. the hidden sweep's parameter-delta bound). Candidates are evaluated into slots indexed by
 /// generation order, so the merged ranking — and the skip record — is
-/// byte-identical at any thread count.
+/// byte-identical at any thread count. Completed candidates go to the
+/// checkpoint at its own cadence; the final flush is the entry point's.
 SearchOutcome evaluate_pipeline(
     const std::vector<TransformerConfig>& configs,
     const TransformerConfig& baseline, const gemm::GemmSimulator& sim,
@@ -304,7 +305,6 @@ SearchOutcome evaluate_pipeline(
   if (options.cancel != nullptr) {
     outcome.cancel_reason = options.cancel->reason();
   }
-  if (options.checkpoint != nullptr) options.checkpoint->flush();
 
   if (metrics_on) {
     auto& reg = obs::MetricsRegistry::global();
@@ -681,6 +681,7 @@ SearchOutcome run_shape_search(SearchMode mode, const TransformerConfig& base,
 
   SearchOutcome outcome =
       evaluate_pipeline(configs, base, sim, options, annotate, keep);
+  if (options.checkpoint != nullptr) options.checkpoint->flush();
   if (options.sensitivity) {
     // Probed once per round, sequentially, after the sweep: the probes are
     // pure model analyses, so the outcome and the obs series they feed stay

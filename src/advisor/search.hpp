@@ -121,7 +121,8 @@ struct SearchOptions {
   /// a silent cap.
   const CancelToken* cancel = nullptr;
   /// Optional checkpointing: completed candidates are recorded here as the
-  /// sweep runs (not owned).
+  /// sweep runs (not owned). run_shape_search and run_mlp_search flush it
+  /// when they return; run_grid_search does not.
   CheckpointWriter* checkpoint = nullptr;
   /// Optional resume source: candidates present in this checkpoint are
   /// filled from it instead of re-evaluated (not owned). The caller must
@@ -178,7 +179,10 @@ ShapeCandidate evaluate_candidate(const TransformerConfig& config,
 /// (layer_time, name) ranking — but no candidate generation, annotation,
 /// or keep-filter. The raw-throughput entry point for very large sweeps
 /// (the search.pipeline_batched bench pushes 10^5+ configs through it).
-/// Checkpoint/resume fingerprints are the caller's responsibility here.
+/// Checkpoint/resume fingerprints are the caller's responsibility here, and
+/// so is the final checkpoint flush: completed candidates are recorded at
+/// the writer's cadence, so a caller that runs many grids into one writer
+/// (the sweep driver) persists once at its own end, not once per grid.
 SearchOutcome run_grid_search(const std::vector<TransformerConfig>& configs,
                               const TransformerConfig& baseline,
                               const gemm::GemmSimulator& sim,

@@ -52,7 +52,7 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
       if (options.cancel != nullptr && options.cancel->cancelled()) {
         result.truncated = true;
         result.cancel_reason = options.cancel->reason();
-        return result;
+        break;
       }
       const std::string cell_key = wl.name + "@" + gpu;
       CODESIGN_FAILPOINT_T("sweep.cell", fail::token(cell_key));
@@ -87,7 +87,7 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
       if (outcome.truncated) {
         result.truncated = true;
         result.cancel_reason = outcome.cancel_reason;
-        return result;  // drop the partial cell: completed cells only
+        break;  // drop the partial cell: completed cells only
       }
 
       SweepCell cell;
@@ -128,7 +128,11 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
       }
       result.cells.push_back(std::move(cell));
     }
+    if (result.truncated) break;
   }
+  // The checkpoint is written at its own cadence while the cells run and
+  // once here, completed or truncated, never per cell. A sweep aborted by
+  // an exception leaves its last records to the writer's destructor flush.
   if (options.checkpoint != nullptr) options.checkpoint->flush();
   return result;
 }

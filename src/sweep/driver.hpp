@@ -12,6 +12,8 @@
 // shares one CheckpointWriter keyed by cell-unique variant names
 // ("workload/label@gpu"), so an interrupted sweep resumes bit-exactly —
 // the report of a resumed run is byte-identical to an uninterrupted one.
+// The file is written at the writer's cadence (every flush_every records)
+// and once when the sweep returns — not once per cell.
 //
 // Failure drill: each cell passes the "sweep.cell" failpoint (keyed by
 // "workload@gpu") before any variant runs; an armed fault aborts the sweep

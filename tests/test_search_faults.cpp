@@ -301,6 +301,77 @@ TEST_F(SearchFaultsTest, CheckpointRoundTripsBitExactly) {
   EXPECT_EQ(slurp(cp.path()), first);
 }
 
+TEST_F(SearchFaultsTest, CheckpointFileBytesArePinned) {
+  // The exact file layout: sorted C, then M, then S records; hexfloat
+  // payloads; tabs and newlines in keys and reasons collapsed to spaces.
+  TempFile cp("codesign_cp_bytes.txt");
+  {
+    CheckpointWriter w(cp.path(), "fp-test");
+    w.record_skip("cand\tb", {3, "bad\nthing"});
+    w.record_mlp(11008, {0.5, 0.75, 2.6875});
+    w.record_shape("cand-z", {1.0, 2.0, 1.0, 4.0, 0.0, false});
+    w.record_shape("cand-a", {0.5, 312.0, 1.0, 2.0, -0.25, true});
+  }
+  EXPECT_EQ(slurp(cp.path()),
+            "codesign-checkpoint\tv1\n"
+            "F\tfp-test\n"
+            "C\tcand-a\t0x1p-1\t0x1.38p+8\t0x1p+0\t0x1p+1\t-0x1p-2\t1\n"
+            "C\tcand-z\t0x1p+0\t0x1p+1\t0x1p+0\t0x1p+2\t0x0p+0\t0\n"
+            "M\t11008\t0x1p-1\t0x1.8p-1\t0x1.58p+1\n"
+            "S\tcand b\t3\tbad thing\n");
+}
+
+TEST_F(SearchFaultsTest, CheckpointWriterPersistsOnlyNewWorkAtItsCadence) {
+  TempFile cp("codesign_cp_cadence.txt");
+  const auto exists = [&] { return std::ifstream(cp.path()).good(); };
+  const CheckpointShapeEntry a{1.0, 2.0, 1.0, 3.0, 0.0, true};
+  {
+    CheckpointWriter w(cp.path(), "fp-test", 3);
+    w.record_shape("a", a);
+    w.record_mlp(4096, {0.5, 1.0, 2.0});
+    EXPECT_EQ(w.persists(), 0u);
+    EXPECT_FALSE(exists());
+    w.record_skip("b", {1, "boom"});  // the third new record
+    EXPECT_EQ(w.persists(), 1u);
+    EXPECT_EQ(SearchCheckpoint::load(cp.path()).size(), 3u);
+
+    // Re-recording an identical payload is not new work: the flush is a
+    // no-op (the file is removed to prove nothing rewrites it).
+    std::remove(cp.path().c_str());
+    w.record_shape("a", a);
+    w.flush();
+    EXPECT_EQ(w.persists(), 1u);
+    EXPECT_FALSE(exists());
+
+    // A changed payload is: it persists on the next flush, once.
+    w.record_shape("a", {1.5, 2.0, 1.0, 3.0, 0.0, true});
+    w.flush();
+    w.flush();
+    EXPECT_EQ(w.persists(), 2u);
+    EXPECT_EQ(SearchCheckpoint::load(cp.path()).shape("a")->layer_time, 1.5);
+    std::remove(cp.path().c_str());
+  }
+  EXPECT_FALSE(exists());  // the destructor found nothing to write
+
+  // A writer that recorded nothing still leaves a loadable file behind.
+  { CheckpointWriter w(cp.path(), "fp-test", 3); }
+  EXPECT_EQ(SearchCheckpoint::load(cp.path()).size(), 0u);
+
+  // Seeded entries are new to this writer's file: one flush carries them
+  // over, a second has nothing to add.
+  {
+    CheckpointWriter w(cp.path(), "fp-test", 3);
+    w.record_shape("a", a);
+  }
+  TempFile other("codesign_cp_cadence_other.txt");
+  CheckpointWriter w(other.path(), "fp-test", 3);
+  w.seed_from(SearchCheckpoint::load(cp.path()));
+  w.flush();
+  w.flush();
+  EXPECT_EQ(w.persists(), 1u);
+  EXPECT_EQ(slurp(other.path()), slurp(cp.path()));
+}
+
 TEST_F(SearchFaultsTest, LoadRejectsGarbageAndWrongFingerprints) {
   TempFile cp("codesign_cp_garbage.txt");
   EXPECT_THROW(SearchCheckpoint::load(cp.path()), ConfigError);  // missing

@@ -15,7 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -228,6 +230,13 @@ SweepResult run_matrix(const SweepPlan& plan, std::size_t threads,
   return sweep::run_sweep(plan, extra);
 }
 
+std::string slurp(const std::string& path) {
+  std::ifstream f(path);
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
+}
+
 TEST(SweepDeterminism, ReportIsByteIdenticalAcrossThreadCounts) {
   const SweepPlan plan = sweep::parse_sweep_config(kSmallMatrix, "t.conf");
   EXPECT_EQ(plan.cells(), 4u);
@@ -269,28 +278,66 @@ TEST_F(SweepResumeTest, ResumedRunReportIsByteIdenticalToFreshRun) {
   const std::string fresh =
       sweep::sweep_report_json(run_matrix(plan, 2), /*compact=*/true);
 
-  // Interrupt the third cell: the failpoint fires before any of its
-  // variants run, leaving cells 1-2 in the checkpoint.
-  fail::configure("sweep.cell=once:3:fatal");
-  {
-    advisor::CheckpointWriter writer(path_, fingerprint, /*flush_every=*/1);
+  // Every record written as it completes, and the default cadence, where
+  // the interrupted cells reach the file only through the writer's
+  // destructor flush.
+  for (const std::size_t flush_every : {std::size_t{1}, std::size_t{64}}) {
+    SCOPED_TRACE(flush_every);
+    std::remove(path_.c_str());
+    // Interrupt the third cell: the failpoint fires before any of its
+    // variants run, leaving cells 1-2 in the checkpoint.
+    fail::configure("sweep.cell=once:3:fatal");
+    {
+      advisor::CheckpointWriter writer(path_, fingerprint, flush_every);
+      SweepOptions opts;
+      opts.checkpoint = &writer;
+      EXPECT_THROW(run_matrix(plan, 2, opts), fail::InjectedFault);
+    }
+    fail::clear();
+
+    const advisor::SearchCheckpoint cp =
+        advisor::SearchCheckpoint::load(path_);
+    EXPECT_EQ(cp.size(), 4u);  // 2 cells x 2 variants
+
+    advisor::CheckpointWriter writer(path_, fingerprint, flush_every);
     SweepOptions opts;
     opts.checkpoint = &writer;
-    EXPECT_THROW(run_matrix(plan, 2, opts), fail::InjectedFault);
+    opts.resume = &cp;
+    const SweepResult resumed = run_matrix(plan, 2, opts);
+    EXPECT_EQ(resumed.resumed, 4u);
+    EXPECT_EQ(resumed.cells.size(), plan.cells());
+    EXPECT_EQ(sweep::sweep_report_json(resumed, /*compact=*/true), fresh);
   }
-  fail::clear();
+}
 
-  const advisor::SearchCheckpoint cp = advisor::SearchCheckpoint::load(path_);
-  EXPECT_GT(cp.size(), 0u);
+TEST_F(SweepResumeTest, CheckpointIsWrittenAtTheWriterCadenceNotPerCell) {
+  const SweepPlan plan = sweep::parse_sweep_config(kSmallMatrix, "t.conf");
+  const std::string fingerprint =
+      sweep::sweep_fingerprint(plan, gemm::TilePolicy::kAuto);
+  const std::size_t records = 8;  // 4 cells x 2 variants
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(threads);
+    // The default cadence outlasts the matrix: one write, when it ends.
+    {
+      advisor::CheckpointWriter writer(path_, fingerprint);
+      SweepOptions opts;
+      opts.checkpoint = &writer;
+      (void)run_matrix(plan, threads, opts);
+      EXPECT_EQ(writer.persists(), 1u);
+    }
+    EXPECT_EQ(advisor::SearchCheckpoint::load(path_).size(), records);
+    const std::string bytes = slurp(path_);
 
-  advisor::CheckpointWriter writer(path_, fingerprint, /*flush_every=*/1);
-  SweepOptions opts;
-  opts.checkpoint = &writer;
-  opts.resume = &cp;
-  const SweepResult resumed = run_matrix(plan, 2, opts);
-  EXPECT_GT(resumed.resumed, 0u);
-  EXPECT_EQ(resumed.cells.size(), plan.cells());
-  EXPECT_EQ(sweep::sweep_report_json(resumed, /*compact=*/true), fresh);
+    // A cadence of 3: a write every third record, then the remainder.
+    {
+      advisor::CheckpointWriter writer(path_, fingerprint, 3);
+      SweepOptions opts;
+      opts.checkpoint = &writer;
+      (void)run_matrix(plan, threads, opts);
+      EXPECT_EQ(writer.persists(), records / 3 + 1);
+    }
+    EXPECT_EQ(slurp(path_), bytes);
+  }
 }
 
 TEST_F(SweepResumeTest, ForeignCheckpointIsRejectedByFingerprint) {

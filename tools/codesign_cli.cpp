@@ -138,6 +138,31 @@ std::size_t threads_arg(const CliArgs& args) {
   return static_cast<std::size_t>(n);
 }
 
+/// --checkpoint=<f> [--resume] [--checkpoint-every=N] for search and sweep.
+/// The resume file is loaded before the writer exists: the writer's first
+/// write replaces the file, carrying the loaded entries forward (seed_from
+/// inside the run_* entry points).
+template <class Options>
+void checkpoint_args(const CliArgs& args, const std::string& fingerprint,
+                     std::optional<advisor::SearchCheckpoint>& resumed,
+                     std::optional<advisor::CheckpointWriter>& writer,
+                     Options& options) {
+  if (!args.has("checkpoint")) {
+    CODESIGN_CHECK(!args.get_bool("resume", false),
+                   "--resume requires --checkpoint=<file>");
+    return;
+  }
+  const std::int64_t every = args.get_int("checkpoint-every", 64);
+  if (every < 1) throw UsageError("--checkpoint-every must be at least 1");
+  const std::string path = args.get_string("checkpoint", "");
+  if (args.get_bool("resume", false)) {
+    resumed = advisor::SearchCheckpoint::load(path);
+    options.resume = &*resumed;
+  }
+  writer.emplace(path, fingerprint, static_cast<std::size_t>(every));
+  options.checkpoint = &*writer;
+}
+
 /// Write a file or die with a clean error.
 void write_file(const std::string& path, const std::string& contents) {
   std::ofstream f(path);
@@ -348,23 +373,7 @@ int cmd_search(const CliArgs& args) {
                                               sim, request.radius, 0);
   std::optional<advisor::SearchCheckpoint> resumed;
   std::optional<advisor::CheckpointWriter> writer;
-  if (args.has("checkpoint")) {
-    // Load before constructing the writer: the writer's first flush
-    // overwrites the file (carrying the loaded entries forward via
-    // seed_from in the run_* entry points).
-    if (args.get_bool("resume", false)) {
-      resumed = advisor::SearchCheckpoint::load(
-          args.get_string("checkpoint", ""));
-      options.resume = &*resumed;
-    }
-    writer.emplace(args.get_string("checkpoint", ""), fingerprint,
-                   static_cast<std::size_t>(
-                       args.get_int("checkpoint-every", 64)));
-    options.checkpoint = &*writer;
-  } else {
-    CODESIGN_CHECK(!args.get_bool("resume", false),
-                   "--resume requires --checkpoint=<file>");
-  }
+  checkpoint_args(args, fingerprint, resumed, writer, options);
 
   const int rc = serve::render_search(std::cout, request, sim);
   print_cache_summary(sim);
@@ -434,23 +443,7 @@ int cmd_sweep(const CliArgs& args) {
       sweep::sweep_fingerprint(plan, options.policy);
   std::optional<advisor::SearchCheckpoint> resumed;
   std::optional<advisor::CheckpointWriter> writer;
-  if (args.has("checkpoint")) {
-    // Load before constructing the writer (same dance as cmd_search): the
-    // writer's first flush overwrites the file, carrying loaded entries
-    // forward via seed_from inside run_sweep.
-    if (args.get_bool("resume", false)) {
-      resumed = advisor::SearchCheckpoint::load(
-          args.get_string("checkpoint", ""));
-      options.resume = &*resumed;
-    }
-    writer.emplace(args.get_string("checkpoint", ""), fingerprint,
-                   static_cast<std::size_t>(
-                       args.get_int("checkpoint-every", 64)));
-    options.checkpoint = &*writer;
-  } else {
-    CODESIGN_CHECK(!args.get_bool("resume", false),
-                   "--resume requires --checkpoint=<file>");
-  }
+  checkpoint_args(args, fingerprint, resumed, writer, options);
 
   const sweep::SweepResult result = sweep::run_sweep(plan, options);
   if (args.get_bool("json", false)) {
