@@ -16,7 +16,6 @@
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/req_scope.hpp"
-#include "transformer/flops.hpp"
 #include "transformer/gemm_mapping.hpp"
 #include "transformer/layer_model.hpp"
 #include "transformer/params.hpp"
@@ -54,7 +53,7 @@ ShapeCandidate evaluate_against(const TransformerConfig& config,
   ShapeCandidate c;
   c.config = config;
   c.layer_time = layer_time;
-  c.layer_tflops = tfm::layer_forward_flops(config) / layer_time / 1e12;
+  c.layer_tflops = tfm::layer_forward_flops(ws) / layer_time / 1e12;
   c.speedup_vs_base = base.layer_time / layer_time;
   c.param_count = static_cast<double>(tfm::exact_param_count(config));
   c.param_delta_frac = (c.param_count - base.param_count) / base.param_count;

@@ -26,8 +26,8 @@ std::string format_arg(const char* fmt, double v) {
 /// All trace-formatting work (problem.to_string(), the per-tile arg
 /// strings) lives strictly behind the `recorder == nullptr` early-out:
 /// a --metrics run without --trace pays for two counter bumps and nothing
-/// else, and the metrics-off fast path in select_kernel never calls this
-/// function at all.
+/// else. GemmSimulator only takes this walk under a trace; untraced
+/// estimates run PreparedCatalogue's scan.
 void record_selection_trail(const GemmProblem& problem,
                             const std::vector<KernelEstimate>& all,
                             std::size_t best_index,
@@ -119,11 +119,10 @@ BoundBreakdown bound_breakdown(const KernelEstimate& e) {
   return b;
 }
 
-ProblemTerms problem_terms(const GemmProblem& problem,
-                           const gpu::GpuSpec& gpu) {
+ProblemTerms problem_terms(const GemmProblem& problem, const gpu::GpuSpec& gpu,
+                           const gpu::AlignmentEfficiency& alignment) {
   ProblemTerms t;
-  t.alignment = gpu::alignment_efficiency(problem.m, problem.n, problem.k,
-                                          problem.dtype, gpu);
+  t.alignment = alignment;
   t.math_base = gpu::effective_math_rate(t.alignment, problem.dtype, gpu);
   t.bandwidth = gpu::effective_bandwidth(t.alignment, gpu);
   t.esize = static_cast<double>(gpu::dtype_size(problem.dtype));
@@ -142,7 +141,10 @@ KernelEstimate estimate_with_tile(const GemmProblem& problem,
   e.tile = tile;
   e.tile_q = tile_quantization(problem, tile);
   e.wave_q = wave_quantization(e.tile_q.tiles_total, tile, gpu);
-  const ProblemTerms terms = problem_terms(problem, gpu);
+  const ProblemTerms terms = problem_terms(
+      problem, gpu,
+      gpu::alignment_efficiency(problem.m, problem.n, problem.k,
+                                problem.dtype, gpu));
   e.alignment = terms.alignment;
   const TileTiming timing =
       tile_timing(e.tile_q, e.wave_q.efficiency, tile.intrinsic_efficiency,
@@ -171,34 +173,6 @@ KernelEstimate select_kernel(const GemmProblem& problem,
                              const gpu::GpuSpec& gpu,
                              const std::vector<gpu::TileConfig>& catalogue) {
   CODESIGN_FAILPOINT_T("gemmsim.select_kernel", problem.hash_value());
-  CODESIGN_CHECK(!catalogue.empty(), "tile catalogue must not be empty");
-
-  obs::EventRecorder* recorder = obs::EventRecorder::active();
-  if (recorder == nullptr && !obs::MetricsRegistry::enabled()) {
-    // Hot path: neither the selection trail nor its counters are wanted, so
-    // skip materializing the per-tile KernelEstimate vector entirely — scan
-    // the catalogue with the shared timing core and build only the winner.
-    // Bit-identical to the trail path: same quantization calls, same
-    // tile_timing expressions, same strict-< tie-break.
-    problem.validate();
-    const ProblemTerms terms = problem_terms(problem, gpu);
-    std::size_t best_index = 0;
-    double best_time = 0.0;
-    for (std::size_t i = 0; i < catalogue.size(); ++i) {
-      const gpu::TileConfig& tile = catalogue[i];
-      const TileQuantization tile_q = tile_quantization(problem, tile);
-      const WaveQuantization wave_q =
-          wave_quantization(tile_q.tiles_total, tile, gpu);
-      const TileTiming timing = tile_timing(
-          tile_q, wave_q.efficiency, tile.intrinsic_efficiency, terms);
-      if (i == 0 || timing.time < best_time) {
-        best_index = i;
-        best_time = timing.time;
-      }
-    }
-    return estimate_with_tile(problem, catalogue[best_index], gpu);
-  }
-
   const std::vector<KernelEstimate> all =
       estimate_all_tiles(problem, gpu, catalogue);
   const auto best = std::min_element(
@@ -208,7 +182,7 @@ KernelEstimate select_kernel(const GemmProblem& problem,
       });
   record_selection_trail(problem, all,
                          static_cast<std::size_t>(best - all.begin()),
-                         recorder);
+                         obs::EventRecorder::active());
   return *best;
 }
 

@@ -86,10 +86,10 @@ KernelEstimate estimate_with_tile(const GemmProblem& problem,
 
 /// Problem-level terms of the tile loop — everything in the latency model
 /// that does not depend on the candidate tile, computed once per problem
-/// and shared across the whole catalogue. The scalar path
-/// (estimate_with_tile) and the batched path (PreparedCatalogue) both feed
-/// these into tile_timing(), which is what makes their results bit-identical
-/// by construction rather than by accident.
+/// and shared across the whole catalogue. The reference path
+/// (estimate_with_tile) and the scan (PreparedCatalogue) both feed these
+/// into tile_timing(), which is what makes their results bit-identical by
+/// construction rather than by accident.
 struct ProblemTerms {
   gpu::AlignmentEfficiency alignment;
   double math_base = 0.0;   ///< effective_math_rate(alignment, dtype, gpu)
@@ -100,8 +100,10 @@ struct ProblemTerms {
   bool accumulate_into_c = false;
 };
 
-/// Compute the tile-independent terms for one problem (does not validate).
-ProblemTerms problem_terms(const GemmProblem& problem, const gpu::GpuSpec& gpu);
+/// The tile-independent terms of one problem, given its alignment
+/// (gpu::alignment_efficiency or an AlignmentTable lookup). No validation.
+ProblemTerms problem_terms(const GemmProblem& problem, const gpu::GpuSpec& gpu,
+                           const gpu::AlignmentEfficiency& alignment);
 
 /// Per-tile timing outputs of the shared core.
 struct TileTiming {
@@ -160,7 +162,8 @@ inline TileTiming tile_timing(const TileQuantization& tile_q,
 }
 
 /// Evaluate every tile in `catalogue` and return the fastest. Deterministic:
-/// ties resolve to the earlier catalogue entry.
+/// ties resolve to the earlier catalogue entry. The reference walk, with the
+/// selection trail; PreparedCatalogue's pruned scan returns the same.
 KernelEstimate select_kernel(
     const GemmProblem& problem, const gpu::GpuSpec& gpu,
     const std::vector<gpu::TileConfig>& catalogue = gpu::default_tile_catalogue());

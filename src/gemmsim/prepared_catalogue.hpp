@@ -1,29 +1,33 @@
-// prepared_catalogue.hpp — the tile catalogue precompiled for batch speed.
+// prepared_catalogue.hpp — the one tile scan behind every untraced estimate.
 //
-// The batched estimation engine (GemmSimulator::estimate_many) exists to
-// sweep enormous (problem, tile, GPU) grids: a design-space search touches
-// 10^5+ candidate tuples, and the scalar path's per-call costs — a fresh
-// std::vector<KernelEstimate> per catalogue walk, the alignment model
-// re-evaluated per tile, the GpuSpec re-dereferenced per field — dominate
-// the arithmetic. A PreparedCatalogue flattens one (GpuSpec, TilePolicy)
-// pair into structure-of-arrays lookup tables (tile dims, intrinsic
-// efficiencies, wave constants) built once and shared by every batch, so
-// the inner loop is a branch-light scan over flat arrays with zero
-// allocation and zero per-tile model re-derivation.
+// GemmSimulator::estimate() on a cache miss and the batched estimate_many /
+// estimate_times pick their tile here. A PreparedCatalogue binds one
+// (GpuSpec, TilePolicy) pair to its tile list and a gpu::AlignmentTable,
+// built once and shared, so a scan allocates nothing and skips the
+// alignment ladder walk.
+//
+// The scan is pruned but exact. Before timing tile i it evaluates
+//   bound_i = max(2·m·n·k·batch / (math_base·eff_i),
+//                 unpadded_traffic / bandwidth) + launch,
+// tile_timing()'s expressions with the real dims in place of the padded
+// ones and no wave padding. IEEE rounding is monotone, so bound_i never
+// exceeds tile i's time; a tile is skipped only when bound_i is strictly
+// greater than the best time so far, so it could not have won and ties
+// still go to the earlier entry. When the efficiencies never increase along
+// the catalogue (checked at construction) the bounds never decrease and the
+// scan stops at the first skip. Power-of-two tile dims quantize by shifts.
 //
 // Determinism contract (docs/search_pipeline.md): estimate_one() is
-// bit-identical to the scalar path (select_kernel under kAuto,
-// estimate_with_tile(largest_tile) under kFixedLargest). It reuses the
-// exact integer quantization formulas and the shared tile_timing() core,
-// so every double is produced by the same expression tree the scalar path
-// compiles — asserted field-for-field by tests/test_estimate_many.cpp.
+// bit-identical to the reference walk (select_kernel under kAuto,
+// estimate_with_tile(largest_tile) under kFixedLargest) — asserted
+// field-for-field by tests/test_estimate_many.cpp.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "gemmsim/kernel_model.hpp"
 #include "gpuarch/gpu_spec.hpp"
+#include "gpuarch/tensor_core.hpp"
 #include "gpuarch/tile_config.hpp"
 
 namespace codesign::gemm {
@@ -33,42 +37,39 @@ enum class TilePolicy;  // defined in simulator.hpp
 class PreparedCatalogue {
  public:
   /// Precompile `catalogue` for one (gpu, policy) pair. Under
-  /// kFixedLargest the prepared table holds only the single largest tile,
-  /// mirroring the scalar policy dispatch. `gpu` must outlive the
-  /// catalogue (GpuSpec instances are registry-owned singletons).
+  /// kFixedLargest the table holds only the single largest tile, mirroring
+  /// the reference policy dispatch. `gpu` must outlive the catalogue
+  /// (GpuSpec instances are registry-owned singletons). Throws ConfigError
+  /// for an empty catalogue, a non-positive tile dim or blocks_per_sm, or
+  /// an intrinsic_efficiency outside (0, 1].
   PreparedCatalogue(const gpu::GpuSpec& gpu, TilePolicy policy,
                     const std::vector<gpu::TileConfig>& catalogue =
                         gpu::default_tile_catalogue());
 
   const gpu::GpuSpec& gpu() const { return *gpu_; }
   TilePolicy policy() const { return policy_; }
-  std::size_t tile_count() const { return tm_.size(); }
+  std::size_t tile_count() const { return tiles_.size(); }
 
-  /// Full estimate for one problem — bit-identical to the scalar
-  /// estimate() path for the same (problem, policy, gpu). Fires the
-  /// gemmsim.select_kernel failpoint under kAuto exactly as select_kernel
-  /// does, so fault drills land on the same candidates either way.
+  /// Full estimate for one problem — bit-identical to the reference walk.
+  /// Fires the gemmsim.select_kernel failpoint under kAuto exactly as
+  /// select_kernel does, so fault drills land on the same candidates.
   KernelEstimate estimate_one(const GemmProblem& problem) const;
 
-  /// Lean twin: just the winning time, no KernelEstimate materialized.
-  /// Bit-identical to estimate_one(problem).time.
+  /// Just the winning time: bit-identical to estimate_one(problem).time.
   double time_one(const GemmProblem& problem) const;
 
  private:
-  /// Scan the flat tables; returns the winning tile index and its time.
-  std::size_t scan(const GemmProblem& problem, const ProblemTerms& terms,
-                   double* best_time) const;
+  /// The shared preamble (failpoint, validation, metrics) and the scan;
+  /// returns the winning tile's index and stores its time in `best_time`.
+  std::size_t select(const GemmProblem& problem, double* best_time) const;
 
   const gpu::GpuSpec* gpu_;  ///< registry- or caller-owned, never null
   TilePolicy policy_;
-
-  // Structure-of-arrays tile tables, indexed by catalogue position.
-  std::vector<std::int64_t> tm_;
-  std::vector<std::int64_t> tn_;
-  std::vector<std::int64_t> tk_;
-  std::vector<std::int64_t> blocks_per_wave_;  ///< sm_count * blocks_per_sm
-  std::vector<double> intrinsic_;
-  std::vector<gpu::TileConfig> tiles_;  ///< original entries (winner rebuild)
+  gpu::AlignmentTable alignment_;
+  std::vector<gpu::TileConfig> tiles_;
+  bool pow2_dims_ = true;  ///< every tm/tn/tk is a power of two
+  bool sorted_ = true;     ///< intrinsic efficiencies never increase
+  double min_intrinsic_ = 1.0;
 };
 
 }  // namespace codesign::gemm

@@ -12,9 +12,7 @@ namespace codesign::gemm {
 GemmSimulator::GemmSimulator(const gpu::GpuSpec& gpu, TilePolicy policy)
     : gpu_(&gpu),
       policy_(policy),
-      prepared_(std::make_shared<const PreparedCatalogue>(gpu, policy)) {
-  gpu.validate();
-}
+      prepared_(std::make_shared<const PreparedCatalogue>(gpu, policy)) {}
 
 GemmSimulator GemmSimulator::for_gpu(const std::string& gpu_name,
                                      TilePolicy policy) {
@@ -22,14 +20,6 @@ GemmSimulator GemmSimulator::for_gpu(const std::string& gpu_name,
 }
 
 namespace {
-
-KernelEstimate estimate_uncached(const GemmProblem& problem, TilePolicy policy,
-                                 const gpu::GpuSpec& gpu) {
-  if (policy == TilePolicy::kFixedLargest) {
-    return estimate_with_tile(problem, gpu::largest_tile(), gpu);
-  }
-  return select_kernel(problem, gpu);
-}
 
 /// Per-estimate counters, recorded from the *returned* estimate so the
 /// numbers are identical whether it came from the cache or a fresh compute
@@ -51,13 +41,21 @@ void record_estimate_metrics(const KernelEstimate& est) {
 }  // namespace
 
 KernelEstimate GemmSimulator::estimate(const GemmProblem& problem) const {
+  const auto compute = [&] {
+    // Under a trace the reference walk records the per-tile selection
+    // trail; otherwise the pruned scan picks the same tile.
+    if (policy_ == TilePolicy::kAuto &&
+        obs::EventRecorder::active() != nullptr) {
+      return select_kernel(problem, *gpu_);
+    }
+    return prepared_->estimate_one(problem);
+  };
   KernelEstimate est;
   if (cache_ != nullptr) {
-    est = cache_->get_or_compute(
-        EstimateCache::Key{problem, policy_, gpu_},
-        [&] { return estimate_uncached(problem, policy_, *gpu_); });
+    est = cache_->get_or_compute(EstimateCache::Key{problem, policy_, gpu_},
+                                 compute);
   } else {
-    est = estimate_uncached(problem, policy_, *gpu_);
+    est = compute();
   }
   if (obs::MetricsRegistry::enabled()) record_estimate_metrics(est);
   if (auto* rs = obs::RequestScope::current()) rs->estimates += 1;

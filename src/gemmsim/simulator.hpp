@@ -65,8 +65,8 @@ class GemmSimulator {
   /// Batched estimate: fills out[i] with exactly what estimate(problems[i])
   /// returns — bit-identical, any cache state, any thread count. The batch
   /// amortizes the per-call costs of the scalar path: cache probes are
-  /// grouped per stripe lock (EstimateCache::lookup_many), misses scan the
-  /// precompiled SoA tile tables (PreparedCatalogue), and validation /
+  /// grouped per stripe lock (EstimateCache::lookup_many), misses run the
+  /// PreparedCatalogue scan, and validation /
   /// metrics / failpoint checks run per batch item without per-call setup.
   /// Divergences from N scalar calls are confined to best-effort
   /// observability: cache hit/miss counter splits, LRU recency order, and
@@ -92,7 +92,7 @@ class GemmSimulator {
   double sequence_latency(std::span<const GemmProblem> problems,
                           BatchWorkspace& workspace) const;
 
-  /// The precompiled tile tables this simulator scans on a cache miss.
+  /// The prepared catalogue whose scan every untraced cache miss runs.
   const PreparedCatalogue& prepared() const { return *prepared_; }
 
   /// Discrete-event cross-check of the analytical estimate.

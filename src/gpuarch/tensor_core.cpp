@@ -1,6 +1,7 @@
 #include "gpuarch/tensor_core.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -42,26 +43,76 @@ bool dim_tensor_core_eligible(std::int64_t dim, DType dtype,
   return byte_granule(dim, dtype, gpu) >= gpu.tc_min_alignment_bytes;
 }
 
-AlignmentEfficiency alignment_efficiency(std::int64_t m, std::int64_t n,
-                                         std::int64_t k, DType dtype,
-                                         const GpuSpec& gpu) {
+namespace {
+
+/// The part of alignment_efficiency() past the per-dimension lookups,
+/// shared by the direct path and AlignmentTable.
+AlignmentEfficiency combine(std::int64_t m, std::int64_t n, std::int64_t k,
+                            const double eff[3], bool all_eligible,
+                            DType dtype, const GpuSpec& gpu) {
   AlignmentEfficiency out;
-  out.m = dim_alignment_efficiency(m, dtype, gpu);
-  out.n = dim_alignment_efficiency(n, dtype, gpu);
-  out.k = dim_alignment_efficiency(k, dtype, gpu);
+  out.m = eff[0];
+  out.n = eff[1];
+  out.k = eff[2];
   out.pow2_m = static_cast<std::int64_t>(largest_pow2_dividing(m));
   out.pow2_n = static_cast<std::int64_t>(largest_pow2_dividing(n));
   out.pow2_k = static_cast<std::int64_t>(largest_pow2_dividing(k));
 
-  double f[3] = {out.m, out.n, out.k};
-  std::sort(f, f + 3);
-  out.combined = f[0] * std::sqrt(f[1]);
+  // The smallest and the middle of the three (what sorting them gives).
+  const double lo = std::min({out.m, out.n, out.k});
+  const double mid = std::max(std::min(out.m, out.n),
+                              std::min(std::max(out.m, out.n), out.k));
+  out.combined = lo * std::sqrt(mid);
 
-  out.tensor_cores = gpu.tensor_flops(dtype) > 0 &&
-                     dim_tensor_core_eligible(m, dtype, gpu) &&
-                     dim_tensor_core_eligible(n, dtype, gpu) &&
-                     dim_tensor_core_eligible(k, dtype, gpu);
+  out.tensor_cores = gpu.tensor_flops(dtype) > 0 && all_eligible;
   return out;
+}
+
+}  // namespace
+
+AlignmentEfficiency alignment_efficiency(std::int64_t m, std::int64_t n,
+                                         std::int64_t k, DType dtype,
+                                         const GpuSpec& gpu) {
+  const double eff[3] = {dim_alignment_efficiency(m, dtype, gpu),
+                         dim_alignment_efficiency(n, dtype, gpu),
+                         dim_alignment_efficiency(k, dtype, gpu)};
+  const bool eligible = dim_tensor_core_eligible(m, dtype, gpu) &&
+                        dim_tensor_core_eligible(n, dtype, gpu) &&
+                        dim_tensor_core_eligible(k, dtype, gpu);
+  return combine(m, n, k, eff, eligible, dtype, gpu);
+}
+
+AlignmentTable::AlignmentTable(const GpuSpec& gpu) : gpu_(&gpu) {
+  gpu.validate();
+  for (std::size_t c = 0; c < by_byte_ctz_.size(); ++c) {
+    // byte_granule(), cast for cast: the lowest set bit of the byte size
+    // (0 when it wrapped to 0) as an int64, capped at full alignment.
+    const auto low =
+        static_cast<std::int64_t>(c < 64 ? std::uint64_t{1} << c : 0);
+    const std::int64_t granule =
+        std::min<std::int64_t>(low, gpu.tc_full_alignment_bytes);
+    by_byte_ctz_[c].efficiency = ladder_efficiency(granule, gpu);
+    by_byte_ctz_[c].tensor_core_eligible =
+        granule >= gpu.tc_min_alignment_bytes;
+  }
+}
+
+AlignmentEfficiency AlignmentTable::evaluate(std::int64_t m, std::int64_t n,
+                                             std::int64_t k,
+                                             DType dtype) const {
+  const auto size = static_cast<std::uint64_t>(dtype_size(dtype));
+  const auto step = [&](std::int64_t dim) -> const Step& {
+    return by_byte_ctz_[std::countr_zero(static_cast<std::uint64_t>(dim) *
+                                         size)];
+  };
+  const Step& sm = step(m);
+  const Step& sn = step(n);
+  const Step& sk = step(k);
+  const double eff[3] = {sm.efficiency, sn.efficiency, sk.efficiency};
+  return combine(m, n, k, eff,
+                 sm.tensor_core_eligible && sn.tensor_core_eligible &&
+                     sk.tensor_core_eligible,
+                 dtype, *gpu_);
 }
 
 double effective_math_rate(const AlignmentEfficiency& eff, DType dtype,

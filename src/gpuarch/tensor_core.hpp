@@ -9,6 +9,7 @@
 // mechanism behind the paper's Figures 7–9, 20, and 21–47.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "gpuarch/dtype.hpp"
@@ -52,6 +53,31 @@ struct AlignmentEfficiency {
 AlignmentEfficiency alignment_efficiency(std::int64_t m, std::int64_t n,
                                          std::int64_t k, DType dtype,
                                          const GpuSpec& gpu);
+
+/// alignment_efficiency() with the per-dimension ladder lookups
+/// precomputed for one GPU. A dimension's granule depends only on the
+/// trailing-zero count of its byte size, so the table holds one ladder step
+/// per count and evaluate() replaces the granule and ladder walks with an
+/// index. Bit-identical to alignment_efficiency() for positive dims.
+class AlignmentTable {
+ public:
+  /// Validates `gpu`, which must outlive the table.
+  explicit AlignmentTable(const GpuSpec& gpu);
+
+  /// alignment_efficiency(m, n, k, dtype, gpu). Dims must be positive.
+  AlignmentEfficiency evaluate(std::int64_t m, std::int64_t n, std::int64_t k,
+                               DType dtype) const;
+
+ private:
+  struct Step {
+    double efficiency = 1.0;
+    bool tensor_core_eligible = true;
+  };
+  /// Indexed by std::countr_zero of the dimension's byte size (64 = the
+  /// byte size wrapped to 0, granule 0).
+  std::array<Step, 65> by_byte_ctz_;
+  const GpuSpec* gpu_;
+};
 
 /// The effective math rate (FLOP/s) for a GEMM with this alignment: the
 /// tensor path scaled by `combined`, or the vector path when tensor cores

@@ -100,7 +100,7 @@ double layer_total_time(const TransformerConfig& config,
   // analyze_layer().total_time. What it skips is everything reporting-only —
   // the OpLatency records and their formatted detail strings — which
   // dominate the cost of a search evaluating thousands of candidates.
-  config.validate();
+  // schedule_for() validates the config before anything is estimated.
   double total = 0.0;
   for (const MappedOp& op : schedule_for(config)) {
     if (op.gemm.has_value()) {
@@ -120,10 +120,10 @@ double layer_total_time(const TransformerConfig& config,
   // The batched hot path: same schedule, same estimates, same summation
   // order as the scalar overload — only the mechanics change. GEMMs are
   // gathered in op order and resolved with one estimate_times() call
-  // (grouped cache probes, SoA scan on misses); flash and elementwise
+  // (grouped cache probes, tile scan on misses); flash and elementwise
   // terms are computed inline exactly as the scalar loop does, so the
   // left-to-right sum adds the identical doubles in the identical order.
-  config.validate();
+  // layer_ops_into() validates the config, once per walk.
   schedule_for_into(config, ws.ops);
   ws.gemms.clear();
   for (const MappedOp& op : ws.ops) {
@@ -141,6 +141,21 @@ double layer_total_time(const TransformerConfig& config,
     } else {
       total += op.elementwise_bytes / sim.gpu().achievable_bandwidth() +
                sim.gpu().kernel_launch_overhead;
+    }
+  }
+  return total;
+}
+
+double layer_forward_flops(const LayerWorkspace& ws) {
+  // layer_forward_flops(config) sums layer_gemms(config) in order and then
+  // adds the dense flash math; ws.gemms is the same list in the same order.
+  double total = 0.0;
+  for (const gemm::GemmProblem& p : ws.gemms) total += p.flops();
+  for (const MappedOp& op : ws.ops) {
+    if (op.flash.has_value()) {
+      gemm::FlashAttentionProblem fp = *op.flash;
+      fp.causal = false;
+      total += fp.flops();
     }
   }
   return total;

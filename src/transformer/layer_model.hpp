@@ -79,11 +79,16 @@ struct LayerWorkspace {
 
 /// Batched twin of layer_total_time(): gathers the layer's GEMMs and
 /// resolves them through one GemmSimulator::estimate_times() call (grouped
-/// cache probes, SoA catalogue scan on misses) instead of one estimate()
+/// cache probes, the pruned tile scan on misses) instead of one estimate()
 /// per op. Bit-identical to the scalar overload — same estimates, summed
 /// in the same op order.
 double layer_total_time(const TransformerConfig& config,
                         const gemm::GemmSimulator& sim, LayerWorkspace& ws);
+
+/// layer_forward_flops() of the config the last batched layer_total_time()
+/// call walked with `ws`: the same double, summed from the GEMM list the
+/// walk already built instead of rebuilding it.
+double layer_forward_flops(const LayerWorkspace& ws);
 
 struct ModelLatencyReport {
   TransformerConfig config;

@@ -7,6 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -45,24 +50,99 @@ std::vector<GemmProblem> shape_set() {
   return shapes;
 }
 
+/// Doubles compare as bit patterns: the contract is bit-identity.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 /// Field-exact equality — the batch contract is bitwise, not approximate.
 void expect_identical(const KernelEstimate& a, const KernelEstimate& b) {
   EXPECT_EQ(a.problem, b.problem);
   EXPECT_EQ(a.tile.tm, b.tile.tm);
   EXPECT_EQ(a.tile.tn, b.tile.tn);
   EXPECT_EQ(a.tile.tk, b.tile.tk);
+  EXPECT_EQ(a.tile.blocks_per_sm, b.tile.blocks_per_sm);
+  EXPECT_EQ(bits(a.tile.intrinsic_efficiency),
+            bits(b.tile.intrinsic_efficiency));
+  EXPECT_EQ(a.tile_q.tiles_m, b.tile_q.tiles_m);
+  EXPECT_EQ(a.tile_q.tiles_n, b.tile_q.tiles_n);
   EXPECT_EQ(a.tile_q.tiles_total, b.tile_q.tiles_total);
   EXPECT_EQ(a.tile_q.padded_m, b.tile_q.padded_m);
   EXPECT_EQ(a.tile_q.padded_n, b.tile_q.padded_n);
   EXPECT_EQ(a.tile_q.padded_k, b.tile_q.padded_k);
+  EXPECT_EQ(bits(a.tile_q.wasted_compute_fraction),
+            bits(b.tile_q.wasted_compute_fraction));
+  EXPECT_EQ(a.wave_q.blocks_per_wave, b.wave_q.blocks_per_wave);
   EXPECT_EQ(a.wave_q.waves, b.wave_q.waves);
-  EXPECT_EQ(a.wave_q.efficiency, b.wave_q.efficiency);
-  EXPECT_EQ(a.alignment.combined, b.alignment.combined);
-  EXPECT_EQ(a.compute_time, b.compute_time);
-  EXPECT_EQ(a.memory_time, b.memory_time);
-  EXPECT_EQ(a.launch_overhead, b.launch_overhead);
-  EXPECT_EQ(a.time, b.time);
+  EXPECT_EQ(a.wave_q.tail_blocks, b.wave_q.tail_blocks);
+  EXPECT_EQ(bits(a.wave_q.efficiency), bits(b.wave_q.efficiency));
+  EXPECT_EQ(bits(a.alignment.combined), bits(b.alignment.combined));
+  EXPECT_EQ(a.alignment.tensor_cores, b.alignment.tensor_cores);
+  EXPECT_EQ(bits(a.compute_time), bits(b.compute_time));
+  EXPECT_EQ(bits(a.memory_time), bits(b.memory_time));
+  EXPECT_EQ(bits(a.launch_overhead), bits(b.launch_overhead));
+  EXPECT_EQ(bits(a.time), bits(b.time));
   EXPECT_EQ(a.bound, b.bound);
+}
+
+/// The pruned scan against the reference walk (select_kernel over the
+/// same catalogue) for one problem: the same estimate field for field, the
+/// same time from time_one(), or the same failure.
+void expect_scan_matches_reference(const PreparedCatalogue& prepared,
+                                   const std::vector<gpu::TileConfig>& tiles,
+                                   const GemmProblem& p) {
+  SCOPED_TRACE(prepared.gpu().id + " " + p.to_string() +
+               (p.accumulate_into_c ? " +C" : ""));
+  KernelEstimate reference;
+  try {
+    reference = select_kernel(p, prepared.gpu(), tiles);
+  } catch (const Error&) {
+    // e.g. fp64 on a GPU with no fp64 math path: the scan must refuse too.
+    EXPECT_THROW(prepared.estimate_one(p), Error);
+    EXPECT_THROW(prepared.time_one(p), Error);
+    return;
+  }
+  expect_identical(reference, prepared.estimate_one(p));
+  EXPECT_EQ(bits(reference.time), bits(prepared.time_one(p)));
+}
+
+/// A GEMM dim in [1, 2^17]: powers of two and their neighbours, primes,
+/// multiples of 64, and uniform draws.
+std::int64_t draw_dim(std::mt19937_64& rng) {
+  static const std::int64_t kPrimes[] = {2,    3,    5,     7,     13,
+                                         31,   61,   127,   251,   509,
+                                         1021, 4093, 8191,  16381, 65521,
+                                         131071};
+  const auto below = [&rng](std::uint64_t n) {
+    return static_cast<std::int64_t>(rng() % n);
+  };
+  switch (below(5)) {
+    case 0: return std::int64_t{1} << below(18);
+    case 1: return (std::int64_t{1} << (1 + below(16))) + below(3) - 1;
+    case 2: return kPrimes[below(std::size(kPrimes))];
+    case 3: return 64 * (1 + below(2048));
+    default: return 1 + below(std::int64_t{1} << 17);
+  }
+}
+
+/// Seeded problems over every dtype, with batch > 1 and accumulate_into_c.
+std::vector<GemmProblem> seeded_problems(std::uint64_t seed,
+                                         std::size_t per_dtype) {
+  std::mt19937_64 rng(seed);
+  std::vector<GemmProblem> out;
+  for (const gpu::DType dtype :
+       {gpu::DType::kFP16, gpu::DType::kBF16, gpu::DType::kFP32,
+        gpu::DType::kTF32, gpu::DType::kFP64, gpu::DType::kINT8}) {
+    for (std::size_t i = 0; i < per_dtype; ++i) {
+      GemmProblem p;
+      p.m = draw_dim(rng);
+      p.n = draw_dim(rng);
+      p.k = draw_dim(rng);
+      p.batch = rng() % 2 == 0 ? 1 : 1 + static_cast<std::int64_t>(rng() % 96);
+      p.dtype = dtype;
+      p.accumulate_into_c = rng() % 3 == 0;
+      out.push_back(p);
+    }
+  }
+  return out;
 }
 
 TEST(PreparedCatalogue, EstimateOneMatchesSelectKernel) {
@@ -73,6 +153,113 @@ TEST(PreparedCatalogue, EstimateOneMatchesSelectKernel) {
     expect_identical(select_kernel(p, gpu), prepared.estimate_one(p));
     EXPECT_EQ(prepared.time_one(p), prepared.estimate_one(p).time);
   }
+}
+
+// The exactness sweep: on every registry GPU and dtype the pruned scan
+// returns what the reference walk returns, bit for bit.
+TEST(PreparedCatalogue, PrunedScanMatchesReferenceOnSeededSweep) {
+  const std::vector<GemmProblem> problems = seeded_problems(20240917, 150);
+  for (const std::string& id : gpu::known_gpus()) {
+    const gpu::GpuSpec& gpu = gpu::gpu_by_name(id);
+    const PreparedCatalogue prepared(gpu, TilePolicy::kAuto);
+    for (const GemmProblem& p : problems) {
+      expect_scan_matches_reference(prepared, gpu::default_tile_catalogue(),
+                                    p);
+    }
+  }
+}
+
+// Catalogues the fast paths do not cover: efficiencies out of order (no
+// early stop, tile-by-tile skips) and non-power-of-two dims (integer
+// divides), each alone and together.
+TEST(PreparedCatalogue, PrunedScanMatchesReferenceOnCustomCatalogues) {
+  const std::vector<std::vector<gpu::TileConfig>> catalogues = {
+      // unsorted, non-power-of-two
+      {{96, 80, 24, 0.61, 2},
+       {256, 128, 32, 0.88, 1},
+       {48, 48, 16, 0.35, 4},
+       {192, 96, 32, 0.82, 1},
+       {64, 64, 32, 0.52, 4},
+       {160, 160, 40, 0.90, 1},
+       {40, 24, 8, 0.20, 6}},
+      // sorted, non-power-of-two
+      {{192, 96, 32, 0.90, 1}, {96, 80, 24, 0.70, 2}, {48, 48, 16, 0.40, 4}},
+      // unsorted, powers of two
+      {{64, 64, 32, 0.52, 4},
+       {256, 128, 32, 0.88, 1},
+       {32, 32, 32, 0.28, 4},
+       {128, 128, 32, 0.80, 2}},
+      // a near tie: the second tile wins by a hair, at exactly its bound
+      {{64, 64, 32, 0.80, 1}, {64, 64, 32, 0.80 + 1e-9, 1}},
+  };
+  for (const char* id : {"a100", "h100-sxm", "v100"}) {
+    const gpu::GpuSpec& gpu = gpu::gpu_by_name(id);
+    std::vector<GemmProblem> problems = seeded_problems(77, 60);
+    // Compute-bound, no tile padding, whole waves: a 64x64 tile's time
+    // equals its bound, so a bound that overshot by any margin would drop
+    // the near-tie winner above.
+    for (const std::int64_t waves : {1, 2, 3}) {
+      problems.push_back(problem(64 * gpu.sm_count * waves, 512, 8192));
+    }
+    for (const auto& tiles : catalogues) {
+      const PreparedCatalogue prepared(gpu, TilePolicy::kAuto, tiles);
+      for (const GemmProblem& p : problems) {
+        expect_scan_matches_reference(prepared, tiles, p);
+      }
+    }
+  }
+}
+
+TEST(PreparedCatalogue, RejectsTilesTheScanCannotTime) {
+  const gpu::GpuSpec& gpu = gpu::gpu_by_name("a100");
+  const gpu::TileConfig good{128, 128, 32, 0.80, 2};
+  const auto with = [&good](auto edit) {
+    gpu::TileConfig bad = good;
+    edit(bad);
+    return std::vector<gpu::TileConfig>{good, bad};
+  };
+  using T = gpu::TileConfig;
+  for (const auto& tiles :
+       {with([](T& t) { t.blocks_per_sm = 0; }),
+        with([](T& t) { t.blocks_per_sm = -2; }),
+        with([](T& t) { t.intrinsic_efficiency = 0.0; }),
+        with([](T& t) { t.intrinsic_efficiency = -0.5; }),
+        with([](T& t) { t.intrinsic_efficiency = 1.5; }),
+        with([](T& t) { t.intrinsic_efficiency = std::nan(""); }),
+        with([](T& t) { t.tk = 0; })}) {
+    EXPECT_THROW(PreparedCatalogue(gpu, TilePolicy::kAuto, tiles),
+                 ConfigError);
+  }
+  EXPECT_THROW(PreparedCatalogue(gpu, TilePolicy::kAuto, {}), ConfigError);
+  EXPECT_NO_THROW(PreparedCatalogue(
+      gpu, TilePolicy::kAuto,
+      with([](T& t) { t.intrinsic_efficiency = 1.0; })));
+}
+
+// gemmsim.select.pruned counts the tiles the scan skipped, best-effort only.
+TEST(PreparedCatalogue, PrunedCounterIsBestEffort) {
+  auto& reg = obs::MetricsRegistry::global();
+  reg.reset_values();
+  obs::MetricsRegistry::set_enabled(true);
+  const PreparedCatalogue prepared(gpu::gpu_by_name("a100"),
+                                   TilePolicy::kAuto);
+  // A large aligned GEMM: the first tiles win, the small ones are skipped.
+  prepared.time_one(problem(8192, 8192, 8192));
+  obs::MetricsRegistry::set_enabled(false);
+  const std::uint64_t pruned =
+      reg.counter("gemmsim.select.pruned", {}, obs::Stability::kBestEffort)
+          .value();
+  EXPECT_GT(pruned, 0u);
+  EXPECT_LT(pruned, prepared.tile_count());
+  EXPECT_EQ(reg.counter("gemmsim.select.candidates", {},
+                        obs::Stability::kBestEffort)
+                .value(),
+            prepared.tile_count());
+  EXPECT_EQ(reg.snapshot({.include_best_effort = false})
+                .to_json()
+                .find("gemmsim.select.pruned"),
+            std::string::npos);
+  reg.reset_values();
 }
 
 TEST(PreparedCatalogue, FixedLargestDegeneratesToOneTile) {

@@ -199,5 +199,23 @@ TEST(Mapping, InvalidConfigRejected) {
   EXPECT_THROW(layer_gemms(c), Error);
 }
 
+// layer_ops_into builds its GEMMs unchecked after one validate(); every
+// public builder still validates on its own.
+TEST(Mapping, EveryPublicBuilderRejectsInvalidConfig) {
+  TransformerConfig c = cfg();
+  c.num_heads = 48;  // h % a != 0
+  EXPECT_THROW(qkv_gemm(c), ConfigError);
+  EXPECT_THROW(attention_score_bmm(c), ConfigError);
+  EXPECT_THROW(attention_over_value_bmm(c), ConfigError);
+  EXPECT_THROW(post_attn_projection_gemm(c), ConfigError);
+  EXPECT_THROW(mlp_up_gemm(c), ConfigError);
+  EXPECT_THROW(mlp_down_gemm(c), ConfigError);
+  EXPECT_THROW(logit_gemm(c), ConfigError);
+  EXPECT_THROW(flash_attention_problem(c), ConfigError);
+  EXPECT_THROW(layer_gemms(c), ConfigError);
+  EXPECT_THROW(layer_ops(c), ConfigError);
+  EXPECT_THROW(model_level_ops(c), ConfigError);
+}
+
 }  // namespace
 }  // namespace codesign::tfm

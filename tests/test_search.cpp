@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
 #include "common/error.hpp"
+#include "transformer/flops.hpp"
 #include "transformer/model_zoo.hpp"
 
 namespace codesign::advisor {
@@ -258,6 +261,50 @@ TEST(EvaluateCandidate, SpeedupIsRelative) {
   const ShapeCandidate c2 =
       evaluate_candidate(model_by_name("gpt3-2.7b-c2"), base, sim());
   EXPECT_GT(c2.speedup_vs_base, 1.0);
+}
+
+// The candidate walk sums layer_tflops' flops from the GEMM list it already
+// built; the value must equal the standalone layer_forward_flops() path bit
+// for bit, for every schedule shape the walk can produce.
+TEST(EvaluateCandidate, LayerTflopsMatchesLayerForwardFlopsBitwise) {
+  std::vector<tfm::TransformerConfig> configs;
+  const tfm::TransformerConfig gpt = model_by_name("gpt3-2.7b");
+  configs.push_back(gpt);  // BMM attention, GELU
+  tfm::TransformerConfig flash = gpt.with_name("flash");
+  flash.attention = tfm::AttentionImpl::kFlash;
+  configs.push_back(flash);
+  tfm::TransformerConfig encoder_flash =
+      model_by_name("bert-large").with_name("bert-flash");
+  encoder_flash.attention = tfm::AttentionImpl::kFlash;  // non-causal
+  configs.push_back(encoder_flash);
+  configs.push_back(model_by_name("llama2-7b"));  // SwiGLU, rotary
+  tfm::TransformerConfig gqa = model_by_name("llama2-7b").with_name("gqa");
+  gqa.num_kv_heads = 8;
+  configs.push_back(gqa);
+  tfm::TransformerConfig parallel = gpt.with_name("parallel");
+  parallel.parallel_layers = true;
+  configs.push_back(parallel);
+  tfm::TransformerConfig all = gqa.with_name("all");
+  all.attention = tfm::AttentionImpl::kFlash;
+  all.parallel_layers = true;
+  configs.push_back(all);
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto expected = [&](const ShapeCandidate& c) {
+    return tfm::layer_forward_flops(c.config) / c.layer_time / 1e12;
+  };
+  for (const tfm::TransformerConfig& cfg : configs) {
+    const ShapeCandidate c = evaluate_candidate(cfg, gpt, sim());
+    EXPECT_EQ(bits(c.layer_tflops), bits(expected(c))) << cfg.name;
+  }
+  // One workspace reused across every schedule shape, as a search does.
+  SearchOptions options;
+  options.max_candidates = configs.size();
+  const SearchOutcome out = run_grid_search(configs, gpt, sim(), options);
+  ASSERT_EQ(out.ranked.size(), configs.size());
+  for (const ShapeCandidate& c : out.ranked) {
+    EXPECT_EQ(bits(c.layer_tflops), bits(expected(c))) << c.config.name;
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "common/math_util.hpp"
@@ -149,6 +151,43 @@ TEST(EffectiveMathRate, ScalesWithCombined) {
   const double r = effective_math_rate(e80, DType::kFP16, a100());
   EXPECT_NEAR(r, a100().achievable_tensor_flops(DType::kFP16) * e80.combined,
               1.0);
+}
+
+// AlignmentTable replaces the per-dimension ladder walk with a lookup; it
+// must agree with alignment_efficiency() in every field, bit for bit.
+TEST(AlignmentTable, MatchesAlignmentEfficiencyBitwise) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::vector<std::int64_t> dims;
+  for (std::int64_t d = 1; d <= 300; ++d) dims.push_back(d);
+  for (int shift = 9; shift <= 62; ++shift) {
+    dims.push_back(std::int64_t{1} << shift);  // incl. a wrapped byte size
+    if (shift <= 61) dims.push_back((std::int64_t{1} << shift) * 3);
+  }
+  for (const std::string& id : known_gpus()) {
+    const GpuSpec& gpu = gpu_by_name(id);
+    const AlignmentTable table(gpu);
+    for (const DType dtype : {DType::kFP16, DType::kBF16, DType::kFP32,
+                              DType::kTF32, DType::kFP64, DType::kINT8}) {
+      for (std::size_t i = 0; i < dims.size(); ++i) {
+        const std::int64_t m = dims[i];
+        const std::int64_t n = dims[(i * 7 + 3) % dims.size()];
+        const std::int64_t k = dims[(i * 13 + 5) % dims.size()];
+        const AlignmentEfficiency want =
+            alignment_efficiency(m, n, k, dtype, gpu);
+        const AlignmentEfficiency got = table.evaluate(m, n, k, dtype);
+        SCOPED_TRACE(id + " " + dtype_name(dtype) + " " + std::to_string(m) +
+                     "x" + std::to_string(n) + "x" + std::to_string(k));
+        EXPECT_EQ(bits(got.m), bits(want.m));
+        EXPECT_EQ(bits(got.n), bits(want.n));
+        EXPECT_EQ(bits(got.k), bits(want.k));
+        EXPECT_EQ(bits(got.combined), bits(want.combined));
+        EXPECT_EQ(got.tensor_cores, want.tensor_cores);
+        EXPECT_EQ(got.pow2_m, want.pow2_m);
+        EXPECT_EQ(got.pow2_n, want.pow2_n);
+        EXPECT_EQ(got.pow2_k, want.pow2_k);
+      }
+    }
+  }
 }
 
 }  // namespace
