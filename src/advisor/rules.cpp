@@ -179,13 +179,18 @@ std::vector<RuleResult> check_rules(const TransformerConfig& c,
 
 bool satisfies_performance_rules(const TransformerConfig& config,
                                  const RuleContext& ctx) {
+  config.validate();
+  CODESIGN_CHECK(ctx.pipeline_stages >= 1, "pipeline_stages must be >= 1");
+  return satisfies_performance_rules_unchecked(config, ctx);
+}
+
+bool satisfies_performance_rules_unchecked(const TransformerConfig& config,
+                                           const RuleContext& ctx) {
   // The same pass/fail verdict a fold over check_rules() gives, without
   // formatting any of the diagnostic messages — this predicate runs once
   // per candidate on the search hot path. Advisory rules (2: microbatch
   // size, 5: tensor-parallel width) never affect the verdict and are
   // skipped outright. test_rules asserts agreement with check_rules.
-  config.validate();
-  CODESIGN_CHECK(ctx.pipeline_stages >= 1, "pipeline_stages must be >= 1");
   const std::int64_t granule = full_granule_elems(ctx, config);
   if (config.vocab_size % 64 != 0) return false;                 // rule 1
   if (!pow2_granule_ok(config.head_dim(), granule)) return false;      // 3a

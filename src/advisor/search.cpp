@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <type_traits>
 #include <utility>
 
 #include "advisor/rules.hpp"
@@ -41,59 +42,78 @@ BaselineContext make_baseline(const TransformerConfig& base,
   return ctx;
 }
 
-ShapeCandidate evaluate_against(const TransformerConfig& config,
-                                const BaselineContext& base,
-                                const gemm::GemmSimulator& sim,
-                                tfm::LayerWorkspace& ws) {
+/// The numbers one shape evaluation produces: a ShapeCandidate without its
+/// config and note. Sweep slots hold these, so configs are copied only for
+/// the ranked survivors; the same payload is the checkpoint's record.
+using ShapeScores = CheckpointShapeEntry;
+
+ShapeScores evaluate_against(const TransformerConfig& config,
+                             const BaselineContext& base,
+                             const gemm::GemmSimulator& sim,
+                             tfm::LayerWorkspace& ws) {
   // The batched layer_total_time is the lean twin of analyze_layer:
   // bit-identical total, none of the per-op report the search never reads,
   // and the candidate's GEMM list resolves through one estimate_times()
-  // call against `ws` instead of one estimate() per op.
+  // call against `ws` instead of one estimate() per op. The walk validates
+  // the config, so the parameter count and rule verdict take the unchecked
+  // forms.
   const double layer_time = tfm::layer_total_time(config, sim, ws);
-  ShapeCandidate c;
-  c.config = config;
-  c.layer_time = layer_time;
-  c.layer_tflops = tfm::layer_forward_flops(ws) / layer_time / 1e12;
-  c.speedup_vs_base = base.layer_time / layer_time;
-  c.param_count = static_cast<double>(tfm::exact_param_count(config));
-  c.param_delta_frac = (c.param_count - base.param_count) / base.param_count;
+  ShapeScores s;
+  s.layer_time = layer_time;
+  s.layer_tflops = tfm::layer_forward_flops(ws) / layer_time / 1e12;
+  s.speedup_vs_base = base.layer_time / layer_time;
+  s.param_count = static_cast<double>(tfm::exact_param_count_unchecked(config));
+  s.param_delta_frac = (s.param_count - base.param_count) / base.param_count;
   RuleContext ctx;
   ctx.gpu = &sim.gpu();
-  c.rules_pass = satisfies_performance_rules(config, ctx);
+  s.rules_pass = satisfies_performance_rules_unchecked(config, ctx);
+  return s;
+}
+
+ShapeCandidate make_candidate(const TransformerConfig& config,
+                              const ShapeScores& s) {
+  ShapeCandidate c;
+  c.config = config;
+  c.layer_time = s.layer_time;
+  c.layer_tflops = s.layer_tflops;
+  c.speedup_vs_base = s.speedup_vs_base;
+  c.param_count = s.param_count;
+  c.param_delta_frac = s.param_delta_frac;
+  c.rules_pass = s.rules_pass;
   return c;
 }
 
-/// Deterministic merge: stable sort on (layer_time, config name) — the name
-/// tie-break makes the order total, so the ranking cannot depend on
-/// evaluation order — then trim. The baseline is always kept for reference:
-/// if it fell past the cut it replaces the worst kept candidate.
-void sort_and_trim(std::vector<ShapeCandidate>& cands,
-                   const TransformerConfig& baseline,
-                   const SearchOptions& options) {
-  std::stable_sort(cands.begin(), cands.end(),
-                   [](const ShapeCandidate& a, const ShapeCandidate& b) {
-                     if (a.layer_time != b.layer_time) {
-                       return a.layer_time < b.layer_time;
-                     }
-                     return a.config.name < b.config.name;
-                   });
-  if (cands.size() <= options.max_candidates) return;
-
-  const auto base_it =
-      std::find_if(cands.begin(), cands.end(), [&](const ShapeCandidate& c) {
-        return c.config == baseline;
-      });
-  const bool baseline_trimmed =
-      base_it != cands.end() &&
-      static_cast<std::size_t>(base_it - cands.begin()) >=
-          options.max_candidates;
-  ShapeCandidate baseline_copy;
-  if (baseline_trimmed) baseline_copy = *base_it;
-
-  cands.resize(options.max_candidates);
-  if (baseline_trimmed && !cands.empty()) {
-    cands.back() = std::move(baseline_copy);
+/// Deterministic selection on slot indices: order by (layer_time, config
+/// name, generation index) — exactly the order a stable sort on (layer_time,
+/// name) gives the candidates in generation order — and keep the first
+/// `k`, in O(n log k) compares without moving a candidate. The baseline is
+/// always kept for reference: if it falls past the cut it replaces slot
+/// k-1.
+void rank_top_k(std::vector<std::size_t>& order,
+                const std::vector<TransformerConfig>& configs,
+                const std::vector<ShapeScores>& scores,
+                const TransformerConfig& baseline, std::size_t k) {
+  const auto before = [&](std::size_t a, std::size_t b) {
+    if (scores[a].layer_time != scores[b].layer_time) {
+      return scores[a].layer_time < scores[b].layer_time;
+    }
+    const int by_name = configs[a].name.compare(configs[b].name);
+    return by_name != 0 ? by_name < 0 : a < b;
+  };
+  if (order.size() <= k) {
+    std::sort(order.begin(), order.end(), before);
+    return;
   }
+  const auto cut = order.begin() + static_cast<std::ptrdiff_t>(k);
+  std::partial_sort(order.begin(), cut, order.end(), before);
+  // Copies of the baseline share its name, so they carry identical scores
+  // (evaluation is pure; resume and failpoints key by name): the first copy
+  // found is as good as the best-keyed one.
+  const auto base_it =
+      std::find_if(order.begin(), order.end(),
+                   [&](std::size_t i) { return configs[i] == baseline; });
+  if (k > 0 && base_it >= cut && base_it != order.end()) *(cut - 1) = *base_it;
+  order.erase(cut, order.end());
 }
 
 /// Per-slot evaluation state: every generated candidate ends the sweep in
@@ -156,20 +176,140 @@ SlotState run_guarded(const SearchOptions& options, GuardCounters& counters,
   }
 }
 
-/// The shared "generate → evaluate in parallel → deterministically merge"
-/// pipeline, now with per-candidate fault isolation, cancellation, and
-/// checkpoint/resume. `annotate` fills the human-readable note from the
-/// evaluated candidate (applied to ranked survivors only, after the trim);
-/// `keep` filters (e.g. the hidden sweep's parameter-delta bound). Candidates are evaluated into slots indexed by
-/// generation order, so the merged ranking — and the skip record — is
-/// byte-identical at any thread count. Completed candidates go to the
-/// checkpoint at its own cadence; the final flush is the entry point's.
+/// What a guarded sweep leaves for ranking: one slot per generated
+/// candidate, and the indices of the completed ones in ascending order.
+template <typename Slot>
+struct SweptSlots {
+  std::vector<Slot> slots;
+  std::vector<std::size_t> done;
+};
+
+/// The guarded sweep every search runs over its `n` generated candidates,
+/// with per-candidate fault isolation, cancellation and checkpoint/resume:
+///   1. slots a resumed checkpoint holds are filled from it, bit-exact;
+///   2. the rest evaluate under run_guarded, inline at one thread or in
+///      pool chunks that each own one Scratch (so buffer setup amortizes
+///      across the chunk while a fault still touches exactly one slot);
+///   3. each completion and skip goes to the checkpoint at its own cadence
+///      (the final flush is the entry point's);
+///   4. `outcome` receives the counts, the skip report (generation order)
+///      and the truncation record.
+/// Callbacks: key(i) is the candidate's skip/failpoint key; resumed(cp, i)
+/// its checkpointed payload or nullptr; evaluate(i, scratch) its slot;
+/// record(cp, i, slot) checkpoints a completed slot; config_of(i) is the
+/// config a skip reports. A slot's fate depends only on its index, so the
+/// result is byte-identical at any thread count.
+template <typename Scratch, typename Outcome, typename Key, typename Resumed,
+          typename Evaluate, typename Record, typename ConfigOf>
+auto guarded_sweep(std::size_t n, const SearchOptions& options,
+                   Outcome& outcome, const Key& key, const Resumed& resumed,
+                   const Evaluate& evaluate, const Record& record,
+                   const ConfigOf& config_of) {
+  using Slot = std::invoke_result_t<Evaluate, std::size_t, Scratch&>;
+  SweptSlots<Slot> out;
+  out.slots.resize(n);
+  std::vector<SlotState> state(n, SlotState::kPending);
+  std::vector<SkipInfo> skips(n);
+  GuardCounters counters;
+  outcome.total_candidates = n;
+
+  if (options.resume != nullptr) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (const Slot* e = resumed(*options.resume, i)) {
+        out.slots[i] = *e;
+        state[i] = SlotState::kDone;
+        ++outcome.resumed;
+      } else if (const CheckpointSkipEntry* s = options.resume->skip(key(i))) {
+        state[i] = SlotState::kSkipped;
+        skips[i] = {s->reason, s->attempts};
+        ++outcome.resumed;
+      }
+    }
+  }
+
+  const auto evaluate_one = [&](std::size_t i, Scratch& scratch) {
+    if (state[i] != SlotState::kPending) return;
+    SkipInfo skip;
+    const SlotState s = run_guarded(options, counters, &skip, [&] {
+      CODESIGN_FAILPOINT_T("advisor.search.evaluate", fail::token(key(i)));
+      out.slots[i] = evaluate(i, scratch);
+    });
+    state[i] = s;
+    if (s == SlotState::kSkipped) {
+      skips[i] = std::move(skip);
+      if (options.checkpoint != nullptr) {
+        options.checkpoint->record_skip(key(i),
+                                        {skips[i].attempts, skips[i].reason});
+      }
+    } else if (s == SlotState::kDone && options.checkpoint != nullptr) {
+      record(*options.checkpoint, i, out.slots[i]);
+    }
+  };
+  if (options.threads == 1) {
+    Scratch scratch;
+    for (std::size_t i = 0; i < n; ++i) evaluate_one(i, scratch);
+  } else {
+    ThreadPool pool(options.threads);
+    pool.parallel_for_ranges(n, [&](std::size_t begin, std::size_t end) {
+      Scratch scratch;
+      for (std::size_t i = begin; i < end; ++i) evaluate_one(i, scratch);
+    });
+  }
+
+  out.done.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (state[i]) {
+      case SlotState::kDone:
+        out.done.push_back(i);
+        break;
+      case SlotState::kSkipped:
+        outcome.skipped.push_back(
+            {config_of(i), skips[i].reason, skips[i].attempts});
+        break;
+      case SlotState::kPending:  // cancelled before its chunk ran
+      case SlotState::kUnreached:
+        break;
+    }
+  }
+  outcome.evaluated = out.done.size();
+  outcome.retries =
+      static_cast<std::size_t>(counters.retries.load(std::memory_order_relaxed));
+  outcome.backoff_units = counters.backoff.load(std::memory_order_relaxed);
+  outcome.truncated = outcome.unreached() > 0 ||
+                      (options.cancel != nullptr && options.cancel->cancelled());
+  if (options.cancel != nullptr) {
+    outcome.cancel_reason = options.cancel->reason();
+  }
+  return out;
+}
+
+/// Resume checks shared by the run_* entry points: reject a checkpoint
+/// written by a different search, and carry the resumed entries forward so
+/// the rewritten file stays a complete record.
+void start_resume(const SearchOptions& options,
+                  const std::string& fingerprint) {
+  if (options.resume == nullptr) return;
+  if (options.resume->fingerprint() != fingerprint) {
+    throw ConfigError(
+        "cannot resume: checkpoint belongs to a different search (file: '" +
+        options.resume->fingerprint() + "', this run: '" + fingerprint + "')");
+  }
+  if (options.checkpoint != nullptr) {
+    options.checkpoint->seed_from(*options.resume);
+  }
+}
+
+/// Shape search on the guarded sweep: evaluate every config into a score
+/// slot, then rank. `keep` (optional) filters on (config, scores), e.g. the
+/// hidden sweep's parameter-delta bound; `annotate` (optional) fills the
+/// note of each ranked survivor — the only candidates ever built.
 SearchOutcome evaluate_pipeline(
     const std::vector<TransformerConfig>& configs,
     const TransformerConfig& baseline, const gemm::GemmSimulator& sim,
     const SearchOptions& options,
     const std::function<void(ShapeCandidate&)>& annotate,
-    const std::function<bool(const ShapeCandidate&)>& keep) {
+    const std::function<bool(const TransformerConfig&, const ShapeScores&)>&
+        keep) {
   // Self-profiling of the pipeline stages: wall-clock, so every series here
   // is kBestEffort — the candidate/kept/skip counters below are the only
   // deterministic ones. Everything is gated on the enabled flag so a
@@ -181,85 +321,23 @@ SearchOutcome evaluate_pipeline(
   const BaselineContext base = make_baseline(baseline, sim);
 
   SearchOutcome outcome;
-  outcome.total_candidates = configs.size();
-
-  std::vector<ShapeCandidate> evaluated(configs.size());
-  std::vector<SlotState> state(configs.size(), SlotState::kPending);
-  std::vector<SkipInfo> skips(configs.size());
-  GuardCounters counters;
-
-  // Resume prefill (sequential, cheap): slots completed by a previous run
-  // are filled from the checkpoint — bit-exact, so downstream ranking
-  // cannot tell a resumed slot from a fresh one.
-  if (options.resume != nullptr) {
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      if (const CheckpointShapeEntry* e =
-              options.resume->shape(configs[i].name)) {
-        ShapeCandidate c;
-        c.config = configs[i];
-        c.layer_time = e->layer_time;
-        c.layer_tflops = e->layer_tflops;
-        c.speedup_vs_base = e->speedup_vs_base;
-        c.param_count = e->param_count;
-        c.param_delta_frac = e->param_delta_frac;
-        c.rules_pass = e->rules_pass;
-        evaluated[i] = std::move(c);
-        state[i] = SlotState::kDone;
-        ++outcome.resumed;
-      } else if (const CheckpointSkipEntry* s =
-                     options.resume->skip(configs[i].name)) {
-        state[i] = SlotState::kSkipped;
-        skips[i] = {s->reason, s->attempts};
-        ++outcome.resumed;
-      }
-    }
-  }
-
-  const auto evaluate_one = [&](std::size_t i, tfm::LayerWorkspace& ws) {
-    if (state[i] != SlotState::kPending) return;
-    SkipInfo skip;
-    const SlotState s = run_guarded(options, counters, &skip, [&] {
-      CODESIGN_FAILPOINT_T("advisor.search.evaluate",
-                           fail::token(configs[i].name));
-      ShapeCandidate c = evaluate_against(configs[i], base, sim, ws);
-      evaluated[i] = std::move(c);
-    });
-    state[i] = s;
-    if (s == SlotState::kSkipped) {
-      skips[i] = std::move(skip);
-      if (options.checkpoint != nullptr) {
-        options.checkpoint->record_skip(
-            configs[i].name, {skips[i].attempts, skips[i].reason});
-      }
-    } else if (s == SlotState::kDone && options.checkpoint != nullptr) {
-      const ShapeCandidate& c = evaluated[i];
-      options.checkpoint->record_shape(
-          configs[i].name,
-          {c.layer_time, c.layer_tflops, c.speedup_vs_base, c.param_count,
-           c.param_delta_frac, c.rules_pass});
-    }
-  };
+  SweptSlots<ShapeScores> swept;
   {
     obs::ScopedEvent span("search", "evaluate");
     obs::ScopedTimer timer("advisor.search.evaluate_us");
-    if (options.threads == 1) {
-      tfm::LayerWorkspace ws;
-      for (std::size_t i = 0; i < configs.size(); ++i) evaluate_one(i, ws);
-    } else {
-      // Chunk-level dispatch: each pool task owns one workspace and feeds
-      // its whole candidate range through it, so buffer/batch setup is
-      // amortized across the chunk. Candidates still evaluate one at a time
-      // inside run_guarded — a fault touches exactly one slot, same as the
-      // sequential path.
-      ThreadPool pool(options.threads);
-      pool.parallel_for_ranges(configs.size(),
-                               [&](std::size_t begin, std::size_t end) {
-                                 tfm::LayerWorkspace ws;
-                                 for (std::size_t i = begin; i < end; ++i) {
-                                   evaluate_one(i, ws);
-                                 }
-                               });
-    }
+    swept = guarded_sweep<tfm::LayerWorkspace>(
+        configs.size(), options, outcome,
+        [&](std::size_t i) -> const std::string& { return configs[i].name; },
+        [&](const SearchCheckpoint& cp, std::size_t i) {
+          return cp.shape(configs[i].name);
+        },
+        [&](std::size_t i, tfm::LayerWorkspace& ws) {
+          return evaluate_against(configs[i], base, sim, ws);
+        },
+        [&](CheckpointWriter& cp, std::size_t i, const ShapeScores& s) {
+          cp.record_shape(configs[i].name, s);
+        },
+        [&](std::size_t i) { return configs[i]; });
     if (timer.active() && !configs.empty()) {
       const double us = timer.elapsed_us();
       if (us > 0.0) {
@@ -271,38 +349,21 @@ SearchOutcome evaluate_pipeline(
   }
 
   std::vector<ShapeCandidate> out;
-  out.reserve(evaluated.size());
   {
     obs::ScopedEvent span("search", "merge");
     obs::ScopedTimer timer("advisor.search.merge_us");
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      switch (state[i]) {
-        case SlotState::kDone:
-          ++outcome.evaluated;
-          if (keep(evaluated[i])) out.push_back(std::move(evaluated[i]));
-          break;
-        case SlotState::kSkipped:
-          outcome.skipped.push_back(
-              {configs[i], skips[i].reason, skips[i].attempts});
-          break;
-        case SlotState::kPending:  // cancelled before its chunk ran
-        case SlotState::kUnreached:
-          break;
-      }
+    std::vector<std::size_t>& order = swept.done;
+    if (keep) {
+      std::erase_if(order, [&](std::size_t i) {
+        return !keep(configs[i], swept.slots[i]);
+      });
     }
-    sort_and_trim(out, baseline, options);
-    // Notes are only visible on the ranked survivors, and neither `keep`
-    // nor the sort reads them, so the str_format work runs after the trim —
-    // O(kept) instead of O(evaluated) — with byte-identical output.
-    for (ShapeCandidate& c : out) annotate(c);
-  }
-  outcome.retries =
-      static_cast<std::size_t>(counters.retries.load(std::memory_order_relaxed));
-  outcome.backoff_units = counters.backoff.load(std::memory_order_relaxed);
-  outcome.truncated = outcome.unreached() > 0 ||
-                      (options.cancel != nullptr && options.cancel->cancelled());
-  if (options.cancel != nullptr) {
-    outcome.cancel_reason = options.cancel->reason();
+    rank_top_k(order, configs, swept.slots, baseline, options.max_candidates);
+    out.reserve(order.size());
+    for (const std::size_t i : order) {
+      out.push_back(make_candidate(configs[i], swept.slots[i]));
+      if (annotate) annotate(out.back());
+    }
   }
 
   if (metrics_on) {
@@ -550,7 +611,8 @@ ShapeCandidate evaluate_candidate(const TransformerConfig& config,
                                   const TransformerConfig& baseline,
                                   const gemm::GemmSimulator& sim) {
   tfm::LayerWorkspace ws;
-  return evaluate_against(config, make_baseline(baseline, sim), sim, ws);
+  return make_candidate(
+      config, evaluate_against(config, make_baseline(baseline, sim), sim, ws));
 }
 
 SearchOutcome run_grid_search(const std::vector<TransformerConfig>& configs,
@@ -558,11 +620,7 @@ SearchOutcome run_grid_search(const std::vector<TransformerConfig>& configs,
                               const gemm::GemmSimulator& sim,
                               const SearchOptions& options) {
   baseline.validate();
-  const std::function<void(ShapeCandidate&)> annotate =
-      [](ShapeCandidate&) {};
-  const std::function<bool(const ShapeCandidate&)> keep =
-      [](const ShapeCandidate&) { return true; };
-  return evaluate_pipeline(configs, baseline, sim, options, annotate, keep);
+  return evaluate_pipeline(configs, baseline, sim, options, {}, {});
 }
 
 std::string shape_search_fingerprint(SearchMode mode,
@@ -584,22 +642,12 @@ SearchOutcome run_shape_search(SearchMode mode, const TransformerConfig& base,
                                double radius_frac, std::int64_t step,
                                const SearchOptions& options) {
   base.validate();
-  const std::string fingerprint =
-      shape_search_fingerprint(mode, base, sim, radius_frac, step);
-  if (options.resume != nullptr &&
-      options.resume->fingerprint() != fingerprint) {
-    throw ConfigError(
-        "cannot resume: checkpoint belongs to a different search (file: '" +
-        options.resume->fingerprint() + "', this run: '" + fingerprint + "')");
-  }
-  if (options.checkpoint != nullptr && options.resume != nullptr) {
-    options.checkpoint->seed_from(*options.resume);
-  }
+  start_resume(options,
+               shape_search_fingerprint(mode, base, sim, radius_frac, step));
 
   std::vector<TransformerConfig> configs;
   std::function<void(ShapeCandidate&)> annotate;
-  std::function<bool(const ShapeCandidate&)> keep =
-      [](const ShapeCandidate&) { return true; };
+  std::function<bool(const TransformerConfig&, const ShapeScores&)> keep;
   const std::int64_t h0 = base.hidden_size;
   // Generation-time twin of the hidden/joint `keep` filter. The parameter
   // bound is a pure function of the config — the same arithmetic
@@ -612,6 +660,11 @@ SearchOutcome run_shape_search(SearchMode mode, const TransformerConfig& base,
     const double params = static_cast<double>(tfm::exact_param_count(cfg));
     const double delta_frac = (params - base_params) / base_params;
     return std::fabs(delta_frac) <= options.max_param_delta_frac;
+  };
+  const auto keep_params = [&options, h0](const TransformerConfig& cfg,
+                                          const ShapeScores& s) {
+    return cfg.hidden_size == h0 ||
+           std::fabs(s.param_delta_frac) <= options.max_param_delta_frac;
   };
 
   switch (mode) {
@@ -647,10 +700,7 @@ SearchOutcome run_shape_search(SearchMode mode, const TransformerConfig& base,
                             static_cast<long long>(c.config.hidden_size),
                             100.0 * c.param_delta_frac);
       };
-      keep = [&options, h0](const ShapeCandidate& c) {
-        return c.config.hidden_size == h0 ||
-               std::fabs(c.param_delta_frac) <= options.max_param_delta_frac;
-      };
+      keep = keep_params;
       break;
     case SearchMode::kJoint:
       for (std::int64_t h : hidden_grid(base, radius_frac, step)) {
@@ -671,10 +721,7 @@ SearchOutcome run_shape_search(SearchMode mode, const TransformerConfig& base,
                             static_cast<long long>(c.config.head_dim()),
                             100.0 * c.param_delta_frac);
       };
-      keep = [&options, h0](const ShapeCandidate& c) {
-        return c.config.hidden_size == h0 ||
-               std::fabs(c.param_delta_frac) <= options.max_param_delta_frac;
-      };
+      keep = keep_params;
       break;
   }
 
@@ -733,16 +780,7 @@ MlpSearchOutcome run_mlp_search(const TransformerConfig& base,
                                 const SearchOptions& options) {
   base.validate();
   CODESIGN_CHECK(lo > 0 && hi >= lo, "bad d_ff search range");
-  const std::string fingerprint = mlp_search_fingerprint(base, sim, lo, hi);
-  if (options.resume != nullptr &&
-      options.resume->fingerprint() != fingerprint) {
-    throw ConfigError(
-        "cannot resume: checkpoint belongs to a different search (file: '" +
-        options.resume->fingerprint() + "', this run: '" + fingerprint + "')");
-  }
-  if (options.checkpoint != nullptr && options.resume != nullptr) {
-    options.checkpoint->seed_from(*options.resume);
-  }
+  start_resume(options, mlp_search_fingerprint(base, sim, lo, hi));
 
   // Only multiples of t are legal, so step by t from the first one instead
   // of testing divisibility value by value.
@@ -753,17 +791,8 @@ MlpSearchOutcome run_mlp_search(const TransformerConfig& base,
   }
   CODESIGN_CHECK(!widths.empty(), "d_ff search range produced no candidates");
 
-  MlpSearchOutcome outcome;
-  outcome.total_candidates = widths.size();
-
-  const auto skip_key = [](std::int64_t ff) {
-    return "dff:" + std::to_string(ff);
-  };
-  const auto config_for = [&base](std::int64_t ff) {
-    TransformerConfig cfg = base;
-    cfg.mlp_intermediate = ff;
-    cfg.name = base.name + "-dff" + std::to_string(ff);
-    return cfg;
+  const auto skip_key = [&widths](std::size_t i) {
+    return "dff:" + std::to_string(widths[i]);
   };
 
   // Batched width evaluation: the 2–3 MLP GEMMs of a candidate resolve
@@ -776,9 +805,9 @@ MlpSearchOutcome run_mlp_search(const TransformerConfig& base,
     std::vector<double> times;
     gemm::GemmSimulator::BatchWorkspace batch;
   };
-  const auto evaluate_width = [&base, &sim](std::int64_t ff, MlpScratch& ws) {
+  const auto evaluate_width = [&](std::size_t i, MlpScratch& ws) {
     TransformerConfig cfg = base;
-    cfg.mlp_intermediate = ff;
+    cfg.mlp_intermediate = widths[i];
     const gemm::GemmProblem up = tfm::mlp_up_gemm(cfg);
     const gemm::GemmProblem down = tfm::mlp_down_gemm(cfg);
     const bool gated = cfg.activation == tfm::Activation::kSwiGlu;
@@ -794,91 +823,41 @@ MlpSearchOutcome run_mlp_search(const TransformerConfig& base,
       time += ws.times[2];
       flops += up.flops();
     }
-    MlpCandidate c;
-    c.d_ff = ff;
-    c.mlp_time = time;
-    c.mlp_tflops = flops / time / 1e12;
-    c.coefficient =
-        static_cast<double>(ff) / static_cast<double>(base.hidden_size);
-    return c;
+    CheckpointMlpEntry e;
+    e.mlp_time = time;
+    e.mlp_tflops = flops / time / 1e12;
+    e.coefficient =
+        static_cast<double>(widths[i]) / static_cast<double>(base.hidden_size);
+    return e;
   };
 
-  std::vector<MlpCandidate> slots(widths.size());
-  std::vector<SlotState> state(widths.size(), SlotState::kPending);
-  std::vector<SkipInfo> skips(widths.size());
-  GuardCounters counters;
-
-  if (options.resume != nullptr) {
-    for (std::size_t i = 0; i < widths.size(); ++i) {
-      if (const CheckpointMlpEntry* e = options.resume->mlp(widths[i])) {
-        MlpCandidate c;
-        c.d_ff = widths[i];
-        c.mlp_time = e->mlp_time;
-        c.mlp_tflops = e->mlp_tflops;
-        c.coefficient = e->coefficient;
-        slots[i] = c;
-        state[i] = SlotState::kDone;
-        ++outcome.resumed;
-      } else if (const CheckpointSkipEntry* s =
-                     options.resume->skip(skip_key(widths[i]))) {
-        state[i] = SlotState::kSkipped;
-        skips[i] = {s->reason, s->attempts};
-        ++outcome.resumed;
-      }
-    }
-  }
-
-  const auto evaluate_one = [&](std::size_t i, MlpScratch& ws) {
-    if (state[i] != SlotState::kPending) return;
-    SkipInfo skip;
-    const SlotState s = run_guarded(options, counters, &skip, [&] {
-      CODESIGN_FAILPOINT_T("advisor.search.evaluate",
-                           fail::token(skip_key(widths[i])));
-      slots[i] = evaluate_width(widths[i], ws);
-    });
-    state[i] = s;
-    if (s == SlotState::kSkipped) {
-      skips[i] = std::move(skip);
-      if (options.checkpoint != nullptr) {
-        options.checkpoint->record_skip(skip_key(widths[i]),
-                                        {skips[i].attempts, skips[i].reason});
-      }
-    } else if (s == SlotState::kDone && options.checkpoint != nullptr) {
-      options.checkpoint->record_mlp(
-          widths[i],
-          {slots[i].mlp_time, slots[i].mlp_tflops, slots[i].coefficient});
-    }
-  };
-  if (options.threads == 1) {
-    MlpScratch ws;
-    for (std::size_t i = 0; i < widths.size(); ++i) evaluate_one(i, ws);
-  } else {
-    ThreadPool pool(options.threads);
-    pool.parallel_for_ranges(widths.size(),
-                             [&](std::size_t begin, std::size_t end) {
-                               MlpScratch ws;
-                               for (std::size_t i = begin; i < end; ++i) {
-                                 evaluate_one(i, ws);
-                               }
-                             });
-  }
+  MlpSearchOutcome outcome;
+  const SweptSlots<CheckpointMlpEntry> swept = guarded_sweep<MlpScratch>(
+      widths.size(), options, outcome, skip_key,
+      [&](const SearchCheckpoint& cp, std::size_t i) {
+        return cp.mlp(widths[i]);
+      },
+      evaluate_width,
+      [&](CheckpointWriter& cp, std::size_t i, const CheckpointMlpEntry& e) {
+        cp.record_mlp(widths[i], e);
+      },
+      [&](std::size_t i) {
+        TransformerConfig cfg = base;
+        cfg.mlp_intermediate = widths[i];
+        cfg.name = base.name + "-dff" + std::to_string(widths[i]);
+        return cfg;
+      });
 
   std::vector<MlpCandidate> out;
-  out.reserve(widths.size());
-  for (std::size_t i = 0; i < widths.size(); ++i) {
-    switch (state[i]) {
-      case SlotState::kDone:
-        ++outcome.evaluated;
-        out.push_back(slots[i]);
-        break;
-      case SlotState::kSkipped:
-        outcome.skipped.push_back(
-            {config_for(widths[i]), skips[i].reason, skips[i].attempts});
-        break;
-      case SlotState::kPending:
-      case SlotState::kUnreached:
-        break;
-    }
+  out.reserve(swept.done.size());
+  for (const std::size_t i : swept.done) {
+    const CheckpointMlpEntry& e = swept.slots[i];
+    MlpCandidate c;
+    c.d_ff = widths[i];
+    c.mlp_time = e.mlp_time;
+    c.mlp_tflops = e.mlp_tflops;
+    c.coefficient = e.coefficient;
+    out.push_back(c);
   }
 
   // Deterministic merge: d_ff is unique per candidate, so it is the total
@@ -893,14 +872,6 @@ MlpSearchOutcome run_mlp_search(const TransformerConfig& base,
         static_cast<double>(i) / static_cast<double>(out.size() - 1 == 0
                                                          ? 1
                                                          : out.size() - 1);
-  }
-  outcome.retries =
-      static_cast<std::size_t>(counters.retries.load(std::memory_order_relaxed));
-  outcome.backoff_units = counters.backoff.load(std::memory_order_relaxed);
-  outcome.truncated = outcome.unreached() > 0 ||
-                      (options.cancel != nullptr && options.cancel->cancelled());
-  if (options.cancel != nullptr) {
-    outcome.cancel_reason = options.cancel->reason();
   }
   if (options.checkpoint != nullptr) options.checkpoint->flush();
 

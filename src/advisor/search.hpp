@@ -7,19 +7,17 @@
 //                           the parameter-count delta reported.
 //   * search_joint        — the heads × hidden grid: every legal (a, h)
 //                           combination in the neighbourhood, ranked
-//                           together. Tractable because the evaluation
-//                           pipeline parallelizes across candidates and the
-//                           simulator memoizes recurring GEMM shapes (see
-//                           docs/search_pipeline.md).
+//                           together (see docs/search_pipeline.md).
 //   * search_mlp_intermediate — the §VII-B SwiGLU brute force: scan d_ff
 //                           around (8/3)h for the best-performing MLP pair
 //                           (this is how Llama-2-7B's 11008 is validated).
 //   * pad_vocab           — the Fig-20 / Karpathy rule: next multiple of 64.
 //
 // Every search runs the same pipeline: generate candidate configs →
-// evaluate them (in parallel when SearchOptions::threads > 1) →
-// deterministically merge (stable sort with a total tie-break on the config
-// name). Results are byte-identical at any thread count.
+// evaluate them into score slots (in parallel when SearchOptions::threads
+// > 1) → deterministically select the best (ordered by time, then config
+// name, then generation order). Results are byte-identical at any thread
+// count.
 //
 // Robustness (docs/ROBUSTNESS.md): the pipeline isolates per-candidate
 // failures — a throwing candidate is recorded as a SkippedCandidate (after
@@ -176,8 +174,9 @@ ShapeCandidate evaluate_candidate(const TransformerConfig& config,
 /// Evaluate an arbitrary caller-built candidate grid through the shared
 /// "evaluate in parallel → deterministically merge" pipeline: per-candidate
 /// fault isolation, cancellation, batched GEMM estimation, and the
-/// (layer_time, name) ranking — but no candidate generation, annotation,
-/// or keep-filter. The raw-throughput entry point for very large sweeps
+/// (layer_time, name, generation order) ranking (names need not be
+/// unique) — but no candidate generation, annotation, or keep-filter.
+/// The raw-throughput entry point for very large sweeps
 /// (the search.pipeline_batched bench pushes 10^5+ configs through it).
 /// Checkpoint/resume fingerprints are the caller's responsibility here, and
 /// so is the final checkpoint flush: completed candidates are recorded at
@@ -223,8 +222,7 @@ std::vector<ShapeCandidate> search_hidden(const TransformerConfig& base,
 /// Joint grid search over heads × hidden: every hidden size the
 /// search_hidden sweep would visit, crossed with every legal head count for
 /// that hidden size (a | h, t | a, 32 <= h/a <= 256), ranked in one list.
-/// Quadratically more candidates than either single sweep — run it with
-/// options.threads > 1 and a cache-enabled simulator.
+/// Quadratically more candidates than either single sweep.
 std::vector<ShapeCandidate> search_joint(const TransformerConfig& base,
                                          const gemm::GemmSimulator& sim,
                                          double radius_frac = 0.1,

@@ -309,8 +309,9 @@ OpResult op_search(const Request& request, const OpContext& context) {
   sr.mode = request.body.string_or("mode", "joint");
   parse_search_mode(sr.mode);  // reject unknown modes before the sweep
   sr.radius = request.body.number_or("radius", 0.1);
-  sr.options.max_candidates =
-      static_cast<std::size_t>(int_field(request.body, "max", 16));
+  const std::int64_t max = int_field(request.body, "max", 16);
+  if (max < 1) throw UsageError("search: \"max\" must be >= 1");
+  sr.options.max_candidates = static_cast<std::size_t>(max);
   sr.options.faults.strict = request.body.bool_or("strict", false);
   sr.options.faults.max_retries =
       static_cast<int>(int_field(request.body, "retries", 2));

@@ -67,11 +67,15 @@ std::vector<WeightInfo> enumerate_weights(const TransformerConfig& config) {
 }
 
 std::int64_t exact_param_count(const TransformerConfig& config) {
+  config.validate();
+  return exact_param_count_unchecked(config);
+}
+
+std::int64_t exact_param_count_unchecked(const TransformerConfig& config) {
   // Closed form of the enumerate_weights() sum: every layer contributes the
   // same count, so there is no need to materialize ~12 named tensors per
   // layer just to add them up. This is the design-space search's hot path;
   // test_params asserts it matches the enumeration tensor for tensor.
-  config.validate();
   const std::int64_t h = config.hidden_size;
   const std::int64_t v = config.vocab_size;
   const std::int64_t s = config.seq_len;

@@ -1,7 +1,12 @@
-// Tests for common/cli.hpp — the flag parser every bench binary uses.
+// Tests for common/cli.hpp — the flag parser every bench binary uses —
+// plus the `codesign` binary's rejection of out-of-range flag values.
 #include "common/cli.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+
+#include <cstdio>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -90,6 +95,36 @@ TEST(CliArgs, FlagNames) {
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "a");  // map order: sorted
   EXPECT_EQ(names[1], "b");
+}
+
+/// Run the built `codesign` with `args`; returns its exit code and
+/// captures stderr (stdout is discarded).
+int run_codesign(const std::string& args, std::string* err) {
+  const std::string cmd =
+      std::string(CODESIGN_CLI_BIN) + " " + args + " 2>&1 >/dev/null";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  char buf[256];
+  err->clear();
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) err->append(buf);
+  const int status = ::pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(CodesignSearch, MaxBelowOneIsAUsageError) {
+  // --max=-1 used to wrap to "unlimited" through the size_t cast, and
+  // --max=0 printed an empty table without the promised baseline row.
+  std::string err;
+  for (const char* max : {"--max=-1", "--max=0"}) {
+    EXPECT_EQ(run_codesign(std::string("search gpt3-125m --mode=heads ") + max,
+                           &err),
+              2)
+        << max;
+    EXPECT_NE(err.find("--max must be at least 1"), std::string::npos)
+        << err;
+  }
+  EXPECT_EQ(run_codesign("search gpt3-125m --mode=heads --max=1", &err), 0)
+      << err;
 }
 
 }  // namespace

@@ -8,12 +8,19 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <random>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "advisor/checkpoint.hpp"
+#include "advisor/rules.hpp"
 #include "common/error.hpp"
+#include "common/failpoint.hpp"
 #include "transformer/flops.hpp"
 #include "transformer/model_zoo.hpp"
+#include "transformer/params.hpp"
 
 namespace codesign::advisor {
 namespace {
@@ -78,7 +85,7 @@ TEST(SearchHeads, MaxCandidatesHonored) {
 }
 
 TEST(SearchHeads, BaselineSurvivesTrimming) {
-  // Regression: sort_and_trim used to drop the baseline config when it
+  // Regression: the merge used to drop the baseline config when it
   // ranked past max_candidates, contradicting "Always keep the baseline
   // for reference even if trimming".
   const auto base = model_by_name("gpt3-2.7b");
@@ -304,6 +311,344 @@ TEST(EvaluateCandidate, LayerTflopsMatchesLayerForwardFlopsBitwise) {
   ASSERT_EQ(out.ranked.size(), configs.size());
   for (const ShapeCandidate& c : out.ranked) {
     EXPECT_EQ(bits(c.layer_tflops), bits(expected(c))) << c.config.name;
+  }
+}
+
+// The walk validates each candidate once; the parameter count and rule
+// verdict it then reads take unchecked forms. The public functions must
+// still reject an invalid config, and the search must still skip one.
+TEST(EvaluateCandidate, PublicCountAndRulesStillValidate) {
+  const tfm::TransformerConfig base = model_by_name("gpt3-2.7b");
+  tfm::TransformerConfig bad = base.with_name("bad");
+  bad.num_heads = 33;  // does not divide h = 2560
+  const gemm::GemmSimulator s = sim();
+  RuleContext ctx;
+  ctx.gpu = &s.gpu();
+  EXPECT_THROW(tfm::exact_param_count(bad), ConfigError);
+  EXPECT_THROW(satisfies_performance_rules(bad, ctx), ConfigError);
+  EXPECT_THROW(evaluate_candidate(bad, base, s), ConfigError);
+  EXPECT_EQ(tfm::exact_param_count_unchecked(base),
+            tfm::exact_param_count(base));
+  EXPECT_EQ(satisfies_performance_rules_unchecked(base, ctx),
+            satisfies_performance_rules(base, ctx));
+
+  const SearchOutcome out = run_grid_search({bad, base}, base, s);
+  ASSERT_EQ(out.skipped.size(), 1u);
+  EXPECT_EQ(out.skipped[0].config, bad);
+  ASSERT_EQ(out.ranked.size(), 1u);
+  EXPECT_EQ(out.ranked[0].config, base);
+}
+
+// ---------------------------------------------------------------------------
+// The ranking merge. Selection runs on slot indices with a bounded top-k;
+// it must reproduce the stable sort + trim it replaced, kept here as the
+// oracle, field for field.
+
+/// The old merge: stable sort on (layer_time, name), trim to `max`, and
+/// put the baseline into the last slot if the trim dropped it.
+std::vector<ShapeCandidate> oracle_rank(std::vector<ShapeCandidate> cands,
+                                        const tfm::TransformerConfig& baseline,
+                                        std::size_t max) {
+  std::stable_sort(cands.begin(), cands.end(),
+                   [](const ShapeCandidate& a, const ShapeCandidate& b) {
+                     if (a.layer_time != b.layer_time) {
+                       return a.layer_time < b.layer_time;
+                     }
+                     return a.config.name < b.config.name;
+                   });
+  if (cands.size() <= max) return cands;
+  const auto base_it =
+      std::find_if(cands.begin(), cands.end(),
+                   [&](const ShapeCandidate& c) { return c.config == baseline; });
+  const bool trimmed =
+      base_it != cands.end() &&
+      static_cast<std::size_t>(base_it - cands.begin()) >= max;
+  ShapeCandidate copy;
+  if (trimmed) copy = *base_it;
+  cands.resize(max);
+  if (trimmed && !cands.empty()) cands.back() = copy;
+  return cands;
+}
+
+/// `c` with its scores replaced by a checkpoint payload (a resumed slot).
+ShapeCandidate with_entry(ShapeCandidate c, const CheckpointShapeEntry& e) {
+  c.layer_time = e.layer_time;
+  c.layer_tflops = e.layer_tflops;
+  c.speedup_vs_base = e.speedup_vs_base;
+  c.param_count = e.param_count;
+  c.param_delta_frac = e.param_delta_frac;
+  c.rules_pass = e.rules_pass;
+  return c;
+}
+
+CheckpointShapeEntry entry_of(const ShapeCandidate& c) {
+  return {c.layer_time,  c.layer_tflops,     c.speedup_vs_base,
+          c.param_count, c.param_delta_frac, c.rules_pass};
+}
+
+/// Field-by-field comparison; notes are skipped for `resumed` names (their
+/// note is formatted from scores the oracle replaced).
+void expect_ranking(const std::vector<ShapeCandidate>& got,
+                    const std::vector<ShapeCandidate>& want,
+                    const std::string& what,
+                    const std::set<std::string>& resumed = {}) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const ShapeCandidate& g = got[i];
+    const ShapeCandidate& w = want[i];
+    EXPECT_EQ(g.config, w.config) << what << " rank " << i;
+    EXPECT_EQ(g.layer_time, w.layer_time) << what << " rank " << i;
+    EXPECT_EQ(g.layer_tflops, w.layer_tflops) << what << " rank " << i;
+    EXPECT_EQ(g.speedup_vs_base, w.speedup_vs_base) << what << " rank " << i;
+    EXPECT_EQ(g.param_count, w.param_count) << what << " rank " << i;
+    EXPECT_EQ(g.param_delta_frac, w.param_delta_frac)
+        << what << " rank " << i;
+    EXPECT_EQ(g.rules_pass, w.rules_pass) << what << " rank " << i;
+    if (resumed.count(w.config.name) == 0) {
+      EXPECT_EQ(g.note, w.note) << what << " rank " << i;
+    }
+  }
+}
+
+/// A seeded grid around gpt3-2.7b with forced ties: variants that differ
+/// only in L or vocab share a layer time (neither enters the layer walk),
+/// and every fifth candidate reuses an earlier candidate's name.
+std::vector<tfm::TransformerConfig> tie_grid(std::uint64_t seed,
+                                             std::size_t n) {
+  const tfm::TransformerConfig base = model_by_name("gpt3-2.7b");
+  const std::int64_t heads[] = {16, 20, 32, 40, 64};
+  const std::int64_t layers[] = {24, 32};
+  const std::int64_t vocabs[] = {50257, 50304};
+  std::mt19937_64 rng(seed);
+  std::vector<tfm::TransformerConfig> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    tfm::TransformerConfig c = base.with_heads(heads[rng() % 5])
+                                   .with_layers(layers[rng() % 2])
+                                   .with_vocab(vocabs[rng() % 2]);
+    c.name = i % 5 == 4 ? out[rng() % out.size()].name : "g" + std::to_string(i);
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
+/// Every max_candidates value the merge treats differently: a single
+/// slot, around the default cut, one short of the grid, the whole grid,
+/// and past it.
+std::vector<std::size_t> cut_sizes(std::size_t n) {
+  return {1, 2, 15, 16, n - 1, n, n + 5};
+}
+
+/// Disarms the process-global failpoints when a test leaves scope.
+struct FailpointsOff {
+  ~FailpointsOff() { fail::clear(); }
+};
+
+/// The grid, evaluated one candidate at a time (resumed payloads and
+/// skipped names applied), ranked by the oracle, against run_grid_search
+/// at every cut size and at 1 and 4 threads.
+void check_grid(const std::vector<tfm::TransformerConfig>& configs,
+                const tfm::TransformerConfig& baseline,
+                const std::string& what,
+                const SearchCheckpoint* resume = nullptr) {
+  const gemm::GemmSimulator s = sim();
+  std::vector<ShapeCandidate> evaluated;
+  for (const tfm::TransformerConfig& cfg : configs) {
+    ShapeCandidate c = evaluate_candidate(cfg, baseline, s);
+    if (resume != nullptr) {
+      if (const CheckpointShapeEntry* e = resume->shape(cfg.name)) {
+        c = with_entry(std::move(c), *e);
+      }
+    }
+    evaluated.push_back(std::move(c));
+  }
+  for (const std::size_t max : cut_sizes(configs.size())) {
+    for (const std::size_t threads : {1, 4}) {
+      SearchOptions options;
+      options.max_candidates = max;
+      options.threads = threads;
+      options.resume = resume;
+      const SearchOutcome out = run_grid_search(configs, baseline, s, options);
+      const std::string label = what + " max=" + std::to_string(max) +
+                                " threads=" + std::to_string(threads);
+      // Skips (failpoint or checkpoint) are keyed by name, so every config
+      // sharing a skipped name is skipped with it.
+      std::set<std::string> skipped;
+      for (const SkippedCandidate& k : out.skipped) {
+        skipped.insert(k.config.name);
+      }
+      std::vector<ShapeCandidate> kept;
+      for (const ShapeCandidate& c : evaluated) {
+        if (skipped.count(c.config.name) == 0) kept.push_back(c);
+      }
+      EXPECT_EQ(out.evaluated, kept.size()) << label;
+      EXPECT_EQ(out.evaluated + out.skipped.size(), configs.size()) << label;
+      expect_ranking(out.ranked, oracle_rank(kept, baseline, max), label);
+    }
+  }
+}
+
+TEST(SearchMerge, GridWithTiesMatchesTheStableSortOracle) {
+  const tfm::TransformerConfig base = model_by_name("gpt3-2.7b");
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    const std::vector<tfm::TransformerConfig> grid = tie_grid(seed, 48);
+    const std::string tag = "seed " + std::to_string(seed);
+    check_grid(grid, base, tag + " baseline absent");
+
+    // Present once: the a = 32 baseline ties with every a = 32 variant and
+    // sorts after them by name, so small cuts put it past the cut.
+    std::vector<tfm::TransformerConfig> once = grid;
+    once.insert(once.begin() + static_cast<std::ptrdiff_t>(seed * 7), base);
+    check_grid(once, base, tag + " baseline once");
+
+    // Present twice: equal keys, so generation order picks the copy.
+    std::vector<tfm::TransformerConfig> twice = once;
+    twice.push_back(base);
+    check_grid(twice, base, tag + " baseline twice");
+  }
+}
+
+TEST(SearchMerge, FailpointSkipsMatchTheOracle) {
+  const FailpointsOff off;
+  fail::configure("advisor.search.evaluate=prob:0.2:7:fatal");
+  std::vector<tfm::TransformerConfig> grid = tie_grid(4, 48);
+  grid.push_back(model_by_name("gpt3-2.7b"));
+  check_grid(grid, model_by_name("gpt3-2.7b"), "failpoint skips");
+}
+
+TEST(SearchMerge, ResumedAndSkippedSlotsMatchTheOracle) {
+  const tfm::TransformerConfig base = model_by_name("gpt3-2.7b");
+  std::vector<tfm::TransformerConfig> grid = tie_grid(5, 48);
+  grid.insert(grid.begin() + 3, base);
+  grid.push_back(base);
+  const gemm::GemmSimulator s = sim();
+  const ShapeCandidate g0 = evaluate_candidate(grid[0], base, s);
+  const ShapeCandidate b = evaluate_candidate(base, base, s);
+
+  for (const double base_time : {1e-9, 1.0}) {  // inside / past every cut
+    const std::string path =
+        ::testing::TempDir() + "codesign_merge_resume.txt";
+    {
+      CheckpointWriter w(path, "merge-test");
+      // The baseline's payload decides where it ranks.
+      CheckpointShapeEntry e = entry_of(b);
+      e.layer_time = base_time;
+      w.record_shape(base.name, e);
+      // Forced cross-shape ties: other heads, g0's exact layer time.
+      for (const char* name : {"g1", "g2", "g6"}) {
+        CheckpointShapeEntry t = entry_of(g0);
+        t.param_count += 1.0;
+        w.record_shape(name, t);
+      }
+      w.record_skip("g5", {1, "checkpointed skip"});
+      w.record_skip("g8", {2, "checkpointed skip"});
+    }
+    const SearchCheckpoint resume = SearchCheckpoint::load(path);
+    std::remove(path.c_str());
+    check_grid(grid, base,
+               "resume base_time=" + std::to_string(base_time), &resume);
+  }
+}
+
+/// run_shape_search against the oracle: the untrimmed ranking (all
+/// candidates, unique names) re-ranked by the stable sort at every cut,
+/// with the hidden/joint keep filter applied to resumed payloads.
+TEST(SearchMerge, ShapeSearchesMatchTheOracle) {
+  const tfm::TransformerConfig base = model_by_name("gpt3-2.7b");
+  const gemm::GemmSimulator s = sim();
+  for (const SearchMode mode :
+       {SearchMode::kHeads, SearchMode::kHidden, SearchMode::kJoint}) {
+    SearchOptions all_opt;
+    all_opt.max_candidates = 1000;
+    const std::vector<ShapeCandidate> all =
+        run_shape_search(mode, base, s, 0.1, 0, all_opt).ranked;
+    ASSERT_GE(all.size(), 3u);
+    for (const ShapeCandidate& c : all) {
+      ShapeCandidate fresh = evaluate_candidate(c.config, base, s);
+      fresh.note = c.note;
+      EXPECT_EQ(fresh, c) << c.config.name;
+    }
+    const std::vector<ShapeCandidate> reversed(all.rbegin(), all.rend());
+    const std::string tag = search_mode_name(mode);
+    for (const std::size_t max : cut_sizes(all.size())) {
+      for (const std::size_t threads : {1, 4}) {
+        SearchOptions options;
+        options.max_candidates = max;
+        options.threads = threads;
+        expect_ranking(
+            run_shape_search(mode, base, s, 0.1, 0, options).ranked,
+            oracle_rank(reversed, base, max),
+            tag + " max=" + std::to_string(max) +
+                " threads=" + std::to_string(threads));
+      }
+    }
+    if (mode == SearchMode::kHeads) continue;
+
+    // Resumed payloads the keep filter must judge: a re-shaped hidden size
+    // whose parameter delta is out of bounds is dropped, the baseline is
+    // kept whatever its delta, and a skip entry removes a candidate.
+    const std::string path = ::testing::TempDir() + "codesign_merge_keep.txt";
+    std::set<std::string> resumed;
+    std::string dropped, skipped;
+    {
+      CheckpointWriter w(path,
+                         shape_search_fingerprint(mode, base, s, 0.1, 0));
+      for (const ShapeCandidate& c : all) {
+        CheckpointShapeEntry e = entry_of(c);
+        if (c.config == base) {
+          e.param_delta_frac = 0.5;
+          e.layer_time = 1.0;  // past every cut
+        } else if (c.config.hidden_size != base.hidden_size &&
+                   dropped.empty()) {
+          e.param_delta_frac = 0.5;
+          dropped = c.config.name;
+        } else if (c.config.hidden_size != base.hidden_size &&
+                   resumed.size() < 3) {
+          e.param_delta_frac = -0.01;
+          e.layer_time = all.front().layer_time;  // tie with the best
+        } else {
+          if (skipped.empty() && !(c.config == all.front().config)) {
+            skipped = c.config.name;
+            w.record_skip(skipped, {1, "checkpointed skip"});
+          }
+          continue;
+        }
+        w.record_shape(c.config.name, e);
+        resumed.insert(c.config.name);
+      }
+    }
+    const SearchCheckpoint resume = SearchCheckpoint::load(path);
+    std::remove(path.c_str());
+    ASSERT_FALSE(dropped.empty()) << tag;
+    std::vector<ShapeCandidate> expected;
+    for (const ShapeCandidate& c : all) {
+      if (c.config.name == skipped) continue;
+      ShapeCandidate r = c;
+      if (const CheckpointShapeEntry* e = resume.shape(c.config.name)) {
+        r = with_entry(r, *e);
+      }
+      if (r.config.hidden_size != base.hidden_size &&
+          std::fabs(r.param_delta_frac) > all_opt.max_param_delta_frac) {
+        EXPECT_EQ(r.config.name, dropped) << tag;
+        continue;
+      }
+      expected.push_back(r);
+    }
+    for (const std::size_t max : cut_sizes(expected.size())) {
+      for (const std::size_t threads : {1, 4}) {
+        SearchOptions options;
+        options.max_candidates = max;
+        options.threads = threads;
+        options.resume = &resume;
+        const SearchOutcome out =
+            run_shape_search(mode, base, s, 0.1, 0, options);
+        const std::string label = tag + " resumed max=" + std::to_string(max) +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_EQ(out.resumed, resumed.size() + (skipped.empty() ? 0 : 1))
+            << label;
+        expect_ranking(out.ranked, oracle_rank(expected, base, max), label,
+                       resumed);
+      }
+    }
   }
 }
 

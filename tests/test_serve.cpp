@@ -341,6 +341,31 @@ TEST_F(ServeTest, SearchPayloadMatchesTheCliBytesWithTheCachedBanner) {
   shut_down(server);
 }
 
+TEST_F(ServeTest, SearchMaxBelowOneIsAUsageError) {
+  serve::Server server(options(2));
+  server.start();
+  ServeClient client("127.0.0.1", server.port());
+
+  // A negative "max" used to wrap to "unlimited"; zero dropped the
+  // baseline the ranking promises to keep.
+  for (const char* max : {"-1", "0"}) {
+    const serve::Response r = client.call_op(
+        "search",
+        std::string(R"("model":"gpt3-125m","mode":"heads","max":)") + max);
+    EXPECT_FALSE(r.ok()) << max;
+    EXPECT_EQ(r.code, kExitUsage) << max;
+    EXPECT_NE(r.error.find("\"max\" must be >= 1"), std::string::npos)
+        << r.error;
+  }
+  const serve::Response one = client.call_op(
+      "search", R"("model":"gpt3-125m","mode":"heads","max":1)");
+  ASSERT_TRUE(one.ok()) << one.error;
+  EXPECT_EQ(one.code, kExitOk);
+
+  client.close();
+  shut_down(server);
+}
+
 TEST_F(ServeTest, SweepPayloadMatchesTheCliJsonBytes) {
   // A one-cell matrix small enough for a unit test; the big-matrix
   // byte-identity drills live in tests/test_sweep.cpp and check.sh.

@@ -52,8 +52,9 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
 SAN_TESTS=(test_thread_pool test_estimate_cache test_estimate_many test_obs
-           test_attribution test_logging test_failpoint test_search_faults
-           test_serve test_serve_trace test_fleet_client test_sweep)
+           test_attribution test_logging test_failpoint test_search
+           test_search_faults test_serve test_serve_trace test_fleet_client
+           test_sweep)
 
 echo "== tier 2: ThreadSanitizer (${TSAN_DIR}) =="
 cmake -B "${TSAN_DIR}" -S "${SRC_DIR}" -DCODESIGN_SANITIZE=thread
@@ -276,6 +277,23 @@ diff -u "${TSAN_DIR}/attr_analyze.json" "${TSAN_DIR}/attr_t1.json" || {
 }
 grep -q '"report": "codesign.attribution"' "${TSAN_DIR}/attr_analyze.json" || {
   echo "FAIL: attribution report is missing its schema header"
+  exit 1
+}
+
+echo "== search: trimmed ranking determinism under tsan =="
+# At --max=3 the gpt3-2.7b baseline ranks past the cut, so the top-k merge
+# must put it in the last row; the table (everything after the banner,
+# which names the thread count) must be byte-identical through the pool.
+"${SERVE_BIN}" search gpt3-2.7b --mode=joint --max=3 --threads=1 \
+    | tail -n +2 >"${TSAN_DIR}/search_max3_t1.txt"
+"${SERVE_BIN}" search gpt3-2.7b --mode=joint --max=3 --threads=8 \
+    | tail -n +2 >"${TSAN_DIR}/search_max3_t8.txt"
+diff -u "${TSAN_DIR}/search_max3_t1.txt" "${TSAN_DIR}/search_max3_t8.txt" || {
+  echo "FAIL: search --max=3 ranking drifted across thread counts"
+  exit 1
+}
+grep -q '^| gpt3-2.7b ' "${TSAN_DIR}/search_max3_t1.txt" || {
+  echo "FAIL: search --max=3 dropped the baseline row"
   exit 1
 }
 

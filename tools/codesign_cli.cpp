@@ -336,8 +336,11 @@ int cmd_search(const CliArgs& args) {
   // worker count, not the sentinel.
   options.threads = threads_arg(args);
   if (options.threads == 0) options.threads = ThreadPool::hardware_threads();
-  options.max_candidates =
-      static_cast<std::size_t>(args.get_int("max", 16));
+  // The ranking always keeps the baseline, so it needs at least one slot;
+  // a negative value must not wrap to "unlimited" through the cast.
+  const std::int64_t max = args.get_int("max", 16);
+  if (max < 1) throw UsageError("--max must be at least 1");
+  options.max_candidates = static_cast<std::size_t>(max);
   options.faults.strict = args.get_bool("strict", false);
   options.faults.max_retries = static_cast<int>(args.get_int("retries", 2));
   request.radius = args.get_double("radius", 0.1);
