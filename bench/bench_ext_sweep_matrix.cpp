@@ -2,12 +2,14 @@
 // workload x hardware sweep run end-to-end through the SweepDriver, both
 // as a standalone cross-hardware ranking table and as the timed
 // `sweep.matrix_small` case guarding the matrix-planning + grid-search
-// hot path in the smoke/perf suites.
+// hot path in the smoke/perf suites. `sweep.report_render` (perf suite)
+// times the codesign.sweep report of a fixed, larger matrix on its own.
 #include "bench_common.hpp"
 #include "common/strings.hpp"
 #include "gemmsim/estimate_cache.hpp"
 #include "sweep/driver.hpp"
 #include "sweep/plan.hpp"
+#include "sweep/report.hpp"
 
 #include <memory>
 
@@ -31,6 +33,53 @@ constexpr const char* kMatrixConfig =
     "name = prefill-125m\n"
     "model = gpt3-125m\n"
     "seq_lens = 512, 2048\n";
+
+// Five families x four parts, 64 variants: the shape of a real report
+// (examples/sweeps/full_matrix.conf), rendered by sweep.report_render.
+constexpr const char* kRenderConfig =
+    "[sweep]\n"
+    "name = bench-render\n"
+    "gpus = a100, h100, b200, npu-edge\n"
+    "[workload]\n"
+    "family = gqa\n"
+    "name = llama2-7b-gqa\n"
+    "model = llama2-7b\n"
+    "kv_ratios = 1, 4, 8\n"
+    "[workload]\n"
+    "family = moe\n"
+    "name = moe-2.7b\n"
+    "model = gpt3-2.7b\n"
+    "experts = 8, 64\n"
+    "top_k = 1, 2\n"
+    "[workload]\n"
+    "family = prefill\n"
+    "name = gpt3-2.7b-prefill\n"
+    "model = gpt3-2.7b\n"
+    "seq_lens = 512, 2048, 8192\n"
+    "[workload]\n"
+    "family = specdec\n"
+    "name = llama2-13b-specdec\n"
+    "model = llama2-13b\n"
+    "batch = 1\n"
+    "gammas = 1, 3, 7\n"
+    "[workload]\n"
+    "family = vit\n"
+    "name = vit-huge\n"
+    "custom = h=1280,a=16,L=32,v=1000,kind=encoder\n"
+    "patches = 14, 16, 28\n"
+    "image = 224\n";
+
+/// The render case's fixed input, swept once per process (on the first
+/// call, which the runner's untimed warmup absorbs).
+const sweep::SweepResult& render_fixture() {
+  static const sweep::SweepResult result = [] {
+    sweep::SweepOptions options;
+    options.threads = 1;
+    return sweep::run_sweep(
+        sweep::parse_sweep_config(kRenderConfig, "bench-render"), options);
+  }();
+  return result;
+}
 
 const bench::BenchSpec kSpec{
     "bench_ext_sweep_matrix",
@@ -86,6 +135,13 @@ CODESIGN_BENCH_CASES(ext_sweep_matrix) {
                  c.consume(v.layer_tflops);
                }
              }
+           }});
+  reg.add({"sweep.report_render", "bench_ext_sweep_matrix",
+           "pretty codesign.sweep report of a fixed 20-cell matrix",
+           {benchlib::kSuitePerf},
+           [](benchlib::CaseContext& c) {
+             c.consume_bytes(
+                 sweep::sweep_report_json(render_fixture(), /*compact=*/false));
            }});
 }
 

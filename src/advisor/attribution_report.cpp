@@ -1,8 +1,5 @@
 #include "advisor/attribution_report.hpp"
 
-#include <ostream>
-#include <sstream>
-
 #include "common/json.hpp"
 #include "transformer/attribution.hpp"
 
@@ -58,16 +55,16 @@ void write_histogram(json::Writer& w, const tfm::BoundHistogram& h) {
 
 }  // namespace
 
-void write_attribution_report(
-    std::ostream& os, const tfm::TransformerConfig& config,
-    const gemm::GemmSimulator& sim,
+std::string attribution_report(
+    const tfm::TransformerConfig& config, const gemm::GemmSimulator& sim,
     const std::vector<DimensionSensitivity>& sensitivity, bool compact) {
   const tfm::ModelAttribution m = tfm::attribute_model(config, sim);
   const double lt = m.layer.total_time;
   const json::Writer::Style spine =
       compact ? json::Writer::Style::kCompact : json::Writer::Style::kPretty;
 
-  json::Writer w(os);
+  std::string out;
+  json::Writer w(out);
   w.begin_object(spine)
       .member("report", kAttributionReportName)
       .member("version", kAttributionReportVersion)
@@ -128,15 +125,8 @@ void write_attribution_report(
   w.end_array();
 
   w.end_object();
-  if (!compact) os << "\n";
-}
-
-std::string attribution_report(
-    const tfm::TransformerConfig& config, const gemm::GemmSimulator& sim,
-    const std::vector<DimensionSensitivity>& sensitivity, bool compact) {
-  std::ostringstream os;
-  write_attribution_report(os, config, sim, sensitivity, compact);
-  return os.str();
+  if (!compact) out += '\n';
+  return out;
 }
 
 }  // namespace codesign::advisor

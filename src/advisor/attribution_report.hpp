@@ -11,7 +11,6 @@
 // docs/OBSERVABILITY.md ("Attribution & sensitivity") documents the schema.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -24,7 +23,7 @@ namespace codesign::advisor {
 inline constexpr const char* kAttributionReportName = "codesign.attribution";
 inline constexpr int kAttributionReportVersion = 1;
 
-/// Analyze `config` on `sim` and write the full report. `sensitivity` is
+/// Analyze `config` on `sim` and render the full report. `sensitivity` is
 /// embedded verbatim when non-empty (`codesign analyze` and
 /// `search --attribution` pass a sensitivity_probe round); callers that
 /// skip the probes pass the default empty round and the report carries an
@@ -32,13 +31,6 @@ inline constexpr int kAttributionReportVersion = 1;
 /// document to a single line with no trailing newline — required when the
 /// report rides inside a serve response, whose framing is one JSON object
 /// per line.
-void write_attribution_report(
-    std::ostream& os, const tfm::TransformerConfig& config,
-    const gemm::GemmSimulator& sim,
-    const std::vector<DimensionSensitivity>& sensitivity = {},
-    bool compact = false);
-
-/// Convenience: the report as a string.
 std::string attribution_report(
     const tfm::TransformerConfig& config, const gemm::GemmSimulator& sim,
     const std::vector<DimensionSensitivity>& sensitivity = {},

@@ -1,6 +1,6 @@
 #include "advisor/checkpoint.hpp"
 
-#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 
 #include "common/error.hpp"
@@ -42,17 +42,27 @@ std::string sanitize(std::string s) {
 }
 
 // One record line per entry, rendered once when the entry is recorded.
-// Doubles are C99 hexfloats ("%a"), parsed back bit-exactly by strtod.
+// Doubles are C99 hexfloats, parsed back bit-exactly by strtod.
 std::string shape_line(const std::string& name, const CheckpointShapeEntry& e) {
-  return "C\t" + name +
-         str_format("\t%a\t%a\t%a\t%a\t%a\t%d\n", e.layer_time,
-                    e.layer_tflops, e.speedup_vs_base, e.param_count,
-                    e.param_delta_frac, e.rules_pass ? 1 : 0);
+  std::string line = "C\t" + name;
+  for (const double v : {e.layer_time, e.layer_tflops, e.speedup_vs_base,
+                         e.param_count, e.param_delta_frac}) {
+    line += '\t';
+    append_hexfloat(line, v);
+  }
+  line += e.rules_pass ? "\t1\n" : "\t0\n";
+  return line;
 }
 
 std::string mlp_line(std::int64_t d_ff, const CheckpointMlpEntry& e) {
-  return str_format("M\t%lld\t%a\t%a\t%a\n", static_cast<long long>(d_ff),
-                    e.mlp_time, e.mlp_tflops, e.coefficient);
+  std::string line = "M\t";
+  append_int(line, d_ff);
+  for (const double v : {e.mlp_time, e.mlp_tflops, e.coefficient}) {
+    line += '\t';
+    append_hexfloat(line, v);
+  }
+  line += '\n';
+  return line;
 }
 
 std::string skip_line(const std::string& key, const CheckpointSkipEntry& e) {

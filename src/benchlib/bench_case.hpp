@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gemmsim/simulator.hpp"
@@ -53,6 +54,13 @@ class CaseContext {
   /// quantity the case computes that the figure/table would have printed.
   void consume(double v) { checksum_ = checksum_fold(checksum_, v); }
   void consume(std::int64_t v) { consume(static_cast<double>(v)); }
+  /// Fold produced bytes (a rendered report) in, FNV-1a over each byte.
+  void consume_bytes(std::string_view bytes) {
+    for (const char c : bytes) {
+      checksum_ ^= static_cast<unsigned char>(c);
+      checksum_ *= 0x100000001b3ull;  // FNV-1a prime
+    }
+  }
 
   std::uint64_t checksum() const { return checksum_; }
 

@@ -142,8 +142,8 @@ std::string BenchReport::to_json() const {
               return a->name < b->name;
             });
 
-  std::ostringstream os;
-  json::Writer w(os);
+  std::string out;
+  json::Writer w(out);
   // Pretty spine, compact leaves — the layout documented in the header.
   w.begin_object(json::Writer::Style::kPretty);
   w.member("schema", kReportSchemaId);
@@ -171,8 +171,8 @@ std::string BenchReport::to_json() const {
   w.end_array();
   w.key("metrics").raw(metrics.to_json());
   w.end_object();
-  os << "\n";
-  return os.str();
+  out += '\n';
+  return out;
 }
 
 BenchReport BenchReport::from_json(std::string_view text) {

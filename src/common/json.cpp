@@ -1,11 +1,10 @@
 #include "common/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <ostream>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -222,11 +221,34 @@ class Parser {
     }
   }
 
+  /// RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+  static bool is_json_number(std::string_view t) {
+    std::size_t i = 0;
+    const auto digits = [&] {
+      const std::size_t from = i;
+      while (i < t.size() && t[i] >= '0' && t[i] <= '9') ++i;
+      return i > from;
+    };
+    if (i < t.size() && t[i] == '-') ++i;
+    if (i < t.size() && t[i] == '0') {
+      ++i;
+    } else if (!digits()) {
+      return false;
+    }
+    if (i < t.size() && t[i] == '.') {
+      ++i;
+      if (!digits()) return false;
+    }
+    if (i < t.size() && (t[i] == 'e' || t[i] == 'E')) {
+      ++i;
+      if (i < t.size() && (t[i] == '-' || t[i] == '+')) ++i;
+      if (!digits()) return false;
+    }
+    return i == t.size();
+  }
+
   Value parse_number() {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
     while (pos_ < text_.size() &&
            (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
             text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
@@ -235,11 +257,9 @@ class Parser {
     }
     if (pos_ == start) fail("expected a value");
     const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || !std::isfinite(v)) {
-      fail("malformed number '" + token + "'");
-    }
+    if (!is_json_number(token)) fail("malformed number '" + token + "'");
+    const double v = std::strtod(token.c_str(), nullptr);
+    if (!std::isfinite(v)) fail("malformed number '" + token + "'");
     return Value::number(v);
   }
 
@@ -319,39 +339,64 @@ void Value::set(std::string key, Value v) {
   object_.emplace_back(std::move(key), std::move(v));
 }
 
+namespace {
+
+/// escape() and format_double(), appending to `out` with no temporary.
+void append_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // start of the pending run of bytes that need no escape
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out.append("\\\"", 2); break;
+      case '\\': out.append("\\\\", 2); break;
+      case '\n': out.append("\\n", 2); break;
+      case '\r': out.append("\\r", 2); break;
+      case '\t': out.append("\\t", 2); break;
+      default: {
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(u, sizeof(u));
+      }
+    }
+  }
+  out.append(s.data() + run, s.size() - run);
+}
+
+void append_double(std::string& out, double v) {
+  // %.17g is at most 24 characters ("-1.7976931348623157e+308").
+  char buf[32];
+  auto r = std::to_chars(buf, buf + sizeof(buf), v,
+                         std::chars_format::general, 15);
+  double back = 0.0;
+  const auto parsed = std::from_chars(buf, r.ptr, back);
+  if (parsed.ec != std::errc() || back != v) {
+    r = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                      17);
+  }
+  out.append(buf, r.ptr);
+}
+
+}  // namespace
+
 std::string escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += str_format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
+  append_escaped(out, s);
   return out;
 }
 
 std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.15g", v);
-  double back = 0.0;
-  std::sscanf(buf, "%lf", &back);
-  if (back != v) std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  std::string out;
+  append_double(out, v);
+  return out;
 }
 
 void Writer::indent(std::size_t depth) {
-  os_ << '\n';
-  for (std::size_t i = 0; i < depth; ++i) os_ << "  ";
+  out_ += '\n';
+  out_.append(2 * depth, ' ');
 }
 
 void Writer::before_value() {
@@ -366,9 +411,16 @@ void Writer::before_value() {
     have_key_ = false;
     return;  // separator was emitted by key()
   }
-  if (top.count > 0) os_ << ',';
+  if (top.count > 0) out_ += ',';
   if (top.pretty) indent(stack_.size());
   ++top.count;
+}
+
+Writer& Writer::after_value() {
+  if (os_ != nullptr && stack_.empty()) {
+    os_->write(out_.data(), static_cast<std::streamsize>(out_.size()));
+  }
+  return *this;
 }
 
 Writer& Writer::key(std::string_view k) {
@@ -376,10 +428,11 @@ Writer& Writer::key(std::string_view k) {
                  "json::Writer: key() outside an object");
   CODESIGN_CHECK(!have_key_, "json::Writer: key() twice without a value");
   Frame& top = stack_.back();
-  if (top.count > 0) os_ << ',';
+  if (top.count > 0) out_ += ',';
   if (top.pretty) indent(stack_.size());
-  os_ << '"' << escape(k) << "\":";
-  if (top.pretty) os_ << ' ';
+  out_ += '"';
+  append_escaped(out_, k);
+  out_.append(top.pretty ? "\": " : "\":", top.pretty ? 3 : 2);
   ++top.count;
   have_key_ = true;
   return *this;
@@ -388,7 +441,7 @@ Writer& Writer::key(std::string_view k) {
 Writer& Writer::begin_object(Style style) {
   before_value();
   stack_.push_back(Frame{true, style == Style::kPretty});
-  os_ << '{';
+  out_ += '{';
   return *this;
 }
 
@@ -399,14 +452,14 @@ Writer& Writer::end_object() {
   const Frame top = stack_.back();
   stack_.pop_back();
   if (top.pretty && top.count > 0) indent(stack_.size());
-  os_ << '}';
-  return *this;
+  out_ += '}';
+  return after_value();
 }
 
 Writer& Writer::begin_array(Style style) {
   before_value();
   stack_.push_back(Frame{false, style == Style::kPretty});
-  os_ << '[';
+  out_ += '[';
   return *this;
 }
 
@@ -416,52 +469,54 @@ Writer& Writer::end_array() {
   const Frame top = stack_.back();
   stack_.pop_back();
   if (top.pretty && top.count > 0) indent(stack_.size());
-  os_ << ']';
-  return *this;
+  out_ += ']';
+  return after_value();
 }
 
 Writer& Writer::value(std::string_view s) {
   before_value();
-  os_ << '"' << escape(s) << '"';
-  return *this;
+  out_ += '"';
+  append_escaped(out_, s);
+  out_ += '"';
+  return after_value();
 }
 
 Writer& Writer::value(double v) {
   CODESIGN_CHECK(std::isfinite(v),
                  "json::Writer: JSON cannot represent a non-finite number");
   before_value();
-  os_ << format_double(v);
-  return *this;
+  append_double(out_, v);
+  return after_value();
 }
 
 Writer& Writer::value(bool b) {
   before_value();
-  os_ << (b ? "true" : "false");
-  return *this;
+  out_ += b ? "true" : "false";
+  return after_value();
 }
 
 Writer& Writer::value(long long v) {
   before_value();
-  os_ << v;
-  return *this;
+  append_int(out_, v);
+  return after_value();
 }
 
 Writer& Writer::value(unsigned long long v) {
   before_value();
-  os_ << v;
-  return *this;
+  append_int(out_, v);
+  return after_value();
 }
 
 Writer& Writer::null() {
   before_value();
-  os_ << "null";
-  return *this;
+  out_ += "null";
+  return after_value();
 }
 
 Writer& Writer::raw(std::string_view text) {
   before_value();
-  os_ << text;
-  return *this;
+  out_ += text;
+  return after_value();
 }
 
 namespace {
@@ -491,10 +546,10 @@ void dump_value(Writer& w, const Value& v) {
 }  // namespace
 
 std::string dump(const Value& v) {
-  std::ostringstream os;
-  Writer w(os);
+  std::string out;
+  Writer w(out);
   dump_value(w, v);
-  return os.str();
+  return out;
 }
 
 }  // namespace codesign::json

@@ -6,12 +6,19 @@
 // strings, finite numbers, booleans and null — no comments, no trailing
 // commas. Parse errors throw codesign::Error with a line/column prefix.
 //
-// The writing half is json::Writer: a streaming emitter with automatic
-// comma/key management, per-container compact/pretty styles, and the same
-// escaping + shortest-round-trip number rules the parser accepts — bench
-// reports and serve responses share it so "emits JSON" means one code
-// path. json::escape and json::format_double remain exposed for callers
-// that splice fragments by hand.
+// Numbers follow RFC 8259's grammar: a leading '+', a leading '.', a
+// trailing '.', or a leading zero before more digits is a parse error.
+//
+// The writing half is json::Writer. It appends to a std::string with
+// automatic comma/key management and per-container compact/pretty styles;
+// every report and serve payload goes through it, so "emits JSON" means one
+// code path. Strings are escaped in place. Numbers come from <charconv>:
+// integers from std::to_chars, doubles from format_double's
+// %.15g-else-%.17g rule, computed with std::to_chars and a std::from_chars
+// round trip (the bytes printf gives). The std::ostream form fills the same
+// string and writes it to the stream once, when the document completes.
+// json::escape and json::format_double remain exposed for callers that
+// splice fragments by hand.
 #pragma once
 
 #include <cstddef>
@@ -80,14 +87,16 @@ class Value {
   std::vector<std::pair<std::string, Value>> object_;
 };
 
-/// Escape a string for embedding inside JSON double quotes.
+/// Escape a string for embedding inside JSON double quotes: `"`, `\\`,
+/// `\n`, `\r` and `\t` get their short escapes, other bytes below 0x20
+/// become `\u00xx`, and every other byte passes through.
 std::string escape(std::string_view s);
 
 /// Shortest decimal form of `v` that round-trips to the same double
 /// (%.15g when exact, %.17g otherwise). Deterministic for equal values.
 std::string format_double(double v);
 
-/// Streaming JSON emitter with automatic separator management. Misuse
+/// JSON emitter with automatic separator management. Misuse
 /// (value without key inside an object, mismatched end_*, writing past a
 /// complete document) throws codesign::Error via CODESIGN_CHECK rather
 /// than emitting malformed output.
@@ -99,11 +108,17 @@ std::string format_double(double v);
 /// so a document can mix a pretty spine with compact leaves (the bench
 /// report layout). Doubles go through format_double and must be finite
 /// (JSON has no Inf/NaN); strings through escape.
+///
+/// The document is appended to `out` (whatever it already holds is kept).
+/// The std::ostream form appends to a buffer of its own and writes it to
+/// the stream once, when the top-level value completes; an unfinished
+/// document writes nothing.
 class Writer {
  public:
   enum class Style { kCompact, kPretty };
 
-  explicit Writer(std::ostream& os) : os_(os) {}
+  explicit Writer(std::string& out) : out_(out) {}
+  explicit Writer(std::ostream& os) : out_(buffer_), os_(&os) {}
   Writer(const Writer&) = delete;
   Writer& operator=(const Writer&) = delete;
 
@@ -156,9 +171,12 @@ class Writer {
   };
 
   void before_value();  ///< separator bookkeeping shared by all value forms
+  Writer& after_value();  ///< writes the ostream form's completed document
   void indent(std::size_t depth);
 
-  std::ostream& os_;
+  std::string buffer_;  ///< the ostream form's document
+  std::string& out_;
+  std::ostream* os_ = nullptr;
   std::vector<Frame> stack_;
   bool have_key_ = false;  ///< key() written, its value still pending
   bool done_ = false;      ///< a top-level value has been started

@@ -5,6 +5,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -26,6 +27,40 @@ std::string str_format(const char* fmt, ...) {
   std::vsnprintf(out.data(), out.size() + 1, fmt, args_copy);
   va_end(args_copy);
   return out;
+}
+
+void append_hexfloat(std::string& out, double v) {
+  // Spelled out from the bit pattern: std::to_chars' hex form is not the
+  // same on every standard library (GCC 14's normalizes subnormals, "%a"
+  // does not).
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::uint64_t bits = 0;
+  static_assert(sizeof(bits) == sizeof(v));
+  std::memcpy(&bits, &v, sizeof(bits));
+  const std::uint64_t exponent = (bits >> 52) & 0x7FF;
+  std::uint64_t fraction = bits & ((std::uint64_t{1} << 52) - 1);
+  if (bits >> 63) out += '-';
+  if (exponent == 0x7FF) {
+    out += fraction == 0 ? "inf" : "nan";
+    return;
+  }
+  out += exponent == 0 ? "0x0" : "0x1";
+  // Zero prints "p+0"; subnormals keep the smallest normal's exponent.
+  const long long e2 = exponent != 0   ? static_cast<long long>(exponent) - 1023
+                       : fraction == 0 ? 0
+                                       : -1022;
+  if (fraction != 0) {
+    int digits = 13;  // 52 fraction bits, trailing zero digits dropped
+    for (; (fraction & 0xF) == 0; fraction >>= 4) --digits;
+    char buf[13];
+    for (int i = digits - 1; i >= 0; --i, fraction >>= 4) {
+      buf[i] = kHex[fraction & 0xF];
+    }
+    out += '.';
+    out.append(buf, static_cast<std::size_t>(digits));
+  }
+  out += e2 < 0 ? "p" : "p+";
+  append_int(out, e2);
 }
 
 std::vector<std::string> split(std::string_view s, char sep) {

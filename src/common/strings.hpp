@@ -2,6 +2,7 @@
 // the table writers, and the report generators.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -11,6 +12,18 @@ namespace codesign {
 
 /// printf-style formatting into a std::string.
 std::string str_format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/// Append the base-10 form of an integer: the bytes of printf's %lld/%llu.
+template <typename Int>
+void append_int(std::string& out, Int v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+/// Append `v` as a C99 hexfloat, the bytes of glibc printf's "%a" (e.g.
+/// "-0x1.8p+1", "0x0.0000000000001p-1022", "0x0p+0"); strtod reads it
+/// back bit-exactly.
+void append_hexfloat(std::string& out, double v);
 
 /// Split `s` on `sep`, keeping empty fields.
 std::vector<std::string> split(std::string_view s, char sep);

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "common/stats.hpp"
 
 namespace codesign::obs {
@@ -243,16 +243,7 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// Shortest round-trip double formatting (%.17g is exact but noisy; try
-/// %.15g first). Deterministic for identical values.
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.15g", v);
-  double back = 0.0;
-  std::sscanf(buf, "%lf", &back);
-  if (back != v) std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+using json::format_double;
 
 }  // namespace
 

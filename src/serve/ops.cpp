@@ -273,10 +273,10 @@ OpResult op_advise_many(const Request& request, const OpContext& context) {
         kMaxTuples, tuples.size()));
   }
   const bool want_attribution = request.body.bool_or("attribution", false);
-  std::ostringstream payload;
+  std::string payload;
   json::Writer w(payload);
   w.begin_array();
-  std::ostringstream attribution;
+  std::string attribution;
   json::Writer aw(attribution);
   if (want_attribution) aw.begin_array();
   for (const json::Value& item : tuples) {
@@ -293,11 +293,11 @@ OpResult op_advise_many(const Request& request, const OpContext& context) {
     }
   }
   w.end_array();
-  payload << "\n";
-  OpResult result{kExitOk, payload.str()};
+  payload += '\n';
+  OpResult result{kExitOk, std::move(payload)};
   if (want_attribution) {
     aw.end_array();
-    result.attribution = attribution.str();
+    result.attribution = std::move(attribution);
   }
   return result;
 }
@@ -468,7 +468,7 @@ OpResult op_health(const Request& request, const OpContext& context) {
                        : h.overloaded  ? "overloaded"
                        : h.brownout    ? "brownout"
                                        : "ok";
-  std::ostringstream payload;
+  std::string payload;
   json::Writer w(payload);
   w.begin_object();
   w.member("status", status);
@@ -480,8 +480,8 @@ OpResult op_health(const Request& request, const OpContext& context) {
   w.member("queue_capacity", static_cast<long long>(h.queue_capacity));
   w.member("uptime_s", static_cast<long long>(h.uptime_s));
   w.end_object();
-  payload << "\n";
-  return {kExitOk, payload.str()};
+  payload += '\n';
+  return {kExitOk, std::move(payload)};
 }
 
 /// Diagnostic op: hold a worker for "ms" (capped at 10 s), polling the

@@ -1,7 +1,6 @@
 #include "serve/protocol.hpp"
 
 #include <cmath>
-#include <sstream>
 
 #include "common/error.hpp"
 
@@ -52,8 +51,9 @@ void begin_envelope(json::Writer& w, std::string_view status, int code,
 std::string ok_response(std::string_view id, int code,
                         std::string_view payload,
                         std::string_view attribution) {
-  std::ostringstream os;
-  json::Writer w(os);
+  std::string out;
+  out.reserve(64 + id.size() + payload.size() + attribution.size());
+  json::Writer w(out);
   begin_envelope(w, "ok", code, id);
   w.member("payload", payload);
   if (!attribution.empty()) {
@@ -62,32 +62,32 @@ std::string ok_response(std::string_view id, int code,
     w.key("attribution").raw(attribution);
   }
   w.end_object();
-  os << '\n';
-  return os.str();
+  out += '\n';
+  return out;
 }
 
 std::string error_response(std::string_view id, int code,
                            std::string_view message) {
-  std::ostringstream os;
-  json::Writer w(os);
+  std::string out;
+  json::Writer w(out);
   begin_envelope(w, "error", code, id);
   w.member("error", message);
   w.end_object();
-  os << '\n';
-  return os.str();
+  out += '\n';
+  return out;
 }
 
 std::string overloaded_response(std::string_view id,
                                 std::int64_t retry_after_ms,
                                 std::string_view message) {
-  std::ostringstream os;
-  json::Writer w(os);
+  std::string out;
+  json::Writer w(out);
   begin_envelope(w, "overloaded", kExitUnavailable, id);
   w.member("retry_after_ms", retry_after_ms);
   w.member("error", message);
   w.end_object();
-  os << '\n';
-  return os.str();
+  out += '\n';
+  return out;
 }
 
 Response parse_response(std::string_view line) {

@@ -1,7 +1,6 @@
 #include "serve/trace.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
@@ -190,8 +189,8 @@ SloSummary RequestTraceLog::slo_summary() const {
 }
 
 std::string render_tail(const std::vector<RequestRecord>& records) {
-  std::ostringstream os;
-  json::Writer w(os);
+  std::string out;
+  json::Writer w(out);
   w.begin_array();
   for (const RequestRecord& rec : records) {
     w.begin_object();
@@ -217,8 +216,8 @@ std::string render_tail(const std::vector<RequestRecord>& records) {
     w.end_object();
   }
   w.end_array();
-  os << '\n';
-  return os.str();
+  out += '\n';
+  return out;
 }
 
 }  // namespace codesign::serve

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <ostream>
-#include <sstream>
 
 #include "common/json.hpp"
 #include "common/strings.hpp"
@@ -52,12 +51,15 @@ std::vector<RankRow> rank_workload(const SweepResult& r,
 
 }  // namespace
 
-void write_sweep_report(std::ostream& os, const SweepResult& r,
-                        bool compact) {
+std::string sweep_report_json(const SweepResult& r, bool compact) {
   const json::Writer::Style spine =
       compact ? json::Writer::Style::kCompact : json::Writer::Style::kPretty;
 
-  json::Writer w(os);
+  std::size_t variant_count = 0;
+  for (const SweepCell& c : r.cells) variant_count += c.variants.size();
+  std::string out;
+  out.reserve(1024 + 1024 * r.cells.size() + 384 * variant_count);
+  json::Writer w(out);
   w.begin_object(spine)
       .member("report", kSweepReportName)
       .member("version", kSweepReportVersion)
@@ -80,11 +82,9 @@ void write_sweep_report(std::ostream& os, const SweepResult& r,
   }
   w.end_array();
 
-  std::size_t total_variants = 0;
   std::size_t total_skipped = 0;
   w.key("cells").begin_array(spine);
   for (const SweepCell& c : r.cells) {
-    total_variants += c.variants.size();
     total_skipped += c.skipped.size();
     w.begin_object(spine)
         .member("workload", c.workload)
@@ -166,18 +166,13 @@ void write_sweep_report(std::ostream& os, const SweepResult& r,
   w.key("counters")
       .begin_object()
       .member("cells", static_cast<unsigned long long>(r.cells.size()))
-      .member("variants", static_cast<unsigned long long>(total_variants))
+      .member("variants", static_cast<unsigned long long>(variant_count))
       .member("skipped", static_cast<unsigned long long>(total_skipped))
       .end_object();
 
   w.end_object();
-  if (!compact) os << "\n";
-}
-
-std::string sweep_report_json(const SweepResult& result, bool compact) {
-  std::ostringstream os;
-  write_sweep_report(os, result, compact);
-  return os.str();
+  if (!compact) out += '\n';
+  return out;
 }
 
 void render_sweep_table(std::ostream& os, const SweepResult& r) {

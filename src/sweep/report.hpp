@@ -25,8 +25,6 @@ inline constexpr int kSweepReportVersion = 1;
 /// to one line for serve-envelope framing; the CLI writes the pretty form
 /// (pretty spine, compact leaves) with a trailing newline.
 std::string sweep_report_json(const SweepResult& result, bool compact);
-void write_sweep_report(std::ostream& os, const SweepResult& result,
-                        bool compact);
 
 /// The human comparison table plus a one-line run summary (the summary
 /// includes the volatile evaluated/resumed/retried counters, which is why

@@ -166,16 +166,33 @@ void TransformerConfig::validate() const {
 }
 
 std::string TransformerConfig::to_string() const {
-  return str_format(
-      "%s (h=%lld a=%lld L=%lld s=%lld b=%lld v=%lld t=%lld d_ff=%lld %s/%s/%s%s)",
-      name.c_str(), static_cast<long long>(hidden_size),
-      static_cast<long long>(num_heads), static_cast<long long>(num_layers),
-      static_cast<long long>(seq_len), static_cast<long long>(microbatch),
-      static_cast<long long>(vocab_size),
-      static_cast<long long>(tensor_parallel),
-      static_cast<long long>(d_ff()), activation_name(activation),
-      pos_embedding_name(pos_embedding), attention_impl_name(attention),
-      parallel_layers ? "/parallel" : "");
+  // The bytes of "%s (h=%lld a=%lld L=%lld s=%lld b=%lld v=%lld t=%lld
+  // d_ff=%lld %s/%s/%s%s)", built by appends: this runs once per variant
+  // of every sweep report.
+  std::string out;
+  out.reserve(name.size() + 112);
+  out += name;
+  const auto field = [&out](const char* label, std::int64_t v) {
+    out += label;
+    append_int(out, v);
+  };
+  field(" (h=", hidden_size);
+  field(" a=", num_heads);
+  field(" L=", num_layers);
+  field(" s=", seq_len);
+  field(" b=", microbatch);
+  field(" v=", vocab_size);
+  field(" t=", tensor_parallel);
+  field(" d_ff=", d_ff());
+  out += ' ';
+  out += activation_name(activation);
+  out += '/';
+  out += pos_embedding_name(pos_embedding);
+  out += '/';
+  out += attention_impl_name(attention);
+  if (parallel_layers) out += "/parallel";
+  out += ')';
+  return out;
 }
 
 }  // namespace codesign::tfm

@@ -366,6 +366,25 @@ TEST_F(ServeTest, SearchMaxBelowOneIsAUsageError) {
   shut_down(server);
 }
 
+TEST_F(ServeTest, NumbersOutsideTheJsonGrammarAreAUsageError) {
+  EXPECT_THROW(serve::parse_request(R"({"op":"search","max":+3})"),
+               UsageError);
+  serve::Server server(options(2));
+  server.start();
+  ServeClient client("127.0.0.1", server.port());
+
+  // strtod reads "+3" as 3; JSON has no leading '+'.
+  const serve::Response r = client.call_op(
+      "search", R"("model":"gpt3-125m","mode":"heads","max":+3)");
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.code, kExitUsage);
+  EXPECT_NE(r.error.find("malformed number '+3'"), std::string::npos)
+      << r.error;
+
+  client.close();
+  shut_down(server);
+}
+
 TEST_F(ServeTest, SweepPayloadMatchesTheCliJsonBytes) {
   // A one-cell matrix small enough for a unit test; the big-matrix
   // byte-identity drills live in tests/test_sweep.cpp and check.sh.

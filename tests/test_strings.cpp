@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace codesign {
@@ -116,6 +123,47 @@ TEST(ParseDouble, Invalid) {
   EXPECT_THROW(parse_double(""), Error);
   EXPECT_THROW(parse_double("x"), Error);
   EXPECT_THROW(parse_double("1.2.3"), Error);
+}
+
+TEST(AppendHexfloat, MatchesPrintfPercentA) {
+  using Lim = std::numeric_limits<double>;
+  std::vector<double> values = {
+      0.0,          -0.0,        1.0,          -1.0,
+      0.1,          -2.5,        Lim::max(),   -Lim::max(),
+      Lim::min(),   -Lim::min(), Lim::denorm_min(), -Lim::denorm_min(),
+      std::nextafter(Lim::min(), 0.0),         Lim::infinity(),
+      -Lim::infinity(),          Lim::quiet_NaN(), -Lim::quiet_NaN()};
+  std::mt19937_64 rng(7031);
+  for (int i = 0; i < 1000000; ++i) {  // every exponent, sign and payload
+    const std::uint64_t b = rng();
+    double v = 0.0;
+    std::memcpy(&v, &b, sizeof(v));
+    values.push_back(v);
+  }
+  std::uniform_real_distribution<double> uniform(-1e3, 1e3);
+  for (int i = 0; i < 100000; ++i) values.push_back(uniform(rng));
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    std::string got = "x";
+    append_hexfloat(got, v);
+    const std::string want = "x" + str_format("%a", v);
+    if (got != want && ++mismatches <= 10) {
+      ADD_FAILURE() << got << " vs " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size();
+}
+
+TEST(AppendInt, MatchesPrintf) {
+  for (const long long v : {0LL, -1LL, 42LL, std::numeric_limits<long long>::min(),
+                            std::numeric_limits<long long>::max()}) {
+    std::string got;
+    append_int(got, v);
+    EXPECT_EQ(got, str_format("%lld", v));
+  }
+  std::string got;
+  append_int(got, std::numeric_limits<unsigned long long>::max());
+  EXPECT_EQ(got, "18446744073709551615");
 }
 
 }  // namespace

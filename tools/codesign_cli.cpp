@@ -291,7 +291,7 @@ int cmd_analyze(const CliArgs& args) {
     write_file(out, advisor::attribution_report(cfg, sim, sensitivity));
     std::cout << "wrote attribution report to " << out << "\n";
   } else {
-    advisor::write_attribution_report(std::cout, cfg, sim, sensitivity);
+    std::cout << advisor::attribution_report(cfg, sim, sensitivity);
   }
   print_cache_summary(sim);
   return 0;

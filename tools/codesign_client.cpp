@@ -118,8 +118,8 @@ void forward_double(json::Writer& w, const CliArgs& args,
 }
 
 std::string build_request(const CliArgs& args, const std::string& op) {
-  std::ostringstream os;
-  json::Writer w(os);
+  std::string request;
+  json::Writer w(request);
   w.begin_object();
   w.member("op", op);
   if (args.has("id")) w.member("id", args.get_string("id", ""));
@@ -193,7 +193,7 @@ std::string build_request(const CliArgs& args, const std::string& op) {
     forward_string(w, args, "filter", "filter");
   }
   w.end_object();
-  return os.str();
+  return request;
 }
 
 std::vector<std::string> op_flags(const std::string& op) {
