@@ -37,7 +37,8 @@ struct BaselineContext {
 BaselineContext make_baseline(const TransformerConfig& base,
                               const gemm::GemmSimulator& sim) {
   BaselineContext ctx;
-  ctx.layer_time = tfm::layer_total_time(base, sim);
+  tfm::LayerWorkspace ws;
+  ctx.layer_time = tfm::layer_total_time(base, sim, ws);
   ctx.param_count = static_cast<double>(tfm::exact_param_count(base));
   return ctx;
 }
@@ -51,12 +52,11 @@ ShapeScores evaluate_against(const TransformerConfig& config,
                              const BaselineContext& base,
                              const gemm::GemmSimulator& sim,
                              tfm::LayerWorkspace& ws) {
-  // The batched layer_total_time is the lean twin of analyze_layer:
-  // bit-identical total, none of the per-op report the search never reads,
-  // and the candidate's GEMM list resolves through one estimate_times()
-  // call against `ws` instead of one estimate() per op. The walk validates
-  // the config, so the parameter count and rule verdict take the unchecked
-  // forms.
+  // layer_total_time is analyze_layer's walk without the per-op records:
+  // bit-identical total, none of the report the search never reads, and
+  // the candidate's GEMM list resolves through one estimate_times() call
+  // against `ws`. The walk validates the config, so the parameter count
+  // and rule verdict take the unchecked forms.
   const double layer_time = tfm::layer_total_time(config, sim, ws);
   ShapeScores s;
   s.layer_time = layer_time;

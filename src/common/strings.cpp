@@ -108,7 +108,16 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 
 namespace {
 std::string with_suffix(double v, double divisor, const char* suffix) {
-  return str_format("%.2f %s", v / divisor, suffix);
+  // printf's "%.2f" bytes from std::to_chars (the standard defines its
+  // precision form by printf's), without the format parsing: the per-op
+  // records of every layer report carry one of these.
+  char buf[320];  // the longest "%.2f" of a finite double is 313 bytes
+  std::string out(buf, std::to_chars(buf, buf + sizeof(buf), v / divisor,
+                                     std::chars_format::fixed, 2)
+                           .ptr);
+  out += ' ';
+  out += suffix;
+  return out;
 }
 }  // namespace
 

@@ -37,7 +37,10 @@ EstimateCache::Shard& EstimateCache::shard_for(const Key& key) {
 
 KernelEstimate EstimateCache::get_or_compute(
     const Key& key, const std::function<KernelEstimate()>& compute) {
-  CODESIGN_FAILPOINT_T("gemmsim.cache.lookup", key.hash_value());
+  // The token is the problem's own hash, not the key's: that mixes in the
+  // GpuSpec address, which ASLR moves, so a prob: drill would fire on a
+  // different key set every run.
+  CODESIGN_FAILPOINT_T("gemmsim.cache.lookup", key.problem.hash_value());
   Shard& shard = shard_for(key);
   {
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -92,12 +95,13 @@ std::size_t EstimateCache::probe_many(std::span<const Key> keys,
                                       std::uint8_t* hit, BatchScratch& scratch,
                                       OnHit&& on_hit) {
   const std::size_t n = keys.size();
-  // Fire the lookup failpoint per key in input order, the exact sequence N
-  // scalar get_or_compute calls would produce. prob:P:seed triggers hash
-  // the token so their fire set is order-independent anyway, but keeping
-  // the order makes once:/every: drills line up too.
+  // Fire the lookup failpoint per key in input order, with the token
+  // get_or_compute uses: the exact sequence N scalar calls would produce.
+  // prob:P:seed triggers hash the token so their fire set is
+  // order-independent anyway, but keeping the order makes once:/every:
+  // drills line up too.
   for (std::size_t i = 0; i < n; ++i) {
-    CODESIGN_FAILPOINT_T("gemmsim.cache.lookup", keys[i].hash_value());
+    CODESIGN_FAILPOINT_T("gemmsim.cache.lookup", keys[i].problem.hash_value());
   }
   const std::size_t num_shards = shards_.size();
   scratch.order.resize(n);

@@ -79,16 +79,21 @@ std::size_t GemmProblem::hash_value() const noexcept {
 }
 
 std::string GemmProblem::to_string() const {
-  if (batch == 1) {
-    return str_format("GEMM(%lld x %lld x %lld, %s)",
-                      static_cast<long long>(m), static_cast<long long>(n),
-                      static_cast<long long>(k),
-                      gpu::dtype_name(dtype).c_str());
+  // Appended, not str_format'ed: every per-op record of a layer report
+  // carries this string.
+  std::string out = "GEMM(";
+  if (batch != 1) {
+    out = "BMM(b=";
+    append_int(out, batch);
+    out += ", ";
   }
-  return str_format("BMM(b=%lld, %lld x %lld x %lld, %s)",
-                    static_cast<long long>(batch), static_cast<long long>(m),
-                    static_cast<long long>(n), static_cast<long long>(k),
-                    gpu::dtype_name(dtype).c_str());
+  append_int(out, m);
+  out += " x ";
+  append_int(out, n);
+  out += " x ";
+  append_int(out, k);
+  out += ", " + gpu::dtype_name(dtype) + ")";
+  return out;
 }
 
 void GemmProblem::validate() const {

@@ -5,6 +5,8 @@
 #include <set>
 #include <sstream>
 
+#include "common/json.hpp"
+
 namespace codesign::obs {
 
 std::atomic<EventRecorder*> EventRecorder::g_active{nullptr};
@@ -12,16 +14,6 @@ std::atomic<EventRecorder*> EventRecorder::g_active{nullptr};
 namespace {
 
 thread_local double t_time_origin_us = 0.0;
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
 
 std::string format_us(double us) {
   char buf[64];
@@ -134,15 +126,15 @@ std::string EventRecorder::chrome_trace_json(
     emit_comma();
     os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << pid
        << ",\"tid\":" << tid << ",\"args\":{\"name\":\""
-       << json_escape(track_name(
+       << json::escape(track_name(
               pid == 0 ? EventClock::kSimulated : EventClock::kWall, tid))
        << "\"}}";
   }
 
   for (const TraceEvent& e : sorted) {
     emit_comma();
-    os << "{\"name\":\"" << json_escape(e.name) << "\",\"cat\":\""
-       << json_escape(e.category) << "\",\"ph\":\"" << e.phase
+    os << "{\"name\":\"" << json::escape(e.name) << "\",\"cat\":\""
+       << json::escape(e.category) << "\",\"ph\":\"" << e.phase
        << "\",\"pid\":" << pid_for(e.clock) << ",\"tid\":" << e.tid
        << ",\"ts\":" << format_us(e.ts_us);
     if (e.phase == 'X') os << ",\"dur\":" << format_us(e.dur_us);
@@ -150,8 +142,8 @@ std::string EventRecorder::chrome_trace_json(
     os << ",\"args\":{";
     for (std::size_t i = 0; i < e.args.size(); ++i) {
       if (i > 0) os << ",";
-      os << "\"" << json_escape(e.args[i].first) << "\":\""
-         << json_escape(e.args[i].second) << "\"";
+      os << "\"" << json::escape(e.args[i].first) << "\":\""
+         << json::escape(e.args[i].second) << "\"";
     }
     os << "}}";
   }
@@ -159,8 +151,8 @@ std::string EventRecorder::chrome_trace_json(
   os << "],\"otherData\":{";
   for (std::size_t i = 0; i < options.other_data.size(); ++i) {
     if (i > 0) os << ",";
-    os << "\"" << json_escape(options.other_data[i].first) << "\":\""
-       << json_escape(options.other_data[i].second) << "\"";
+    os << "\"" << json::escape(options.other_data[i].first) << "\":\""
+       << json::escape(options.other_data[i].second) << "\"";
   }
   os << "}}";
   return os.str();

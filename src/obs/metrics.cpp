@@ -233,16 +233,6 @@ MetricsRegistry& MetricsRegistry::global() {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 using json::format_double;
 
 }  // namespace
@@ -254,8 +244,8 @@ std::string MetricsSnapshot::to_json() const {
   for (const Series& s : series) {
     if (!first) os << ",";
     first = false;
-    os << "{\"name\":\"" << json_escape(s.name) << "\",\"labels\":\""
-       << json_escape(s.labels) << "\",\"kind\":\"" << metric_kind_name(s.kind)
+    os << "{\"name\":\"" << json::escape(s.name) << "\",\"labels\":\""
+       << json::escape(s.labels) << "\",\"kind\":\"" << metric_kind_name(s.kind)
        << "\",\"stability\":\"" << stability_name(s.stability) << "\"";
     switch (s.kind) {
       case MetricKind::kCounter:

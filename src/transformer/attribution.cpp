@@ -1,8 +1,5 @@
 #include "transformer/attribution.hpp"
 
-#include <algorithm>
-
-#include "common/strings.hpp"
 #include "transformer/layer_model.hpp"
 
 namespace codesign::tfm {
@@ -40,11 +37,18 @@ gemm::Bound dominant_bound(const BoundHistogram& h) {
   return static_cast<gemm::Bound>(best);
 }
 
-std::string gemm_detail(const gemm::KernelEstimate& est) {
-  return str_format("%s tile=%s bound=%s waves=%lld",
-                    est.problem.to_string().c_str(), est.tile.name().c_str(),
-                    gemm::bound_name(est.bound),
-                    static_cast<long long>(est.wave_q.waves));
+/// One instance of a GEMM family (or the fused flash op) from its record,
+/// taking over the record's strings.
+FamilyAttribution family_of(OpLatency&& o) {
+  FamilyAttribution f;
+  f.op = o.op;
+  f.name = std::move(o.name);
+  f.count = 1;
+  f.time = o.time;
+  f.bound = o.breakdown.bound;
+  f.breakdown = o.breakdown;
+  f.detail = std::move(o.detail);
+  return f;
 }
 
 }  // namespace
@@ -69,96 +73,30 @@ LayerBranch op_branch(LayerOp op) {
   }
 }
 
-gemm::BoundBreakdown op_breakdown(const MappedOp& op,
-                                  const gemm::GemmSimulator& sim,
-                                  double* time_out) {
-  if (op.gemm.has_value()) {
-    const gemm::KernelEstimate est = sim.estimate(*op.gemm);
-    if (time_out != nullptr) *time_out = est.time;
-    return gemm::bound_breakdown(est);
-  }
-  gemm::BoundBreakdown b;
-  if (op.flash.has_value()) {
-    // The fused kernel has no tile/wave terms in the model; its time splits
-    // into the limiting roof's body plus the launch floor.
-    const gemm::FlashAttentionEstimate est = sim.estimate_flash(*op.flash);
-    b.bound = est.bound;
-    if (est.time > 0.0) {
-      const double body = std::max(est.compute_time, est.memory_time);
-      b.launch = (est.time - body) / est.time;
-      if (est.compute_time >= est.memory_time) {
-        b.compute = body / est.time;
-      } else {
-        b.memory = body / est.time;
-      }
-    }
-    if (time_out != nullptr) *time_out = est.time;
-    return b;
-  }
-  // Elementwise/reduction kernel: DRAM traffic plus the launch floor — the
-  // exact expression op_latency()/layer_total_time() use.
-  const double launch = sim.gpu().kernel_launch_overhead;
-  const double traffic =
-      op.elementwise_bytes / sim.gpu().achievable_bandwidth();
-  const double time = traffic + launch;
-  b.bound = launch > traffic ? gemm::Bound::kLaunch : gemm::Bound::kMemory;
-  if (time > 0.0) {
-    b.memory = traffic / time;
-    b.launch = launch / time;
-  }
-  if (time_out != nullptr) *time_out = time;
-  return b;
-}
-
 LayerAttribution attribute_layer(const TransformerConfig& config,
                                  const gemm::GemmSimulator& sim) {
-  config.validate();
+  // A fold over the layer walk's per-op records: the same estimates
+  // analyze_layer() sums, so the totals are its totals.
+  LayerLatencyReport layer = analyze_layer(config, sim);
   LayerAttribution r;
   r.config = config;
+  r.gemm_time = layer.gemm_time;
+  r.non_gemm_time = layer.non_gemm_time;
+  r.total_time = layer.total_time;
   gemm::BoundBreakdown acc;
-  for (const MappedOp& op : layer_schedule(config)) {
-    double t = 0.0;
-    gemm::BoundBreakdown b;
-    FamilyAttribution f;
-    bool is_family = false;
-    if (op.gemm.has_value()) {
-      const gemm::KernelEstimate est = sim.estimate(*op.gemm);
-      t = est.time;
-      b = gemm::bound_breakdown(est);
-      f.detail = gemm_detail(est);
-      is_family = true;
-    } else {
-      b = op_breakdown(op, sim, &t);
-      if (op.flash.has_value()) {
-        f.detail = str_format("flash(s=%lld d=%lld) bound=%s",
-                              static_cast<long long>(op.flash->seq),
-                              static_cast<long long>(op.flash->head_dim),
-                              gemm::bound_name(b.bound));
-        is_family = true;
-      }
-    }
-    r.total_time += t;
-    const int bi = static_cast<int>(b.bound);
-    r.histogram.count[static_cast<std::size_t>(bi)] += 1;
-    r.histogram.time[static_cast<std::size_t>(bi)] += t;
-    switch (op_branch(op.op)) {
+  for (OpLatency& o : layer.ops) {
+    const double t = o.time;
+    const auto bi =
+        static_cast<std::size_t>(static_cast<int>(o.breakdown.bound));
+    r.histogram.count[bi] += 1;
+    r.histogram.time[bi] += t;
+    switch (op_branch(o.op)) {
       case LayerBranch::kAttention: r.attention_time += t; break;
       case LayerBranch::kMlp: r.mlp_time += t; break;
       case LayerBranch::kOther: r.other_time += t; break;
     }
-    weighted_add(acc, b, t);
-    if (is_family) {
-      r.gemm_time += t;
-      f.op = op.op;
-      f.name = op_name(op.op);
-      f.count = 1;
-      f.time = t;
-      f.bound = b.bound;
-      f.breakdown = b;
-      r.gemms.push_back(std::move(f));
-    } else {
-      r.non_gemm_time += t;
-    }
+    weighted_add(acc, o.breakdown, t);
+    if (o.is_gemm) r.gemms.push_back(family_of(std::move(o)));
   }
   for (FamilyAttribution& f : r.gemms) {
     f.share = r.gemm_time > 0.0 ? f.time / r.gemm_time : 0.0;
@@ -192,34 +130,19 @@ ModelAttribution attribute_model(const TransformerConfig& config,
   weighted_add(acc, r.layer.breakdown, layers * r.layer.total_time);
 
   for (const MappedOp& op : model_level_ops(config)) {
-    double t = 0.0;
-    gemm::BoundBreakdown b;
-    if (op.gemm.has_value()) {
-      const gemm::KernelEstimate est = sim.estimate(*op.gemm);
-      t = est.time;
-      b = gemm::bound_breakdown(est);
-      FamilyAttribution f;
-      f.op = op.op;
-      f.name = op_name(op.op);
-      f.count = 1;
-      f.time = t;
-      f.bound = b.bound;
-      f.breakdown = b;
-      f.detail = gemm_detail(est);
-      r.gemms.push_back(std::move(f));
-    } else {
-      b = op_breakdown(op, sim, &t);
-    }
+    OpLatency o = op_latency(op, sim);
     switch (op.op) {
-      case LayerOp::kEmbeddingLookup: r.embedding_time = t; break;
-      case LayerOp::kFinalLayerNorm: r.final_ln_time = t; break;
-      case LayerOp::kLogitProjection: r.logit_time = t; break;
+      case LayerOp::kEmbeddingLookup: r.embedding_time = o.time; break;
+      case LayerOp::kFinalLayerNorm: r.final_ln_time = o.time; break;
+      case LayerOp::kLogitProjection: r.logit_time = o.time; break;
       default: break;
     }
-    const auto bi = static_cast<std::size_t>(static_cast<int>(b.bound));
+    const auto bi =
+        static_cast<std::size_t>(static_cast<int>(o.breakdown.bound));
     r.histogram.count[bi] += 1;
-    r.histogram.time[bi] += t;
-    weighted_add(acc, b, t);
+    r.histogram.time[bi] += o.time;
+    weighted_add(acc, o.breakdown, o.time);
+    if (o.is_gemm) r.gemms.push_back(family_of(std::move(o)));
   }
 
   // Same expression analyze_model() uses, so the totals stay bit-identical.

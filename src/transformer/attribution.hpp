@@ -10,8 +10,8 @@
 //     time, sit on each roof),
 //   * a time-weighted BoundBreakdown of the whole layer / forward pass.
 //
-// Everything here is derived from the same estimates analyze_layer() /
-// analyze_model() use, walked in the same execution order, so the time
+// Everything here folds the same per-op records analyze_layer() /
+// analyze_model() build (one layer walk, in execution order), so the time
 // totals are bit-identical to those reports and the rollups are
 // byte-reproducible across thread counts and cache states.
 #pragma once
@@ -96,13 +96,5 @@ struct ModelAttribution {
 
 ModelAttribution attribute_model(const TransformerConfig& config,
                                  const gemm::GemmSimulator& sim);
-
-/// Attribution of one scheduled op (exposed for tests): dispatches to
-/// gemm::bound_breakdown for GEMMs, derives launch/compute/memory splits
-/// for flash and elementwise ops from the same bandwidth model
-/// op_latency() uses. Returns the op's time through `time_out`.
-gemm::BoundBreakdown op_breakdown(const MappedOp& op,
-                                  const gemm::GemmSimulator& sim,
-                                  double* time_out);
 
 }  // namespace codesign::tfm

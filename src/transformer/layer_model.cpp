@@ -1,59 +1,19 @@
 #include "transformer/layer_model.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/strings.hpp"
 #include "transformer/flops.hpp"
 
 namespace codesign::tfm {
 
-OpLatency op_latency(const MappedOp& op, const gemm::GemmSimulator& sim) {
-  OpLatency out;
-  out.op = op.op;
-  out.name = op_name(op.op);
-  out.flops = op.flops;
-
-  if (op.gemm.has_value()) {
-    const gemm::KernelEstimate est = sim.estimate(*op.gemm);
-    out.is_gemm = true;
-    out.time = est.time;
-    out.tflops = est.tflops();
-    out.detail = str_format("%s tile=%s bound=%s waves=%lld",
-                            op.gemm->to_string().c_str(),
-                            est.tile.name().c_str(),
-                            gemm::bound_name(est.bound),
-                            static_cast<long long>(est.wave_q.waves));
-    return out;
-  }
-
-  if (op.flash.has_value()) {
-    const gemm::FlashAttentionEstimate est = sim.estimate_flash(*op.flash);
-    out.is_gemm = true;  // fused matmuls count toward the GEMM share
-    out.time = est.time;
-    out.tflops = est.tflops();
-    out.detail = str_format("flash(s=%lld d=%lld) bound=%s",
-                            static_cast<long long>(op.flash->seq),
-                            static_cast<long long>(op.flash->head_dim),
-                            gemm::bound_name(est.bound));
-    return out;
-  }
-
-  // Non-GEMM: memory-bound elementwise/reduction kernel.
-  out.bytes = op.elementwise_bytes;
-  out.time = op.elementwise_bytes / sim.gpu().achievable_bandwidth() +
-             sim.gpu().kernel_launch_overhead;
-  out.tflops = op.flops > 0.0 ? op.flops / out.time / 1e12 : 0.0;
-  out.detail = human_bytes(op.elementwise_bytes) + " traffic";
-  return out;
-}
-
 namespace {
 
 /// Parallel-layer formulation fuses the attention and MLP branches
 /// (§VI-C1): one shared LayerNorm and one fused residual, saving the
-/// second LN's and one residual add's traffic + launches. The _into
-/// variant reuses the buffer's capacity for the batched hot path; the
-/// in-place erase preserves op order, so both produce the identical
-/// schedule.
+/// second LN's and one residual add's traffic + launches. The in-place
+/// erase preserves op order and reuses the buffer's capacity.
 void schedule_for_into(const TransformerConfig& c,
                        std::vector<MappedOp>& ops) {
   layer_ops_into(c, ops);
@@ -63,16 +23,141 @@ void schedule_for_into(const TransformerConfig& c,
   });
 }
 
-std::vector<MappedOp> schedule_for(const TransformerConfig& c) {
-  std::vector<MappedOp> ops;
-  schedule_for_into(c, ops);
-  return ops;
+/// Time, math rate and roof split of a flash or elementwise op: the one
+/// place the non-GEMM cost model lives. GEMMs read theirs off the
+/// simulator's estimate.
+struct NonGemmCost {
+  double time = 0.0;
+  double tflops = 0.0;
+  gemm::BoundBreakdown breakdown;
+};
+
+NonGemmCost non_gemm_cost(const MappedOp& op, const gemm::GemmSimulator& sim) {
+  NonGemmCost c;
+  gemm::BoundBreakdown& b = c.breakdown;
+  if (op.flash.has_value()) {
+    // The fused kernel has no tile/wave terms in the model; its time splits
+    // into the limiting roof's body plus the launch floor.
+    const gemm::FlashAttentionEstimate fe = sim.estimate_flash(*op.flash);
+    c.time = fe.time;
+    c.tflops = fe.tflops();
+    b.bound = fe.bound;
+    if (fe.time > 0.0) {
+      const double body = std::max(fe.compute_time, fe.memory_time);
+      b.launch = (fe.time - body) / fe.time;
+      if (fe.compute_time >= fe.memory_time) {
+        b.compute = body / fe.time;
+      } else {
+        b.memory = body / fe.time;
+      }
+    }
+    return c;
+  }
+  // Memory-bound elementwise/reduction kernel: DRAM traffic plus the
+  // launch floor.
+  const double launch = sim.gpu().kernel_launch_overhead;
+  const double traffic =
+      op.elementwise_bytes / sim.gpu().achievable_bandwidth();
+  c.time = traffic + launch;
+  c.tflops = op.flops > 0.0 ? op.flops / c.time / 1e12 : 0.0;
+  b.bound = launch > traffic ? gemm::Bound::kLaunch : gemm::Bound::kMemory;
+  if (c.time > 0.0) {
+    b.memory = traffic / c.time;
+    b.launch = launch / c.time;
+  }
+  return c;
+}
+
+/// One op's record. A GEMM's numbers come from its estimate `est`; a flash
+/// or elementwise op (`est` null) is priced by non_gemm_cost().
+OpLatency record_op(const MappedOp& op, const gemm::GemmSimulator& sim,
+                    const gemm::KernelEstimate* est) {
+  OpLatency out;
+  out.op = op.op;
+  out.name = op_name(op.op);
+  out.flops = op.flops;
+  if (est != nullptr) {
+    out.is_gemm = true;
+    out.time = est->time;
+    out.tflops = est->tflops();
+    out.breakdown = gemm::bound_breakdown(*est);
+    // Appended, not str_format'ed: attribution builds these records for
+    // every sweep cell, and a vsnprintf pass per GEMM was most of their cost.
+    out.detail = op.gemm->to_string() + " tile=" + est->tile.name() +
+                 " bound=" + gemm::bound_name(est->bound) +
+                 " waves=" + std::to_string(est->wave_q.waves);
+    return out;
+  }
+  const NonGemmCost c = non_gemm_cost(op, sim);
+  out.time = c.time;
+  out.tflops = c.tflops;
+  out.breakdown = c.breakdown;
+  if (op.flash.has_value()) {
+    out.is_gemm = true;  // fused matmuls count toward the GEMM share
+    out.detail = str_format("flash(s=%lld d=%lld) bound=%s",
+                            static_cast<long long>(op.flash->seq),
+                            static_cast<long long>(op.flash->head_dim),
+                            gemm::bound_name(c.breakdown.bound));
+  } else {
+    out.bytes = op.elementwise_bytes;
+    out.detail = human_bytes(op.elementwise_bytes) + " traffic";
+  }
+  return out;
+}
+
+/// The one layer walk every layer-level entry point reads. Fills ws.ops
+/// with the layer schedule (validating the config), resolves the layer's
+/// GEMMs with one batched simulator call and returns the ops' times summed
+/// in schedule order. With `records` null that call is estimate_times() —
+/// the search hot path, no per-op work beyond the sum; otherwise it is
+/// estimate_many() and every op's record is appended to `records`. Both
+/// batched calls equal N scalar estimate() calls bit for bit (traced runs
+/// take exactly those calls, in op order), so every reader adds the same
+/// doubles in the same order.
+double walk_layer(const TransformerConfig& config,
+                  const gemm::GemmSimulator& sim, LayerWorkspace& ws,
+                  std::vector<OpLatency>* records) {
+  schedule_for_into(config, ws.ops);
+  ws.gemms.clear();
+  for (const MappedOp& op : ws.ops) {
+    if (op.gemm.has_value()) ws.gemms.push_back(*op.gemm);
+  }
+  if (records == nullptr) {
+    ws.gemm_times.resize(ws.gemms.size());
+    sim.estimate_times(ws.gemms, ws.gemm_times, ws.batch);
+  } else {
+    ws.estimates.resize(ws.gemms.size());
+    sim.estimate_many(ws.gemms, ws.estimates, ws.batch);
+  }
+  double total = 0.0;
+  std::size_t g = 0;
+  for (const MappedOp& op : ws.ops) {
+    if (records != nullptr) {
+      const gemm::KernelEstimate* est =
+          op.gemm.has_value() ? &ws.estimates[g++] : nullptr;
+      records->push_back(record_op(op, sim, est));
+      total += records->back().time;
+    } else if (op.gemm.has_value()) {
+      total += ws.gemm_times[g++];
+    } else {
+      total += non_gemm_cost(op, sim).time;
+    }
+  }
+  return total;
 }
 
 }  // namespace
 
+OpLatency op_latency(const MappedOp& op, const gemm::GemmSimulator& sim) {
+  if (!op.gemm.has_value()) return record_op(op, sim, nullptr);
+  const gemm::KernelEstimate est = sim.estimate(*op.gemm);
+  return record_op(op, sim, &est);
+}
+
 std::vector<MappedOp> layer_schedule(const TransformerConfig& config) {
-  return schedule_for(config);
+  std::vector<MappedOp> ops;
+  schedule_for_into(config, ops);
+  return ops;
 }
 
 double LayerLatencyReport::share_of(LayerOp op) const {
@@ -94,56 +179,8 @@ double LayerLatencyReport::gemm_share_of(LayerOp op) const {
 }
 
 double layer_total_time(const TransformerConfig& config,
-                        const gemm::GemmSimulator& sim) {
-  // Must stay in lockstep with op_latency()/analyze_layer(): same estimates,
-  // summed in the same op order, so the result is bit-identical to
-  // analyze_layer().total_time. What it skips is everything reporting-only —
-  // the OpLatency records and their formatted detail strings — which
-  // dominate the cost of a search evaluating thousands of candidates.
-  // schedule_for() validates the config before anything is estimated.
-  double total = 0.0;
-  for (const MappedOp& op : schedule_for(config)) {
-    if (op.gemm.has_value()) {
-      total += sim.estimate(*op.gemm).time;
-    } else if (op.flash.has_value()) {
-      total += sim.estimate_flash(*op.flash).time;
-    } else {
-      total += op.elementwise_bytes / sim.gpu().achievable_bandwidth() +
-               sim.gpu().kernel_launch_overhead;
-    }
-  }
-  return total;
-}
-
-double layer_total_time(const TransformerConfig& config,
                         const gemm::GemmSimulator& sim, LayerWorkspace& ws) {
-  // The batched hot path: same schedule, same estimates, same summation
-  // order as the scalar overload — only the mechanics change. GEMMs are
-  // gathered in op order and resolved with one estimate_times() call
-  // (grouped cache probes, tile scan on misses); flash and elementwise
-  // terms are computed inline exactly as the scalar loop does, so the
-  // left-to-right sum adds the identical doubles in the identical order.
-  // layer_ops_into() validates the config, once per walk.
-  schedule_for_into(config, ws.ops);
-  ws.gemms.clear();
-  for (const MappedOp& op : ws.ops) {
-    if (op.gemm.has_value()) ws.gemms.push_back(*op.gemm);
-  }
-  ws.gemm_times.resize(ws.gemms.size());
-  sim.estimate_times(ws.gemms, ws.gemm_times, ws.batch);
-  double total = 0.0;
-  std::size_t g = 0;
-  for (const MappedOp& op : ws.ops) {
-    if (op.gemm.has_value()) {
-      total += ws.gemm_times[g++];
-    } else if (op.flash.has_value()) {
-      total += sim.estimate_flash(*op.flash).time;
-    } else {
-      total += op.elementwise_bytes / sim.gpu().achievable_bandwidth() +
-               sim.gpu().kernel_launch_overhead;
-    }
-  }
-  return total;
+  return walk_layer(config, sim, ws, nullptr);
 }
 
 double layer_forward_flops(const LayerWorkspace& ws) {
@@ -163,21 +200,14 @@ double layer_forward_flops(const LayerWorkspace& ws) {
 
 LayerLatencyReport analyze_layer(const TransformerConfig& config,
                                  const gemm::GemmSimulator& sim) {
-  config.validate();
+  LayerWorkspace ws;
   LayerLatencyReport r;
   r.config = config;
-  for (const MappedOp& op : schedule_for(config)) {
-    r.ops.push_back(op_latency(op, sim));
-  }
+  r.total_time = walk_layer(config, sim, ws, &r.ops);
   for (const OpLatency& o : r.ops) {
-    r.total_time += o.time;
-    if (o.is_gemm) {
-      r.gemm_time += o.time;
-    } else {
-      r.non_gemm_time += o.time;
-    }
+    (o.is_gemm ? r.gemm_time : r.non_gemm_time) += o.time;
   }
-  r.layer_flops = layer_forward_flops(config);
+  r.layer_flops = layer_forward_flops(ws);
   r.throughput_tflops = r.layer_flops / r.total_time / 1e12;
   r.gemm_fraction = r.gemm_time / r.total_time;
   return r;

@@ -31,6 +31,10 @@ struct OpLatency {
   double bytes = 0.0;     ///< DRAM traffic (non-GEMM ops; 0 for GEMMs)
   double tflops = 0.0;    ///< flops / time / 1e12 (0 for pure data movement)
   std::string detail;     ///< e.g. the GEMM size, tile, and bound
+  /// Roof split of `time`; breakdown.bound is the limiting mechanism.
+  /// GEMMs take gemm::bound_breakdown(); flash and elementwise ops split
+  /// into their limiting roof plus the launch floor.
+  gemm::BoundBreakdown breakdown;
 };
 
 struct LayerLatencyReport {
@@ -52,42 +56,36 @@ struct LayerLatencyReport {
 
 /// The layer's executed operator schedule: layer_ops() with the
 /// parallel-layer fusion applied (one LayerNorm and one residual dropped
-/// when config.parallel_layers). Every latency entry point in this header
-/// walks exactly this schedule; the attribution rollups reuse it so their
-/// totals stay bit-identical to analyze_layer().
+/// when config.parallel_layers). The layer walk behind analyze_layer(),
+/// layer_total_time() and attribute_layer() runs exactly this schedule.
 std::vector<MappedOp> layer_schedule(const TransformerConfig& config);
 
-/// Analyze one transformer layer on the simulator's GPU.
+/// Analyze one transformer layer on the simulator's GPU: the layer walk
+/// with per-op records, its GEMMs resolved by one estimate_many() call.
 LayerLatencyReport analyze_layer(const TransformerConfig& config,
                                  const gemm::GemmSimulator& sim);
 
-/// Just the layer's total time, bit-identical to
-/// analyze_layer().total_time but without building the per-op report
-/// (no OpLatency records, no detail strings). The search hot path: a
-/// design-space sweep only ranks by this number.
-double layer_total_time(const TransformerConfig& config,
-                        const gemm::GemmSimulator& sim);
-
-/// Reusable buffers for the batched layer evaluation. Keep one per worker
-/// thread; after warm-up, evaluating a candidate allocates nothing.
+/// Reusable buffers for the layer walk. Keep one per worker thread; after
+/// warm-up, evaluating a candidate allocates nothing.
 struct LayerWorkspace {
   std::vector<MappedOp> ops;               ///< reused schedule buffer
   std::vector<gemm::GemmProblem> gemms;    ///< the layer's GEMMs, in op order
   std::vector<double> gemm_times;
+  std::vector<gemm::KernelEstimate> estimates;  ///< when records are built
   gemm::GemmSimulator::BatchWorkspace batch;
 };
 
-/// Batched twin of layer_total_time(): gathers the layer's GEMMs and
-/// resolves them through one GemmSimulator::estimate_times() call (grouped
-/// cache probes, the pruned tile scan on misses) instead of one estimate()
-/// per op. Bit-identical to the scalar overload — same estimates, summed
-/// in the same op order.
+/// Just the layer's total time, bit-identical to
+/// analyze_layer().total_time: the same walk without the per-op records
+/// (no OpLatency, no detail strings), its GEMMs resolved by one
+/// GemmSimulator::estimate_times() call. The search hot path: a
+/// design-space sweep only ranks by this number.
 double layer_total_time(const TransformerConfig& config,
                         const gemm::GemmSimulator& sim, LayerWorkspace& ws);
 
-/// layer_forward_flops() of the config the last batched layer_total_time()
-/// call walked with `ws`: the same double, summed from the GEMM list the
-/// walk already built instead of rebuilding it.
+/// layer_forward_flops() of the config the last layer_total_time() call
+/// walked with `ws`: the same double, summed from the GEMM list the walk
+/// already built instead of rebuilding it.
 double layer_forward_flops(const LayerWorkspace& ws);
 
 struct ModelLatencyReport {
@@ -107,8 +105,9 @@ struct ModelLatencyReport {
 ModelLatencyReport analyze_model(const TransformerConfig& config,
                                  const gemm::GemmSimulator& sim);
 
-/// Latency of one MappedOp on the simulator's GPU (exposed for tests and
-/// the inference model).
+/// The record of one MappedOp on the simulator's GPU, from a scalar
+/// estimate() — the record the layer walk builds for a layer op. Serves
+/// the model-level ops and the per-op profile.
 OpLatency op_latency(const MappedOp& op, const gemm::GemmSimulator& sim);
 
 }  // namespace codesign::tfm

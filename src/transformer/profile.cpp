@@ -4,7 +4,6 @@
 #include "common/strings.hpp"
 #include "common/units.hpp"
 #include "obs/events.hpp"
-#include "transformer/gemm_mapping.hpp"
 #include "transformer/layer_model.hpp"
 
 namespace codesign::tfm {
@@ -20,7 +19,7 @@ ProfileResult profile_model(const TransformerConfig& config,
   obs::ScopedRecorder scoped;
   obs::EventRecorder& recorder = scoped.recorder();
 
-  const std::vector<MappedOp> schedule = layer_ops(config);
+  const std::vector<MappedOp> schedule = layer_schedule(config);
   double clock_us = 0.0;
   for (std::int64_t l = 0; l < options.layers; ++l) {
     for (const MappedOp& op : schedule) {

@@ -1,14 +1,18 @@
 // profile.hpp — one-call deep profiling of a model's simulated execution.
 //
-// profile_model() runs the layer schedule with the observability layer
-// fully armed: an EventRecorder captures the operator timeline, the
+// profile_model() runs layer_schedule() — the fused schedule analyze_layer()
+// and `codesign trace` walk, so its op spans and total time match theirs
+// (parallel-layer models drop one LayerNorm and one residual) — with the
+// observability layer fully armed: an EventRecorder captures the operator timeline, the
 // kernel-selection decision trail of every GEMM (each candidate tile and
 // why it lost), and the discrete-event per-SM block timeline; the metrics
 // registry accumulates the simulator's counters. All simulator events are
 // stamped with simulated time — the per-op time origin is advanced along
 // the schedule — so the resulting chrome-trace JSON is byte-deterministic
 // for a given (model, GPU) pair. This is the engine behind the
-// `codesign profile` subcommand.
+// `codesign profile` subcommand. Each op is estimated on its own, not
+// through the batched layer walk, so its selection trail and DES blocks
+// are stamped at that op's start.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/strings.hpp"
 #include "common/units.hpp"
 #include "transformer/gemm_mapping.hpp"
@@ -12,27 +13,15 @@ namespace codesign::tfm {
 
 namespace {
 
-/// Minimal JSON string escaping (names are ASCII identifiers, but stay
-/// correct for quotes/backslashes).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 void emit_event(std::ostringstream& os, bool& first, const std::string& name,
                 int tid, double ts_us, double dur_us,
                 const std::string& args_detail) {
   if (!first) os << ",";
   first = false;
-  os << "{\"name\":\"" << json_escape(name) << "\",\"ph\":\"X\",\"pid\":0,"
+  os << "{\"name\":\"" << json::escape(name) << "\",\"ph\":\"X\",\"pid\":0,"
      << "\"tid\":" << tid << ",\"ts\":" << str_format("%.3f", ts_us)
      << ",\"dur\":" << str_format("%.3f", dur_us) << ",\"args\":{\"detail\":\""
-     << json_escape(args_detail) << "\"}}";
+     << json::escape(args_detail) << "\"}}";
 }
 
 }  // namespace
@@ -79,8 +68,8 @@ std::string trace_json(const TransformerConfig& config,
     emit_op(model_level[2]);  // logit projection
   }
 
-  os << "],\"otherData\":{\"model\":\"" << json_escape(config.to_string())
-     << "\",\"gpu\":\"" << json_escape(sim.gpu().id) << "\"}}";
+  os << "],\"otherData\":{\"model\":\"" << json::escape(config.to_string())
+     << "\",\"gpu\":\"" << json::escape(sim.gpu().id) << "\"}}";
   return os.str();
 }
 

@@ -21,6 +21,7 @@
 #include "gemmsim/prepared_catalogue.hpp"
 #include "gemmsim/simulator.hpp"
 #include "obs/metrics.hpp"
+#include "transformer/attribution.hpp"
 #include "transformer/layer_model.hpp"
 #include "transformer/model_zoo.hpp"
 
@@ -537,6 +538,31 @@ TEST(EstimateMany, CacheLookupDrillFaultsSameCandidates) {
   EXPECT_NE(std::count(scalar.begin(), scalar.end(), true), 0);
 }
 
+TEST(EstimateMany, CacheLookupDrillFiresOnTheProblemHash) {
+  // The cache path fires with the problem's own hash, the token
+  // gemmsim.select_kernel uses, so a prob: drill picks the same problems in
+  // every run — the key's hash would mix in the GpuSpec's address.
+  const std::vector<GemmProblem> shapes = shape_set();
+  fail::clear();
+  fail::configure("gemmsim.cache.lookup=prob:0.5:77");
+  std::vector<bool> expected;
+  for (const GemmProblem& p : shapes) {
+    bool f = false;
+    try {
+      fail::hit("gemmsim.cache.lookup", p.hash_value());
+    } catch (const fail::InjectedFault&) {
+      f = true;
+    }
+    expected.push_back(f);
+  }
+  const std::vector<bool> scalar = scalar_fault_set(shapes, true);
+  const std::vector<bool> batched = batched_fault_set(shapes, true);
+  fail::clear();
+  EXPECT_EQ(scalar, expected);
+  EXPECT_EQ(batched, expected);
+  EXPECT_NE(std::count(expected.begin(), expected.end(), true), 0);
+}
+
 TEST(EstimateMany, MultiProblemBatchThrowsIffAnyMemberFaults) {
   const std::vector<GemmProblem> shapes = shape_set();
   fail::clear();
@@ -569,8 +595,8 @@ TEST(LayerWorkspace, BatchedLayerTotalTimeMatchesAnalyzeLayer) {
     gemm::GemmSimulator sim = gemm::GemmSimulator::for_gpu("a100");
     sim.enable_cache();
     const double batched = layer_total_time(cfg, sim, ws);
-    EXPECT_EQ(batched, layer_total_time(cfg, sim));
     EXPECT_EQ(batched, analyze_layer(cfg, sim).total_time);
+    EXPECT_EQ(batched, attribute_layer(cfg, sim).total_time);
     // Warm pass through the same workspace: still bit-identical.
     EXPECT_EQ(batched, layer_total_time(cfg, sim, ws));
   }

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "transformer/attribution.hpp"
 #include "transformer/model_zoo.hpp"
 
 namespace codesign::tfm {
@@ -22,21 +23,41 @@ TEST(LayerModel, TimesArePositiveAndDecompose) {
 }
 
 TEST(LayerModel, LeanTotalTimeIsBitIdenticalToTheReport) {
-  // layer_total_time skips the per-op report but must sum the exact same
-  // estimates in the exact same order — bitwise equality, across every
-  // zoo architecture (bmm and flash attention, parallel layers, GQA) and
-  // with a cached simulator.
+  // layer_total_time, analyze_layer and attribute_layer all read one layer
+  // walk, so their totals agree bit for bit. The configs (every zoo model
+  // plus flash variants) span GELU/SwiGLU, bmm/flash, rotary/learned,
+  // parallel/sequential and GQA; each runs on an uncached simulator and on
+  // fresh cached ones, read first by the totals-only walk and first by the
+  // per-op walk (miss, then hit).
+  std::vector<TransformerConfig> configs;
   for (const std::string& name : known_models()) {
-    const TransformerConfig c = model_by_name(name);
-    const auto s = sim();
-    EXPECT_EQ(layer_total_time(c, s), analyze_layer(c, s).total_time) << name;
+    configs.push_back(model_by_name(name));
   }
-  auto cached = sim();
-  cached.enable_cache();
-  const TransformerConfig c = model_by_name("gpt3-2.7b");
-  const double uncached = analyze_layer(c, sim()).total_time;
-  EXPECT_EQ(layer_total_time(c, cached), uncached);  // miss path
-  EXPECT_EQ(layer_total_time(c, cached), uncached);  // hit path
+  for (const char* name : {"gpt3-2.7b", "llama2-7b", "pythia-160m"}) {
+    TransformerConfig flash = model_by_name(name);
+    flash.attention = AttentionImpl::kFlash;
+    configs.push_back(flash);
+  }
+  LayerWorkspace ws;
+  for (const TransformerConfig& c : configs) {
+    const std::string tag = c.to_string();
+    const auto s = sim();
+    const double total = layer_total_time(c, s, ws);
+    EXPECT_EQ(total, analyze_layer(c, s).total_time) << tag;
+    EXPECT_EQ(total, attribute_layer(c, s).total_time) << tag;
+
+    auto totals_first = sim();
+    totals_first.enable_cache();
+    EXPECT_EQ(layer_total_time(c, totals_first, ws), total) << tag;
+    EXPECT_EQ(analyze_layer(c, totals_first).total_time, total) << tag;
+    EXPECT_EQ(attribute_layer(c, totals_first).total_time, total) << tag;
+
+    auto records_first = sim();
+    records_first.enable_cache();
+    EXPECT_EQ(attribute_layer(c, records_first).total_time, total) << tag;
+    EXPECT_EQ(analyze_layer(c, records_first).total_time, total) << tag;
+    EXPECT_EQ(layer_total_time(c, records_first, ws), total) << tag;
+  }
 }
 
 TEST(LayerModel, SharesSumToOne) {

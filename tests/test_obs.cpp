@@ -20,7 +20,7 @@
 #include "gpuarch/gpu_spec.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
-#include "transformer/gemm_mapping.hpp"
+#include "transformer/layer_model.hpp"
 #include "transformer/model_zoo.hpp"
 #include "transformer/profile.hpp"
 
@@ -519,26 +519,50 @@ TEST_F(ObsTest, DesEventCountMatchesBlocks) {
 }
 
 TEST_F(ObsTest, ProfileModelCountsAndDeterminism) {
-  const auto& cfg = tfm::model_by_name("gpt3-125m");
-  const auto sim = gemm::GemmSimulator::for_gpu("a100");
-  tfm::ProfileOptions options;
-  options.layers = 2;
+  // gpt3-125m runs the sequential schedule; pythia-160m is a parallel-layer
+  // model, whose fused schedule drops one LayerNorm and one residual. The
+  // profile must walk that schedule, as analyze_layer and trace do.
+  for (const char* name : {"gpt3-125m", "pythia-160m"}) {
+    const auto& cfg = tfm::model_by_name(name);
+    const auto sim = gemm::GemmSimulator::for_gpu("a100");
+    tfm::ProfileOptions options;
+    options.layers = 2;
 
-  const tfm::ProfileResult a = tfm::profile_model(cfg, sim, options);
-  EXPECT_EQ(a.op_events,
-            tfm::layer_ops(cfg).size() * static_cast<std::size_t>(2));
-  EXPECT_GT(a.select_events, 0u);
-  EXPECT_GT(a.des_events, 0u);
-  EXPECT_GT(a.total_time, 0.0);
-  EXPECT_NE(a.trace_json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(a.trace_json.find("\"cat\":\"des\""), std::string::npos);
+    const tfm::ProfileResult a = tfm::profile_model(cfg, sim, options);
+    EXPECT_EQ(a.op_events,
+              tfm::layer_schedule(cfg).size() * static_cast<std::size_t>(2))
+        << name;
+    const double layer_time = tfm::analyze_layer(cfg, sim).total_time;
+    EXPECT_NEAR(a.total_time, 2.0 * layer_time, 2.0 * layer_time * 1e-12)
+        << name;
+    EXPECT_GT(a.select_events, 0u);
+    EXPECT_GT(a.des_events, 0u);
+    EXPECT_NE(a.trace_json.find("\"traceEvents\""), std::string::npos);
+    EXPECT_NE(a.trace_json.find("\"cat\":\"des\""), std::string::npos);
 
-  // profile_model restores the master switch it flipped.
-  EXPECT_FALSE(MetricsRegistry::enabled());
-  EXPECT_EQ(EventRecorder::active(), nullptr);
+    // profile_model restores the master switch it flipped.
+    EXPECT_FALSE(MetricsRegistry::enabled());
+    EXPECT_EQ(EventRecorder::active(), nullptr);
 
-  const tfm::ProfileResult b = tfm::profile_model(cfg, sim, options);
-  EXPECT_EQ(a.trace_json, b.trace_json);
+    const tfm::ProfileResult b = tfm::profile_model(cfg, sim, options);
+    EXPECT_EQ(a.trace_json, b.trace_json) << name;
+  }
+}
+
+TEST_F(ObsTest, ControlCharactersInNamesRenderValidJson) {
+  EventRecorder rec;
+  TraceEvent span;
+  span.name = "line\nbreak";
+  span.category = "op";
+  span.args.emplace_back("detail", "tab\there");
+  rec.record(span);
+  const json::Value trace = json::Value::parse(rec.chrome_trace_json({}));
+  EXPECT_NE(json::dump(trace).find("line\\nbreak"), std::string::npos);
+
+  MetricsRegistry reg;
+  reg.counter("runs", "label=a\nb").add(1);
+  const json::Value metrics = json::Value::parse(reg.snapshot().to_json());
+  EXPECT_NE(json::dump(metrics).find("label=a\\nb"), std::string::npos);
 }
 
 // Exercised under CODESIGN_SANITIZE=thread by tools/check.sh.

@@ -74,6 +74,25 @@ TEST(HumanBytes, Units) {
   EXPECT_EQ(human_bytes(40.0 * 1024 * 1024 * 1024), "40.00 GiB");
 }
 
+TEST(HumanBytes, SuffixedFormsArePrintfsTwoDecimals) {
+  // The suffixed forms come from std::to_chars; they must keep printf's
+  // "%.2f" bytes, exact ties (round half to even) included.
+  EXPECT_EQ(human_bytes(1.125 * 1024), "1.12 KiB");
+  EXPECT_EQ(human_bytes(1.375 * 1024), "1.38 KiB");
+  std::mt19937_64 rng(17);
+  std::uniform_real_distribution<double> mantissa(1.0, 1024.0);
+  for (int i = 0; i < 20000; ++i) {
+    const double kib = i % 2 == 0 ? mantissa(rng)
+                                  : static_cast<double>(rng() % 8192) / 8.0;
+    if (kib < 1.0) continue;
+    EXPECT_EQ(human_bytes(kib * 1024.0), str_format("%.2f KiB", kib)) << kib;
+    if (kib >= 1000.0) continue;
+    const double flops = kib * 1e9;
+    EXPECT_EQ(human_flops(flops), str_format("%.2f GFLOP", flops / 1e9))
+        << flops;
+  }
+}
+
 TEST(HumanFlops, Units) {
   EXPECT_EQ(human_flops(2e12), "2.00 TFLOP");
   EXPECT_EQ(human_flops(5e9), "5.00 GFLOP");

@@ -3,7 +3,7 @@
 #   tier 1  build + full ctest suite
 #   tier 2  ThreadSanitizer build of the concurrency-sensitive tests
 #           (thread pool, estimate cache, observability, failpoints, the
-#           fault-injected search)
+#           fault-injected search, the layer walk)
 #   tier 3  ASan+UBSan build of the same set (every report fatal)
 #   smoke   a fault-injected CLI sweep: 5% of candidates fail, the run
 #           must still exit 0 and print the skipped-candidate report
@@ -54,7 +54,7 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 SAN_TESTS=(test_thread_pool test_estimate_cache test_estimate_many test_obs
            test_attribution test_logging test_failpoint test_search
            test_search_faults test_serve test_serve_trace test_fleet_client
-           test_sweep test_json)
+           test_sweep test_json test_layer_model)
 
 echo "== tier 2: ThreadSanitizer (${TSAN_DIR}) =="
 cmake -B "${TSAN_DIR}" -S "${SRC_DIR}" -DCODESIGN_SANITIZE=thread
