@@ -1,5 +1,8 @@
 #include "common/cancel.hpp"
 
+#include <unistd.h>
+
+#include <cerrno>
 #include <csignal>
 
 namespace codesign {
@@ -8,16 +11,22 @@ namespace {
 
 std::atomic<bool> g_sigint{false};
 std::atomic<int> g_guard_depth{0};
+std::atomic<int> g_wake_fd{-1};
 
 void (*g_previous_handler)(int) = SIG_DFL;
 
 void sigint_handler(int signum) {
-  // Async-signal-safe: one lock-free atomic store. A second SIGINT restores
-  // the default disposition and re-raises so the user can always kill a
-  // sweep that stopped polling.
+  // Async-signal-safe: one lock-free atomic store and one write(2) to the
+  // wake fd. A second SIGINT restores the default disposition and re-raises
+  // so the user can always kill a sweep that stopped polling.
   if (g_sigint.exchange(true, std::memory_order_relaxed)) {
     std::signal(signum, SIG_DFL);
     std::raise(signum);
+  }
+  if (const int fd = g_wake_fd.load(); fd >= 0) {
+    const int saved_errno = errno;
+    (void)!::write(fd, "!", 1);
+    errno = saved_errno;
   }
 }
 
@@ -81,5 +90,7 @@ bool SigintGuard::interrupted() {
 }
 
 void SigintGuard::reset() { g_sigint.store(false, std::memory_order_relaxed); }
+
+void SigintGuard::set_wake_fd(int fd) { g_wake_fd.store(fd); }
 
 }  // namespace codesign

@@ -8,8 +8,9 @@
 //   * an explicit deadline (set_deadline / deadline_after), checked
 //     lazily on cancelled() so the token itself never spawns a timer, and
 //   * SIGINT, via SigintGuard: the signal handler only stores into a
-//     lock-free atomic (async-signal-safe); tokens linked to it observe
-//     the interrupt on their next poll.
+//     lock-free atomic and writes one byte to a registered wake fd (both
+//     async-signal-safe); tokens linked to it observe the interrupt on
+//     their next poll, and a poll loop watching the fd wakes at once.
 //
 // Cancellation is cooperative and check-point based, so *which* candidates
 // complete before the stop is wall-clock dependent — but everything the
@@ -75,6 +76,10 @@ class SigintGuard {
   static bool interrupted();
   /// Reset the flag (tests; and the CLI between subcommands).
   static void reset();
+
+  /// Register the fd the handler writes one byte to on SIGINT, so a poll
+  /// loop wakes at once. One slot per process; -1 clears it.
+  static void set_wake_fd(int fd);
 };
 
 }  // namespace codesign

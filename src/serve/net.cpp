@@ -25,6 +25,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Poll `fd` for `events`: true when ready (or on POLLERR/POLLHUP — the
+/// next recv/send surfaces it), false on timeout (<= 0 waits forever).
 bool wait_for(int fd, short events, std::int64_t timeout_ms) {
   pollfd pfd{fd, events, 0};
   for (;;) {
@@ -39,32 +41,18 @@ bool wait_for(int fd, short events, std::int64_t timeout_ms) {
   }
 }
 
-/// Evaluate the read-path drills on a ready fd. read_stall delays; the
-/// conn_close drill half-closes both directions so the very next recv
-/// reports EOF — a clean, retriable connection death.
-void read_drills(int fd) {
-  if (!fail::any_armed()) return;
+/// Evaluate one drill; true when it fired.
+bool drill_fired(const char* site) {
+  if (!fail::any_armed()) return false;
   try {
-    CODESIGN_FAILPOINT("serve.net.read_stall");
+    fail::hit(site);
   } catch (const fail::InjectedFault&) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(kReadStallMs));
+    return true;
   }
-  try {
-    CODESIGN_FAILPOINT("serve.net.conn_close");
-  } catch (const fail::InjectedFault&) {
-    ::shutdown(fd, SHUT_RDWR);
-  }
+  return false;
 }
 
 }  // namespace
-
-bool wait_readable(int fd, std::int64_t timeout_ms) {
-  return wait_for(fd, POLLIN, timeout_ms);
-}
-
-bool wait_writable(int fd, std::int64_t timeout_ms) {
-  return wait_for(fd, POLLOUT, timeout_ms);
-}
 
 void set_nonblocking(int fd, bool on) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -79,26 +67,24 @@ void set_nonblocking(int fd, bool on) {
 
 int connect_with_timeout(const std::string& host, int port,
                          std::int64_t timeout_ms) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    throw IoError(std::string("socket(): ") + std::strerror(errno));
-  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
     throw IoError("bad host address '" + host + "'");
   }
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (fd < 0) {
+    throw IoError(std::string("socket(): ") + std::strerror(errno));
+  }
   try {
-    set_nonblocking(fd, true);
     if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                   sizeof(addr)) != 0) {
       if (errno != EINPROGRESS) {
         throw IoError(str_format("cannot connect to %s:%d: %s", host.c_str(),
                                  port, std::strerror(errno)));
       }
-      if (!wait_writable(fd, timeout_ms)) {
+      if (!wait_for(fd, POLLOUT, timeout_ms)) {
         throw IoError(str_format("connect to %s:%d timed out after %lld ms",
                                  host.c_str(), port,
                                  static_cast<long long>(timeout_ms)));
@@ -123,58 +109,75 @@ int connect_with_timeout(const std::string& host, int port,
   return fd;
 }
 
-ssize_t timed_recv(int fd, char* buf, std::size_t len,
-                   std::int64_t timeout_ms) {
+bool read_stall_fired() { return drill_fired("serve.net.read_stall"); }
+
+ssize_t recv_once(int fd, char* buf, std::size_t len) {
+  // conn_close half-closes both directions so this recv reports EOF — a
+  // clean, retriable connection death.
+  if (drill_fired("serve.net.conn_close")) ::shutdown(fd, SHUT_RDWR);
   for (;;) {
-    if (!wait_readable(fd, timeout_ms)) return -1;
-    read_drills(fd);
     const ssize_t n = ::recv(fd, buf, len, 0);
     if (n >= 0) return n;
     if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) continue;  // spurious wake
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return -1;  // spurious wake
     throw IoError(std::string("recv(): ") + std::strerror(errno));
   }
 }
 
-SendOutcome timed_send_all(int fd, std::string_view data,
-                           std::int64_t timeout_ms) {
-  if (fail::any_armed()) {
-    try {
-      CODESIGN_FAILPOINT("serve.net.write_drop");
-    } catch (const fail::InjectedFault&) {
-      ::shutdown(fd, SHUT_RDWR);
-      return SendOutcome::kPeerGone;
+ssize_t timed_recv(int fd, char* buf, std::size_t len,
+                   std::int64_t timeout_ms) {
+  for (;;) {
+    if (!wait_for(fd, POLLIN, timeout_ms)) return -1;
+    if (read_stall_fired()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(kReadStallMs));
     }
+    const ssize_t n = recv_once(fd, buf, len);
+    if (n >= 0) return n;
   }
-  const bool bounded = timeout_ms > 0;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(bounded ? timeout_ms : 0);
+}
+
+bool write_dropped(int fd) {
+  if (!drill_fired("serve.net.write_drop")) return false;
+  ::shutdown(fd, SHUT_RDWR);
+  return true;
+}
+
+ssize_t send_some(int fd, std::string_view data) {
   std::size_t off = 0;
   while (off < data.size()) {
     const ssize_t n =
         ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n >= 0) {
       off += static_cast<std::size_t>(n);
-      continue;
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      break;
+    } else if (errno != EINTR) {
+      return -1;  // EPIPE, ECONNRESET, ...
     }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      if (bounded) {
-        const std::int64_t remaining_ms =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - Clock::now())
-                .count();
-        if (remaining_ms <= 0 || !wait_writable(fd, remaining_ms)) {
-          return SendOutcome::kTimeout;
-        }
-      } else {
-        wait_writable(fd, -1);
-      }
-      continue;
-    }
-    return SendOutcome::kPeerGone;  // EPIPE, ECONNRESET, ...
   }
-  return SendOutcome::kOk;
+  return static_cast<ssize_t>(off);
+}
+
+SendOutcome timed_send_all(int fd, std::string_view data,
+                           std::int64_t timeout_ms) {
+  if (write_dropped(fd)) return SendOutcome::kPeerGone;
+  const bool bounded = timeout_ms > 0;
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(bounded ? timeout_ms : 0);
+  for (;;) {
+    const ssize_t n = send_some(fd, data);
+    if (n < 0) return SendOutcome::kPeerGone;
+    data.remove_prefix(static_cast<std::size_t>(n));
+    if (data.empty()) return SendOutcome::kOk;
+    std::int64_t wait_ms = -1;
+    if (bounded) {
+      wait_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                    deadline - Clock::now())
+                    .count();
+      if (wait_ms <= 0) return SendOutcome::kTimeout;
+    }
+    if (!wait_for(fd, POLLOUT, wait_ms)) return SendOutcome::kTimeout;
+  }
 }
 
 }  // namespace codesign::serve::net

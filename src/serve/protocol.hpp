@@ -4,7 +4,7 @@
 // request object per line, the server answers with exactly one response
 // object per request, in *completion* order — pooled requests may finish
 // out of order, and stats/ping/error/overloaded replies are written
-// inline on the reader thread, ahead of in-flight work. A client that
+// inline by the server's poll loop, ahead of in-flight work. A client that
 // pipelines more than one request per connection must set "id" and
 // correlate responses by the echoed id. Requests are parsed with
 // common/json; responses are emitted through json::Writer, the same

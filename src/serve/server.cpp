@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -23,15 +24,8 @@ namespace codesign::serve {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-/// Reader poll tick: how often an otherwise-silent reader wakes to check
-/// the idle deadline (and, during drain, notices the SHUT_RD promptly).
-constexpr std::int64_t kReaderTickMs = 100;
-
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw IoError(what + ": " + std::strerror(errno));
-}
+/// tend() verdict: the connection owes nothing more and is released.
+constexpr int kRelease = -1;
 
 bool is_expensive_op(const std::string& op) {
   return op == "search" || op == "advise_many" || op == "sweep";
@@ -46,14 +40,15 @@ void bump_counter(const char* name) {
 
 }  // namespace
 
-Server::Connection::~Connection() {
-  if (fd >= 0) ::close(fd);
-}
+Server::Connection::~Connection() { ::close(fd); }
 
 Server::~Server() {
-  if (!started_) return;
-  request_drain();
-  join();
+  if (started_) {
+    request_drain();
+    join();
+  }
+  if (wake_rd_ >= 0) ::close(wake_rd_);
+  if (wake_wr_ >= 0) ::close(wake_wr_);
 }
 
 void Server::start() {
@@ -70,77 +65,152 @@ void Server::start() {
   }
   pool_ = std::make_unique<ThreadPool>(opt_.threads);
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw_errno("serve: socket()");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(opt_.port));
   if (::inet_pton(AF_INET, opt_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
     throw IoError("serve: bad listen address '" + opt_.host + "'");
   }
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (listen_fd_ < 0) {
+    throw IoError(std::string("serve: socket(): ") + std::strerror(errno));
+  }
+  const auto abandon = [this](const std::string& what) {
+    const IoError error(what + ": " + std::strerror(errno));
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    throw error;
+  };
+  const int one = 1;
+  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0) {
-    const std::string what = str_format("serve: cannot bind %s:%d",
-                                        opt_.host.c_str(), opt_.port);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw_errno(what);
+    abandon(str_format("serve: cannot bind %s:%d", opt_.host.c_str(),
+                       opt_.port));
   }
-  if (::listen(listen_fd_, 128) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw_errno("serve: listen()");
-  }
+  if (::listen(listen_fd_, 128) != 0) abandon("serve: listen()");
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
   if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) !=
       0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw_errno("serve: getsockname()");
+    abandon("serve: getsockname()");
   }
   port_ = static_cast<int>(ntohs(bound.sin_port));
 
+  int pipe_fds[2];
+  if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) != 0) abandon("serve: pipe2()");
+  wake_rd_ = pipe_fds[0];
+  wake_wr_ = pipe_fds[1];
+  if (opt_.watch_sigint) SigintGuard::set_wake_fd(wake_wr_);
+
   started_ = true;
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  loop_thread_ = std::thread([this] { loop(); });
 }
 
-void Server::accept_loop() {
+void Server::request_drain() {
+  draining_.store(true, std::memory_order_release);
+  wake();
+}
+
+void Server::wake() {
+  // A full pipe already holds a wake-up, so EAGAIN is success.
+  if (wake_wr_ >= 0) (void)!::write(wake_wr_, "!", 1);
+}
+
+void Server::loop() {
+  std::vector<pollfd> fds;
+  std::vector<std::size_t> polled;  // fds[j + 2] polls conns_[polled[j]]
   for (;;) {
-    if (draining()) break;
     if (opt_.watch_sigint && SigintGuard::interrupted()) {
-      request_drain();
-      break;
+      draining_.store(true, std::memory_order_release);
     }
-    reap_finished();
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int pr = ::poll(&pfd, 1, 50);
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      break;  // listening socket failed; drain whatever is in flight
-    }
-    if (pr == 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN) continue;
-      if (errno == EMFILE || errno == ENFILE) {
-        // Fd pressure is transient (in-flight responses release fds as
-        // they complete) — back off and keep the listener alive.
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        continue;
+    const Clock::time_point now = Clock::now();
+    if (draining() && listen_fd_ >= 0) {
+      // Drain phases 1 and 2: stop accepting, then half-close every
+      // connection for reading. Admitted requests still finish (phase 3)
+      // and their responses flush over the intact write side (phase 4).
+      ::close(listen_fd_);
+      listen_fd_ = -1;
+      for (const ConnPtr& c : conns_) {
+        ::shutdown(c->fd, SHUT_RD);
+        c->read_closed = true;
       }
-      break;
+    }
+
+    Clock::time_point next = Clock::time_point::max();
+    const bool accepting = listen_fd_ >= 0 && now >= accept_after_;
+    if (listen_fd_ >= 0 && !accepting) next = accept_after_;
+    fds.clear();
+    polled.clear();
+    fds.push_back({wake_rd_, POLLIN, 0});
+    fds.push_back({accepting ? listen_fd_ : -1, POLLIN, 0});
+    // Phase 5 happens here too: a connection that owes nothing more is
+    // released, and ~Connection closes its fd.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < conns_.size(); ++i) {
+      const int events = tend(*conns_[i], now, next);
+      if (events < 0) continue;
+      if (events > 0) {
+        fds.push_back({conns_[i]->fd, static_cast<short>(events), 0});
+        polled.push_back(kept);
+      }
+      if (kept != i) conns_[kept] = std::move(conns_[i]);
+      ++kept;
+    }
+    conns_.resize(kept);
+    if (draining() && conns_.empty()) break;
+
+    int timeout_ms = -1;
+    if (next != Clock::time_point::max()) {
+      timeout_ms = static_cast<int>(std::clamp<std::int64_t>(
+          std::chrono::ceil<std::chrono::milliseconds>(next - now).count(), 0,
+          INT32_MAX));
+    }
+    if (::poll(fds.data(), fds.size(), timeout_ms) < 0) {
+      if (errno != EINTR) request_drain();  // keep serving what's in flight
+      continue;
+    }
+    if (fds[0].revents != 0) {
+      char sink[64];
+      while (::read(wake_rd_, sink, sizeof(sink)) > 0) {
+      }
+    }
+    if (fds[1].revents != 0) accept_ready();
+    for (std::size_t j = 0; j < polled.size(); ++j) {
+      const pollfd& p = fds[j + 2];
+      if (p.revents == 0) continue;
+      const ConnPtr& c = conns_[polled[j]];
+      if (p.revents & (POLLOUT | POLLERR | POLLHUP)) {
+        std::lock_guard<std::mutex> lock(c->mu);
+        flush_locked(*c);
+      }
+      if ((p.events & POLLIN) && (p.revents & (POLLIN | POLLERR | POLLHUP))) {
+        read_ready(c);
+      }
+    }
+  }
+}
+
+void Server::accept_ready() {
+  for (;;) {
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
+    if (fd < 0) {
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+      if (errno == EMFILE || errno == ENFILE) {
+        // Fd pressure is transient (finished connections release fds) —
+        // take the listener out of the poll set for a moment, keep it open.
+        accept_after_ = Clock::now() + std::chrono::milliseconds(20);
+        return;
+      }
+      request_drain();  // the listening socket failed; drain what's in flight
+      return;
     }
     n_connections_.fetch_add(1, std::memory_order_relaxed);
     try {
       CODESIGN_FAILPOINT("serve.accept");
     } catch (const fail::InjectedFault&) {
-      // Fault drill: the connection is dropped before a reader exists —
+      // Fault drill: the connection is dropped before it is served —
       // clients observe a reset, exactly like an accept-path crash.
       ::close(fd);
       n_dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -152,106 +222,97 @@ void Server::accept_loop() {
       ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &opt_.sndbuf_bytes,
                    sizeof(opt_.sndbuf_bytes));
     }
-    // Non-blocking from birth: the reader polls in ticks (idle reaping)
-    // and the write path needs send() to return EAGAIN so the per-response
-    // deadline in net::timed_send_all is enforceable.
-    try {
-      net::set_nonblocking(fd, true);
-    } catch (const IoError&) {
-      ::close(fd);
-      continue;
-    }
-    auto conn = std::make_shared<Connection>(fd);
-    std::lock_guard<std::mutex> lock(mu_);
-    const std::uint64_t id = next_reader_id_++;
-    conns_.push_back(conn);
-    ++live_readers_;
-    readers_.emplace(id, std::thread([this, conn, id] {
-                       reader_loop(std::move(conn), id);
-                     }));
+    conns_.push_back(std::make_shared<Connection>(fd));
   }
-  // Stop accepting: refuse new connections for the rest of the drain.
-  ::close(listen_fd_);
-  listen_fd_ = -1;
 }
 
-void Server::reap_finished() {
-  std::vector<std::thread> done;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    done.swap(reap_);
+void Server::read_ready(const ConnPtr& conn) {
+  Connection& c = *conn;
+  const Clock::time_point now = Clock::now();
+  if (c.read_after == Clock::time_point{} && net::read_stall_fired()) {
+    // Defer only this connection; the loop keeps serving the rest.
+    c.read_after = now + std::chrono::milliseconds(net::kReadStallMs);
+    return;
   }
-  for (std::thread& t : done) t.join();
-}
-
-void Server::reader_loop(std::shared_ptr<Connection> conn,
-                         std::uint64_t reader_id) {
-  std::string buf;
+  c.read_after = {};  // a deferred read does not stall twice
   char chunk[4096];
-  Clock::time_point last_activity = Clock::now();
-  for (;;) {
-    ssize_t n;
-    try {
-      n = net::timed_recv(conn->fd, chunk, sizeof(chunk), kReaderTickMs);
-    } catch (const IoError&) {
-      break;  // connection reset or comparable; reap below
-    }
-    if (n < 0) {
-      // Tick with no bytes: reap the connection once it has been silent
-      // with nothing in flight for the idle budget (slow-loris bound).
-      if (opt_.idle_timeout_ms > 0 &&
-          conn->inflight.load(std::memory_order_acquire) == 0 &&
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              Clock::now() - last_activity)
-                  .count() >= opt_.idle_timeout_ms) {
-        n_idle_closed_.fetch_add(1, std::memory_order_relaxed);
-        bump_counter("serve.idle_closed");
-        ::shutdown(conn->fd, SHUT_RDWR);
-        break;
-      }
-      continue;
-    }
-    if (n == 0) break;  // client EOF, or our SHUT_RD during drain
-    last_activity = Clock::now();
-    buf.append(chunk, static_cast<std::size_t>(n));
-    std::size_t nl;
-    while ((nl = buf.find('\n')) != std::string::npos) {
-      std::string line = buf.substr(0, nl);
-      buf.erase(0, nl + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      handle_line(conn, std::move(line));
-    }
-    if (buf.size() > opt_.max_line_bytes) {
-      n_parse_errors_.fetch_add(1, std::memory_order_relaxed);
-      n_errors_.fetch_add(1, std::memory_order_relaxed);
-      write_line(*conn, error_response(
-                            "", kExitUsage,
-                            str_format("request line exceeds %zu bytes",
-                                       opt_.max_line_bytes)));
-      // The contract for max_line_bytes is "the connection is closed":
-      // half-close both directions so the client observes EOF now rather
-      // than at server drain. The fd itself closes via the reaping path.
-      ::shutdown(conn->fd, SHUT_RDWR);
-      break;
-    }
+  ssize_t n;
+  try {
+    n = net::recv_once(c.fd, chunk, sizeof(chunk));
+  } catch (const IoError&) {
+    n = 0;  // connection reset or comparable: stop reading
   }
-  // Reap-on-exit: drop this connection and park the thread handle for an
-  // opportunistic join. The fd closes when the last reference (possibly an
-  // in-flight dispatch still writing its response) releases the Connection.
+  if (n < 0) return;  // spurious wake
+  if (n == 0) {
+    c.read_closed = true;  // client EOF; owed responses still go out
+    return;
+  }
+  c.last_activity = now;
+  c.in.append(chunk, static_cast<std::size_t>(n));
+  std::size_t begin = 0;
+  for (std::size_t nl; (nl = c.in.find('\n', begin)) != std::string::npos;
+       begin = nl + 1) {
+    std::size_t end = nl;
+    if (end > begin && c.in[end - 1] == '\r') --end;
+    if (end > begin) handle_line(conn, c.in.substr(begin, end - begin));
+  }
+  c.in.erase(0, begin);
+  if (c.in.size() > opt_.max_line_bytes) {
+    n_parse_errors_.fetch_add(1, std::memory_order_relaxed);
+    respond(c, nullptr, "", "error", kExitUsage,
+            str_format("request line exceeds %zu bytes", opt_.max_line_bytes),
+            "parse");
+    // The contract for max_line_bytes is "the connection is closed": once
+    // the usage error is flushed, half-close both directions so the client
+    // observes EOF now rather than at server drain.
+    c.read_closed = true;
+    c.shut_after_flush = true;
+    c.in.clear();
+  }
+}
+
+int Server::tend(Connection& c, Clock::time_point now,
+                 Clock::time_point& next) {
+  int events = 0;
+  if (!c.read_closed && now >= c.read_after) events = POLLIN;
+  if (!c.read_closed && now < c.read_after) next = std::min(next, c.read_after);
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    conns_.erase(std::remove(conns_.begin(), conns_.end(), conn),
-                 conns_.end());
-    auto it = readers_.find(reader_id);
-    if (it != readers_.end()) {
-      reap_.push_back(std::move(it->second));
-      readers_.erase(it);
+    std::lock_guard<std::mutex> lock(c.mu);
+    if (!c.out.empty()) {
+      if (now < c.write_deadline) {
+        next = std::min(next, c.write_deadline);
+        return events | POLLOUT;
+      }
+      // The peer stopped reading and the response's deadline elapsed: a
+      // stalled client must not hold its queue (or the drain) forever.
+      // The lines queued behind it are lost with the connection.
+      n_slow_client_closed_.fetch_add(1, std::memory_order_relaxed);
+      n_dropped_.fetch_add(c.out.size() - 1, std::memory_order_relaxed);
+      bump_counter("serve.slow_client_closed");
+      ::shutdown(c.fd, SHUT_RDWR);
+      c.out.clear();
+      c.read_closed = true;
+      events = 0;
     }
-    --live_readers_;
   }
-  conn.reset();
-  idle_cv_.notify_all();
+  if (c.shut_after_flush) {
+    ::shutdown(c.fd, SHUT_RDWR);
+    c.shut_after_flush = false;
+  }
+  if (c.inflight.load() != 0) return events;  // its worker wakes the loop
+  if (c.read_closed) return kRelease;         // owes nothing more
+  if (opt_.idle_timeout_ms <= 0) return events;
+  const Clock::time_point idle_at =
+      c.last_activity + std::chrono::milliseconds(opt_.idle_timeout_ms);
+  if (now < idle_at) {
+    next = std::min(next, idle_at);
+    return events;
+  }
+  // Silent with nothing in flight for the idle budget (slow-loris bound).
+  n_idle_closed_.fetch_add(1, std::memory_order_relaxed);
+  bump_counter("serve.idle_closed");
+  ::shutdown(c.fd, SHUT_RDWR);
+  return kRelease;
 }
 
 bool Server::try_admit() {
@@ -264,12 +325,6 @@ bool Server::try_admit() {
     }
   }
   return false;
-}
-
-void Server::finish_one() {
-  pending_.fetch_sub(1, std::memory_order_acq_rel);
-  publish_queue_depth();
-  idle_cv_.notify_all();
 }
 
 void Server::publish_queue_depth() const {
@@ -298,11 +353,10 @@ std::int64_t Server::retry_hint_ms() const {
   return std::max<std::int64_t>(1, static_cast<std::int64_t>(hint));
 }
 
-void Server::handle_line(const std::shared_ptr<Connection>& conn,
-                         std::string line) {
+void Server::handle_line(const ConnPtr& conn, std::string line) {
   n_requests_.fetch_add(1, std::memory_order_relaxed);
-  // The trace is born on the reader thread before parsing, so parse time
-  // and queue wait are part of the request's phase breakdown.
+  // The trace is born on the loop before parsing, so parse time and queue
+  // wait are part of the request's phase breakdown.
   std::shared_ptr<RequestTrace> trace;
   if (trace_log_) trace = trace_log_->begin_request();
 
@@ -312,27 +366,10 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
     CODESIGN_FAILPOINT("serve.parse");
     request = parse_request(line);
   } catch (const std::exception& e) {
-    const int code = exit_code_for_current_exception();
     n_parse_errors_.fetch_add(1, std::memory_order_relaxed);
-    n_errors_.fetch_add(1, std::memory_order_relaxed);
-    std::string response;
-    {
-      ScopedPhase render_span(trace.get(), Phase::kRender);
-      response = error_response("", code, e.what());
-    }
-    {
-      ScopedPhase write_span(trace.get(), Phase::kWrite);
-      write_line(*conn, response);
-    }
-    if (trace) {
-      RequestRecord& rec = trace->record();
-      rec.op = "?";
-      rec.status = "error";
-      rec.code = code;
-      rec.error = e.what();
-      rec.error_phase = "parse";
-      trace_log_->finish(*trace);
-    }
+    if (trace) trace->record().op = "?";
+    respond(*conn, trace.get(), "", "error", exit_code_for_current_exception(),
+            e.what(), "parse");
     return;
   }
   if (trace) {
@@ -346,61 +383,24 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
   if (request.op == "stats" || request.op == "ping" || request.op == "tail" ||
       request.op == "health") {
     publish_queue_depth();
-    std::string status = "ok";
-    int code = kExitOk;
-    std::string error, error_phase, response;
+    OpResult r;
     try {
-      OpResult r;
-      {
-        ScopedPhase exec_span(trace.get(), Phase::kExecute);
-        OpContext context{cache_, nullptr, trace_log_.get(), {}};
-        context.health = [this] { return health_info(); };
-        r = execute_op(request, context);
-      }
-      code = r.code;
-      n_ok_.fetch_add(1, std::memory_order_relaxed);
-      ScopedPhase render_span(trace.get(), Phase::kRender);
-      response = ok_response(request.id, r.code, r.payload, r.attribution);
+      ScopedPhase exec_span(trace.get(), Phase::kExecute);
+      OpContext context{cache_, nullptr, trace_log_.get(), {}};
+      context.health = [this] { return health_info(); };
+      r = execute_op(request, context);
     } catch (const std::exception& e) {
-      status = "error";
-      code = exit_code_for_current_exception();
-      error = e.what();
-      error_phase = "execute";
-      n_errors_.fetch_add(1, std::memory_order_relaxed);
-      ScopedPhase render_span(trace.get(), Phase::kRender);
-      response = error_response(request.id, code, e.what());
+      respond(*conn, trace.get(), request.id, "error",
+              exit_code_for_current_exception(), e.what(), "execute");
+      return;
     }
-    {
-      ScopedPhase write_span(trace.get(), Phase::kWrite);
-      write_line(*conn, response);
-    }
-    if (trace) {
-      RequestRecord& rec = trace->record();
-      rec.status = status;
-      rec.code = code;
-      rec.error = error;
-      rec.error_phase = error_phase;
-      trace_log_->finish(*trace);
-    }
+    respond(*conn, trace.get(), request.id, "ok", r.code, "", "", &r);
     return;
   }
 
   if (draining()) {
-    n_errors_.fetch_add(1, std::memory_order_relaxed);
-    {
-      ScopedPhase write_span(trace.get(), Phase::kWrite);
-      write_line(*conn,
-                 error_response(request.id, kExitUnavailable,
-                                "server is draining; connection will close"));
-    }
-    if (trace) {
-      RequestRecord& rec = trace->record();
-      rec.status = "error";
-      rec.code = kExitUnavailable;
-      rec.error = "server is draining; connection will close";
-      rec.error_phase = "admission";
-      trace_log_->finish(*trace);
-    }
+    respond(*conn, trace.get(), request.id, "error", kExitUnavailable,
+            "server is draining; connection will close", "admission");
     return;
   }
   // Brownout: past the high-water mark the server sheds its expensive ops
@@ -411,59 +411,31 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
   if (is_expensive_op(request.op) &&
       pending_.load(std::memory_order_acquire) >= brownout_watermark_) {
     n_brownout_.fetch_add(1, std::memory_order_relaxed);
-    n_overloaded_.fetch_add(1, std::memory_order_relaxed);
     bump_counter("serve.rejected.brownout");
-    const std::string detail = str_format(
-        "server brownout: op '%s' shed at queue depth %zu (watermark %zu); "
-        "retry later or on a sibling",
-        request.op.c_str(), pending_.load(std::memory_order_relaxed),
-        brownout_watermark_);
-    {
-      ScopedPhase write_span(trace.get(), Phase::kWrite);
-      write_line(*conn,
-                 overloaded_response(request.id, retry_hint_ms(), detail));
-    }
-    if (trace) {
-      RequestRecord& rec = trace->record();
-      rec.status = "overloaded";
-      rec.code = kExitUnavailable;
-      rec.error = detail;
-      rec.error_phase = "admission";
-      trace_log_->finish(*trace);
-    }
+    respond(*conn, trace.get(), request.id, "overloaded", kExitUnavailable,
+            str_format("server brownout: op '%s' shed at queue depth %zu "
+                       "(watermark %zu); retry later or on a sibling",
+                       request.op.c_str(),
+                       pending_.load(std::memory_order_relaxed),
+                       brownout_watermark_),
+            "admission");
     return;
   }
   if (!try_admit()) {
-    n_overloaded_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::MetricsRegistry::enabled()) {
-      obs::MetricsRegistry::global()
-          .counter("serve.rejected.overload", {}, obs::Stability::kBestEffort)
-          .add();
-    }
-    const std::string detail =
-        str_format("server overloaded: %zu requests in flight (capacity %zu)",
-                   pending_.load(std::memory_order_relaxed),
-                   opt_.queue_capacity);
-    {
-      ScopedPhase write_span(trace.get(), Phase::kWrite);
-      write_line(*conn,
-                 overloaded_response(request.id, retry_hint_ms(), detail));
-    }
-    if (trace) {
-      RequestRecord& rec = trace->record();
-      rec.status = "overloaded";
-      rec.code = kExitUnavailable;
-      rec.error = detail;
-      rec.error_phase = "admission";
-      trace_log_->finish(*trace);
-    }
+    bump_counter("serve.rejected.overload");
+    respond(*conn, trace.get(), request.id, "overloaded", kExitUnavailable,
+            str_format("server overloaded: %zu requests in flight "
+                       "(capacity %zu)",
+                       pending_.load(std::memory_order_relaxed),
+                       opt_.queue_capacity),
+            "admission");
     return;
   }
   dispatch(conn, std::move(request), std::move(trace));
 }
 
-void Server::dispatch(const std::shared_ptr<Connection>& conn,
-                      Request request, std::shared_ptr<RequestTrace> trace) {
+void Server::dispatch(const ConnPtr& conn, Request request,
+                      std::shared_ptr<RequestTrace> trace) {
   // The token outlives the lambda via shared_ptr; the deadline starts at
   // admission so queueing time counts against the budget.
   auto cancel = std::make_shared<CancelToken>();
@@ -478,108 +450,77 @@ void Server::dispatch(const std::shared_ptr<Connection>& conn,
   conn->inflight.fetch_add(1, std::memory_order_acq_rel);
   pool_->submit([this, conn, request = std::move(request), cancel, trace,
                  admit_us] {
-    // finish_one() must run on every exit path — if response writing or
-    // metrics recording throws, ThreadPool::submit swallows it and a
-    // missed decrement would wedge drain Phase 3 forever. The connection
-    // inflight count drops with it so the idle reaper never closes a
-    // connection that is still owed a response.
+    // The admission slot must be released on every exit path — if response
+    // writing or metrics recording throws, ThreadPool::submit swallows it
+    // and a missed decrement would wedge the drain forever. The
+    // connection's inflight count drops after it, and the loop is woken to
+    // re-arm the idle deadline or release a connection that owes nothing.
     struct FinishGuard {
       Server* server;
       Connection* conn;
       ~FinishGuard() {
-        conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
-        server->finish_one();
+        server->pending_.fetch_sub(1, std::memory_order_acq_rel);
+        server->publish_queue_depth();
+        if (conn->inflight.fetch_sub(1) == 1) server->wake();
       }
     } finish_guard{this, conn.get()};
     if (trace) {
       trace->add_phase(Phase::kQueueWait, trace_log_->now_us() - admit_us);
     }
     const auto t0 = Clock::now();
-    std::string status = "ok";
+    const char* status = "ok";
     int code = kExitOk;
-    std::string error, error_phase, response;
+    std::string error;
+    OpResult r;
     obs::RequestScopeCounters work;
     try {
-      OpResult r;
-      {
-        ScopedPhase exec_span(trace.get(), Phase::kExecute);
-        // Bind request attribution only when tracing: the estimator and
-        // search hot paths fold their counts into `work` via
-        // obs::RequestScope::current().
-        obs::RequestScope::Bind bind(trace ? &work : nullptr);
-        CODESIGN_FAILPOINT("serve.dispatch");
-        OpContext context{cache_, cancel.get(), trace_log_.get(), {}};
-        context.health = [this] { return health_info(); };
-        r = execute_op(request, context);
-      }
+      ScopedPhase exec_span(trace.get(), Phase::kExecute);
+      // Bind request attribution only when tracing: the estimator and
+      // search hot paths fold their counts into `work` via
+      // obs::RequestScope::current().
+      obs::RequestScope::Bind bind(trace ? &work : nullptr);
+      CODESIGN_FAILPOINT("serve.dispatch");
+      OpContext context{cache_, cancel.get(), trace_log_.get(), {}};
+      context.health = [this] { return health_info(); };
+      r = execute_op(request, context);
       code = r.code;
-      n_ok_.fetch_add(1, std::memory_order_relaxed);
-      ScopedPhase render_span(trace.get(), Phase::kRender);
-      response = ok_response(request.id, r.code, r.payload, r.attribution);
     } catch (const fail::InjectedFault& e) {
       // A transient injected fault models a recoverable blip (the thing a
       // retry is *for*), so it answers as a typed retryable rejection —
       // FleetClient absorbs it and the chaos drill sees zero user-visible
       // errors. A fatal fault stays a hard code-1 error.
-      if (e.transient()) {
-        status = "overloaded";
-        code = kExitUnavailable;
-        error = e.what();
-        error_phase = "execute";
-        n_overloaded_.fetch_add(1, std::memory_order_relaxed);
-        ScopedPhase render_span(trace.get(), Phase::kRender);
-        response = overloaded_response(request.id, retry_hint_ms(), e.what());
-      } else {
-        status = "error";
-        code = kExitError;
-        error = e.what();
-        error_phase = "execute";
-        n_errors_.fetch_add(1, std::memory_order_relaxed);
-        ScopedPhase render_span(trace.get(), Phase::kRender);
-        response = error_response(request.id, code, e.what());
-      }
+      status = e.transient() ? "overloaded" : "error";
+      code = e.transient() ? kExitUnavailable : kExitError;
+      error = e.what();
     } catch (const std::exception& e) {
       status = "error";
       code = exit_code_for_current_exception();
       error = e.what();
-      error_phase = "execute";
-      n_errors_.fetch_add(1, std::memory_order_relaxed);
-      ScopedPhase render_span(trace.get(), Phase::kRender);
-      response = error_response(request.id, code, e.what());
     } catch (...) {
       status = "error";
       code = kExitInternal;
       error = "internal error: unknown exception";
-      error_phase = "execute";
-      n_errors_.fetch_add(1, std::memory_order_relaxed);
-      ScopedPhase render_span(trace.get(), Phase::kRender);
-      response = error_response(request.id, kExitInternal, error);
     }
-    {
-      ScopedPhase write_span(trace.get(), Phase::kWrite);
-      write_line(*conn, response);
+    if (trace) {
+      RequestRecord& rec = trace->record();
+      rec.estimates = work.estimates;
+      rec.search_candidates = work.search_candidates;
+      rec.deadline_missed = cancel->cancelled() &&
+                            cancel->reason() == CancelReason::kDeadline;
     }
+    // With tracing on, respond() finishes the trace, which records
+    // serve.requests / serve.request_us; otherwise they are recorded below
+    // with the same (name, labels) — one or the other runs, never both.
+    const bool ok = std::string_view(status) == "ok";
+    respond(*conn, trace.get(), request.id, status, code, error,
+            ok ? "" : "execute", ok ? &r : nullptr);
     const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                         Clock::now() - t0)
                         .count();
     service_us_total_.fetch_add(static_cast<std::uint64_t>(us),
                                 std::memory_order_relaxed);
     service_count_.fetch_add(1, std::memory_order_relaxed);
-    if (trace) {
-      RequestRecord& rec = trace->record();
-      rec.status = status;
-      rec.code = code;
-      rec.error = error;
-      rec.error_phase = error_phase;
-      rec.estimates = work.estimates;
-      rec.search_candidates = work.search_candidates;
-      rec.deadline_missed = cancel->cancelled() &&
-                            cancel->reason() == CancelReason::kDeadline;
-      // finish() records serve.requests / serve.request_us with the same
-      // (name, labels) as the legacy inline path below — one or the other
-      // runs, never both.
-      trace_log_->finish(*trace);
-    } else if (obs::MetricsRegistry::enabled()) {
+    if (!trace && obs::MetricsRegistry::enabled()) {
       auto& reg = obs::MetricsRegistry::global();
       const std::string labels = "op=" + request.op;
       reg.counter("serve.requests", labels, obs::Stability::kBestEffort).add();
@@ -589,23 +530,75 @@ void Server::dispatch(const std::shared_ptr<Connection>& conn,
   });
 }
 
-void Server::write_line(Connection& conn, std::string_view line) {
-  std::lock_guard<std::mutex> lock(conn.write_mu);
-  switch (net::timed_send_all(conn.fd, line, opt_.write_timeout_ms)) {
-    case net::SendOutcome::kOk:
+void Server::respond(Connection& conn, RequestTrace* trace,
+                     const std::string& id, const char* status, int code,
+                     const std::string& error, const char* error_phase,
+                     const OpResult* result) {
+  const std::string_view s(status);
+  (s == "ok" ? n_ok_ : s == "overloaded" ? n_overloaded_ : n_errors_)
+      .fetch_add(1, std::memory_order_relaxed);
+  std::string line;
+  {
+    ScopedPhase render_span(trace, Phase::kRender);
+    if (result != nullptr) {
+      line = ok_response(id, result->code, result->payload,
+                         result->attribution);
+    } else if (s == "overloaded") {
+      line = overloaded_response(id, retry_hint_ms(), error);
+    } else {
+      line = error_response(id, code, error);
+    }
+  }
+  {
+    ScopedPhase write_span(trace, Phase::kWrite);
+    send_line(conn, std::move(line));
+  }
+  if (trace == nullptr) return;
+  RequestRecord& rec = trace->record();
+  rec.status = status;
+  rec.code = code;
+  rec.error = error;
+  rec.error_phase = error_phase;
+  trace_log_->finish(*trace);
+}
+
+void Server::send_line(Connection& conn, std::string line) {
+  if (net::write_dropped(conn.fd)) {
+    n_dropped_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  std::lock_guard<std::mutex> lock(conn.mu);
+  conn.out.push_back(std::move(line));
+  if (conn.out.size() > 1) return;  // queued behind lines the loop flushes
+  conn.write_deadline = write_deadline();
+  flush_locked(conn);
+  if (!conn.out.empty()) wake();  // the loop flushes the rest on POLLOUT
+}
+
+Server::Clock::time_point Server::write_deadline() const {
+  return opt_.write_timeout_ms > 0
+             ? Clock::now() + std::chrono::milliseconds(opt_.write_timeout_ms)
+             : Clock::time_point::max();
+}
+
+void Server::flush_locked(Connection& conn) {
+  while (!conn.out.empty()) {
+    const std::string_view rest =
+        std::string_view(conn.out.front()).substr(conn.out_sent);
+    const ssize_t n = net::send_some(conn.fd, rest);
+    if (n < 0) {
+      // Client went away mid-response; its requests still completed.
+      n_dropped_.fetch_add(conn.out.size(), std::memory_order_relaxed);
+      conn.out.clear();
       return;
-    case net::SendOutcome::kTimeout:
-      // The peer stopped reading and our deadline elapsed: a stalled
-      // client must not pin a worker (or the drain) forever. Close it —
-      // the reader observes the shutdown and reaps the connection.
-      n_slow_client_closed_.fetch_add(1, std::memory_order_relaxed);
-      bump_counter("serve.slow_client_closed");
-      ::shutdown(conn.fd, SHUT_RDWR);
+    }
+    if (static_cast<std::size_t>(n) < rest.size()) {
+      conn.out_sent += static_cast<std::size_t>(n);
       return;
-    case net::SendOutcome::kPeerGone:
-      // Client went away mid-response; the request still completed.
-      n_dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
+    }
+    conn.out.pop_front();
+    conn.out_sent = 0;
+    conn.write_deadline = write_deadline();
   }
 }
 
@@ -624,49 +617,14 @@ HealthInfo Server::health_info() const {
 
 void Server::join() {
   CODESIGN_CHECK(started_, "join() before start()");
-  // Phase 1: the accept thread exits once drain is requested (SIGINT under
-  // watch_sigint, or request_drain()) and closes the listening socket.
-  if (accept_thread_.joinable()) accept_thread_.join();
-
-  // Phase 2: half-close every connection for reading. Readers wake with
-  // recv() == 0 and stop feeding new requests; in-flight responses still
-  // go out over the intact write side.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& c : conns_) ::shutdown(c->fd, SHUT_RD);
-  }
-
-  // Phase 3: wait for every admitted request to finish and every reader
-  // to exit (wait_for: finish_one notifies without holding mu_).
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    idle_cv_.wait_for(lock, std::chrono::milliseconds(10), [this] {
-      return pending_.load(std::memory_order_acquire) == 0 &&
-             live_readers_ == 0;
-    });
-    while (pending_.load(std::memory_order_acquire) != 0 ||
-           live_readers_ != 0) {
-      idle_cv_.wait_for(lock, std::chrono::milliseconds(10));
-    }
-  }
-
-  // Phase 4: join workers and readers (live and reaped), then close any
-  // connections still open.
+  // The loop runs all five drain phases and returns once every connection
+  // is released; then the (idle) workers are joined.
+  if (loop_thread_.joinable()) loop_thread_.join();
+  if (opt_.watch_sigint) SigintGuard::set_wake_fd(-1);
   pool_.reset();
-  std::unordered_map<std::uint64_t, std::thread> readers;
-  std::vector<std::thread> reaped;
-  std::vector<std::shared_ptr<Connection>> conns;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    readers.swap(readers_);
-    reaped.swap(reap_);
-    conns.swap(conns_);
-  }
-  for (auto& [id, t] : readers) t.join();
-  for (std::thread& t : reaped) t.join();
-  conns.clear();  // destructors close the fds
+  conns_.clear();
 
-  // Phase 5: flush the final metrics state.
+  // Flush the final metrics state.
   if (obs::MetricsRegistry::enabled()) {
     auto& reg = obs::MetricsRegistry::global();
     reg.gauge("serve.queue_depth", {}, obs::Stability::kBestEffort).set(0.0);
@@ -677,18 +635,12 @@ void Server::join() {
 }
 
 ServerStats Server::stats() const {
-  ServerStats s;
-  s.connections = n_connections_.load(std::memory_order_relaxed);
-  s.requests = n_requests_.load(std::memory_order_relaxed);
-  s.ok = n_ok_.load(std::memory_order_relaxed);
-  s.errors = n_errors_.load(std::memory_order_relaxed);
-  s.overloaded = n_overloaded_.load(std::memory_order_relaxed);
-  s.parse_errors = n_parse_errors_.load(std::memory_order_relaxed);
-  s.dropped = n_dropped_.load(std::memory_order_relaxed);
-  s.brownout = n_brownout_.load(std::memory_order_relaxed);
-  s.slow_client_closed = n_slow_client_closed_.load(std::memory_order_relaxed);
-  s.idle_closed = n_idle_closed_.load(std::memory_order_relaxed);
-  return s;
+  return {.connections = n_connections_, .requests = n_requests_,
+          .ok = n_ok_, .errors = n_errors_, .overloaded = n_overloaded_,
+          .parse_errors = n_parse_errors_, .dropped = n_dropped_,
+          .brownout = n_brownout_,
+          .slow_client_closed = n_slow_client_closed_,
+          .idle_closed = n_idle_closed_};
 }
 
 }  // namespace codesign::serve

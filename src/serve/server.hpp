@@ -3,21 +3,24 @@
 // A small, carefully-bounded TCP server for the newline-delimited JSON
 // protocol in protocol.hpp:
 //
-//   * one accept thread (poll with a 50 ms tick so drain/SIGINT are
-//     observed promptly), one reader thread per connection, and a fixed
-//     ThreadPool of workers executing requests;
+//   * one poll loop thread for the listening socket, every connection and
+//     a wake pipe, woken by readiness or its nearest deadline (no fixed
+//     tick), and a fixed ThreadPool of workers executing requests. Every
+//     response (the loop's inline ones too) tries one non-blocking send
+//     and queues the rest for the loop to flush, whole lines in
+//     completion order;
 //   * admission control: at most `queue_capacity` requests admitted but
-//     unfinished. Excess requests are rejected immediately on the reader
-//     thread with a typed `overloaded` response carrying a retry_after_ms
-//     hint — the server never queues unboundedly;
+//     unfinished. Excess requests are rejected immediately on the loop
+//     with a typed `overloaded` response carrying a retry_after_ms hint —
+//     the server never queues unboundedly;
 //   * one process-wide sharded EstimateCache shared by every request, so
 //     repeat shape queries are warm-cache hits;
 //   * per-request deadlines through CancelToken (request deadline_ms, or
 //     the server default), with search truncation-banner semantics;
-//   * slow-loris protection: accepted sockets are non-blocking, readers
-//     poll in ticks and reap connections idle past idle_timeout_ms, and
-//     each response write has a bounded deadline (write_timeout_ms) — a
-//     peer that stops reading is closed and counted, never held forever;
+//   * slow-loris protection: connections idle past idle_timeout_ms are
+//     closed, and each response has a write deadline (write_timeout_ms) —
+//     a peer that stops reading is closed and counted, and never blocks a
+//     worker or the loop;
 //   * brownout load shedding: when the queue depth crosses
 //     brownout_watermark, expensive ops (search, advise_many) are shed
 //     with a typed code-75 rejection while cheap ops still serve;
@@ -30,8 +33,8 @@
 //   * per-op latency histograms and queue-depth gauges in the obs
 //     MetricsRegistry, exposed over the wire via {"op":"stats"};
 //   * graceful drain (request_drain(), or SIGINT when watch_sigint): stop
-//     accepting, half-close connections, finish every in-flight request,
-//     flush responses, then join() returns. In-flight work is never
+//     accepting, half-close connections, finish every admitted request,
+//     flush responses, close, then join() returns. In-flight work is never
 //     cancelled by drain — admitted requests always get their response.
 //
 // docs/SERVING.md documents the protocol and the knobs.
@@ -39,13 +42,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -66,14 +68,14 @@ struct ServerOptions {
   std::size_t queue_capacity = 0;
   /// Deadline applied to requests that do not carry deadline_ms (0 = none).
   std::int64_t default_deadline_ms = 0;
-  /// Poll SigintGuard from the accept loop and drain on ^C (the CLI sets
-  /// this; tests drive request_drain() directly or raise SIGINT).
+  /// Drain on ^C: the SigintGuard handler wakes the poll loop (the CLI
+  /// sets this; tests drive request_drain() directly or raise SIGINT).
   bool watch_sigint = false;
   /// A request line larger than this is answered with a usage error and
   /// the connection is closed (memory bound per connection).
   std::size_t max_line_bytes = 1 << 20;
   /// A connection with no in-flight request and no bytes received for this
-  /// long is closed by its reader (slow-loris bound; 0 = never).
+  /// long is closed by the poll loop (slow-loris bound; 0 = never).
   std::int64_t idle_timeout_ms = 30000;
   /// Per-response write deadline. A peer that cannot absorb a response
   /// within this budget is closed and counted in slow_client_closed
@@ -115,8 +117,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind + listen + spawn the accept thread. Throws IoError when the
-  /// address cannot be bound (port in use) — exit code 7 at the CLI.
+  /// Bind + listen + spawn the poll loop. Throws IoError when the address
+  /// cannot be bound (port in use) — exit code 7 at the CLI.
   void start();
 
   /// The bound port (after start(); resolves port 0 to the real one).
@@ -124,7 +126,7 @@ class Server {
 
   /// Begin graceful drain: stop accepting, finish in-flight, then join()
   /// returns. Idempotent and callable from any thread.
-  void request_drain() { draining_.store(true, std::memory_order_release); }
+  void request_drain();
 
   bool draining() const { return draining_.load(std::memory_order_acquire); }
 
@@ -142,62 +144,82 @@ class Server {
   const RequestTraceLog* trace_log() const { return trace_log_.get(); }
 
  private:
+  using Clock = std::chrono::steady_clock;
+
+  /// One client connection. The fd closes only in ~Connection, when the
+  /// loop and every in-flight request have dropped their references, so a
+  /// late response can never reach a reused fd number.
   struct Connection {
-    explicit Connection(int fd) : fd(fd) {}
+    explicit Connection(int fd) : fd(fd), last_activity(Clock::now()) {}
     ~Connection();
     Connection(const Connection&) = delete;
     Connection& operator=(const Connection&) = delete;
 
     const int fd;
-    std::mutex write_mu;  ///< responses are single complete lines
     /// Admitted-but-unanswered requests on this connection. The idle
     /// reaper only closes a connection when this is zero — a silent client
     /// awaiting a slow response is waiting, not loitering.
     std::atomic<int> inflight{0};
-  };
 
-  void accept_loop();
-  void reader_loop(std::shared_ptr<Connection> conn, std::uint64_t reader_id);
-  void handle_line(const std::shared_ptr<Connection>& conn, std::string line);
-  void dispatch(const std::shared_ptr<Connection>& conn, Request request,
+    std::mutex mu;  ///< guards the three send-queue fields below
+    std::deque<std::string> out;  ///< whole response lines not yet sent
+    std::size_t out_sent = 0;     ///< bytes of out.front() already sent
+    Clock::time_point write_deadline{};  ///< for out.front()
+
+    // Poll-loop state.
+    std::string in;  ///< received bytes not yet split into lines
+    Clock::time_point last_activity;
+    Clock::time_point read_after{};  ///< serve.net.read_stall deferral
+    bool read_closed = false;   ///< EOF, drain, or a close decision
+    bool shut_after_flush = false;  ///< max_line_bytes: close once flushed
+  };
+  using ConnPtr = std::shared_ptr<Connection>;
+
+  void loop();
+  void accept_ready();
+  void read_ready(const ConnPtr& conn);
+  /// Per-iteration upkeep of one connection: enforce its write and idle
+  /// deadlines, fold the nearest one into `next`, and return the poll
+  /// events it waits on (0: only a worker can wake it), or -1 once it owes
+  /// nothing more and can be released.
+  int tend(Connection& conn, Clock::time_point now, Clock::time_point& next);
+  void handle_line(const ConnPtr& conn, std::string line);
+  void dispatch(const ConnPtr& conn, Request request,
                 std::shared_ptr<RequestTrace> trace);
+  void respond(Connection& conn, RequestTrace* trace, const std::string& id,
+               const char* status, int code, const std::string& error,
+               const char* error_phase, const OpResult* result = nullptr);
+  void send_line(Connection& conn, std::string line);
+  /// Send queued lines until the socket is full; conn.mu is held.
+  void flush_locked(Connection& conn);
+  /// When a response whose first byte goes out now must be flushed by.
+  Clock::time_point write_deadline() const;
+  void wake();
   bool try_admit();
-  void finish_one();
   HealthInfo health_info() const;
-  void write_line(Connection& conn, std::string_view line);
   std::int64_t retry_hint_ms() const;
   void publish_queue_depth() const;
-  void reap_finished();
 
   ServerOptions opt_;
   std::shared_ptr<gemm::EstimateCache> cache_;
   std::unique_ptr<RequestTraceLog> trace_log_;
   std::unique_ptr<ThreadPool> pool_;
   int listen_fd_ = -1;
+  int wake_rd_ = -1;  ///< the loop polls this end of the wake pipe
+  int wake_wr_ = -1;  ///< request_drain, workers and SIGINT write here
   int port_ = 0;
   bool started_ = false;
   std::size_t brownout_watermark_ = 0;  ///< resolved in start()
-  std::chrono::steady_clock::time_point start_time_{};
-  std::thread accept_thread_;
+  Clock::time_point start_time_{};
+  Clock::time_point accept_after_{};  ///< EMFILE/ENFILE backoff
   std::atomic<bool> draining_{false};
+  std::vector<ConnPtr> conns_;  ///< owned by the poll loop
 
   /// Admission state: requests admitted but not yet responded-to.
   std::atomic<std::size_t> pending_{0};
   /// Service-time accounting for the retry_after_ms hint.
   std::atomic<std::uint64_t> service_us_total_{0};
   std::atomic<std::uint64_t> service_count_{0};
-
-  mutable std::mutex mu_;  ///< guards conns_, readers_, reap_, live_readers_
-  std::condition_variable idle_cv_;
-  std::vector<std::shared_ptr<Connection>> conns_;
-  /// Live readers by id. A reader removes itself on exit (closing the
-  /// connection once the last in-flight response drops its reference) and
-  /// parks its thread handle in reap_, joined from the accept loop and
-  /// join() — disconnected clients never accumulate fds or threads.
-  std::unordered_map<std::uint64_t, std::thread> readers_;
-  std::vector<std::thread> reap_;
-  std::uint64_t next_reader_id_ = 0;
-  std::size_t live_readers_ = 0;
 
   std::atomic<std::uint64_t> n_connections_{0};
   std::atomic<std::uint64_t> n_requests_{0};
@@ -209,6 +231,7 @@ class Server {
   std::atomic<std::uint64_t> n_brownout_{0};
   std::atomic<std::uint64_t> n_slow_client_closed_{0};
   std::atomic<std::uint64_t> n_idle_closed_{0};
+  std::thread loop_thread_;  ///< last: it uses every member above
 };
 
 }  // namespace codesign::serve

@@ -1,14 +1,14 @@
 // trace.hpp — request-scoped tracing and SLO telemetry for codesign serve.
 //
 // Every request the server touches gets a RequestTrace carried from the
-// reader thread through admission, dispatch, execute_op, and response
+// poll loop through admission, dispatch, execute_op, and response
 // writing. The trace records one span per phase:
 //
-//   parse       parse_request on the reader thread
+//   parse       parse_request on the poll loop
 //   queue_wait  admission -> a worker picks the request up
 //   execute     execute_op (advisory rendering, search, ...)
 //   render      building the response envelope line
-//   write       send()ing the line back to the client
+//   write       handing the line to the socket (queued when it is full)
 //
 // plus request-scoped work attribution (obs::RequestScope: GEMM estimates
 // and search candidates the request consumed). Completed traces flow into

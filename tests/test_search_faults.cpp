@@ -4,6 +4,10 @@
 // the exit-code taxonomy at the API boundary.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <poll.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -237,6 +241,26 @@ TEST_F(SearchFaultsTest, SigintLinkedTokenObservesTheRaisedSignal) {
       SearchMode::kJoint, model_by_name("gpt3-2.7b"), sim(), 0.1, 0, options);
   EXPECT_TRUE(o.truncated);
   EXPECT_EQ(o.cancel_reason, CancelReason::kUser);
+}
+
+TEST_F(SearchFaultsTest, SigintWakesTheRegisteredFd) {
+  // A poll loop (the serve loop under watch_sigint) registers a pipe's
+  // write end; ^C must make the read end readable with one byte, so the
+  // loop wakes without a tick.
+  int fds[2];
+  ASSERT_EQ(::pipe2(fds, O_NONBLOCK), 0);
+  SigintGuard guard;
+  SigintGuard::set_wake_fd(fds[1]);
+  pollfd pfd{fds[0], POLLIN, 0};
+  EXPECT_EQ(::poll(&pfd, 1, 0), 0) << "readable before the signal";
+  ASSERT_EQ(std::raise(SIGINT), 0);
+  SigintGuard::set_wake_fd(-1);
+  EXPECT_TRUE(SigintGuard::interrupted());
+  EXPECT_EQ(::poll(&pfd, 1, 0), 1);
+  char buf[8];
+  EXPECT_EQ(::read(fds[0], buf, sizeof(buf)), 1);
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 TEST_F(SearchFaultsTest, DeadlineExpiryRacingSigintDrainsOnce) {

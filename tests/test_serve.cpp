@@ -10,7 +10,9 @@
 
 #include <arpa/inet.h>
 #include <dirent.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -18,6 +20,8 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -794,6 +798,192 @@ TEST_F(ServeTest, ConnectionChurnReapsFdsAndReaderThreads) {
   EXPECT_EQ(server.stats().ok, 51u);
 }
 
+/// The process's thread count, from /proc/self/status.
+std::size_t thread_count() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  }
+  return 0;
+}
+
+TEST_F(ServeTest, ServerThreadsDoNotGrowWithConnections) {
+  serve::Server server(options(/*threads=*/2));
+  server.start();
+  const std::size_t before = thread_count();
+  ASSERT_GT(before, 0u);
+
+  // One poll loop serves every connection: 32 live clients add no thread.
+  std::vector<std::unique_ptr<ServeClient>> clients;
+  for (int i = 0; i < 32; ++i) {
+    clients.push_back(
+        std::make_unique<ServeClient>("127.0.0.1", server.port()));
+    ASSERT_TRUE(clients.back()->call_op("ping").ok()) << i;
+  }
+  EXPECT_EQ(thread_count(), before);
+
+  clients.clear();
+  shut_down(server);
+  EXPECT_EQ(server.stats().ok, 32u);
+}
+
+/// A blocking loopback socket connected to `port`, with a 5 s receive
+/// timeout so a regression fails instead of hanging.
+int connect_raw(int port, int rcvbuf = 0) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (rcvbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  }
+  timeval tv{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool send_str(int fd, std::string_view s) {
+  return ::send(fd, s.data(), s.size(), MSG_NOSIGNAL) ==
+         static_cast<ssize_t>(s.size());
+}
+
+TEST_F(ServeTest, PipelinedRequestsOnOneSocketAllAnswerBeforeEof) {
+  serve::Server server(options(/*threads=*/2));
+  server.start();
+  const int fd = connect_raw(server.port());
+  ASSERT_GE(fd, 0);
+
+  // Three requests in one send (one CRLF-terminated), then a fourth split
+  // across two sends, then the client's half-close.
+  ASSERT_TRUE(send_str(
+      fd,
+      "{\"op\":\"sleep\",\"id\":\"r1\",\"ms\":30}\n"
+      "{\"op\":\"estimate\",\"id\":\"r2\",\"m\":64,\"n\":64,\"k\":64}\r\n"
+      "{\"op\":\"ping\",\"id\":\"r3\"}\n"));
+  ASSERT_TRUE(send_str(fd, "{\"op\":\"estimate\",\"id\":\"r4\",\"m\":128,"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_TRUE(send_str(fd, "\"n\":128,\"k\":128}\n"));
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+
+  // Every response arrives, then EOF (not a receive timeout).
+  std::string rx;
+  char chunk[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    rx.append(chunk, static_cast<std::size_t>(n));
+  }
+  EXPECT_EQ(n, 0) << "no EOF after the last response";
+  ::close(fd);
+
+  std::map<std::string, serve::Response> by_id;
+  std::istringstream lines(rx);
+  for (std::string line; std::getline(lines, line);) {
+    const serve::Response r = serve::parse_response(line);
+    EXPECT_TRUE(by_id.emplace(r.id, r).second) << "duplicate id " << r.id;
+  }
+  ASSERT_EQ(by_id.size(), 4u) << rx;
+  for (const auto& [id, r] : by_id) EXPECT_TRUE(r.ok()) << id << ": " << r.error;
+  EXPECT_EQ(by_id["r1"].payload, "slept 30 ms\n");
+  EXPECT_EQ(by_id["r2"].payload, expected_estimate(64, 64, 64));
+  EXPECT_EQ(by_id["r4"].payload, expected_estimate(128, 128, 128));
+
+  shut_down(server);
+}
+
+TEST_F(ServeTest, StalledReaderDelaysNoOtherConnection) {
+  // One worker, a tiny server send buffer, and a peer that never reads a
+  // large response: neither the loop nor the worker may wait on that
+  // peer. A ping and a pooled estimate on another connection are both
+  // answered long before the stalled response's write deadline.
+  serve::ServerOptions o = options(/*threads=*/1);
+  o.sndbuf_bytes = 4096;
+  o.write_timeout_ms = 5000;
+  serve::Server server(o);
+  server.start();
+
+  const int fd = connect_raw(server.port(), /*rcvbuf=*/2048);
+  ASSERT_GE(fd, 0);
+  std::string request = R"({"op":"advise_many","items":[)";
+  for (int i = 0; i < 64; ++i) {
+    if (i > 0) request += ',';
+    request += R"({"model":"gpt3-2.7b"})";
+  }
+  request += "]}\n";
+  ASSERT_TRUE(send_str(fd, request));
+  // ok counts the response just before it is written.
+  for (int i = 0; i < 500 && server.stats().ok == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(server.stats().ok, 1u);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  ServeClient other("127.0.0.1", server.port());
+  ASSERT_TRUE(other.call_op("ping").ok());
+  const serve::Response est =
+      other.call_op("estimate", R"("m":256,"n":256,"k":256)");
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  ASSERT_TRUE(est.ok()) << est.error;
+  EXPECT_EQ(est.payload, expected_estimate(256, 256, 256));
+  EXPECT_LT(waited, std::chrono::milliseconds(o.write_timeout_ms));
+  EXPECT_EQ(server.stats().slow_client_closed, 0u)
+      << "the other connection waited out the stalled client's deadline";
+
+  ::close(fd);
+  other.close();
+  shut_down(server);
+}
+
+TEST_F(ServeTest, AcceptBacksOffUnderFdPressureAndRecovers) {
+  serve::Server server(options(/*threads=*/1));
+  server.start();
+
+  // Fill every fd slot below a lowered RLIMIT_NOFILE except one, and take
+  // that one with the client's socket: the server's accept then fails
+  // with EMFILE until the pressure lifts.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  const int top = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(top, 0);
+  rlimit tight = saved;
+  tight.rlim_cur = static_cast<rlim_t>(top) + 1;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
+  std::vector<int> fillers{top};
+  for (int fd; (fd = ::dup(top)) >= 0;) fillers.push_back(fd);
+  ::close(fillers.back());
+  fillers.pop_back();
+  const int fd = connect_raw(server.port());
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  const std::uint64_t accepted_under_pressure = server.stats().connections;
+
+  for (const int f : fillers) ::close(f);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(accepted_under_pressure, 0u);
+
+  // The listener stayed open and the loop retries on its own: the queued
+  // connection is accepted and served, and the server is not draining.
+  ASSERT_TRUE(send_str(fd, "{\"op\":\"ping\",\"id\":\"late\"}\n"));
+  char chunk[512];
+  const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+  ::close(fd);
+  ASSERT_GT(n, 0) << "the connection queued during EMFILE was never served";
+  const serve::Response r = serve::parse_response(
+      std::string(chunk, static_cast<std::size_t>(n)));
+  EXPECT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(r.id, "late");
+  EXPECT_FALSE(server.draining());
+  EXPECT_EQ(server.stats().connections, 1u);
+  shut_down(server);
+}
+
 TEST_F(ServeTest, OversizedRequestLineAnswersUsageErrorAndClosesTheSocket) {
   serve::ServerOptions opts = options(2);
   opts.max_line_bytes = 1024;
@@ -900,8 +1090,9 @@ TEST_F(ServeTest, SigintDuringABurstDrainsOnceAndCleanly) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-  // ^C mid-burst: the accept loop notices within its 50 ms tick, drains,
-  // and join() returns with every admitted request answered.
+  // ^C mid-burst: the handler's byte on the wake pipe wakes the poll loop
+  // at once; it drains, and join() returns with every admitted request
+  // answered.
   ASSERT_EQ(std::raise(SIGINT), 0);
   server.join();
   EXPECT_TRUE(SigintGuard::interrupted());
