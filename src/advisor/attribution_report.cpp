@@ -35,7 +35,7 @@ void write_families(json::Writer& w,
         .member("bound", gemm::bound_name(f.bound));
     w.key("breakdown");
     write_breakdown(w, f.breakdown);
-    w.member("detail", f.detail).end_object();
+    w.member("detail", tfm::detail_text(f.detail)).end_object();
   }
   w.end_array();
 }

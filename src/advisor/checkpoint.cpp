@@ -1,7 +1,10 @@
 #include "advisor/checkpoint.hpp"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -70,37 +73,78 @@ std::string skip_line(const std::string& key, const CheckpointSkipEntry& e) {
          '\n';
 }
 
-/// Store `line` under `key`; false when the key already held that line.
+/// Store `line` under `key`; returns the stored line, or null when the key
+/// already held that line.
 template <class Key>
-bool upsert(std::map<Key, std::string>& lines, const Key& key,
-            std::string line) {
+const std::string* upsert(std::map<Key, std::string>& lines, const Key& key,
+                          std::string line) {
   const auto [it, inserted] = lines.try_emplace(key);
-  if (!inserted && it->second == line) return false;
+  if (!inserted && it->second == line) return nullptr;
   it->second = std::move(line);
-  return true;
+  return &it->second;
+}
+
+/// Replace `path` with `bytes` through `<path>.tmp` + rename: a reader sees
+/// the old file or the whole new one, never a torn write.
+void write_atomically(const std::string& path, const std::string& bytes) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream f(tmp, std::ios::trunc);
+    CODESIGN_CHECK(f.good(), "cannot open '" + tmp + "' for writing");
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    f.flush();
+    CODESIGN_CHECK(f.good(), "failed writing '" + tmp + "'");
+  }
+  CODESIGN_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
+                 "cannot rename '" + tmp + "' to '" + path + "'");
+}
+
+void append_to(const std::string& path, const std::string& bytes) {
+  std::ofstream f(path, std::ios::app);
+  CODESIGN_CHECK(f.good(), "cannot open '" + path + "' for appending");
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  f.flush();
+  CODESIGN_CHECK(f.good(), "failed appending to '" + path + "'");
 }
 
 }  // namespace
 
 SearchCheckpoint SearchCheckpoint::load(const std::string& path) {
-  std::ifstream f(path);
+  // A journal is present only while a run is in flight (or was killed in
+  // one); it is then the whole checkpoint, newer than the sorted file.
+  std::string file = path + ".journal";
+  std::ifstream f(file);
+  if (!f.good()) {
+    file = path;
+    f.open(file);
+  }
   if (!f.good()) {
     throw ConfigError("checkpoint: cannot open '" + path +
                       "' (nothing to resume from?)");
   }
+  std::ostringstream contents;
+  contents << f.rdbuf();
+  const std::string text = contents.str();
+
   SearchCheckpoint cp;
-  std::string line;
   std::size_t lineno = 0;
   bool saw_header = false;
-  while (std::getline(f, line)) {
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t eol = text.find('\n', pos);
+    if (eol == std::string::npos) {
+      // Every record ends in '\n': this one was cut off mid-write.
+      cp.torn_ = 1;
+      break;
+    }
+    const std::string_view line(text.data() + pos, eol - pos);
+    pos = eol + 1;
     ++lineno;
     if (line.empty()) continue;
-    const std::string context =
-        path + ":" + std::to_string(lineno);
+    const std::string context = file + ":" + std::to_string(lineno);
     const std::vector<std::string> fields = split(line, '\t');
     if (!saw_header) {
       if (fields.size() != 2 || fields[0] != kMagic || fields[1] != kVersion) {
-        throw ConfigError("checkpoint: '" + path +
+        throw ConfigError("checkpoint: '" + file +
                           "' is not a codesign-checkpoint v1 file");
       }
       saw_header = true;
@@ -134,7 +178,7 @@ SearchCheckpoint SearchCheckpoint::load(const std::string& path) {
     }
   }
   if (!saw_header) {
-    throw ConfigError("checkpoint: '" + path + "' is empty");
+    throw ConfigError("checkpoint: '" + file + "' is empty");
   }
   return cp;
 }
@@ -159,6 +203,7 @@ const CheckpointSkipEntry* SearchCheckpoint::skip(
 CheckpointWriter::CheckpointWriter(std::string path, std::string fingerprint,
                                    std::size_t flush_every)
     : path_(std::move(path)),
+      journal_path_(path_ + ".journal"),
       fingerprint_(sanitize(std::move(fingerprint))),
       flush_every_(flush_every == 0 ? 1 : flush_every) {
   CODESIGN_CHECK(!path_.empty(), "checkpoint path must not be empty");
@@ -181,14 +226,20 @@ void CheckpointWriter::seed_from(const SearchCheckpoint& resumed) {
   }
   std::lock_guard<std::mutex> lock(mu_);
   // insert, not upsert: an entry recorded by this run wins over the file.
+  const auto carry = [&](auto& lines, const auto& key, std::string line) {
+    const auto [it, inserted] = lines.emplace(key, std::move(line));
+    if (!inserted) return;
+    dirty_ = true;
+    pending_ += it->second;
+  };
   for (const auto& [name, e] : resumed.shapes_) {
-    dirty_ |= shapes_.emplace(name, shape_line(name, e)).second;
+    carry(shapes_, name, shape_line(name, e));
   }
   for (const auto& [d_ff, e] : resumed.mlps_) {
-    dirty_ |= mlps_.emplace(d_ff, mlp_line(d_ff, e)).second;
+    carry(mlps_, d_ff, mlp_line(d_ff, e));
   }
   for (const auto& [key, e] : resumed.skips_) {
-    dirty_ |= skips_.emplace(key, skip_line(key, e)).second;
+    carry(skips_, key, skip_line(key, e));
   }
 }
 
@@ -196,15 +247,15 @@ void CheckpointWriter::record_shape(const std::string& name,
                                     const CheckpointShapeEntry& e) {
   const std::string key = sanitize(name);
   std::string line = shape_line(key, e);
-  std::lock_guard<std::mutex> lock(mu_);
-  note_locked(upsert(shapes_, key, std::move(line)));
+  std::unique_lock<std::mutex> lock(mu_);
+  note(lock, upsert(shapes_, key, std::move(line)));
 }
 
 void CheckpointWriter::record_mlp(std::int64_t d_ff,
                                   const CheckpointMlpEntry& e) {
   std::string line = mlp_line(d_ff, e);
-  std::lock_guard<std::mutex> lock(mu_);
-  note_locked(upsert(mlps_, d_ff, std::move(line)));
+  std::unique_lock<std::mutex> lock(mu_);
+  note(lock, upsert(mlps_, d_ff, std::move(line)));
 }
 
 void CheckpointWriter::record_skip(const std::string& key,
@@ -212,46 +263,76 @@ void CheckpointWriter::record_skip(const std::string& key,
   const std::string clean_key = sanitize(key);
   std::string line =
       skip_line(clean_key, {e.attempts, sanitize(e.reason)});
-  std::lock_guard<std::mutex> lock(mu_);
-  note_locked(upsert(skips_, clean_key, std::move(line)));
+  std::unique_lock<std::mutex> lock(mu_);
+  note(lock, upsert(skips_, clean_key, std::move(line)));
 }
 
-void CheckpointWriter::note_locked(bool changed) {
-  if (!changed) return;
-  dirty_ = true;
-  if (++unflushed_ >= flush_every_) persist_locked();
+std::string CheckpointWriter::file_locked() const {
+  std::string out = std::string(kMagic) + '\t' + kVersion + "\nF\t" +
+                    fingerprint_ + '\n';
+  for (const auto& [name, line] : shapes_) out += line;
+  for (const auto& [d_ff, line] : mlps_) out += line;
+  for (const auto& [key, line] : skips_) out += line;
+  return out;
 }
 
-void CheckpointWriter::persist_locked() {
-  obs::ScopedTimer timer("advisor.checkpoint.persist_us");
-  unflushed_ = 0;
-  // Hold the lock through the write: persists are rare (every flush_every
-  // new records) and an interleaved rename could persist a stale set.
-  const std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::trunc);
-    CODESIGN_CHECK(f.good(), "cannot open '" + tmp + "' for writing");
-    f << kMagic << '\t' << kVersion << "\nF\t" << fingerprint_ << '\n';
-    for (const auto& [name, line] : shapes_) f << line;
-    for (const auto& [d_ff, line] : mlps_) f << line;
-    for (const auto& [key, line] : skips_) f << line;
-    f.flush();
-    CODESIGN_CHECK(f.good(), "failed writing '" + tmp + "'");
+template <class Write>
+void CheckpointWriter::write_unlocked(std::unique_lock<std::mutex>& lock,
+                                      Write&& write) {
+  try {
+    std::lock_guard<std::mutex> io(io_mu_);
+    lock.unlock();
+    write();
+  } catch (...) {
+    // The batch never reached the file: the next append rewrites the
+    // whole journal and the next flush() compacts again.
+    lock.lock();
+    journaled_ = false;
+    dirty_ = true;
+    throw;
   }
-  CODESIGN_CHECK(std::rename(tmp.c_str(), path_.c_str()) == 0,
-                 "cannot rename '" + tmp + "' to '" + path_ + "'");
-  dirty_ = false;
   ++persists_;
 }
 
-void CheckpointWriter::flush() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (dirty_) persist_locked();
+void CheckpointWriter::note(std::unique_lock<std::mutex>& lock,
+                            const std::string* line) {
+  if (line == nullptr) return;
+  dirty_ = true;
+  pending_ += *line;
+  if (++unflushed_ < flush_every_) return;
+  obs::ScopedTimer timer("advisor.checkpoint.persist_us");
+  unflushed_ = 0;
+  // The first append creates the journal with every record held, so the
+  // journal alone is the checkpoint; later appends carry only new lines.
+  const bool create = !journaled_;
+  std::string batch = create ? file_locked() : std::move(pending_);
+  pending_.clear();
+  journaled_ = true;
+  write_unlocked(lock, [&] {
+    if (create) {
+      write_atomically(journal_path_, batch);
+    } else {
+      append_to(journal_path_, batch);
+    }
+  });
 }
 
-std::size_t CheckpointWriter::persists() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return persists_;
+void CheckpointWriter::flush() {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (!dirty_) return;
+  obs::ScopedTimer timer("advisor.checkpoint.persist_us");
+  const std::string bytes = file_locked();
+  dirty_ = false;
+  journaled_ = false;
+  pending_.clear();
+  unflushed_ = 0;
+  write_unlocked(lock, [&] {
+    write_atomically(path_, bytes);
+    // The sorted file now holds every record: drop the journal (this
+    // run's, or one a killed run left behind), which load() would prefer.
+    CODESIGN_CHECK(std::remove(journal_path_.c_str()) == 0 || errno == ENOENT,
+                   "cannot remove '" + journal_path_ + "'");
+  });
 }
 
 }  // namespace codesign::advisor

@@ -9,28 +9,45 @@
 // produces rankings byte-identical to an uninterrupted run (lockstep-
 // tested in tests/test_search_faults.cpp).
 //
-// Format (tab-separated, one record per line):
+// Format (tab-separated, one record per line, every line '\n'-terminated):
 //   codesign-checkpoint	v1
 //   F	<fingerprint>            search identity; resume rejects a mismatch
 //   C	<name>	<layer_time>	<tflops>	<speedup>	<params>	<pdelta>	<rules>
 //   M	<d_ff>	<mlp_time>	<tflops>	<coefficient>
 //   S	<key>	<attempts>	<reason>
 //
-// Writes are atomic (temp file + rename) and the records are sorted by
-// key, so the file itself is deterministic for a given completed set.
+// Two files carry it. The sorted file at `path` holds the records sorted
+// by key and is written atomically (temp file + rename), so it is
+// deterministic for a given completed set. While a run is in flight, the
+// journal at `<path>.journal` has the same header and the records in the
+// order they were persisted; a later record for a key replaces an earlier
+// one. The journal is self-contained: its first batch carries every record
+// the writer holds (resumed ones included) and is itself written by temp
+// file + rename, so whenever a journal exists, it alone is the checkpoint.
 //
-// Cadence: the writer persists every `flush_every` new records, on an
-// explicit flush(), and on destruction — and nowhere else. Each record is
-// rendered to its line once, when it is recorded, so a persist only
-// concatenates lines; a flush() with nothing new since the last persist
-// does not touch the file. The owner of a run flushes once when the run
-// ends (run_shape_search, run_mlp_search and run_sweep do; run_grid_search
-// leaves it to its caller), so a sweep of many small cells writes the file
-// about records/flush_every times, not once per cell. A kill loses at most
-// the records since the last persist; that costs re-evaluation, never
-// correctness.
+// Cadence: each record is rendered to its line once, when it is recorded.
+// Every `flush_every` new records the writer appends the lines recorded
+// since its last persist to the journal; it never rewrites a file there.
+// flush() — the owner's final flush and the destructor — compacts: it
+// writes the sorted file and then removes the journal, so a completed or
+// exception-aborted run leaves exactly the sorted file. A flush() with
+// nothing new since the last compaction touches no file. The owner of a
+// run flushes once when the run ends (run_shape_search, run_mlp_search and
+// run_sweep do; run_grid_search leaves it to its caller). File IO happens
+// outside the lock the recording workers take: a persist only swaps the
+// pending lines out under it.
+//
+// Load: SearchCheckpoint::load(path) reads `<path>.journal` when it
+// exists, else `path`. A last line with no '\n' is a torn write (a kill in
+// mid-append): it is dropped and counted (torn_records()), and its
+// candidate is evaluated again. Any other malformed line is a ConfigError.
+//
+// Crash contract: a process kill loses at most the records since the last
+// persist; that costs re-evaluation, never correctness. Nothing is
+// fsync'ed: the contract covers a killed process, not a lost machine.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -67,11 +84,14 @@ struct CheckpointSkipEntry {
 /// Read-only view of a loaded checkpoint file.
 class SearchCheckpoint {
  public:
-  /// Parse `path`. Throws ConfigError on a missing file, a bad header, or
-  /// a malformed record.
+  /// Parse `<path>.journal` if it exists, else `path`. A torn last line is
+  /// dropped and counted; throws ConfigError on a missing file, a bad
+  /// header, or any other malformed record.
   static SearchCheckpoint load(const std::string& path);
 
   const std::string& fingerprint() const { return fingerprint_; }
+  /// Records dropped because the file ended inside them (0 or 1).
+  std::size_t torn_records() const { return torn_; }
 
   /// Lookups return nullptr when the key is absent.
   const CheckpointShapeEntry* shape(const std::string& name) const;
@@ -88,15 +108,16 @@ class SearchCheckpoint {
   std::map<std::string, CheckpointShapeEntry> shapes_;
   std::map<std::int64_t, CheckpointMlpEntry> mlps_;
   std::map<std::string, CheckpointSkipEntry> skips_;
+  std::size_t torn_ = 0;
 };
 
-/// Thread-safe accumulator + periodic persister of completed candidates.
-/// The sweep's parallel workers record completions in any order; a persist
-/// always writes the full sorted set, so the file is deterministic for a
-/// given completed set regardless of interleaving.
+/// Thread-safe accumulator + journaling persister of completed
+/// candidates. The sweep's parallel workers record completions in any
+/// order; the compacted file is sorted, so it is deterministic for a given
+/// completed set regardless of interleaving.
 class CheckpointWriter {
  public:
-  /// `flush_every` = new records between automatic persists (min 1).
+  /// `flush_every` = new records between journal appends (min 1).
   CheckpointWriter(std::string path, std::string fingerprint,
                    std::size_t flush_every = 64);
   /// Best-effort final flush (IO errors are swallowed — the sweep result
@@ -106,10 +127,10 @@ class CheckpointWriter {
   CheckpointWriter(const CheckpointWriter&) = delete;
   CheckpointWriter& operator=(const CheckpointWriter&) = delete;
 
-  /// Carry a loaded checkpoint's entries forward so the rewritten file
-  /// stays a complete record of all finished work. Throws ConfigError if
-  /// the fingerprints differ. Seeded entries are persisted by the next
-  /// write; they do not count toward the cadence.
+  /// Carry a loaded checkpoint's entries forward so the written files stay
+  /// a complete record of all finished work. Throws ConfigError if the
+  /// fingerprints differ. Seeded entries are persisted by the next write;
+  /// they do not count toward the cadence.
   void seed_from(const SearchCheckpoint& resumed);
 
   /// Record one completed candidate. Re-recording a key with the same
@@ -118,31 +139,40 @@ class CheckpointWriter {
   void record_mlp(std::int64_t d_ff, const CheckpointMlpEntry& e);
   void record_skip(const std::string& key, const CheckpointSkipEntry& e);
 
-  /// Persist now (temp file + rename) unless the file already holds the
-  /// recorded set. The first flush always writes, so a run that completed
-  /// nothing still leaves a loadable file. Throws Error on IO failure.
+  /// Compact now: write the sorted file (temp file + rename) and remove
+  /// the journal, unless the sorted file already holds the recorded set.
+  /// The first flush always writes, so a run that completed nothing still
+  /// leaves a loadable file. Throws Error on IO failure.
   void flush();
 
   const std::string& path() const { return path_; }
-  /// Times the file has been written so far.
-  std::size_t persists() const;
+  /// Files written so far: journal appends plus compactions.
+  std::size_t persists() const { return persists_.load(); }
 
  private:
-  void note_locked(bool changed);
-  void persist_locked();
+  void note(std::unique_lock<std::mutex>& lock, const std::string* line);
+  std::string file_locked() const;
+  template <class Write>
+  void write_unlocked(std::unique_lock<std::mutex>& lock, Write&& write);
 
   std::string path_;
+  std::string journal_path_;  ///< path_ + ".journal"
   std::string fingerprint_;
   std::size_t flush_every_;
 
-  mutable std::mutex mu_;
+  std::mutex mu_;  ///< guards the record state below
+  /// Serializes file writes. A persist takes it before releasing mu_, so
+  /// batches reach the files in the order they were swapped out.
+  std::mutex io_mu_;
   // Rendered record lines ("C\t...\n"), keyed as they sort in the file.
   std::map<std::string, std::string> shapes_;
   std::map<std::int64_t, std::string> mlps_;
   std::map<std::string, std::string> skips_;
+  std::string pending_;        ///< lines recorded since the last append
   std::size_t unflushed_ = 0;  ///< new records since the last persist
-  bool dirty_ = true;          ///< the file does not hold the recorded set
-  std::size_t persists_ = 0;
+  bool journaled_ = false;     ///< the journal holds this writer's records
+  bool dirty_ = true;          ///< the sorted file lacks the recorded set
+  std::atomic<std::size_t> persists_{0};
 };
 
 }  // namespace codesign::advisor

@@ -37,7 +37,7 @@ std::string advise(const TransformerConfig& config,
         .cell(human_time(o.time))
         .cell(str_format("%5.1f%%", 100.0 * o.time / layer.total_time))
         .cell(o.tflops, 1)
-        .cell(o.detail);
+        .cell(tfm::detail_text(o.detail));
   }
   os << "Single-layer latency: " << human_time(layer.total_time) << " ("
      << str_format("%.1f", layer.throughput_tflops) << " TFLOP/s useful, "

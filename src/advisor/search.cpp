@@ -285,7 +285,7 @@ auto guarded_sweep(std::size_t n, const SearchOptions& options,
 
 /// Resume checks shared by the run_* entry points: reject a checkpoint
 /// written by a different search, and carry the resumed entries forward so
-/// the rewritten file stays a complete record.
+/// the written files stay a complete record.
 void start_resume(const SearchOptions& options,
                   const std::string& fingerprint) {
   if (options.resume == nullptr) return;

@@ -16,6 +16,9 @@ std::atomic<int> g_armed_count{0};
 
 namespace {
 
+/// The :exit action's status: what a shell reports for kill -9.
+constexpr int kExitKilled = 137;
+
 enum class Mode { kAlways, kOnce, kEvery, kProb };
 
 /// One armed site. The spec fields are immutable after configure(); only
@@ -26,6 +29,7 @@ struct Site {
   double probability = 0.0;     ///< prob:P argument
   std::uint64_t seed = 1;       ///< prob seed
   bool transient = true;
+  bool exit = false;            ///< :exit — _Exit at the hit, no throw
   std::atomic<std::uint64_t> hits{0};
   std::atomic<std::uint64_t> fires{0};
 };
@@ -86,6 +90,7 @@ bool prob_fires(const Site& site, std::uint64_t token) {
 
 [[noreturn]] void fire(std::string_view name, Site& site) {
   site.fires.fetch_add(1, std::memory_order_relaxed);
+  if (site.exit) std::_Exit(kExitKilled);
   throw InjectedFault(
       str_format("injected fault at failpoint '%.*s' (%s)",
                  static_cast<int>(name.size()), name.data(),
@@ -135,10 +140,12 @@ void configure_one(const std::string& entry) {
   for (std::string& t : tokens) t = std::string(trim(t));
 
   auto site = std::make_unique<Site>();
-  // Trailing transient/fatal classifier (default transient).
+  // Trailing transient/fatal/exit classifier (default transient).
   if (!tokens.empty() &&
-      (iequals(tokens.back(), "transient") || iequals(tokens.back(), "fatal"))) {
+      (iequals(tokens.back(), "transient") || iequals(tokens.back(), "fatal") ||
+       iequals(tokens.back(), "exit"))) {
     site->transient = iequals(tokens.back(), "transient");
+    site->exit = iequals(tokens.back(), "exit");
     tokens.pop_back();
   }
   if (tokens.empty() || tokens[0].empty()) {

@@ -22,7 +22,7 @@
 //     read under the same mutex.
 //
 // Spec syntax (comma-separated list):
-//   <site>=<trigger>[:<args>][:transient|:fatal]
+//   <site>=<trigger>[:<args>][:transient|:fatal|:exit]
 //     off             disarm the site
 //     always          throw on every hit
 //     once:N          throw exactly on the Nth hit (1-based)
@@ -30,6 +30,9 @@
 //     prob:P[:seed]   throw with probability P in [0,1] (default seed 1)
 // Faults default to transient (eligible for the search layer's bounded
 // retry); append ":fatal" for a permanent fault that is never retried.
+// ":exit" does not throw: the hit ends the process with std::_Exit(137)
+// (the status a shell reports for kill -9) — no unwinding, no destructors,
+// no flushes. Kill drills use it to stop a run at an exact point.
 //
 // Example:
 //   CODESIGN_FAILPOINTS='advisor.search.evaluate=prob:0.05:42'

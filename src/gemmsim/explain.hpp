@@ -20,10 +20,20 @@
 
 namespace codesign::gemm {
 
+/// The modelled losses, in the order explain_gemm() multiplies them out.
+enum class Factor {
+  kAchievable,
+  kAlignment,
+  kTile,
+  kTileQuantization,
+  kWaveQuantization,
+  kRoofline
+};
+
 struct EfficiencyFactor {
+  Factor kind = Factor::kAchievable;
   std::string name;        ///< e.g. "alignment"
   double factor = 1.0;     ///< multiplicative, in (0, 1]
-  std::string detail;      ///< human-readable cause with the numbers
 };
 
 struct EfficiencyBreakdown {
@@ -34,6 +44,10 @@ struct EfficiencyBreakdown {
 
   /// Product of all factors — equals observed/peak up to rounding.
   double total_factor() const;
+
+  /// The human-readable cause of one factor with its numbers, rendered
+  /// from the estimate (e.g. "padded to 2048 x 7680 x 2560 (0.0% wasted)").
+  std::string detail(const EfficiencyFactor& f) const;
 
   /// Multi-line human-readable report.
   std::string to_string() const;

@@ -79,8 +79,8 @@ std::size_t GemmProblem::hash_value() const noexcept {
 }
 
 std::string GemmProblem::to_string() const {
-  // Appended, not str_format'ed: every per-op record of a layer report
-  // carries this string.
+  // Appended, not str_format'ed: every printed GEMM op detail starts with
+  // this string.
   std::string out = "GEMM(";
   if (batch != 1) {
     out = "BMM(b=";

@@ -47,8 +47,19 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
         {wl.name, wl.family, wl.base.to_string(), wl.variants.size()});
   }
 
+  // One simulator per GPU for the whole matrix: its PreparedCatalogue and
+  // AlignmentTable are built once per run, not once per cell.
+  std::vector<gemm::GemmSimulator> sims;
+  sims.reserve(plan.gpus.size());
+  for (const std::string& gpu : plan.gpus) {
+    sims.emplace_back(gpu::gpu_by_name(gpu), options.policy);
+    if (options.cache != nullptr) sims.back().set_cache(options.cache);
+  }
+
   for (const WorkloadSpec& wl : plan.workloads) {
-    for (const std::string& gpu : plan.gpus) {
+    for (std::size_t g = 0; g < plan.gpus.size(); ++g) {
+      const std::string& gpu = plan.gpus[g];
+      const gemm::GemmSimulator& sim = sims[g];
       if (options.cancel != nullptr && options.cancel->cancelled()) {
         result.truncated = true;
         result.cancel_reason = options.cancel->reason();
@@ -56,9 +67,6 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
       }
       const std::string cell_key = wl.name + "@" + gpu;
       CODESIGN_FAILPOINT_T("sweep.cell", fail::token(cell_key));
-
-      gemm::GemmSimulator sim(gpu::gpu_by_name(gpu), options.policy);
-      if (options.cache != nullptr) sim.set_cache(options.cache);
 
       std::vector<tfm::TransformerConfig> configs;
       configs.reserve(wl.variants.size());
@@ -130,9 +138,9 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
     }
     if (result.truncated) break;
   }
-  // The checkpoint is written at its own cadence while the cells run and
-  // once here, completed or truncated, never per cell. A sweep aborted by
-  // an exception leaves its last records to the writer's destructor flush.
+  // The checkpoint journals at its own cadence while the cells run and is
+  // compacted once here, completed or truncated, never per cell. A sweep
+  // aborted by an exception leaves that to the writer's destructor flush.
   if (options.checkpoint != nullptr) options.checkpoint->flush();
   return result;
 }

@@ -12,12 +12,17 @@
 // shares one CheckpointWriter keyed by cell-unique variant names
 // ("workload/label@gpu"), so an interrupted sweep resumes bit-exactly —
 // the report of a resumed run is byte-identical to an uninterrupted one.
-// The file is written at the writer's cadence (every flush_every records)
-// and once when the sweep returns — not once per cell.
+// Records are appended to the checkpoint's journal at the writer's cadence
+// (every flush_every records) and compacted into the sorted file once when
+// the sweep returns — not once per cell.
+//
+// Each GPU's GemmSimulator (its prepared tile catalogue and alignment
+// table) is built once per run and shared by that GPU's cells.
 //
 // Failure drill: each cell passes the "sweep.cell" failpoint (keyed by
 // "workload@gpu") before any variant runs; an armed fault aborts the sweep
-// there, which is exactly the interruption check.sh's resume drill injects.
+// there, which is exactly the interruption check.sh's resume drill injects
+// (its kill drill arms the same site with :exit).
 #pragma once
 
 #include <cstdint>

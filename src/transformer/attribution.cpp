@@ -1,7 +1,5 @@
 #include "transformer/attribution.hpp"
 
-#include "transformer/layer_model.hpp"
-
 namespace codesign::tfm {
 
 namespace {
@@ -38,7 +36,7 @@ gemm::Bound dominant_bound(const BoundHistogram& h) {
 }
 
 /// One instance of a GEMM family (or the fused flash op) from its record,
-/// taking over the record's strings.
+/// taking over the record's name.
 FamilyAttribution family_of(OpLatency&& o) {
   FamilyAttribution f;
   f.op = o.op;
@@ -47,7 +45,7 @@ FamilyAttribution family_of(OpLatency&& o) {
   f.time = o.time;
   f.bound = o.breakdown.bound;
   f.breakdown = o.breakdown;
-  f.detail = std::move(o.detail);
+  f.detail = o.detail;
   return f;
 }
 

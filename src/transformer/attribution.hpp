@@ -25,6 +25,7 @@
 #include "gemmsim/simulator.hpp"
 #include "transformer/config.hpp"
 #include "transformer/gemm_mapping.hpp"
+#include "transformer/layer_model.hpp"
 
 namespace codesign::tfm {
 
@@ -38,7 +39,7 @@ struct FamilyAttribution {
   double share = 0.0;   ///< time / total GEMM time of the rollup
   gemm::Bound bound = gemm::Bound::kCompute;  ///< the estimate's roof
   gemm::BoundBreakdown breakdown;             ///< per-estimate attribution
-  std::string detail;   ///< GEMM size + selected tile (empty for flash)
+  OpDetail detail;      ///< GEMM size + selected tile; see detail_text()
 };
 
 /// Ops and time per limiting mechanism, indexed by

@@ -81,11 +81,12 @@ OpLatency record_op(const MappedOp& op, const gemm::GemmSimulator& sim,
     out.time = est->time;
     out.tflops = est->tflops();
     out.breakdown = gemm::bound_breakdown(*est);
-    // Appended, not str_format'ed: attribution builds these records for
-    // every sweep cell, and a vsnprintf pass per GEMM was most of their cost.
-    out.detail = op.gemm->to_string() + " tile=" + est->tile.name() +
-                 " bound=" + gemm::bound_name(est->bound) +
-                 " waves=" + std::to_string(est->wave_q.waves);
+    out.detail.kind = OpDetail::Kind::kGemm;
+    out.detail.bound = est->bound;
+    out.detail.gemm = *op.gemm;
+    out.detail.tile_m = est->tile.tm;
+    out.detail.tile_n = est->tile.tn;
+    out.detail.waves = est->wave_q.waves;
     return out;
   }
   const NonGemmCost c = non_gemm_cost(op, sim);
@@ -94,13 +95,13 @@ OpLatency record_op(const MappedOp& op, const gemm::GemmSimulator& sim,
   out.breakdown = c.breakdown;
   if (op.flash.has_value()) {
     out.is_gemm = true;  // fused matmuls count toward the GEMM share
-    out.detail = str_format("flash(s=%lld d=%lld) bound=%s",
-                            static_cast<long long>(op.flash->seq),
-                            static_cast<long long>(op.flash->head_dim),
-                            gemm::bound_name(c.breakdown.bound));
+    out.detail.kind = OpDetail::Kind::kFlash;
+    out.detail.bound = c.breakdown.bound;
+    out.detail.seq = op.flash->seq;
+    out.detail.head_dim = op.flash->head_dim;
   } else {
     out.bytes = op.elementwise_bytes;
-    out.detail = human_bytes(op.elementwise_bytes) + " traffic";
+    out.detail.bytes = op.elementwise_bytes;
   }
   return out;
 }
@@ -147,6 +148,30 @@ double walk_layer(const TransformerConfig& config,
 }
 
 }  // namespace
+
+std::string detail_text(const OpDetail& d) {
+  switch (d.kind) {
+    case OpDetail::Kind::kGemm: {
+      std::string out = d.gemm.to_string() + " tile=";
+      append_int(out, d.tile_m);
+      out += 'x';
+      append_int(out, d.tile_n);
+      out += " bound=";
+      out += gemm::bound_name(d.bound);
+      out += " waves=";
+      append_int(out, d.waves);
+      return out;
+    }
+    case OpDetail::Kind::kFlash:
+      return str_format("flash(s=%lld d=%lld) bound=%s",
+                        static_cast<long long>(d.seq),
+                        static_cast<long long>(d.head_dim),
+                        gemm::bound_name(d.bound));
+    case OpDetail::Kind::kElementwise:
+      break;
+  }
+  return human_bytes(d.bytes) + " traffic";
+}
 
 OpLatency op_latency(const MappedOp& op, const gemm::GemmSimulator& sim) {
   if (!op.gemm.has_value()) return record_op(op, sim, nullptr);

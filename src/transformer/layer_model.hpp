@@ -12,6 +12,7 @@
 // removes one LayerNorm and one residual add worth of kernel traffic.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,28 @@
 #include "transformer/gemm_mapping.hpp"
 
 namespace codesign::tfm {
+
+/// The numbers an op's detail text is rendered from. The layer walk
+/// records them; the text is built by detail_text() only for a reader that
+/// prints it.
+struct OpDetail {
+  enum class Kind : std::uint8_t { kGemm, kFlash, kElementwise };
+  Kind kind = Kind::kElementwise;
+  gemm::Bound bound = gemm::Bound::kCompute;  ///< kGemm and kFlash
+  gemm::GemmProblem gemm;    ///< kGemm: the problem
+  std::int64_t tile_m = 0;   ///< kGemm: the selected tile's dims
+  std::int64_t tile_n = 0;
+  std::int64_t waves = 0;    ///< kGemm: waves of thread blocks
+  std::int64_t seq = 0;      ///< kFlash: sequence length
+  std::int64_t head_dim = 0; ///< kFlash
+  double bytes = 0.0;        ///< kElementwise: DRAM traffic
+};
+
+/// The detail text of one op, e.g.
+///   "GEMM(8192 x 7680 x 2560, fp16) tile=256x128 bound=compute waves=18"
+///   "flash(s=2048 d=80) bound=compute"
+///   "80.00 MiB traffic"
+std::string detail_text(const OpDetail& detail);
 
 /// Latency of a single operator instance.
 struct OpLatency {
@@ -30,7 +53,7 @@ struct OpLatency {
   double flops = 0.0;     ///< useful math
   double bytes = 0.0;     ///< DRAM traffic (non-GEMM ops; 0 for GEMMs)
   double tflops = 0.0;    ///< flops / time / 1e12 (0 for pure data movement)
-  std::string detail;     ///< e.g. the GEMM size, tile, and bound
+  OpDetail detail;        ///< the GEMM size, tile and bound; see detail_text()
   /// Roof split of `time`; breakdown.bound is the limiting mechanism.
   /// GEMMs take gemm::bound_breakdown(); flash and elementwise ops split
   /// into their limiting roof plus the launch floor.
@@ -76,8 +99,8 @@ struct LayerWorkspace {
 };
 
 /// Just the layer's total time, bit-identical to
-/// analyze_layer().total_time: the same walk without the per-op records
-/// (no OpLatency, no detail strings), its GEMMs resolved by one
+/// analyze_layer().total_time: the same walk without the per-op records,
+/// its GEMMs resolved by one
 /// GemmSimulator::estimate_times() call. The search hot path: a
 /// design-space sweep only ranks by this number.
 double layer_total_time(const TransformerConfig& config,

@@ -38,7 +38,7 @@ ProfileResult profile_model(const TransformerConfig& config,
       span.ts_us = clock_us;
       span.dur_us = to_us(lat.time);
       span.clock = obs::EventClock::kSimulated;
-      span.args.emplace_back("detail", lat.detail);
+      span.args.emplace_back("detail", detail_text(lat.detail));
       recorder.record(std::move(span));
       clock_us += to_us(lat.time);
     }

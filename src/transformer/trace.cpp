@@ -39,7 +39,7 @@ std::string trace_json(const TransformerConfig& config,
 
   auto emit_op = [&](const OpLatency& op) {
     emit_event(os, first, op.name, op.is_gemm ? 1 : 2, clock_us,
-               to_us(op.time), op.detail);
+               to_us(op.time), detail_text(op.detail));
     clock_us += to_us(op.time);
   };
 
@@ -58,7 +58,8 @@ std::string trace_json(const TransformerConfig& config,
       emit_event(os, first,
                  str_format("L%lld.%s", static_cast<long long>(l),
                             op.name.c_str()),
-                 op.is_gemm ? 1 : 2, clock_us, to_us(op.time), op.detail);
+                 op.is_gemm ? 1 : 2, clock_us, to_us(op.time),
+                 detail_text(op.detail));
       clock_us += to_us(op.time);
     }
   }

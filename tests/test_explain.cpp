@@ -31,7 +31,7 @@ TEST(Explain, AllFactorsInUnitInterval) {
   for (const auto& f : b.factors) {
     EXPECT_GT(f.factor, 0.0) << f.name;
     EXPECT_LE(f.factor, 1.0 + 1e-12) << f.name;
-    EXPECT_FALSE(f.detail.empty()) << f.name;
+    EXPECT_FALSE(b.detail(f).empty()) << f.name;
   }
   ASSERT_EQ(b.factors.size(), 6u);
 }

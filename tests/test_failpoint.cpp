@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <thread>
@@ -59,6 +60,22 @@ TEST_F(FailpointTest, FaultCarriesSiteNameAndTransience) {
   } catch (const InjectedFault& e) {
     EXPECT_FALSE(e.transient());
   }
+}
+
+TEST_F(FailpointTest, ExitActionEndsTheProcessAtTheHit) {
+  // :exit is a kill at an exact point: the Nth hit ends the process with
+  // status 137 and nothing after it runs — no throw, no unwinding.
+  EXPECT_EXIT(
+      {
+        configure("sweep.cell=once:2:exit");
+        hit("sweep.cell");
+        std::fputs("first hit passed\n", stderr);
+        hit("sweep.cell");
+        std::fputs("second hit returned\n", stderr);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(137), "first hit passed");
+  EXPECT_FALSE(any_armed());  // armed only in the child
 }
 
 TEST_F(FailpointTest, InjectedFaultIsACodesignError) {

@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "transformer/attribution.hpp"
+#include "transformer/config_parse.hpp"
 #include "transformer/model_zoo.hpp"
 
 namespace codesign::tfm {
@@ -149,8 +155,136 @@ TEST(LayerModel, DetailStringsPopulated) {
   const auto r = analyze_layer(model_by_name("gpt3-2.7b"), sim());
   for (const OpLatency& o : r.ops) {
     EXPECT_FALSE(o.name.empty());
-    EXPECT_FALSE(o.detail.empty());
+    EXPECT_FALSE(detail_text(o.detail).empty());
     EXPECT_GT(o.time, 0.0);
+  }
+}
+
+/// Every op of one forward pass as (name, detail text), in trace order:
+/// the embedding lookup, one layer, the final LayerNorm and the logits.
+std::vector<std::pair<std::string, std::string>> rendered_details(
+    const TransformerConfig& c) {
+  std::vector<std::pair<std::string, std::string>> out;
+  const std::vector<MappedOp> model_ops = model_level_ops(c);
+  const auto add = [&](const OpLatency& o) {
+    out.emplace_back(o.name, detail_text(o.detail));
+  };
+  add(op_latency(model_ops[0], sim()));
+  for (const OpLatency& o : analyze_layer(c, sim()).ops) add(o);
+  add(op_latency(model_ops[1], sim()));
+  add(op_latency(model_ops[2], sim()));
+  return out;
+}
+
+TEST(LayerModel, DetailTextIsByteIdenticalToThePinnedStrings) {
+  // The records keep numbers and detail_text() renders them on demand; the
+  // text must stay the bytes the records used to carry. GEMMs, BMMs, a
+  // flash op and every elementwise op (LayerNorms, softmax, rotary,
+  // GELU/SwiGLU activation, residuals, embedding) on a100.
+  using Details = std::vector<std::pair<std::string, std::string>>;
+  const Details gpt3 = {
+      {"embedding_lookup", "120.00 MiB traffic"},
+      {"layer_norm_1", "80.00 MiB traffic"},
+      {"qkv_transform",
+       "GEMM(8192 x 7680 x 2560, fp16) tile=256x128 bound=compute waves=18"},
+      {"attention_score",
+       "BMM(b=128, 2048 x 2048 x 80, fp16) tile=256x128 bound=memory "
+       "waves=152"},
+      {"softmax", "2.00 GiB traffic"},
+      {"attention_over_value",
+       "BMM(b=128, 2048 x 80 x 2048, fp16) tile=256x128 bound=memory "
+       "waves=10"},
+      {"post_attn_projection",
+       "GEMM(8192 x 2560 x 2560, fp16) tile=256x128 bound=compute waves=6"},
+      {"residual_add_1", "120.00 MiB traffic"},
+      {"layer_norm_2", "80.00 MiB traffic"},
+      {"mlp_h_to_ff",
+       "GEMM(8192 x 10240 x 2560, fp16) tile=256x128 bound=compute waves=24"},
+      {"activation", "320.00 MiB traffic"},
+      {"mlp_ff_to_h",
+       "GEMM(8192 x 2560 x 10240, fp16) tile=256x128 bound=compute waves=6"},
+      {"residual_add_2", "120.00 MiB traffic"},
+      {"final_layer_norm", "80.00 MiB traffic"},
+      {"logit_projection",
+       "GEMM(8192 x 50257 x 2560, fp16) tile=256x128 bound=compute "
+       "waves=117"},
+  };
+  const Details llama = {
+      {"embedding_lookup", "256.00 MiB traffic"},
+      {"layer_norm_1", "256.00 MiB traffic"},
+      {"qkv_transform",
+       "GEMM(16384 x 12288 x 4096, fp16) tile=256x128 bound=compute "
+       "waves=57"},
+      {"rotary_embedding", "512.00 MiB traffic"},
+      {"attention_score",
+       "BMM(b=128, 4096 x 4096 x 128, fp16) tile=256x128 bound=memory "
+       "waves=607"},
+      {"softmax", "8.00 GiB traffic"},
+      {"attention_over_value",
+       "BMM(b=128, 4096 x 128 x 4096, fp16) tile=256x128 bound=memory "
+       "waves=19"},
+      {"post_attn_projection",
+       "GEMM(16384 x 4096 x 4096, fp16) tile=256x128 bound=compute "
+       "waves=19"},
+      {"residual_add_1", "384.00 MiB traffic"},
+      {"layer_norm_2", "256.00 MiB traffic"},
+      {"mlp_h_to_ff",
+       "GEMM(16384 x 11008 x 4096, fp16) tile=256x128 bound=compute "
+       "waves=51"},
+      {"mlp_gate",
+       "GEMM(16384 x 11008 x 4096, fp16) tile=256x128 bound=compute "
+       "waves=51"},
+      {"activation", "1.01 GiB traffic"},
+      {"mlp_ff_to_h",
+       "GEMM(16384 x 4096 x 11008, fp16) tile=256x128 bound=compute "
+       "waves=19"},
+      {"residual_add_2", "384.00 MiB traffic"},
+      {"final_layer_norm", "256.00 MiB traffic"},
+      {"logit_projection",
+       "GEMM(16384 x 32000 x 4096, fp16) tile=256x128 bound=compute "
+       "waves=149"},
+  };
+  const Details flash_swiglu_parallel = {
+      {"embedding_lookup", "80.00 MiB traffic"},
+      {"layer_norm_1", "80.00 MiB traffic"},
+      {"qkv_transform",
+       "GEMM(8192 x 7680 x 2560, fp16) tile=256x128 bound=compute waves=18"},
+      {"rotary_embedding", "160.00 MiB traffic"},
+      {"flash_attention", "flash(s=2048 d=80) bound=compute"},
+      {"post_attn_projection",
+       "GEMM(8192 x 2560 x 2560, fp16) tile=256x128 bound=compute waves=6"},
+      {"mlp_h_to_ff",
+       "GEMM(8192 x 6912 x 2560, fp16) tile=256x128 bound=compute waves=16"},
+      {"mlp_gate",
+       "GEMM(8192 x 6912 x 2560, fp16) tile=256x128 bound=compute waves=16"},
+      {"activation", "324.00 MiB traffic"},
+      {"mlp_ff_to_h",
+       "GEMM(8192 x 2560 x 6912, fp16) tile=256x128 bound=compute waves=6"},
+      {"residual_add_2", "120.00 MiB traffic"},
+      {"final_layer_norm", "80.00 MiB traffic"},
+      {"logit_projection",
+       "GEMM(8192 x 50257 x 2560, fp16) tile=256x128 bound=compute "
+       "waves=117"},
+  };
+  const TransformerConfig custom = parse_config_string(
+      "h=2560,a=32,L=32,v=50257,attn=flash,act=swiglu,dff=6912,parallel=1,"
+      "pos=rotary");
+  EXPECT_EQ(rendered_details(model_by_name("gpt3-2.7b")), gpt3);
+  EXPECT_EQ(rendered_details(model_by_name("llama2-7b")), llama);
+  EXPECT_EQ(rendered_details(custom), flash_swiglu_parallel);
+
+  // Attribution families render through the same function: each family's
+  // text is its op's.
+  for (const TransformerConfig& c :
+       {model_by_name("gpt3-2.7b"), model_by_name("llama2-7b"), custom}) {
+    const Details ops = rendered_details(c);
+    for (const FamilyAttribution& f : attribute_model(c, sim()).gemms) {
+      const auto it = std::find_if(ops.begin(), ops.end(), [&](const auto& o) {
+        return o.first == f.name;
+      });
+      ASSERT_NE(it, ops.end()) << f.name;
+      EXPECT_EQ(detail_text(f.detail), it->second) << f.name;
+    }
   }
 }
 

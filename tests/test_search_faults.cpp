@@ -8,9 +8,12 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <cstddef>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -345,55 +348,271 @@ TEST_F(SearchFaultsTest, CheckpointFileBytesArePinned) {
             "S\tcand b\t3\tbad thing\n");
 }
 
+bool file_exists(const std::string& path) {
+  return std::ifstream(path).good();
+}
+
 TEST_F(SearchFaultsTest, CheckpointWriterPersistsOnlyNewWorkAtItsCadence) {
+  // Cadence persists append the new records to <path>.journal and rewrite
+  // no file; flush() compacts the set into the sorted file and removes the
+  // journal.
   TempFile cp("codesign_cp_cadence.txt");
-  const auto exists = [&] { return std::ifstream(cp.path()).good(); };
+  TempFile journal("codesign_cp_cadence.txt.journal");
   const CheckpointShapeEntry a{1.0, 2.0, 1.0, 3.0, 0.0, true};
   {
     CheckpointWriter w(cp.path(), "fp-test", 3);
     w.record_shape("a", a);
     w.record_mlp(4096, {0.5, 1.0, 2.0});
     EXPECT_EQ(w.persists(), 0u);
-    EXPECT_FALSE(exists());
+    EXPECT_FALSE(file_exists(journal.path()));
     w.record_skip("b", {1, "boom"});  // the third new record
     EXPECT_EQ(w.persists(), 1u);
+    EXPECT_FALSE(file_exists(cp.path()));  // appended, not compacted
     EXPECT_EQ(SearchCheckpoint::load(cp.path()).size(), 3u);
 
-    // Re-recording an identical payload is not new work: the flush is a
-    // no-op (the file is removed to prove nothing rewrites it).
-    std::remove(cp.path().c_str());
-    w.record_shape("a", a);
-    w.flush();
+    // Re-recording an identical payload is not new work: nothing is
+    // appended, however often it repeats.
+    const std::string journaled = slurp(journal.path());
+    for (int i = 0; i < 3; ++i) w.record_shape("a", a);
     EXPECT_EQ(w.persists(), 1u);
-    EXPECT_FALSE(exists());
+    EXPECT_EQ(slurp(journal.path()), journaled);
 
-    // A changed payload is: it persists on the next flush, once.
+    // New work (a changed payload counts) appends only its own lines.
     w.record_shape("a", {1.5, 2.0, 1.0, 3.0, 0.0, true});
-    w.flush();
-    w.flush();
+    w.record_shape("c", a);
+    w.record_mlp(8192, {0.5, 1.0, 2.0});
     EXPECT_EQ(w.persists(), 2u);
+    const std::string grown = slurp(journal.path());
+    ASSERT_EQ(grown.compare(0, journaled.size(), journaled), 0);
+    EXPECT_EQ(std::count(grown.begin() + static_cast<std::ptrdiff_t>(
+                                             journaled.size()),
+                         grown.end(), '\n'),
+              3);
     EXPECT_EQ(SearchCheckpoint::load(cp.path()).shape("a")->layer_time, 1.5);
+
+    // flush() compacts once; a second flush has nothing to write.
+    w.flush();
+    w.flush();
+    EXPECT_EQ(w.persists(), 3u);
+    EXPECT_FALSE(file_exists(journal.path()));
+    EXPECT_EQ(SearchCheckpoint::load(cp.path()).size(), 5u);
+
+    // After compaction an identical re-record is still no work (the file
+    // is removed to prove nothing rewrites it).
     std::remove(cp.path().c_str());
+    w.record_shape("c", a);
+    w.flush();
+    EXPECT_EQ(w.persists(), 3u);
+    EXPECT_FALSE(file_exists(cp.path()));
   }
-  EXPECT_FALSE(exists());  // the destructor found nothing to write
+  EXPECT_FALSE(file_exists(cp.path()));  // the destructor found nothing
 
   // A writer that recorded nothing still leaves a loadable file behind.
   { CheckpointWriter w(cp.path(), "fp-test", 3); }
   EXPECT_EQ(SearchCheckpoint::load(cp.path()).size(), 0u);
 
-  // Seeded entries are new to this writer's file: one flush carries them
-  // over, a second has nothing to add.
+  // Seeded entries are new to this writer's files: one flush carries them
+  // over, a second has nothing to add...
   {
     CheckpointWriter w(cp.path(), "fp-test", 3);
     w.record_shape("a", a);
   }
+  const SearchCheckpoint seed = SearchCheckpoint::load(cp.path());
   TempFile other("codesign_cp_cadence_other.txt");
-  CheckpointWriter w(other.path(), "fp-test", 3);
-  w.seed_from(SearchCheckpoint::load(cp.path()));
-  w.flush();
-  w.flush();
-  EXPECT_EQ(w.persists(), 1u);
+  {
+    CheckpointWriter w(other.path(), "fp-test", 3);
+    w.seed_from(seed);
+    w.flush();
+    w.flush();
+    EXPECT_EQ(w.persists(), 1u);
+  }
   EXPECT_EQ(slurp(other.path()), slurp(cp.path()));
+
+  // ...and the journal's first append carries them too, so the journal
+  // alone is the checkpoint.
+  TempFile third("codesign_cp_cadence_third.txt");
+  TempFile third_journal("codesign_cp_cadence_third.txt.journal");
+  CheckpointWriter w(third.path(), "fp-test", 1);
+  w.seed_from(seed);
+  w.record_shape("z", a);
+  EXPECT_TRUE(file_exists(third_journal.path()));
+  const SearchCheckpoint from_journal = SearchCheckpoint::load(third.path());
+  EXPECT_EQ(from_journal.size(), 2u);
+  EXPECT_NE(from_journal.shape("a"), nullptr);
+  EXPECT_NE(from_journal.shape("z"), nullptr);
+}
+
+TEST_F(SearchFaultsTest, JournalWritesEachRecordOnceBeforeCompaction) {
+  // The bytes a run writes to its journal grow linearly with its length:
+  // every persist only appends (each snapshot of the journal is a prefix
+  // of the next), and the final journal holds the header once and each
+  // record exactly once — so it is all that was written. Counted, not
+  // timed.
+  const CheckpointShapeEntry e{1.0, 2.0, 1.0, 3.0, 0.0, true};
+  const auto journal_of_run = [&](std::size_t n) {
+    TempFile cp("codesign_cp_linear.txt");
+    TempFile journal("codesign_cp_linear.txt.journal");
+    CheckpointWriter w(cp.path(), "fp-test", 8);
+    std::string before;
+    for (std::size_t i = 0; i < n; ++i) {
+      // Descending keys: a sorted rewrite would not keep the prefix.
+      w.record_shape("c" + std::to_string(2000 - i), e);
+      if ((i + 1) % 8 != 0) continue;
+      const std::string now = slurp(journal.path());
+      EXPECT_EQ(now.compare(0, before.size(), before), 0) << "record " << i;
+      before = now;
+    }
+    EXPECT_EQ(w.persists(), n / 8);
+    EXPECT_FALSE(file_exists(cp.path()));
+    return before;
+  };
+  const std::string header = "codesign-checkpoint\tv1\nF\tfp-test\n";
+  std::size_t previous = 0;
+  for (const std::size_t n : {64u, 128u, 256u}) {
+    const std::string bytes = journal_of_run(n);
+    ASSERT_EQ(bytes.compare(0, header.size(), header), 0);
+    std::set<std::string> keys;
+    std::istringstream in(bytes.substr(header.size()));
+    std::string line;
+    std::size_t records = 0;
+    while (std::getline(in, line)) {
+      ++records;
+      keys.insert(line.substr(0, line.find('\t', 2)));
+    }
+    EXPECT_EQ(records, n);      // each record once...
+    EXPECT_EQ(keys.size(), n);  // ...and no key twice
+    if (previous > 0) {
+      EXPECT_EQ(bytes.size() - header.size(), 2 * previous);
+    }
+    previous = bytes.size() - header.size();
+  }
+}
+
+TEST_F(SearchFaultsTest, KilledRunResumesFromItsJournalByteIdentically) {
+  // A forked child records past two cadences (4 records each) and dies at
+  // its 11th evaluation without flushing: the :exit failpoint _Exits, so
+  // no destructor compacts. Its journal alone resumes the search into the
+  // results and the final checkpoint bytes of an uninterrupted run.
+  const tfm::TransformerConfig base = model_by_name("gpt3-2.7b");
+  const auto s = sim();
+  const std::string fp =
+      shape_search_fingerprint(SearchMode::kJoint, base, s, 0.1, 0);
+  const auto run = [&](const std::string& path,
+                       const SearchCheckpoint* resume) {
+    CheckpointWriter writer(path, fp, 4);
+    SearchOptions options;
+    options.checkpoint = &writer;
+    options.resume = resume;
+    return run_shape_search(SearchMode::kJoint, base, s, 0.1, 0, options);
+  };
+  TempFile ref("codesign_cp_kill_ref.txt");
+  const SearchOutcome reference = run(ref.path(), nullptr);
+  ASSERT_GT(reference.evaluated, 11u);
+
+  TempFile cp("codesign_cp_kill.txt");
+  TempFile journal("codesign_cp_kill.txt.journal");
+  EXPECT_EXIT(
+      {
+        fail::configure("advisor.search.evaluate=once:11:exit");
+        (void)run(cp.path(), nullptr);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(137), "");
+  EXPECT_FALSE(file_exists(cp.path()));
+  ASSERT_TRUE(file_exists(journal.path()));
+  const SearchCheckpoint killed = SearchCheckpoint::load(cp.path());
+  EXPECT_EQ(killed.size(), 8u);  // records 9 and 10 were never persisted
+  EXPECT_EQ(killed.torn_records(), 0u);
+
+  const SearchOutcome resumed = run(cp.path(), &killed);
+  EXPECT_EQ(resumed.resumed, 8u);
+  EXPECT_EQ(resumed.ranked, reference.ranked);
+  EXPECT_EQ(slurp(cp.path()), slurp(ref.path()));
+  EXPECT_FALSE(file_exists(journal.path()));
+}
+
+TEST_F(SearchFaultsTest, TruncatedJournalLoadsAPrefixOrThrowsAtEveryOffset) {
+  // A kill can stop an append at any byte. Cut a 3-record journal at every
+  // offset: the load either keeps the complete records (dropping and
+  // counting a torn last line) or, without a complete header line, throws
+  // ConfigError. It never crashes and never keeps a partial record.
+  TempFile cp("codesign_cp_trunc.txt");
+  TempFile journal("codesign_cp_trunc.txt.journal");
+  const CheckpointShapeEntry shape{1.25e-3, 312.0, 1.0675, 2.65e9, -0.031,
+                                   true};
+  const CheckpointMlpEntry mlp{3.5e-4, 298.5, 2.6875};
+  std::string bytes;
+  {
+    CheckpointWriter w(cp.path(), "fp-test", 1);  // every record appends
+    w.record_shape("cand-a", shape);
+    w.record_mlp(11008, mlp);
+    w.record_skip("cand-b", {3, "injected fault"});
+    bytes = slurp(journal.path());
+  }
+  ASSERT_EQ(std::count(bytes.begin(), bytes.end(), '\n'), 5);
+  std::remove(cp.path().c_str());  // leave only the journal to load
+
+  for (std::size_t len = 0; len <= bytes.size(); ++len) {
+    SCOPED_TRACE("journal cut at byte " + std::to_string(len));
+    const std::string prefix = bytes.substr(0, len);
+    {
+      std::ofstream f(journal.path(), std::ios::trunc);
+      f << prefix;
+    }
+    const auto lines =
+        static_cast<std::size_t>(std::count(prefix.begin(), prefix.end(), '\n'));
+    try {
+      const SearchCheckpoint loaded = SearchCheckpoint::load(cp.path());
+      EXPECT_EQ(loaded.size(), lines > 2 ? lines - 2 : 0);
+      EXPECT_LE(loaded.size(), 3u);
+      EXPECT_EQ(loaded.torn_records(),
+                prefix.empty() || prefix.back() == '\n' ? 0u : 1u);
+      if (const CheckpointShapeEntry* e = loaded.shape("cand-a")) {
+        EXPECT_EQ(e->layer_time, shape.layer_time);
+        EXPECT_EQ(e->param_delta_frac, shape.param_delta_frac);
+        EXPECT_TRUE(e->rules_pass);
+      }
+      if (const CheckpointMlpEntry* e = loaded.mlp(11008)) {
+        EXPECT_EQ(e->coefficient, mlp.coefficient);
+      }
+      if (const CheckpointSkipEntry* e = loaded.skip("cand-b")) {
+        EXPECT_EQ(e->attempts, 3);
+        EXPECT_EQ(e->reason, "injected fault");
+      }
+    } catch (const ConfigError&) {
+      EXPECT_EQ(lines, 0u);
+    }
+  }
+}
+
+TEST_F(SearchFaultsTest, JournalWithAWrongFingerprintIsRejected) {
+  // The journal carries its own fingerprint, and while it exists it is the
+  // checkpoint: another search's journal is refused even next to a sorted
+  // file of the right search.
+  TempFile cp("codesign_cp_journal_fp.txt");
+  TempFile journal("codesign_cp_journal_fp.txt.journal");
+  const tfm::TransformerConfig base = model_by_name("gpt3-2.7b");
+  const std::string fp =
+      shape_search_fingerprint(SearchMode::kJoint, base, sim(), 0.1, 0);
+  const CheckpointShapeEntry e{1.0, 2.0, 1.0, 3.0, 0.0, true};
+  {
+    CheckpointWriter w(cp.path(), fp, 1);
+    w.record_shape("a", e);
+  }
+  CheckpointWriter other(cp.path(), "other-fingerprint", 1);
+  other.record_shape("b", e);
+  ASSERT_TRUE(file_exists(journal.path()));
+  const SearchCheckpoint loaded = SearchCheckpoint::load(cp.path());
+  EXPECT_EQ(loaded.fingerprint(), "other-fingerprint");
+
+  TempFile out("codesign_cp_journal_fp_out.txt");
+  CheckpointWriter w(out.path(), fp, 1);
+  EXPECT_THROW(w.seed_from(loaded), ConfigError);
+  SearchOptions options;
+  options.resume = &loaded;
+  EXPECT_THROW(run_shape_search(SearchMode::kJoint, base, sim(), 0.1, 0,
+                                options),
+               ConfigError);
 }
 
 TEST_F(SearchFaultsTest, LoadRejectsGarbageAndWrongFingerprints) {

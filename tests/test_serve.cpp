@@ -581,8 +581,8 @@ TEST_F(ServeTest, StatsAndPingBypassAdmissionControl) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
 
-  // Both diagnostic ops answer inline on the reader thread even when the
-  // worker pool is saturated and admission would reject.
+  // Both diagnostic ops answer inline on the server's poll loop even when
+  // the worker pool is saturated and admission would reject.
   ServeClient b("127.0.0.1", server.port());
   const serve::Response ping = b.call_op("ping");
   ASSERT_TRUE(ping.ok());
@@ -748,7 +748,8 @@ TEST_F(ServeTest, AcceptFailpointDropsTheConnection) {
       IoError);
   fail::clear();
 
-  // The accept loop survives the drill and serves the next connection.
+  // The poll loop survives the drill and accepts and serves the next
+  // connection.
   ServeClient client("127.0.0.1", server.port());
   EXPECT_TRUE(client.call_op("ping").ok());
 

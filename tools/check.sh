@@ -30,6 +30,11 @@
 #           exits 0, no shell-side retries — the FleetClient absorbs the
 #           faults) and byte-identical payloads vs the one-shot CLI, then
 #           all three servers must drain cleanly on SIGINT
+#   sweep   the sweep report must be byte-identical at 1 and 8 threads,
+#           and after resuming a run interrupted at the sweep.cell
+#           failpoint — once by a fatal fault, and once by a kill
+#           (sweep.cell=once:6:exit) at 1 and 2 threads, resumed from the
+#           checkpoint journal alone
 #   perf    codesign-bench smoke suite gated against the committed
 #           baseline (bench/baselines/). Thresholds are deliberately
 #           loose (CODESIGN_PERF_MIN_FRAC, default 0.75 = fail only on a
@@ -432,6 +437,39 @@ diff -u "${TSAN_DIR}/sweep_resumed.json" "${TSAN_DIR}/sweep_t1.json" || {
   echo "FAIL: resumed sweep report differs from the uninterrupted run"
   exit 1
 }
+# Kill drill: the :exit action _Exits at the 6th cell, so no destructor
+# compacts the checkpoint. With a cadence of 4 records the journal holds
+# the first cells' records, and resuming from it alone must reproduce the
+# uninterrupted report.
+for KILL_THREADS in 1 2; do
+  KILL_CP="${TSAN_DIR}/sweep_kill_cp_t${KILL_THREADS}.txt"
+  rm -f "${KILL_CP}" "${KILL_CP}.journal"
+  KILL_RC=0
+  CODESIGN_FAILPOINTS='sweep.cell=once:6:exit' \
+      "${SERVE_BIN}" sweep --config="${SWEEP_CONF}" \
+      --threads="${KILL_THREADS}" --checkpoint="${KILL_CP}" \
+      --checkpoint-every=4 >/dev/null 2>&1 || KILL_RC=$?
+  [ "${KILL_RC}" -eq 137 ] || {
+    echo "FAIL: sweep.cell=once:6:exit ended the sweep with ${KILL_RC}, not 137"
+    exit 1
+  }
+  [ -s "${KILL_CP}.journal" ] || {
+    echo "FAIL: killed sweep (--threads=${KILL_THREADS}) left no journal"
+    exit 1
+  }
+  "${SERVE_BIN}" sweep --config="${SWEEP_CONF}" --threads="${KILL_THREADS}" \
+      --checkpoint="${KILL_CP}" --resume --checkpoint-every=4 \
+      --out="${TSAN_DIR}/sweep_killed_t${KILL_THREADS}.json" \
+      | grep -q "from checkpoint" || {
+    echo "FAIL: sweep resumed from a journal reported no checkpointed variants"
+    exit 1
+  }
+  diff -u "${TSAN_DIR}/sweep_killed_t${KILL_THREADS}.json" \
+      "${TSAN_DIR}/sweep_t1.json" || {
+    echo "FAIL: sweep resumed from a journal differs from the uninterrupted run"
+    exit 1
+  }
+done
 
 echo "== perf: bench smoke suite vs committed baseline =="
 PERF_MIN_FRAC="${CODESIGN_PERF_MIN_FRAC:-0.75}"

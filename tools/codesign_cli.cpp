@@ -140,8 +140,8 @@ std::size_t threads_arg(const CliArgs& args) {
 
 /// --checkpoint=<f> [--resume] [--checkpoint-every=N] for search and sweep.
 /// The resume file is loaded before the writer exists: the writer's first
-/// write replaces the file, carrying the loaded entries forward (seed_from
-/// inside the run_* entry points).
+/// write carries the loaded entries forward (seed_from inside the run_*
+/// entry points), and its final flush replaces the file.
 template <class Options>
 void checkpoint_args(const CliArgs& args, const std::string& fingerprint,
                      std::optional<advisor::SearchCheckpoint>& resumed,
@@ -158,6 +158,13 @@ void checkpoint_args(const CliArgs& args, const std::string& fingerprint,
   if (args.get_bool("resume", false)) {
     resumed = advisor::SearchCheckpoint::load(path);
     options.resume = &*resumed;
+    // A kill in mid-append leaves a torn last journal line; load() drops
+    // it and its candidate is evaluated again.
+    if (resumed->torn_records() > 0) {
+      std::cout << "resume: dropped " << resumed->torn_records()
+                << " torn record at the end of " << path
+                << ".journal (evaluated again)\n";
+    }
   }
   writer.emplace(path, fingerprint, static_cast<std::size_t>(every));
   options.checkpoint = &*writer;
