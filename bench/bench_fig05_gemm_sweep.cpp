@@ -8,6 +8,7 @@
 #include "bench_common.hpp"
 #include "common/strings.hpp"
 #include "gemmsim/kernel_model.hpp"
+#include "gemmsim/simulator.hpp"
 
 namespace codesign {
 namespace {
@@ -52,11 +53,14 @@ int body(bench::BenchContext& ctx) {
       static_cast<long long>(step), ctx.gpu().id.c_str()));
   TableWriter tb({"n", "fixed-256x128 TFLOP/s", "fixed waves",
                   "auto TFLOP/s", "auto tile", "auto waves"});
+  // The auto column reads the kAuto tile scan directly, whatever --policy
+  // says, and so bumps no gemmsim.estimate.* series.
+  const gemm::GemmSimulator autotile(ctx.gpu());
   for (std::int64_t n = lo; n <= hi; n += step) {
     const GemmProblem p = GemmProblem::gemm(n, n, n);
     const auto fixed = gemm::estimate_with_tile(p, gpu::largest_tile(),
                                                 ctx.gpu());
-    const auto chosen = gemm::select_kernel(p, ctx.gpu());
+    const auto chosen = autotile.prepared().estimate_one(p);
     tb.new_row()
         .cell(n)
         .cell(fixed.tflops(), 1)
@@ -91,12 +95,13 @@ CODESIGN_BENCH_CASES(fig05_gemm_sweep) {
            "fine-grained fixed-tile vs auto-tile sweep (wave quantization)",
            {benchlib::kSuiteFig},
            [](benchlib::CaseContext& c) {
+             const gemm::GemmSimulator autotile(c.gpu());
              for (std::int64_t n = 1280; n <= 4096; n += 128) {
                const auto p = GemmProblem::gemm(n, n, n);
                c.consume(gemm::estimate_with_tile(p, gpu::largest_tile(),
                                                   c.gpu())
                              .tflops());
-               c.consume(gemm::select_kernel(p, c.gpu()).tflops());
+               c.consume(autotile.prepared().estimate_one(p).tflops());
              }
            }});
 }

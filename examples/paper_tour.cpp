@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
 
     // 5. Wave quantization, the least-known effect.
     const auto b = gemm::explain_gemm(
-        gemm::GemmProblem::gemm(1920, 1920, 1920), sim.gpu());
+        gemm::GemmProblem::gemm(1920, 1920, 1920), sim);
     std::cout << "5. Why is a 1920^3 GEMM slow? Factor it:\n"
               << b.to_string()
               << "   (the wave_quantization factor is the saw-tooth of "

@@ -177,15 +177,10 @@ std::vector<RuleResult> check_rules(const TransformerConfig& c,
   return out;
 }
 
-bool satisfies_performance_rules(const TransformerConfig& config,
+bool satisfies_performance_rules(const tfm::ValidatedConfig& valid,
                                  const RuleContext& ctx) {
-  config.validate();
   CODESIGN_CHECK(ctx.pipeline_stages >= 1, "pipeline_stages must be >= 1");
-  return satisfies_performance_rules_unchecked(config, ctx);
-}
-
-bool satisfies_performance_rules_unchecked(const TransformerConfig& config,
-                                           const RuleContext& ctx) {
+  const TransformerConfig& config = *valid;
   // The same pass/fail verdict a fold over check_rules() gives, without
   // formatting any of the diagnostic messages — this predicate runs once
   // per candidate on the search hot path. Advisory rules (2: microbatch

@@ -65,17 +65,10 @@ struct RuleContext {
 std::vector<RuleResult> check_rules(const TransformerConfig& config,
                                     const RuleContext& ctx);
 
-/// True iff every kCritical and kPerf rule passes. Validates `config`
-/// (ConfigError) and `ctx`.
-bool satisfies_performance_rules(const TransformerConfig& config,
+/// True iff every kCritical and kPerf rule passes. Passing a
+/// TransformerConfig validates it (ConfigError); `ctx` is checked too.
+bool satisfies_performance_rules(const tfm::ValidatedConfig& config,
                                  const RuleContext& ctx);
-
-/// satisfies_performance_rules for a config and context the caller has
-/// already validated: the same verdict without a second validate(). The
-/// search pipeline uses it after the candidate's layer walk has checked
-/// the config.
-bool satisfies_performance_rules_unchecked(const TransformerConfig& config,
-                                           const RuleContext& ctx);
 
 /// Count of failed rules at or above a severity.
 int count_failures(const std::vector<RuleResult>& results,

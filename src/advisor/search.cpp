@@ -55,18 +55,19 @@ ShapeScores evaluate_against(const TransformerConfig& config,
   // layer_total_time is analyze_layer's walk without the per-op records:
   // bit-identical total, none of the report the search never reads, and
   // the candidate's GEMM list resolves through one estimate_times() call
-  // against `ws`. The walk validates the config, so the parameter count
-  // and rule verdict take the unchecked forms.
-  const double layer_time = tfm::layer_total_time(config, sim, ws);
+  // against `ws`. One view validates the candidate once for the walk, the
+  // parameter count and the rule verdict.
+  const tfm::ValidatedConfig valid(config);
+  const double layer_time = tfm::layer_total_time(valid, sim, ws);
   ShapeScores s;
   s.layer_time = layer_time;
   s.layer_tflops = tfm::layer_forward_flops(ws) / layer_time / 1e12;
   s.speedup_vs_base = base.layer_time / layer_time;
-  s.param_count = static_cast<double>(tfm::exact_param_count_unchecked(config));
+  s.param_count = static_cast<double>(tfm::exact_param_count(valid));
   s.param_delta_frac = (s.param_count - base.param_count) / base.param_count;
   RuleContext ctx;
   ctx.gpu = &sim.gpu();
-  s.rules_pass = satisfies_performance_rules_unchecked(config, ctx);
+  s.rules_pass = satisfies_performance_rules(valid, ctx);
   return s;
 }
 

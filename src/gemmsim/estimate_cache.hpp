@@ -4,9 +4,9 @@
 // transformer shapes, and identical GEMM problems recur constantly across
 // candidates (a head sweep never changes the QKV or projection GEMM, a
 // hidden sweep re-visits the same attention BMMs, the joint grid repeats
-// both). select_kernel() walks the whole tile catalogue per call, so
-// memoizing (problem, policy, GPU) → KernelEstimate turns the dominant cost
-// of the search hot path into a hash lookup.
+// both). Each miss runs a tile-catalogue scan (PreparedCatalogue), so
+// memoizing (problem, policy, GPU) → KernelEstimate turns that scan into a
+// hash lookup.
 //
 // Keying and invalidation rules (see docs/search_pipeline.md):
 //   * The key is the full GemmProblem value, the tile-selection policy, and

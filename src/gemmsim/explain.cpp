@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
+#include "gemmsim/simulator.hpp"
 #include "gpuarch/tensor_core.hpp"
 
 namespace codesign::gemm {
@@ -16,10 +17,11 @@ double EfficiencyBreakdown::total_factor() const {
 }
 
 EfficiencyBreakdown explain_gemm(const GemmProblem& problem,
-                                 const gpu::GpuSpec& gpu) {
+                                 const GemmSimulator& sim) {
   problem.validate();
+  const gpu::GpuSpec& gpu = sim.gpu();
   EfficiencyBreakdown b;
-  b.estimate = select_kernel(problem, gpu);
+  b.estimate = sim.prepared().estimate_one(problem);
   const KernelEstimate& e = b.estimate;
 
   const double peak = std::max(gpu.tensor_flops(problem.dtype),

@@ -20,6 +20,8 @@
 
 namespace codesign::gemm {
 
+class GemmSimulator;
+
 /// The modelled losses, in the order explain_gemm() multiplies them out.
 enum class Factor {
   kAchievable,
@@ -53,8 +55,10 @@ struct EfficiencyBreakdown {
   std::string to_string() const;
 };
 
-/// Explain the selected kernel for `problem` on `gpu`.
+/// Explain the kernel `sim` selects for `problem` on its GPU. Reads the
+/// simulator's tile scan directly, so it bumps no gemmsim.estimate.*
+/// series and counts no RequestScope estimate.
 EfficiencyBreakdown explain_gemm(const GemmProblem& problem,
-                                 const gpu::GpuSpec& gpu);
+                                 const GemmSimulator& sim);
 
 }  // namespace codesign::gemm

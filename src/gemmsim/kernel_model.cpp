@@ -1,81 +1,8 @@
 #include "gemmsim/kernel_model.hpp"
 
-#include <algorithm>
-#include <cstdio>
-
 #include "common/error.hpp"
-#include "common/failpoint.hpp"
-#include "obs/events.hpp"
-#include "obs/metrics.hpp"
 
 namespace codesign::gemm {
-
-namespace {
-
-std::string format_arg(const char* fmt, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), fmt, v);
-  return buf;
-}
-
-/// The kernel-selection decision trail: one instant event per candidate
-/// tile with the efficiency factors the model weighed and why it lost (or
-/// won). Counters here are kBestEffort: with a cache attached the catalogue
-/// walk only happens on misses, so the counts depend on hit patterns.
-///
-/// All trace-formatting work (problem.to_string(), the per-tile arg
-/// strings) lives strictly behind the `recorder == nullptr` early-out:
-/// a --metrics run without --trace pays for two counter bumps and nothing
-/// else. GemmSimulator only takes this walk under a trace; untraced
-/// estimates run PreparedCatalogue's scan.
-void record_selection_trail(const GemmProblem& problem,
-                            const std::vector<KernelEstimate>& all,
-                            std::size_t best_index,
-                            obs::EventRecorder* recorder) {
-  if (obs::MetricsRegistry::enabled()) {
-    auto& reg = obs::MetricsRegistry::global();
-    reg.counter("gemmsim.select.computed", {}, obs::Stability::kBestEffort)
-        .add();
-    reg.counter("gemmsim.select.candidates", {}, obs::Stability::kBestEffort)
-        .add(all.size());
-  }
-  if (recorder == nullptr) return;
-  const double origin_us = obs::EventRecorder::time_origin_us();
-  const KernelEstimate& best = all[best_index];
-  const std::string gemm = problem.to_string();
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    const KernelEstimate& e = all[i];
-    obs::TraceEvent ev;
-    ev.name = e.tile.name();
-    ev.category = "select";
-    ev.phase = 'i';
-    ev.tid = obs::kTidSelection;
-    ev.ts_us = origin_us;
-    ev.clock = obs::EventClock::kSimulated;
-    ev.args.emplace_back("gemm", gemm);
-    ev.args.emplace_back("predicted_us", format_arg("%.4f", e.time * 1e6));
-    ev.args.emplace_back("alignment",
-                         format_arg("%.4f", e.alignment.combined));
-    ev.args.emplace_back(
-        "tile_quant_waste",
-        format_arg("%.4f", e.tile_q.wasted_compute_fraction));
-    ev.args.emplace_back("wave_efficiency",
-                         format_arg("%.4f", e.wave_q.efficiency));
-    ev.args.emplace_back("bound", bound_name(e.bound));
-    if (i == best_index) {
-      ev.args.emplace_back("verdict", "selected");
-    } else {
-      ev.args.emplace_back(
-          "verdict",
-          "rejected: " +
-              format_arg("%.1f", 100.0 * (e.time / best.time - 1.0)) +
-              "% slower than " + best.tile.name());
-    }
-    recorder->record(std::move(ev));
-  }
-}
-
-}  // namespace
 
 double KernelEstimate::flops_per_second() const {
   return time > 0.0 ? problem.flops() / time : 0.0;
@@ -155,35 +82,6 @@ KernelEstimate estimate_with_tile(const GemmProblem& problem,
   e.time = timing.time;
   e.bound = timing.bound;
   return e;
-}
-
-std::vector<KernelEstimate> estimate_all_tiles(
-    const GemmProblem& problem, const gpu::GpuSpec& gpu,
-    const std::vector<gpu::TileConfig>& catalogue) {
-  CODESIGN_CHECK(!catalogue.empty(), "tile catalogue must not be empty");
-  std::vector<KernelEstimate> out;
-  out.reserve(catalogue.size());
-  for (const gpu::TileConfig& tile : catalogue) {
-    out.push_back(estimate_with_tile(problem, tile, gpu));
-  }
-  return out;
-}
-
-KernelEstimate select_kernel(const GemmProblem& problem,
-                             const gpu::GpuSpec& gpu,
-                             const std::vector<gpu::TileConfig>& catalogue) {
-  CODESIGN_FAILPOINT_T("gemmsim.select_kernel", problem.hash_value());
-  const std::vector<KernelEstimate> all =
-      estimate_all_tiles(problem, gpu, catalogue);
-  const auto best = std::min_element(
-      all.begin(), all.end(),
-      [](const KernelEstimate& a, const KernelEstimate& b) {
-        return a.time < b.time;  // strict: ties keep the earlier entry
-      });
-  record_selection_trail(problem, all,
-                         static_cast<std::size_t>(best - all.begin()),
-                         obs::EventRecorder::active());
-  return *best;
 }
 
 }  // namespace codesign::gemm

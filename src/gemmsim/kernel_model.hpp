@@ -8,14 +8,14 @@
 //   4. roofline            — take the max of compute and memory time
 //   5. launch overhead     — a floor for tiny kernels
 //
-// select_kernel() mimics the cuBLAS/cuBLASLt heuristic by evaluating the
-// whole tile catalogue and returning the fastest predicted configuration;
-// restricting the catalogue to the single largest tile models the fixed-
-// tile behaviour of Fig 5b, the full catalogue the smoothing of Fig 5c.
+// PreparedCatalogue (prepared_catalogue.hpp) mimics the cuBLAS/cuBLASLt
+// heuristic: it times the tile catalogue through this model and keeps the
+// fastest predicted configuration. Restricting the catalogue to the single
+// largest tile models the fixed-tile behaviour of Fig 5b, the full
+// catalogue the smoothing of Fig 5c.
 #pragma once
 
 #include <algorithm>
-#include <vector>
 
 #include "common/error.hpp"
 #include "gemmsim/gemm_problem.hpp"
@@ -86,10 +86,10 @@ KernelEstimate estimate_with_tile(const GemmProblem& problem,
 
 /// Problem-level terms of the tile loop — everything in the latency model
 /// that does not depend on the candidate tile, computed once per problem
-/// and shared across the whole catalogue. The reference path
-/// (estimate_with_tile) and the scan (PreparedCatalogue) both feed these
-/// into tile_timing(), which is what makes their results bit-identical by
-/// construction rather than by accident.
+/// and shared across the whole catalogue. estimate_with_tile() and the
+/// scan (PreparedCatalogue) both feed these into tile_timing(), which is
+/// what makes their results bit-identical by construction rather than by
+/// accident.
 struct ProblemTerms {
   gpu::AlignmentEfficiency alignment;
   double math_base = 0.0;   ///< effective_math_rate(alignment, dtype, gpu)
@@ -160,17 +160,5 @@ inline TileTiming tile_timing(const TileQuantization& tile_q,
   }
   return out;
 }
-
-/// Evaluate every tile in `catalogue` and return the fastest. Deterministic:
-/// ties resolve to the earlier catalogue entry. The reference walk, with the
-/// selection trail; PreparedCatalogue's pruned scan returns the same.
-KernelEstimate select_kernel(
-    const GemmProblem& problem, const gpu::GpuSpec& gpu,
-    const std::vector<gpu::TileConfig>& catalogue = gpu::default_tile_catalogue());
-
-/// All candidate estimates (for introspection / ablation benches).
-std::vector<KernelEstimate> estimate_all_tiles(
-    const GemmProblem& problem, const gpu::GpuSpec& gpu,
-    const std::vector<gpu::TileConfig>& catalogue = gpu::default_tile_catalogue());
 
 }  // namespace codesign::gemm

@@ -2,15 +2,92 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <limits>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "common/math_util.hpp"
 #include "gemmsim/simulator.hpp"
+#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 
 namespace codesign::gemm {
+
+namespace {
+
+/// A gemmsim.select.* counter. kBestEffort: with a cache attached a
+/// selection only runs on misses, so the counts depend on hit patterns.
+obs::Counter& select_counter(const char* name) {
+  return obs::MetricsRegistry::global().counter(name, {},
+                                                obs::Stability::kBestEffort);
+}
+
+std::string format_arg(const char* fmt, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), fmt, v);
+  return buf;
+}
+
+/// The traced selection: every tile timed through estimate_with_tile(),
+/// unpruned, then the kernel-selection decision trail — one instant event
+/// per tile in catalogue order, with the efficiency factors the model
+/// weighed and why the tile lost (or won). Returns the winning index;
+/// ties keep the earlier entry, as in the scan. Prunes nothing, so it
+/// leaves gemmsim.select.pruned alone.
+std::size_t select_traced(const GemmProblem& problem, const gpu::GpuSpec& gpu,
+                          const std::vector<gpu::TileConfig>& tiles,
+                          obs::EventRecorder& recorder, double* best_time) {
+  std::vector<KernelEstimate> all;
+  all.reserve(tiles.size());
+  std::size_t best_index = 0;
+  for (std::size_t i = 0; i < tiles.size(); ++i) {
+    all.push_back(estimate_with_tile(problem, tiles[i], gpu));
+    if (all[i].time < all[best_index].time) best_index = i;
+  }
+  if (obs::MetricsRegistry::enabled()) {
+    select_counter("gemmsim.select.computed").add();
+    select_counter("gemmsim.select.candidates").add(all.size());
+  }
+  const double origin_us = obs::EventRecorder::time_origin_us();
+  const KernelEstimate& best = all[best_index];
+  const std::string gemm = problem.to_string();
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const KernelEstimate& e = all[i];
+    obs::TraceEvent ev;
+    ev.name = e.tile.name();
+    ev.category = "select";
+    ev.phase = 'i';
+    ev.tid = obs::kTidSelection;
+    ev.ts_us = origin_us;
+    ev.clock = obs::EventClock::kSimulated;
+    ev.args.emplace_back("gemm", gemm);
+    ev.args.emplace_back("predicted_us", format_arg("%.4f", e.time * 1e6));
+    ev.args.emplace_back("alignment",
+                         format_arg("%.4f", e.alignment.combined));
+    ev.args.emplace_back(
+        "tile_quant_waste",
+        format_arg("%.4f", e.tile_q.wasted_compute_fraction));
+    ev.args.emplace_back("wave_efficiency",
+                         format_arg("%.4f", e.wave_q.efficiency));
+    ev.args.emplace_back("bound", bound_name(e.bound));
+    if (i == best_index) {
+      ev.args.emplace_back("verdict", "selected");
+    } else {
+      ev.args.emplace_back(
+          "verdict",
+          "rejected: " +
+              format_arg("%.1f", 100.0 * (e.time / best.time - 1.0)) +
+              "% slower than " + best.tile.name());
+    }
+    recorder.record(std::move(ev));
+  }
+  *best_time = best.time;
+  return best_index;
+}
+
+}  // namespace
 
 PreparedCatalogue::PreparedCatalogue(
     const gpu::GpuSpec& gpu, TilePolicy policy,
@@ -42,13 +119,16 @@ PreparedCatalogue::PreparedCatalogue(
 std::size_t PreparedCatalogue::select(const GemmProblem& problem,
                                       double* best_time) const {
   const bool selecting = policy_ == TilePolicy::kAuto;
-  // Mirror select_kernel: the failpoint fires per selection with the
-  // problem hash as its token, so prob:P:seed drills skip the same
-  // candidates on every path.
+  // The failpoint fires per selection with the problem hash as its token,
+  // so prob:P:seed drills skip the same candidates on every path.
   if (selecting) {
     CODESIGN_FAILPOINT_T("gemmsim.select_kernel", problem.hash_value());
   }
   problem.validate();
+  if (obs::EventRecorder* recorder = obs::EventRecorder::active();
+      selecting && recorder != nullptr) {
+    return select_traced(problem, *gpu_, tiles_, *recorder, best_time);
+  }
   const ProblemTerms terms = problem_terms(
       problem, *gpu_,
       alignment_.evaluate(problem.m, problem.n, problem.k, problem.dtype));
@@ -112,16 +192,12 @@ std::size_t PreparedCatalogue::select(const GemmProblem& problem,
   }
 
   if (selecting && obs::MetricsRegistry::enabled()) {
-    // kBestEffort: with a cache attached the scan only runs on misses.
     // Resolved once (registry references live as long as the registry), so
     // a metrics-on scan takes no registry lock.
-    const auto series = [](const char* name) -> obs::Counter& {
-      return obs::MetricsRegistry::global().counter(
-          name, {}, obs::Stability::kBestEffort);
-    };
-    static obs::Counter& computed = series("gemmsim.select.computed");
-    static obs::Counter& candidates = series("gemmsim.select.candidates");
-    static obs::Counter& pruned = series("gemmsim.select.pruned");
+    static obs::Counter& computed = select_counter("gemmsim.select.computed");
+    static obs::Counter& candidates =
+        select_counter("gemmsim.select.candidates");
+    static obs::Counter& pruned = select_counter("gemmsim.select.pruned");
     computed.add();
     candidates.add(tiles_.size());
     pruned.add(tiles_.size() - visited);

@@ -1,10 +1,10 @@
-// prepared_catalogue.hpp — the one tile scan behind every untraced estimate.
+// prepared_catalogue.hpp — the one tile-selection loop.
 //
-// GemmSimulator::estimate() on a cache miss and the batched estimate_many /
-// estimate_times pick their tile here. A PreparedCatalogue binds one
-// (GpuSpec, TilePolicy) pair to its tile list and a gpu::AlignmentTable,
-// built once and shared, so a scan allocates nothing and skips the
-// alignment ladder walk.
+// Every estimate picks its tile here: GemmSimulator::estimate() on a cache
+// miss, the batched estimate_many / estimate_times, and explain_gemm(). A
+// PreparedCatalogue binds one (GpuSpec, TilePolicy) pair to its tile list
+// and a gpu::AlignmentTable, built once and shared, so a scan allocates
+// nothing and skips the alignment ladder walk.
 //
 // The scan is pruned but exact. Before timing tile i it evaluates
 //   bound_i = max(2·m·n·k·batch / (math_base·eff_i),
@@ -17,10 +17,16 @@
 // the catalogue (checked at construction) the bounds never decrease and the
 // scan stops at the first skip. Power-of-two tile dims quantize by shifts.
 //
+// Under kAuto with an obs::EventRecorder installed the scan prunes nothing:
+// it times every tile through estimate_with_tile() and records the
+// kernel-selection trail, one "select" event per tile in catalogue order
+// (docs/OBSERVABILITY.md).
+//
 // Determinism contract (docs/search_pipeline.md): estimate_one() is
-// bit-identical to the reference walk (select_kernel under kAuto,
-// estimate_with_tile(largest_tile) under kFixedLargest) — asserted
-// field-for-field by tests/test_estimate_many.cpp.
+// bit-identical to timing every tile with estimate_with_tile() and keeping
+// the first fastest (kAuto), or to estimate_with_tile(largest_tile)
+// (kFixedLargest), traced or not — asserted field-for-field against the
+// exhaustive walk in tests/support/reference_select.hpp.
 #pragma once
 
 #include <vector>
@@ -50,17 +56,18 @@ class PreparedCatalogue {
   TilePolicy policy() const { return policy_; }
   std::size_t tile_count() const { return tiles_.size(); }
 
-  /// Full estimate for one problem — bit-identical to the reference walk.
-  /// Fires the gemmsim.select_kernel failpoint under kAuto exactly as
-  /// select_kernel does, so fault drills land on the same candidates.
+  /// Full estimate for one problem — bit-identical to the exhaustive walk.
+  /// Fires the gemmsim.select_kernel failpoint once per selection under
+  /// kAuto, so fault drills land on the same candidates on every path.
   KernelEstimate estimate_one(const GemmProblem& problem) const;
 
   /// Just the winning time: bit-identical to estimate_one(problem).time.
   double time_one(const GemmProblem& problem) const;
 
  private:
-  /// The shared preamble (failpoint, validation, metrics) and the scan;
-  /// returns the winning tile's index and stores its time in `best_time`.
+  /// The shared preamble (failpoint, validation, metrics) and the scan, or
+  /// the traced walk under a recorder; returns the winning tile's index
+  /// and stores its time in `best_time`.
   std::size_t select(const GemmProblem& problem, double* best_time) const;
 
   const gpu::GpuSpec* gpu_;  ///< registry- or caller-owned, never null

@@ -41,15 +41,8 @@ void record_estimate_metrics(const KernelEstimate& est) {
 }  // namespace
 
 KernelEstimate GemmSimulator::estimate(const GemmProblem& problem) const {
-  const auto compute = [&] {
-    // Under a trace the reference walk records the per-tile selection
-    // trail; otherwise the pruned scan picks the same tile.
-    if (policy_ == TilePolicy::kAuto &&
-        obs::EventRecorder::active() != nullptr) {
-      return select_kernel(problem, *gpu_);
-    }
-    return prepared_->estimate_one(problem);
-  };
+  // Under a trace the scan records the per-tile selection trail.
+  const auto compute = [&] { return prepared_->estimate_one(problem); };
   KernelEstimate est;
   if (cache_ != nullptr) {
     est = cache_->get_or_compute(EstimateCache::Key{problem, policy_, gpu_},
@@ -95,10 +88,11 @@ void GemmSimulator::estimate_many(std::span<const GemmProblem> problems,
   const std::size_t n = problems.size();
   if (n == 0) return;
   if (obs::EventRecorder::active() != nullptr) {
-    // Trace fidelity: the selection trail emits one event per candidate
-    // tile per uncached selection, interleaved with cache probes in scalar
-    // order. Reproducing that from the batch would re-derive the scalar
-    // path, so traced runs just take it.
+    // Trace fidelity: the scan emits one selection trail per uncached
+    // selection. With a cache, a batch that holds one problem twice (a
+    // SwiGLU layer's up and gate GEMMs) computes it twice, so it would
+    // record two trails where the scalar path records one; traced runs
+    // take the scalar path.
     for (std::size_t i = 0; i < n; ++i) out[i] = estimate(problems[i]);
     return;
   }

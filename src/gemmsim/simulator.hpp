@@ -92,7 +92,7 @@ class GemmSimulator {
   double sequence_latency(std::span<const GemmProblem> problems,
                           BatchWorkspace& workspace) const;
 
-  /// The prepared catalogue whose scan every untraced cache miss runs.
+  /// The prepared catalogue whose scan every cache miss runs.
   const PreparedCatalogue& prepared() const { return *prepared_; }
 
   /// Discrete-event cross-check of the analytical estimate.

@@ -99,20 +99,4 @@ DesResult simulate_kernel(const GemmProblem& problem,
   return r;
 }
 
-double simulate_kernel_sequence(const std::vector<GemmProblem>& problems,
-                                const gpu::GpuSpec& gpu,
-                                const DesOptions& options) {
-  CODESIGN_CHECK(!problems.empty(), "kernel sequence must not be empty");
-  double total = 0.0;
-  DesOptions opt = options;
-  for (const GemmProblem& p : problems) {
-    const KernelEstimate best = select_kernel(p, gpu);
-    const DesResult r = simulate_kernel(p, best.tile, gpu, opt);
-    total += r.makespan + gpu.kernel_launch_overhead;
-    // Decorrelate noise across kernels deterministically.
-    opt.seed = opt.seed * 6364136223846793005ULL + 1442695040888963407ULL;
-  }
-  return total;
-}
-
 }  // namespace codesign::gemm

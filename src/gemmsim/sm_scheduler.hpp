@@ -45,11 +45,4 @@ DesResult simulate_kernel(const GemmProblem& problem,
                           const gpu::GpuSpec& gpu,
                           const DesOptions& options = {});
 
-/// Simulate a back-to-back sequence of kernels on one stream (each kernel
-/// waits for the previous; launch overhead separates them). Returns total
-/// stream time. Used by the layer-pipeline integration tests.
-double simulate_kernel_sequence(const std::vector<GemmProblem>& problems,
-                                const gpu::GpuSpec& gpu,
-                                const DesOptions& options = {});
-
 }  // namespace codesign::gemm

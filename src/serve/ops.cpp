@@ -80,7 +80,7 @@ void render_estimate(std::ostream& os, const gemm::GemmProblem& problem,
 
 void render_explain(std::ostream& os, const gemm::GemmProblem& problem,
                     const gemm::GemmSimulator& sim) {
-  os << gemm::explain_gemm(problem, sim.gpu()).to_string();
+  os << gemm::explain_gemm(problem, sim).to_string();
 }
 
 int report_sweep_outcome(std::ostream& os,

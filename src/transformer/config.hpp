@@ -107,4 +107,25 @@ struct TransformerConfig {
   bool operator==(const TransformerConfig&) const = default;
 };
 
+/// Proof that a TransformerConfig passed validate(): the one validation
+/// boundary of the layer walk, the Table-II builders, the parameter count
+/// and the rule verdict. A non-owning view whose only constructor runs
+/// validate() (ConfigError on failure). The constructor is implicit, so
+/// `f(config)` validates at the call; code that already holds a view
+/// passes it on and the config is checked once. The viewed config must
+/// outlive the view.
+class ValidatedConfig {
+ public:
+  ValidatedConfig(const TransformerConfig& config)  // NOLINT: implicit
+      : config_(&config) {
+    config.validate();
+  }
+
+  const TransformerConfig& operator*() const { return *config_; }
+  const TransformerConfig* operator->() const { return config_; }
+
+ private:
+  const TransformerConfig* config_;
+};
+
 }  // namespace codesign::tfm

@@ -47,119 +47,73 @@ bool op_is_gemm(LayerOp op) {
   }
 }
 
-namespace {
-
-// The Table-II shapes for a config the caller has already validated. The
-// public builders below validate and delegate; layer_ops_into and
-// layer_gemms validate once and call these directly, so a layer walk
-// checks its config once instead of once per builder.
-
-GemmProblem qkv_shape(const TransformerConfig& c) {
+GemmProblem qkv_gemm(const ValidatedConfig& c) {
   // (b·s, h) × (h, (h + 2·kv·d)/t) — the classic (h, 3h/t) for MHA; GQA
   // shrinks the K and V slices.
-  return GemmProblem::gemm(c.tokens(), c.qkv_width() / c.tensor_parallel,
-                           c.hidden_size, c.dtype);
+  return GemmProblem::gemm(c->tokens(), c->qkv_width() / c->tensor_parallel,
+                           c->hidden_size, c->dtype);
 }
 
-GemmProblem attention_score_shape(const TransformerConfig& c) {
+GemmProblem attention_score_bmm(const ValidatedConfig& c) {
   // b·a/t batched (s, h/a) × (h/a, s)
-  return GemmProblem::bmm(c.microbatch * c.heads_per_tp(), c.seq_len,
-                          c.seq_len, c.head_dim(), c.dtype);
+  return GemmProblem::bmm(c->microbatch * c->heads_per_tp(), c->seq_len,
+                          c->seq_len, c->head_dim(), c->dtype);
 }
 
-GemmProblem attention_over_value_shape(const TransformerConfig& c) {
+GemmProblem attention_over_value_bmm(const ValidatedConfig& c) {
   // b·a/t batched (s, s) × (s, h/a)
-  return GemmProblem::bmm(c.microbatch * c.heads_per_tp(), c.seq_len,
-                          c.head_dim(), c.seq_len, c.dtype);
+  return GemmProblem::bmm(c->microbatch * c->heads_per_tp(), c->seq_len,
+                          c->head_dim(), c->seq_len, c->dtype);
 }
 
-GemmProblem post_attn_projection_shape(const TransformerConfig& c) {
+GemmProblem post_attn_projection_gemm(const ValidatedConfig& c) {
   // (b·s, h/t) × (h/t, h)
-  return GemmProblem::gemm(c.tokens(), c.hidden_size, c.hidden_per_tp(),
-                           c.dtype);
+  return GemmProblem::gemm(c->tokens(), c->hidden_size, c->hidden_per_tp(),
+                           c->dtype);
 }
 
-GemmProblem mlp_up_shape(const TransformerConfig& c) {
+GemmProblem mlp_up_gemm(const ValidatedConfig& c) {
   // (b·s, h) × (h, d_ff/t)
-  return GemmProblem::gemm(c.tokens(), c.d_ff() / c.tensor_parallel,
-                           c.hidden_size, c.dtype);
+  return GemmProblem::gemm(c->tokens(), c->d_ff() / c->tensor_parallel,
+                           c->hidden_size, c->dtype);
 }
 
-GemmProblem mlp_down_shape(const TransformerConfig& c) {
+GemmProblem mlp_down_gemm(const ValidatedConfig& c) {
   // (b·s, d_ff/t) × (d_ff/t, h)
-  return GemmProblem::gemm(c.tokens(), c.hidden_size,
-                           c.d_ff() / c.tensor_parallel, c.dtype);
+  return GemmProblem::gemm(c->tokens(), c->hidden_size,
+                           c->d_ff() / c->tensor_parallel, c->dtype);
 }
 
-FlashAttentionProblem flash_attention_shape(const TransformerConfig& c) {
+GemmProblem logit_gemm(const ValidatedConfig& c) {
+  // (b·s, h) × (h, v/t) — vocab-parallel under tensor parallelism.
+  return GemmProblem::gemm(c->tokens(), c->vocab_size / c->tensor_parallel,
+                           c->hidden_size, c->dtype);
+}
+
+FlashAttentionProblem flash_attention_problem(const ValidatedConfig& c) {
   FlashAttentionProblem p;
-  p.batch = c.microbatch;
-  p.heads = c.heads_per_tp();
-  p.seq = c.seq_len;
-  p.head_dim = c.head_dim();
-  p.causal = c.kind == ModelKind::kDecoder;  // encoders are bidirectional
-  p.dtype = c.dtype;
+  p.batch = c->microbatch;
+  p.heads = c->heads_per_tp();
+  p.seq = c->seq_len;
+  p.head_dim = c->head_dim();
+  p.causal = c->kind == ModelKind::kDecoder;  // encoders are bidirectional
+  p.dtype = c->dtype;
   return p;
 }
 
-}  // namespace
-
-GemmProblem qkv_gemm(const TransformerConfig& c) {
-  c.validate();
-  return qkv_shape(c);
-}
-
-GemmProblem attention_score_bmm(const TransformerConfig& c) {
-  c.validate();
-  return attention_score_shape(c);
-}
-
-GemmProblem attention_over_value_bmm(const TransformerConfig& c) {
-  c.validate();
-  return attention_over_value_shape(c);
-}
-
-GemmProblem post_attn_projection_gemm(const TransformerConfig& c) {
-  c.validate();
-  return post_attn_projection_shape(c);
-}
-
-GemmProblem mlp_up_gemm(const TransformerConfig& c) {
-  c.validate();
-  return mlp_up_shape(c);
-}
-
-GemmProblem mlp_down_gemm(const TransformerConfig& c) {
-  c.validate();
-  return mlp_down_shape(c);
-}
-
-GemmProblem logit_gemm(const TransformerConfig& c) {
-  c.validate();
-  // (b·s, h) × (h, v/t) — vocab-parallel under tensor parallelism.
-  return GemmProblem::gemm(c.tokens(), c.vocab_size / c.tensor_parallel,
-                           c.hidden_size, c.dtype);
-}
-
-FlashAttentionProblem flash_attention_problem(const TransformerConfig& c) {
-  c.validate();
-  return flash_attention_shape(c);
-}
-
-std::vector<GemmProblem> layer_gemms(const TransformerConfig& c) {
-  c.validate();
+std::vector<GemmProblem> layer_gemms(const ValidatedConfig& c) {
   std::vector<GemmProblem> out;
-  out.push_back(qkv_shape(c));
-  if (c.attention == AttentionImpl::kBmm) {
-    out.push_back(attention_score_shape(c));
-    out.push_back(attention_over_value_shape(c));
+  out.push_back(qkv_gemm(c));
+  if (c->attention == AttentionImpl::kBmm) {
+    out.push_back(attention_score_bmm(c));
+    out.push_back(attention_over_value_bmm(c));
   }
-  out.push_back(post_attn_projection_shape(c));
-  out.push_back(mlp_up_shape(c));
-  if (c.activation == Activation::kSwiGlu) {
-    out.push_back(mlp_up_shape(c));  // the gate twin has the same shape
+  out.push_back(post_attn_projection_gemm(c));
+  out.push_back(mlp_up_gemm(c));
+  if (c->activation == Activation::kSwiGlu) {
+    out.push_back(mlp_up_gemm(c));  // the gate twin has the same shape
   }
-  out.push_back(mlp_down_shape(c));
+  out.push_back(mlp_down_gemm(c));
   return out;
 }
 
@@ -198,8 +152,8 @@ std::vector<MappedOp> layer_ops(const TransformerConfig& c) {
   return ops;
 }
 
-void layer_ops_into(const TransformerConfig& c, std::vector<MappedOp>& ops) {
-  c.validate();
+void layer_ops_into(const ValidatedConfig& valid, std::vector<MappedOp>& ops) {
+  const TransformerConfig& c = *valid;
   const double h = static_cast<double>(c.hidden_size);
   const double h_tp = static_cast<double>(c.hidden_per_tp());
   const double ff_tp = static_cast<double>(c.d_ff() / c.tensor_parallel);
@@ -214,7 +168,7 @@ void layer_ops_into(const TransformerConfig& c, std::vector<MappedOp>& ops) {
   ops.push_back(elementwise_op(LayerOp::kLayerNorm1,
                                2.0 * act_bytes(c, h), 5.0 * bs * h));
 
-  ops.push_back(gemm_op(LayerOp::kQkvTransform, qkv_shape(c)));
+  ops.push_back(gemm_op(LayerOp::kQkvTransform, qkv_gemm(valid)));
 
   if (c.pos_embedding == PosEmbedding::kRotary) {
     // Rotate Q and K in place: read + write of 2 of the 3 QKV streams.
@@ -225,23 +179,23 @@ void layer_ops_into(const TransformerConfig& c, std::vector<MappedOp>& ops) {
   if (c.attention == AttentionImpl::kFlash) {
     MappedOp m;
     m.op = LayerOp::kFlashAttention;
-    m.flash = flash_attention_shape(c);
+    m.flash = flash_attention_problem(valid);
     m.flops = m.flash->flops();
     ops.push_back(std::move(m));
   } else {
     ops.push_back(
-        gemm_op(LayerOp::kAttentionScore, attention_score_shape(c)));
+        gemm_op(LayerOp::kAttentionScore, attention_score_bmm(valid)));
     // Softmax materializes the (b·a/t, s, s) score tensor: read + write.
     const double score_bytes =
         2.0 * static_cast<double>(c.microbatch) * heads_tp * s * s * e;
     ops.push_back(elementwise_op(LayerOp::kSoftmax, score_bytes,
                                  5.0 * c.microbatch * heads_tp * s * s));
     ops.push_back(
-        gemm_op(LayerOp::kAttentionOverValue, attention_over_value_shape(c)));
+        gemm_op(LayerOp::kAttentionOverValue, attention_over_value_bmm(valid)));
   }
 
   ops.push_back(
-      gemm_op(LayerOp::kPostAttnProjection, post_attn_projection_shape(c)));
+      gemm_op(LayerOp::kPostAttnProjection, post_attn_projection_gemm(valid)));
 
   // Residual add: read both operands, write the sum.
   ops.push_back(elementwise_op(LayerOp::kResidualAdd1,
@@ -250,9 +204,9 @@ void layer_ops_into(const TransformerConfig& c, std::vector<MappedOp>& ops) {
   ops.push_back(elementwise_op(LayerOp::kLayerNorm2,
                                2.0 * act_bytes(c, h), 5.0 * bs * h));
 
-  ops.push_back(gemm_op(LayerOp::kMlpUp, mlp_up_shape(c)));
+  ops.push_back(gemm_op(LayerOp::kMlpUp, mlp_up_gemm(valid)));
   if (c.activation == Activation::kSwiGlu) {
-    ops.push_back(gemm_op(LayerOp::kMlpGate, mlp_up_shape(c)));
+    ops.push_back(gemm_op(LayerOp::kMlpGate, mlp_up_gemm(valid)));
     // swiglu combine: read gate + up, write one stream.
     ops.push_back(elementwise_op(LayerOp::kActivation,
                                  3.0 * act_bytes(c, ff_tp),
@@ -263,14 +217,14 @@ void layer_ops_into(const TransformerConfig& c, std::vector<MappedOp>& ops) {
                                  2.0 * act_bytes(c, ff_tp),
                                  8.0 * bs * ff_tp));
   }
-  ops.push_back(gemm_op(LayerOp::kMlpDown, mlp_down_shape(c)));
+  ops.push_back(gemm_op(LayerOp::kMlpDown, mlp_down_gemm(valid)));
 
   ops.push_back(elementwise_op(LayerOp::kResidualAdd2,
                                3.0 * act_bytes(c, h), bs * h));
 }
 
 std::vector<MappedOp> model_level_ops(const TransformerConfig& c) {
-  c.validate();
+  const ValidatedConfig valid(c);
   const double h = static_cast<double>(c.hidden_size);
   std::vector<MappedOp> ops;
   // Embedding lookup: gather b·s rows of h (read) + write; positional add
@@ -282,7 +236,7 @@ std::vector<MappedOp> model_level_ops(const TransformerConfig& c) {
   ops.push_back(elementwise_op(LayerOp::kFinalLayerNorm,
                                2.0 * act_bytes(c, h),
                                5.0 * static_cast<double>(c.tokens()) * h));
-  ops.push_back(gemm_op(LayerOp::kLogitProjection, logit_gemm(c)));
+  ops.push_back(gemm_op(LayerOp::kLogitProjection, logit_gemm(valid)));
   return ops;
 }
 

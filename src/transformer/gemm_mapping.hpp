@@ -64,30 +64,31 @@ struct MappedOp {
   bool is_gemm() const { return gemm.has_value(); }
 };
 
-/// Individual Table-II constructors (all validated against `config`).
-gemm::GemmProblem qkv_gemm(const TransformerConfig& config);
-gemm::GemmProblem attention_score_bmm(const TransformerConfig& config);
-gemm::GemmProblem attention_over_value_bmm(const TransformerConfig& config);
-gemm::GemmProblem post_attn_projection_gemm(const TransformerConfig& config);
-gemm::GemmProblem mlp_up_gemm(const TransformerConfig& config);
-gemm::GemmProblem mlp_down_gemm(const TransformerConfig& config);
-gemm::GemmProblem logit_gemm(const TransformerConfig& config);
+/// Individual Table-II constructors. Each takes a ValidatedConfig, so
+/// passing a TransformerConfig validates it (ConfigError).
+gemm::GemmProblem qkv_gemm(const ValidatedConfig& config);
+gemm::GemmProblem attention_score_bmm(const ValidatedConfig& config);
+gemm::GemmProblem attention_over_value_bmm(const ValidatedConfig& config);
+gemm::GemmProblem post_attn_projection_gemm(const ValidatedConfig& config);
+gemm::GemmProblem mlp_up_gemm(const ValidatedConfig& config);
+gemm::GemmProblem mlp_down_gemm(const ValidatedConfig& config);
+gemm::GemmProblem logit_gemm(const ValidatedConfig& config);
 gemm::FlashAttentionProblem flash_attention_problem(
-    const TransformerConfig& config);
+    const ValidatedConfig& config);
 
 /// The GEMMs of one transformer layer in execution order (QKV, score, AOV,
 /// projection, MLP up [, gate], MLP down) — or with score/AOV replaced by
 /// nothing when attention == kFlash (the fused op is not a plain GEMM).
-std::vector<gemm::GemmProblem> layer_gemms(const TransformerConfig& config);
+std::vector<gemm::GemmProblem> layer_gemms(const ValidatedConfig& config);
 
 /// The complete per-layer operator schedule, including non-GEMM ops, in
 /// execution order.
 std::vector<MappedOp> layer_ops(const TransformerConfig& config);
 
-/// Allocation-reusing twin of layer_ops(): clears `out` and fills it with
+/// Allocation-reusing form of layer_ops(): clears `out` and fills it with
 /// the identical schedule, keeping the vector's capacity. The batched
 /// search hot path calls this once per candidate with a per-worker buffer.
-void layer_ops_into(const TransformerConfig& config,
+void layer_ops_into(const ValidatedConfig& config,
                     std::vector<MappedOp>& out);
 
 /// Model-level ops outside the layer stack: embedding lookup, final

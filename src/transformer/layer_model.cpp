@@ -14,10 +14,10 @@ namespace {
 /// (§VI-C1): one shared LayerNorm and one fused residual, saving the
 /// second LN's and one residual add's traffic + launches. The in-place
 /// erase preserves op order and reuses the buffer's capacity.
-void schedule_for_into(const TransformerConfig& c,
+void schedule_for_into(const ValidatedConfig& c,
                        std::vector<MappedOp>& ops) {
   layer_ops_into(c, ops);
-  if (!c.parallel_layers) return;
+  if (!c->parallel_layers) return;
   std::erase_if(ops, [](const MappedOp& op) {
     return op.op == LayerOp::kLayerNorm2 || op.op == LayerOp::kResidualAdd1;
   });
@@ -107,7 +107,7 @@ OpLatency record_op(const MappedOp& op, const gemm::GemmSimulator& sim,
 }
 
 /// The one layer walk every layer-level entry point reads. Fills ws.ops
-/// with the layer schedule (validating the config), resolves the layer's
+/// with the layer schedule of the validated config, resolves the layer's
 /// GEMMs with one batched simulator call and returns the ops' times summed
 /// in schedule order. With `records` null that call is estimate_times() —
 /// the search hot path, no per-op work beyond the sum; otherwise it is
@@ -115,7 +115,7 @@ OpLatency record_op(const MappedOp& op, const gemm::GemmSimulator& sim,
 /// batched calls equal N scalar estimate() calls bit for bit (traced runs
 /// take exactly those calls, in op order), so every reader adds the same
 /// doubles in the same order.
-double walk_layer(const TransformerConfig& config,
+double walk_layer(const ValidatedConfig& config,
                   const gemm::GemmSimulator& sim, LayerWorkspace& ws,
                   std::vector<OpLatency>* records) {
   schedule_for_into(config, ws.ops);
@@ -203,7 +203,7 @@ double LayerLatencyReport::gemm_share_of(LayerOp op) const {
   return t / gemm_time;
 }
 
-double layer_total_time(const TransformerConfig& config,
+double layer_total_time(const ValidatedConfig& config,
                         const gemm::GemmSimulator& sim, LayerWorkspace& ws) {
   return walk_layer(config, sim, ws, nullptr);
 }

@@ -103,7 +103,7 @@ struct LayerWorkspace {
 /// its GEMMs resolved by one
 /// GemmSimulator::estimate_times() call. The search hot path: a
 /// design-space sweep only ranks by this number.
-double layer_total_time(const TransformerConfig& config,
+double layer_total_time(const ValidatedConfig& config,
                         const gemm::GemmSimulator& sim, LayerWorkspace& ws);
 
 /// layer_forward_flops() of the config the last layer_total_time() call

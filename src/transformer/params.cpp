@@ -66,12 +66,8 @@ std::vector<WeightInfo> enumerate_weights(const TransformerConfig& config) {
   return out;
 }
 
-std::int64_t exact_param_count(const TransformerConfig& config) {
-  config.validate();
-  return exact_param_count_unchecked(config);
-}
-
-std::int64_t exact_param_count_unchecked(const TransformerConfig& config) {
+std::int64_t exact_param_count(const ValidatedConfig& valid) {
+  const TransformerConfig& config = *valid;
   // Closed form of the enumerate_weights() sum: every layer contributes the
   // same count, so there is no need to materialize ~12 named tensors per
   // layer just to add them up. This is the design-space search's hot path;

@@ -30,13 +30,8 @@ std::vector<WeightInfo> enumerate_weights(const TransformerConfig& config);
 
 /// Ground truth: the sum of enumerate_weights counts, computed in closed
 /// form (no per-tensor enumeration — this sits on the search hot path).
-/// Validates `config` (ConfigError).
-std::int64_t exact_param_count(const TransformerConfig& config);
-
-/// exact_param_count for a config the caller has already validated: the
-/// same count without a second validate(). The search pipeline uses it
-/// after the candidate's layer walk has checked the config.
-std::int64_t exact_param_count_unchecked(const TransformerConfig& config);
+/// Passing a TransformerConfig validates it (ConfigError).
+std::int64_t exact_param_count(const ValidatedConfig& config);
 
 /// Paper formula P = 12h²L + 13hL + (v+s)h. Exact for the GELU/4h/learned-
 /// positions architecture of §III-C; for variants (SwiGLU, rotary) prefer

@@ -3,7 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "advisor/rules.hpp"
 #include "common/error.hpp"
+#include "gemmsim/simulator.hpp"
+#include "transformer/gemm_mapping.hpp"
+#include "transformer/layer_model.hpp"
+#include "transformer/params.hpp"
 
 namespace codesign::tfm {
 namespace {
@@ -111,6 +121,57 @@ TEST(Config, HeadDimRequiresPositiveHeads) {
   TransformerConfig c = gpt3_27b();
   c.num_heads = 0;
   EXPECT_THROW(c.head_dim(), Error);
+}
+
+// Every function that takes a ValidatedConfig validates a plain config at
+// the call and throws validate()'s ConfigError with its text unchanged.
+TEST(ValidatedConfig, EveryEntryPointThrowsTheSameConfigError) {
+  TransformerConfig heads = gpt3_27b();
+  heads.name = "bad";
+  heads.num_heads = 33;  // does not divide h = 2560
+  TransformerConfig tp = gpt3_27b();
+  tp.name = "bad-tp";
+  tp.tensor_parallel = 3;  // does not divide a = 32
+  const std::vector<std::pair<TransformerConfig, std::string>> cases = {
+      {heads,
+       "TransformerConfig 'bad': hidden_size 2560 not divisible by "
+       "num_heads 33"},
+      {tp,
+       "TransformerConfig 'bad-tp': num_heads not divisible by "
+       "tensor_parallel (the paper's (b*a)/t-integral rule requires t | a)"},
+  };
+  const gemm::GemmSimulator sim = gemm::GemmSimulator::for_gpu("a100");
+  advisor::RuleContext ctx;
+  ctx.gpu = &sim.gpu();
+  for (const auto& [config, expected] : cases) {
+    const TransformerConfig& c = config;
+    LayerWorkspace ws;
+    std::vector<MappedOp> ops;
+    const std::vector<std::pair<const char*, std::function<void()>>> calls = {
+        {"qkv_gemm", [&] { qkv_gemm(c); }},
+        {"attention_score_bmm", [&] { attention_score_bmm(c); }},
+        {"attention_over_value_bmm", [&] { attention_over_value_bmm(c); }},
+        {"post_attn_projection_gemm", [&] { post_attn_projection_gemm(c); }},
+        {"mlp_up_gemm", [&] { mlp_up_gemm(c); }},
+        {"mlp_down_gemm", [&] { mlp_down_gemm(c); }},
+        {"logit_gemm", [&] { logit_gemm(c); }},
+        {"flash_attention_problem", [&] { flash_attention_problem(c); }},
+        {"layer_gemms", [&] { layer_gemms(c); }},
+        {"layer_ops_into", [&] { layer_ops_into(c, ops); }},
+        {"layer_total_time", [&] { layer_total_time(c, sim, ws); }},
+        {"exact_param_count", [&] { exact_param_count(c); }},
+        {"satisfies_performance_rules",
+         [&] { advisor::satisfies_performance_rules(c, ctx); }},
+    };
+    for (const auto& [name, call] : calls) {
+      try {
+        call();
+        ADD_FAILURE() << name << " accepted " << c.name;
+      } catch (const ConfigError& e) {
+        EXPECT_EQ(std::string(e.what()), expected) << name;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/error.hpp"
-
 #include <tuple>
 
 #include "gemmsim/kernel_model.hpp"
@@ -103,19 +101,6 @@ TEST(DesScheduler, NoiseIsDeterministicPerSeed) {
   const DesResult a = simulate_kernel(p, gpu::largest_tile(), a100(), opt);
   const DesResult b = simulate_kernel(p, gpu::largest_tile(), a100(), opt);
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
-}
-
-TEST(DesScheduler, KernelSequenceAddsLaunchOverheads) {
-  const std::vector<GemmProblem> seq = {GemmProblem::gemm(2048, 2048, 2048),
-                                        GemmProblem::gemm(2048, 8192, 2048)};
-  const double total = simulate_kernel_sequence(seq, a100());
-  double expected = 0.0;
-  for (const GemmProblem& p : seq) {
-    const KernelEstimate est = select_kernel(p, a100());
-    expected += est.time;  // body + launch
-  }
-  EXPECT_NEAR(total, expected, expected * 1e-6);
-  EXPECT_THROW(simulate_kernel_sequence({}, a100()), Error);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "gemmsim/simulator.hpp"
+#include "support/reference_select.hpp"
 
 namespace codesign::gemm {
 namespace {
@@ -97,8 +98,8 @@ TEST(EstimateCache, CachedEqualsUncachedBitForBit) {
     const KernelEstimate reference = uncached.estimate(p);
     expect_identical(reference, cached.estimate(p));  // miss path
     expect_identical(reference, cached.estimate(p));  // hit path
-    // And against the raw kernel-model call the simulator memoizes.
-    expect_identical(reference, select_kernel(p, gpu));
+    // And against the exhaustive tile walk the simulator's scan matches.
+    expect_identical(reference, oracle::reference_select(p, gpu));
   }
 }
 
@@ -199,9 +200,9 @@ TEST(EstimateCache, LookupInsertTestHooks) {
 
   KernelEstimate out;
   EXPECT_FALSE(cache.lookup(key, &out));
-  cache.insert(key, select_kernel(p, gpu));
+  cache.insert(key, oracle::reference_select(p, gpu));
   ASSERT_TRUE(cache.lookup(key, &out));
-  expect_identical(out, select_kernel(p, gpu));
+  expect_identical(out, oracle::reference_select(p, gpu));
 }
 
 TEST(EstimateCache, RejectsZeroCapacity) {

@@ -20,7 +20,9 @@
 #include "gemmsim/estimate_cache.hpp"
 #include "gemmsim/prepared_catalogue.hpp"
 #include "gemmsim/simulator.hpp"
+#include "obs/events.hpp"
 #include "obs/metrics.hpp"
+#include "support/reference_select.hpp"
 #include "transformer/attribution.hpp"
 #include "transformer/layer_model.hpp"
 #include "transformer/model_zoo.hpp"
@@ -84,9 +86,9 @@ void expect_identical(const KernelEstimate& a, const KernelEstimate& b) {
   EXPECT_EQ(a.bound, b.bound);
 }
 
-/// The pruned scan against the reference walk (select_kernel over the
-/// same catalogue) for one problem: the same estimate field for field, the
-/// same time from time_one(), or the same failure.
+/// The pruned scan against the exhaustive walk (oracle::reference_select
+/// over the same catalogue) for one problem: the same estimate field for
+/// field, the same time from time_one(), or the same failure.
 void expect_scan_matches_reference(const PreparedCatalogue& prepared,
                                    const std::vector<gpu::TileConfig>& tiles,
                                    const GemmProblem& p) {
@@ -94,7 +96,7 @@ void expect_scan_matches_reference(const PreparedCatalogue& prepared,
                (p.accumulate_into_c ? " +C" : ""));
   KernelEstimate reference;
   try {
-    reference = select_kernel(p, prepared.gpu(), tiles);
+    reference = oracle::reference_select(p, prepared.gpu(), tiles);
   } catch (const Error&) {
     // e.g. fp64 on a GPU with no fp64 math path: the scan must refuse too.
     EXPECT_THROW(prepared.estimate_one(p), Error);
@@ -146,12 +148,12 @@ std::vector<GemmProblem> seeded_problems(std::uint64_t seed,
   return out;
 }
 
-TEST(PreparedCatalogue, EstimateOneMatchesSelectKernel) {
+TEST(PreparedCatalogue, EstimateOneMatchesTheReferenceWalk) {
   const gpu::GpuSpec& gpu = gpu::gpu_by_name("a100");
   const PreparedCatalogue prepared(gpu, TilePolicy::kAuto);
   EXPECT_EQ(prepared.tile_count(), gpu::default_tile_catalogue().size());
   for (const GemmProblem& p : shape_set()) {
-    expect_identical(select_kernel(p, gpu), prepared.estimate_one(p));
+    expect_identical(oracle::reference_select(p, gpu), prepared.estimate_one(p));
     EXPECT_EQ(prepared.time_one(p), prepared.estimate_one(p).time);
   }
 }
@@ -209,6 +211,119 @@ TEST(PreparedCatalogue, PrunedScanMatchesReferenceOnCustomCatalogues) {
       }
     }
   }
+}
+
+/// One traced selection against the oracle's trail: under a recorder the
+/// scan must emit exactly reference_trail() — names, every arg string,
+/// order — from estimate_one() and again from time_one(), and return the
+/// reference estimate. A problem the walk refuses records nothing. Returns
+/// whether the selection succeeded.
+bool expect_trail_matches_reference(const PreparedCatalogue& prepared,
+                                    const std::vector<gpu::TileConfig>& tiles,
+                                    const GemmProblem& p) {
+  SCOPED_TRACE(prepared.gpu().id + " " + p.to_string() +
+               (p.accumulate_into_c ? " +C" : ""));
+  std::vector<obs::TraceEvent> expected;
+  try {
+    expected = oracle::reference_trail(p, prepared.gpu(), tiles);
+  } catch (const Error&) {
+    obs::ScopedRecorder scoped;
+    EXPECT_THROW(prepared.estimate_one(p), Error);
+    EXPECT_EQ(scoped.recorder().size(), 0u);
+    return false;
+  }
+  const auto expect_trail = [&expected](const obs::EventRecorder& rec) {
+    const std::vector<obs::TraceEvent> got = rec.events();
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].name, expected[i].name) << i;
+      EXPECT_EQ(got[i].category, expected[i].category) << i;
+      EXPECT_EQ(got[i].phase, expected[i].phase) << i;
+      EXPECT_EQ(got[i].tid, expected[i].tid) << i;
+      EXPECT_EQ(bits(got[i].ts_us), bits(expected[i].ts_us)) << i;
+      EXPECT_EQ(got[i].clock, expected[i].clock) << i;
+      EXPECT_EQ(got[i].args, expected[i].args) << i;
+    }
+  };
+  {
+    obs::ScopedRecorder scoped;
+    expect_identical(oracle::reference_select(p, prepared.gpu(), tiles),
+                     prepared.estimate_one(p));
+    expect_trail(scoped.recorder());
+  }
+  {
+    obs::ScopedRecorder scoped;
+    prepared.time_one(p);
+    expect_trail(scoped.recorder());
+  }
+  return true;
+}
+
+// The traced scan is the old exhaustive walk's trail, byte for byte: every
+// registry GPU and dtype over seeded problems (non-power-of-two dims,
+// batch > 1, accumulate), near-ties, and an unsorted custom catalogue,
+// with the best-effort selection counters bumped once per selection.
+TEST(PreparedCatalogue, SelectionTrailMatchesTheReferenceWalk) {
+  auto& reg = obs::MetricsRegistry::global();
+  const auto counter = [&reg](const char* name) {
+    return reg.counter(name, {}, obs::Stability::kBestEffort).value();
+  };
+  reg.reset_values();
+  obs::MetricsRegistry::set_enabled(true);
+  std::uint64_t selections = 0;
+  std::uint64_t candidates = 0;
+  const auto run = [&](const PreparedCatalogue& prepared,
+                       const std::vector<gpu::TileConfig>& tiles,
+                       const GemmProblem& p) {
+    if (expect_trail_matches_reference(prepared, tiles, p)) {
+      selections += 2;  // estimate_one() and time_one()
+      candidates += 2 * tiles.size();
+    }
+  };
+
+  const std::vector<GemmProblem> problems = seeded_problems(9107, 25);
+  for (const std::string& id : gpu::known_gpus()) {
+    const gpu::GpuSpec& gpu = gpu::gpu_by_name(id);
+    const PreparedCatalogue prepared(gpu, TilePolicy::kAuto);
+    for (const GemmProblem& p : problems) {
+      run(prepared, gpu::default_tile_catalogue(), p);
+    }
+  }
+  const std::vector<gpu::TileConfig> unsorted = {
+      {96, 80, 24, 0.61, 2},  {256, 128, 32, 0.88, 1},
+      {48, 48, 16, 0.35, 4},  {192, 96, 32, 0.82, 1},
+      {64, 64, 32, 0.52, 4},  {160, 160, 40, 0.90, 1}};
+  const std::vector<gpu::TileConfig> near_tie = {
+      {64, 64, 32, 0.80, 1}, {64, 64, 32, 0.80 + 1e-9, 1}};
+  for (const char* id : {"a100", "v100"}) {
+    const gpu::GpuSpec& gpu = gpu::gpu_by_name(id);
+    std::vector<GemmProblem> custom = seeded_problems(31, 10);
+    for (const std::int64_t waves : {1, 2}) {
+      custom.push_back(problem(64 * gpu.sm_count * waves, 512, 8192));
+    }
+    for (const auto& tiles : {unsorted, near_tie}) {
+      const PreparedCatalogue prepared(gpu, TilePolicy::kAuto, tiles);
+      for (const GemmProblem& p : custom) run(prepared, tiles, p);
+    }
+  }
+
+  // Untraced selections bump the same counters; the traced ones must
+  // account for every selection and every tile, and prune nothing.
+  obs::MetricsRegistry::set_enabled(false);
+  EXPECT_GT(selections, 0u);
+  EXPECT_EQ(counter("gemmsim.select.computed"), selections);
+  EXPECT_EQ(counter("gemmsim.select.candidates"), candidates);
+  EXPECT_EQ(counter("gemmsim.select.pruned"), 0u);
+  reg.reset_values();
+}
+
+// kFixedLargest picks no tile, so it records no trail even under a trace.
+TEST(PreparedCatalogue, FixedLargestRecordsNoTrail) {
+  const PreparedCatalogue prepared(gpu::gpu_by_name("a100"),
+                                   TilePolicy::kFixedLargest);
+  obs::ScopedRecorder scoped;
+  prepared.estimate_one(problem(1000, 1000, 1000));
+  EXPECT_EQ(scoped.recorder().size(), 0u);
 }
 
 TEST(PreparedCatalogue, RejectsTilesTheScanCannotTime) {
@@ -322,7 +437,8 @@ TEST(EstimateMany, DuplicateProblemsWithinOneBatch) {
   const std::vector<GemmProblem> shapes = {p, p, p};
   std::vector<KernelEstimate> out(shapes.size());
   sim.estimate_many(shapes, out);
-  const KernelEstimate reference = select_kernel(p, gpu::gpu_by_name("a100"));
+  const KernelEstimate reference =
+      oracle::reference_select(p, gpu::gpu_by_name("a100"));
   for (const KernelEstimate& e : out) expect_identical(reference, e);
   EXPECT_EQ(sim.cache()->stats().entries, 1u);  // stored once
 }
@@ -423,7 +539,7 @@ TEST(EstimateCacheBatch, LookupManyInsertManyRoundTrip) {
   std::vector<KernelEstimate> estimates;
   for (const GemmProblem& p : shapes) {
     keys.push_back(EstimateCache::Key{p, TilePolicy::kAuto, &gpu});
-    estimates.push_back(select_kernel(p, gpu));
+    estimates.push_back(oracle::reference_select(p, gpu));
   }
 
   EstimateCache::BatchScratch scratch;

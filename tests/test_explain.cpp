@@ -6,11 +6,14 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "gemmsim/simulator.hpp"
+#include "obs/metrics.hpp"
+#include "obs/req_scope.hpp"
 
 namespace codesign::gemm {
 namespace {
 
-const gpu::GpuSpec& a100() { return gpu::gpu_by_name("a100"); }
+GemmSimulator a100() { return GemmSimulator::for_gpu("a100"); }
 
 TEST(Explain, FactorsMultiplyToObservedExactly) {
   Rng rng(5);
@@ -80,6 +83,34 @@ TEST(Explain, ReportContainsEveryFactor) {
     EXPECT_NE(s.find(name), std::string::npos) << name;
   }
   EXPECT_NE(s.find("datasheet peak"), std::string::npos);
+}
+
+// explain reads the simulator's tile scan: the estimate it factors is the
+// one estimate() returns, but it bumps no gemmsim.estimate.* series and
+// counts no request-scope estimate.
+TEST(Explain, ExplainsTheSimulatorsSelectionWithoutCountingIt) {
+  const GemmSimulator sim = a100();
+  const GemmProblem p = GemmProblem::gemm(8192, 50257, 2560);
+  auto& reg = obs::MetricsRegistry::global();
+  reg.reset_values();
+  obs::MetricsRegistry::set_enabled(true);
+  obs::RequestScopeCounters scope;
+  EfficiencyBreakdown b;
+  {
+    const obs::RequestScope::Bind bind(&scope);
+    b = explain_gemm(p, sim);
+  }
+  const std::uint64_t calls = reg.counter("gemmsim.estimate.calls").value();
+  obs::MetricsRegistry::set_enabled(false);
+  reg.reset_values();
+  EXPECT_EQ(calls, 0u);
+  EXPECT_EQ(scope.estimates, 0u);
+
+  const KernelEstimate est = sim.estimate(p);
+  EXPECT_EQ(b.estimate.tile.name(), est.tile.name());
+  EXPECT_EQ(b.estimate.time, est.time);
+  EXPECT_EQ(b.estimate.compute_time, est.compute_time);
+  EXPECT_EQ(b.estimate.wave_q.waves, est.wave_q.waves);
 }
 
 TEST(Explain, RejectsInvalidProblems) {

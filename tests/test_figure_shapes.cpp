@@ -10,6 +10,7 @@
 #include "common/math_util.hpp"
 #include "gemmsim/flash_attention.hpp"
 #include "gemmsim/kernel_model.hpp"
+#include "gemmsim/simulator.hpp"
 #include "transformer/gemm_mapping.hpp"
 #include "transformer/layer_model.hpp"
 #include "transformer/model_zoo.hpp"
@@ -20,6 +21,12 @@ namespace {
 using gemm::GemmProblem;
 
 const gpu::GpuSpec& a100() { return gpu::gpu_by_name("a100"); }
+
+/// The kernel the production tile scan selects, via GemmSimulator.
+gemm::KernelEstimate best_kernel(const GemmProblem& p,
+                                 const gpu::GpuSpec& gpu) {
+  return gemm::GemmSimulator(gpu).estimate(p);
+}
 
 tfm::TransformerConfig sweep_cfg(std::int64_t h, std::int64_t a) {
   tfm::TransformerConfig c;
@@ -38,7 +45,7 @@ TEST(FigureShapes, Fig5aThroughputRisesAndSaturates) {
   // (compute-bound saturation).
   std::vector<double> tf;
   for (std::int64_t n = 256; n <= 16384; n *= 2) {
-    tf.push_back(gemm::select_kernel(GemmProblem::gemm(n, n, n), a100())
+    tf.push_back(best_kernel(GemmProblem::gemm(n, n, n), a100())
                      .tflops());
   }
   for (std::size_t i = 1; i < tf.size(); ++i) EXPECT_GE(tf[i], tf[i - 1]);
@@ -65,7 +72,7 @@ TEST(FigureShapes, Fig5bSawToothHasMultipleTeeth) {
 TEST(FigureShapes, Fig5cAutoSelectionNeverBelowFixed) {
   for (std::int64_t n = 1280; n <= 4096; n += 128) {
     const GemmProblem p = GemmProblem::gemm(n, n, n);
-    EXPECT_GE(gemm::select_kernel(p, a100()).tflops(),
+    EXPECT_GE(best_kernel(p, a100()).tflops(),
               gemm::estimate_with_tile(p, gpu::largest_tile(), a100())
                       .tflops() -
                   1e-9)
@@ -80,7 +87,7 @@ TEST(FigureShapes, Fig7SeriesOrderingAcrossFullSweep) {
   for (std::int64_t head_dim = 8; head_dim <= 160; head_dim += 8) {
     const auto cfg = sweep_cfg(head_dim * 32, 32);
     const double tf =
-        gemm::select_kernel(tfm::attention_score_bmm(cfg), a100()).tflops();
+        best_kernel(tfm::attention_score_bmm(cfg), a100()).tflops();
     const auto key = static_cast<std::int64_t>(std::min<std::uint64_t>(
         largest_pow2_dividing(static_cast<std::uint64_t>(head_dim)), 64));
     series[key].push_back(tf);
@@ -103,7 +110,7 @@ TEST(FigureShapes, Fig10MlpSaturatesInH) {
   double last = 0.0;
   for (std::int64_t h = 1024; h <= 12288; h += 1024) {
     const double tf =
-        gemm::select_kernel(tfm::mlp_up_gemm(sweep_cfg(h, 1)), a100())
+        best_kernel(tfm::mlp_up_gemm(sweep_cfg(h, 1)), a100())
             .tflops();
     EXPECT_GE(tf, prev * 0.97) << h;  // allow small wave wiggles
     prev = std::max(prev, tf);
@@ -132,7 +139,7 @@ TEST(FigureShapes, Fig20ZoomedVocabSweepTopsAt64Multiples) {
   double best_unaligned = 0.0;
   for (std::int64_t v = 14275; v <= 14336; ++v) {
     const double tf =
-        gemm::select_kernel(GemmProblem::gemm(8192, v, 2560), a100())
+        best_kernel(GemmProblem::gemm(8192, v, 2560), a100())
             .tflops();
     if (v % 64 == 0) {
       worst_aligned = std::min(worst_aligned, tf);
@@ -151,10 +158,10 @@ TEST(FigureShapes, Fig21to47LowGranuleSeriesAlwaysBelow64Series) {
     // 72 elements: granule 8.
     const auto rough = sweep_cfg(72 * a, a);
     const double tf_aligned =
-        gemm::select_kernel(tfm::attention_over_value_bmm(aligned), a100())
+        best_kernel(tfm::attention_over_value_bmm(aligned), a100())
             .tflops();
     const double tf_rough =
-        gemm::select_kernel(tfm::attention_over_value_bmm(rough), a100())
+        best_kernel(tfm::attention_over_value_bmm(rough), a100())
             .tflops();
     EXPECT_GT(tf_aligned, tf_rough) << "a = " << a;
   }

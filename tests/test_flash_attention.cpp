@@ -6,11 +6,17 @@
 #include "common/error.hpp"
 
 #include "gemmsim/kernel_model.hpp"
+#include "gemmsim/simulator.hpp"
 
 namespace codesign::gemm {
 namespace {
 
 const gpu::GpuSpec& a100() { return gpu::gpu_by_name("a100"); }
+
+/// The kernel the production tile scan selects, via GemmSimulator.
+KernelEstimate best_kernel(const GemmProblem& p, const gpu::GpuSpec& gpu) {
+  return GemmSimulator(gpu).estimate(p);
+}
 
 FlashAttentionProblem prob(std::int64_t heads, std::int64_t head_dim,
                            std::int64_t seq = 2048, std::int64_t batch = 4) {
@@ -70,8 +76,8 @@ TEST(FlashAttention, FasterThanUnfusedBmmPath) {
   // (it eliminates the s×s DRAM round-trips).
   const auto flash = estimate_flash_attention(prob(32, 80), a100());
   const double bmm_time =
-      select_kernel(GemmProblem::bmm(128, 2048, 2048, 80), a100()).time +
-      select_kernel(GemmProblem::bmm(128, 2048, 80, 2048), a100()).time;
+      best_kernel(GemmProblem::bmm(128, 2048, 2048, 80), a100()).time +
+      best_kernel(GemmProblem::bmm(128, 2048, 80, 2048), a100()).time;
   auto noncausal = prob(32, 80);
   noncausal.causal = false;
   EXPECT_LT(estimate_flash_attention(noncausal, a100()).time, bmm_time);

@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "gemmsim/kernel_model.hpp"
+#include "gemmsim/simulator.hpp"
 #include "gemmsim/sm_scheduler.hpp"
 #include "gpuarch/tensor_core.hpp"
 
@@ -18,6 +19,11 @@ namespace {
 
 const gpu::GpuSpec& gpu_for(const std::string& id) {
   return gpu::gpu_by_name(id);
+}
+
+/// The kernel the production tile scan selects, via GemmSimulator.
+KernelEstimate best_kernel(const GemmProblem& p, const gpu::GpuSpec& gpu) {
+  return GemmSimulator(gpu).estimate(p);
 }
 
 /// Deterministic random problem generator over a realistic shape range.
@@ -37,7 +43,7 @@ TEST_P(RandomProblems, ThroughputBoundedByPeakEverywhere) {
   Rng rng(2024);
   for (int i = 0; i < 200; ++i) {
     const GemmProblem p = random_problem(rng);
-    const KernelEstimate est = select_kernel(p, g);
+    const KernelEstimate est = best_kernel(p, g);
     EXPECT_LE(est.flops_per_second(), g.tensor_flops_fp16 * (1.0 + 1e-12))
         << p.to_string();
     EXPECT_GT(est.time, 0.0) << p.to_string();
@@ -50,10 +56,10 @@ TEST_P(RandomProblems, SelectionNeverWorseThanAnyTile) {
   Rng rng(7);
   for (int i = 0; i < 60; ++i) {
     const GemmProblem p = random_problem(rng);
-    const double best = select_kernel(p, g).time;
-    for (const auto& est : estimate_all_tiles(p, g)) {
-      EXPECT_LE(best, est.time * (1.0 + 1e-12))
-          << p.to_string() << " tile " << est.tile.name();
+    const double best = best_kernel(p, g).time;
+    for (const gpu::TileConfig& tile : gpu::default_tile_catalogue()) {
+      EXPECT_LE(best, estimate_with_tile(p, tile, g).time * (1.0 + 1e-12))
+          << p.to_string() << " tile " << tile.name();
     }
   }
 }
@@ -67,10 +73,10 @@ TEST_P(RandomProblems, TimeMonotoneWithinAlignmentClass) {
   Rng rng(11);
   for (int i = 0; i < 60; ++i) {
     GemmProblem p = random_problem(rng);
-    const double t1 = select_kernel(p, g).time;
+    const double t1 = best_kernel(p, g).time;
     GemmProblem bigger = p;
     bigger.m *= 3;  // same largest power of two dividing m
-    const double t2 = select_kernel(bigger, g).time;
+    const double t2 = best_kernel(bigger, g).time;
     EXPECT_GE(t2, t1 * (1.0 - 1e-12)) << p.to_string();
   }
 }
@@ -85,10 +91,10 @@ TEST_P(RandomProblems, DoublingADimensionNeverHurtsThroughput) {
   Rng rng(23);
   for (int i = 0; i < 60; ++i) {
     GemmProblem p = random_problem(rng);
-    const KernelEstimate e1 = select_kernel(p, g);
+    const KernelEstimate e1 = best_kernel(p, g);
     GemmProblem doubled = p;
     doubled.m *= 2;
-    const KernelEstimate e2 = select_kernel(doubled, g);
+    const KernelEstimate e2 = best_kernel(doubled, g);
     EXPECT_GE(e2.tflops(), e1.tflops() * (1.0 - 1e-9)) << p.to_string();
     // ... and the body at most doubles.
     EXPECT_LE(e2.time - e2.launch_overhead,
@@ -107,8 +113,8 @@ TEST_P(RandomProblems, BatchSubadditive) {
     p.batch = rng.uniform_int(1, 64);
     GemmProblem doubled = p;
     doubled.batch *= 2;
-    const KernelEstimate e1 = select_kernel(p, g);
-    const KernelEstimate e2 = select_kernel(doubled, g);
+    const KernelEstimate e1 = best_kernel(p, g);
+    const KernelEstimate e2 = best_kernel(doubled, g);
     const double body1 = e1.time - e1.launch_overhead;
     const double body2 = e2.time - e2.launch_overhead;
     EXPECT_LE(body2, 2.0 * body1 * (1.0 + 1e-9)) << p.to_string();
@@ -122,7 +128,7 @@ TEST_P(RandomProblems, DesAlwaysMatchesClosedForm) {
   Rng rng(17);
   for (int i = 0; i < 40; ++i) {
     const GemmProblem p = random_problem(rng);
-    const KernelEstimate est = select_kernel(p, g);
+    const KernelEstimate est = best_kernel(p, g);
     const DesResult des = simulate_kernel(p, est.tile, g);
     const double body = est.time - est.launch_overhead;
     EXPECT_NEAR(des.makespan, body, body * 1e-9) << p.to_string();
@@ -145,8 +151,8 @@ TEST_P(RandomProblems, AlignmentPaddingNeverHelps) {
     if (p.n % granule == 0) p.n += 3;  // ensure misalignment
     GemmProblem padded = p;
     padded.n = ((p.n + granule - 1) / granule) * granule;
-    const double tf_orig = select_kernel(p, g).tflops();
-    const double tf_pad = select_kernel(padded, g).tflops();
+    const double tf_orig = best_kernel(p, g).tflops();
+    const double tf_pad = best_kernel(padded, g).tflops();
     EXPECT_GE(tf_pad, tf_orig * (1.0 - 1e-9)) << p.to_string();
   }
 }
@@ -169,9 +175,9 @@ TEST(KernelProperties, DtypeConsistency) {
   // bf16 behaves identically to fp16 on Ampere (same rate, same size).
   const gpu::GpuSpec& g = gpu_for("a100");
   const auto f16 =
-      select_kernel(GemmProblem::gemm(4096, 4096, 4096, gpu::DType::kFP16), g);
+      best_kernel(GemmProblem::gemm(4096, 4096, 4096, gpu::DType::kFP16), g);
   const auto b16 =
-      select_kernel(GemmProblem::gemm(4096, 4096, 4096, gpu::DType::kBF16), g);
+      best_kernel(GemmProblem::gemm(4096, 4096, 4096, gpu::DType::kBF16), g);
   EXPECT_DOUBLE_EQ(f16.time, b16.time);
 }
 

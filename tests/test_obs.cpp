@@ -509,7 +509,7 @@ TEST_F(ObsTest, DesEventCountMatchesBlocks) {
   p.n = 4096;
   p.k = 1024;
   const gpu::GpuSpec& gpu = gpu::gpu_by_name("a100");
-  const gemm::KernelEstimate est = gemm::select_kernel(p, gpu);
+  const gemm::KernelEstimate est = gemm::GemmSimulator(gpu).estimate(p);
 
   obs::ScopedRecorder scoped;
   const gemm::DesResult r = gemm::simulate_kernel(p, est.tile, gpu);

@@ -314,8 +314,8 @@ TEST(EvaluateCandidate, LayerTflopsMatchesLayerForwardFlopsBitwise) {
   }
 }
 
-// The walk validates each candidate once; the parameter count and rule
-// verdict it then reads take unchecked forms. The public functions must
+// A candidate validates once, through one ValidatedConfig shared by the
+// walk, the parameter count and the rule verdict. The public functions must
 // still reject an invalid config, and the search must still skip one.
 TEST(EvaluateCandidate, PublicCountAndRulesStillValidate) {
   const tfm::TransformerConfig base = model_by_name("gpt3-2.7b");
@@ -327,10 +327,6 @@ TEST(EvaluateCandidate, PublicCountAndRulesStillValidate) {
   EXPECT_THROW(tfm::exact_param_count(bad), ConfigError);
   EXPECT_THROW(satisfies_performance_rules(bad, ctx), ConfigError);
   EXPECT_THROW(evaluate_candidate(bad, base, s), ConfigError);
-  EXPECT_EQ(tfm::exact_param_count_unchecked(base),
-            tfm::exact_param_count(base));
-  EXPECT_EQ(satisfies_performance_rules_unchecked(base, ctx),
-            satisfies_performance_rules(base, ctx));
 
   const SearchOutcome out = run_grid_search({bad, base}, base, s);
   ASSERT_EQ(out.skipped.size(), 1u);

@@ -87,10 +87,10 @@ TEST_P(EveryModel, WorksOnEveryGpu) {
 
 TEST_P(EveryModel, ExplainTheHeaviestGemm) {
   const auto& c = cfg();
-  const auto& g = gpu::gpu_by_name("a100");
+  const auto sim = gemm::GemmSimulator::for_gpu("a100");
   // The MLP up-projection is always present; its factor decomposition
   // must multiply out exactly.
-  const auto b = gemm::explain_gemm(tfm::mlp_up_gemm(c), g);
+  const auto b = gemm::explain_gemm(tfm::mlp_up_gemm(c), sim);
   EXPECT_NEAR(b.peak_tflops * b.total_factor(), b.observed_tflops,
               b.observed_tflops * 1e-9)
       << c.name;

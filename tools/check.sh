@@ -127,6 +127,13 @@ diff -u "${TSAN_DIR}/cli_adv.txt" "${TSAN_DIR}/serve_adv.txt" || {
   echo "FAIL: served advise payload is not byte-identical to the CLI"
   exit 1
 }
+fetch "${TSAN_DIR}/serve_explain.txt" explain --m=8192 --n=50257 --k=2560
+"${SERVE_BIN}" explain --m=8192 --n=50257 --k=2560 \
+    >"${TSAN_DIR}/cli_explain.txt"
+diff -u "${TSAN_DIR}/cli_explain.txt" "${TSAN_DIR}/serve_explain.txt" || {
+  echo "FAIL: served explain payload is not byte-identical to the CLI"
+  exit 1
+}
 
 # Mixed burst: estimates, explains, advises in flight concurrently (the
 # drill faults ~5% of them; any response is acceptable, no hang is not).
