@@ -13,8 +13,9 @@
 // determinism control: every client must observe byte-identical payloads
 // (the serving contract — the same bytes the one-shot CLI prints), so all
 // client checksums must agree across phases, repeats, and thread counts.
-// A final interleaved best-of pass runs the warm mix against a dark
-// (tracing-off) server and asserts the request-trace ring costs under 5%.
+// A best-of pass times the warm mix plus one `tail` round trip (every
+// request is traced; serve.tail_overhead), and a fleet pass runs the warm
+// mix through FleetClient against the single-endpoint baseline.
 //
 // Flags: --clients= --shapes= --threads= --repeat= --slo-ms= --out=
 // --smoke, plus the standard --gpu/--policy/--format (the simulated GPU is
@@ -376,45 +377,34 @@ int body(BenchContext& ctx) {
     }
   }
 
-  // Ring overhead: the identical warm mix against a dark server (tracing
-  // off) vs the traced server above, interleaved best-of so machine drift
-  // hits both sides equally. The request ring + phase spans must cost
-  // under 5% of warm round-trip throughput.
-  serve::ServerOptions dark_options = options;
-  dark_options.port = 0;
-  dark_options.trace.enabled = false;
-  serve::Server dark(dark_options);
-  dark.start();
-  (void)run_phase(dark.port(), clients, mix);  // warm the dark cache
-  double off_best_s = 0.0, on_best_s = 0.0;
-  std::uint64_t traced_checksum = 0, dark_checksum = 0;
+  // serve.tail_overhead: the warm mix plus one `tail` round trip, best-of.
+  // Every request is traced, so the case times the tracing cost in the
+  // warm path together with the read that serves the ring.
+  double tail_best_s = 0.0;
+  bool tail_stable = true;
   for (int r = 0; r < std::max(repeat, 2); ++r) {
-    const PhaseResult off = run_phase(dark.port(), clients, mix);
-    const PhaseResult on = run_phase(server.port(), clients, mix);
-    if (r == 0 || off.seconds < off_best_s) off_best_s = off.seconds;
-    if (r == 0 || on.seconds < on_best_s) on_best_s = on.seconds;
-    dark_checksum = off.checksum;
-    traced_checksum = on.checksum;
+    const auto t0 = std::chrono::steady_clock::now();
+    const PhaseResult p = run_phase(server.port(), clients, mix);
+    serve::ServeClient client("127.0.0.1", server.port());
+    const serve::Response tail =
+        client.call_op("tail", R"("n":8,"filter":"slow")");
+    const double s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    tail_stable = tail_stable && tail.ok() && p.checksums_agree &&
+                  p.checksum == warm.checksum;
+    if (r == 0 || s < tail_best_s) tail_best_s = s;
   }
-  dark.request_drain();
-  dark.join();
-  const double tail_overhead_pct = 100.0 * (on_best_s / off_best_s - 1.0);
-  const bool tracing_byte_identical = traced_checksum == dark_checksum;
-  // Sub-2ms absolute deltas are measurement noise on short runs, not ring
-  // cost; only flag a relative regression that is also a real slowdown.
-  const bool tail_overhead_ok =
-      tail_overhead_pct < 5.0 || (on_best_s - off_best_s) * 1e3 < 2.0;
   std::cout << str_format(
-      "tracing ring overhead (warm, best-of-%d): %+.2f%% | payloads "
-      "byte-identical tracing on vs off: %s\n",
-      std::max(repeat, 2), tail_overhead_pct,
-      tracing_byte_identical ? "yes" : "NO");
+      "warm mix + tail round trip (best-of-%d): %s | payloads byte-identical "
+      "to the warm pass: %s\n",
+      std::max(repeat, 2), human_time(tail_best_s).c_str(),
+      tail_stable ? "yes" : "NO");
 
   // Fleet path: the identical warm mix through the resilient FleetClient
   // over --endpoints replicas with no faults injected. The resilience
   // layer must be free on the happy path, so the fleet pass is gated
-  // against the single-endpoint ServeClient baseline with the same
-  // interleaved best-of noise gate the tracing ring uses.
+  // against the single-endpoint ServeClient baseline, interleaved best-of.
   const auto n_endpoints = static_cast<std::size_t>(
       ctx.args().get_int("endpoints", smoke ? 2 : 3));
   CODESIGN_CHECK(n_endpoints >= 1, "--endpoints must be at least 1");
@@ -561,10 +551,7 @@ int body(BenchContext& ctx) {
       str_format("%.4f", cold.slo_miss_fraction(slo_ms));
   report.context["warm_slo_miss_fraction"] =
       str_format("%.4f", warm.slo_miss_fraction(slo_ms));
-  report.context["tail_overhead_pct"] =
-      str_format("%.2f", tail_overhead_pct);
-  report.context["tracing_byte_identical"] =
-      tracing_byte_identical ? "true" : "false";
+  report.context["tail_roundtrip_ms"] = str_format("%.3f", tail_best_s * 1e3);
   report.context["fleet_endpoints"] = std::to_string(n_endpoints);
   report.context["fleet_overhead_pct"] =
       str_format("%.2f", fleet_overhead_pct);
@@ -614,9 +601,9 @@ int body(BenchContext& ctx) {
     s.name = "serve.tail_overhead";
     s.bench = "bench_serve_throughput";
     s.suites = {benchlib::kSuitePerf};
-    s.samples_ms = {on_best_s * 1e3};
-    s.checksum = traced_checksum;
-    s.checksum_stable = tracing_byte_identical;
+    s.samples_ms = {tail_best_s * 1e3};
+    s.checksum = warm.checksum;
+    s.checksum_stable = tail_stable;
     benchlib::summarize(s);
     report.cases.push_back(std::move(s));
   }
@@ -626,15 +613,8 @@ int body(BenchContext& ctx) {
   server.request_drain();
   server.join();
 
-  if (!deterministic || !tracing_byte_identical || !fleet_byte_identical) {
+  if (!deterministic || !tail_stable || !fleet_byte_identical) {
     std::cerr << "FAIL: response payloads differ across clients/phases\n";
-    return 1;
-  }
-  if (!tail_overhead_ok) {
-    std::cerr << str_format(
-        "FAIL: tracing ring overhead %.2f%% exceeds the 5%% budget "
-        "(tracing on %.3f s vs off %.3f s, warm best-of runs)\n",
-        tail_overhead_pct, on_best_s, off_best_s);
     return 1;
   }
   if (!fleet_overhead_ok) {
@@ -682,47 +662,39 @@ CODESIGN_BENCH_CASES(serve_throughput) {
              server.join();
            }});
   reg.add({"serve.tail_overhead", "bench_serve_throughput",
-           "warm request mix with the tracing ring live, tail round trip; "
-           "payload checksums must match a dark (tracing-off) server",
+           "warm request mix (every request traced) plus a tail round "
+           "trip; the tail must return the ring's records",
            {benchlib::kSuitePerf},
            [](benchlib::CaseContext& c) {
              const std::vector<std::string> mix =
                  bench::build_mix(12, c.gpu().id);
-             const auto run_config = [&](bool tracing) {
-               serve::ServerOptions options;
-               options.port = 0;
-               options.threads = 2;
-               options.queue_capacity = 8;
-               options.trace.enabled = tracing;
-               serve::Server server(options);
-               server.start();
-               (void)bench::run_phase(server.port(), 2, mix);  // warm
-               const bench::PhaseResult p =
-                   bench::run_phase(server.port(), 2, mix);
-               std::uint64_t tail_records = 0;
-               if (tracing) {
-                 serve::ServeClient client("127.0.0.1", server.port());
-                 const serve::Response t =
-                     client.call_op("tail", "\"n\":8,\"filter\":\"slow\"");
-                 CODESIGN_CHECK(t.ok(), "tail failed: " + t.error);
-                 std::string doc = t.payload;
-                 while (!doc.empty() && doc.back() == '\n') doc.pop_back();
-                 tail_records = json::Value::parse(doc).as_array().size();
-                 client.close();
-               }
-               server.request_drain();
-               server.join();
-               // Only payload checksums and deterministic counts feed the
-               // case accumulator — never wall-clock values.
-               c.consume(static_cast<double>(p.checksum));
-               c.consume(static_cast<std::int64_t>(p.requests));
-               c.consume(static_cast<std::int64_t>(tail_records));
-               return p.checksum;
-             };
-             const std::uint64_t dark = run_config(false);
-             const std::uint64_t lit = run_config(true);
-             CODESIGN_CHECK(dark == lit,
-                            "payloads diverged with tracing enabled");
+             serve::ServerOptions options;
+             options.port = 0;
+             options.threads = 2;
+             options.queue_capacity = 8;
+             serve::Server server(options);
+             server.start();
+             (void)bench::run_phase(server.port(), 2, mix);  // warm
+             const bench::PhaseResult p =
+                 bench::run_phase(server.port(), 2, mix);
+             serve::ServeClient client("127.0.0.1", server.port());
+             const serve::Response t =
+                 client.call_op("tail", R"("n":8,"filter":"slow")");
+             CODESIGN_CHECK(t.ok(), "tail failed: " + t.error);
+             std::string doc = t.payload;
+             while (!doc.empty() && doc.back() == '\n') doc.pop_back();
+             const std::size_t tail_records =
+                 json::Value::parse(doc).as_array().size();
+             client.close();
+             server.request_drain();
+             server.join();
+             CODESIGN_CHECK(p.checksums_agree,
+                            "payloads diverged across clients");
+             // Only payload checksums and deterministic counts feed the
+             // case accumulator — never wall-clock values.
+             c.consume(static_cast<double>(p.checksum));
+             c.consume(static_cast<std::int64_t>(p.requests));
+             c.consume(static_cast<std::int64_t>(tail_records));
            }});
   reg.add({"serve.fleet_failover", "bench_serve_throughput",
            "3-replica fleet, one replica drained between passes: the "

@@ -75,15 +75,4 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Chunked map: out[i] = fn(in[i]) for every element, evaluated on the pool.
-/// Output order always matches input order regardless of thread count.
-template <typename T, typename F>
-auto parallel_map(ThreadPool& pool, const std::vector<T>& in, F&& fn)
-    -> std::vector<decltype(fn(in.front()))> {
-  std::vector<decltype(fn(in.front()))> out(in.size());
-  pool.parallel_for(in.size(),
-                    [&](std::size_t i) { out[i] = fn(in[i]); });
-  return out;
-}
-
 }  // namespace codesign

@@ -238,41 +238,45 @@ using json::format_double;
 }  // namespace
 
 std::string MetricsSnapshot::to_json() const {
-  std::ostringstream os;
-  os << "{\"metrics\":[";
-  bool first = true;
+  std::string out;
+  json::Writer w(out);
+  w.begin_object().key("metrics").begin_array();
   for (const Series& s : series) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"" << json::escape(s.name) << "\",\"labels\":\""
-       << json::escape(s.labels) << "\",\"kind\":\"" << metric_kind_name(s.kind)
-       << "\",\"stability\":\"" << stability_name(s.stability) << "\"";
+    w.begin_object()
+        .member("name", s.name)
+        .member("labels", s.labels)
+        .member("kind", metric_kind_name(s.kind))
+        .member("stability", stability_name(s.stability));
     switch (s.kind) {
       case MetricKind::kCounter:
-        os << ",\"value\":" << s.count;
+        w.member("value", static_cast<unsigned long long>(s.count));
         break;
       case MetricKind::kGauge:
-        os << ",\"value\":" << format_double(s.value);
+        w.member("value", s.value);
         break;
       case MetricKind::kHistogram:
-        os << ",\"count\":" << s.count << ",\"sum\":" << format_double(s.sum)
-           << ",\"min\":" << format_double(s.min)
-           << ",\"max\":" << format_double(s.max)
-           << ",\"p50\":" << format_double(s.p50)
-           << ",\"p95\":" << format_double(s.p95)
-           << ",\"p99\":" << format_double(s.p99) << ",\"buckets\":[";
-        for (std::size_t b = 0; b < s.buckets.size(); ++b) {
-          if (b > 0) os << ",";
-          os << "[" << format_double(s.buckets[b].first) << ","
-             << s.buckets[b].second << "]";
+        w.member("count", static_cast<unsigned long long>(s.count))
+            .member("sum", s.sum)
+            .member("min", s.min)
+            .member("max", s.max)
+            .member("p50", s.p50)
+            .member("p95", s.p95)
+            .member("p99", s.p99)
+            .key("buckets")
+            .begin_array();
+        for (const auto& [lower, n] : s.buckets) {
+          w.begin_array()
+              .value(lower)
+              .value(static_cast<unsigned long long>(n))
+              .end_array();
         }
-        os << "]";
+        w.end_array();
         break;
     }
-    os << "}";
+    w.end_object();
   }
-  os << "]}";
-  return os.str();
+  w.end_array().end_object();
+  return out;
 }
 
 std::string MetricsSnapshot::to_csv() const {

@@ -45,7 +45,7 @@ class RequestScope {
   /// hot path, so the call is free in practice.
   class Bind {
    public:
-    explicit Bind(RequestScopeCounters* counters);
+    explicit Bind(RequestScopeCounters& counters);
     ~Bind();
 
     Bind(const Bind&) = delete;

@@ -59,13 +59,7 @@ Response ServeClient::call(std::string_view request_line) {
 
 Response ServeClient::call_op(std::string_view op,
                               std::string_view extra_members) {
-  std::string request = "{\"op\":\"" + json::escape(op) + "\"";
-  if (!extra_members.empty()) {
-    request += ',';
-    request += extra_members;
-  }
-  request += '}';
-  return call(request);
+  return call(request_line(op, extra_members));
 }
 
 std::string ServeClient::read_line() {

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/json.hpp"
 #include "common/strings.hpp"
 
 namespace codesign::serve {
@@ -248,13 +247,7 @@ Response FleetClient::call(std::string_view request_line) {
 
 Response FleetClient::call_op(std::string_view op,
                               std::string_view extra_members) {
-  std::string request = "{\"op\":\"" + json::escape(op) + "\"";
-  if (!extra_members.empty()) {
-    request += ',';
-    request += extra_members;
-  }
-  request += '}';
-  return call(request);
+  return call(request_line(op, extra_members));
 }
 
 std::string FleetClient::attempt_log() const {

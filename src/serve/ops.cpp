@@ -440,10 +440,11 @@ OpResult op_stats(const Request& request, const OpContext& context) {
 /// (all|slow|errors, default slow). Bypasses admission control like stats:
 /// the moment you need tail is the moment the queue is full.
 OpResult op_tail(const Request& request, const OpContext& context) {
-  if (context.trace_log == nullptr) {
+  if (context.trace_log == nullptr ||
+      context.trace_log->options().ring_capacity == 0) {
     throw UsageError(
-        "tail: request tracing is disabled on this server (restart serve "
-        "with a nonzero --tail ring)");
+        "tail: this server keeps no request records (restart serve with a "
+        "nonzero --tail ring)");
   }
   const std::int64_t raw_n = int_field(request.body, "n", 16);
   if (raw_n < 1) throw UsageError("tail: \"n\" must be >= 1");

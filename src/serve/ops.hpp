@@ -97,11 +97,13 @@ struct OpContext {
   /// Per-request deadline token (may be null). Searches truncate with the
   /// banner; other ops throw CancelledError once it trips.
   const CancelToken* cancel = nullptr;
-  /// The server's request-trace sink, read by the `tail` op. Null when
-  /// tracing is disabled (tail then answers with a usage error).
+  /// The server's request-trace sink, read by the `tail` op. A server
+  /// traces every request, parse to write done, and always binds its log;
+  /// null only outside a server. tail answers with a usage error when it is
+  /// null or the ring keeps no records (--tail=0).
   const RequestTraceLog* trace_log = nullptr;
   /// Live health snapshot, bound by the server. Null outside a server
-  /// (health then answers with a usage error, like tail without tracing).
+  /// (health then answers with a usage error, like tail).
   std::function<HealthInfo()> health;
 };
 

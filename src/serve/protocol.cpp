@@ -48,6 +48,17 @@ void begin_envelope(json::Writer& w, std::string_view status, int code,
 
 }  // namespace
 
+std::string request_line(std::string_view op,
+                         std::string_view extra_members) {
+  std::string line = "{\"op\":\"" + json::escape(op) + "\"";
+  if (!extra_members.empty()) {
+    line += ',';
+    line += extra_members;
+  }
+  line += '}';
+  return line;
+}
+
 std::string ok_response(std::string_view id, int code,
                         std::string_view payload,
                         std::string_view attribution) {

@@ -61,6 +61,12 @@ struct Request {
 /// deadline_ms — the caller answers those with a code-2 error response.
 Request parse_request(std::string_view line);
 
+/// One request object, {"op":"<op>"} plus `extra_members`: already-rendered
+/// JSON members ("\"model\":\"gpt3-2.7b\",\"deadline_ms\":50") spliced
+/// after the op. Empty extra yields {"op":...} alone. No trailing newline.
+std::string request_line(std::string_view op,
+                         std::string_view extra_members = {});
+
 /// Response envelope builders. Each returns one complete line, terminated
 /// with '\n'. `id` is echoed when non-empty. `attribution`, when non-empty,
 /// is pre-rendered single-line compact JSON (advise: an attribution report

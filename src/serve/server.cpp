@@ -60,9 +60,6 @@ void Server::start() {
                             : std::max<std::size_t>(1, 3 * opt_.queue_capacity / 4);
   start_time_ = Clock::now();
   cache_ = std::make_shared<gemm::EstimateCache>(opt_.cache);
-  if (opt_.trace.enabled && opt_.trace.ring_capacity > 0) {
-    trace_log_ = std::make_unique<RequestTraceLog>(opt_.trace);
-  }
   pool_ = std::make_unique<ThreadPool>(opt_.threads);
 
   sockaddr_in addr{};
@@ -259,7 +256,9 @@ void Server::read_ready(const ConnPtr& conn) {
   c.in.erase(0, begin);
   if (c.in.size() > opt_.max_line_bytes) {
     n_parse_errors_.fetch_add(1, std::memory_order_relaxed);
-    respond(c, nullptr, "", "error", kExitUsage,
+    RequestTrace trace = trace_log_.begin_request();
+    trace.record().op = "?";
+    respond(c, trace, "error", kExitUsage,
             str_format("request line exceeds %zu bytes", opt_.max_line_bytes),
             "parse");
     // The contract for max_line_bytes is "the connection is closed": once
@@ -357,25 +356,21 @@ void Server::handle_line(const ConnPtr& conn, std::string line) {
   n_requests_.fetch_add(1, std::memory_order_relaxed);
   // The trace is born on the loop before parsing, so parse time and queue
   // wait are part of the request's phase breakdown.
-  std::shared_ptr<RequestTrace> trace;
-  if (trace_log_) trace = trace_log_->begin_request();
-
+  RequestTrace trace = trace_log_.begin_request();
   Request request;
   try {
-    ScopedPhase parse_span(trace.get(), Phase::kParse);
+    ScopedPhase parse_span(trace, Phase::kParse);
     CODESIGN_FAILPOINT("serve.parse");
     request = parse_request(line);
   } catch (const std::exception& e) {
     n_parse_errors_.fetch_add(1, std::memory_order_relaxed);
-    if (trace) trace->record().op = "?";
-    respond(*conn, trace.get(), "", "error", exit_code_for_current_exception(),
-            e.what(), "parse");
+    trace.record().op = "?";
+    respond(*conn, trace, "error", exit_code_for_current_exception(), e.what(),
+            "parse");
     return;
   }
-  if (trace) {
-    trace->record().id = request.id;
-    trace->record().op = request.op;
-  }
+  trace.record().id = request.id;
+  trace.record().op = request.op;
 
   // Introspection ops bypass admission control: stats must answer even
   // when the queue is full, ping is the liveness probe, and tail and
@@ -385,21 +380,21 @@ void Server::handle_line(const ConnPtr& conn, std::string line) {
     publish_queue_depth();
     OpResult r;
     try {
-      ScopedPhase exec_span(trace.get(), Phase::kExecute);
-      OpContext context{cache_, nullptr, trace_log_.get(), {}};
+      ScopedPhase exec_span(trace, Phase::kExecute);
+      OpContext context{cache_, nullptr, &trace_log_, {}};
       context.health = [this] { return health_info(); };
       r = execute_op(request, context);
     } catch (const std::exception& e) {
-      respond(*conn, trace.get(), request.id, "error",
-              exit_code_for_current_exception(), e.what(), "execute");
+      respond(*conn, trace, "error", exit_code_for_current_exception(),
+              e.what(), "execute");
       return;
     }
-    respond(*conn, trace.get(), request.id, "ok", r.code, "", "", &r);
+    respond(*conn, trace, "ok", r.code, "", "", &r);
     return;
   }
 
   if (draining()) {
-    respond(*conn, trace.get(), request.id, "error", kExitUnavailable,
+    respond(*conn, trace, "error", kExitUnavailable,
             "server is draining; connection will close", "admission");
     return;
   }
@@ -412,7 +407,7 @@ void Server::handle_line(const ConnPtr& conn, std::string line) {
       pending_.load(std::memory_order_acquire) >= brownout_watermark_) {
     n_brownout_.fetch_add(1, std::memory_order_relaxed);
     bump_counter("serve.rejected.brownout");
-    respond(*conn, trace.get(), request.id, "overloaded", kExitUnavailable,
+    respond(*conn, trace, "overloaded", kExitUnavailable,
             str_format("server brownout: op '%s' shed at queue depth %zu "
                        "(watermark %zu); retry later or on a sibling",
                        request.op.c_str(),
@@ -423,7 +418,7 @@ void Server::handle_line(const ConnPtr& conn, std::string line) {
   }
   if (!try_admit()) {
     bump_counter("serve.rejected.overload");
-    respond(*conn, trace.get(), request.id, "overloaded", kExitUnavailable,
+    respond(*conn, trace, "overloaded", kExitUnavailable,
             str_format("server overloaded: %zu requests in flight "
                        "(capacity %zu)",
                        pending_.load(std::memory_order_relaxed),
@@ -435,7 +430,7 @@ void Server::handle_line(const ConnPtr& conn, std::string line) {
 }
 
 void Server::dispatch(const ConnPtr& conn, Request request,
-                      std::shared_ptr<RequestTrace> trace) {
+                      RequestTrace trace) {
   // The token outlives the lambda via shared_ptr; the deadline starts at
   // admission so queueing time counts against the budget.
   auto cancel = std::make_shared<CancelToken>();
@@ -446,10 +441,10 @@ void Server::dispatch(const ConnPtr& conn, Request request,
   }
   // queue_wait spans admission to worker pickup; stamped here because the
   // ScopedPhase pattern cannot straddle the thread hop.
-  const double admit_us = trace ? trace_log_->now_us() : 0.0;
+  const double admit_us = trace_log_.now_us();
   conn->inflight.fetch_add(1, std::memory_order_acq_rel);
-  pool_->submit([this, conn, request = std::move(request), cancel, trace,
-                 admit_us] {
+  pool_->submit([this, conn, request = std::move(request), cancel,
+                 trace = std::move(trace), admit_us]() mutable {
     // The admission slot must be released on every exit path — if response
     // writing or metrics recording throws, ThreadPool::submit swallows it
     // and a missed decrement would wedge the drain forever. The
@@ -464,9 +459,7 @@ void Server::dispatch(const ConnPtr& conn, Request request,
         if (conn->inflight.fetch_sub(1) == 1) server->wake();
       }
     } finish_guard{this, conn.get()};
-    if (trace) {
-      trace->add_phase(Phase::kQueueWait, trace_log_->now_us() - admit_us);
-    }
+    trace.add_phase(Phase::kQueueWait, trace_log_.now_us() - admit_us);
     const auto t0 = Clock::now();
     const char* status = "ok";
     int code = kExitOk;
@@ -474,13 +467,12 @@ void Server::dispatch(const ConnPtr& conn, Request request,
     OpResult r;
     obs::RequestScopeCounters work;
     try {
-      ScopedPhase exec_span(trace.get(), Phase::kExecute);
-      // Bind request attribution only when tracing: the estimator and
-      // search hot paths fold their counts into `work` via
-      // obs::RequestScope::current().
-      obs::RequestScope::Bind bind(trace ? &work : nullptr);
+      ScopedPhase exec_span(trace, Phase::kExecute);
+      // The estimator and search hot paths fold their counts into `work`
+      // via obs::RequestScope::current().
+      obs::RequestScope::Bind bind(work);
       CODESIGN_FAILPOINT("serve.dispatch");
-      OpContext context{cache_, cancel.get(), trace_log_.get(), {}};
+      OpContext context{cache_, cancel.get(), &trace_log_, {}};
       context.health = [this] { return health_info(); };
       r = execute_op(request, context);
       code = r.code;
@@ -501,65 +493,51 @@ void Server::dispatch(const ConnPtr& conn, Request request,
       code = kExitInternal;
       error = "internal error: unknown exception";
     }
-    if (trace) {
-      RequestRecord& rec = trace->record();
-      rec.estimates = work.estimates;
-      rec.search_candidates = work.search_candidates;
-      rec.deadline_missed = cancel->cancelled() &&
-                            cancel->reason() == CancelReason::kDeadline;
-    }
-    // With tracing on, respond() finishes the trace, which records
-    // serve.requests / serve.request_us; otherwise they are recorded below
-    // with the same (name, labels) — one or the other runs, never both.
+    RequestRecord& rec = trace.record();
+    rec.estimates = work.estimates;
+    rec.search_candidates = work.search_candidates;
+    rec.deadline_missed =
+        cancel->cancelled() && cancel->reason() == CancelReason::kDeadline;
     const bool ok = std::string_view(status) == "ok";
-    respond(*conn, trace.get(), request.id, status, code, error,
-            ok ? "" : "execute", ok ? &r : nullptr);
+    respond(*conn, trace, status, code, error, ok ? "" : "execute",
+            ok ? &r : nullptr);
     const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                         Clock::now() - t0)
                         .count();
     service_us_total_.fetch_add(static_cast<std::uint64_t>(us),
                                 std::memory_order_relaxed);
     service_count_.fetch_add(1, std::memory_order_relaxed);
-    if (!trace && obs::MetricsRegistry::enabled()) {
-      auto& reg = obs::MetricsRegistry::global();
-      const std::string labels = "op=" + request.op;
-      reg.counter("serve.requests", labels, obs::Stability::kBestEffort).add();
-      reg.histogram("serve.request_us", labels, obs::Stability::kBestEffort)
-          .record(static_cast<double>(us));
-    }
   });
 }
 
-void Server::respond(Connection& conn, RequestTrace* trace,
-                     const std::string& id, const char* status, int code,
-                     const std::string& error, const char* error_phase,
-                     const OpResult* result) {
+void Server::respond(Connection& conn, RequestTrace& trace,
+                     const char* status, int code, const std::string& error,
+                     const char* error_phase, const OpResult* result) {
   const std::string_view s(status);
   (s == "ok" ? n_ok_ : s == "overloaded" ? n_overloaded_ : n_errors_)
       .fetch_add(1, std::memory_order_relaxed);
+  RequestRecord& rec = trace.record();
   std::string line;
   {
     ScopedPhase render_span(trace, Phase::kRender);
     if (result != nullptr) {
-      line = ok_response(id, result->code, result->payload,
+      line = ok_response(rec.id, result->code, result->payload,
                          result->attribution);
     } else if (s == "overloaded") {
-      line = overloaded_response(id, retry_hint_ms(), error);
+      line = overloaded_response(rec.id, retry_hint_ms(), error);
     } else {
-      line = error_response(id, code, error);
+      line = error_response(rec.id, code, error);
     }
   }
   {
     ScopedPhase write_span(trace, Phase::kWrite);
     send_line(conn, std::move(line));
   }
-  if (trace == nullptr) return;
-  RequestRecord& rec = trace->record();
   rec.status = status;
   rec.code = code;
   rec.error = error;
   rec.error_phase = error_phase;
-  trace_log_->finish(*trace);
+  trace_log_.finish(trace);
 }
 
 void Server::send_line(Connection& conn, std::string line) {

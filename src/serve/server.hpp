@@ -30,8 +30,9 @@
 //     plus serve.net.* in the shared socket helpers (serve/net.hpp). A
 //     transient serve.dispatch fault answers as a retryable code-75
 //     rejection (a FleetClient recovers it); a fatal one stays code 1;
-//   * per-op latency histograms and queue-depth gauges in the obs
-//     MetricsRegistry, exposed over the wire via {"op":"stats"};
+//   * every response traced (serve/trace.hpp): per-phase spans, per-op
+//     latency histograms and the `tail` ring, plus queue-depth gauges in
+//     the obs MetricsRegistry, exposed over the wire via {"op":"stats"};
 //   * graceful drain (request_drain(), or SIGINT when watch_sigint): stop
 //     accepting, half-close connections, finish every admitted request,
 //     flush responses, close, then join() returns. In-flight work is never
@@ -89,9 +90,9 @@ struct ServerOptions {
   int sndbuf_bytes = 0;
   /// Shared estimate-cache geometry.
   gemm::CacheOptions cache;
-  /// Request-scoped tracing: per-phase spans, the `tail` ring, SLO
-  /// accounting (CLI --tail/--slo-p99-ms). trace.enabled = false or
-  /// ring_capacity = 0 turns the whole layer off.
+  /// Request tracing, always on: trace.ring_capacity sizes the `tail` ring
+  /// (0 keeps no records), trace.slo_p99_ms the drain verdict (CLI
+  /// --tail/--slo-p99-ms).
   TraceOptions trace;
 };
 
@@ -111,7 +112,8 @@ struct ServerStats {
 
 class Server {
  public:
-  explicit Server(ServerOptions options) : opt_(std::move(options)) {}
+  explicit Server(ServerOptions options)
+      : opt_(std::move(options)), trace_log_(opt_.trace) {}
   ~Server();
 
   Server(const Server&) = delete;
@@ -139,9 +141,9 @@ class Server {
   /// The process-wide estimate cache (valid after start()).
   const std::shared_ptr<gemm::EstimateCache>& cache() const { return cache_; }
 
-  /// The request-trace sink, or nullptr when tracing is disabled (valid
-  /// after start(); the CLI reads the SLO summary from here at drain).
-  const RequestTraceLog* trace_log() const { return trace_log_.get(); }
+  /// The request-trace sink (the CLI reads the SLO summary from here at
+  /// drain).
+  const RequestTraceLog& trace_log() const { return trace_log_; }
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -184,11 +186,12 @@ class Server {
   /// nothing more and can be released.
   int tend(Connection& conn, Clock::time_point now, Clock::time_point& next);
   void handle_line(const ConnPtr& conn, std::string line);
-  void dispatch(const ConnPtr& conn, Request request,
-                std::shared_ptr<RequestTrace> trace);
-  void respond(Connection& conn, RequestTrace* trace, const std::string& id,
-               const char* status, int code, const std::string& error,
-               const char* error_phase, const OpResult* result = nullptr);
+  void dispatch(const ConnPtr& conn, Request request, RequestTrace trace);
+  /// Render and send the response to the traced request, then finish its
+  /// trace. The envelope echoes trace.record().id.
+  void respond(Connection& conn, RequestTrace& trace, const char* status,
+               int code, const std::string& error, const char* error_phase,
+               const OpResult* result = nullptr);
   void send_line(Connection& conn, std::string line);
   /// Send queued lines until the socket is full; conn.mu is held.
   void flush_locked(Connection& conn);
@@ -202,7 +205,7 @@ class Server {
 
   ServerOptions opt_;
   std::shared_ptr<gemm::EstimateCache> cache_;
-  std::unique_ptr<RequestTraceLog> trace_log_;
+  RequestTraceLog trace_log_;
   std::unique_ptr<ThreadPool> pool_;
   int listen_fd_ = -1;
   int wake_rd_ = -1;  ///< the loop polls this end of the wake pipe

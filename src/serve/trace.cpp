@@ -31,17 +31,7 @@ RequestTrace::RequestTrace(std::uint64_t seq, double start_us) {
 }
 
 RequestTraceLog::RequestTraceLog(const TraceOptions& options)
-    : opt_(options), epoch_(std::chrono::steady_clock::now()) {
-  if (opt_.ring_stripes == 0) opt_.ring_stripes = 1;
-  if (opt_.ring_capacity == 0) opt_.ring_capacity = 1;
-  opt_.ring_stripes = std::min(opt_.ring_stripes, opt_.ring_capacity);
-  stripe_capacity_ =
-      (opt_.ring_capacity + opt_.ring_stripes - 1) / opt_.ring_stripes;
-  stripes_.reserve(opt_.ring_stripes);
-  for (std::size_t i = 0; i < opt_.ring_stripes; ++i) {
-    stripes_.push_back(std::make_unique<Stripe>());
-  }
-}
+    : opt_(options), epoch_(std::chrono::steady_clock::now()) {}
 
 double RequestTraceLog::now_us() const {
   return std::chrono::duration<double, std::micro>(
@@ -54,17 +44,11 @@ void RequestTraceLog::finish(RequestTrace& trace) {
   rec.total_us = now_us() - rec.start_us;
 
   // SLO accounting covers every completed request, ring survivor or not.
-  n_requests_.fetch_add(1, std::memory_order_relaxed);
+  const bool truncated = rec.status == "ok" && rec.code == kExitCancelled;
   if (rec.deadline_missed) {
     n_deadline_miss_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (rec.status == "ok" && rec.code == kExitCancelled) {
-    n_truncated_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (rec.status == "error") n_errors_.fetch_add(1, std::memory_order_relaxed);
-  if (rec.status == "overloaded") {
-    n_overloaded_.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (truncated) n_truncated_.fetch_add(1, std::memory_order_relaxed);
   latency_ms_.record(rec.total_us / 1000.0);
 
   if (obs::MetricsRegistry::enabled()) {
@@ -83,9 +67,7 @@ void RequestTraceLog::finish(RequestTrace& trace) {
     if (rec.deadline_missed) {
       reg.counter("serve.slo.deadline_miss", {}, kBe).add();
     }
-    if (rec.status == "ok" && rec.code == kExitCancelled) {
-      reg.counter("serve.slo.truncated", {}, kBe).add();
-    }
+    if (truncated) reg.counter("serve.slo.truncated", {}, kBe).add();
     if (rec.status == "error") reg.counter("serve.slo.errors", {}, kBe).add();
   }
 
@@ -132,15 +114,14 @@ void RequestTraceLog::finish(RequestTrace& trace) {
     }
   }
 
-  Stripe& stripe = *stripes_[rec.seq % stripes_.size()];
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  if (stripe.ring.size() < stripe_capacity_) {
-    stripe.ring.push_back(std::move(rec));
+  if (opt_.ring_capacity == 0) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (ring_.size() < opt_.ring_capacity) {
+    ring_.push_back(std::move(rec));
   } else {
-    stripe.ring[stripe.next] = std::move(rec);
-    stripe.next = (stripe.next + 1) % stripe_capacity_;
+    ring_[oldest_] = std::move(rec);
+    oldest_ = (oldest_ + 1) % opt_.ring_capacity;
   }
-  ++stripe.stored;
 }
 
 std::vector<RequestRecord> RequestTraceLog::tail(std::size_t n,
@@ -150,9 +131,9 @@ std::vector<RequestRecord> RequestTraceLog::tail(std::size_t n,
                      std::string(filter) + "'");
   }
   std::vector<RequestRecord> out;
-  for (const auto& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe->mu);
-    for (const RequestRecord& rec : stripe->ring) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const RequestRecord& rec : ring_) {
       if (filter == "errors" && rec.status == "ok" && rec.code == 0) continue;
       out.push_back(rec);
     }
@@ -175,12 +156,10 @@ std::vector<RequestRecord> RequestTraceLog::tail(std::size_t n,
 
 SloSummary RequestTraceLog::slo_summary() const {
   SloSummary s;
-  s.requests = n_requests_.load(std::memory_order_relaxed);
+  const obs::Histogram::Data d = latency_ms_.data();
+  s.requests = d.count;
   s.deadline_misses = n_deadline_miss_.load(std::memory_order_relaxed);
   s.truncated = n_truncated_.load(std::memory_order_relaxed);
-  s.errors = n_errors_.load(std::memory_order_relaxed);
-  s.overloaded = n_overloaded_.load(std::memory_order_relaxed);
-  const obs::Histogram::Data d = latency_ms_.data();
   s.p50_ms = d.percentile(50.0);
   s.p95_ms = d.percentile(95.0);
   s.p99_ms = d.percentile(99.0);

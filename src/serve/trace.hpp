@@ -1,8 +1,9 @@
 // trace.hpp — request-scoped tracing and SLO telemetry for codesign serve.
 //
-// Every request the server touches gets a RequestTrace carried from the
-// poll loop through admission, dispatch, execute_op, and response
-// writing. The trace records one span per phase:
+// Tracing is always on: every response the server writes — rejections,
+// parse errors and the introspection ops included — carries a
+// RequestTrace from the poll loop through admission, dispatch, execute_op,
+// and response writing. The trace records one span per phase:
 //
 //   parse       parse_request on the poll loop
 //   queue_wait  admission -> a worker picks the request up
@@ -14,30 +15,32 @@
 // and search candidates the request consumed). Completed traces flow into
 // the RequestTraceLog:
 //
-//   * a fixed-size, lock-striped ring of recent RequestRecords powering
-//     the `tail` serve op (last-N slow or errored requests with their
-//     phase breakdowns);
-//   * per-op latency histograms (serve.request_us{op=...}) and per-phase
-//     histograms (serve.phase_us{phase=...}) in the global
-//     MetricsRegistry — all kBestEffort: wall-clock series are never part
-//     of the deterministic export;
-//   * SLO accounting: deadline misses, truncations (code 6), errors, and
-//     a p99-vs---slo-p99-ms verdict surfaced in the drain summary;
+//   * one mutex-guarded ring holding the newest ring_capacity records
+//     (CLI --tail; 0 keeps none), powering the `tail` serve op (last-N
+//     slow or errored requests with their phase breakdowns);
+//   * per-op request counts and latency histograms (serve.requests and
+//     serve.request_us{op=...}, parse -> write done, recorded here and
+//     nowhere else) and per-phase histograms (serve.phase_us{phase=...})
+//     in the global MetricsRegistry — all kBestEffort: wall-clock series
+//     are never part of the deterministic export;
+//   * SLO accounting: the request latency histogram, deadline misses,
+//     truncations (code 6), and a p99-vs---slo-p99-ms verdict surfaced in
+//     the drain summary;
 //   * chrome-trace export: when an EventRecorder is installed, each
 //     request emits its phase spans on a per-request track
 //     (kTidServeBase + seq) keyed by the echoed request id.
 //
 // Determinism contract (docs/OBSERVABILITY.md): tracing observes, never
-// steers. Payload bytes with tracing enabled are byte-identical to tracing
-// disabled (gated by tests/test_serve_trace.cpp), and every series recorded
-// here is tagged kBestEffort.
+// steers. Payload bytes are the one-shot CLI's stdout whatever the ring
+// size, metrics or chrome-trace recorder (gated by
+// tests/test_serve_trace.cpp), and every series recorded here is tagged
+// kBestEffort.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -86,19 +89,16 @@ struct RequestRecord {
 
 /// Serve-side tracing knobs (ServerOptions::trace, CLI --tail/--slo-p99-ms).
 struct TraceOptions {
-  /// Master switch. Off: no per-request spans, no ring, `tail` errors.
-  bool enabled = true;
-  /// Ring capacity: completed requests retained for `tail`.
+  /// Ring capacity: the newest completed requests retained for `tail`.
+  /// 0 keeps none (`tail` then answers with a usage error); every request
+  /// is still traced into the metrics, the SLO summary and chrome traces.
   std::size_t ring_capacity = 256;
-  /// Independent mutex-striped ring segments (min 1).
-  std::size_t ring_stripes = 8;
   /// Declarative SLO: drain reports VIOLATED when the request p99 exceeds
   /// this. 0 = no SLO.
   double slo_p99_ms = 0.0;
 };
 
-/// A live request being traced. Null-safe by convention: the server passes
-/// nullptr when tracing is disabled and every helper tolerates it.
+/// A live request being traced, from the line's arrival to its response.
 class RequestTrace {
  public:
   RequestTrace(std::uint64_t seq, double start_us);
@@ -116,67 +116,56 @@ class RequestTrace {
 };
 
 /// RAII phase span: accumulates elapsed wall µs into `trace` at scope
-/// exit. Inert when `trace` is nullptr (tracing disabled).
+/// exit.
 class ScopedPhase {
  public:
-  ScopedPhase(RequestTrace* trace, Phase phase) : trace_(trace), phase_(phase) {
-    if (trace_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
+  ScopedPhase(RequestTrace& trace, Phase phase)
+      : trace_(trace), phase_(phase), start_(std::chrono::steady_clock::now()) {}
   ~ScopedPhase() {
-    if (trace_ != nullptr) {
-      trace_->add_phase(phase_,
-                        std::chrono::duration<double, std::micro>(
-                            std::chrono::steady_clock::now() - start_)
-                            .count());
-    }
+    trace_.add_phase(phase_, std::chrono::duration<double, std::micro>(
+                                 std::chrono::steady_clock::now() - start_)
+                                 .count());
   }
 
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;
 
  private:
-  RequestTrace* trace_;
+  RequestTrace& trace_;
   Phase phase_;
   std::chrono::steady_clock::time_point start_;
 };
 
 /// Aggregate SLO view for the drain summary and tests.
 struct SloSummary {
-  std::uint64_t requests = 0;         ///< completed (traced) requests
+  std::uint64_t requests = 0;         ///< responses (latency sample count)
   std::uint64_t deadline_misses = 0;  ///< requests whose deadline tripped
   std::uint64_t truncated = 0;        ///< code-6 partial results
-  std::uint64_t errors = 0;           ///< status "error" responses
-  std::uint64_t overloaded = 0;       ///< typed admission rejections
   double p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0;
   double slo_p99_ms = 0.0;  ///< 0 = no SLO configured
   bool violated() const { return slo_p99_ms > 0.0 && p99_ms > slo_p99_ms; }
 };
 
-/// The completed-request sink: lock-striped ring + SLO accounting +
-/// metric/chrome-trace fan-out. One per Server; thread-safe.
+/// The completed-request sink: the ring + SLO accounting + metric and
+/// chrome-trace fan-out. One per Server; thread-safe.
 class RequestTraceLog {
  public:
   explicit RequestTraceLog(const TraceOptions& options);
 
   const TraceOptions& options() const { return opt_; }
 
-  /// Allocate the next request sequence number.
-  std::uint64_t next_seq() {
-    return seq_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   /// Wall µs since this log was created (the epoch of every start_us).
   double now_us() const;
 
-  /// Start tracing one request (nullptr is never returned; the caller
-  /// decides whether tracing is on before calling).
-  std::unique_ptr<RequestTrace> begin_request() {
-    return std::make_unique<RequestTrace>(next_seq(), now_us());
+  /// Start tracing one request: the next sequence number, started now.
+  RequestTrace begin_request() {
+    return RequestTrace(seq_.fetch_add(1, std::memory_order_relaxed),
+                        now_us());
   }
 
-  /// Finalize: fold the bound RequestScope counters into the record, stamp
-  /// totals, push into the ring, record histograms/SLO counters, and emit
-  /// chrome-trace spans when a recorder is installed.
+  /// Finalize: stamp the total, record histograms and SLO counters, emit
+  /// chrome-trace spans when a recorder is installed, and move the record
+  /// into the ring (evicting the oldest once it holds ring_capacity).
   void finish(RequestTrace& trace);
 
   /// The most recent `n` records, newest first. Filters:
@@ -188,28 +177,20 @@ class RequestTraceLog {
   SloSummary slo_summary() const;
 
  private:
-  struct Stripe {
-    mutable std::mutex mu;
-    std::vector<RequestRecord> ring;  ///< ring of capacity/stripes slots
-    std::size_t next = 0;             ///< next slot to overwrite
-    std::uint64_t stored = 0;         ///< total records ever stored
-  };
-
   TraceOptions opt_;
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::size_t stripe_capacity_ = 0;
   std::atomic<std::uint64_t> seq_{0};
   std::chrono::steady_clock::time_point epoch_;
+
+  mutable std::mutex mu_;  ///< guards the ring
+  std::vector<RequestRecord> ring_;
+  std::size_t oldest_ = 0;  ///< the slot the next record overwrites when full
 
   /// SLO accounting over *all* completed requests (not just ring
   /// survivors). The latency histogram is owned here so the drain summary
   /// works even when the global MetricsRegistry is disabled.
   obs::Histogram latency_ms_;
-  std::atomic<std::uint64_t> n_requests_{0};
   std::atomic<std::uint64_t> n_deadline_miss_{0};
   std::atomic<std::uint64_t> n_truncated_{0};
-  std::atomic<std::uint64_t> n_errors_{0};
-  std::atomic<std::uint64_t> n_overloaded_{0};
 };
 
 /// Serialize `records` as the `tail` payload: a JSON array (newest first)

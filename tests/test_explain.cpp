@@ -97,7 +97,7 @@ TEST(Explain, ExplainsTheSimulatorsSelectionWithoutCountingIt) {
   obs::RequestScopeCounters scope;
   EfficiencyBreakdown b;
   {
-    const obs::RequestScope::Bind bind(&scope);
+    const obs::RequestScope::Bind bind(scope);
     b = explain_gemm(p, sim);
   }
   const std::uint64_t calls = reg.counter("gemmsim.estimate.calls").value();

@@ -203,6 +203,29 @@ TEST_F(ObsTest, SnapshotJsonAndCsv) {
 /// are non-decreasing, close with le="+Inf" == `_count`, that the `le`
 /// boundaries are the log-linear buckets' upper bounds, and that undoing
 /// the cumulative sum reproduces the snapshot's per-bucket counts.
+// Golden bytes for the JSON export (the `stats` payload and the --metrics
+// file): one series of each kind, with labels that need escaping.
+TEST_F(ObsTest, SnapshotJsonGoldenBytes) {
+  MetricsRegistry reg;
+  reg.counter("serve.requests", "op=a\"b\\c").add(3);
+  reg.gauge("rate", "k=\\\"", Stability::kBestEffort).set(2.5e-7);
+  obs::Histogram& h = reg.histogram("lat_us", "p=x\"y", Stability::kBestEffort);
+  h.record(0.25);
+  h.record(3.0);
+  h.record(1000.5);
+  EXPECT_EQ(
+      reg.snapshot({.include_best_effort = true}).to_json(),
+      R"({"metrics":[)"
+      R"({"name":"lat_us","labels":"p=x\"y","kind":"histogram",)"
+      R"("stability":"best_effort","count":3,"sum":1003.75,"min":0.25,)"
+      R"("max":1000.5,"p50":3,"p95":900.74999999999989,"p99":980.55,)"
+      R"("buckets":[[0.25,1],[3,1],[992,1]]},)"
+      R"({"name":"rate","labels":"k=\\\"","kind":"gauge",)"
+      R"("stability":"best_effort","value":2.5e-07},)"
+      R"({"name":"serve.requests","labels":"op=a\"b\\c","kind":"counter",)"
+      R"("stability":"deterministic","value":3}]})");
+}
+
 TEST_F(ObsTest, PromHistogramBucketsRoundTrip) {
   MetricsRegistry reg;
   obs::Histogram& h = reg.histogram("lat_us", "op=advise",

@@ -124,6 +124,18 @@ TEST(ServeProtocol, NastyIdsSurviveTheEnvelope) {
   EXPECT_EQ(r.payload, nasty);
 }
 
+TEST(ServeProtocol, RequestLineBytesArePinned) {
+  EXPECT_EQ(serve::request_line("ping"), R"({"op":"ping"})");
+  EXPECT_EQ(serve::request_line("estimate", R"("m":64,"n":64,"k":64)"),
+            R"({"op":"estimate","m":64,"n":64,"k":64})");
+  // The op name is escaped; the extra members are spliced verbatim.
+  EXPECT_EQ(serve::request_line("we\"ird\\op\n", R"("id":"x")"),
+            R"({"op":"we\"ird\\op\n","id":"x"})");
+  const serve::Request back =
+      serve::parse_request(serve::request_line("we\"ird\\op\n"));
+  EXPECT_EQ(back.op, "we\"ird\\op\n");
+}
+
 TEST(ServeProtocol, ParseResponseRejectsUnknownStatus) {
   EXPECT_THROW(serve::parse_response("not json"), Error);
   EXPECT_THROW(serve::parse_response(R"({"status":"weird","code":0})"), Error);

@@ -1,9 +1,10 @@
 // Tests for request-scoped tracing and SLO telemetry (serve/trace.hpp):
-// span totals vs wall latency, tail ring round trips, failpoint error
-// attribution, byte-identity of payloads with tracing on vs off under
-// eight concurrent clients, snapshot-local stats idempotence, Prometheus
-// exposition, work attribution (estimates / search candidates), and the
-// drain-summary SLO accounting.
+// span totals vs wall latency, tail ring round trips, failpoint and
+// oversized-line error attribution, byte-identity of payloads with the CLI
+// under eight concurrent clients whether or not the server keeps records,
+// snapshot-local stats idempotence, Prometheus exposition, work
+// attribution (estimates / search candidates), and the drain-summary SLO
+// accounting.
 #include "serve/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -96,7 +98,7 @@ class ServeTraceTest : public ::testing::Test {
   /// Poll until the trace log has finished at least `n` requests.
   static void wait_for_requests(const serve::Server& server, std::uint64_t n) {
     for (int attempt = 0; attempt < 200; ++attempt) {
-      if (server.trace_log()->slo_summary().requests >= n) return;
+      if (server.trace_log().slo_summary().requests >= n) return;
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   }
@@ -238,6 +240,40 @@ TEST_F(ServeTraceTest, TailReturnsInjectedFailureWithErrorPhase) {
   shut_down(server);
 }
 
+// A line past max_line_bytes is answered on the poll loop before it is
+// parsed; it is traced like any other response, as a parse error.
+TEST_F(ServeTraceTest, OversizedLineShowsUpInTheErrorTail) {
+  serve::Server server(options(1));
+  server.start();
+  {
+    ServeClient big("127.0.0.1", server.port());
+    const std::string line =
+        R"({"op":"ping","pad":")" + std::string(2 << 20, 'x') + R"("})";
+    try {
+      const serve::Response r = big.call(line);
+      EXPECT_EQ(r.code, kExitUsage);
+    } catch (const IoError&) {
+      // The server closes the connection while the rest is still in
+      // flight; the usage error may be lost with it.
+    }
+  }
+  ServeClient client("127.0.0.1", server.port());
+  const std::vector<json::Value> records =
+      tail_until(client, R"("filter":"errors")", [](const auto& recs) {
+        return !recs.empty();
+      });
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].at("op").as_string(), "?");
+  EXPECT_EQ(records[0].at("status").as_string(), "error");
+  EXPECT_EQ(static_cast<int>(records[0].at("code").as_number()), kExitUsage);
+  EXPECT_EQ(records[0].at("error_phase").as_string(), "parse");
+  EXPECT_NE(records[0].at("error").as_string().find("exceeds"),
+            std::string::npos)
+      << records[0].at("error").as_string();
+  client.close();
+  shut_down(server);
+}
+
 TEST_F(ServeTraceTest, TailValidatesItsArguments) {
   serve::Server server(options(1));
   server.start();
@@ -255,27 +291,32 @@ TEST_F(ServeTraceTest, TailValidatesItsArguments) {
   client.close();
   shut_down(server);
 
-  // Tracing disabled: tail is a typed usage error, not a crash.
-  serve::ServerOptions off = options(1);
-  off.trace.enabled = false;
-  serve::Server dark(off);
-  dark.start();
-  EXPECT_EQ(dark.trace_log(), nullptr);
-  ServeClient probe("127.0.0.1", dark.port());
+  // A ring of capacity 0 keeps no records: tail is a typed usage error,
+  // not a crash, while the requests are still traced into the SLO summary.
+  serve::ServerOptions none = options(1);
+  none.trace.ring_capacity = 0;
+  serve::Server bare(none);
+  bare.start();
+  ServeClient probe("127.0.0.1", bare.port());
+  ASSERT_TRUE(probe.call_op("ping", "").ok());
   const serve::Response r = probe.call_op("tail", "");
   EXPECT_EQ(r.status, "error");
   EXPECT_EQ(r.code, kExitUsage);
-  EXPECT_NE(r.error.find("tracing is disabled"), std::string::npos) << r.error;
+  EXPECT_NE(r.error.find("keeps no request records"), std::string::npos)
+      << r.error;
   probe.close();
-  shut_down(dark);
+  wait_for_requests(bare, 2);
+  EXPECT_EQ(bare.trace_log().slo_summary().requests, 2u);
+  shut_down(bare);
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: tracing observes, never steers. Payload bytes with the full
-// observability stack on (ring + metrics + chrome-trace recorder) are
-// byte-identical to a dark server, under eight concurrent clients.
+// Determinism: tracing observes, never steers. Payload bytes are the CLI's
+// under eight concurrent clients, both on a server that keeps no records
+// (metrics off, no recorder) and with the full observability stack on
+// (ring + metrics + chrome-trace recorder).
 
-TEST_F(ServeTraceTest, PayloadBytesIdenticalTracingOnVsOffAcrossEightClients) {
+TEST_F(ServeTraceTest, PayloadBytesMatchTheCliWithAndWithoutRecords) {
   const std::string want_estimate = expected_estimate(512, 512, 512);
   const std::string want_explain = expected_explain(256, 1024, 512);
   const std::string want_advise = expected_advise("gpt3-2.7b");
@@ -306,11 +347,11 @@ TEST_F(ServeTraceTest, PayloadBytesIdenticalTracingOnVsOffAcrossEightClients) {
     return mismatches.load();
   };
 
-  // Dark server: tracing off, metrics off, no recorder.
+  // Dark server: no ring, metrics off, no recorder.
   {
-    serve::ServerOptions off = options(4);
-    off.trace.enabled = false;
-    serve::Server server(off);
+    serve::ServerOptions dark = options(4);
+    dark.trace.ring_capacity = 0;
+    serve::Server server(dark);
     server.start();
     EXPECT_EQ(hammer(server), 0);
     shut_down(server);
@@ -336,17 +377,20 @@ TEST_F(ServeTraceTest, PayloadBytesIdenticalTracingOnVsOffAcrossEightClients) {
 // ---------------------------------------------------------------------------
 // stats is snapshot-local: reading it twice returns identical documents and
 // leaves the global registry untouched (cache counters are folded into the
-// response, not published). The process.* gauges are point-in-time process
-// readings (uptime, RSS, fd count) — the one sanctioned exception to the
-// byte-idempotence of back-to-back reads — so they are stripped before
-// comparing.
+// response, not published). Two kinds of series are sanctioned exceptions
+// to the byte-idempotence of back-to-back reads, so they are stripped
+// before comparing: the process.* gauges, which are point-in-time process
+// readings (uptime, RSS, fd count), and the request-trace series every
+// response records, the stats reads included (serve.requests,
+// serve.request_us, serve.phase_us).
 
-/// Remove every `{"name":"process....}` series object (flat, no nesting)
-/// from a stats payload.
-std::string without_process_series(std::string payload) {
-  const std::string needle = "{\"name\":\"process.";
+/// Remove every series object (flat, no nesting) whose name starts with
+/// `prefix` from a metrics JSON document.
+std::string without_series(std::string payload, std::string_view prefix) {
+  const std::string needle = "{\"name\":\"" + std::string(prefix);
   for (std::size_t pos = payload.find(needle); pos != std::string::npos;
        pos = payload.find(needle, pos)) {
+    // A series object holds no nested object: it ends at the first '}'.
     std::size_t end = payload.find('}', pos);
     if (end == std::string::npos) break;
     if (end + 1 < payload.size() && payload[end + 1] == ',') ++end;
@@ -355,10 +399,17 @@ std::string without_process_series(std::string payload) {
   return payload;
 }
 
+/// A stats document minus the series that change with every read.
+std::string without_volatile_series(std::string payload) {
+  for (const char* prefix :
+       {"process.", "serve.requests", "serve.request_us", "serve.phase_us"}) {
+    payload = without_series(std::move(payload), prefix);
+  }
+  return payload;
+}
+
 TEST_F(ServeTraceTest, StatsIsSnapshotLocalAndIdempotent) {
-  serve::ServerOptions off = options(2);
-  off.trace.enabled = false;  // no per-request series: pure bypass reads
-  serve::Server server(off);
+  serve::Server server(options(2));
   server.start();
   ServeClient client("127.0.0.1", server.port());
 
@@ -383,18 +434,21 @@ TEST_F(ServeTraceTest, StatsIsSnapshotLocalAndIdempotent) {
   const serve::Response s2 = client.call_op("stats", "");
   ASSERT_TRUE(s1.ok()) << s1.error;
   ASSERT_TRUE(s2.ok()) << s2.error;
-  EXPECT_EQ(without_process_series(s1.payload),
-            without_process_series(s2.payload));
+  EXPECT_EQ(without_volatile_series(s1.payload),
+            without_volatile_series(s2.payload));
   EXPECT_NE(s1.payload.find("gemmsim.cache.hits"), std::string::npos);
   EXPECT_NE(s1.payload.find("process.uptime_s"), std::string::npos);
   EXPECT_NE(s1.payload.find("gemmsim.cache.entries"), std::string::npos);
   const std::string after = obs::MetricsRegistry::global()
                                 .snapshot({.include_best_effort = true})
                                 .to_json();
-  // Reading stats did not publish cache series (or anything else) into the
-  // registry.
-  EXPECT_EQ(before, after);
+  // Reading stats did not publish cache series (or anything else but its
+  // own request trace) into the registry. The poll loop finishes s1's trace
+  // before it reads s2, so s1 is in `after`.
+  EXPECT_EQ(without_volatile_series(before), without_volatile_series(after));
   EXPECT_EQ(after.find("gemmsim.cache.hits"), std::string::npos);
+  EXPECT_NE(after.find(R"({"name":"serve.requests","labels":"op=stats")"),
+            std::string::npos);
 
   client.close();
   shut_down(server);
@@ -562,12 +616,11 @@ TEST_F(ServeTraceTest, SloSummaryCountsDeadlineMissesAndViolations) {
   EXPECT_EQ(static_cast<int>(records[0].at("code").as_number()),
             kExitCancelled);
 
-  ASSERT_NE(server.trace_log(), nullptr);
   wait_for_requests(server, 3);  // ping + sleep + at least one tail
-  const serve::SloSummary slo = server.trace_log()->slo_summary();
+  const serve::SloSummary slo = server.trace_log().slo_summary();
   EXPECT_GE(slo.requests, 3u);
   EXPECT_GE(slo.deadline_misses, 1u);
-  EXPECT_GE(slo.errors, 1u);
+  EXPECT_GE(server.stats().errors, 1u);
   EXPECT_GT(slo.p99_ms, 0.0);
   EXPECT_DOUBLE_EQ(slo.slo_p99_ms, 0.001);
   EXPECT_TRUE(slo.violated());
@@ -586,46 +639,56 @@ TEST_F(ServeTraceTest, SloSummaryCountsDeadlineMissesAndViolations) {
 }
 
 // ---------------------------------------------------------------------------
-// Ring mechanics: the lock-striped ring keeps the newest records and the
-// filters behave (direct RequestTraceLog unit coverage, no sockets).
+// Ring mechanics: the ring keeps exactly the newest records and the filters
+// behave (direct RequestTraceLog unit coverage, no sockets).
 
-TEST_F(ServeTraceTest, RingKeepsNewestRecordsAcrossStripes) {
-  serve::TraceOptions opt;
-  opt.ring_capacity = 8;
-  opt.ring_stripes = 4;
-  serve::RequestTraceLog log(opt);
-
-  for (int i = 0; i < 40; ++i) {
-    auto trace = log.begin_request();
-    serve::RequestRecord& rec = trace->record();
+/// Trace and finish `n` requests; every tenth (from the fourth) errors.
+void finish_requests(serve::RequestTraceLog& log, int n) {
+  for (int i = 0; i < n; ++i) {
+    serve::RequestTrace trace = log.begin_request();
+    serve::RequestRecord& rec = trace.record();
     rec.op = "estimate";
     rec.status = i % 10 == 3 ? "error" : "ok";
     rec.code = i % 10 == 3 ? kExitError : 0;
-    trace->add_phase(serve::Phase::kExecute, 10.0 + i);
-    log.finish(*trace);
+    trace.add_phase(serve::Phase::kExecute, 10.0 + i);
+    log.finish(trace);
   }
+}
 
+TEST_F(ServeTraceTest, RingKeepsExactlyTheNewestRecords) {
+  serve::TraceOptions opt;
+  opt.ring_capacity = 8;
+  serve::RequestTraceLog log(opt);
+  finish_requests(log, 40);
+
+  // Capacity bounds retention to the newest eight, newest first.
   const std::vector<serve::RequestRecord> all = log.tail(64, "all");
-  EXPECT_EQ(all.size(), 8u);  // capacity bounds retention
-  for (const serve::RequestRecord& rec : all) {
-    EXPECT_GE(rec.seq, 32u);  // only the newest survive in every stripe
+  ASSERT_EQ(all.size(), 8u);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(all[i].seq, 39u - i);
   }
-  // Newest-first ordering.
-  for (std::size_t i = 1; i < all.size(); ++i) {
-    EXPECT_GT(all[i - 1].seq, all[i].seq);
-  }
+  EXPECT_EQ(log.tail(3, "all").back().seq, 37u);
   const std::vector<serve::RequestRecord> top = log.tail(3, "slow");
   ASSERT_EQ(top.size(), 3u);
   EXPECT_GE(top[0].total_us, top[1].total_us);
   EXPECT_GE(top[1].total_us, top[2].total_us);
-  for (const serve::RequestRecord& rec : log.tail(64, "errors")) {
-    EXPECT_EQ(rec.status, "error");
-  }
+  const std::vector<serve::RequestRecord> errors = log.tail(64, "errors");
+  ASSERT_EQ(errors.size(), 1u);  // of 3, 13, 23, 33 only 33 survives
+  EXPECT_EQ(errors[0].seq, 33u);
+  EXPECT_EQ(errors[0].status, "error");
   EXPECT_THROW(log.tail(4, "weird"), UsageError);
 
-  const serve::SloSummary slo = log.slo_summary();
-  EXPECT_EQ(slo.requests, 40u);  // SLO counters outlive ring eviction
-  EXPECT_EQ(slo.errors, 4u);
+  // SLO accounting outlives ring eviction.
+  EXPECT_EQ(log.slo_summary().requests, 40u);
+}
+
+TEST_F(ServeTraceTest, RingOfCapacityZeroKeepsNoRecords) {
+  serve::TraceOptions opt;
+  opt.ring_capacity = 0;
+  serve::RequestTraceLog log(opt);
+  finish_requests(log, 5);
+  EXPECT_TRUE(log.tail(64, "all").empty());
+  EXPECT_EQ(log.slo_summary().requests, 5u);
 }
 
 // ---------------------------------------------------------------------------

@@ -89,18 +89,6 @@ TEST(ThreadPool, UsableAfterAnException) {
   EXPECT_EQ(ran.load(), 8);
 }
 
-TEST(ThreadPool, ParallelMapPreservesOrder) {
-  ThreadPool pool(4);
-  std::vector<int> in(257);
-  for (std::size_t i = 0; i < in.size(); ++i) in[i] = static_cast<int>(i);
-  const std::vector<int> out =
-      parallel_map(pool, in, [](int v) { return v * v; });
-  ASSERT_EQ(out.size(), in.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], static_cast<int>(i * i));
-  }
-}
-
 // --- the determinism contract on a real search ---------------------------
 
 advisor::SearchOptions with_threads(std::size_t threads) {

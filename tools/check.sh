@@ -17,7 +17,8 @@
 #           stability="deterministic" series must be byte-identical across
 #           the runs, `tail --filter=errors` must attribute the injected
 #           fault to its execute phase, and the drain summary must report
-#           the latency/SLO line
+#           the latency/SLO line; a third, --tail=0 run (no records kept)
+#           must still export serve.request_us while `tail` exits 2
 #   attribution  determinism drill for the attribution layer: the TSan
 #           CLI runs `analyze` plus `search --attribution` at --threads 1
 #           and 8; the three reports must be byte-identical and carry the
@@ -267,6 +268,54 @@ grep -q "latency: p50" "${TSAN_DIR}/serve_obs_1.log" || {
 grep -q "SLO p99 <= 5000.00 ms: met" "${TSAN_DIR}/serve_obs_1.log" || {
   echo "FAIL: serve-obs drain summary printed no SLO verdict"
   cat "${TSAN_DIR}/serve_obs_1.log"; exit 1
+}
+
+# --tail=0 keeps no request records, but every request is still traced:
+# the prom scrape carries serve.request_us (for the readiness pings too,
+# which bypass dispatch), `tail` is a usage error (exit 2), and the drain
+# summary still prints its latency line.
+TAIL0_SERIES='codesign_serve_request_us_count{op="ping"'
+TAIL0_LOG="${TSAN_DIR}/serve_obs_tail0.log"
+"${SERVE_BIN}" serve --port="${OBS_PORT}" --threads=2 --tail=0 \
+    >"${TAIL0_LOG}" 2>&1 &
+TAIL0_PID=$!
+for i in $(seq 1 100); do
+  if "${CLIENT_BIN}" ping --port="${OBS_PORT}" >/dev/null 2>&1; then break; fi
+  if [ "${i}" -eq 100 ]; then
+    echo "FAIL: --tail=0 server never became ready"; cat "${TAIL0_LOG}"; exit 1
+  fi
+  sleep 0.1
+done
+"${CLIENT_BIN}" estimate --m=1024 --n=1024 --k=1024 \
+    --port="${OBS_PORT}" >/dev/null
+for i in $(seq 1 20); do
+  "${CLIENT_BIN}" stats --format=prom --port="${OBS_PORT}" \
+      >"${TSAN_DIR}/obs_prom_tail0.txt" 2>/dev/null || true
+  if grep -qF "${TAIL0_SERIES}" "${TSAN_DIR}/obs_prom_tail0.txt"; then
+    break
+  fi
+  sleep 0.1
+done
+TAIL0_RC=0
+"${CLIENT_BIN}" tail --port="${OBS_PORT}" >/dev/null 2>&1 || TAIL0_RC=$?
+kill -INT "${TAIL0_PID}"
+TAIL0_SERVE_RC=0
+wait "${TAIL0_PID}" || TAIL0_SERVE_RC=$?
+if [ "${TAIL0_SERVE_RC}" -ne 0 ]; then
+  echo "FAIL: --tail=0 server exited ${TAIL0_SERVE_RC} after SIGINT, want 0"
+  cat "${TAIL0_LOG}"; exit 1
+fi
+grep -qF "${TAIL0_SERIES}" "${TSAN_DIR}/obs_prom_tail0.txt" || {
+  echo "FAIL: --tail=0 prom scrape is missing the serve.request_us summary"
+  cat "${TSAN_DIR}/obs_prom_tail0.txt"; exit 1
+}
+if [ "${TAIL0_RC}" -ne 2 ]; then
+  echo "FAIL: codesign-client tail against --tail=0 exited ${TAIL0_RC}, want 2"
+  exit 1
+fi
+grep -q "latency: p50" "${TAIL0_LOG}" || {
+  echo "FAIL: --tail=0 drain summary printed no latency line"
+  cat "${TAIL0_LOG}"; exit 1
 }
 
 echo "== attribution: analyze + search --attribution determinism under tsan =="

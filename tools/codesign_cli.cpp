@@ -107,7 +107,7 @@ int usage() {
          "                               delimited JSON (docs/SERVING.md);\n"
          "                               ^C drains in-flight work, exits 0;\n"
          "                               --tail sizes the request ring (0 =\n"
-         "                               tracing off), --slo-p99-ms adds an\n"
+         "                               keep none), --slo-p99-ms adds an\n"
          "                               SLO verdict to the drain summary,\n"
          "                               --trace captures per-request spans;\n"
          "                               --idle-timeout-ms reaps silent\n"
@@ -730,12 +730,11 @@ int cmd_serve(const CliArgs& args) {
                  "--brownout must be >= 0 (0 = 3/4 of the queue capacity)");
   options.brownout_watermark = static_cast<std::size_t>(brownout);
 
-  // Request tracing: --tail sizes the recent-request ring (0 disables the
-  // tracing layer entirely), --slo-p99-ms sets the declarative latency SLO
+  // Every request is traced. --tail sizes the recent-request ring only
+  // (0 keeps no records), --slo-p99-ms sets the declarative latency SLO
   // reported at drain, --trace captures per-request chrome-trace spans.
   const std::int64_t tail = args.get_int("tail", 256);
-  CODESIGN_CHECK(tail >= 0, "--tail must be >= 0 (0 disables tracing)");
-  options.trace.enabled = tail > 0;
+  CODESIGN_CHECK(tail >= 0, "--tail must be >= 0 (0 keeps no records)");
   options.trace.ring_capacity = static_cast<std::size_t>(tail);
   const double slo_p99 = args.get_double("slo-p99-ms", 0.0);
   CODESIGN_CHECK(slo_p99 >= 0.0, "--slo-p99-ms must be >= 0");
@@ -743,8 +742,6 @@ int cmd_serve(const CliArgs& args) {
 
   std::unique_ptr<obs::ScopedRecorder> scoped_recorder;
   if (args.has("trace")) {
-    CODESIGN_CHECK(options.trace.enabled,
-                   "--trace needs request tracing (a nonzero --tail)");
     scoped_recorder = std::make_unique<obs::ScopedRecorder>();
   }
 
@@ -753,10 +750,9 @@ int cmd_serve(const CliArgs& args) {
   server.start();
   std::cout << str_format(
                    "codesign serve listening on %s:%d (%zu workers, queue "
-                   "capacity %zu%s)\n",
+                   "capacity %zu)\n",
                    options.host.c_str(), server.port(), options.threads,
-                   options.queue_capacity,
-                   options.trace.enabled ? "" : ", tracing off")
+                   options.queue_capacity)
             << "^C drains in-flight requests and exits 0\n"
             << std::flush;
   server.join();  // returns after SIGINT-triggered drain completes
@@ -778,19 +774,17 @@ int cmd_serve(const CliArgs& args) {
         static_cast<unsigned long long>(s.slow_client_closed),
         static_cast<unsigned long long>(s.idle_closed));
   }
-  if (const serve::RequestTraceLog* log = server.trace_log()) {
-    const serve::SloSummary slo = log->slo_summary();
-    std::cout << str_format(
-        "latency: p50 %.2f ms, p95 %.2f ms, p99 %.2f ms over %llu traced "
-        "request(s) — %llu deadline miss(es), %llu truncated\n",
-        slo.p50_ms, slo.p95_ms, slo.p99_ms,
-        static_cast<unsigned long long>(slo.requests),
-        static_cast<unsigned long long>(slo.deadline_misses),
-        static_cast<unsigned long long>(slo.truncated));
-    if (slo.slo_p99_ms > 0.0) {
-      std::cout << str_format("SLO p99 <= %.2f ms: %s\n", slo.slo_p99_ms,
-                              slo.violated() ? "VIOLATED" : "met");
-    }
+  const serve::SloSummary slo = server.trace_log().slo_summary();
+  std::cout << str_format(
+      "latency: p50 %.2f ms, p95 %.2f ms, p99 %.2f ms over %llu traced "
+      "request(s) — %llu deadline miss(es), %llu truncated\n",
+      slo.p50_ms, slo.p95_ms, slo.p99_ms,
+      static_cast<unsigned long long>(slo.requests),
+      static_cast<unsigned long long>(slo.deadline_misses),
+      static_cast<unsigned long long>(slo.truncated));
+  if (slo.slo_p99_ms > 0.0) {
+    std::cout << str_format("SLO p99 <= %.2f ms: %s\n", slo.slo_p99_ms,
+                            slo.violated() ? "VIOLATED" : "met");
   }
   if (scoped_recorder != nullptr) {
     obs::ChromeTraceOptions trace_options;
