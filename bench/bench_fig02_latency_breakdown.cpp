@@ -23,7 +23,7 @@ int body(bench::BenchContext& ctx) {
 
   ctx.section("Table II — operator to GEMM map for " + cfg.to_string());
   TableWriter t2({"module", "GEMM size (m x n x k, batch)"});
-  for (const tfm::MappedOp& op : tfm::layer_ops(cfg)) {
+  for (const tfm::MappedOp& op : tfm::layer_schedule(cfg)) {
     t2.new_row().cell(tfm::op_name(op.op)).cell(
         op.gemm.has_value() ? op.gemm->to_string()
         : op.flash.has_value()

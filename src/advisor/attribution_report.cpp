@@ -1,11 +1,8 @@
 #include "advisor/attribution_report.hpp"
 
-#include "common/json.hpp"
 #include "transformer/attribution.hpp"
 
 namespace codesign::advisor {
-
-namespace {
 
 const char* tile_policy_name(gemm::TilePolicy p) {
   return p == gemm::TilePolicy::kAuto ? "auto" : "fixed_largest";
@@ -21,6 +18,8 @@ void write_breakdown(json::Writer& w, const gemm::BoundBreakdown& b) {
       .member("wave_tail", b.wave_tail)
       .end_object();
 }
+
+namespace {
 
 void write_families(json::Writer& w,
                     const std::vector<tfm::FamilyAttribution>& families,

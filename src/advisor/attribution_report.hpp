@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "advisor/search.hpp"
+#include "common/json.hpp"
 #include "gemmsim/simulator.hpp"
 #include "transformer/config.hpp"
 
@@ -22,6 +23,14 @@ namespace codesign::advisor {
 
 inline constexpr const char* kAttributionReportName = "codesign.attribution";
 inline constexpr int kAttributionReportVersion = 1;
+
+/// The report name of a tile policy: "auto" or "fixed_largest". The sweep
+/// report writes the same names.
+const char* tile_policy_name(gemm::TilePolicy policy);
+
+/// One BoundBreakdown as a JSON object {bound, compute, memory, launch,
+/// tile_waste, wave_tail}, as this report and the sweep report write it.
+void write_breakdown(json::Writer& w, const gemm::BoundBreakdown& b);
 
 /// Analyze `config` on `sim` and render the full report. `sensitivity` is
 /// embedded verbatim when non-empty (`codesign analyze` and

@@ -217,6 +217,16 @@ CheckpointWriter::~CheckpointWriter() {
   }
 }
 
+void start_resume(const SearchCheckpoint& resume, CheckpointWriter* checkpoint,
+                  const std::string& fingerprint, const char* noun) {
+  if (resume.fingerprint() != fingerprint) {
+    throw ConfigError("cannot resume: checkpoint belongs to a different " +
+                      std::string(noun) + " (file: '" + resume.fingerprint() +
+                      "', this run: '" + fingerprint + "')");
+  }
+  if (checkpoint != nullptr) checkpoint->seed_from(resume);
+}
+
 void CheckpointWriter::seed_from(const SearchCheckpoint& resumed) {
   if (resumed.fingerprint() != fingerprint_) {
     throw ConfigError(

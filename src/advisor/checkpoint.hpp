@@ -175,4 +175,11 @@ class CheckpointWriter {
   std::atomic<std::size_t> persists_{0};
 };
 
+/// Resume checks shared by every resumable run: throw ConfigError when
+/// `resume` was written by a different run of kind `noun` ("search",
+/// "sweep"), else carry its entries into `checkpoint` (optional) so the
+/// written file stays a complete record.
+void start_resume(const SearchCheckpoint& resume, CheckpointWriter* checkpoint,
+                  const std::string& fingerprint, const char* noun);
+
 }  // namespace codesign::advisor

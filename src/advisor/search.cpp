@@ -284,22 +284,6 @@ auto guarded_sweep(std::size_t n, const SearchOptions& options,
   return out;
 }
 
-/// Resume checks shared by the run_* entry points: reject a checkpoint
-/// written by a different search, and carry the resumed entries forward so
-/// the written files stay a complete record.
-void start_resume(const SearchOptions& options,
-                  const std::string& fingerprint) {
-  if (options.resume == nullptr) return;
-  if (options.resume->fingerprint() != fingerprint) {
-    throw ConfigError(
-        "cannot resume: checkpoint belongs to a different search (file: '" +
-        options.resume->fingerprint() + "', this run: '" + fingerprint + "')");
-  }
-  if (options.checkpoint != nullptr) {
-    options.checkpoint->seed_from(*options.resume);
-  }
-}
-
 /// Shape search on the guarded sweep: evaluate every config into a score
 /// slot, then rank. `keep` (optional) filters on (config, scores), e.g. the
 /// hidden sweep's parameter-delta bound; `annotate` (optional) fills the
@@ -643,8 +627,11 @@ SearchOutcome run_shape_search(SearchMode mode, const TransformerConfig& base,
                                double radius_frac, std::int64_t step,
                                const SearchOptions& options) {
   base.validate();
-  start_resume(options,
-               shape_search_fingerprint(mode, base, sim, radius_frac, step));
+  if (options.resume != nullptr) {
+    start_resume(*options.resume, options.checkpoint,
+                 shape_search_fingerprint(mode, base, sim, radius_frac, step),
+                 "search");
+  }
 
   std::vector<TransformerConfig> configs;
   std::function<void(ShapeCandidate&)> annotate;
@@ -781,7 +768,10 @@ MlpSearchOutcome run_mlp_search(const TransformerConfig& base,
                                 const SearchOptions& options) {
   base.validate();
   CODESIGN_CHECK(lo > 0 && hi >= lo, "bad d_ff search range");
-  start_resume(options, mlp_search_fingerprint(base, sim, lo, hi));
+  if (options.resume != nullptr) {
+    start_resume(*options.resume, options.checkpoint,
+                 mlp_search_fingerprint(base, sim, lo, hi), "search");
+  }
 
   // Only multiples of t are legal, so step by t from the first one instead
   // of testing divisibility value by value.

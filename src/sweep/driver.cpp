@@ -26,15 +26,8 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
   // run_grid_search leaves fingerprint validation to its caller; the sweep
   // owns the matrix identity, so validate and seed here once for all cells.
   if (options.resume != nullptr) {
-    const std::string fp = sweep_fingerprint(plan, options.policy);
-    if (options.resume->fingerprint() != fp) {
-      throw ConfigError(
-          "cannot resume: checkpoint belongs to a different sweep (file: '" +
-          options.resume->fingerprint() + "', this run: '" + fp + "')");
-    }
-    if (options.checkpoint != nullptr) {
-      options.checkpoint->seed_from(*options.resume);
-    }
+    advisor::start_resume(*options.resume, options.checkpoint,
+                          sweep_fingerprint(plan, options.policy), "sweep");
   }
 
   SweepResult result;

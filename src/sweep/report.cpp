@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
+#include "advisor/attribution_report.hpp"
 #include "common/json.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
@@ -10,21 +11,6 @@
 namespace codesign::sweep {
 
 namespace {
-
-const char* tile_policy_name(gemm::TilePolicy p) {
-  return p == gemm::TilePolicy::kAuto ? "auto" : "fixed_largest";
-}
-
-void write_breakdown(json::Writer& w, const gemm::BoundBreakdown& b) {
-  w.begin_object()
-      .member("bound", gemm::bound_name(b.bound))
-      .member("compute", b.compute)
-      .member("memory", b.memory)
-      .member("launch", b.launch)
-      .member("tile_waste", b.tile_waste)
-      .member("wave_tail", b.wave_tail)
-      .end_object();
-}
 
 /// One ranking row: a workload's cells ordered fastest-first.
 struct RankRow {
@@ -64,7 +50,7 @@ std::string sweep_report_json(const SweepResult& r, bool compact) {
       .member("report", kSweepReportName)
       .member("version", kSweepReportVersion)
       .member("name", r.name)
-      .member("tile_policy", tile_policy_name(r.policy))
+      .member("tile_policy", advisor::tile_policy_name(r.policy))
       .member("truncated", r.truncated);
 
   w.key("hardware").begin_array();
@@ -124,7 +110,7 @@ std::string sweep_report_json(const SweepResult& r, bool compact) {
       const double lt = c.attribution.layer.total_time;
       w.key("winner_attribution").begin_object();
       w.key("breakdown");
-      write_breakdown(w, c.attribution.breakdown);
+      advisor::write_breakdown(w, c.attribution.breakdown);
       w.key("layer_split")
           .begin_object()
           .member("attention",
@@ -178,7 +164,7 @@ std::string sweep_report_json(const SweepResult& r, bool compact) {
 void render_sweep_table(std::ostream& os, const SweepResult& r) {
   os << "sweep '" << r.name << "': " << r.workloads.size() << " workloads x "
      << r.gpus.size() << " GPUs = " << r.planned_cells << " cells ("
-     << "tile policy " << tile_policy_name(r.policy) << ")\n";
+     << "tile policy " << advisor::tile_policy_name(r.policy) << ")\n";
   for (const SweepResult::WorkloadMeta& m : r.workloads) {
     const std::vector<RankRow> rows = rank_workload(r, m.name);
     os << "\n== " << m.name << " (" << m.family << ", " << m.variants

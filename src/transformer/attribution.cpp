@@ -49,6 +49,42 @@ FamilyAttribution family_of(OpLatency&& o) {
   return f;
 }
 
+/// Count one op on its limiting roof and add its time-weighted breakdown.
+void add_op(BoundHistogram& h, gemm::BoundBreakdown& acc, const OpLatency& o) {
+  const auto bi =
+      static_cast<std::size_t>(static_cast<int>(o.breakdown.bound));
+  h.count[bi] += 1;
+  h.time[bi] += o.time;
+  weighted_add(acc, o.breakdown, o.time);
+}
+
+/// A fold over the layer walk's per-op records: the same estimates
+/// analyze_layer() sums, so the totals are its totals.
+LayerAttribution fold_layer(LayerLatencyReport&& layer) {
+  LayerAttribution r;
+  r.config = std::move(layer.config);
+  r.gemm_time = layer.gemm_time;
+  r.non_gemm_time = layer.non_gemm_time;
+  r.total_time = layer.total_time;
+  gemm::BoundBreakdown acc;
+  for (OpLatency& o : layer.ops) {
+    add_op(r.histogram, acc, o);
+    switch (op_branch(o.op)) {
+      case LayerBranch::kAttention: r.attention_time += o.time; break;
+      case LayerBranch::kMlp: r.mlp_time += o.time; break;
+      case LayerBranch::kOther: r.other_time += o.time; break;
+    }
+    if (o.is_gemm) r.gemms.push_back(family_of(std::move(o)));
+  }
+  for (FamilyAttribution& f : r.gemms) {
+    f.share = r.gemm_time > 0.0 ? f.time / r.gemm_time : 0.0;
+  }
+  normalize(acc, r.total_time);
+  acc.bound = dominant_bound(r.histogram);
+  r.breakdown = acc;
+  return r;
+}
+
 }  // namespace
 
 LayerBranch op_branch(LayerOp op) {
@@ -73,43 +109,21 @@ LayerBranch op_branch(LayerOp op) {
 
 LayerAttribution attribute_layer(const TransformerConfig& config,
                                  const gemm::GemmSimulator& sim) {
-  // A fold over the layer walk's per-op records: the same estimates
-  // analyze_layer() sums, so the totals are its totals.
-  LayerLatencyReport layer = analyze_layer(config, sim);
-  LayerAttribution r;
-  r.config = config;
-  r.gemm_time = layer.gemm_time;
-  r.non_gemm_time = layer.non_gemm_time;
-  r.total_time = layer.total_time;
-  gemm::BoundBreakdown acc;
-  for (OpLatency& o : layer.ops) {
-    const double t = o.time;
-    const auto bi =
-        static_cast<std::size_t>(static_cast<int>(o.breakdown.bound));
-    r.histogram.count[bi] += 1;
-    r.histogram.time[bi] += t;
-    switch (op_branch(o.op)) {
-      case LayerBranch::kAttention: r.attention_time += t; break;
-      case LayerBranch::kMlp: r.mlp_time += t; break;
-      case LayerBranch::kOther: r.other_time += t; break;
-    }
-    weighted_add(acc, o.breakdown, t);
-    if (o.is_gemm) r.gemms.push_back(family_of(std::move(o)));
-  }
-  for (FamilyAttribution& f : r.gemms) {
-    f.share = r.gemm_time > 0.0 ? f.time / r.gemm_time : 0.0;
-  }
-  normalize(acc, r.total_time);
-  acc.bound = dominant_bound(r.histogram);
-  r.breakdown = acc;
-  return r;
+  return fold_layer(analyze_layer(config, sim));
 }
 
 ModelAttribution attribute_model(const TransformerConfig& config,
                                  const gemm::GemmSimulator& sim) {
+  // A fold over analyze_model()'s records: its layer walk and its
+  // model-level ops, so the totals are its totals.
+  ModelLatencyReport model = analyze_model(config, sim);
   ModelAttribution r;
   r.config = config;
-  r.layer = attribute_layer(config, sim);
+  r.layer = fold_layer(std::move(model.layer));
+  r.embedding_time = model.embedding_time;
+  r.final_ln_time = model.final_ln_time;
+  r.logit_time = model.logit_time;
+  r.total_time = model.total_time;
   const double layers = static_cast<double>(config.num_layers);
 
   for (const FamilyAttribution& f : r.layer.gemms) {
@@ -127,27 +141,15 @@ ModelAttribution attribute_model(const TransformerConfig& config,
   gemm::BoundBreakdown acc;
   weighted_add(acc, r.layer.breakdown, layers * r.layer.total_time);
 
-  for (const MappedOp& op : model_level_ops(config)) {
-    OpLatency o = op_latency(op, sim);
-    switch (op.op) {
-      case LayerOp::kEmbeddingLookup: r.embedding_time = o.time; break;
-      case LayerOp::kFinalLayerNorm: r.final_ln_time = o.time; break;
-      case LayerOp::kLogitProjection: r.logit_time = o.time; break;
-      default: break;
+  double model_gemm_time = layers * r.layer.gemm_time;
+  for (OpLatency& o : model.model_level) {
+    add_op(r.histogram, acc, o);
+    if (o.is_gemm) {
+      model_gemm_time += o.time;
+      r.gemms.push_back(family_of(std::move(o)));
     }
-    const auto bi =
-        static_cast<std::size_t>(static_cast<int>(o.breakdown.bound));
-    r.histogram.count[bi] += 1;
-    r.histogram.time[bi] += o.time;
-    weighted_add(acc, o.breakdown, o.time);
-    if (o.is_gemm) r.gemms.push_back(family_of(std::move(o)));
   }
 
-  // Same expression analyze_model() uses, so the totals stay bit-identical.
-  r.total_time = static_cast<double>(config.num_layers) * r.layer.total_time +
-                 r.embedding_time + r.final_ln_time + r.logit_time;
-  const double model_gemm_time =
-      layers * r.layer.gemm_time + r.logit_time;
   for (FamilyAttribution& f : r.gemms) {
     f.share = model_gemm_time > 0.0 ? f.time / model_gemm_time : 0.0;
   }

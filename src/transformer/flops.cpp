@@ -1,7 +1,5 @@
 #include "transformer/flops.hpp"
 
-#include "transformer/gemm_mapping.hpp"
-
 namespace codesign::tfm {
 
 double layer_forward_flops_formula(const TransformerConfig& c) {
@@ -12,13 +10,18 @@ double layer_forward_flops_formula(const TransformerConfig& c) {
 }
 
 double layer_forward_flops(const TransformerConfig& c) {
+  return schedule_forward_flops(layer_schedule(c));
+}
+
+double schedule_forward_flops(const std::vector<MappedOp>& schedule) {
   double total = 0.0;
-  for (const gemm::GemmProblem& p : layer_gemms(c)) total += p.flops();
-  if (c.attention == AttentionImpl::kFlash) {
-    // The fused kernel's useful math is the two matmuls it absorbs. Count
-    // the dense (non-causal) math to stay comparable with the BMM path,
-    // which also computes the full score matrix.
-    gemm::FlashAttentionProblem fp = flash_attention_problem(c);
+  for (const MappedOp& op : schedule) {
+    if (op.gemm.has_value()) total += op.gemm->flops();
+  }
+  for (const MappedOp& op : schedule) {
+    if (!op.flash.has_value()) continue;
+    // The fused kernel's useful math is the two matmuls it absorbs.
+    gemm::FlashAttentionProblem fp = *op.flash;
     fp.causal = false;
     total += fp.flops();
   }
@@ -26,8 +29,11 @@ double layer_forward_flops(const TransformerConfig& c) {
 }
 
 double model_forward_flops(const TransformerConfig& c) {
-  return static_cast<double>(c.num_layers) * layer_forward_flops(c) +
-         logit_gemm(c).flops();
+  double total = static_cast<double>(c.num_layers) * layer_forward_flops(c);
+  for (const MappedOp& op : model_level_ops(c)) {
+    if (op.gemm.has_value()) total += op.gemm->flops();
+  }
+  return total;
 }
 
 double model_training_flops(const TransformerConfig& c) {

@@ -6,7 +6,10 @@
 // mapping in tests/test_flops.cpp.
 #pragma once
 
+#include <vector>
+
 #include "transformer/config.hpp"
+#include "transformer/gemm_mapping.hpp"
 
 namespace codesign::tfm {
 
@@ -18,7 +21,12 @@ double layer_forward_flops_formula(const TransformerConfig& config);
 /// FlashAttention configs count the fused kernel's math.
 double layer_forward_flops(const TransformerConfig& config);
 
-/// All L layers plus the logit projection.
+/// The one FLOP sum behind both layer_forward_flops() overloads: the
+/// schedule's GEMMs in order, then the dense (non-causal) math of its
+/// fused flash op, comparable with the BMM path's full score matrix.
+double schedule_forward_flops(const std::vector<MappedOp>& schedule);
+
+/// All L layers plus the model-level GEMMs (the logit projection).
 double model_forward_flops(const TransformerConfig& config);
 
 /// Training step ≈ 3× forward (1 forward + 2 for the backward pass), the

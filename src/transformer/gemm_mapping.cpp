@@ -101,22 +101,6 @@ FlashAttentionProblem flash_attention_problem(const ValidatedConfig& c) {
   return p;
 }
 
-std::vector<GemmProblem> layer_gemms(const ValidatedConfig& c) {
-  std::vector<GemmProblem> out;
-  out.push_back(qkv_gemm(c));
-  if (c->attention == AttentionImpl::kBmm) {
-    out.push_back(attention_score_bmm(c));
-    out.push_back(attention_over_value_bmm(c));
-  }
-  out.push_back(post_attn_projection_gemm(c));
-  out.push_back(mlp_up_gemm(c));
-  if (c->activation == Activation::kSwiGlu) {
-    out.push_back(mlp_up_gemm(c));  // the gate twin has the same shape
-  }
-  out.push_back(mlp_down_gemm(c));
-  return out;
-}
-
 namespace {
 
 double esize(const TransformerConfig& c) {
@@ -146,10 +130,18 @@ MappedOp elementwise_op(LayerOp op, double bytes, double flops = 0.0) {
 
 }  // namespace
 
-std::vector<MappedOp> layer_ops(const TransformerConfig& c) {
+std::vector<MappedOp> layer_schedule(const ValidatedConfig& c) {
   std::vector<MappedOp> ops;
   layer_ops_into(c, ops);
   return ops;
+}
+
+std::vector<GemmProblem> layer_gemms(const ValidatedConfig& c) {
+  std::vector<GemmProblem> out;
+  for (MappedOp& op : layer_schedule(c)) {
+    if (op.gemm.has_value()) out.push_back(std::move(*op.gemm));
+  }
+  return out;
 }
 
 void layer_ops_into(const ValidatedConfig& valid, std::vector<MappedOp>& ops) {
@@ -197,12 +189,15 @@ void layer_ops_into(const ValidatedConfig& valid, std::vector<MappedOp>& ops) {
   ops.push_back(
       gemm_op(LayerOp::kPostAttnProjection, post_attn_projection_gemm(valid)));
 
-  // Residual add: read both operands, write the sum.
-  ops.push_back(elementwise_op(LayerOp::kResidualAdd1,
-                               3.0 * act_bytes(c, h), bs * h));
-
-  ops.push_back(elementwise_op(LayerOp::kLayerNorm2,
-                               2.0 * act_bytes(c, h), 5.0 * bs * h));
+  // Parallel layers share LayerNorm 1 between the branches and fuse the
+  // two residual adds into the last one.
+  if (!c.parallel_layers) {
+    // Residual add: read both operands, write the sum.
+    ops.push_back(elementwise_op(LayerOp::kResidualAdd1,
+                                 3.0 * act_bytes(c, h), bs * h));
+    ops.push_back(elementwise_op(LayerOp::kLayerNorm2,
+                                 2.0 * act_bytes(c, h), 5.0 * bs * h));
+  }
 
   ops.push_back(gemm_op(LayerOp::kMlpUp, mlp_up_gemm(valid)));
   if (c.activation == Activation::kSwiGlu) {

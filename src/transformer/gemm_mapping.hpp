@@ -76,20 +76,25 @@ gemm::GemmProblem logit_gemm(const ValidatedConfig& config);
 gemm::FlashAttentionProblem flash_attention_problem(
     const ValidatedConfig& config);
 
-/// The GEMMs of one transformer layer in execution order (QKV, score, AOV,
-/// projection, MLP up [, gate], MLP down) — or with score/AOV replaced by
-/// nothing when attention == kFlash (the fused op is not a plain GEMM).
-std::vector<gemm::GemmProblem> layer_gemms(const ValidatedConfig& config);
+/// The layer's executed operator schedule, non-GEMM ops included, in
+/// execution order. Parallel-layer configs (paper §VI-C1) fuse the
+/// attention and MLP branches: one shared LayerNorm and one fused residual,
+/// so LayerNorm 2 and the first residual add do not run. This and
+/// model_level_ops() are the only lists of what a layer and a model run;
+/// every other reader (GEMM list, backward GEMMs, launch count, FLOPs, the
+/// layer walk) derives from them.
+std::vector<MappedOp> layer_schedule(const ValidatedConfig& config);
 
-/// The complete per-layer operator schedule, including non-GEMM ops, in
-/// execution order.
-std::vector<MappedOp> layer_ops(const TransformerConfig& config);
-
-/// Allocation-reusing form of layer_ops(): clears `out` and fills it with
-/// the identical schedule, keeping the vector's capacity. The batched
+/// Allocation-reusing form of layer_schedule(): clears `out` and fills it
+/// with the identical schedule, keeping the vector's capacity. The batched
 /// search hot path calls this once per candidate with a per-worker buffer.
 void layer_ops_into(const ValidatedConfig& config,
                     std::vector<MappedOp>& out);
+
+/// The GEMMs of layer_schedule(), in execution order (QKV, score, AOV,
+/// projection, MLP up [, gate], MLP down). FlashAttention configs have no
+/// score or AOV GEMM: the fused op is not a plain GEMM.
+std::vector<gemm::GemmProblem> layer_gemms(const ValidatedConfig& config);
 
 /// Model-level ops outside the layer stack: embedding lookup, final
 /// LayerNorm, logit projection.

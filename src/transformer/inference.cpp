@@ -8,21 +8,10 @@
 namespace codesign::tfm {
 
 double decode_launches_per_step(const TransformerConfig& c) {
-  // Per layer: QKV, score, AOV, projection, MLP matrices — one launch each —
-  // plus the non-GEMM kernels (LayerNorms, softmax, rotary, activation,
-  // residuals). FlashAttention fuses score+softmax+AOV into one.
-  double gemms = 4.0 + static_cast<double>(c.mlp_matrices());
-  double aux = 5.0;  // ln1, ln2, activation, residual x2
-  if (c.attention == AttentionImpl::kFlash) {
-    gemms -= 2.0;  // score+AOV folded into the fused kernel
-  } else {
-    aux += 1.0;  // explicit softmax
-  }
-  if (c.pos_embedding == PosEmbedding::kRotary) aux += 1.0;
-  if (c.parallel_layers) aux -= 2.0;  // fused norm + single residual
-  const double per_layer = gemms + aux;
-  // Model-level: embedding gather, final LN, logit projection, sampling.
-  return per_layer * static_cast<double>(c.num_layers) + 4.0;
+  // One launch per scheduled kernel, plus sampling.
+  return static_cast<double>(layer_schedule(c).size()) *
+             static_cast<double>(c.num_layers) +
+         static_cast<double>(model_level_ops(c).size()) + 1.0;
 }
 
 InferenceEstimate estimate_inference(const TransformerConfig& config,

@@ -40,9 +40,9 @@ struct InferenceEstimate {
   double tokens_per_second = 0.0;  ///< steady-state decode rate
 };
 
-/// Kernel launches per decode step for this architecture: the per-layer
-/// GEMM count plus the non-GEMM kernels, reduced when parallel layers fuse
-/// branches.
+/// Kernel launches per decode step for this architecture: one per op of
+/// layer_schedule() in each of the L layers, one per model_level_ops()
+/// entry, and one for sampling.
 double decode_launches_per_step(const TransformerConfig& config);
 
 InferenceEstimate estimate_inference(const TransformerConfig& config,

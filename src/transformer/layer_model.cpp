@@ -10,19 +10,6 @@ namespace codesign::tfm {
 
 namespace {
 
-/// Parallel-layer formulation fuses the attention and MLP branches
-/// (§VI-C1): one shared LayerNorm and one fused residual, saving the
-/// second LN's and one residual add's traffic + launches. The in-place
-/// erase preserves op order and reuses the buffer's capacity.
-void schedule_for_into(const ValidatedConfig& c,
-                       std::vector<MappedOp>& ops) {
-  layer_ops_into(c, ops);
-  if (!c->parallel_layers) return;
-  std::erase_if(ops, [](const MappedOp& op) {
-    return op.op == LayerOp::kLayerNorm2 || op.op == LayerOp::kResidualAdd1;
-  });
-}
-
 /// Time, math rate and roof split of a flash or elementwise op: the one
 /// place the non-GEMM cost model lives. GEMMs read theirs off the
 /// simulator's estimate.
@@ -118,7 +105,7 @@ OpLatency record_op(const MappedOp& op, const gemm::GemmSimulator& sim,
 double walk_layer(const ValidatedConfig& config,
                   const gemm::GemmSimulator& sim, LayerWorkspace& ws,
                   std::vector<OpLatency>* records) {
-  schedule_for_into(config, ws.ops);
+  layer_ops_into(config, ws.ops);
   ws.gemms.clear();
   for (const MappedOp& op : ws.ops) {
     if (op.gemm.has_value()) ws.gemms.push_back(*op.gemm);
@@ -179,12 +166,6 @@ OpLatency op_latency(const MappedOp& op, const gemm::GemmSimulator& sim) {
   return record_op(op, sim, &est);
 }
 
-std::vector<MappedOp> layer_schedule(const TransformerConfig& config) {
-  std::vector<MappedOp> ops;
-  schedule_for_into(config, ops);
-  return ops;
-}
-
 double LayerLatencyReport::share_of(LayerOp op) const {
   CODESIGN_CHECK(total_time > 0.0, "report has zero total time");
   double t = 0.0;
@@ -209,18 +190,7 @@ double layer_total_time(const ValidatedConfig& config,
 }
 
 double layer_forward_flops(const LayerWorkspace& ws) {
-  // layer_forward_flops(config) sums layer_gemms(config) in order and then
-  // adds the dense flash math; ws.gemms is the same list in the same order.
-  double total = 0.0;
-  for (const gemm::GemmProblem& p : ws.gemms) total += p.flops();
-  for (const MappedOp& op : ws.ops) {
-    if (op.flash.has_value()) {
-      gemm::FlashAttentionProblem fp = *op.flash;
-      fp.causal = false;
-      total += fp.flops();
-    }
-  }
-  return total;
+  return schedule_forward_flops(ws.ops);
 }
 
 LayerLatencyReport analyze_layer(const TransformerConfig& config,
@@ -243,8 +213,13 @@ ModelLatencyReport analyze_model(const TransformerConfig& config,
   ModelLatencyReport r;
   r.config = config;
   r.layer = analyze_layer(config, sim);
-  for (const MappedOp& op : model_level_ops(config)) {
-    const OpLatency lat = op_latency(op, sim);
+  const double layers = static_cast<double>(config.num_layers);
+  r.total_time = layers * r.layer.total_time;
+  r.model_flops = layers * r.layer.layer_flops;
+  const std::vector<MappedOp> model_level = model_level_ops(config);
+  r.model_level.reserve(model_level.size());
+  for (const MappedOp& op : model_level) {
+    OpLatency lat = op_latency(op, sim);
     switch (op.op) {
       case LayerOp::kEmbeddingLookup: r.embedding_time = lat.time; break;
       case LayerOp::kFinalLayerNorm: r.final_ln_time = lat.time; break;
@@ -252,10 +227,12 @@ ModelLatencyReport analyze_model(const TransformerConfig& config,
       default:
         throw Error("unexpected model-level op");
     }
+    r.total_time += lat.time;
+    // model_forward_flops() adds the model-level GEMMs' 2·m·n·k the same
+    // way; OpLatency::flops is that GemmProblem::flops().
+    if (op.is_gemm()) r.model_flops += lat.flops;
+    r.model_level.push_back(std::move(lat));
   }
-  r.total_time = static_cast<double>(config.num_layers) * r.layer.total_time +
-                 r.embedding_time + r.final_ln_time + r.logit_time;
-  r.model_flops = model_forward_flops(config);
   r.throughput_tflops = r.model_flops / r.total_time / 1e12;
   r.tokens_per_second = static_cast<double>(config.tokens()) / r.total_time;
   return r;

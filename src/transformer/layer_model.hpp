@@ -77,14 +77,9 @@ struct LayerLatencyReport {
   double gemm_share_of(LayerOp op) const;
 };
 
-/// The layer's executed operator schedule: layer_ops() with the
-/// parallel-layer fusion applied (one LayerNorm and one residual dropped
-/// when config.parallel_layers). The layer walk behind analyze_layer(),
-/// layer_total_time() and attribute_layer() runs exactly this schedule.
-std::vector<MappedOp> layer_schedule(const TransformerConfig& config);
-
 /// Analyze one transformer layer on the simulator's GPU: the layer walk
-/// with per-op records, its GEMMs resolved by one estimate_many() call.
+/// over layer_schedule() with per-op records, its GEMMs resolved by one
+/// estimate_many() call.
 LayerLatencyReport analyze_layer(const TransformerConfig& config,
                                  const gemm::GemmSimulator& sim);
 
@@ -107,18 +102,21 @@ double layer_total_time(const ValidatedConfig& config,
                         const gemm::GemmSimulator& sim, LayerWorkspace& ws);
 
 /// layer_forward_flops() of the config the last layer_total_time() call
-/// walked with `ws`: the same double, summed from the GEMM list the walk
-/// already built instead of rebuilding it.
+/// walked with `ws`: the same sum over the schedule the walk already
+/// built, instead of rebuilding it.
 double layer_forward_flops(const LayerWorkspace& ws);
 
 struct ModelLatencyReport {
   TransformerConfig config;
   LayerLatencyReport layer;        ///< one representative layer
+  /// One record per model_level_ops() entry, in that order: embedding
+  /// lookup, final LayerNorm, logit projection.
+  std::vector<OpLatency> model_level;
   double embedding_time = 0.0;
   double final_ln_time = 0.0;
   double logit_time = 0.0;
   double total_time = 0.0;         ///< L·layer + model-level ops
-  double model_flops = 0.0;        ///< forward GEMM math of the whole model
+  double model_flops = 0.0;        ///< model_forward_flops(config)
   double throughput_tflops = 0.0;
   double tokens_per_second = 0.0;  ///< b·s / total_time (forward pass)
 };

@@ -6,25 +6,9 @@
 #include "common/json.hpp"
 #include "common/strings.hpp"
 #include "common/units.hpp"
-#include "transformer/gemm_mapping.hpp"
 #include "transformer/layer_model.hpp"
 
 namespace codesign::tfm {
-
-namespace {
-
-void emit_event(std::ostringstream& os, bool& first, const std::string& name,
-                int tid, double ts_us, double dur_us,
-                const std::string& args_detail) {
-  if (!first) os << ",";
-  first = false;
-  os << "{\"name\":\"" << json::escape(name) << "\",\"ph\":\"X\",\"pid\":0,"
-     << "\"tid\":" << tid << ",\"ts\":" << str_format("%.3f", ts_us)
-     << ",\"dur\":" << str_format("%.3f", dur_us) << ",\"args\":{\"detail\":\""
-     << json::escape(args_detail) << "\"}}";
-}
-
-}  // namespace
 
 std::string trace_json(const TransformerConfig& config,
                        const gemm::GemmSimulator& sim,
@@ -37,37 +21,41 @@ std::string trace_json(const TransformerConfig& config,
   bool first = true;
   double clock_us = 0.0;
 
-  auto emit_op = [&](const OpLatency& op) {
-    emit_event(os, first, op.name, op.is_gemm ? 1 : 2, clock_us,
-               to_us(op.time), detail_text(op.detail));
-    clock_us += to_us(op.time);
+  // One complete (ph=X) event at the running clock: GEMMs on tid 1,
+  // non-GEMM kernels on tid 2.
+  auto emit_op = [&](const std::string& name, const OpLatency& op) {
+    if (!first) os << ",";
+    first = false;
+    const double dur_us = to_us(op.time);
+    os << "{\"name\":\"" << json::escape(name) << "\",\"ph\":\"X\",\"pid\":0,"
+       << "\"tid\":" << (op.is_gemm ? 1 : 2)
+       << ",\"ts\":" << str_format("%.3f", clock_us)
+       << ",\"dur\":" << str_format("%.3f", dur_us)
+       << ",\"args\":{\"detail\":\"" << json::escape(detail_text(op.detail))
+       << "\"}}";
+    clock_us += dur_us;
+  };
+  const ModelLatencyReport model = analyze_model(config, sim);
+  // The embedding lookup precedes the layer stack; the final LayerNorm and
+  // the logit projection follow it.
+  auto emit_model_level = [&](bool before_stack) {
+    if (!options.include_model_level) return;
+    for (const OpLatency& op : model.model_level) {
+      if ((op.op == LayerOp::kEmbeddingLookup) == before_stack) {
+        emit_op(op.name, op);
+      }
+    }
   };
 
-  std::vector<OpLatency> model_level;
-  if (options.include_model_level) {
-    for (const MappedOp& op : model_level_ops(config)) {
-      model_level.push_back(op_latency(op, sim));
-    }
-    // Embedding lookup precedes the layer stack.
-    emit_op(model_level[0]);
-  }
-
-  const LayerLatencyReport layer = analyze_layer(config, sim);
+  emit_model_level(true);
   for (std::int64_t l = 0; l < options.layers; ++l) {
-    for (const OpLatency& op : layer.ops) {
-      emit_event(os, first,
-                 str_format("L%lld.%s", static_cast<long long>(l),
-                            op.name.c_str()),
-                 op.is_gemm ? 1 : 2, clock_us, to_us(op.time),
-                 detail_text(op.detail));
-      clock_us += to_us(op.time);
+    for (const OpLatency& op : model.layer.ops) {
+      emit_op(str_format("L%lld.%s", static_cast<long long>(l),
+                         op.name.c_str()),
+              op);
     }
   }
-
-  if (options.include_model_level) {
-    emit_op(model_level[1]);  // final LayerNorm
-    emit_op(model_level[2]);  // logit projection
-  }
+  emit_model_level(false);
 
   os << "],\"otherData\":{\"model\":\"" << json::escape(config.to_string())
      << "\",\"gpu\":\"" << json::escape(sim.gpu().id) << "\"}}";

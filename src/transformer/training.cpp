@@ -1,7 +1,5 @@
 #include "transformer/training.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "transformer/flops.hpp"
 #include "transformer/gemm_mapping.hpp"
@@ -27,54 +25,40 @@ BackwardPair backward_of(const GemmProblem& forward) {
 }
 
 std::vector<GemmProblem> layer_backward_gemms(const TransformerConfig& c) {
-  c.validate();
+  const std::vector<MappedOp> schedule = layer_schedule(c);
   std::vector<GemmProblem> out;
-  auto push_weight = [&out](const GemmProblem& fwd) {
-    const BackwardPair p = backward_of(fwd);
+  for (auto op = schedule.rbegin(); op != schedule.rend(); ++op) {
+    if (!op->gemm.has_value()) continue;
+    const BackwardPair p = backward_of(*op->gemm);
     out.push_back(p.dgrad);
     out.push_back(p.wgrad);
-  };
-  auto push_activation_bmm = [&out](const GemmProblem& fwd) {
-    // C = A·B with both operands activations: dA = dC·Bᵀ and dB = Aᵀ·dC,
-    // both plain (non-accumulating) batched GEMMs.
-    const BackwardPair p = backward_of(fwd);
-    GemmProblem db = p.wgrad;
-    db.accumulate_into_c = false;
-    out.push_back(p.dgrad);
-    out.push_back(db);
-  };
-
-  // Reverse execution order of layer_gemms().
-  push_weight(mlp_down_gemm(c));
-  if (c.activation == Activation::kSwiGlu) push_weight(mlp_up_gemm(c));
-  push_weight(mlp_up_gemm(c));
-  push_weight(post_attn_projection_gemm(c));
-  if (c.attention == AttentionImpl::kBmm) {
-    push_activation_bmm(attention_over_value_bmm(c));
-    push_activation_bmm(attention_score_bmm(c));
+    // Score and AOV multiply two activations, C = A·B: dB = Aᵀ·dC is a
+    // plain batched GEMM, not a weight gradient accumulated across
+    // microbatches.
+    if (op->op == LayerOp::kAttentionScore ||
+        op->op == LayerOp::kAttentionOverValue) {
+      out.back().accumulate_into_c = false;
+    }
   }
-  push_weight(qkv_gemm(c));
   return out;
 }
 
 double layer_backward_time(const TransformerConfig& config,
                            const gemm::GemmSimulator& sim) {
-  config.validate();
   double layer_bwd = 0.0;
   for (const GemmProblem& p : layer_backward_gemms(config)) {
     layer_bwd += sim.latency(p);
   }
-  if (config.attention == AttentionImpl::kFlash) {
+  const LayerLatencyReport forward = analyze_layer(config, sim);
+  for (const OpLatency& op : forward.ops) {
     // FlashAttention's backward recomputes the forward matmuls and adds
-    // the gradient matmuls: ~2.5x the forward fused-kernel math.
-    gemm::FlashAttentionProblem fp = flash_attention_problem(config);
-    const auto est = sim.estimate_flash(fp);
-    layer_bwd += 2.5 * est.time;
+    // the gradient matmuls: ~2.5x the forward fused-kernel time.
+    if (op.op == LayerOp::kFlashAttention) layer_bwd += 2.5 * op.time;
   }
   // Non-GEMM backward kernels mirror the forward elementwise traffic
   // (softmax-backward, LN-backward, activation-backward, residual): model
   // them as the forward non-GEMM traffic replayed once.
-  layer_bwd += analyze_layer(config, sim).non_gemm_time;
+  layer_bwd += forward.non_gemm_time;
   return layer_bwd;
 }
 
@@ -87,16 +71,18 @@ TrainingStepReport analyze_training_step(const TransformerConfig& config,
   const ModelLatencyReport fwd = analyze_model(config, sim);
   r.forward_time = fwd.total_time;
 
-  // Backward of the logit projection (the single heaviest weight GEMM).
-  double logit_bwd = 0.0;
-  {
-    const BackwardPair p = backward_of(logit_gemm(config));
-    logit_bwd = sim.latency(p.dgrad) + sim.latency(p.wgrad);
+  // Backward of the model-level GEMMs: the logit projection, the single
+  // heaviest weight GEMM.
+  double model_level_bwd = 0.0;
+  for (const MappedOp& op : model_level_ops(config)) {
+    if (!op.gemm.has_value()) continue;
+    const BackwardPair p = backward_of(*op.gemm);
+    model_level_bwd += sim.latency(p.dgrad) + sim.latency(p.wgrad);
   }
 
   r.backward_time = static_cast<double>(config.num_layers) *
                         layer_backward_time(config, sim) +
-                    logit_bwd;
+                    model_level_bwd;
 
   // Optimizer: Adam reads/writes the full mixed-precision state once.
   const MemoryFootprint mem = training_memory(config);

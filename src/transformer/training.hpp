@@ -42,9 +42,10 @@ struct BackwardPair {
 /// Backward pair for a forward weight GEMM Y = X·W with X (m×k), W (k×n).
 BackwardPair backward_of(const gemm::GemmProblem& forward);
 
-/// All backward GEMMs of one transformer layer, in reverse execution
-/// order. For BMM attention this contains the four activation dgrads
-/// (dQ, dK via the score BMM; dP, dV via the AOV BMM).
+/// All backward GEMMs of one transformer layer: backward_of() of every
+/// GEMM of layer_schedule(), in reverse execution order. For BMM attention
+/// this contains the four activation dgrads (dQ, dK via the score BMM;
+/// dP, dV via the AOV BMM), whose second GEMM does not accumulate.
 std::vector<gemm::GemmProblem> layer_backward_gemms(
     const TransformerConfig& config);
 

@@ -5,7 +5,12 @@
 
 #include "common/error.hpp"
 
+#include "transformer/attribution.hpp"
+#include "transformer/flops.hpp"
+#include "transformer/inference.hpp"
+#include "transformer/layer_model.hpp"
 #include "transformer/model_zoo.hpp"
+#include "transformer/training.hpp"
 
 namespace codesign::tfm {
 namespace {
@@ -141,7 +146,7 @@ TEST(Mapping, FlashProblemFields) {
 }
 
 TEST(Mapping, LayerOpsScheduleOrder) {
-  const auto ops = layer_ops(cfg());
+  const auto ops = layer_schedule(cfg());
   ASSERT_GE(ops.size(), 10u);
   EXPECT_EQ(ops.front().op, LayerOp::kLayerNorm1);
   EXPECT_EQ(ops[1].op, LayerOp::kQkvTransform);
@@ -160,7 +165,7 @@ TEST(Mapping, LayerOpsScheduleOrder) {
 TEST(Mapping, RotaryAddsOp) {
   TransformerConfig c = cfg();
   c.pos_embedding = PosEmbedding::kRotary;
-  const auto ops = layer_ops(c);
+  const auto ops = layer_schedule(c);
   bool has_rotary = false;
   for (const auto& op : ops) has_rotary |= op.op == LayerOp::kRotaryEmbedding;
   EXPECT_TRUE(has_rotary);
@@ -169,7 +174,7 @@ TEST(Mapping, RotaryAddsOp) {
 TEST(Mapping, FlashScheduleHasNoSoftmax) {
   TransformerConfig c = cfg();
   c.attention = AttentionImpl::kFlash;
-  for (const auto& op : layer_ops(c)) {
+  for (const auto& op : layer_schedule(c)) {
     EXPECT_NE(op.op, LayerOp::kSoftmax);
     EXPECT_NE(op.op, LayerOp::kAttentionScore);
     EXPECT_NE(op.op, LayerOp::kAttentionOverValue);
@@ -213,8 +218,63 @@ TEST(Mapping, EveryPublicBuilderRejectsInvalidConfig) {
   EXPECT_THROW(logit_gemm(c), ConfigError);
   EXPECT_THROW(flash_attention_problem(c), ConfigError);
   EXPECT_THROW(layer_gemms(c), ConfigError);
-  EXPECT_THROW(layer_ops(c), ConfigError);
+  EXPECT_THROW(layer_schedule(c), ConfigError);
   EXPECT_THROW(model_level_ops(c), ConfigError);
+}
+
+// layer_schedule() and model_level_ops() are the only lists of what a layer
+// and a model run: every reader that counts, lists or sums a layer's ops
+// must agree with them, on every zoo model and every variant that changes
+// the op list.
+TEST(Schedule, EveryReaderAgreesWithTheSchedule) {
+  const gemm::GemmSimulator sim = gemm::GemmSimulator::for_gpu("a100");
+  for (const std::string& name : known_models()) {
+    for (const AttentionImpl attention :
+         {AttentionImpl::kBmm, AttentionImpl::kFlash}) {
+      for (const bool parallel : {false, true}) {
+        for (const Activation act : {Activation::kGelu, Activation::kSwiGlu}) {
+          TransformerConfig c = model_by_name(name);
+          c.attention = attention;
+          c.parallel_layers = parallel;
+          c.activation = act;
+          SCOPED_TRACE(c.to_string());
+          const std::vector<MappedOp> schedule = layer_schedule(c);
+          const std::vector<MappedOp> model_level = model_level_ops(c);
+
+          EXPECT_EQ(decode_launches_per_step(c),
+                    static_cast<double>(c.num_layers * schedule.size() +
+                                        model_level.size() + 1));
+
+          std::vector<GemmProblem> gemms;
+          for (const MappedOp& op : schedule) {
+            if (op.gemm.has_value()) gemms.push_back(*op.gemm);
+          }
+          EXPECT_EQ(layer_gemms(c), gemms);
+
+          // Backward runs that list in reverse. Score and AOV multiply two
+          // activations, so their second GEMM does not accumulate.
+          std::vector<GemmProblem> backward;
+          for (auto op = schedule.rbegin(); op != schedule.rend(); ++op) {
+            if (!op->gemm.has_value()) continue;
+            BackwardPair p = backward_of(*op->gemm);
+            p.wgrad.accumulate_into_c =
+                op->op != LayerOp::kAttentionScore &&
+                op->op != LayerOp::kAttentionOverValue;
+            backward.push_back(p.dgrad);
+            backward.push_back(p.wgrad);
+          }
+          EXPECT_EQ(layer_backward_gemms(c), backward);
+
+          LayerWorkspace ws;
+          layer_total_time(c, sim, ws);
+          EXPECT_EQ(layer_forward_flops(c), layer_forward_flops(ws));
+
+          EXPECT_EQ(attribute_model(c, sim).total_time,
+                    analyze_model(c, sim).total_time);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
