@@ -3,6 +3,7 @@
 // with compute + TP all-reduces + pipeline p2p + DP gradient all-reduce
 // and checked against per-GPU memory. Quantifies the paper's "whether
 // pipeline parallelism is optimal depends on internode speed" note.
+#include "advisor/rules.hpp"
 #include "bench_common.hpp"
 #include "comm/parallelism.hpp"
 #include "common/strings.hpp"
@@ -24,9 +25,7 @@ int body(bench::BenchContext& ctx) {
   const std::int64_t gpus = ctx.args().get_int("gpus", 32);
   const std::int64_t m = ctx.args().get_int("microbatches", 32);
   tfm::TransformerConfig model = tfm::model_by_name(model_name);
-  if (model.vocab_size % 64 != 0) {
-    model = model.with_vocab(((model.vocab_size + 63) / 64) * 64);
-  }
+  model.vocab_size = advisor::pad_vocab(model.vocab_size);
 
   for (const char* cluster_id : {"aws-p4d", "ornl-summit"}) {
     const comm::ClusterSpec& cluster = comm::cluster_by_name(cluster_id);
@@ -74,9 +73,7 @@ CODESIGN_BENCH_CASES(ext_3d_parallel) {
            {benchlib::kSuiteExt},
            [](benchlib::CaseContext& c) {
              tfm::TransformerConfig model = tfm::model_by_name("gpt3-2.7b");
-             if (model.vocab_size % 64 != 0) {
-               model = model.with_vocab(((model.vocab_size + 63) / 64) * 64);
-             }
+             model.vocab_size = advisor::pad_vocab(model.vocab_size);
              for (const char* cluster_id : {"aws-p4d", "ornl-summit"}) {
                const comm::ClusterSpec& cluster =
                    comm::cluster_by_name(cluster_id);

@@ -109,11 +109,10 @@ ShapeCandidate seed_evaluate(const tfm::TransformerConfig& config,
 
 /// The seed evaluation path: enumerate the same joint grid inline and
 /// evaluate every candidate through seed_evaluate, single-threaded, with
-/// no cache. The param-delta filter matches the pipeline's `keep` (it ran
-/// after evaluation in the seed too, so every grid point pays full cost).
+/// no cache. The param-delta bound is the pipeline's, but applied after
+/// evaluation as in the seed, so every grid point pays full cost.
 std::size_t run_seed_path(const tfm::TransformerConfig& base,
-                          const gemm::GemmSimulator& sim, double radius,
-                          double max_param_delta_frac) {
+                          const gemm::GemmSimulator& sim, double radius) {
   const std::int64_t step = 64 * base.tensor_parallel;
   const auto r = static_cast<std::int64_t>(
       radius * static_cast<double>(base.hidden_size));
@@ -128,7 +127,7 @@ std::size_t run_seed_path(const tfm::TransformerConfig& base,
       tfm::TransformerConfig cfg = base.with_hidden(h).with_heads(a);
       ShapeCandidate c = seed_evaluate(cfg, base, sim);
       if (h == base.hidden_size ||
-          std::fabs(c.param_delta_frac) <= max_param_delta_frac) {
+          std::fabs(c.param_delta_frac) <= advisor::kMaxParamDeltaFrac) {
         cands.push_back(std::move(c));
       }
     }
@@ -240,8 +239,7 @@ int body(BenchContext& ctx) {
 
   // --- timings ----------------------------------------------------------
   const Timing seed = best_of(repeat, [&] {
-    return run_seed_path(base, ctx.sim(), radius,
-                         options.max_param_delta_frac);
+    return run_seed_path(base, ctx.sim(), radius);
   });
 
   const auto run_pipeline = [&](std::size_t nthreads,

@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "advisor/cluster.hpp"
+#include "advisor/rules.hpp"
 #include "comm/collectives.hpp"
 #include "common/cli.hpp"
 #include "common/error.hpp"
@@ -26,9 +27,7 @@ int main(int argc, char** argv) {
         comm::cluster_by_name(args.get_string("cluster", "aws-p4d"));
     tfm::TransformerConfig model =
         tfm::model_by_name(args.get_string("model", "gpt3-2.7b"));
-    if (model.vocab_size % 64 != 0) {
-      model = model.with_vocab(((model.vocab_size + 63) / 64) * 64);
-    }
+    model.vocab_size = advisor::pad_vocab(model.vocab_size);
     const std::int64_t microbatches = args.get_int("microbatches", 32);
     const std::int64_t dp = args.get_int("dp", 8);
 

@@ -13,31 +13,14 @@ namespace codesign::advisor {
 TpFeasibility tp_feasibility(const TransformerConfig& config, std::int64_t t) {
   CODESIGN_CHECK(t >= 1, "tensor-parallel degree must be >= 1");
   TpFeasibility f;
-  auto reject = [&f](std::string why) {
-    f.feasible = false;
+  for (const tfm::TpSplit& split : config.tp_splits()) {
+    if (split.divisible_by(t)) continue;
     if (!f.reason.empty()) f.reason += "; ";
-    f.reason += std::move(why);
-  };
-  if (config.num_heads % t != 0) {
-    reject(str_format("t=%lld does not divide a=%lld",
-                      static_cast<long long>(t),
-                      static_cast<long long>(config.num_heads)));
+    f.reason += str_format("t=%lld does not divide %s=%lld",
+                           static_cast<long long>(t), split.symbol,
+                           static_cast<long long>(split.size));
   }
-  if (config.hidden_size % t != 0) {
-    reject(str_format("t=%lld does not divide h=%lld",
-                      static_cast<long long>(t),
-                      static_cast<long long>(config.hidden_size)));
-  }
-  if (config.d_ff() % t != 0) {
-    reject(str_format("t=%lld does not divide d_ff=%lld",
-                      static_cast<long long>(t),
-                      static_cast<long long>(config.d_ff())));
-  }
-  if (config.vocab_size % t != 0) {
-    reject(str_format("t=%lld does not divide v=%lld",
-                      static_cast<long long>(t),
-                      static_cast<long long>(config.vocab_size)));
-  }
+  f.feasible = f.reason.empty();
   return f;
 }
 

@@ -24,8 +24,9 @@ struct TpFeasibility {
   std::string reason;  ///< empty when feasible
 };
 
-/// Structural feasibility of t-way tensor parallelism: t must divide a, h,
-/// d_ff, and v (Megatron-style column/row splits).
+/// Structural feasibility of t-way tensor parallelism: t must divide every
+/// dimension of config.tp_splits() — a, kv (GQA), h, d_ff and v
+/// (Megatron-style column/row splits) — exactly what validate() demands.
 TpFeasibility tp_feasibility(const TransformerConfig& config, std::int64_t t);
 
 /// One evaluated tensor-parallel option.

@@ -1,5 +1,7 @@
 #include "advisor/rules.hpp"
 
+#include <array>
+
 #include "common/error.hpp"
 #include "common/math_util.hpp"
 #include "common/strings.hpp"
@@ -31,6 +33,11 @@ const char* rule_name(RuleId id) {
   return "?";
 }
 
+std::int64_t pad_vocab(std::int64_t v) {
+  CODESIGN_CHECK(v > 0, "vocab size must be positive");
+  return round_up<std::int64_t>(v, 64);
+}
+
 namespace {
 
 /// The element granule at which the GPU's tensor cores reach full
@@ -45,162 +52,125 @@ std::int64_t full_granule_elems(const RuleContext& ctx,
   return std::max<std::int64_t>(1, bytes / esize);
 }
 
-/// Rule 3's predicate: the largest power of two dividing `value` reaches
-/// the tensor-core granule. Shared by check_rules and the messageless
-/// satisfies_performance_rules fast path.
-bool pow2_granule_ok(std::int64_t value, std::int64_t granule) {
-  return static_cast<std::int64_t>(largest_pow2_dividing(value)) >= granule;
+/// One rule's verdict and the numbers its message prints, in message
+/// order. Holds no string: the verdict runs once per search candidate.
+struct RuleEval {
+  RuleId id;
+  RuleSeverity severity;
+  bool passed;
+  double metric;
+  std::array<std::int64_t, 3> n;
+};
+
+/// Rule 3: the largest power of two dividing `value` reaches the
+/// tensor-core granule.
+RuleEval divisibility(RuleId id, std::int64_t value, std::int64_t granule) {
+  const auto p2 = static_cast<std::int64_t>(largest_pow2_dividing(value));
+  return {id, RuleSeverity::kPerf, p2 >= granule, static_cast<double>(p2),
+          {value, p2, granule}};
 }
 
-RuleResult divisibility_rule(RuleId id, RuleSeverity severity,
-                             const std::string& what, std::int64_t value,
-                             std::int64_t granule) {
-  RuleResult r;
-  r.id = id;
-  r.severity = severity;
-  const std::int64_t p2 =
-      static_cast<std::int64_t>(largest_pow2_dividing(value));
-  r.metric = static_cast<double>(p2);
-  r.passed = pow2_granule_ok(value, granule);
-  r.message = str_format(
-      "%s = %lld; largest power of two dividing it is %lld (want >= %lld)",
-      what.c_str(), static_cast<long long>(value), static_cast<long long>(p2),
-      static_cast<long long>(granule));
-  return r;
+/// Every rule, in report order: the one evaluation check_rules renders
+/// and satisfies_performance_rules folds.
+std::array<RuleEval, 9> evaluate_rules(const tfm::ValidatedConfig& valid,
+                                       const RuleContext& ctx) {
+  CODESIGN_CHECK(ctx.pipeline_stages >= 1, "pipeline_stages must be >= 1");
+  const TransformerConfig& c = *valid;
+  const std::int64_t granule = full_granule_elems(ctx, c);
+  const std::int64_t v = c.vocab_size;
+  const std::int64_t b = c.microbatch;
+  const std::int64_t t = c.tensor_parallel;
+  const std::int64_t ba = b * c.num_heads;
+  const std::int64_t l_mod_p = c.num_layers % ctx.pipeline_stages;
+  return {{
+      // Rule 1: vocabulary divisible by 64 (the paper's number is
+      // dtype-agnostic).
+      {RuleId::kVocabDivisibleBy64, RuleSeverity::kPerf, v % 64 == 0,
+       static_cast<double>(v % 64), {v, pad_vocab(v), 0}},
+      // Rule 3a/3b/3c: power-of-two divisibility of h/a, h/t, and b·s.
+      divisibility(RuleId::kHeadDimPow2, c.head_dim(), granule),
+      divisibility(RuleId::kHiddenPerTpPow2, c.hidden_per_tp(), granule),
+      divisibility(RuleId::kTokensPow2, c.tokens(), granule),
+      // §VII-B: the MLP intermediate width is a GEMM dimension too —
+      // SwiGLU's literal round(8h/3) lands on an odd number and breaks it.
+      divisibility(RuleId::kMlpIntermediatePow2, c.d_ff() / t, granule),
+      // Rule 4: (b·a)/t integral. validate() already enforces the stronger
+      // t | a, so this reports the margin.
+      {RuleId::kHeadsPerTpIntegral, RuleSeverity::kCritical, ba % t == 0,
+       static_cast<double>(ba / t), {b, c.num_heads, t}},
+      // Rule 2: b as large as possible (advisory — memory capacity decides
+      // the ceiling; we flag conspicuously small values).
+      {RuleId::kMicrobatchLarge, RuleSeverity::kAdvisory, b >= 2,
+       static_cast<double>(b), {b, c.seq_len, 0}},
+      // Rule 5: t as small as possible (advisory).
+      {RuleId::kTensorParallelSmall, RuleSeverity::kAdvisory, t <= 8,
+       static_cast<double>(t), {t, 0, 0}},
+      // Rule 6: layers divisible by pipeline stages; only non-advisory when
+      // pipeline parallelism is actually on.
+      {RuleId::kLayersDivisibleByPipeline,
+       ctx.pipeline_stages > 1 ? RuleSeverity::kPerf : RuleSeverity::kAdvisory,
+       l_mod_p == 0, static_cast<double>(l_mod_p),
+       {c.num_layers, ctx.pipeline_stages, l_mod_p}},
+  }};
+}
+
+std::string rule_message(const RuleEval& e) {
+  const auto n = [&e](std::size_t i) {
+    return static_cast<long long>(e.n[i]);
+  };
+  const auto pow2_message = [&](const char* what) {
+    return str_format(
+        "%s = %lld; largest power of two dividing it is %lld (want >= %lld)",
+        what, n(0), n(1), n(2));
+  };
+  switch (e.id) {
+    case RuleId::kVocabDivisibleBy64:
+      if (e.passed) return str_format("v = %lld is divisible by 64", n(0));
+      return str_format("v = %lld is NOT divisible by 64; pad to %lld", n(0),
+                        n(1));
+    case RuleId::kHeadDimPow2: return pow2_message("h/a");
+    case RuleId::kHiddenPerTpPow2: return pow2_message("h/t");
+    case RuleId::kTokensPow2: return pow2_message("b*s");
+    case RuleId::kMlpIntermediatePow2: return pow2_message("d_ff/t");
+    case RuleId::kHeadsPerTpIntegral:
+      return str_format("(b*a)/t = %lld*%lld/%lld is %s", n(0), n(1), n(2),
+                        e.passed ? "integral" : "NOT integral");
+    case RuleId::kMicrobatchLarge:
+      return str_format(
+          "b = %lld; larger microbatches improve GEMM efficiency until memory "
+          "is exhausted (b itself need not be a power of two: s = %lld "
+          "already carries the alignment)",
+          n(0), n(1));
+    case RuleId::kTensorParallelSmall:
+      return str_format(
+          "t = %lld; tensor parallelism shrinks per-GPU GEMMs, so use the "
+          "smallest t that fits memory",
+          n(0));
+    case RuleId::kLayersDivisibleByPipeline:
+      return str_format("L = %lld %% pipeline stages %lld = %lld", n(0), n(1),
+                        n(2));
+  }
+  return "?";
 }
 
 }  // namespace
 
 std::vector<RuleResult> check_rules(const TransformerConfig& c,
                                     const RuleContext& ctx) {
-  c.validate();
-  CODESIGN_CHECK(ctx.pipeline_stages >= 1, "pipeline_stages must be >= 1");
-  const std::int64_t granule = full_granule_elems(ctx, c);
   std::vector<RuleResult> out;
-
-  // Rule 1: vocabulary divisible by 64 (paper's number is dtype-agnostic).
-  {
-    RuleResult r;
-    r.id = RuleId::kVocabDivisibleBy64;
-    r.severity = RuleSeverity::kPerf;
-    r.passed = c.vocab_size % 64 == 0;
-    r.metric = static_cast<double>(c.vocab_size % 64);
-    r.message = str_format(
-        "v = %lld is %sdivisible by 64%s",
-        static_cast<long long>(c.vocab_size), r.passed ? "" : "NOT ",
-        r.passed ? ""
-                 : str_format("; pad to %lld", static_cast<long long>(
-                                                   round_up<std::int64_t>(
-                                                       c.vocab_size, 64)))
-                       .c_str());
-    out.push_back(r);
+  for (const RuleEval& e : evaluate_rules(c, ctx)) {
+    out.push_back({e.id, e.severity, e.passed, rule_message(e), e.metric});
   }
-
-  // Rule 3a/3b/3c: power-of-two divisibility of h/a, h/t, and b·s.
-  out.push_back(divisibility_rule(RuleId::kHeadDimPow2, RuleSeverity::kPerf,
-                                  "h/a", c.head_dim(), granule));
-  out.push_back(divisibility_rule(RuleId::kHiddenPerTpPow2,
-                                  RuleSeverity::kPerf, "h/t",
-                                  c.hidden_per_tp(), granule));
-  out.push_back(divisibility_rule(RuleId::kTokensPow2, RuleSeverity::kPerf,
-                                  "b*s", c.tokens(), granule));
-  // §VII-B: the MLP intermediate width is a GEMM dimension too — SwiGLU's
-  // literal round(8h/3) lands on an odd number and breaks it.
-  out.push_back(divisibility_rule(RuleId::kMlpIntermediatePow2,
-                                  RuleSeverity::kPerf, "d_ff/t",
-                                  c.d_ff() / c.tensor_parallel, granule));
-
-  // Rule 4: (b·a)/t integral. TransformerConfig::validate() already enforces
-  // the stronger t | a, so this reports the margin.
-  {
-    RuleResult r;
-    r.id = RuleId::kHeadsPerTpIntegral;
-    r.severity = RuleSeverity::kCritical;
-    const std::int64_t ba = c.microbatch * c.num_heads;
-    r.passed = ba % c.tensor_parallel == 0;
-    r.metric = static_cast<double>(ba / c.tensor_parallel);
-    r.message = str_format("(b*a)/t = %lld*%lld/%lld is %s",
-                           static_cast<long long>(c.microbatch),
-                           static_cast<long long>(c.num_heads),
-                           static_cast<long long>(c.tensor_parallel),
-                           r.passed ? "integral" : "NOT integral");
-    out.push_back(r);
-  }
-
-  // Rule 2: b as large as possible (advisory — memory capacity decides the
-  // ceiling; we flag conspicuously small values).
-  {
-    RuleResult r;
-    r.id = RuleId::kMicrobatchLarge;
-    r.severity = RuleSeverity::kAdvisory;
-    r.passed = c.microbatch >= 2;
-    r.metric = static_cast<double>(c.microbatch);
-    r.message = str_format(
-        "b = %lld; larger microbatches improve GEMM efficiency until memory "
-        "is exhausted (b itself need not be a power of two: s = %lld already "
-        "carries the alignment)",
-        static_cast<long long>(c.microbatch),
-        static_cast<long long>(c.seq_len));
-    out.push_back(r);
-  }
-
-  // Rule 5: t as small as possible (advisory).
-  {
-    RuleResult r;
-    r.id = RuleId::kTensorParallelSmall;
-    r.severity = RuleSeverity::kAdvisory;
-    r.passed = c.tensor_parallel <= 8;
-    r.metric = static_cast<double>(c.tensor_parallel);
-    r.message = str_format(
-        "t = %lld; tensor parallelism shrinks per-GPU GEMMs, so use the "
-        "smallest t that fits memory",
-        static_cast<long long>(c.tensor_parallel));
-    out.push_back(r);
-  }
-
-  // Rule 6: layers divisible by pipeline stages.
-  {
-    RuleResult r;
-    r.id = RuleId::kLayersDivisibleByPipeline;
-    r.severity =
-        ctx.pipeline_stages > 1 ? RuleSeverity::kPerf : RuleSeverity::kAdvisory;
-    r.passed = c.num_layers % ctx.pipeline_stages == 0;
-    r.metric = static_cast<double>(c.num_layers % ctx.pipeline_stages);
-    r.message = str_format("L = %lld %% pipeline stages %lld = %lld",
-                           static_cast<long long>(c.num_layers),
-                           static_cast<long long>(ctx.pipeline_stages),
-                           static_cast<long long>(c.num_layers %
-                                                  ctx.pipeline_stages));
-    out.push_back(r);
-  }
-
   return out;
 }
 
 bool satisfies_performance_rules(const tfm::ValidatedConfig& valid,
                                  const RuleContext& ctx) {
-  CODESIGN_CHECK(ctx.pipeline_stages >= 1, "pipeline_stages must be >= 1");
-  const TransformerConfig& config = *valid;
-  // The same pass/fail verdict a fold over check_rules() gives, without
-  // formatting any of the diagnostic messages — this predicate runs once
-  // per candidate on the search hot path. Advisory rules (2: microbatch
-  // size, 5: tensor-parallel width) never affect the verdict and are
-  // skipped outright. test_rules asserts agreement with check_rules.
-  const std::int64_t granule = full_granule_elems(ctx, config);
-  if (config.vocab_size % 64 != 0) return false;                 // rule 1
-  if (!pow2_granule_ok(config.head_dim(), granule)) return false;      // 3a
-  if (!pow2_granule_ok(config.hidden_per_tp(), granule)) return false; // 3b
-  if (!pow2_granule_ok(config.tokens(), granule)) return false;        // 3c
-  if (!pow2_granule_ok(config.d_ff() / config.tensor_parallel, granule)) {
-    return false;                                                // §VII-B
-  }
-  if ((config.microbatch * config.num_heads) % config.tensor_parallel != 0) {
-    return false;                                                // rule 4
-  }
-  // Rule 6 is only non-advisory when pipeline parallelism is actually on.
-  if (ctx.pipeline_stages > 1 &&
-      config.num_layers % ctx.pipeline_stages != 0) {
-    return false;
+  // Runs once per search candidate: the same evaluation check_rules
+  // renders, folded without formatting a message. Advisory rules never
+  // affect the verdict.
+  for (const RuleEval& e : evaluate_rules(valid, ctx)) {
+    if (!e.passed && e.severity != RuleSeverity::kAdvisory) return false;
   }
   return true;
 }

@@ -45,6 +45,10 @@ enum class RuleId {
 
 const char* rule_name(RuleId id);
 
+/// Rule 1's remedy, the Fig-20 / Karpathy padding: the smallest multiple
+/// of 64 >= v (v > 0).
+std::int64_t pad_vocab(std::int64_t v);
+
 struct RuleResult {
   RuleId id;
   RuleSeverity severity;

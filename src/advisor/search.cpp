@@ -285,16 +285,13 @@ auto guarded_sweep(std::size_t n, const SearchOptions& options,
 }
 
 /// Shape search on the guarded sweep: evaluate every config into a score
-/// slot, then rank. `keep` (optional) filters on (config, scores), e.g. the
-/// hidden sweep's parameter-delta bound; `annotate` (optional) fills the
-/// note of each ranked survivor — the only candidates ever built.
+/// slot, then rank. `annotate` (optional) fills the note of each ranked
+/// survivor — the only candidates ever built.
 SearchOutcome evaluate_pipeline(
     const std::vector<TransformerConfig>& configs,
     const TransformerConfig& baseline, const gemm::GemmSimulator& sim,
     const SearchOptions& options,
-    const std::function<void(ShapeCandidate&)>& annotate,
-    const std::function<bool(const TransformerConfig&, const ShapeScores&)>&
-        keep) {
+    const std::function<void(ShapeCandidate&)>& annotate) {
   // Self-profiling of the pipeline stages: wall-clock, so every series here
   // is kBestEffort — the candidate/kept/skip counters below are the only
   // deterministic ones. Everything is gated on the enabled flag so a
@@ -338,11 +335,6 @@ SearchOutcome evaluate_pipeline(
     obs::ScopedEvent span("search", "merge");
     obs::ScopedTimer timer("advisor.search.merge_us");
     std::vector<std::size_t>& order = swept.done;
-    if (keep) {
-      std::erase_if(order, [&](std::size_t i) {
-        return !keep(configs[i], swept.slots[i]);
-      });
-    }
     rank_top_k(order, configs, swept.slots, baseline, options.max_candidates);
     out.reserve(order.size());
     for (const std::size_t i : order) {
@@ -605,7 +597,7 @@ SearchOutcome run_grid_search(const std::vector<TransformerConfig>& configs,
                               const gemm::GemmSimulator& sim,
                               const SearchOptions& options) {
   baseline.validate();
-  return evaluate_pipeline(configs, baseline, sim, options, {}, {});
+  return evaluate_pipeline(configs, baseline, sim, options, {});
 }
 
 std::string shape_search_fingerprint(SearchMode mode,
@@ -635,24 +627,15 @@ SearchOutcome run_shape_search(SearchMode mode, const TransformerConfig& base,
 
   std::vector<TransformerConfig> configs;
   std::function<void(ShapeCandidate&)> annotate;
-  std::function<bool(const TransformerConfig&, const ShapeScores&)> keep;
-  const std::int64_t h0 = base.hidden_size;
-  // Generation-time twin of the hidden/joint `keep` filter. The parameter
-  // bound is a pure function of the config — the same arithmetic
-  // evaluate_against uses for param_delta_frac — so candidates that are
-  // certain to be dropped never reach the (orders of magnitude costlier)
-  // evaluation stage. `keep` stays on as the authoritative filter.
+  // The hidden/joint parameter bound, applied at generation: it is a pure
+  // function of the config — the same arithmetic evaluate_against uses for
+  // param_delta_frac — so an out-of-bound candidate is never evaluated.
   const double base_params = static_cast<double>(tfm::exact_param_count(base));
   const auto param_delta_ok = [&](const TransformerConfig& cfg) {
-    if (cfg.hidden_size == h0) return true;
+    if (cfg.hidden_size == base.hidden_size) return true;
     const double params = static_cast<double>(tfm::exact_param_count(cfg));
     const double delta_frac = (params - base_params) / base_params;
-    return std::fabs(delta_frac) <= options.max_param_delta_frac;
-  };
-  const auto keep_params = [&options, h0](const TransformerConfig& cfg,
-                                          const ShapeScores& s) {
-    return cfg.hidden_size == h0 ||
-           std::fabs(s.param_delta_frac) <= options.max_param_delta_frac;
+    return std::fabs(delta_frac) <= kMaxParamDeltaFrac;
   };
 
   switch (mode) {
@@ -688,7 +671,6 @@ SearchOutcome run_shape_search(SearchMode mode, const TransformerConfig& base,
                             static_cast<long long>(c.config.hidden_size),
                             100.0 * c.param_delta_frac);
       };
-      keep = keep_params;
       break;
     case SearchMode::kJoint:
       for (std::int64_t h : hidden_grid(base, radius_frac, step)) {
@@ -709,12 +691,11 @@ SearchOutcome run_shape_search(SearchMode mode, const TransformerConfig& base,
                             static_cast<long long>(c.config.head_dim()),
                             100.0 * c.param_delta_frac);
       };
-      keep = keep_params;
       break;
   }
 
   SearchOutcome outcome =
-      evaluate_pipeline(configs, base, sim, options, annotate, keep);
+      evaluate_pipeline(configs, base, sim, options, annotate);
   if (options.checkpoint != nullptr) options.checkpoint->flush();
   if (options.sensitivity) {
     // Probed once per round, sequentially, after the sweep: the probes are
@@ -899,11 +880,6 @@ double mlp_candidate_percentile(const std::vector<MlpCandidate>& scan,
     if (c.d_ff == d_ff) return c.rank_in_range;
   }
   throw LookupError("d_ff " + std::to_string(d_ff) + " not in scan results");
-}
-
-std::int64_t pad_vocab(std::int64_t v) {
-  CODESIGN_CHECK(v > 0, "vocab size must be positive");
-  return round_up<std::int64_t>(v, 64);
 }
 
 }  // namespace codesign::advisor

@@ -11,7 +11,6 @@
 //   * search_mlp_intermediate — the §VII-B SwiGLU brute force: scan d_ff
 //                           around (8/3)h for the best-performing MLP pair
 //                           (this is how Llama-2-7B's 11008 is validated).
-//   * pad_vocab           — the Fig-20 / Karpathy rule: next multiple of 64.
 //
 // Every search runs the same pipeline: generate candidate configs →
 // evaluate them into score slots (in parallel when SearchOptions::threads
@@ -93,11 +92,13 @@ struct DimensionSensitivity {
 std::vector<DimensionSensitivity> sensitivity_probe(
     const TransformerConfig& base, const gemm::GemmSimulator& sim);
 
+/// Maximum |param delta| the hidden and joint searches tolerate for a
+/// candidate (fraction of base). One 64-element step of h changes the count
+/// by ~2·64/h, so ~6% admits the immediate neighbours of typical hidden
+/// sizes.
+inline constexpr double kMaxParamDeltaFrac = 0.06;
+
 struct SearchOptions {
-  /// Maximum |param delta| tolerated for a candidate (fraction of base).
-  /// One 64-element step of h changes the count by ~2·64/h, so ~6% admits
-  /// the immediate neighbours of typical hidden sizes.
-  double max_param_delta_frac = 0.06;
   /// Run the per-dimension sensitivity_probe() around the base config and
   /// attach it to the outcome (and, when metrics are enabled, to the
   /// deterministic `advisor.sensitivity.*` obs series). Off by default —
@@ -175,7 +176,7 @@ ShapeCandidate evaluate_candidate(const TransformerConfig& config,
 /// "evaluate in parallel → deterministically merge" pipeline: per-candidate
 /// fault isolation, cancellation, batched GEMM estimation, and the
 /// (layer_time, name, generation order) ranking (names need not be
-/// unique) — but no candidate generation, annotation, or keep-filter.
+/// unique) — but no candidate generation or annotation.
 /// The raw-throughput entry point for very large sweeps
 /// (the search.pipeline_batched bench pushes 10^5+ configs through it).
 /// Checkpoint/resume fingerprints are the caller's responsibility here, and
@@ -283,8 +284,5 @@ std::string mlp_search_fingerprint(const TransformerConfig& base,
 /// LookupError) or if the scan is empty (an Error).
 double mlp_candidate_percentile(const std::vector<MlpCandidate>& scan,
                                 std::int64_t d_ff);
-
-/// The vocab-padding rule: smallest multiple of 64 >= v.
-std::int64_t pad_vocab(std::int64_t v);
 
 }  // namespace codesign::advisor

@@ -8,7 +8,7 @@
 
 namespace codesign::benchlib {
 
-void summarize(CaseStats& s, double outlier_mad_factor) {
+void summarize(CaseStats& s) {
   if (s.samples_ms.empty()) return;
   s.mean_ms = mean(s.samples_ms);
   s.median_ms = median(s.samples_ms);
@@ -18,7 +18,7 @@ void summarize(CaseStats& s, double outlier_mad_factor) {
   s.p50_ms = percentile(s.samples_ms, 50.0);
   s.p95_ms = percentile(s.samples_ms, 95.0);
   s.outliers = 0;
-  const double band = outlier_mad_factor * s.mad_ms;
+  const double band = kOutlierMadFactor * s.mad_ms;
   for (const double x : s.samples_ms) {
     if (std::fabs(x - s.median_ms) > band) ++s.outliers;
   }
@@ -56,7 +56,7 @@ CaseStats run_case(const BenchCase& c, const gpu::GpuSpec& g,
     }
     if (i >= options.warmup) s.samples_ms.push_back(ms);
   }
-  summarize(s, options.outlier_mad_factor);
+  summarize(s);
   return s;
 }
 

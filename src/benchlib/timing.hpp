@@ -17,12 +17,13 @@
 
 namespace codesign::benchlib {
 
+/// A sample further than this many MADs above/below the median is counted
+/// in CaseStats::outliers (flagged, never silently dropped).
+inline constexpr double kOutlierMadFactor = 8.0;
+
 struct TimingOptions {
   int warmup = 1;    ///< untimed executions before measuring
   int repeats = 5;   ///< timed executions summarized into the stats
-  /// A sample further than this many MADs above/below the median is
-  /// counted in CaseStats::outliers (flagged, never silently dropped).
-  double outlier_mad_factor = 8.0;
 };
 
 /// Per-case result: identity, per-repeat samples, robust summary, and the
@@ -41,7 +42,7 @@ struct CaseStats {
   double max_ms = 0.0;
   double p50_ms = 0.0;
   double p95_ms = 0.0;
-  int outliers = 0;      ///< samples beyond outlier_mad_factor MADs
+  int outliers = 0;      ///< samples beyond kOutlierMadFactor MADs
 
   std::uint64_t checksum = 0;   ///< data checksum of the last execution
   bool checksum_stable = true;  ///< identical across every execution?
@@ -49,7 +50,7 @@ struct CaseStats {
 
 /// Fill the summary fields of `s` from s.samples_ms (no-op when empty).
 /// Split out from run_case so fixed-input stats are unit-testable.
-void summarize(CaseStats& s, double outlier_mad_factor = 8.0);
+void summarize(CaseStats& s);
 
 /// Execute one case warmup+repeats times against a fresh CaseContext per
 /// execution and return its stats. Wall times are best-effort; the

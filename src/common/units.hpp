@@ -34,9 +34,5 @@ constexpr double NANOSECONDS = 1e-9;
 
 /// Convert seconds to microseconds (for human-facing output).
 constexpr double to_us(double seconds) { return seconds / MICROSECONDS; }
-/// Convert seconds to milliseconds.
-constexpr double to_ms(double seconds) { return seconds / MILLISECONDS; }
-/// Convert FLOP/s to teraFLOP/s (the unit every figure in the paper uses).
-constexpr double to_tflops(double flops_per_s) { return flops_per_s / TFLOPS; }
 
 }  // namespace codesign

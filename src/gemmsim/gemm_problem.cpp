@@ -53,14 +53,6 @@ double GemmProblem::arithmetic_intensity() const {
   return flops() / min_bytes();
 }
 
-double GemmProblem::footprint_bytes() const {
-  const double e = static_cast<double>(gpu::dtype_size(dtype));
-  return e * static_cast<double>(batch) *
-         (static_cast<double>(m) * static_cast<double>(k) +
-          static_cast<double>(k) * static_cast<double>(n) +
-          static_cast<double>(m) * static_cast<double>(n));
-}
-
 std::size_t GemmProblem::hash_value() const noexcept {
   // FNV-1a over the distinguishing fields; good enough dispersion for the
   // few thousand distinct shapes a design-space sweep touches.

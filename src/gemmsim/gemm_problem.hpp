@@ -51,9 +51,6 @@ struct GemmProblem {
   /// classify the problem as compute- or memory-bound.
   double arithmetic_intensity() const;
 
-  /// Memory footprint of all operands (bytes), for capacity checks.
-  double footprint_bytes() const;
-
   bool operator==(const GemmProblem&) const = default;
 
   /// Combined hash of all fields (shape, batch, dtype, accumulate flag).

@@ -1,18 +1,12 @@
 #include "gpuarch/tile_config.hpp"
 
 #include "common/error.hpp"
-#include "common/math_util.hpp"
 #include "common/strings.hpp"
 
 namespace codesign::gpu {
 
 std::string TileConfig::name() const {
   return std::to_string(tm) + "x" + std::to_string(tn);
-}
-
-std::int64_t TileConfig::tiles_for(std::int64_t m, std::int64_t n) const {
-  CODESIGN_CHECK(m > 0 && n > 0, "tile count needs positive dimensions");
-  return ceil_div(m, tm) * ceil_div(n, tn);
 }
 
 const std::vector<TileConfig>& default_tile_catalogue() {

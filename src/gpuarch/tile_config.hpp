@@ -31,10 +31,6 @@ struct TileConfig {
   int blocks_per_sm = 1;
 
   std::string name() const;
-
-  /// Number of output tiles for an m×n problem (per batch entry):
-  /// ceil(m/tm) * ceil(n/tn). This is the tile-quantization ceil.
-  std::int64_t tiles_for(std::int64_t m, std::int64_t n) const;
 };
 
 /// The default catalogue, largest to smallest. Intrinsic efficiencies are

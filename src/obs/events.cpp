@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <set>
-#include <sstream>
 
 #include "common/json.hpp"
 
@@ -100,13 +99,10 @@ std::string EventRecorder::chrome_trace_json(
   }
   std::stable_sort(sorted.begin(), sorted.end(), event_less);
 
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  const auto emit_comma = [&] {
-    if (!first) os << ",";
-    first = false;
-  };
+  std::string out;
+  json::Writer w(out);
+  w.begin_object().member("displayTimeUnit", "ms");
+  w.key("traceEvents").begin_array();
 
   // Process/thread metadata so Perfetto shows named tracks. Collected from
   // the (sorted) events, so the metadata order is deterministic too.
@@ -117,45 +113,46 @@ std::string EventRecorder::chrome_trace_json(
   std::set<int> pids;
   for (const auto& [pid, tid] : tracks) pids.insert(pid);
   for (int pid : pids) {
-    emit_comma();
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-       << ",\"args\":{\"name\":\""
-       << (pid == 0 ? "simulated time" : "wall clock") << "\"}}";
+    w.begin_object()
+        .member("name", "process_name")
+        .member("ph", "M")
+        .member("pid", pid);
+    w.key("args").begin_object().member(
+        "name", pid == 0 ? "simulated time" : "wall clock");
+    w.end_object().end_object();
   }
   for (const auto& [pid, tid] : tracks) {
-    emit_comma();
-    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << pid
-       << ",\"tid\":" << tid << ",\"args\":{\"name\":\""
-       << json::escape(track_name(
-              pid == 0 ? EventClock::kSimulated : EventClock::kWall, tid))
-       << "\"}}";
+    const EventClock clock =
+        pid == 0 ? EventClock::kSimulated : EventClock::kWall;
+    w.begin_object()
+        .member("name", "thread_name")
+        .member("ph", "M")
+        .member("pid", pid)
+        .member("tid", tid);
+    w.key("args").begin_object().member("name", track_name(clock, tid));
+    w.end_object().end_object();
   }
 
   for (const TraceEvent& e : sorted) {
-    emit_comma();
-    os << "{\"name\":\"" << json::escape(e.name) << "\",\"cat\":\""
-       << json::escape(e.category) << "\",\"ph\":\"" << e.phase
-       << "\",\"pid\":" << pid_for(e.clock) << ",\"tid\":" << e.tid
-       << ",\"ts\":" << format_us(e.ts_us);
-    if (e.phase == 'X') os << ",\"dur\":" << format_us(e.dur_us);
-    if (e.phase == 'i') os << ",\"s\":\"t\"";
-    os << ",\"args\":{";
-    for (std::size_t i = 0; i < e.args.size(); ++i) {
-      if (i > 0) os << ",";
-      os << "\"" << json::escape(e.args[i].first) << "\":\""
-         << json::escape(e.args[i].second) << "\"";
-    }
-    os << "}}";
+    w.begin_object()
+        .member("name", e.name)
+        .member("cat", e.category)
+        .member("ph", std::string_view(&e.phase, 1))
+        .member("pid", pid_for(e.clock))
+        .member("tid", e.tid);
+    w.key("ts").raw(format_us(e.ts_us));
+    if (e.phase == 'X') w.key("dur").raw(format_us(e.dur_us));
+    if (e.phase == 'i') w.member("s", "t");
+    w.key("args").begin_object();
+    for (const auto& [k, v] : e.args) w.member(k, v);
+    w.end_object().end_object();
   }
+  w.end_array();
 
-  os << "],\"otherData\":{";
-  for (std::size_t i = 0; i < options.other_data.size(); ++i) {
-    if (i > 0) os << ",";
-    os << "\"" << json::escape(options.other_data[i].first) << "\":\""
-       << json::escape(options.other_data[i].second) << "\"";
-  }
-  os << "}}";
-  return os.str();
+  w.key("otherData").begin_object();
+  for (const auto& [k, v] : options.other_data) w.member(k, v);
+  w.end_object().end_object();
+  return out;
 }
 
 ScopedEvent::ScopedEvent(std::string_view category, std::string_view name,

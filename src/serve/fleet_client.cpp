@@ -66,18 +66,6 @@ const char* attempt_outcome_name(AttemptOutcome o) {
   return "?";
 }
 
-const char* breaker_state_name(BreakerState s) {
-  switch (s) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half-open";
-  }
-  return "?";
-}
-
 FleetClient::FleetClient(FleetOptions options)
     : opt_(std::move(options)), rng_(opt_.seed) {
   CODESIGN_CHECK(!opt_.endpoints.empty(),

@@ -119,8 +119,6 @@ struct FleetStats {
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
-const char* breaker_state_name(BreakerState s);
-
 class FleetClient {
  public:
   explicit FleetClient(FleetOptions options);
@@ -149,8 +147,6 @@ class FleetClient {
   std::string attempt_log() const;
 
   BreakerState breaker_state(std::size_t endpoint) const;
-
-  std::size_t endpoint_count() const { return endpoints_.size(); }
 
   /// Drop every cached connection (breaker state is kept).
   void close();

@@ -399,7 +399,7 @@ void Server::handle_line(const ConnPtr& conn, std::string line) {
     return;
   }
   // Brownout: past the high-water mark the server sheds its expensive ops
-  // (search, advise_many) with the same typed, retryable rejection as a
+  // (search, advise_many, sweep) with the same typed, retryable rejection as a
   // full queue — cheap ops keep flowing, so a fleet under pressure
   // degrades to reduced service instead of rejecting everything at the
   // (higher) admission cap.

@@ -22,7 +22,7 @@
 //     a peer that stops reading is closed and counted, and never blocks a
 //     worker or the loop;
 //   * brownout load shedding: when the queue depth crosses
-//     brownout_watermark, expensive ops (search, advise_many) are shed
+//     brownout_watermark, expensive ops (search, advise_many, sweep) are shed
 //     with a typed code-75 rejection while cheap ops still serve;
 //   * a `health` op ({ok, draining, overloaded, brownout, queue depth,
 //     uptime}) that bypasses admission like stats/ping/tail;
@@ -82,7 +82,7 @@ struct ServerOptions {
   /// within this budget is closed and counted in slow_client_closed
   /// (0 = wait forever, the pre-resilience behaviour).
   std::int64_t write_timeout_ms = 5000;
-  /// Queue depth at which expensive ops (search, advise_many) are shed
+  /// Queue depth at which expensive ops (search, advise_many, sweep) are shed
   /// with a code-75 rejection. 0 = auto: max(1, 3 × queue_capacity / 4).
   std::size_t brownout_watermark = 0;
   /// Test knob: SO_SNDBUF for accepted sockets (0 = kernel default).

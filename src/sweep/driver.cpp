@@ -27,12 +27,12 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
   // owns the matrix identity, so validate and seed here once for all cells.
   if (options.resume != nullptr) {
     advisor::start_resume(*options.resume, options.checkpoint,
-                          sweep_fingerprint(plan, options.policy), "sweep");
+                          sweep_fingerprint(plan, gemm::TilePolicy::kAuto),
+                          "sweep");
   }
 
   SweepResult result;
   result.name = plan.name;
-  result.policy = options.policy;
   result.gpus = plan.gpus;
   result.planned_cells = plan.cells();
   for (const WorkloadSpec& wl : plan.workloads) {
@@ -45,7 +45,7 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
   std::vector<gemm::GemmSimulator> sims;
   sims.reserve(plan.gpus.size());
   for (const std::string& gpu : plan.gpus) {
-    sims.emplace_back(gpu::gpu_by_name(gpu), options.policy);
+    sims.emplace_back(gpu::gpu_by_name(gpu), gemm::TilePolicy::kAuto);
     if (options.cache != nullptr) sims.back().set_cache(options.cache);
   }
 

@@ -17,7 +17,8 @@
 // the sweep returns — not once per cell.
 //
 // Each GPU's GemmSimulator (its prepared tile catalogue and alignment
-// table) is built once per run and shared by that GPU's cells.
+// table, kAuto tile policy) is built once per run and shared by that GPU's
+// cells.
 //
 // Failure drill: each cell passes the "sweep.cell" failpoint (keyed by
 // "workload@gpu") before any variant runs; an armed fault aborts the sweep
@@ -42,7 +43,6 @@ namespace codesign::sweep {
 
 struct SweepOptions {
   std::size_t threads = 1;
-  gemm::TilePolicy policy = gemm::TilePolicy::kAuto;
   /// Shared across every cell (and safe to share across GPUs: cache keys
   /// include the GpuSpec). Null leaves estimation uncached.
   std::shared_ptr<gemm::EstimateCache> cache;
@@ -86,7 +86,6 @@ struct SweepCell {
 
 struct SweepResult {
   std::string name;
-  gemm::TilePolicy policy = gemm::TilePolicy::kAuto;
   std::vector<std::string> gpus;
   struct WorkloadMeta {
     std::string name;

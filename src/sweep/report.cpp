@@ -50,7 +50,8 @@ std::string sweep_report_json(const SweepResult& r, bool compact) {
       .member("report", kSweepReportName)
       .member("version", kSweepReportVersion)
       .member("name", r.name)
-      .member("tile_policy", advisor::tile_policy_name(r.policy))
+      .member("tile_policy",
+              advisor::tile_policy_name(gemm::TilePolicy::kAuto))
       .member("truncated", r.truncated);
 
   w.key("hardware").begin_array();
@@ -164,7 +165,8 @@ std::string sweep_report_json(const SweepResult& r, bool compact) {
 void render_sweep_table(std::ostream& os, const SweepResult& r) {
   os << "sweep '" << r.name << "': " << r.workloads.size() << " workloads x "
      << r.gpus.size() << " GPUs = " << r.planned_cells << " cells ("
-     << "tile policy " << advisor::tile_policy_name(r.policy) << ")\n";
+     << "tile policy " << advisor::tile_policy_name(gemm::TilePolicy::kAuto)
+     << ")\n";
   for (const SweepResult::WorkloadMeta& m : r.workloads) {
     const std::vector<RankRow> rows = rank_workload(r, m.name);
     os << "\n== " << m.name << " (" << m.family << ", " << m.variants

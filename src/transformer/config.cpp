@@ -32,14 +32,6 @@ const char* attention_impl_name(AttentionImpl a) {
   return "?";
 }
 
-const char* model_kind_name(ModelKind k) {
-  switch (k) {
-    case ModelKind::kDecoder: return "decoder";
-    case ModelKind::kEncoder: return "encoder";
-  }
-  return "?";
-}
-
 std::int64_t TransformerConfig::head_dim() const {
   CODESIGN_CHECK(num_heads > 0, "num_heads must be positive");
   return hidden_size / num_heads;
@@ -122,6 +114,24 @@ TransformerConfig TransformerConfig::with_name(std::string n) const {
   return c;
 }
 
+TpSplits TransformerConfig::tp_splits() const {
+  TpSplits s;
+  const auto add = [&s](const char* symbol, std::int64_t size,
+                        const char* error) {
+    s.dims[s.count++] = {symbol, size, error};
+  };
+  add("a", num_heads,
+      "num_heads not divisible by tensor_parallel (the paper's "
+      "(b*a)/t-integral rule requires t | a)");
+  if (num_kv_heads > 0) {
+    add("kv", num_kv_heads, "num_kv_heads not divisible by tensor_parallel");
+  }
+  add("h", hidden_size, "hidden_size not divisible by tensor_parallel");
+  add("d_ff", d_ff(), "mlp intermediate size not divisible by tensor_parallel");
+  add("v", vocab_size, "vocab_size not divisible by tensor_parallel");
+  return s;
+}
+
 void TransformerConfig::validate() const {
   auto fail = [this](const std::string& what) {
     throw ConfigError("TransformerConfig '" + name + "': " + what);
@@ -138,30 +148,22 @@ void TransformerConfig::validate() const {
                     static_cast<long long>(hidden_size),
                     static_cast<long long>(num_heads)));
   }
-  if (num_heads % tensor_parallel != 0) {
-    fail("num_heads not divisible by tensor_parallel (the paper's "
-         "(b*a)/t-integral rule requires t | a)");
-  }
+  const TpSplits splits = tp_splits();
+  const auto t_divides = [&](const TpSplit* first, const TpSplit* last) {
+    for (; first != last; ++first) {
+      if (!first->divisible_by(tensor_parallel)) fail(first->error);
+    }
+  };
+  // This order fixes which error a config with several faults reports:
+  // t | a, then the GQA group checks, then t | kv, h, d_ff and v.
+  t_divides(splits.begin(), splits.begin() + 1);
   if (num_kv_heads < 0) fail("num_kv_heads must be >= 0");
-  if (num_kv_heads > 0) {
-    if (num_kv_heads > num_heads) fail("num_kv_heads exceeds num_heads");
-    if (num_heads % num_kv_heads != 0) {
-      fail("num_heads must be a multiple of num_kv_heads (integral GQA "
-           "group size)");
-    }
-    if (num_kv_heads % tensor_parallel != 0) {
-      fail("num_kv_heads not divisible by tensor_parallel");
-    }
+  if (num_kv_heads > num_heads) fail("num_kv_heads exceeds num_heads");
+  if (num_kv_heads > 0 && num_heads % num_kv_heads != 0) {
+    fail("num_heads must be a multiple of num_kv_heads (integral GQA "
+         "group size)");
   }
-  if (hidden_size % tensor_parallel != 0) {
-    fail("hidden_size not divisible by tensor_parallel");
-  }
-  if (d_ff() % tensor_parallel != 0) {
-    fail("mlp intermediate size not divisible by tensor_parallel");
-  }
-  if (vocab_size % tensor_parallel != 0) {
-    fail("vocab_size not divisible by tensor_parallel");
-  }
+  t_divides(splits.begin() + 1, splits.end());
   if (mlp_intermediate < 0) fail("mlp_intermediate must be >= 0");
 }
 

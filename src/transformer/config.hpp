@@ -13,6 +13,7 @@
 // parallelism the mapping divides the relevant dimensions by t.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -33,7 +34,26 @@ enum class ModelKind { kDecoder, kEncoder };
 const char* activation_name(Activation a);
 const char* pos_embedding_name(PosEmbedding p);
 const char* attention_impl_name(AttentionImpl a);
-const char* model_kind_name(ModelKind k);
+
+/// One dimension a t-way tensor-parallel split divides across the ranks.
+struct TpSplit {
+  const char* symbol;  ///< the paper's name: a, kv, h, d_ff or v
+  std::int64_t size;
+  const char* error;   ///< validate()'s ConfigError text when t does not
+                       ///< divide it
+
+  bool divisible_by(std::int64_t t) const { return size % t == 0; }
+};
+
+/// The dimensions t must divide, in validate()'s order: a, then kv when
+/// num_kv_heads is set, then h, d_ff and v. The one list behind
+/// TransformerConfig::validate() and advisor::tp_feasibility.
+struct TpSplits {
+  std::array<TpSplit, 5> dims;
+  std::size_t count = 0;
+  const TpSplit* begin() const { return dims.data(); }
+  const TpSplit* end() const { return dims.data() + count; }
+};
 
 struct TransformerConfig {
   std::string name = "unnamed";
@@ -84,6 +104,8 @@ struct TransformerConfig {
   int mlp_matrices() const {
     return activation == Activation::kSwiGlu ? 3 : 2;
   }
+  /// The dimensions tensor parallelism splits (see TpSplits).
+  TpSplits tp_splits() const;
 
   // --- fluent copies for sweeps --------------------------------------------
   TransformerConfig with_heads(std::int64_t a) const;
@@ -97,8 +119,8 @@ struct TransformerConfig {
 
   /// Structural validation (throws ConfigError):
   ///   h, a, L, s, b, v > 0;  a | h  (integral head dim);
-  ///   t >= 1;  t | a and t | h and t | d_ff  (tensor-parallel split);
-  ///   t | v (vocab-parallel logits).
+  ///   t >= 1;  t divides every entry of tp_splits() (a, kv, h, d_ff and
+  ///   the vocab-parallel logits' v).
   void validate() const;
 
   /// Human-readable one-liner, e.g. "gpt3-2.7b (h=2560 a=32 L=32 ...)".

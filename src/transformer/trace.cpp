@@ -1,7 +1,5 @@
 #include "transformer/trace.hpp"
 
-#include <sstream>
-
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/strings.hpp"
@@ -16,23 +14,25 @@ std::string trace_json(const TransformerConfig& config,
   config.validate();
   CODESIGN_CHECK(options.layers >= 1, "trace needs at least one layer");
 
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
+  std::string out;
+  json::Writer w(out);
+  w.begin_object().member("displayTimeUnit", "ms");
+  w.key("traceEvents").begin_array();
   double clock_us = 0.0;
 
   // One complete (ph=X) event at the running clock: GEMMs on tid 1,
   // non-GEMM kernels on tid 2.
   auto emit_op = [&](const std::string& name, const OpLatency& op) {
-    if (!first) os << ",";
-    first = false;
     const double dur_us = to_us(op.time);
-    os << "{\"name\":\"" << json::escape(name) << "\",\"ph\":\"X\",\"pid\":0,"
-       << "\"tid\":" << (op.is_gemm ? 1 : 2)
-       << ",\"ts\":" << str_format("%.3f", clock_us)
-       << ",\"dur\":" << str_format("%.3f", dur_us)
-       << ",\"args\":{\"detail\":\"" << json::escape(detail_text(op.detail))
-       << "\"}}";
+    w.begin_object()
+        .member("name", name)
+        .member("ph", "X")
+        .member("pid", 0)
+        .member("tid", op.is_gemm ? 1 : 2);
+    w.key("ts").raw(str_format("%.3f", clock_us));
+    w.key("dur").raw(str_format("%.3f", dur_us));
+    w.key("args").begin_object().member("detail", detail_text(op.detail));
+    w.end_object().end_object();
     clock_us += dur_us;
   };
   const ModelLatencyReport model = analyze_model(config, sim);
@@ -56,10 +56,14 @@ std::string trace_json(const TransformerConfig& config,
     }
   }
   emit_model_level(false);
+  w.end_array();
 
-  os << "],\"otherData\":{\"model\":\"" << json::escape(config.to_string())
-     << "\",\"gpu\":\"" << json::escape(sim.gpu().id) << "\"}}";
-  return os.str();
+  w.key("otherData")
+      .begin_object()
+      .member("model", config.to_string())
+      .member("gpu", sim.gpu().id);
+  w.end_object().end_object();
+  return out;
 }
 
 }  // namespace codesign::tfm

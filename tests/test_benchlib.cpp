@@ -93,7 +93,7 @@ TEST(Timing, UnstableChecksumFlagged) {
 TEST(Timing, SummarizeFixedInputs) {
   CaseStats s;
   s.samples_ms = {4.0, 1.0, 2.0, 3.0, 100.0};
-  summarize(s, /*outlier_mad_factor=*/8.0);
+  summarize(s);
   EXPECT_DOUBLE_EQ(s.median_ms, 3.0);
   EXPECT_DOUBLE_EQ(s.mad_ms, 1.0);  // |x-3| = {1,2,1,0,97} -> median 1
   EXPECT_DOUBLE_EQ(s.mean_ms, 22.0);

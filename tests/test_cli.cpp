@@ -127,5 +127,14 @@ TEST(CodesignSearch, MaxBelowOneIsAUsageError) {
       << err;
 }
 
+TEST(CodesignPlan, GqaKvHeadsMakeATensorDegreeInfeasibleNotAConfigError) {
+  // t=8 does not divide kv=4: that layout is listed as infeasible, and the
+  // plan still lists every other layout.
+  std::string err;
+  EXPECT_EQ(run_codesign("plan --custom=h=4096,a=32,L=32,kv=4 --gpus=32", &err),
+            0)
+      << err;
+}
+
 }  // namespace
 }  // namespace codesign

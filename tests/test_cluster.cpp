@@ -50,6 +50,41 @@ TEST(TpFeasibility, SummitFriendlyShape) {
   EXPECT_TRUE(tp_feasibility(variant, 6).feasible);
 }
 
+// tp_feasibility and validate() read the one list of split dimensions, so
+// a degree is feasible exactly when the re-split config validates — GQA's
+// kv heads included.
+TEST(Cluster, TpFeasibilityAgreesWithValidate) {
+  std::vector<TransformerConfig> configs;
+  for (const std::string& name : tfm::known_models()) {
+    configs.push_back(model_by_name(name));
+  }
+  for (const std::int64_t kv : {1, 2, 4, 8}) {
+    TransformerConfig gqa = model_by_name("gpt3-2.7b").with_vocab(50304);
+    gqa.name = "gqa-kv" + std::to_string(kv);
+    gqa.num_kv_heads = kv;
+    configs.push_back(gqa);
+  }
+  for (const TransformerConfig& c : configs) {
+    ASSERT_NO_THROW(c.validate()) << c.name;
+    for (std::int64_t t = 1; t <= 16; ++t) {
+      const TpFeasibility f = tp_feasibility(c, t);
+      bool valid = true;
+      try {
+        c.with_tensor_parallel(t).validate();
+      } catch (const ConfigError&) {
+        valid = false;
+      }
+      EXPECT_EQ(f.feasible, valid) << c.name << " t=" << t << ": " << f.reason;
+      EXPECT_EQ(f.reason.empty(), f.feasible) << c.name << " t=" << t;
+    }
+  }
+  const TransformerConfig kv4 = configs[configs.size() - 2];
+  EXPECT_EQ(tp_feasibility(kv4, 8).reason, "t=8 does not divide kv=4");
+  const std::vector<TpOption> opts = analyze_tp_options(kv4, sim(), {4, 8});
+  EXPECT_TRUE(opts[0].feasibility.feasible);
+  EXPECT_FALSE(opts[1].feasibility.feasible);
+}
+
 TEST(TpFeasibility, RejectsBadDegree) {
   EXPECT_THROW(tp_feasibility(model_by_name("gpt3-2.7b"), 0), Error);
 }

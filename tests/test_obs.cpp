@@ -421,6 +421,93 @@ TEST_F(ObsTest, ChromeTraceJsonStructure) {
   EXPECT_EQ(sim_only.find("wall clock"), std::string::npos);
 }
 
+TEST_F(ObsTest, ChromeTraceJsonGoldenBytes) {
+  EventRecorder rec;
+  EXPECT_EQ(rec.chrome_trace_json(),
+            R"({"displayTimeUnit":"ms","traceEvents":[],"otherData":{}})");
+  TraceEvent span;
+  span.name = "L0.qkv \"x\"";
+  span.category = "op";
+  span.tid = obs::kTidGemmOps;
+  span.ts_us = 10.0;
+  span.dur_us = 5.25;
+  span.args = {{"detail", "b=1\\\n"}, {"k", "v"}};
+  rec.record(span);
+  TraceEvent instant;
+  instant.name = "tile 256x128";
+  instant.category = "select";
+  instant.phase = 'i';
+  instant.tid = obs::kTidSelection;
+  instant.ts_us = 10.0;
+  rec.record(instant);
+  TraceEvent block;
+  block.name = "block";
+  block.category = "des";
+  block.tid = obs::kTidDesBase + 2;
+  block.ts_us = 1.5;
+  block.dur_us = 0.0625;
+  block.args = {{"block", "3"}};
+  rec.record(block);
+  TraceEvent other;
+  other.name = "softmax";
+  other.category = "op";
+  other.tid = 7;
+  other.ts_us = 15.0;
+  other.dur_us = 1.0;
+  rec.record(other);
+  TraceEvent wall;
+  wall.name = "evaluate";
+  wall.category = "search";
+  wall.clock = obs::EventClock::kWall;
+  wall.ts_us = 2.0;
+  wall.dur_us = 1234.5678;
+  rec.record(wall);
+  obs::ChromeTraceOptions opt;
+  opt.other_data = {{"model", "m\"1"}, {"gpu", "a100"}};
+  EXPECT_EQ(rec.chrome_trace_json(opt),
+            R"j({"displayTimeUnit":"ms",)j"
+            R"j("traceEvents":[{"name":"process_name","ph":"M","pid":0,)j"
+            R"j("args":{"name":"simulated time"}},{"name":"process_name",)j"
+            R"j("ph":"M","pid":1,"args":{"name":"wall clock"}},)j"
+            R"j({"name":"thread_name","ph":"M","pid":0,"tid":1,)j"
+            R"j("args":{"name":"gemm ops"}},{"name":"thread_name","ph":"M",)j"
+            R"j("pid":0,"tid":3,"args":{"name":"kernel selection"}},)j"
+            R"j({"name":"thread_name","ph":"M","pid":0,"tid":7,)j"
+            R"j("args":{"name":"track7"}},{"name":"thread_name","ph":"M",)j"
+            R"j("pid":0,"tid":102,"args":{"name":"sm2"}},)j"
+            R"j({"name":"thread_name","ph":"M","pid":1,"tid":0,)j"
+            R"j("args":{"name":"pipeline (wall clock)"}},{"name":"block",)j"
+            R"j("cat":"des","ph":"X","pid":0,"tid":102,"ts":1.500,)j"
+            R"j("dur":0.062,"args":{"block":"3"}},{"name":"L0.qkv \"x\"",)j"
+            R"j("cat":"op","ph":"X","pid":0,"tid":1,"ts":10.000,"dur":5.250,)j"
+            R"j("args":{"detail":"b=1\\\n","k":"v"}},{"name":"tile 256x128",)j"
+            R"j("cat":"select","ph":"i","pid":0,"tid":3,"ts":10.000,"s":"t",)j"
+            R"j("args":{}},{"name":"softmax","cat":"op","ph":"X","pid":0,)j"
+            R"j("tid":7,"ts":15.000,"dur":1.000,"args":{}},)j"
+            R"j({"name":"evaluate","cat":"search","ph":"X","pid":1,"tid":0,)j"
+            R"j("ts":2.000,"dur":1234.568,"args":{}}],)j"
+            R"j("otherData":{"model":"m\"1","gpu":"a100"}})j");
+  opt.include_wall_clock = false;
+  opt.other_data.clear();
+  EXPECT_EQ(rec.chrome_trace_json(opt),
+            R"j({"displayTimeUnit":"ms",)j"
+            R"j("traceEvents":[{"name":"process_name","ph":"M","pid":0,)j"
+            R"j("args":{"name":"simulated time"}},{"name":"thread_name",)j"
+            R"j("ph":"M","pid":0,"tid":1,"args":{"name":"gemm ops"}},)j"
+            R"j({"name":"thread_name","ph":"M","pid":0,"tid":3,)j"
+            R"j("args":{"name":"kernel selection"}},{"name":"thread_name",)j"
+            R"j("ph":"M","pid":0,"tid":7,"args":{"name":"track7"}},)j"
+            R"j({"name":"thread_name","ph":"M","pid":0,"tid":102,)j"
+            R"j("args":{"name":"sm2"}},{"name":"block","cat":"des","ph":"X",)j"
+            R"j("pid":0,"tid":102,"ts":1.500,"dur":0.062,)j"
+            R"j("args":{"block":"3"}},{"name":"L0.qkv \"x\"","cat":"op",)j"
+            R"j("ph":"X","pid":0,"tid":1,"ts":10.000,"dur":5.250,)j"
+            R"j("args":{"detail":"b=1\\\n","k":"v"}},{"name":"tile 256x128",)j"
+            R"j("cat":"select","ph":"i","pid":0,"tid":3,"ts":10.000,"s":"t",)j"
+            R"j("args":{}},{"name":"softmax","cat":"op","ph":"X","pid":0,)j"
+            R"j("tid":7,"ts":15.000,"dur":1.000,"args":{}}],"otherData":{}})j");
+}
+
 TEST_F(ObsTest, ChromeTraceJsonIndependentOfRecordingOrder) {
   auto make_event = [](int i) {
     TraceEvent e;

@@ -52,6 +52,16 @@ TEST(Parallelism, CommComponentsAppearWithEachDegree) {
   EXPECT_DOUBLE_EQ(dp.pp_comm_time, 0.0);
 }
 
+TEST(Parallelism, GqaKvHeadsBlockATensorDegree) {
+  // 8 does not divide kv = 4: the plan is infeasible, not a ConfigError.
+  tfm::TransformerConfig gqa = model();
+  gqa.num_kv_heads = 4;
+  const auto r = evaluate_plan(gqa, p4d(), plan(8, 1, 4));
+  EXPECT_FALSE(r.feasible);
+  EXPECT_EQ(r.infeasible_reason, "t=8 does not divide kv=4");
+  EXPECT_TRUE(evaluate_plan(gqa, p4d(), plan(4, 1, 8)).feasible);
+}
+
 TEST(Parallelism, StructuralRejections) {
   // t = 6 on an 8-GPU-node cluster model: 6 ∤ 2560 and 6 ∤ 32.
   const auto bad_t = evaluate_plan(model(), p4d(), plan(6, 1, 1));

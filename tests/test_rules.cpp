@@ -3,8 +3,26 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "common/error.hpp"
 #include "transformer/model_zoo.hpp"
+
+// Every heap allocation in this binary, so a test can assert that a call
+// allocates nothing.
+namespace {
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace codesign::advisor {
 namespace {
@@ -162,6 +180,25 @@ TEST(Rules, FastVerdictAgreesWithCheckRulesFold) {
       }
     }
   }
+}
+
+TEST(Rules, PerCandidateVerdictAllocatesNothing) {
+  // The verdict runs once per search candidate: it evaluates every rule
+  // without building a message.
+  for (const std::string& name : tfm::known_models()) {
+    const tfm::ValidatedConfig valid(model_by_name(name));
+    for (int stages : {1, 3}) {
+      RuleContext ctx = a100_ctx();
+      ctx.pipeline_stages = stages;
+      const long before = g_allocations.load();
+      const bool pass = satisfies_performance_rules(valid, ctx);
+      EXPECT_EQ(g_allocations.load(), before) << name << " pass=" << pass;
+    }
+  }
+  // Control: the counter does see check_rules' messages.
+  const long before = g_allocations.load();
+  EXPECT_FALSE(check_rules(model_by_name("gpt3-2.7b"), a100_ctx()).empty());
+  EXPECT_GT(g_allocations.load(), before);
 }
 
 TEST(Rules, NamesForAllRules) {

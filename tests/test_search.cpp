@@ -546,8 +546,9 @@ TEST(SearchMerge, ResumedAndSkippedSlotsMatchTheOracle) {
 }
 
 /// run_shape_search against the oracle: the untrimmed ranking (all
-/// candidates, unique names) re-ranked by the stable sort at every cut,
-/// with the hidden/joint keep filter applied to resumed payloads.
+/// candidates, unique names) re-ranked by the stable sort at every cut.
+/// The hidden/joint parameter bound holds at generation, and resumed
+/// payloads are ranked as checkpointed.
 TEST(SearchMerge, ShapeSearchesMatchTheOracle) {
   const tfm::TransformerConfig base = model_by_name("gpt3-2.7b");
   const gemm::GemmSimulator s = sim();
@@ -562,6 +563,10 @@ TEST(SearchMerge, ShapeSearchesMatchTheOracle) {
       ShapeCandidate fresh = evaluate_candidate(c.config, base, s);
       fresh.note = c.note;
       EXPECT_EQ(fresh, c) << c.config.name;
+      if (c.config.hidden_size != base.hidden_size) {
+        EXPECT_LE(std::fabs(c.param_delta_frac), kMaxParamDeltaFrac)
+            << c.config.name;
+      }
     }
     const std::vector<ShapeCandidate> reversed(all.rbegin(), all.rend());
     const std::string tag = search_mode_name(mode);
@@ -579,12 +584,13 @@ TEST(SearchMerge, ShapeSearchesMatchTheOracle) {
     }
     if (mode == SearchMode::kHeads) continue;
 
-    // Resumed payloads the keep filter must judge: a re-shaped hidden size
-    // whose parameter delta is out of bounds is dropped, the baseline is
-    // kept whatever its delta, and a skip entry removes a candidate.
+    // Resumed payloads are ranked as checkpointed: the bound ran at
+    // generation, so a re-shaped hidden size whose checkpointed delta is
+    // out of bounds stays, as does the baseline whatever its delta, and a
+    // skip entry removes a candidate.
     const std::string path = ::testing::TempDir() + "codesign_merge_keep.txt";
     std::set<std::string> resumed;
-    std::string dropped, skipped;
+    std::string out_of_bound, skipped;
     {
       CheckpointWriter w(path,
                          shape_search_fingerprint(mode, base, s, 0.1, 0));
@@ -594,9 +600,9 @@ TEST(SearchMerge, ShapeSearchesMatchTheOracle) {
           e.param_delta_frac = 0.5;
           e.layer_time = 1.0;  // past every cut
         } else if (c.config.hidden_size != base.hidden_size &&
-                   dropped.empty()) {
+                   out_of_bound.empty()) {
           e.param_delta_frac = 0.5;
-          dropped = c.config.name;
+          out_of_bound = c.config.name;
         } else if (c.config.hidden_size != base.hidden_size &&
                    resumed.size() < 3) {
           e.param_delta_frac = -0.01;
@@ -614,18 +620,13 @@ TEST(SearchMerge, ShapeSearchesMatchTheOracle) {
     }
     const SearchCheckpoint resume = SearchCheckpoint::load(path);
     std::remove(path.c_str());
-    ASSERT_FALSE(dropped.empty()) << tag;
+    ASSERT_FALSE(out_of_bound.empty()) << tag;
     std::vector<ShapeCandidate> expected;
     for (const ShapeCandidate& c : all) {
       if (c.config.name == skipped) continue;
       ShapeCandidate r = c;
       if (const CheckpointShapeEntry* e = resume.shape(c.config.name)) {
         r = with_entry(r, *e);
-      }
-      if (r.config.hidden_size != base.hidden_size &&
-          std::fabs(r.param_delta_frac) > all_opt.max_param_delta_frac) {
-        EXPECT_EQ(r.config.name, dropped) << tag;
-        continue;
       }
       expected.push_back(r);
     }

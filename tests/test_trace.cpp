@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
+#include "common/units.hpp"
 #include "transformer/layer_model.hpp"
 #include "transformer/model_zoo.hpp"
 
@@ -82,6 +84,71 @@ TEST(Trace, MetadataRecorded) {
   const std::string json = trace_json(cfg, sim());
   EXPECT_NE(json.find("\"gpu\":\"a100-40gb\""), std::string::npos);
   EXPECT_NE(json.find("gpt3-2.7b"), std::string::npos);
+}
+
+// The document's bytes, rendered here by hand from analyze_model's records:
+// every separator, the %.3f microsecond clock, the tid split and the
+// escaping of names, details and metadata.
+std::string reference_trace(const TransformerConfig& cfg,
+                            const gemm::GemmSimulator& s,
+                            const TraceOptions& opt) {
+  const ModelLatencyReport model = analyze_model(cfg, s);
+  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  double clock_us = 0.0;
+  bool first = true;
+  const auto event = [&](const std::string& name, const OpLatency& op) {
+    char num[64];
+    if (!first) out += ",";
+    first = false;
+    out += "{\"name\":\"" + json::escape(name) + "\",\"ph\":\"X\",\"pid\":0,";
+    out += op.is_gemm ? "\"tid\":1" : "\"tid\":2";
+    std::snprintf(num, sizeof(num), "%.3f", clock_us);
+    out += std::string(",\"ts\":") + num;
+    const double dur_us = to_us(op.time);
+    std::snprintf(num, sizeof(num), "%.3f", dur_us);
+    out += std::string(",\"dur\":") + num;
+    out += ",\"args\":{\"detail\":\"" + json::escape(detail_text(op.detail)) +
+           "\"}}";
+    clock_us += dur_us;
+  };
+  const auto model_level = [&](bool before_stack) {
+    if (!opt.include_model_level) return;
+    for (const OpLatency& op : model.model_level) {
+      if ((op.op == LayerOp::kEmbeddingLookup) == before_stack) {
+        event(op.name, op);
+      }
+    }
+  };
+  model_level(true);
+  for (std::int64_t l = 0; l < opt.layers; ++l) {
+    for (const OpLatency& op : model.layer.ops) {
+      event("L" + std::to_string(l) + "." + op.name, op);
+    }
+  }
+  model_level(false);
+  out += "],\"otherData\":{\"model\":\"" + json::escape(cfg.to_string()) +
+         "\",\"gpu\":\"" + json::escape(s.gpu().id) + "\"}}";
+  return out;
+}
+
+TEST(Trace, GoldenBytes) {
+  const TransformerConfig cfg =
+      model_by_name("gpt3-125m").with_name("q\"uo\\te");
+  for (const bool model_level : {true, false}) {
+    for (const std::int64_t layers : {1, 2}) {
+      TraceOptions opt;
+      opt.layers = layers;
+      opt.include_model_level = model_level;
+      EXPECT_EQ(trace_json(cfg, sim(), opt), reference_trace(cfg, sim(), opt))
+          << "model_level=" << model_level << " layers=" << layers;
+    }
+  }
+  const std::string head =
+      R"({"displayTimeUnit":"ms","traceEvents":[{"name":"embedding_lookup",)"
+      R"("ph":"X","pid":0,"tid":2,"ts":0.000,"dur":32.560,"args":{)";
+  TraceOptions opt;
+  opt.include_model_level = true;
+  EXPECT_EQ(trace_json(cfg, sim(), opt).substr(0, head.size()), head);
 }
 
 TEST(Trace, Validation) {

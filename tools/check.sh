@@ -61,7 +61,8 @@ SAN_TESTS=(test_thread_pool test_estimate_cache test_estimate_many test_obs
            test_attribution test_logging test_failpoint test_search
            test_search_faults test_serve test_serve_trace test_fleet_client
            test_sweep test_json test_layer_model test_gemm_mapping test_flops
-           test_training test_inference)
+           test_training test_inference test_rules test_cluster
+           test_parallelism test_config)
 
 echo "== tier 2: ThreadSanitizer (${TSAN_DIR}) =="
 cmake -B "${TSAN_DIR}" -S "${SRC_DIR}" -DCODESIGN_SANITIZE=thread

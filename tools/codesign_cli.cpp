@@ -17,6 +17,7 @@
 #include "advisor/compare.hpp"
 #include "advisor/designer.hpp"
 #include "advisor/report.hpp"
+#include "advisor/rules.hpp"
 #include "advisor/search.hpp"
 #include "comm/cluster_spec.hpp"
 #include "comm/parallelism.hpp"
@@ -450,7 +451,7 @@ int cmd_sweep(const CliArgs& args) {
   options.cancel = &cancel;
 
   const std::string fingerprint =
-      sweep::sweep_fingerprint(plan, options.policy);
+      sweep::sweep_fingerprint(plan, gemm::TilePolicy::kAuto);
   std::optional<advisor::SearchCheckpoint> resumed;
   std::optional<advisor::CheckpointWriter> writer;
   checkpoint_args(args, fingerprint, resumed, writer, options);
@@ -626,7 +627,7 @@ int cmd_trace(const CliArgs& args) {
 
 int cmd_plan(const CliArgs& args) {
   tfm::TransformerConfig m = model_arg(args);
-  if (m.vocab_size % 64 != 0) m = m.with_vocab(((m.vocab_size + 63) / 64) * 64);
+  m.vocab_size = advisor::pad_vocab(m.vocab_size);
   const auto& cluster =
       comm::cluster_by_name(args.get_string("cluster", "aws-p4d"));
   const std::int64_t gpus = args.get_int("gpus", 32);
