@@ -200,10 +200,10 @@ struct SweptSlots {
 /// record(cp, i, slot) checkpoints a completed slot; config_of(i) is the
 /// config a skip reports. A slot's fate depends only on its index, so the
 /// result is byte-identical at any thread count.
-template <typename Scratch, typename Outcome, typename Key, typename Resumed,
-          typename Evaluate, typename Record, typename ConfigOf>
+template <typename Scratch, typename Key, typename Resumed, typename Evaluate,
+          typename Record, typename ConfigOf>
 auto guarded_sweep(std::size_t n, const SearchOptions& options,
-                   Outcome& outcome, const Key& key, const Resumed& resumed,
+                   SweepRecord& outcome, const Key& key, const Resumed& resumed,
                    const Evaluate& evaluate, const Record& record,
                    const ConfigOf& config_of) {
   using Slot = std::invoke_result_t<Evaluate, std::size_t, Scratch&>;
@@ -284,6 +284,36 @@ auto guarded_sweep(std::size_t n, const SearchOptions& options,
   return out;
 }
 
+/// Count one finished sweep, `kept` of whose candidates were returned:
+/// into the request scope, and into the deterministic `<prefix>.*` series
+/// (`advisor.search` or `advisor.mlp_scan`) when metrics are enabled.
+void record_sweep(const std::string& prefix, const SweepRecord& outcome,
+                  std::size_t kept) {
+  if (auto* rs = obs::RequestScope::current()) {
+    rs->search_candidates += outcome.evaluated;
+  }
+  if (!obs::MetricsRegistry::enabled()) return;
+  auto& reg = obs::MetricsRegistry::global();
+  const auto counter = [&](const char* series,
+                           obs::Stability stability =
+                               obs::Stability::kDeterministic) -> obs::Counter& {
+    return reg.counter(prefix + "." + series, {}, stability);
+  };
+  counter("runs").add();
+  counter("candidates").add(outcome.total_candidates);
+  counter("kept").add(kept);
+  counter("skipped").add(outcome.skipped.size());
+  counter("retries").add(outcome.retries);
+  counter("retry_backoff_units").add(outcome.backoff_units);
+  counter("resumed").add(outcome.resumed);
+  if (outcome.truncated) {
+    // Where the cut lands is wall-clock dependent, so the truncation
+    // counters can never be part of the deterministic export.
+    counter("truncated", obs::Stability::kBestEffort).add();
+    counter("unreached", obs::Stability::kBestEffort).add(outcome.unreached());
+  }
+}
+
 /// Shape search on the guarded sweep: evaluate every config into a score
 /// slot, then rank. `annotate` (optional) fills the note of each ranked
 /// survivor — the only candidates ever built.
@@ -293,10 +323,9 @@ SearchOutcome evaluate_pipeline(
     const SearchOptions& options,
     const std::function<void(ShapeCandidate&)>& annotate) {
   // Self-profiling of the pipeline stages: wall-clock, so every series here
-  // is kBestEffort — the candidate/kept/skip counters below are the only
-  // deterministic ones. Everything is gated on the enabled flag so a
-  // metrics-off search takes no locks and reads no clocks.
-  const bool metrics_on = obs::MetricsRegistry::enabled();
+  // is kBestEffort — record_sweep's counters are the only deterministic
+  // ones. Everything is gated on the enabled flag so a metrics-off search
+  // takes no locks and reads no clocks.
 
   // The baseline context is evaluated unguarded: without it no candidate
   // can be scored, so a fault here aborts the sweep in any policy.
@@ -343,35 +372,16 @@ SearchOutcome evaluate_pipeline(
     }
   }
 
-  if (metrics_on) {
-    auto& reg = obs::MetricsRegistry::global();
-    reg.counter("advisor.search.runs").add();
-    reg.counter("advisor.search.candidates").add(configs.size());
-    reg.counter("advisor.search.kept").add(out.size());
-    reg.counter("advisor.search.skipped").add(outcome.skipped.size());
-    reg.counter("advisor.search.retries").add(outcome.retries);
-    reg.counter("advisor.search.retry_backoff_units").add(outcome.backoff_units);
-    reg.counter("advisor.search.resumed").add(outcome.resumed);
-    if (outcome.truncated) {
-      // Where the cut lands is wall-clock dependent, so the truncation
-      // counters can never be part of the deterministic export.
-      reg.counter("advisor.search.truncated", {}, obs::Stability::kBestEffort)
-          .add();
-      reg.counter("advisor.search.unreached", {}, obs::Stability::kBestEffort)
-          .add(outcome.unreached());
-    }
-  }
-  if (auto* rs = obs::RequestScope::current()) {
-    rs->search_candidates += outcome.evaluated;
-  }
+  record_sweep("advisor.search", outcome, out.size());
   outcome.ranked = std::move(out);
   return outcome;
 }
 
-/// Legal head counts for a given hidden size: a | h, t | a, and a practical
-/// head dimension (32 <= h/a <= 256).
+/// Legal head counts for hidden size `h` and `base`'s parallelism and KV
+/// heads: a | h, t | a, kv | a (whole GQA groups; an MHA base has no fixed
+/// kv), and a practical head dimension (32 <= h/a <= 256).
 std::vector<std::int64_t> legal_head_counts(std::int64_t h,
-                                            std::int64_t tensor_parallel) {
+                                            const TransformerConfig& base) {
   std::vector<std::int64_t> out;
   // For a divisor a of h, 32 <= h/a <= 256 confines a to
   // [ceil(h/256), floor(h/32)], so only that window needs scanning —
@@ -379,7 +389,8 @@ std::vector<std::int64_t> legal_head_counts(std::int64_t h,
   const std::int64_t lo = std::max<std::int64_t>(1, (h + 255) / 256);
   for (std::int64_t a = lo; a <= h / 32; ++a) {
     if (h % a != 0) continue;
-    if (a % tensor_parallel != 0) continue;
+    if (a % base.tensor_parallel != 0) continue;
+    if (base.num_kv_heads > 0 && a % base.num_kv_heads != 0) continue;
     out.push_back(a);
   }
   return out;
@@ -401,31 +412,6 @@ std::vector<std::int64_t> hidden_grid(const TransformerConfig& base,
     out.push_back(h);
   }
   return out;
-}
-
-/// Fold one probe round into the deterministic `advisor.sensitivity.*`
-/// series. The probes run sequentially on the calling thread, so the gauge
-/// writes are ordered and the export is byte-identical at any --threads
-/// value (gauges must opt in to kDeterministic — their default is
-/// best-effort).
-void record_sensitivity(const std::vector<DimensionSensitivity>& dims) {
-  if (!obs::MetricsRegistry::enabled()) return;
-  auto& reg = obs::MetricsRegistry::global();
-  reg.counter("advisor.sensitivity.rounds").add();
-  for (const DimensionSensitivity& s : dims) {
-    const std::string labels = "dim=" + s.dimension;
-    reg.counter("advisor.sensitivity.probes", labels).add();
-    if (!s.probed) {
-      reg.counter("advisor.sensitivity.illegal", labels).add();
-      continue;
-    }
-    reg.gauge("advisor.sensitivity.delta_frac", labels,
-              obs::Stability::kDeterministic)
-        .set(s.delta_frac);
-    reg.gauge("advisor.sensitivity.probe_time_s", labels,
-              obs::Stability::kDeterministic)
-        .set(s.probe_time);
-  }
 }
 
 }  // namespace
@@ -470,11 +456,11 @@ std::vector<DimensionSensitivity> sensitivity_probe(
     return tfm::analyze_model(cfg, sim).total_time;
   };
 
-  // heads: the nearest legal alternative (a | h, t | a, 32 <= h/a <= 256),
-  // preferring the next count up (smaller head dim).
+  // heads: the nearest legal alternative (legal_head_counts), preferring
+  // the next count up (smaller head dim).
   {
     const std::vector<std::int64_t> legal =
-        legal_head_counts(base.hidden_size, base.tensor_parallel);
+        legal_head_counts(base.hidden_size, base);
     std::int64_t pick = 0;
     for (std::int64_t a : legal) {  // ascending
       if (a > base.num_heads) { pick = a; break; }
@@ -572,6 +558,27 @@ std::vector<DimensionSensitivity> sensitivity_probe(
           });
   }
 
+  // The probes ran sequentially on the calling thread, so the gauge writes
+  // are ordered and the export is byte-identical at any --threads value
+  // (gauges must opt in to kDeterministic — their default is best-effort).
+  if (obs::MetricsRegistry::enabled()) {
+    auto& reg = obs::MetricsRegistry::global();
+    reg.counter("advisor.sensitivity.rounds").add();
+    for (const DimensionSensitivity& s : out) {
+      const std::string labels = "dim=" + s.dimension;
+      reg.counter("advisor.sensitivity.probes", labels).add();
+      if (!s.probed) {
+        reg.counter("advisor.sensitivity.illegal", labels).add();
+        continue;
+      }
+      reg.gauge("advisor.sensitivity.delta_frac", labels,
+                obs::Stability::kDeterministic)
+          .set(s.delta_frac);
+      reg.gauge("advisor.sensitivity.probe_time_s", labels,
+                obs::Stability::kDeterministic)
+          .set(s.probe_time);
+    }
+  }
   return out;
 }
 
@@ -640,8 +647,7 @@ SearchOutcome run_shape_search(SearchMode mode, const TransformerConfig& base,
 
   switch (mode) {
     case SearchMode::kHeads:
-      for (std::int64_t a :
-           legal_head_counts(base.hidden_size, base.tensor_parallel)) {
+      for (std::int64_t a : legal_head_counts(base.hidden_size, base)) {
         TransformerConfig cfg = base.with_heads(a);
         if (a != base.num_heads) {
           cfg.name = base.name + "-a" + std::to_string(a);
@@ -674,7 +680,7 @@ SearchOutcome run_shape_search(SearchMode mode, const TransformerConfig& base,
       break;
     case SearchMode::kJoint:
       for (std::int64_t h : hidden_grid(base, radius_frac, step)) {
-        for (std::int64_t a : legal_head_counts(h, base.tensor_parallel)) {
+        for (std::int64_t a : legal_head_counts(h, base)) {
           TransformerConfig cfg = base.with_hidden(h).with_heads(a);
           if (!param_delta_ok(cfg)) continue;
           if (h != base.hidden_size || a != base.num_heads) {
@@ -697,13 +703,6 @@ SearchOutcome run_shape_search(SearchMode mode, const TransformerConfig& base,
   SearchOutcome outcome =
       evaluate_pipeline(configs, base, sim, options, annotate);
   if (options.checkpoint != nullptr) options.checkpoint->flush();
-  if (options.sensitivity) {
-    // Probed once per round, sequentially, after the sweep: the probes are
-    // pure model analyses, so the outcome and the obs series they feed stay
-    // byte-identical at any thread count.
-    outcome.sensitivity = sensitivity_probe(base, sim);
-    record_sensitivity(outcome.sensitivity);
-  }
   return outcome;
 }
 
@@ -846,23 +845,7 @@ MlpSearchOutcome run_mlp_search(const TransformerConfig& base,
                                                          : out.size() - 1);
   }
   if (options.checkpoint != nullptr) options.checkpoint->flush();
-
-  if (obs::MetricsRegistry::enabled()) {
-    auto& reg = obs::MetricsRegistry::global();
-    reg.counter("advisor.mlp_scan.runs").add();
-    reg.counter("advisor.mlp_scan.candidates").add(widths.size());
-    reg.counter("advisor.mlp_scan.kept").add(out.size());
-    reg.counter("advisor.mlp_scan.skipped").add(outcome.skipped.size());
-    reg.counter("advisor.mlp_scan.retries").add(outcome.retries);
-    reg.counter("advisor.mlp_scan.resumed").add(outcome.resumed);
-  }
-  if (auto* rs = obs::RequestScope::current()) {
-    rs->search_candidates += outcome.evaluated;
-  }
-  if (options.sensitivity) {
-    outcome.sensitivity = sensitivity_probe(base, sim);
-    record_sensitivity(outcome.sensitivity);
-  }
+  record_sweep("advisor.mlp_scan", outcome, out.size());
   outcome.ranked = std::move(out);
   return outcome;
 }

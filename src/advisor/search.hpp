@@ -88,7 +88,9 @@ struct DimensionSensitivity {
 /// Probe every dimension once around `base`. Sequential and pure — the
 /// result is byte-identical at any thread count and cache state. Probes
 /// that would produce an illegal config (e.g. no divisor-compatible head
-/// count) come back with probed == false instead of throwing.
+/// count) come back with probed == false instead of throwing. When metrics
+/// are enabled, the round is also folded into the deterministic
+/// `advisor.sensitivity.*` series.
 std::vector<DimensionSensitivity> sensitivity_probe(
     const TransformerConfig& base, const gemm::GemmSimulator& sim);
 
@@ -99,11 +101,6 @@ std::vector<DimensionSensitivity> sensitivity_probe(
 inline constexpr double kMaxParamDeltaFrac = 0.06;
 
 struct SearchOptions {
-  /// Run the per-dimension sensitivity_probe() around the base config and
-  /// attach it to the outcome (and, when metrics are enabled, to the
-  /// deterministic `advisor.sensitivity.*` obs series). Off by default —
-  /// it costs a handful of extra model analyses per search round.
-  bool sensitivity = false;
   /// Keep at most this many candidates (best first). The baseline config is
   /// always retained for reference: if trimming would drop it, it replaces
   /// the worst kept candidate.
@@ -116,7 +113,7 @@ struct SearchOptions {
   /// Per-candidate failure handling (skip vs strict rethrow, retry budget).
   FaultPolicy faults;
   /// Optional cooperative cancellation, polled between candidates. A
-  /// tripped token truncates the sweep (SearchOutcome::truncated) — never
+  /// tripped token truncates the sweep (SweepRecord::truncated) — never
   /// a silent cap.
   const CancelToken* cancel = nullptr;
   /// Optional checkpointing: completed candidates are recorded here as the
@@ -139,12 +136,11 @@ struct SkippedCandidate {
   bool operator==(const SkippedCandidate&) const = default;
 };
 
-/// Everything a sweep produced, including its failure/truncation record.
-/// `ranked`/`skipped` are byte-identical at any thread count for a given
-/// fault configuration (token-seeded failpoints fire per-candidate, not
-/// per-schedule).
-struct SearchOutcome {
-  std::vector<ShapeCandidate> ranked;     ///< sorted, trimmed (as before)
+/// What a guarded sweep records besides its ranking: the skip report, the
+/// counts, and the fault and truncation record. Byte-identical at any thread
+/// count for a given fault configuration (token-seeded failpoints fire
+/// per-candidate, not per-schedule).
+struct SweepRecord {
   std::vector<SkippedCandidate> skipped;  ///< generation order
   std::size_t total_candidates = 0;  ///< generated for evaluation
   std::size_t evaluated = 0;         ///< completed (incl. resumed)
@@ -153,16 +149,22 @@ struct SearchOutcome {
   std::uint64_t backoff_units = 0;   ///< deterministic 2^attempt accounting
   bool truncated = false;            ///< cancel/deadline stopped the sweep
   CancelReason cancel_reason = CancelReason::kNone;
-  /// Per-dimension sensitivity around the base (SearchOptions::sensitivity;
-  /// empty when off). Probed sequentially, so byte-identical at any
-  /// --threads value.
-  std::vector<DimensionSensitivity> sensitivity;
 
   /// Candidates never started because the sweep was cancelled.
   std::size_t unreached() const {
     return total_candidates - evaluated - skipped.size();
   }
 };
+
+/// Everything a sweep produced: its record and its ranked candidates, best
+/// first (SearchOutcome, MlpSearchOutcome).
+template <typename Candidate>
+struct RankedSweep : SweepRecord {
+  std::vector<Candidate> ranked;
+};
+
+/// A shape sweep's outcome: ranked sorted and trimmed to max_candidates.
+using SearchOutcome = RankedSweep<ShapeCandidate>;
 
 enum class SearchMode { kHeads, kHidden, kJoint };
 const char* search_mode_name(SearchMode mode);
@@ -222,7 +224,8 @@ std::vector<ShapeCandidate> search_hidden(const TransformerConfig& base,
 
 /// Joint grid search over heads × hidden: every hidden size the
 /// search_hidden sweep would visit, crossed with every legal head count for
-/// that hidden size (a | h, t | a, 32 <= h/a <= 256), ranked in one list.
+/// that hidden size (a | h, t | a, kv | a, 32 <= h/a <= 256), ranked in one
+/// list.
 /// Quadratically more candidates than either single sweep.
 std::vector<ShapeCandidate> search_joint(const TransformerConfig& base,
                                          const gemm::GemmSimulator& sim,
@@ -250,24 +253,8 @@ std::vector<MlpCandidate> search_mlp_intermediate(
     std::int64_t lo, std::int64_t hi, const SearchOptions& options = {});
 
 /// Full outcome of the MLP scan (skips, truncation, resume — the shape
-/// analogue of run_shape_search).
-struct MlpSearchOutcome {
-  std::vector<MlpCandidate> ranked;       ///< sorted by time, best first
-  std::vector<SkippedCandidate> skipped;  ///< config carries the failing d_ff
-  std::size_t total_candidates = 0;
-  std::size_t evaluated = 0;
-  std::size_t resumed = 0;
-  std::size_t retries = 0;
-  std::uint64_t backoff_units = 0;
-  bool truncated = false;
-  CancelReason cancel_reason = CancelReason::kNone;
-  /// See SearchOutcome::sensitivity.
-  std::vector<DimensionSensitivity> sensitivity;
-
-  std::size_t unreached() const {
-    return total_candidates - evaluated - skipped.size();
-  }
-};
+/// analogue of run_shape_search). A skip's config carries the failing d_ff.
+using MlpSearchOutcome = RankedSweep<MlpCandidate>;
 
 MlpSearchOutcome run_mlp_search(const TransformerConfig& base,
                                 const gemm::GemmSimulator& sim,

@@ -83,17 +83,15 @@ void render_explain(std::ostream& os, const gemm::GemmProblem& problem,
   os << gemm::explain_gemm(problem, sim).to_string();
 }
 
-int report_sweep_outcome(std::ostream& os,
-                         const std::vector<advisor::SkippedCandidate>& skipped,
-                         std::size_t total, std::size_t evaluated,
-                         std::size_t resumed, std::size_t retries,
-                         std::size_t unreached, bool truncated,
-                         CancelReason reason) {
-  if (!skipped.empty()) {
-    os << "\nskipped " << skipped.size() << " of " << total
-       << " candidate(s):\n";
+namespace {
+
+/// The sweep epilogue below either table; kExitCancelled when truncated.
+int report_sweep_outcome(std::ostream& os, const advisor::SweepRecord& record) {
+  if (!record.skipped.empty()) {
+    os << "\nskipped " << record.skipped.size() << " of "
+       << record.total_candidates << " candidate(s):\n";
     TableWriter t({"candidate", "attempts", "reason"});
-    for (const auto& s : skipped) {
+    for (const auto& s : record.skipped) {
       t.new_row()
           .cell(s.config.name)
           .cell(static_cast<std::int64_t>(s.attempts))
@@ -101,21 +99,25 @@ int report_sweep_outcome(std::ostream& os,
     }
     t.write(os);
   }
-  if (retries > 0) {
-    os << "retried " << retries << " transient fault(s)\n";
+  if (record.retries > 0) {
+    os << "retried " << record.retries << " transient fault(s)\n";
   }
-  if (resumed > 0) {
-    os << "resumed " << resumed << " candidate(s) from the checkpoint\n";
+  if (record.resumed > 0) {
+    os << "resumed " << record.resumed
+       << " candidate(s) from the checkpoint\n";
   }
-  if (truncated) {
-    os << "*** PARTIAL RESULTS: sweep cancelled (" << cancel_reason_name(reason)
-       << ") after " << evaluated << " of " << total << " candidates; "
-       << unreached << " never evaluated ***\n"
+  if (record.truncated) {
+    os << "*** PARTIAL RESULTS: sweep cancelled ("
+       << cancel_reason_name(record.cancel_reason) << ") after "
+       << record.evaluated << " of " << record.total_candidates
+       << " candidates; " << record.unreached() << " never evaluated ***\n"
        << "*** re-run with --checkpoint=<file> --resume to finish ***\n";
     return kExitCancelled;
   }
   return kExitOk;
 }
+
+}  // namespace
 
 int render_search(std::ostream& os, const SearchRequest& request,
                   const gemm::GemmSimulator& sim) {
@@ -144,10 +146,7 @@ int render_search(std::ostream& os, const SearchRequest& request,
           .cell(str_format("%.2f", c.rank_in_range));
     }
     t.write(os);
-    return report_sweep_outcome(os, outcome.skipped, outcome.total_candidates,
-                                outcome.evaluated, outcome.resumed,
-                                outcome.retries, outcome.unreached(),
-                                outcome.truncated, outcome.cancel_reason);
+    return report_sweep_outcome(os, outcome);
   }
 
   const advisor::SearchOutcome outcome = advisor::run_shape_search(
@@ -169,10 +168,7 @@ int render_search(std::ostream& os, const SearchRequest& request,
         .cell(c.note);
   }
   t.write(os);
-  return report_sweep_outcome(os, outcome.skipped, outcome.total_candidates,
-                              outcome.evaluated, outcome.resumed,
-                              outcome.retries, outcome.unreached(),
-                              outcome.truncated, outcome.cancel_reason);
+  return report_sweep_outcome(os, outcome);
 }
 
 namespace {

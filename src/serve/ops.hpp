@@ -67,15 +67,6 @@ void render_explain(std::ostream& os, const gemm::GemmProblem& problem,
 int render_search(std::ostream& os, const SearchRequest& request,
                   const gemm::GemmSimulator& sim);
 
-/// The sweep epilogue shared by the shape and MLP tables (also used by
-/// render_search). Returns kExitCancelled when truncated.
-int report_sweep_outcome(std::ostream& os,
-                         const std::vector<advisor::SkippedCandidate>& skipped,
-                         std::size_t total, std::size_t evaluated,
-                         std::size_t resumed, std::size_t retries,
-                         std::size_t unreached, bool truncated,
-                         CancelReason reason);
-
 /// The server's self-assessment, rendered by the `health` op. The overall
 /// status string is the most severe applicable state: "draining" >
 /// "overloaded" (admission queue full) > "brownout" (expensive ops shed)

@@ -6,8 +6,8 @@
 //   * tfm::attribute_layer / attribute_model reproduce analyze_layer /
 //     analyze_model totals bit-for-bit and their rollups are internally
 //     consistent (shares, branch split, bound histogram),
-//   * advisor::sensitivity_probe is deterministic, and a sensitivity-
-//     enabled search attaches the identical round at any thread count,
+//   * advisor::sensitivity_probe is deterministic and pure (the CLI's
+//     one-round-at-any-thread-count check lives in test_cli),
 //   * the versioned attribution report is byte-stable, parseable JSON in
 //     both pretty and compact (serve) forms.
 #include <gtest/gtest.h>
@@ -282,27 +282,6 @@ TEST(Sensitivity, ProbeIsDeterministicAndPure) {
       EXPECT_FALSE(s.note.empty()) << s.dimension;
     }
   }
-}
-
-TEST(Sensitivity, SearchAttachesTheSameRoundAtAnyThreadCount) {
-  const tfm::TransformerConfig cfg = tfm::model_by_name("gpt3-2.7b");
-  const GemmSimulator sim = GemmSimulator::for_gpu("a100");
-  advisor::SearchOptions one;
-  one.sensitivity = true;
-  one.threads = 1;
-  advisor::SearchOptions eight = one;
-  eight.threads = 8;
-  const advisor::SearchOutcome a = advisor::run_shape_search(
-      advisor::SearchMode::kJoint, cfg, sim, 0.1, 0, one);
-  const advisor::SearchOutcome b = advisor::run_shape_search(
-      advisor::SearchMode::kJoint, cfg, sim, 0.1, 0, eight);
-  EXPECT_FALSE(a.sensitivity.empty());
-  EXPECT_EQ(a.sensitivity, b.sensitivity);
-  EXPECT_EQ(a.sensitivity, advisor::sensitivity_probe(cfg, sim));
-  // Off by default: a plain search must not pay for the probes.
-  const advisor::SearchOutcome plain = advisor::run_shape_search(
-      advisor::SearchMode::kJoint, cfg, sim);
-  EXPECT_TRUE(plain.sensitivity.empty());
 }
 
 // ---------------------------------------------------------------------

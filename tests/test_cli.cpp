@@ -6,9 +6,12 @@
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace codesign {
 namespace {
@@ -134,6 +137,73 @@ TEST(CodesignPlan, GqaKvHeadsMakeATensorDegreeInfeasibleNotAConfigError) {
   EXPECT_EQ(run_codesign("plan --custom=h=4096,a=32,L=32,kv=4 --gpus=32", &err),
             0)
       << err;
+}
+
+TEST(CodesignSearch, JointSearchOnGqaModelsExitsZero) {
+  // Every joint head count keeps kv | a, so no generated candidate is an
+  // invalid GQA config.
+  std::string err;
+  for (const char* model : {"mistral-7b", "llama2-70b"}) {
+    EXPECT_EQ(run_codesign(std::string("search ") + model + " --mode=joint",
+                           &err),
+              0)
+        << model << ": " << err;
+  }
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream f(path);
+  EXPECT_TRUE(f.good()) << path;
+  std::ostringstream os;
+  os << f.rdbuf();
+  return os.str();
+}
+
+/// The value of the unlabeled series `name` in a --metrics file (-1 when
+/// the file does not carry it).
+double metric(const std::string& path, const std::string& name) {
+  const json::Value doc = json::Value::parse(slurp(path));
+  for (const json::Value& s : doc.at("metrics").as_array()) {
+    if (s.at("name").as_string() == name && s.at("labels").as_string().empty()) {
+      return s.at("value").as_number();
+    }
+  }
+  return -1.0;
+}
+
+TEST(CodesignSearch, AttributionRunsOneSensitivityRoundAtAnyThreadCount) {
+  const std::string dir = ::testing::TempDir() + "codesign_cli_attr_";
+  std::string err;
+  for (const char* threads : {"1", "8"}) {
+    const std::string t = threads;
+    EXPECT_EQ(run_codesign("search gpt3-2.7b --mode=joint --threads=" + t +
+                               " --attribution=" + dir + "f" + t +
+                               ".json --metrics=" + dir + "m" + t + ".json",
+                           &err),
+              0)
+        << err;
+  }
+  EXPECT_EQ(slurp(dir + "f1.json"), slurp(dir + "f8.json"));
+  EXPECT_EQ(slurp(dir + "m1.json"), slurp(dir + "m8.json"));
+  EXPECT_EQ(metric(dir + "m1.json", "advisor.sensitivity.rounds"), 1.0);
+  ASSERT_EQ(run_codesign("analyze gpt3-2.7b --out=" + dir + "analyze.json",
+                         &err),
+            0)
+      << err;
+  EXPECT_EQ(slurp(dir + "f1.json"), slurp(dir + "analyze.json"));
+
+  // advise probes for its --attribution file, and counts the round too.
+  ASSERT_EQ(run_codesign("advise gpt3-2.7b --attribution=" + dir +
+                             "advise.json --metrics=" + dir + "advise_m.json",
+                         &err),
+            0)
+      << err;
+  EXPECT_EQ(slurp(dir + "advise.json"), slurp(dir + "analyze.json"));
+  EXPECT_EQ(metric(dir + "advise_m.json", "advisor.sensitivity.rounds"), 1.0);
+  for (const char* f : {"f1.json", "f8.json", "m1.json", "m8.json",
+                        "analyze.json", "advise.json", "advise_m.json"}) {
+    std::remove((dir + f).c_str());
+  }
 }
 
 }  // namespace

@@ -231,6 +231,25 @@ TEST(SearchJoint, SupersetOfHeadAndHiddenSweeps) {
   EXPECT_TRUE(has_hidden_reshape);
 }
 
+TEST(SearchJoint, GqaModelsKeepWholeKvGroups) {
+  // The joint grid visits hidden sizes whose divisors kv does not divide
+  // (mistral-7b: h = 4160 admits a = 20). Those head counts are illegal
+  // GQA configs, so generation leaves them out instead of aborting.
+  for (const char* name : {"mistral-7b", "llama2-70b"}) {
+    const auto base = model_by_name(name);
+    SearchOptions opt;
+    opt.max_candidates = 1000;
+    const SearchOutcome out =
+        run_shape_search(SearchMode::kJoint, base, sim(), 0.1, 0, opt);
+    EXPECT_TRUE(out.skipped.empty()) << name;
+    ASSERT_GT(out.ranked.size(), 1u) << name;
+    for (const ShapeCandidate& c : out.ranked) {
+      EXPECT_EQ(c.config.num_heads % base.num_kv_heads, 0) << c.config.name;
+      EXPECT_NO_THROW(c.config.validate()) << c.config.name;
+    }
+  }
+}
+
 TEST(SearchJoint, CachedSimulatorGetsHighHitRate) {
   // The cache is what makes the joint grid tractable: a head sweep never
   // changes the MLP GEMMs and a hidden sweep re-visits whole layers, so

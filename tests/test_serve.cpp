@@ -20,6 +20,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -28,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "advisor/checkpoint.hpp"
 #include "advisor/report.hpp"
 #include "common/cancel.hpp"
 #include "common/error.hpp"
@@ -139,6 +141,154 @@ TEST(ServeProtocol, RequestLineBytesArePinned) {
 TEST(ServeProtocol, ParseResponseRejectsUnknownStatus) {
   EXPECT_THROW(serve::parse_response("not json"), Error);
   EXPECT_THROW(serve::parse_response(R"({"status":"weird","code":0})"), Error);
+}
+
+// ---------------------------------------------------------------------------
+// The sweep epilogue: skip table, retry and resume lines, partial banner.
+
+/// A `render_search` run and its exit code.
+struct Rendered {
+  int rc = 0;
+  std::string out;
+};
+
+/// Pin every line `render_search` prints after a shape or MLP sweep. Each
+/// request first leaves a checkpoint holding its first three candidates (a
+/// strict sweep aborted at the fourth evaluation), then renders twice from
+/// it: once under transient faults that exhaust the retry budget (skip
+/// table, `retried`, `resumed`), and once with a tripped CancelToken (the
+/// `PARTIAL RESULTS` banner). One thread, so the banner is stable too.
+std::vector<Rendered> render_resumed_sweeps(serve::SearchRequest request,
+                                            const std::string& fingerprint) {
+  const auto sim = gemm::GemmSimulator::for_gpu("a100");
+  const std::string path = ::testing::TempDir() + "codesign_epilogue_cp.txt";
+  std::remove(path.c_str());
+  request.options.threads = 1;
+  std::ostringstream discard;
+  {
+    advisor::CheckpointWriter writer(path, fingerprint, 1);
+    serve::SearchRequest first = request;
+    first.options.faults.strict = true;
+    first.options.checkpoint = &writer;
+    fail::configure("advisor.search.evaluate=once:4:fatal");
+    EXPECT_THROW(serve::render_search(discard, first, sim),
+                 fail::InjectedFault);
+    fail::clear();
+  }
+  const advisor::SearchCheckpoint resume = advisor::SearchCheckpoint::load(path);
+  request.options.resume = &resume;
+  std::vector<Rendered> out(2);
+  std::ostringstream faulted;
+  fail::configure("advisor.search.evaluate=prob:0.4:11:transient");
+  out[0].rc = serve::render_search(faulted, request, sim);
+  out[0].out = faulted.str();
+  fail::clear();
+  CancelToken cancel;
+  cancel.cancel();
+  request.options.cancel = &cancel;
+  std::ostringstream cancelled;
+  out[1].rc = serve::render_search(cancelled, request, sim);
+  out[1].out = cancelled.str();
+  std::remove(path.c_str());
+  return out;
+}
+
+TEST(SweepEpilogue, ShapeScanBytesArePinned) {
+  fail::clear();
+  serve::SearchRequest request;
+  request.config = tfm::model_by_name("gpt3-2.7b");
+  request.mode = "heads";
+  const auto sim = gemm::GemmSimulator::for_gpu("a100");
+  const std::vector<Rendered> got = render_resumed_sweeps(
+      request, advisor::shape_search_fingerprint(advisor::SearchMode::kHeads,
+                                                 request.config, sim, 0.1, 0));
+  EXPECT_EQ(got[0].rc, kExitOk);
+  EXPECT_EQ(got[0].out, R"(heads search around gpt3-2.7b (h=2560 a=32 L=32 s=2048 b=4 v=50257 t=1 d_ff=10240 gelu/learned/bmm) on a100-40gb (1 thread):
++---------------+----+------+-----+------------+---------+---------+--------+-------+------------------------------+
+| candidate     | a  | h    | h/a | layer time | TFLOP/s | speedup | params | rules | note                         |
++---------------+----+------+-----+------------+---------+---------+--------+-------+------------------------------+
+| gpt3-2.7b-a10 | 10 | 2560 | 256 | 7.462 ms   | 195.7   | 1.587x  | 2.65B  | FAIL  | h/a = 256 (pow2 granule 256) |
+| gpt3-2.7b-a20 | 20 | 2560 | 128 | 8.367 ms   | 174.5   | 1.415x  | 2.65B  | FAIL  | h/a = 128 (pow2 granule 128) |
+| gpt3-2.7b-a16 | 16 | 2560 | 160 | 8.732 ms   | 167.2   | 1.356x  | 2.65B  | FAIL  | h/a = 160 (pow2 granule 32)  |
+| gpt3-2.7b-a40 | 40 | 2560 | 64  | 10.398 ms  | 140.4   | 1.139x  | 2.65B  | FAIL  | h/a = 64 (pow2 granule 64)   |
+| gpt3-2.7b     | 32 | 2560 | 80  | 11.839 ms  | 123.3   | 1.000x  | 2.65B  | FAIL  | h/a = 80 (pow2 granule 16)   |
+| gpt3-2.7b-a80 | 80 | 2560 | 32  | 17.027 ms  | 85.8    | 0.695x  | 2.65B  | FAIL  | h/a = 32 (pow2 granule 32)   |
++---------------+----+------+-----+------------+---------+---------+--------+-------+------------------------------+
+
+skipped 1 of 7 candidate(s):
++---------------+----------+-------------------------------------------------------------------+
+| candidate     | attempts | reason                                                            |
++---------------+----------+-------------------------------------------------------------------+
+| gpt3-2.7b-a64 | 3        | injected fault at failpoint 'advisor.search.evaluate' (transient) |
++---------------+----------+-------------------------------------------------------------------+
+retried 2 transient fault(s)
+resumed 3 candidate(s) from the checkpoint
+)");
+  EXPECT_EQ(got[1].rc, kExitCancelled);
+  EXPECT_EQ(got[1].out, R"(heads search around gpt3-2.7b (h=2560 a=32 L=32 s=2048 b=4 v=50257 t=1 d_ff=10240 gelu/learned/bmm) on a100-40gb (1 thread):
++---------------+----+------+-----+------------+---------+---------+--------+-------+------------------------------+
+| candidate     | a  | h    | h/a | layer time | TFLOP/s | speedup | params | rules | note                         |
++---------------+----+------+-----+------------+---------+---------+--------+-------+------------------------------+
+| gpt3-2.7b-a10 | 10 | 2560 | 256 | 7.462 ms   | 195.7   | 1.587x  | 2.65B  | FAIL  | h/a = 256 (pow2 granule 256) |
+| gpt3-2.7b-a20 | 20 | 2560 | 128 | 8.367 ms   | 174.5   | 1.415x  | 2.65B  | FAIL  | h/a = 128 (pow2 granule 128) |
+| gpt3-2.7b-a16 | 16 | 2560 | 160 | 8.732 ms   | 167.2   | 1.356x  | 2.65B  | FAIL  | h/a = 160 (pow2 granule 32)  |
++---------------+----+------+-----+------------+---------+---------+--------+-------+------------------------------+
+resumed 3 candidate(s) from the checkpoint
+*** PARTIAL RESULTS: sweep cancelled (interrupt) after 3 of 7 candidates; 4 never evaluated ***
+*** re-run with --checkpoint=<file> --resume to finish ***
+)");
+}
+
+TEST(SweepEpilogue, MlpScanBytesArePinned) {
+  fail::clear();
+  serve::SearchRequest request;
+  request.config = tfm::model_by_name("llama2-7b");
+  request.mode = "mlp";
+  request.dff_lo = 11000;
+  request.dff_hi = 11010;
+  const auto sim = gemm::GemmSimulator::for_gpu("a100");
+  const std::vector<Rendered> got = render_resumed_sweeps(
+      request, advisor::mlp_search_fingerprint(request.config, sim,
+                                               request.dff_lo, request.dff_hi));
+  EXPECT_EQ(got[0].rc, kExitOk);
+  EXPECT_EQ(got[0].out, R"(mlp search around llama2-7b (h=4096 a=32 L=32 s=4096 b=4 v=32000 t=1 d_ff=11008 swiglu/rotary/bmm) on a100-40gb (1 thread):
++-------+--------+------------+---------+------------+
+| d_ff  | d_ff/h | MLP time   | TFLOP/s | percentile |
++-------+--------+------------+---------+------------+
+| 11008 | 2.688  | 19.026 ms  | 233.0   | 0.00       |
+| 11000 | 2.686  | 50.049 ms  | 88.5    | 0.14       |
+| 11004 | 2.687  | 118.850 ms | 37.3    | 0.29       |
+| 11002 | 2.686  | 135.827 ms | 32.6    | 0.43       |
+| 11006 | 2.687  | 135.827 ms | 32.6    | 0.57       |
+| 11010 | 2.688  | 137.733 ms | 32.2    | 0.71       |
+| 11001 | 2.686  | 152.125 ms | 29.1    | 0.86       |
+| 11005 | 2.687  | 152.125 ms | 29.1    | 1.00       |
++-------+--------+------------+---------+------------+
+
+skipped 3 of 11 candidate(s):
++--------------------+----------+-------------------------------------------------------------------+
+| candidate          | attempts | reason                                                            |
++--------------------+----------+-------------------------------------------------------------------+
+| llama2-7b-dff11003 | 3        | injected fault at failpoint 'advisor.search.evaluate' (transient) |
+| llama2-7b-dff11007 | 3        | injected fault at failpoint 'advisor.search.evaluate' (transient) |
+| llama2-7b-dff11009 | 3        | injected fault at failpoint 'advisor.search.evaluate' (transient) |
++--------------------+----------+-------------------------------------------------------------------+
+retried 6 transient fault(s)
+resumed 3 candidate(s) from the checkpoint
+)");
+  EXPECT_EQ(got[1].rc, kExitCancelled);
+  EXPECT_EQ(got[1].out, R"(mlp search around llama2-7b (h=4096 a=32 L=32 s=4096 b=4 v=32000 t=1 d_ff=11008 swiglu/rotary/bmm) on a100-40gb (1 thread):
++-------+--------+------------+---------+------------+
+| d_ff  | d_ff/h | MLP time   | TFLOP/s | percentile |
++-------+--------+------------+---------+------------+
+| 11000 | 2.686  | 50.049 ms  | 88.5    | 0.00       |
+| 11002 | 2.686  | 135.827 ms | 32.6    | 0.50       |
+| 11001 | 2.686  | 152.125 ms | 29.1    | 1.00       |
++-------+--------+------------+---------+------------+
+resumed 3 candidate(s) from the checkpoint
+*** PARTIAL RESULTS: sweep cancelled (interrupt) after 3 of 11 candidates; 8 never evaluated ***
+*** re-run with --checkpoint=<file> --resume to finish ***
+)");
 }
 
 // ---------------------------------------------------------------------------

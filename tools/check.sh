@@ -323,7 +323,7 @@ grep -q "latency: p50" "${TAIL0_LOG}" || {
 echo "== attribution: analyze + search --attribution determinism under tsan =="
 # The attribution report must be byte-identical at any search thread count
 # (the sensitivity probe is sequential by design), and `codesign analyze`
-# must produce the exact bytes a sensitivity-enabled search attaches.
+# must produce the exact bytes `search --attribution` writes.
 "${SERVE_BIN}" analyze gpt3-2.7b --out="${TSAN_DIR}/attr_analyze.json" \
     >/dev/null
 "${SERVE_BIN}" search gpt3-2.7b --mode=joint --threads=1 \
@@ -357,6 +357,20 @@ diff -u "${TSAN_DIR}/search_max3_t1.txt" "${TSAN_DIR}/search_max3_t8.txt" || {
 }
 grep -q '^| gpt3-2.7b ' "${TSAN_DIR}/search_max3_t1.txt" || {
   echo "FAIL: search --max=3 dropped the baseline row"
+  exit 1
+}
+# A GQA joint grid keeps kv | a at every hidden size: the search must exit
+# 0 with a ranked table, byte-identical through the pool.
+"${SERVE_BIN}" search mistral-7b --mode=joint --threads=1 \
+    | tail -n +2 >"${TSAN_DIR}/search_gqa_t1.txt"
+"${SERVE_BIN}" search mistral-7b --mode=joint --threads=8 \
+    | tail -n +2 >"${TSAN_DIR}/search_gqa_t8.txt"
+diff -u "${TSAN_DIR}/search_gqa_t1.txt" "${TSAN_DIR}/search_gqa_t8.txt" || {
+  echo "FAIL: GQA joint search ranking drifted across thread counts"
+  exit 1
+}
+grep -q '^| mistral-7b ' "${TSAN_DIR}/search_gqa_t1.txt" || {
+  echo "FAIL: GQA joint search printed no baseline row"
   exit 1
 }
 

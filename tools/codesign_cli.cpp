@@ -67,8 +67,10 @@ int usage() {
          "                               docs/OBSERVABILITY.md)\n"
          "  search <model> [--mode=joint|heads|hidden|mlp] [--radius=0.1]\n"
          "         [--max=16] [--threads=N] [--cache] [--metrics=<f>]\n"
-         "         [--attribution=<f>]   (also records advisor.sensitivity.*\n"
-         "                               series when --metrics is set)\n"
+         "         [--attribution=<f>]   attribution & sensitivity report of\n"
+         "                               the base (one probe round, counted\n"
+         "                               in advisor.sensitivity.* when\n"
+         "                               --metrics is set)\n"
          "         [--lo=|--hi=]         (mlp d_ff range; default (8/3)h±25%)\n"
          "         [--strict] [--retries=2] [--failpoints=<spec>]\n"
          "         [--deadline-ms=N] [--checkpoint=<f>] [--resume]\n"
@@ -354,10 +356,6 @@ int cmd_search(const CliArgs& args) {
   request.radius = args.get_double("radius", 0.1);
   request.mode = args.get_string("mode", "joint");
   const serve::SearchModeSpec mode = serve::parse_search_mode(request.mode);
-  // --attribution turns on the sensitivity probes inside the search (they
-  // run sequentially after the sweep, so thread count never matters) and
-  // writes the companion report after the ranked table.
-  options.sensitivity = args.has("attribution");
 
   // Cooperative cancellation: ^C and/or --deadline-ms truncate the sweep
   // between candidates; partial results come back with an explicit banner.
@@ -387,13 +385,17 @@ int cmd_search(const CliArgs& args) {
   checkpoint_args(args, fingerprint, resumed, writer, options);
 
   const int rc = serve::render_search(std::cout, request, sim);
+  // --attribution probes the base once, after the sweep and before the
+  // cache summary, so the summary counts the round. The probes run
+  // sequentially: the report and its advisor.sensitivity.* series are
+  // byte-identical at any --threads value.
+  std::vector<advisor::DimensionSensitivity> sensitivity;
+  if (args.has("attribution")) {
+    sensitivity = advisor::sensitivity_probe(request.config, sim);
+  }
   print_cache_summary(sim);
   if (args.has("attribution")) {
-    // sensitivity_probe is a pure function of (config, sim); this re-run
-    // reproduces the exact values the search recorded into the metrics
-    // registry, keeping render_search byte-identical to the serve path.
-    write_attribution_file(args, request.config, sim,
-                           advisor::sensitivity_probe(request.config, sim));
+    write_attribution_file(args, request.config, sim, sensitivity);
   }
   if (metrics) {
     if (sim.cache()) {
