@@ -5,39 +5,10 @@
 
 namespace codesign::gemm {
 
-GemmProblem GemmProblem::gemm(std::int64_t m, std::int64_t n, std::int64_t k,
-                              DType dtype) {
-  GemmProblem p;
-  p.m = m;
-  p.n = n;
-  p.k = k;
-  p.batch = 1;
-  p.dtype = dtype;
-  p.validate();
-  return p;
-}
-
-GemmProblem GemmProblem::bmm(std::int64_t batch, std::int64_t m,
-                             std::int64_t n, std::int64_t k, DType dtype) {
-  GemmProblem p;
-  p.m = m;
-  p.n = n;
-  p.k = k;
-  p.batch = batch;
-  p.dtype = dtype;
-  p.validate();
-  return p;
-}
-
 GemmProblem GemmProblem::folded_3d(std::int64_t d0, std::int64_t d1,
                                    std::int64_t k, std::int64_t n,
                                    DType dtype) {
   return gemm(d0 * d1, n, k, dtype);
-}
-
-double GemmProblem::flops() const {
-  return 2.0 * static_cast<double>(m) * static_cast<double>(n) *
-         static_cast<double>(k) * static_cast<double>(batch);
 }
 
 double GemmProblem::min_bytes() const {
@@ -88,13 +59,11 @@ std::string GemmProblem::to_string() const {
   return out;
 }
 
-void GemmProblem::validate() const {
+void GemmProblem::throw_invalid() const {
   if (m <= 0 || n <= 0 || k <= 0) {
     throw ShapeError("GEMM dimensions must be positive, got " + to_string());
   }
-  if (batch <= 0) {
-    throw ShapeError("GEMM batch must be positive, got " + to_string());
-  }
+  throw ShapeError("GEMM batch must be positive, got " + to_string());
 }
 
 }  // namespace codesign::gemm

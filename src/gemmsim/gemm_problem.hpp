@@ -27,9 +27,20 @@ struct GemmProblem {
 
   /// Named constructors -----------------------------------------------
   static GemmProblem gemm(std::int64_t m, std::int64_t n, std::int64_t k,
-                          DType dtype = DType::kFP16);
+                          DType dtype = DType::kFP16) {
+    return bmm(1, m, n, k, dtype);
+  }
   static GemmProblem bmm(std::int64_t batch, std::int64_t m, std::int64_t n,
-                         std::int64_t k, DType dtype = DType::kFP16);
+                         std::int64_t k, DType dtype = DType::kFP16) {
+    GemmProblem p;
+    p.m = m;
+    p.n = n;
+    p.k = k;
+    p.batch = batch;
+    p.dtype = dtype;
+    p.validate();
+    return p;
+  }
 
   /// Fold a 3-D × 2-D tensor contraction (d0, d1, k) × (k, n) into a 2-D
   /// GEMM (d0·d1, k) × (k, n). The paper's appendix (Fig 14) shows the
@@ -40,7 +51,10 @@ struct GemmProblem {
                                DType dtype = DType::kFP16);
 
   /// Total useful math, counting one multiply-add as 2 FLOPs.
-  double flops() const;
+  double flops() const {
+    return 2.0 * static_cast<double>(m) * static_cast<double>(n) *
+           static_cast<double>(k) * static_cast<double>(batch);
+  }
 
   /// Minimum DRAM traffic in bytes: read A and B once, write C once (plus
   /// read C when accumulating). L2-resident reuse is assumed within one
@@ -61,7 +75,14 @@ struct GemmProblem {
   std::string to_string() const;
 
   /// Throws ShapeError unless all dims and batch are positive.
-  void validate() const;
+  void validate() const {
+    if (m <= 0 || n <= 0 || k <= 0 || batch <= 0) throw_invalid();
+  }
+
+ private:
+  /// validate()'s ShapeError: a non-positive dim is reported before a
+  /// non-positive batch.
+  [[noreturn]] void throw_invalid() const;
 };
 
 }  // namespace codesign::gemm

@@ -46,19 +46,6 @@ BoundBreakdown bound_breakdown(const KernelEstimate& e) {
   return b;
 }
 
-ProblemTerms problem_terms(const GemmProblem& problem, const gpu::GpuSpec& gpu,
-                           const gpu::AlignmentEfficiency& alignment) {
-  ProblemTerms t;
-  t.alignment = alignment;
-  t.math_base = gpu::effective_math_rate(t.alignment, problem.dtype, gpu);
-  t.bandwidth = gpu::effective_bandwidth(t.alignment, gpu);
-  t.esize = static_cast<double>(gpu::dtype_size(problem.dtype));
-  t.batch = static_cast<double>(problem.batch);
-  t.launch_overhead = gpu.kernel_launch_overhead;
-  t.accumulate_into_c = problem.accumulate_into_c;
-  return t;
-}
-
 KernelEstimate estimate_with_tile(const GemmProblem& problem,
                                   const gpu::TileConfig& tile,
                                   const gpu::GpuSpec& gpu) {

@@ -102,8 +102,19 @@ struct ProblemTerms {
 
 /// The tile-independent terms of one problem, given its alignment
 /// (gpu::alignment_efficiency or an AlignmentTable lookup). No validation.
-ProblemTerms problem_terms(const GemmProblem& problem, const gpu::GpuSpec& gpu,
-                           const gpu::AlignmentEfficiency& alignment);
+inline ProblemTerms problem_terms(const GemmProblem& problem,
+                                  const gpu::GpuSpec& gpu,
+                                  const gpu::AlignmentEfficiency& alignment) {
+  ProblemTerms t;
+  t.alignment = alignment;
+  t.math_base = gpu::effective_math_rate(t.alignment, problem.dtype, gpu);
+  t.bandwidth = gpu::effective_bandwidth(t.alignment, gpu);
+  t.esize = static_cast<double>(gpu::dtype_size(problem.dtype));
+  t.batch = static_cast<double>(problem.batch);
+  t.launch_overhead = gpu.kernel_launch_overhead;
+  t.accumulate_into_c = problem.accumulate_into_c;
+  return t;
+}
 
 /// Per-tile timing outputs of the shared core.
 struct TileTiming {

@@ -113,6 +113,8 @@ PreparedCatalogue::PreparedCatalogue(
     sorted_ = sorted_ && (i == 0 || t.intrinsic_efficiency <=
                                         tiles_[i - 1].intrinsic_efficiency);
     min_intrinsic_ = std::min(min_intrinsic_, t.intrinsic_efficiency);
+    blocks_per_wave_.push_back(static_cast<std::int64_t>(gpu.sm_count) *
+                               t.blocks_per_sm);
   }
 }
 
@@ -177,8 +179,7 @@ std::size_t PreparedCatalogue::select(const GemmProblem& problem,
     tile_q.padded_m = tile_q.tiles_m * t.tm;
     tile_q.padded_n = tile_q.tiles_n * t.tn;
     tile_q.padded_k = tiles(problem.k, t.tk) * t.tk;
-    const std::int64_t blocks_per_wave =
-        static_cast<std::int64_t>(gpu_->sm_count) * t.blocks_per_sm;
+    const std::int64_t blocks_per_wave = blocks_per_wave_[i];
     const std::int64_t waves = ceil_div(tile_q.tiles_total, blocks_per_wave);
     const double wave_efficiency =
         static_cast<double>(tile_q.tiles_total) /

@@ -74,6 +74,7 @@ class PreparedCatalogue {
   TilePolicy policy_;
   gpu::AlignmentTable alignment_;
   std::vector<gpu::TileConfig> tiles_;
+  std::vector<std::int64_t> blocks_per_wave_;  ///< sm_count·blocks_per_sm
   bool pow2_dims_ = true;  ///< every tm/tn/tk is a power of two
   bool sorted_ = true;     ///< intrinsic efficiencies never increase
   double min_intrinsic_ = 1.0;

@@ -9,33 +9,6 @@
 
 namespace codesign::gpu {
 
-double GpuSpec::tensor_flops(DType t) const {
-  switch (t) {
-    case DType::kFP16: return tensor_flops_fp16;
-    case DType::kBF16: return tensor_flops_bf16;
-    case DType::kFP32:  // fp32 GEMMs route through TF32 tensor cores when
-    case DType::kTF32:  // available (Ampere+); 0 on Volta means no TC path.
-      return tensor_flops_tf32;
-    case DType::kFP64: return 0.0;
-    case DType::kINT8: return 2.0 * tensor_flops_fp16;  // typical 2x fp16
-  }
-  return 0.0;
-}
-
-double GpuSpec::vector_flops(DType t) const {
-  switch (t) {
-    case DType::kFP16:
-    case DType::kBF16:
-      return vector_flops_fp16;
-    case DType::kFP32:
-    case DType::kTF32:
-      return vector_flops_fp32;
-    case DType::kFP64: return vector_flops_fp64;
-    case DType::kINT8: return vector_flops_fp32;
-  }
-  return 0.0;
-}
-
 void GpuSpec::validate() const {
   auto fail = [this](const std::string& what) {
     throw ConfigError("GpuSpec '" + id + "': " + what);

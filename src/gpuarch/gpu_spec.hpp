@@ -68,9 +68,32 @@ struct GpuSpec {
   std::vector<AlignmentStep> alignment_ladder;
 
   /// Peak tensor math rate for a dtype (0 if the GPU has no TC path for it).
-  double tensor_flops(DType t) const;
+  double tensor_flops(DType t) const {
+    switch (t) {
+      case DType::kFP16: return tensor_flops_fp16;
+      case DType::kBF16: return tensor_flops_bf16;
+      case DType::kFP32:  // fp32 GEMMs route through TF32 tensor cores when
+      case DType::kTF32:  // available (Ampere+); 0 on Volta means no TC path.
+        return tensor_flops_tf32;
+      case DType::kFP64: return 0.0;
+      case DType::kINT8: return 2.0 * tensor_flops_fp16;  // typical 2x fp16
+    }
+    return 0.0;
+  }
   /// Vector (fallback) math rate for a dtype.
-  double vector_flops(DType t) const;
+  double vector_flops(DType t) const {
+    switch (t) {
+      case DType::kFP16:
+      case DType::kBF16:
+        return vector_flops_fp16;
+      case DType::kFP32:
+      case DType::kTF32:
+        return vector_flops_fp32;
+      case DType::kFP64: return vector_flops_fp64;
+      case DType::kINT8: return vector_flops_fp32;
+    }
+    return 0.0;
+  }
   /// Achievable (not peak) rates: peak × achievable fraction.
   double achievable_tensor_flops(DType t) const {
     return tensor_flops(t) * achievable_math_fraction;

@@ -9,9 +9,13 @@
 // mechanism behind the paper's Figures 7–9, 20, and 21–47.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 
+#include "common/math_util.hpp"
 #include "gpuarch/dtype.hpp"
 #include "gpuarch/gpu_spec.hpp"
 
@@ -54,6 +58,34 @@ AlignmentEfficiency alignment_efficiency(std::int64_t m, std::int64_t n,
                                          std::int64_t k, DType dtype,
                                          const GpuSpec& gpu);
 
+namespace detail {
+
+/// The part of alignment_efficiency() past the per-dimension lookups,
+/// shared by the direct path and AlignmentTable.
+inline AlignmentEfficiency combine(std::int64_t m, std::int64_t n,
+                                   std::int64_t k, const double eff[3],
+                                   bool all_eligible, DType dtype,
+                                   const GpuSpec& gpu) {
+  AlignmentEfficiency out;
+  out.m = eff[0];
+  out.n = eff[1];
+  out.k = eff[2];
+  out.pow2_m = static_cast<std::int64_t>(largest_pow2_dividing(m));
+  out.pow2_n = static_cast<std::int64_t>(largest_pow2_dividing(n));
+  out.pow2_k = static_cast<std::int64_t>(largest_pow2_dividing(k));
+
+  // The smallest and the middle of the three (what sorting them gives).
+  const double lo = std::min({out.m, out.n, out.k});
+  const double mid = std::max(std::min(out.m, out.n),
+                              std::min(std::max(out.m, out.n), out.k));
+  out.combined = lo * std::sqrt(mid);
+
+  out.tensor_cores = gpu.tensor_flops(dtype) > 0 && all_eligible;
+  return out;
+}
+
+}  // namespace detail
+
 /// alignment_efficiency() with the per-dimension ladder lookups
 /// precomputed for one GPU. A dimension's granule depends only on the
 /// trailing-zero count of its byte size, so the table holds one ladder step
@@ -66,7 +98,22 @@ class AlignmentTable {
 
   /// alignment_efficiency(m, n, k, dtype, gpu). Dims must be positive.
   AlignmentEfficiency evaluate(std::int64_t m, std::int64_t n, std::int64_t k,
-                               DType dtype) const;
+                               DType dtype) const {
+    const auto size = static_cast<std::uint64_t>(dtype_size(dtype));
+    const auto step = [&](std::int64_t dim) -> const Step& {
+      return by_byte_ctz_[std::countr_zero(static_cast<std::uint64_t>(dim) *
+                                           size)];
+    };
+    const Step& sm = step(m);
+    const Step& sn = step(n);
+    const Step& sk = step(k);
+    const double eff[3] = {sm.efficiency, sn.efficiency, sk.efficiency};
+    return detail::combine(m, n, k, eff,
+                           sm.tensor_core_eligible &&
+                               sn.tensor_core_eligible &&
+                               sk.tensor_core_eligible,
+                           dtype, *gpu_);
+  }
 
  private:
   struct Step {
@@ -82,13 +129,28 @@ class AlignmentTable {
 /// The effective math rate (FLOP/s) for a GEMM with this alignment: the
 /// tensor path scaled by `combined`, or the vector path when tensor cores
 /// are unusable, never exceeding the achievable (not peak) rate.
-double effective_math_rate(const AlignmentEfficiency& eff, DType dtype,
-                           const GpuSpec& gpu);
+inline double effective_math_rate(const AlignmentEfficiency& eff,
+                                  DType dtype, const GpuSpec& gpu) {
+  if (eff.tensor_cores) {
+    return gpu.achievable_tensor_flops(dtype) * eff.combined;
+  }
+  // Fallback: vector pipeline, still degraded by alignment (uncoalesced
+  // loads), but never slower than a fully-misaligned tensor attempt.
+  const double vec =
+      gpu.vector_flops(dtype) * gpu.achievable_math_fraction * eff.combined;
+  const double tc_floor =
+      gpu.achievable_tensor_flops(dtype) * eff.combined * 0.5;
+  return std::max(vec, tc_floor);
+}
 
 /// Misaligned leading dimensions also break 128-byte coalesced memory
 /// transactions, degrading the *memory* path. The paper's BMM data (Figs
 /// 7–9) shows memory-bound attention GEMMs losing throughput with poor
 /// h/a alignment, so the bandwidth penalty tracks the math penalty.
-double effective_bandwidth(const AlignmentEfficiency& eff, const GpuSpec& gpu);
+inline double effective_bandwidth(const AlignmentEfficiency& eff,
+                                  const GpuSpec& gpu) {
+  const double worst = std::min({eff.m, eff.n, eff.k});
+  return gpu.achievable_bandwidth() * worst;
+}
 
 }  // namespace codesign::gpu

@@ -1,7 +1,5 @@
 #include "transformer/config.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
 #include "common/strings.hpp"
 
@@ -30,39 +28,6 @@ const char* attention_impl_name(AttentionImpl a) {
     case AttentionImpl::kFlash: return "flash";
   }
   return "?";
-}
-
-std::int64_t TransformerConfig::head_dim() const {
-  CODESIGN_CHECK(num_heads > 0, "num_heads must be positive");
-  return hidden_size / num_heads;
-}
-
-std::int64_t TransformerConfig::kv_heads() const {
-  return num_kv_heads > 0 ? num_kv_heads : num_heads;
-}
-
-std::int64_t TransformerConfig::qkv_width() const {
-  return hidden_size + 2 * kv_heads() * head_dim();
-}
-
-std::int64_t TransformerConfig::d_ff() const {
-  if (mlp_intermediate > 0) return mlp_intermediate;
-  if (activation == Activation::kSwiGlu) {
-    // The 8h/3 suggestion from Shazeer keeps SwiGLU's 3-matrix MLP at the
-    // parameter count of the classic 2-matrix 4h MLP (paper §VII-B). The
-    // paper's point is precisely that this default is only a suggestion;
-    // advisor::search_mlp_intermediate finds better-aligned values.
-    return static_cast<std::int64_t>(std::llround(8.0 * hidden_size / 3.0));
-  }
-  return 4 * hidden_size;
-}
-
-std::int64_t TransformerConfig::heads_per_tp() const {
-  return num_heads / tensor_parallel;
-}
-
-std::int64_t TransformerConfig::hidden_per_tp() const {
-  return hidden_size / tensor_parallel;
 }
 
 TransformerConfig TransformerConfig::with_heads(std::int64_t a) const {

@@ -14,9 +14,11 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <string>
 
+#include "common/error.hpp"
 #include "gpuarch/dtype.hpp"
 
 namespace codesign::tfm {
@@ -92,13 +94,35 @@ struct TransformerConfig {
   DType dtype = DType::kFP16;
 
   // --- derived quantities -------------------------------------------------
-  std::int64_t head_dim() const;       ///< h / a — the paper's pivotal h/a
-  std::int64_t kv_heads() const;       ///< resolved KV head count (a if MHA)
+  /// h / a — the paper's pivotal h/a.
+  std::int64_t head_dim() const {
+    CODESIGN_CHECK(num_heads > 0, "num_heads must be positive");
+    return hidden_size / num_heads;
+  }
+  /// Resolved KV head count (a if MHA).
+  std::int64_t kv_heads() const {
+    return num_kv_heads > 0 ? num_kv_heads : num_heads;
+  }
   /// Width of the fused QKV output: h + 2·kv_heads·head_dim (== 3h for MHA).
-  std::int64_t qkv_width() const;
-  std::int64_t d_ff() const;           ///< resolved MLP intermediate size
-  std::int64_t heads_per_tp() const;   ///< a / t
-  std::int64_t hidden_per_tp() const;  ///< h / t
+  std::int64_t qkv_width() const {
+    return hidden_size + 2 * kv_heads() * head_dim();
+  }
+  /// Resolved MLP intermediate size.
+  std::int64_t d_ff() const {
+    if (mlp_intermediate > 0) return mlp_intermediate;
+    if (activation == Activation::kSwiGlu) {
+      // The 8h/3 suggestion from Shazeer keeps SwiGLU's 3-matrix MLP at the
+      // parameter count of the classic 2-matrix 4h MLP (paper §VII-B). The
+      // paper's point is precisely that this default is only a suggestion;
+      // advisor::search_mlp_intermediate finds better-aligned values.
+      return static_cast<std::int64_t>(std::llround(8.0 * hidden_size / 3.0));
+    }
+    return 4 * hidden_size;
+  }
+  /// a / t
+  std::int64_t heads_per_tp() const { return num_heads / tensor_parallel; }
+  /// h / t
+  std::int64_t hidden_per_tp() const { return hidden_size / tensor_parallel; }
   std::int64_t tokens() const { return microbatch * seq_len; }  ///< b·s
   /// Number of MLP weight matrices (2 for GELU, 3 for SwiGLU).
   int mlp_matrices() const {

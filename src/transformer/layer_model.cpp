@@ -10,6 +10,12 @@ namespace codesign::tfm {
 
 namespace {
 
+/// A memory-bound elementwise/reduction kernel's time: DRAM traffic plus
+/// the launch floor. The lean walk prices elementwise ops with this alone.
+inline double elementwise_time(double bytes, const gpu::GpuSpec& gpu) {
+  return bytes / gpu.achievable_bandwidth() + gpu.kernel_launch_overhead;
+}
+
 /// Time, math rate and roof split of a flash or elementwise op: the one
 /// place the non-GEMM cost model lives. GEMMs read theirs off the
 /// simulator's estimate.
@@ -40,12 +46,10 @@ NonGemmCost non_gemm_cost(const MappedOp& op, const gemm::GemmSimulator& sim) {
     }
     return c;
   }
-  // Memory-bound elementwise/reduction kernel: DRAM traffic plus the
-  // launch floor.
   const double launch = sim.gpu().kernel_launch_overhead;
   const double traffic =
       op.elementwise_bytes / sim.gpu().achievable_bandwidth();
-  c.time = traffic + launch;
+  c.time = elementwise_time(op.elementwise_bytes, sim.gpu());
   c.tflops = op.flops > 0.0 ? op.flops / c.time / 1e12 : 0.0;
   b.bound = launch > traffic ? gemm::Bound::kLaunch : gemm::Bound::kMemory;
   if (c.time > 0.0) {
@@ -127,8 +131,10 @@ double walk_layer(const ValidatedConfig& config,
       total += records->back().time;
     } else if (op.gemm.has_value()) {
       total += ws.gemm_times[g++];
+    } else if (op.flash.has_value()) {
+      total += sim.estimate_flash(*op.flash).time;
     } else {
-      total += non_gemm_cost(op, sim).time;
+      total += elementwise_time(op.elementwise_bytes, sim.gpu());
     }
   }
   return total;

@@ -4,12 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "gpuarch/gpu_spec.hpp"
 #include "transformer/attribution.hpp"
 #include "transformer/config_parse.hpp"
+#include "transformer/flops.hpp"
 #include "transformer/model_zoo.hpp"
 
 namespace codesign::tfm {
@@ -28,13 +33,13 @@ TEST(LayerModel, TimesArePositiveAndDecompose) {
   EXPECT_LT(r.gemm_fraction, 1.0);
 }
 
-TEST(LayerModel, LeanTotalTimeIsBitIdenticalToTheReport) {
-  // layer_total_time, analyze_layer and attribute_layer all read one layer
-  // walk, so their totals agree bit for bit. The configs (every zoo model
-  // plus flash variants) span GELU/SwiGLU, bmm/flash, rotary/learned,
-  // parallel/sequential and GQA; each runs on an uncached simulator and on
-  // fresh cached ones, read first by the totals-only walk and first by the
-  // per-op walk (miss, then hit).
+/// The configs of the bit-identity check: every zoo model, three flash
+/// variants, and a seeded grid drawn like e2ebench's grid_search (h on
+/// multiples of 64 in [512, 4544], every legal a with h/a <= 256, t in
+/// {1, 2, 4, 8}, its b, s and v) on the gpt3-2.7b base. Each grid draw also
+/// flips a coin for GQA kv heads, flash, SwiGLU, rotary and parallel
+/// layers.
+std::vector<TransformerConfig> identity_configs() {
   std::vector<TransformerConfig> configs;
   for (const std::string& name : known_models()) {
     configs.push_back(model_by_name(name));
@@ -44,25 +49,122 @@ TEST(LayerModel, LeanTotalTimeIsBitIdenticalToTheReport) {
     flash.attention = AttentionImpl::kFlash;
     configs.push_back(flash);
   }
+  const TransformerConfig base = model_by_name("gpt3-2.7b");
+  const std::int64_t bs[] = {1, 2, 4, 8, 16, 32};
+  const std::int64_t ss[] = {512, 1024, 2048, 4096};
+  const std::int64_t vs[] = {32000, 50304, 50432, 51200, 65024};
+  Rng rng(0x1a7e2);
+  const auto pick = [&rng](const std::vector<std::int64_t>& v) {
+    return v[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(v.size()) - 1))];
+  };
+  for (int i = 0; i < 256; ++i) {
+    const std::int64_t h = 64 * rng.uniform_int(8, 71);
+    std::vector<std::int64_t> heads;
+    for (std::int64_t a = 1; a <= h / 32; ++a) {
+      if (h % a == 0 && h / a <= 256) heads.push_back(a);
+    }
+    const std::int64_t a = pick(heads);
+    std::vector<std::int64_t> tps;
+    for (const std::int64_t t : {1, 2, 4, 8}) {
+      if (a % t == 0 && h % t == 0) tps.push_back(t);
+    }
+    const std::int64_t t = pick(tps);
+    TransformerConfig c = base.with_hidden(h)
+                              .with_heads(a)
+                              .with_tensor_parallel(t)
+                              .with_microbatch(bs[rng.uniform_int(0, 5)])
+                              .with_seq_len(ss[rng.uniform_int(0, 3)])
+                              .with_vocab(vs[rng.uniform_int(0, 4)]);
+    if (rng.uniform_int(0, 1) == 1) {
+      std::vector<std::int64_t> groups;  // t | kv | a
+      for (std::int64_t kv = t; kv <= a; kv += t) {
+        if (a % kv == 0) groups.push_back(kv);
+      }
+      c.num_kv_heads = pick(groups);
+    }
+    if (rng.uniform_int(0, 1) == 1) c.attention = AttentionImpl::kFlash;
+    if (rng.uniform_int(0, 1) == 1) {
+      c.activation = Activation::kSwiGlu;
+      // The default 8h/3 width need not split t ways; round it up.
+      if (c.d_ff() % t != 0) c.mlp_intermediate = (c.d_ff() / t + 1) * t;
+    }
+    if (rng.uniform_int(0, 1) == 1) c.pos_embedding = PosEmbedding::kRotary;
+    c.parallel_layers = rng.uniform_int(0, 1) == 1;
+    c.name = "grid" + std::to_string(i);
+    configs.push_back(std::move(c));
+  }
+  return configs;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// layer_forward_flops() rebuilt from the public Table-II builders, in the
+/// schedule's order: the GEMMs, then the dense math of the fused kernel.
+double builder_flops(const TransformerConfig& c) {
+  const bool flash = c.attention == AttentionImpl::kFlash;
+  double total = qkv_gemm(c).flops();
+  if (!flash) {
+    total += attention_score_bmm(c).flops();
+    total += attention_over_value_bmm(c).flops();
+  }
+  total += post_attn_projection_gemm(c).flops();
+  total += mlp_up_gemm(c).flops();
+  if (c.activation == Activation::kSwiGlu) total += mlp_up_gemm(c).flops();
+  total += mlp_down_gemm(c).flops();
+  if (flash) {
+    gemm::FlashAttentionProblem fp = flash_attention_problem(c);
+    fp.causal = false;
+    total += fp.flops();
+  }
+  return total;
+}
+
+TEST(LayerModel, LeanTotalTimeIsBitIdenticalToTheReport) {
+  // layer_total_time, analyze_layer and attribute_layer all read one layer
+  // walk, so their totals agree bit for bit; so do the FLOP sums of the
+  // walk's schedule, the config overload, the report and the public
+  // builders. The lean walk times each GEMM with the pruned scan, the
+  // report with estimate_with_tile() on the winning tile, so the check
+  // also holds the two estimate paths together. Every registry GPU and
+  // both tile policies run on an uncached simulator; the zoo configs also
+  // run on fresh cached ones, read first by the totals-only walk and first
+  // by the per-op walk (miss, then hit).
+  const std::vector<TransformerConfig> configs = identity_configs();
+  const std::size_t zoo = known_models().size() + 3;
   LayerWorkspace ws;
-  for (const TransformerConfig& c : configs) {
-    const std::string tag = c.to_string();
-    const auto s = sim();
-    const double total = layer_total_time(c, s, ws);
-    EXPECT_EQ(total, analyze_layer(c, s).total_time) << tag;
-    EXPECT_EQ(total, attribute_layer(c, s).total_time) << tag;
+  for (const std::string& id : gpu::known_gpus()) {
+    for (const gemm::TilePolicy policy :
+         {gemm::TilePolicy::kAuto, gemm::TilePolicy::kFixedLargest}) {
+      const gemm::GemmSimulator s(gpu::gpu_by_name(id), policy);
+      for (std::size_t i = 0; i < configs.size(); ++i) {
+        const TransformerConfig& c = configs[i];
+        const std::string tag =
+            id + " policy=" + std::to_string(static_cast<int>(policy)) + " " +
+            c.to_string();
+        const double total = layer_total_time(c, s, ws);
+        const double flops = layer_forward_flops(ws);
+        const LayerLatencyReport report = analyze_layer(c, s);
+        ASSERT_EQ(bits(total), bits(report.total_time)) << tag;
+        ASSERT_EQ(bits(total), bits(attribute_layer(c, s).total_time)) << tag;
+        ASSERT_EQ(bits(flops), bits(report.layer_flops)) << tag;
+        ASSERT_EQ(bits(flops), bits(layer_forward_flops(c))) << tag;
+        ASSERT_EQ(bits(flops), bits(builder_flops(c))) << tag;
+        if (i >= zoo) continue;
 
-    auto totals_first = sim();
-    totals_first.enable_cache();
-    EXPECT_EQ(layer_total_time(c, totals_first, ws), total) << tag;
-    EXPECT_EQ(analyze_layer(c, totals_first).total_time, total) << tag;
-    EXPECT_EQ(attribute_layer(c, totals_first).total_time, total) << tag;
+        gemm::GemmSimulator totals_first = s;
+        totals_first.enable_cache();
+        EXPECT_EQ(layer_total_time(c, totals_first, ws), total) << tag;
+        EXPECT_EQ(analyze_layer(c, totals_first).total_time, total) << tag;
+        EXPECT_EQ(attribute_layer(c, totals_first).total_time, total) << tag;
 
-    auto records_first = sim();
-    records_first.enable_cache();
-    EXPECT_EQ(attribute_layer(c, records_first).total_time, total) << tag;
-    EXPECT_EQ(analyze_layer(c, records_first).total_time, total) << tag;
-    EXPECT_EQ(layer_total_time(c, records_first, ws), total) << tag;
+        gemm::GemmSimulator records_first = s;
+        records_first.enable_cache();
+        EXPECT_EQ(attribute_layer(c, records_first).total_time, total) << tag;
+        EXPECT_EQ(analyze_layer(c, records_first).total_time, total) << tag;
+        EXPECT_EQ(layer_total_time(c, records_first, ws), total) << tag;
+      }
+    }
   }
 }
 

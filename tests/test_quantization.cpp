@@ -177,6 +177,40 @@ TEST(GemmProblem, ValidationErrors) {
   EXPECT_THROW(GemmProblem::bmm(0, 2, 2, 2), ShapeError);
 }
 
+TEST(GemmProblem, ShapeErrorTextIsPinned) {
+  // validate() checks inline and throws out of line; the messages, and a
+  // bad dim being reported before a bad batch, are fixed.
+  const auto message = [](const auto& make) -> std::string {
+    try {
+      make();
+    } catch (const ShapeError& e) {
+      return e.what();
+    }
+    return "no ShapeError";
+  };
+  EXPECT_EQ(message([] { GemmProblem::gemm(0, 4, 8); }),
+            "GEMM dimensions must be positive, got GEMM(0 x 4 x 8, fp16)");
+  EXPECT_EQ(message([] { GemmProblem::gemm(4, -2, 8); }),
+            "GEMM dimensions must be positive, got GEMM(4 x -2 x 8, fp16)");
+  EXPECT_EQ(message([] { GemmProblem::gemm(4, 8, 0, DType::kFP32); }),
+            "GEMM dimensions must be positive, got GEMM(4 x 8 x 0, fp32)");
+  EXPECT_EQ(message([] { GemmProblem::bmm(0, 4, 8, 16); }),
+            "GEMM batch must be positive, got BMM(b=0, 4 x 8 x 16, fp16)");
+  EXPECT_EQ(message([] { GemmProblem::bmm(-3, 0, 8, 16); }),
+            "GEMM dimensions must be positive, got BMM(b=-3, 0 x 8 x 16, "
+            "fp16)");
+  GemmProblem p;
+  p.m = 4;
+  p.n = 8;
+  p.k = 16;
+  p.batch = -1;
+  p.dtype = DType::kBF16;
+  EXPECT_EQ(message([&p] { p.validate(); }),
+            "GEMM batch must be positive, got BMM(b=-1, 4 x 8 x 16, bf16)");
+  p.batch = 2;
+  EXPECT_EQ(message([&p] { p.validate(); }), "no ShapeError");
+}
+
 TEST(GemmProblem, ToString) {
   EXPECT_EQ(GemmProblem::gemm(8192, 7680, 2560).to_string(),
             "GEMM(8192 x 7680 x 2560, fp16)");

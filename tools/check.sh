@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
 # check.sh — the full local gate:
 #   tier 1  build + full ctest suite
+#   e2e     byte identity of the end-to-end benchmark: every e2ebench input
+#           set (grid_search, sweep_matrix and serve_mix, 64 seeds each)
+#           run with --checksum-only must reproduce e2ebench/checksums.json;
+#           runnable alone as tools/e2e_checksums.sh
 #   tier 2  ThreadSanitizer build of the concurrency-sensitive tests
 #           (thread pool, estimate cache, observability, failpoints, the
 #           fault-injected search, the layer walk)
@@ -56,6 +60,9 @@ echo "== tier 1: build + ctest (${BUILD_DIR}) =="
 cmake -B "${BUILD_DIR}" -S "${SRC_DIR}"
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
+
+echo "== e2e: e2ebench output checksums =="
+"${SRC_DIR}/tools/e2e_checksums.sh" "${SRC_DIR}"
 
 SAN_TESTS=(test_thread_pool test_estimate_cache test_estimate_many test_obs
            test_attribution test_logging test_failpoint test_search
