@@ -3,7 +3,10 @@
 // as a standalone cross-hardware ranking table and as the timed
 // `sweep.matrix_small` case guarding the matrix-planning + grid-search
 // hot path in the smoke/perf suites. `sweep.report_render` (perf suite)
-// times the codesign.sweep report of a fixed, larger matrix on its own.
+// times the codesign.sweep report of a fixed, larger matrix on its own, and
+// `sweep.checkpointed_matrix` (perf suite) is `sweep.matrix_small` with a
+// checkpoint, so the difference of the two is the checkpoint's share.
+#include "advisor/checkpoint.hpp"
 #include "bench_common.hpp"
 #include "common/strings.hpp"
 #include "gemmsim/estimate_cache.hpp"
@@ -11,7 +14,13 @@
 #include "sweep/plan.hpp"
 #include "sweep/report.hpp"
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 
 namespace codesign {
 namespace {
@@ -81,6 +90,31 @@ const sweep::SweepResult& render_fixture() {
   return result;
 }
 
+/// kMatrixConfig's plan through the SweepDriver as the timed cases run
+/// it; `checkpoint` (optional) records every variant.
+sweep::SweepResult run_small_matrix(const sweep::SweepPlan& plan,
+                                    advisor::CheckpointWriter* checkpoint) {
+  sweep::SweepOptions options;
+  options.threads = 1;
+  options.cache = std::make_shared<gemm::EstimateCache>();
+  options.checkpoint = checkpoint;
+  return sweep::run_sweep(plan, options);
+}
+
+/// The checkpointed case's path: one per process, reused by every sample
+/// (so each compaction retires the previous sample's file, as a repeated
+/// `codesign sweep --checkpoint` run does), removed at exit.
+struct ScratchCheckpoint {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("codesign_bench_ckpt_" + std::to_string(::getpid()) + ".txt"))
+          .string();
+  ~ScratchCheckpoint() {
+    std::remove(path.c_str());
+    std::remove((path + ".journal").c_str());
+  }
+};
+
 const bench::BenchSpec kSpec{
     "bench_ext_sweep_matrix",
     "Extension: workload x hardware scenario matrix (codesign sweep)",
@@ -90,12 +124,8 @@ int body(bench::BenchContext& ctx) {
   ctx.banner("Extension: scenario matrix",
              "2 workload families x {a100, npu-edge} through the SweepDriver");
 
-  const sweep::SweepPlan plan =
-      sweep::parse_sweep_config(kMatrixConfig, "bench-matrix");
-  sweep::SweepOptions options;
-  options.threads = 1;
-  options.cache = std::make_shared<gemm::EstimateCache>();
-  const sweep::SweepResult result = sweep::run_sweep(plan, options);
+  const sweep::SweepResult result = run_small_matrix(
+      sweep::parse_sweep_config(kMatrixConfig, "bench-matrix"), nullptr);
 
   TableWriter t({"workload", "gpu", "winner", "time/token", "TFLOP/s"});
   for (const sweep::SweepCell& c : result.cells) {
@@ -123,18 +153,30 @@ CODESIGN_BENCH_CASES(ext_sweep_matrix) {
            "4-cell scenario matrix end-to-end through the SweepDriver",
            {benchlib::kSuitePerf, benchlib::kSuiteSmoke},
            [](benchlib::CaseContext& c) {
-             const sweep::SweepPlan plan =
-                 sweep::parse_sweep_config(kMatrixConfig, "bench-matrix");
-             sweep::SweepOptions options;
-             options.threads = 1;
-             options.cache = std::make_shared<gemm::EstimateCache>();
-             const sweep::SweepResult result = sweep::run_sweep(plan, options);
+             const sweep::SweepResult result = run_small_matrix(
+                 sweep::parse_sweep_config(kMatrixConfig, "bench-matrix"),
+                 nullptr);
              for (const sweep::SweepCell& cell : result.cells) {
                for (const sweep::SweepVariantResult& v : cell.variants) {
                  c.consume(v.time_per_token);
                  c.consume(v.layer_tflops);
                }
              }
+           }});
+  reg.add({"sweep.checkpointed_matrix", "bench_ext_sweep_matrix",
+           "sweep.matrix_small with a checkpoint at a cadence of 4 records",
+           {benchlib::kSuitePerf},
+           [](benchlib::CaseContext& c) {
+             static const ScratchCheckpoint file;
+             const sweep::SweepPlan plan =
+                 sweep::parse_sweep_config(kMatrixConfig, "bench-matrix");
+             advisor::CheckpointWriter writer(
+                 file.path,
+                 sweep::sweep_fingerprint(plan, gemm::TilePolicy::kAuto), 4);
+             (void)run_small_matrix(plan, &writer);
+             std::ostringstream sorted;
+             sorted << std::ifstream(file.path).rdbuf();
+             c.consume_bytes(sorted.str());
            }});
   reg.add({"sweep.report_render", "bench_ext_sweep_matrix",
            "pretty codesign.sweep report of a fixed 20-cell matrix",

@@ -6,7 +6,10 @@
 #include <fstream>
 #include <sstream>
 
+#include <unistd.h>
+
 #include "common/error.hpp"
+#include "common/failpoint.hpp"
 #include "common/strings.hpp"
 #include "obs/metrics.hpp"
 
@@ -320,8 +323,11 @@ void CheckpointWriter::note(std::unique_lock<std::mutex>& lock,
   journaled_ = true;
   write_unlocked(lock, [&] {
     if (create) {
+      CODESIGN_FAILPOINT("advisor.checkpoint.journal_create");
       write_atomically(journal_path_, batch);
+      journal_on_disk_ = true;
     } else {
+      CODESIGN_FAILPOINT("advisor.checkpoint.journal_append");
       append_to(journal_path_, batch);
     }
   });
@@ -337,11 +343,19 @@ void CheckpointWriter::flush() {
   pending_.clear();
   unflushed_ = 0;
   write_unlocked(lock, [&] {
+    // While this writer's journal is on disk it alone is the checkpoint
+    // and holds every record of the old sorted file: retire that file so
+    // the rename lands on a free name (ext4, see the header). A failed
+    // unlink surfaces as the rename's error.
+    if (journal_on_disk_) ::unlink(path_.c_str());
+    CODESIGN_FAILPOINT("advisor.checkpoint.compact");
     write_atomically(path_, bytes);
     // The sorted file now holds every record: drop the journal (this
     // run's, or one a killed run left behind), which load() would prefer.
+    CODESIGN_FAILPOINT("advisor.checkpoint.journal_remove");
     CODESIGN_CHECK(std::remove(journal_path_.c_str()) == 0 || errno == ENOENT,
                    "cannot remove '" + journal_path_ + "'");
+    journal_on_disk_ = false;
   });
 }
 

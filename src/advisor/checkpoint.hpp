@@ -30,7 +30,12 @@
 // since its last persist to the journal; it never rewrites a file there.
 // flush() — the owner's final flush and the destructor — compacts: it
 // writes the sorted file and then removes the journal, so a completed or
-// exception-aborted run leaves exactly the sorted file. A flush() with
+// exception-aborted run leaves exactly the sorted file. While this
+// writer's journal is on disk, compaction first unlinks the old sorted
+// file and renames onto the free name: on ext4 a rename over a live file
+// starts writeback of the new one inside rename() (auto_da_alloc), the
+// larger share of a checkpointed sweep's cost. Without a journal the old
+// file is the resume source, so it is replaced by rename. A flush() with
 // nothing new since the last compaction touches no file. The owner of a
 // run flushes once when the run ends (run_shape_search, run_mlp_search and
 // run_sweep do; run_grid_search leaves it to its caller). File IO happens
@@ -44,7 +49,8 @@
 //
 // Crash contract: a process kill loses at most the records since the last
 // persist; that costs re-evaluation, never correctness. Nothing is
-// fsync'ed: the contract covers a killed process, not a lost machine.
+// fsync'ed: the contract covers a killed process, not a lost machine,
+// which can leave an empty sorted file (load() rejects it: ConfigError).
 #pragma once
 
 #include <atomic>
@@ -171,6 +177,9 @@ class CheckpointWriter {
   std::string pending_;        ///< lines recorded since the last append
   std::size_t unflushed_ = 0;  ///< new records since the last persist
   bool journaled_ = false;     ///< the journal holds this writer's records
+  /// Guarded by io_mu_: a journal this writer created is on disk, so it
+  /// holds every record of the sorted file and compaction may unlink that.
+  bool journal_on_disk_ = false;
   bool dirty_ = true;          ///< the sorted file lacks the recorded set
   std::atomic<std::size_t> persists_{0};
 };

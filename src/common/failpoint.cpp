@@ -56,6 +56,10 @@ constexpr const char* kBuiltinSites[] = {
     "gemmsim.select_kernel",
     "gemmsim.des.simulate",
     "advisor.search.evaluate",
+    "advisor.checkpoint.journal_create",
+    "advisor.checkpoint.journal_append",
+    "advisor.checkpoint.compact",
+    "advisor.checkpoint.journal_remove",
     "sweep.cell",
     "serve.accept",
     "serve.parse",

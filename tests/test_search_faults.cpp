@@ -6,6 +6,7 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -529,6 +530,119 @@ TEST_F(SearchFaultsTest, KilledRunResumesFromItsJournalByteIdentically) {
   EXPECT_EQ(resumed.ranked, reference.ranked);
   EXPECT_EQ(slurp(cp.path()), slurp(ref.path()));
   EXPECT_FALSE(file_exists(journal.path()));
+}
+
+TEST_F(SearchFaultsTest, CompactionFaultsLeaveEveryPersistedRecordLoadable) {
+  // With this writer's journal on disk, compaction retires the old sorted
+  // file, renames the new one onto the free name, then removes the
+  // journal. A fault at either step leaves the journal, which alone holds
+  // every persisted record; the next flush completes the compaction.
+  TempFile cp("codesign_cp_compact_fault.txt");
+  TempFile journal("codesign_cp_compact_fault.txt.journal");
+  const CheckpointShapeEntry e{1.0, 2.0, 1.0, 3.0, 0.0, true};
+  CheckpointWriter w(cp.path(), "fp-test", 1);
+  w.record_shape("a", e);
+  w.flush();  // an old sorted file for the next compaction to retire
+  w.record_shape("b", e);  // creates the journal: a, b
+  w.record_shape("c", e);  // appends c
+  ASSERT_TRUE(file_exists(cp.path()));
+  const auto expect_every_record = [&] {
+    const SearchCheckpoint loaded = SearchCheckpoint::load(cp.path());
+    EXPECT_EQ(loaded.size(), 3u);
+    for (const char* key : {"a", "b", "c"}) {
+      EXPECT_NE(loaded.shape(key), nullptr) << key;
+    }
+  };
+
+  fail::configure("advisor.checkpoint.compact=once:1:fatal");
+  EXPECT_THROW(w.flush(), fail::InjectedFault);
+  EXPECT_FALSE(file_exists(cp.path()));  // retired before the rename
+  EXPECT_TRUE(file_exists(journal.path()));
+  expect_every_record();
+
+  fail::configure("advisor.checkpoint.journal_remove=once:1:fatal");
+  EXPECT_THROW(w.flush(), fail::InjectedFault);
+  EXPECT_TRUE(file_exists(cp.path()));
+  EXPECT_TRUE(file_exists(journal.path()));
+  expect_every_record();
+
+  fail::clear();
+  w.flush();
+  EXPECT_FALSE(file_exists(journal.path()));
+  expect_every_record();
+  EXPECT_EQ(w.persists(), 5u);  // failed compactions are not persists
+}
+
+TEST_F(SearchFaultsTest, WriterWithoutAJournalKeepsItsResumeSourceToTheRename) {
+  // A resumed run with fewer new records than the cadence never writes a
+  // journal: its old sorted file is the resume source, so compaction
+  // replaces it by rename, and a fault before that rename leaves it whole.
+  TempFile cp("codesign_cp_no_journal.txt");
+  TempFile journal("codesign_cp_no_journal.txt.journal");
+  const CheckpointShapeEntry e{1.0, 2.0, 1.0, 3.0, 0.0, true};
+  {
+    CheckpointWriter w(cp.path(), "fp-test", 8);
+    w.record_shape("a", e);
+  }
+  const std::string source = slurp(cp.path());
+  const SearchCheckpoint resume = SearchCheckpoint::load(cp.path());
+  CheckpointWriter w(cp.path(), "fp-test", 8);
+  w.seed_from(resume);
+  w.record_shape("b", e);
+  ASSERT_FALSE(file_exists(journal.path()));
+
+  fail::configure("advisor.checkpoint.compact=once:1:fatal");
+  EXPECT_THROW(w.flush(), fail::InjectedFault);
+  EXPECT_EQ(slurp(cp.path()), source);
+  EXPECT_EQ(SearchCheckpoint::load(cp.path()).size(), 1u);
+
+  // Nor has a writer whose journal could not be created.
+  TempFile blocker("codesign_cp_no_journal.txt.journal.tmp");
+  ASSERT_EQ(::mkdir(blocker.path().c_str(), 0700), 0);
+  CheckpointWriter unjournaled(cp.path(), "fp-test", 1);
+  unjournaled.seed_from(resume);
+  EXPECT_THROW(unjournaled.record_shape("b", e), Error);
+  ASSERT_FALSE(file_exists(journal.path()));
+  fail::configure("advisor.checkpoint.compact=once:1:fatal");
+  EXPECT_THROW(unjournaled.flush(), fail::InjectedFault);
+  EXPECT_EQ(slurp(cp.path()), source);
+
+  fail::clear();
+  w.flush();
+  EXPECT_EQ(SearchCheckpoint::load(cp.path()).size(), 2u);
+  EXPECT_FALSE(file_exists(journal.path()));
+}
+
+TEST_F(SearchFaultsTest, FlushOntoADirectoryFailsAtTheRenameAndKeepsIt) {
+  // An empty directory at the checkpoint path survives either compaction
+  // order: unlink() refuses it (std::remove would delete it), and the
+  // rename reports the failure.
+  TempFile dir("codesign_cp_dir");
+  TempFile journal("codesign_cp_dir.journal");
+  TempFile tmp("codesign_cp_dir.tmp");
+  const CheckpointShapeEntry e{1.0, 2.0, 1.0, 3.0, 0.0, true};
+  for (const std::size_t cadence : {1u, 8u}) {  // with and without journal
+    SCOPED_TRACE("cadence " + std::to_string(cadence));
+    ASSERT_EQ(::mkdir(dir.path().c_str(), 0700), 0);
+    {
+      CheckpointWriter w(dir.path(), "fp-test", cadence);
+      w.record_shape("a", e);
+      EXPECT_EQ(file_exists(journal.path()), cadence == 1);
+      try {
+        w.flush();
+        ADD_FAILURE() << "flush onto a directory succeeded";
+      } catch (const Error& err) {
+        EXPECT_NE(std::string(err.what()).find("cannot rename"),
+                  std::string::npos)
+            << err.what();
+      }
+    }
+    struct stat st {};
+    ASSERT_EQ(::stat(dir.path().c_str(), &st), 0);
+    EXPECT_TRUE(S_ISDIR(st.st_mode));
+    ASSERT_EQ(::rmdir(dir.path().c_str()), 0);
+    std::remove(journal.path().c_str());
+  }
 }
 
 TEST_F(SearchFaultsTest, TruncatedJournalLoadsAPrefixOrThrowsAtEveryOffset) {

@@ -39,7 +39,8 @@
 #           and after resuming a run interrupted at the sweep.cell
 #           failpoint — once by a fatal fault, and once by a kill
 #           (sweep.cell=once:6:exit) at 1 and 2 threads, resumed from the
-#           checkpoint journal alone
+#           checkpoint journal alone — and after a resumed run is killed
+#           at each advisor.checkpoint.* persist point, at 1 and 2 threads
 #   perf    codesign-bench smoke suite gated against the committed
 #           baseline (bench/baselines/). Thresholds are deliberately
 #           loose (CODESIGN_PERF_MIN_FRAC, default 0.75 = fail only on a
@@ -548,6 +549,47 @@ for KILL_THREADS in 1 2; do
     echo "FAIL: sweep resumed from a journal differs from the uninterrupted run"
     exit 1
   }
+done
+
+# Kill drills at every persist point of the checkpoint writer. A run
+# resumed from a fatal-interrupted checkpoint is killed at its journal
+# creation, its first journal append, its compaction (old sorted file
+# retired, not yet renamed onto) or its journal removal; what the kill
+# leaves behind must resume into the uninterrupted report.
+PERSIST_CP="${TSAN_DIR}/sweep_persist_cp.txt"
+for KILL_SITE in journal_create journal_append compact journal_remove; do
+  for KILL_THREADS in 1 2; do
+    rm -f "${PERSIST_CP}" "${PERSIST_CP}.journal"
+    if CODESIGN_FAILPOINTS='sweep.cell=once:6:fatal' \
+        "${SERVE_BIN}" sweep --config="${SWEEP_CONF}" \
+        --threads="${KILL_THREADS}" --checkpoint="${PERSIST_CP}" \
+        --checkpoint-every=4 >/dev/null 2>&1; then
+      echo "FAIL: armed sweep.cell failpoint did not abort the sweep"
+      exit 1
+    fi
+    KILL_RC=0
+    CODESIGN_FAILPOINTS="advisor.checkpoint.${KILL_SITE}=once:1:exit" \
+        "${SERVE_BIN}" sweep --config="${SWEEP_CONF}" \
+        --threads="${KILL_THREADS}" --checkpoint="${PERSIST_CP}" --resume \
+        --checkpoint-every=4 >/dev/null 2>&1 || KILL_RC=$?
+    [ "${KILL_RC}" -eq 137 ] || {
+      echo "FAIL: advisor.checkpoint.${KILL_SITE}=once:1:exit ended the" \
+           "sweep with ${KILL_RC}, not 137"
+      exit 1
+    }
+    PERSIST_OUT="${TSAN_DIR}/sweep_persist_${KILL_SITE}_t${KILL_THREADS}.json"
+    "${SERVE_BIN}" sweep --config="${SWEEP_CONF}" --threads="${KILL_THREADS}" \
+        --checkpoint="${PERSIST_CP}" --resume --checkpoint-every=4 \
+        --out="${PERSIST_OUT}" | grep -q "from checkpoint" || {
+      echo "FAIL: sweep killed at ${KILL_SITE} resumed no checkpointed variants"
+      exit 1
+    }
+    diff -u "${PERSIST_OUT}" "${TSAN_DIR}/sweep_t1.json" || {
+      echo "FAIL: sweep killed at ${KILL_SITE} (--threads=${KILL_THREADS})" \
+           "resumed into a different report"
+      exit 1
+    }
+  done
 done
 
 echo "== perf: bench smoke suite vs committed baseline =="
