@@ -14,15 +14,13 @@
 // (the serving contract — the same bytes the one-shot CLI prints), so all
 // client checksums must agree across phases, repeats, and thread counts.
 // A best-of pass times the warm mix plus one `tail` round trip (every
-// request is traced; serve.tail_overhead), and a fleet pass runs the warm
-// mix through FleetClient against the single-endpoint baseline.
+// request is traced; serve.tail_overhead).
 //
 // Flags: --clients= --shapes= --threads= --repeat= --slo-ms= --out=
 // --smoke, plus the standard --gpu/--policy/--format (the simulated GPU is
 // the request field; server-side simulators are built per request).
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,7 +32,6 @@
 #include "common/json.hpp"
 #include "common/strings.hpp"
 #include "serve/client.hpp"
-#include "serve/fleet_client.hpp"
 #include "serve/server.hpp"
 
 namespace codesign::bench {
@@ -43,8 +40,7 @@ namespace {
 const BenchSpec kSpec{
     "bench_serve_throughput",
     "codesign serve under closed-loop load: cold vs warm shared cache",
-    {"clients", "shapes", "threads", "repeat", "slo-ms", "endpoints", "out",
-     "smoke"}};
+    {"clients", "shapes", "threads", "repeat", "slo-ms", "out", "smoke"}};
 
 /// FNV-1a over the raw payload bytes (the byte-identity control).
 std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
@@ -111,11 +107,44 @@ struct PhaseResult {
   }
 };
 
-/// Fold per-client results into the phase summary (percentiles + the
-/// byte-identity cross-check). Shared by the single-endpoint and fleet
-/// phase runners.
-PhaseResult collect_phase(const std::vector<ClientResult>& results,
-                          std::chrono::steady_clock::time_point t0) {
+/// One closed-loop phase: `clients` threads, each sending the full mix
+/// (rotated by client index so the wire order differs while the request
+/// set does not), blocking on each response before sending the next.
+/// Checksums fold in mix order so every client's accumulator matches.
+PhaseResult run_phase(int port, std::size_t clients,
+                      const std::vector<std::string>& mix) {
+  std::vector<ClientResult> results(clients);
+  std::vector<std::thread> threads;
+  threads.reserve(clients);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
+      ClientResult& out = results[c];
+      try {
+        serve::ServeClient client("127.0.0.1", port);
+        std::vector<std::uint64_t> folds(mix.size(), benchlib::kChecksumSeed);
+        for (std::size_t i = 0; i < mix.size(); ++i) {
+          const std::size_t slot = (i + c) % mix.size();
+          const auto r0 = std::chrono::steady_clock::now();
+          const serve::Response r = client.call(mix[slot]);
+          out.latencies_ms.push_back(
+              std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - r0)
+                  .count());
+          if (!r.ok() || r.code != 0) {
+            out.error = str_format("slot %zu: status code %d", slot, r.code);
+            return;
+          }
+          folds[slot] = fnv1a(benchlib::kChecksumSeed, r.payload);
+        }
+        for (const std::uint64_t f : folds) out.checksum ^= f;
+      } catch (const std::exception& e) {
+        out.error = e.what();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
   PhaseResult phase;
   phase.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -139,109 +168,6 @@ PhaseResult collect_phase(const std::vector<ClientResult>& results,
         phase.checksums_agree && r.checksum == phase.checksum;
   }
   return phase;
-}
-
-/// One client's walk over the mix (rotated by client index so the wire
-/// order differs while the request set does not), blocking on each
-/// response before the next. Checksums fold in mix order so every
-/// client's accumulator matches. `call` is the transport: a ServeClient
-/// or FleetClient bound outside.
-template <typename CallFn>
-void walk_mix(const std::vector<std::string>& mix, std::size_t c,
-              CallFn&& call, ClientResult& out) {
-  std::vector<std::uint64_t> folds(mix.size(), benchlib::kChecksumSeed);
-  for (std::size_t i = 0; i < mix.size(); ++i) {
-    const std::size_t slot = (i + c) % mix.size();
-    const auto r0 = std::chrono::steady_clock::now();
-    const serve::Response r = call(mix[slot]);
-    out.latencies_ms.push_back(std::chrono::duration<double, std::milli>(
-                                   std::chrono::steady_clock::now() - r0)
-                                   .count());
-    if (!r.ok() || r.code != 0) {
-      out.error = str_format("slot %zu: status code %d", slot, r.code);
-      return;
-    }
-    folds[slot] = fnv1a(benchlib::kChecksumSeed, r.payload);
-  }
-  for (const std::uint64_t f : folds) out.checksum ^= f;
-}
-
-/// One closed-loop phase: `clients` threads, each sending the full mix,
-/// blocking on each response before sending the next.
-PhaseResult run_phase(int port, std::size_t clients,
-                      const std::vector<std::string>& mix) {
-  std::vector<ClientResult> results(clients);
-  std::vector<std::thread> threads;
-  threads.reserve(clients);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      ClientResult& out = results[c];
-      try {
-        serve::ServeClient client("127.0.0.1", port);
-        walk_mix(mix, c, [&](const std::string& line) {
-          return client.call(line);
-        }, out);
-      } catch (const std::exception& e) {
-        out.error = e.what();
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  return collect_phase(results, t0);
-}
-
-/// The fleet flavour of run_phase: each client thread drives its own
-/// FleetClient over every replica in `ports` (seeded by client index, so
-/// retry schedules are reproducible run to run). Resilience counters are
-/// summed across clients.
-struct FleetPhase {
-  PhaseResult phase;
-  serve::FleetStats stats;
-};
-
-FleetPhase run_fleet_phase(const std::vector<int>& ports,
-                           std::size_t clients,
-                           const std::vector<std::string>& mix) {
-  std::vector<ClientResult> results(clients);
-  std::vector<serve::FleetStats> stats(clients);
-  std::vector<std::thread> threads;
-  threads.reserve(clients);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      ClientResult& out = results[c];
-      try {
-        serve::FleetOptions fo;
-        for (const int port : ports) fo.endpoints.push_back({"127.0.0.1", port});
-        fo.backoff_base_ms = 1;
-        fo.backoff_max_ms = 50;
-        fo.seed = 1 + static_cast<std::uint64_t>(c);
-        serve::FleetClient client(std::move(fo));
-        walk_mix(mix, c, [&](const std::string& line) {
-          return client.call(line);
-        }, out);
-        stats[c] = client.stats();
-      } catch (const std::exception& e) {
-        out.error = e.what();
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  FleetPhase fleet;
-  fleet.phase = collect_phase(results, t0);
-  for (const serve::FleetStats& s : stats) {
-    fleet.stats.calls += s.calls;
-    fleet.stats.attempts += s.attempts;
-    fleet.stats.retries += s.retries;
-    fleet.stats.failovers += s.failovers;
-    fleet.stats.io_errors += s.io_errors;
-    fleet.stats.overloaded_seen += s.overloaded_seen;
-    fleet.stats.breaker_trips += s.breaker_trips;
-    fleet.stats.reconnects += s.reconnects;
-  }
-  return fleet;
 }
 
 /// The batched-advisory phase: one advise_many request carrying `tuples`
@@ -401,73 +327,6 @@ int body(BenchContext& ctx) {
       std::max(repeat, 2), human_time(tail_best_s).c_str(),
       tail_stable ? "yes" : "NO");
 
-  // Fleet path: the identical warm mix through the resilient FleetClient
-  // over --endpoints replicas with no faults injected. The resilience
-  // layer must be free on the happy path, so the fleet pass is gated
-  // against the single-endpoint ServeClient baseline, interleaved best-of.
-  const auto n_endpoints = static_cast<std::size_t>(
-      ctx.args().get_int("endpoints", smoke ? 2 : 3));
-  CODESIGN_CHECK(n_endpoints >= 1, "--endpoints must be at least 1");
-  std::vector<std::unique_ptr<serve::Server>> replicas;
-  std::vector<int> fleet_ports{server.port()};  // replica 0: the warm server
-  for (std::size_t i = 1; i < n_endpoints; ++i) {
-    serve::ServerOptions ro = options;
-    ro.port = 0;
-    replicas.push_back(std::make_unique<serve::Server>(ro));
-    replicas.back()->start();
-    fleet_ports.push_back(replicas.back()->port());
-  }
-  (void)run_fleet_phase(fleet_ports, clients, mix);  // warm the new replicas
-  double fleet_best_s = 0.0, single_best_s = 0.0;
-  FleetPhase fleet_best;
-  serve::FleetStats fleet_totals;
-  bool fleet_byte_identical = true;
-  for (int r = 0; r < std::max(repeat, 2); ++r) {
-    const PhaseResult single = run_phase(server.port(), clients, mix);
-    const FleetPhase pass = run_fleet_phase(fleet_ports, clients, mix);
-    if (r == 0 || single.seconds < single_best_s) single_best_s = single.seconds;
-    if (r == 0 || pass.phase.seconds < fleet_best_s) {
-      fleet_best_s = pass.phase.seconds;
-      fleet_best = pass;
-    }
-    fleet_totals.calls += pass.stats.calls;
-    fleet_totals.attempts += pass.stats.attempts;
-    fleet_totals.retries += pass.stats.retries;
-    fleet_totals.failovers += pass.stats.failovers;
-    fleet_totals.breaker_trips += pass.stats.breaker_trips;
-    fleet_byte_identical = fleet_byte_identical && single.checksums_agree &&
-                           pass.phase.checksums_agree &&
-                           pass.phase.checksum == warm.checksum;
-  }
-  for (auto& replica : replicas) {
-    replica->request_drain();
-    replica->join();
-  }
-  const double fleet_overhead_pct =
-      100.0 * (fleet_best_s / single_best_s - 1.0);
-  const bool fleet_overhead_ok =
-      fleet_overhead_pct < 5.0 || (fleet_best_s - single_best_s) * 1e3 < 2.0;
-
-  TableWriter tf({"fleet path (warm, no faults)", "replicas", "requests",
-                  "time", "req/s", "p99", "retries", "failovers",
-                  "breaker trips"});
-  tf.new_row()
-      .cell(str_format("FleetClient x%zu clients", clients))
-      .cell(static_cast<std::int64_t>(n_endpoints))
-      .cell(static_cast<std::int64_t>(fleet_best.phase.requests))
-      .cell(human_time(fleet_best_s))
-      .cell(static_cast<double>(fleet_best.phase.requests) / fleet_best_s, 0)
-      .cell(human_time(fleet_best.phase.p99_ms / 1e3))
-      .cell(static_cast<std::int64_t>(fleet_totals.retries))
-      .cell(static_cast<std::int64_t>(fleet_totals.failovers))
-      .cell(static_cast<std::int64_t>(fleet_totals.breaker_trips));
-  ctx.emit(tf);
-  std::cout << str_format(
-      "fleet vs single-endpoint overhead (warm, best-of-%d): %+.2f%% | "
-      "payloads byte-identical fleet vs single: %s\n",
-      std::max(repeat, 2), fleet_overhead_pct,
-      fleet_byte_identical ? "yes" : "NO");
-
   const gemm::CacheStats cache_stats = server.cache()->stats();
 
   const bool deterministic =
@@ -552,17 +411,6 @@ int body(BenchContext& ctx) {
   report.context["warm_slo_miss_fraction"] =
       str_format("%.4f", warm.slo_miss_fraction(slo_ms));
   report.context["tail_roundtrip_ms"] = str_format("%.3f", tail_best_s * 1e3);
-  report.context["fleet_endpoints"] = std::to_string(n_endpoints);
-  report.context["fleet_overhead_pct"] =
-      str_format("%.2f", fleet_overhead_pct);
-  report.context["fleet_byte_identical"] =
-      fleet_byte_identical ? "true" : "false";
-  report.context["fleet_p99_ms"] =
-      str_format("%.3f", fleet_best.phase.p99_ms);
-  report.context["fleet_retries"] = std::to_string(fleet_totals.retries);
-  report.context["fleet_failovers"] = std::to_string(fleet_totals.failovers);
-  report.context["fleet_breaker_trips"] =
-      std::to_string(fleet_totals.breaker_trips);
   report.context["cache_hits"] = std::to_string(cache_stats.hits);
   report.context["cache_misses"] = std::to_string(cache_stats.misses);
   report.context["cache_hit_rate"] =
@@ -613,15 +461,8 @@ int body(BenchContext& ctx) {
   server.request_drain();
   server.join();
 
-  if (!deterministic || !tail_stable || !fleet_byte_identical) {
+  if (!deterministic || !tail_stable) {
     std::cerr << "FAIL: response payloads differ across clients/phases\n";
-    return 1;
-  }
-  if (!fleet_overhead_ok) {
-    std::cerr << str_format(
-        "FAIL: FleetClient no-fault overhead %.2f%% exceeds the 5%% budget "
-        "(fleet %.3f s vs single endpoint %.3f s, warm best-of runs)\n",
-        fleet_overhead_pct, fleet_best_s, single_best_s);
     return 1;
   }
   if (warm_rps < cold_rps) {
@@ -695,47 +536,6 @@ CODESIGN_BENCH_CASES(serve_throughput) {
              c.consume(static_cast<double>(p.checksum));
              c.consume(static_cast<std::int64_t>(p.requests));
              c.consume(static_cast<std::int64_t>(tail_records));
-           }});
-  reg.add({"serve.fleet_failover", "bench_serve_throughput",
-           "3-replica fleet, one replica drained between passes: the "
-           "FleetClient mix must stay green via failover with "
-           "byte-identical payloads (p99 under a downed replica)",
-           {benchlib::kSuitePerf},
-           [](benchlib::CaseContext& c) {
-             const std::vector<std::string> mix =
-                 bench::build_mix(12, c.gpu().id);
-             serve::ServerOptions options;
-             options.port = 0;
-             options.threads = 2;
-             options.queue_capacity = 8;
-             std::vector<std::unique_ptr<serve::Server>> servers;
-             std::vector<int> ports;
-             for (int i = 0; i < 3; ++i) {
-               servers.push_back(std::make_unique<serve::Server>(options));
-               servers.back()->start();
-               ports.push_back(servers.back()->port());
-             }
-             const bench::FleetPhase up =
-                 bench::run_fleet_phase(ports, 2, mix);
-             // Down the middle replica; every refused connect must fail
-             // over to a live sibling without surfacing an error.
-             servers[1]->request_drain();
-             servers[1]->join();
-             const bench::FleetPhase down =
-                 bench::run_fleet_phase(ports, 2, mix);
-             CODESIGN_CHECK(up.phase.checksums_agree &&
-                                down.phase.checksums_agree &&
-                                up.phase.checksum == down.phase.checksum,
-                            "fleet payloads diverged with a downed replica");
-             CODESIGN_CHECK(down.stats.failovers >= 1,
-                            "downed replica never triggered a failover");
-             c.consume(static_cast<double>(up.phase.checksum));
-             c.consume(static_cast<double>(down.phase.checksum));
-             c.consume(static_cast<std::int64_t>(down.phase.requests));
-             servers[0]->request_drain();
-             servers[0]->join();
-             servers[2]->request_drain();
-             servers[2]->join();
            }});
   reg.add({"serve.advise_many_batch", "bench_serve_throughput",
            "one advise_many request with 64 (model, gpu) tuples, "

@@ -2,8 +2,9 @@
 //
 // One connection, synchronous request/response: call() writes a request
 // line and blocks for the matching response line. Used by the
-// codesign-client CLI, the bench_serve_throughput load generator, the
-// FleetClient (one ServeClient per endpoint), and the serve tests.
+// codesign-client CLI, the bench_serve_throughput load generator, and
+// the serve tests. It never retries: a code-75 response comes back to
+// the caller, who may retry after its retry_after_ms.
 // Connection-level failures (refused, reset, EOF mid-read, a timed-out
 // connect/read/write) throw IoError; protocol-level failures come back as
 // parsed Response envelopes with status "error"/"overloaded".

@@ -1,6 +1,6 @@
 // net.hpp — socket helpers shared by every serve endpoint.
 //
-// Both sides of the wire (ServeClient / FleetClient on one end, the
+// Both sides of the wire (ServeClient on one end, the
 // Server's poll loop and response path on the other) funnel their socket
 // I/O through these helpers so that
 //   * no call ever blocks unboundedly: the timed helpers take explicit
@@ -10,10 +10,10 @@
 //       serve.net.read_stall   delay a ready read by kReadStallMs
 //       serve.net.conn_close   shutdown(SHUT_RDWR) before a ready read
 //       serve.net.write_drop   shutdown(SHUT_RDWR) instead of a response
-//     Armed in a server they simulate a flaky fleet; armed in a client, a
-//     flaky edge. Either way the fault is a *transport* fault (EOF /
-//     reset), never a corrupted byte stream, so retries can assert
-//     byte-identical payloads.
+//     Armed in a server they simulate a flaky server; armed in a client,
+//     a flaky edge. Either way the fault is a *transport* fault (EOF /
+//     reset), never a corrupted byte stream, so every payload that does
+//     arrive is byte-identical to a fault-free one.
 //
 // Every socket here is non-blocking; poll supplies the waiting, which is
 // what makes the write deadline enforceable at all.

@@ -345,8 +345,7 @@ OpResult op_explain(const Request& request, const OpContext& context) {
 /// The body carries the sweep config file's text inline in "config"; the
 /// payload is the compact codesign.sweep report plus a trailing newline —
 /// byte-identical to `codesign sweep --config=<f> --json` stdout for the
-/// same config text, so a fleet can fan matrix slices out to servers and
-/// diff the results against local runs.
+/// same config text, so a served sweep can be diffed against a local run.
 OpResult op_sweep(const Request& request, const OpContext& context) {
   check_deadline(context, "sweep");
   const json::Value* text = request.body.get("config");
@@ -450,7 +449,7 @@ OpResult op_tail(const Request& request, const OpContext& context) {
 }
 
 /// Liveness + load in one probe. Bypasses admission control (the moment a
-/// fleet wants to know whether a replica is shedding load is the moment
+/// caller wants to know whether the server is shedding load is the moment
 /// its queue is full), so it must stay cheap: a handful of atomic loads
 /// rendered into one compact JSON line.
 OpResult op_health(const Request& request, const OpContext& context) {

@@ -70,8 +70,8 @@ int render_search(std::ostream& os, const SearchRequest& request,
 /// The server's self-assessment, rendered by the `health` op. The overall
 /// status string is the most severe applicable state: "draining" >
 /// "overloaded" (admission queue full) > "brownout" (expensive ops shed)
-/// > "ok"; `ok` is true only for plain "ok" — a fleet client or probe can
-/// branch on the bool and log the string.
+/// > "ok"; `ok` is true only for plain "ok" — a probe can branch on the
+/// bool and log the string.
 struct HealthInfo {
   bool draining = false;
   bool overloaded = false;

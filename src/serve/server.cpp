@@ -400,7 +400,7 @@ void Server::handle_line(const ConnPtr& conn, std::string line) {
   }
   // Brownout: past the high-water mark the server sheds its expensive ops
   // (search, advise_many, sweep) with the same typed, retryable rejection as a
-  // full queue — cheap ops keep flowing, so a fleet under pressure
+  // full queue — cheap ops keep flowing, so a server under pressure
   // degrades to reduced service instead of rejecting everything at the
   // (higher) admission cap.
   if (is_expensive_op(request.op) &&
@@ -478,9 +478,9 @@ void Server::dispatch(const ConnPtr& conn, Request request,
       code = r.code;
     } catch (const fail::InjectedFault& e) {
       // A transient injected fault models a recoverable blip (the thing a
-      // retry is *for*), so it answers as a typed retryable rejection —
-      // FleetClient absorbs it and the chaos drill sees zero user-visible
-      // errors. A fatal fault stays a hard code-1 error.
+      // retry is *for*), so it answers as a typed retryable rejection
+      // with a retry_after_ms hint. A fatal fault stays a hard code-1
+      // error.
       status = e.transient() ? "overloaded" : "error";
       code = e.transient() ? kExitUnavailable : kExitError;
       error = e.what();

@@ -29,7 +29,8 @@
 //   * failpoint drill sites serve.accept / serve.parse / serve.dispatch,
 //     plus serve.net.* in the shared socket helpers (serve/net.hpp). A
 //     transient serve.dispatch fault answers as a retryable code-75
-//     rejection (a FleetClient recovers it); a fatal one stays code 1;
+//     rejection (the caller retries after retry_after_ms); a fatal one
+//     stays code 1;
 //   * every response traced (serve/trace.hpp): per-phase spans, per-op
 //     latency histograms and the `tail` ring, plus queue-depth gauges in
 //     the obs MetricsRegistry, exposed over the wire via {"op":"stats"};

@@ -1,9 +1,10 @@
 // Tests for the serve subsystem: protocol round trips, byte-identity of
 // server payloads against the shared CLI renderers (including under eight
 // concurrent clients), typed overload rejection, deadline semantics,
-// failpoint drills, and graceful drain. The end-to-end binary-vs-binary
-// byte diff (codesign-client output against one-shot `codesign` stdout)
-// lives in tools/check.sh's serve smoke tier.
+// failpoint drills, graceful drain, the timeout-aware socket helpers
+// (serve/net.hpp) and the client's read budget. The end-to-end
+// binary-vs-binary byte diff (codesign-client output against one-shot
+// `codesign` stdout) lives in tools/check.sh's serve smoke tier.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -40,7 +41,7 @@
 #include "gpuarch/dtype.hpp"
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
-#include "serve/fleet_client.hpp"
+#include "serve/net.hpp"
 #include "serve/ops.hpp"
 #include "serve/protocol.hpp"
 #include "sweep/driver.hpp"
@@ -50,7 +51,6 @@
 namespace codesign {
 namespace {
 
-using serve::FleetOptions;
 using serve::ServeClient;
 
 // ---------------------------------------------------------------------------
@@ -872,8 +872,8 @@ TEST_F(ServeTest, ParseAndDispatchFailpointsAnswerTypedErrors) {
   EXPECT_EQ(parse_fault.code, kExitError);
 
   // A transient dispatch fault is a recoverable blip: it answers as a
-  // typed retryable rejection (code 75 with a retry hint), the thing a
-  // FleetClient absorbs without surfacing an error to the caller.
+  // typed retryable rejection (code 75 with a retry hint) that the caller
+  // may retry after retry_after_ms.
   fail::configure("serve.parse=off");
   fail::configure("serve.dispatch=always");
   const serve::Response dispatch_fault =
@@ -1271,8 +1271,8 @@ TEST_F(ServeTest, SigintDuringABurstDrainsOnceAndCleanly) {
 }
 
 // ---------------------------------------------------------------------------
-// Resilience layer: the health op, brownout shedding, the write deadline
-// for stalled peers, and FleetClient recovery under armed drills.
+// Resilience: the health op, brownout shedding, the write deadline for
+// stalled peers, and one server under armed network and dispatch drills.
 
 TEST_F(ServeTest, HealthReportsOkOnAnIdleServer) {
   serve::ServerOptions o = options(/*threads=*/2, /*queue_capacity=*/8);
@@ -1464,16 +1464,15 @@ TEST_F(ServeTest, IdleConnectionsAreReapedAndActiveOnesAreNot) {
   shut_down(server);
 }
 
-TEST_F(ServeTest, FleetClientCompletesAMixedWorkloadUnderArmedDrills) {
-  // Two replicas, every network drill armed probabilistically, plus
-  // transient dispatch faults: a FleetClient must complete the whole mix
-  // with zero user-visible errors and byte-identical payloads. The drills
-  // fire on both sides of the socket (client and servers share the
-  // in-process failpoint registry).
-  serve::Server a(options(/*threads=*/2));
-  a.start();
-  serve::Server b(options(/*threads=*/2));
-  b.start();
+TEST_F(ServeTest, ArmedDrillsYieldExactPayloadsOrTypedFailures) {
+  // Every network drill armed probabilistically, plus transient dispatch
+  // faults, on both sides of the socket (client and server share the
+  // in-process failpoint registry). ServeClient does not retry, so each
+  // call ends in exactly one of three ways: the byte-exact payload, a
+  // code-75 rejection carrying a retry hint, or an IoError, after which
+  // the caller reconnects. Never a wrong payload, never another code.
+  serve::Server server(options(/*threads=*/2));
+  server.start();
 
   const std::string want_estimate = expected_estimate(512, 512, 512);
   const std::string want_advise = expected_advise("gpt3-2.7b");
@@ -1484,37 +1483,134 @@ TEST_F(ServeTest, FleetClientCompletesAMixedWorkloadUnderArmedDrills) {
       "serve.net.conn_close=prob:0.2:13,"
       "serve.dispatch=prob:0.25:7");
 
-  FleetOptions fo;
-  fo.endpoints = {{"127.0.0.1", a.port()}, {"127.0.0.1", b.port()}};
-  fo.backoff_base_ms = 1;
-  fo.backoff_max_ms = 20;
-  fo.breaker.open_ms = 50;  // short cooldowns keep the suite fast
-  fo.seed = 7;
-  serve::FleetClient fleet(std::move(fo));
-
+  std::unique_ptr<ServeClient> client;
+  int ok_advise = 0, ok_estimate = 0, rejected = 0, io_errors = 0;
   for (int i = 0; i < 30; ++i) {
-    if (i % 3 == 0) {
+    const bool advise = i % 3 == 0;
+    try {
+      if (!client) {
+        client = std::make_unique<ServeClient>("127.0.0.1", server.port());
+      }
       const serve::Response r =
-          fleet.call_op("advise", R"("model":"gpt3-2.7b")");
-      ASSERT_TRUE(r.ok()) << i << ": " << r.error << "\n"
-                          << fleet.attempt_log();
-      EXPECT_EQ(r.payload, want_advise) << "advise payload diverged at " << i;
-    } else {
-      const serve::Response r =
-          fleet.call_op("estimate", R"("m":512,"n":512,"k":512)");
-      ASSERT_TRUE(r.ok()) << i << ": " << r.error << "\n"
-                          << fleet.attempt_log();
-      EXPECT_EQ(r.payload, want_estimate)
-          << "estimate payload diverged at " << i;
+          advise ? client->call_op("advise", R"("model":"gpt3-2.7b")")
+                 : client->call_op("estimate", R"("m":512,"n":512,"k":512)");
+      if (r.ok()) {
+        EXPECT_EQ(r.code, 0) << i;
+        EXPECT_EQ(r.payload, advise ? want_advise : want_estimate)
+            << "payload diverged at " << i;
+        ++(advise ? ok_advise : ok_estimate);
+      } else {
+        EXPECT_EQ(r.code, kExitUnavailable) << i << ": " << r.error;
+        EXPECT_GE(r.retry_after_ms, 1) << i;
+        ++rejected;
+      }
+    } catch (const IoError&) {
+      client.reset();
+      ++io_errors;
     }
   }
-  // The drills actually fired — this exercised the retry machinery, not a
-  // quiet fast path.
-  EXPECT_GT(fleet.stats().attempts, 30u) << fleet.attempt_log();
+  // Both ops got through at least once, and the drills fired.
+  EXPECT_GE(ok_advise, 1);
+  EXPECT_GE(ok_estimate, 1);
+  EXPECT_GE(rejected + io_errors, 1);
 
   fail::clear();
-  shut_down(a);
-  shut_down(b);
+  client.reset();
+  shut_down(server);
+}
+
+// ---------------------------------------------------------------------------
+// net.hpp unit coverage: the send deadline and peer-gone classification,
+// the bounded connect, and ServeClient's read budget.
+
+TEST(ServeNet, TimedSendAllTimesOutAgainstAStalledPeer) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  serve::net::set_nonblocking(fds[0], true);
+  const int small = 4096;
+  ::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
+  ::setsockopt(fds[1], SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+
+  // Nobody reads fds[1]: the kernel buffers fill and the deadline trips.
+  const std::string big(4 << 20, 'x');
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto outcome = serve::net::timed_send_all(fds[0], big, 100);
+  const auto elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count();
+  EXPECT_EQ(outcome, serve::net::SendOutcome::kTimeout);
+  EXPECT_GE(elapsed_ms, 90);
+  EXPECT_LT(elapsed_ms, 5000);
+
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+TEST(ServeNet, TimedSendAllReportsPeerGoneOnClosedSocket) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  serve::net::set_nonblocking(fds[0], true);
+  ::close(fds[1]);
+  std::string data(1 << 20, 'y');
+  // The first send may land in the buffer; keep writing until the EPIPE
+  // surfaces.
+  serve::net::SendOutcome outcome = serve::net::SendOutcome::kOk;
+  for (int i = 0; i < 8 && outcome == serve::net::SendOutcome::kOk; ++i) {
+    outcome = serve::net::timed_send_all(fds[0], data, 100);
+  }
+  EXPECT_EQ(outcome, serve::net::SendOutcome::kPeerGone);
+  ::close(fds[0]);
+}
+
+TEST(ServeNet, ConnectWithTimeoutRefusesDeadPortQuickly) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+            0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const int port = static_cast<int>(ntohs(addr.sin_port));
+  ::close(fd);
+  EXPECT_THROW((void)serve::net::connect_with_timeout("127.0.0.1", port, 1000),
+               IoError);
+}
+
+TEST(ServeNet, ClientReadTimeoutThrowsAgainstASilentListener) {
+  // A listening socket nobody accepts on: the connect completes (backlog),
+  // the request vanishes, and no response ever comes.
+  const int silent_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(silent_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(silent_fd, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(silent_fd, 8), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(silent_fd, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  const int silent_port = static_cast<int>(ntohs(addr.sin_port));
+
+  serve::ClientOptions o;
+  o.read_timeout_ms = 100;
+  ServeClient client("127.0.0.1", silent_port, o);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)client.call_op("ping"), IoError);
+  const auto elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count();
+  EXPECT_GE(elapsed_ms, 90);
+  EXPECT_LT(elapsed_ms, 5000);
+
+  client.close();
+  ::close(silent_fd);
 }
 
 }  // namespace

@@ -27,14 +27,13 @@
 #           CLI runs `analyze` plus `search --attribution` at --threads 1
 #           and 8; the three reports must be byte-identical and carry the
 #           codesign.attribution schema header
-#   chaos-fleet  a 3-server TSan mini-fleet with 5% network failpoints
+#   serve-drill  one TSan server with 5% network failpoints
 #           (serve.net.read_stall / write_drop / conn_close) plus 5%
-#           dispatch faults armed on BOTH sides of the wire; a fixed
-#           request mix through `codesign-client --endpoints=...` must
-#           complete with zero user-visible errors (every invocation
-#           exits 0, no shell-side retries — the FleetClient absorbs the
-#           faults) and byte-identical payloads vs the one-shot CLI, then
-#           all three servers must drain cleanly on SIGINT
+#           dispatch faults armed on BOTH sides of the wire; each one-shot
+#           `codesign-client` request of a fixed mix must print the
+#           one-shot CLI's exact bytes and exit 0, or exit 75 or 7 with
+#           nothing on stdout; `health` must answer "ok", and the server
+#           must drain cleanly on SIGINT
 #   sweep   the sweep report must be byte-identical at 1 and 8 threads,
 #           and after resuming a run interrupted at the sweep.cell
 #           failpoint — once by a fatal fault, and once by a kill
@@ -67,8 +66,8 @@ echo "== e2e: e2ebench output checksums =="
 
 SAN_TESTS=(test_thread_pool test_estimate_cache test_estimate_many test_obs
            test_attribution test_logging test_failpoint test_search
-           test_search_faults test_serve test_serve_trace test_fleet_client
-           test_sweep test_json test_layer_model test_gemm_mapping test_flops
+           test_search_faults test_serve test_serve_trace test_sweep
+           test_json test_layer_model test_gemm_mapping test_flops
            test_training test_inference test_rules test_cluster
            test_parallelism test_config)
 
@@ -382,98 +381,118 @@ grep -q '^| mistral-7b ' "${TSAN_DIR}/search_gqa_t1.txt" || {
   exit 1
 }
 
-echo "== chaos-fleet: 3 replicas, 5% network faults, zero visible errors =="
-CHAOS_FAULTS='serve.net.read_stall=prob:0.05:11,serve.net.write_drop=prob:0.05:12'
-CHAOS_FAULTS+=',serve.net.conn_close=prob:0.05:13,serve.dispatch=prob:0.05:7'
-CHAOS_PORTS=($((SERVE_PORT + 2)) $((SERVE_PORT + 3)) $((SERVE_PORT + 4)))
-CHAOS_PIDS=()
-CHAOS_LOGS=()
-for port in "${CHAOS_PORTS[@]}"; do
-  log="${TSAN_DIR}/chaos_${port}.log"
-  CODESIGN_FAILPOINTS="${CHAOS_FAULTS}" \
-      "${SERVE_BIN}" serve --port="${port}" --threads=2 >"${log}" 2>&1 &
-  CHAOS_PIDS+=($!)
-  CHAOS_LOGS+=("${log}")
-done
-for port in "${CHAOS_PORTS[@]}"; do
-  for i in $(seq 1 100); do
-    # Readiness pings run fault-free: the drills under test belong to the
-    # fleet mix below, not to the startup probe.
-    if "${CLIENT_BIN}" ping --port="${port}" >/dev/null 2>&1; then break; fi
-    if [ "${i}" -eq 100 ]; then
-      echo "FAIL: chaos-fleet server :${port} never became ready"
-      cat "${TSAN_DIR}/chaos_${port}.log"; exit 1
-    fi
-    sleep 0.1
-  done
-done
-
-# Expected payloads straight from the one-shot CLI (the byte-identity
-# oracle for every fleet response).
-"${SERVE_BIN}" gemm --m=1024 --n=2048 --k=768 >"${TSAN_DIR}/chaos_est_a.txt"
-"${SERVE_BIN}" gemm --m=4096 --n=4096 --k=4096 >"${TSAN_DIR}/chaos_est_b.txt"
-"${SERVE_BIN}" gemm --m=512 --n=1536 --k=896 --batch=4 \
-    >"${TSAN_DIR}/chaos_est_c.txt"
-"${SERVE_BIN}" advise pythia-70m >"${TSAN_DIR}/chaos_adv_a.txt"
-"${SERVE_BIN}" advise gpt3-2.7b >"${TSAN_DIR}/chaos_adv_b.txt"
-
-ENDPOINTS="127.0.0.1:${CHAOS_PORTS[0]},127.0.0.1:${CHAOS_PORTS[1]}"
-ENDPOINTS+=",127.0.0.1:${CHAOS_PORTS[2]}"
-chaos_call() {  # chaos_call <expected-file> <seed> <op> [flags...]
-  # One shot, no shell-side retries: the FleetClient must absorb every
-  # injected fault (client- and server-side) and exit 0 with the exact
-  # one-shot CLI bytes.
-  local expect="$1" seed="$2"; shift 2
-  local got="${TSAN_DIR}/chaos_got.txt"
-  if ! CODESIGN_FAILPOINTS="${CHAOS_FAULTS}" \
-      "${CLIENT_BIN}" "$@" --endpoints="${ENDPOINTS}" --seed="${seed}" \
-      >"${got}" 2>"${TSAN_DIR}/chaos_err.txt"; then
-    echo "FAIL: chaos-fleet request surfaced an error: $*"
-    cat "${TSAN_DIR}/chaos_err.txt"; exit 1
-  fi
-  diff -u "${expect}" "${got}" || {
-    echo "FAIL: chaos-fleet payload differs from the one-shot CLI: $*"
+echo "== serve-drill: one server, 5% network + dispatch faults on both ends =="
+drill_faults() {  # drill_faults <seed-offset>: the four drills at 5% each
+  local s="$1"
+  printf '%s' "serve.net.read_stall=prob:0.05:$((s + 11))," \
+      "serve.net.write_drop=prob:0.05:$((s + 12))," \
+      "serve.net.conn_close=prob:0.05:$((s + 13))," \
+      "serve.dispatch=prob:0.05:$((s + 7))"
+}
+DRILL_PORT=$((SERVE_PORT + 2))
+DRILL_LOG="${TSAN_DIR}/drill_serve.log"
+# At seed offset 1 the server's dispatch drill fires within the mix, so
+# the tier sees typed 75s as well as lost connections.
+CODESIGN_FAILPOINTS="$(drill_faults 1)" \
+    "${SERVE_BIN}" serve --port="${DRILL_PORT}" --threads=2 \
+    >"${DRILL_LOG}" 2>&1 &
+DRILL_PID=$!
+for i in $(seq 1 100); do
+  if "${CLIENT_BIN}" ping --port="${DRILL_PORT}" >/dev/null 2>&1; then break; fi
+  if [ "${i}" -eq 100 ]; then
+    echo "FAIL: serve-drill server never became ready"; cat "${DRILL_LOG}"
     exit 1
-  }
+  fi
+  sleep 0.1
+done
+
+# Expected payloads straight from the one-shot CLI.
+"${SERVE_BIN}" gemm --m=1024 --n=2048 --k=768 >"${TSAN_DIR}/drill_est_a.txt"
+"${SERVE_BIN}" gemm --m=4096 --n=4096 --k=4096 >"${TSAN_DIR}/drill_est_b.txt"
+"${SERVE_BIN}" gemm --m=512 --n=1536 --k=896 --batch=4 \
+    >"${TSAN_DIR}/drill_est_c.txt"
+"${SERVE_BIN}" advise pythia-70m >"${TSAN_DIR}/drill_adv_a.txt"
+"${SERVE_BIN}" advise gpt3-2.7b >"${TSAN_DIR}/drill_adv_b.txt"
+
+DRILL_OK=0
+drill_call() {  # drill_call <expected-file> <seed-offset> <op> [flags...]
+  # One shot, no retries. The client arms the drills in its own socket
+  # helpers too, under a per-call seed. codesign-client does not retry, so
+  # a fault ends the call as a typed 75 or a lost connection (7), never as
+  # a wrong payload.
+  local expect="$1" seed="$2"; shift 2
+  local got="${TSAN_DIR}/drill_got.txt"
+  local rc=0
+  CODESIGN_FAILPOINTS="$(drill_faults "${seed}")" \
+      "${CLIENT_BIN}" "$@" --port="${DRILL_PORT}" \
+      >"${got}" 2>"${TSAN_DIR}/drill_err.txt" || rc=$?
+  case "${rc}" in
+    0)
+      diff -u "${expect}" "${got}" || {
+        echo "FAIL: serve-drill payload differs from the one-shot CLI: $*"
+        exit 1
+      }
+      DRILL_OK=$((DRILL_OK + 1)) ;;
+    7|75)
+      if [ -s "${got}" ]; then
+        echo "FAIL: serve-drill request exited ${rc} but printed a payload: $*"
+        exit 1
+      fi ;;
+    *)
+      echo "FAIL: serve-drill request exited ${rc} (want 0, 7 or 75): $*"
+      cat "${TSAN_DIR}/drill_err.txt"; exit 1 ;;
+  esac
 }
 for i in $(seq 1 4); do
-  chaos_call "${TSAN_DIR}/chaos_est_a.txt" "$((i * 5 + 1))" \
+  drill_call "${TSAN_DIR}/drill_est_a.txt" "$((i * 5 + 1))" \
       estimate --m=1024 --n=2048 --k=768
-  chaos_call "${TSAN_DIR}/chaos_est_b.txt" "$((i * 5 + 2))" \
+  drill_call "${TSAN_DIR}/drill_est_b.txt" "$((i * 5 + 2))" \
       estimate --m=4096 --n=4096 --k=4096
-  chaos_call "${TSAN_DIR}/chaos_est_c.txt" "$((i * 5 + 3))" \
+  drill_call "${TSAN_DIR}/drill_est_c.txt" "$((i * 5 + 3))" \
       estimate --m=512 --n=1536 --k=896 --batch=4
-  chaos_call "${TSAN_DIR}/chaos_adv_a.txt" "$((i * 5 + 4))" \
+  drill_call "${TSAN_DIR}/drill_adv_a.txt" "$((i * 5 + 4))" \
       advise --model=pythia-70m
-  chaos_call "${TSAN_DIR}/chaos_adv_b.txt" "$((i * 5 + 5))" \
+  drill_call "${TSAN_DIR}/drill_adv_b.txt" "$((i * 5 + 5))" \
       advise --model=gpt3-2.7b
 done
+if [ "${DRILL_OK}" -eq 0 ]; then
+  echo "FAIL: no serve-drill request came back with a payload"; exit 1
+fi
 
-# health must answer on every replica even with the drills armed.
-for port in "${CHAOS_PORTS[@]}"; do
-  HEALTH_OUT="$(CODESIGN_FAILPOINTS="${CHAOS_FAULTS}" "${CLIENT_BIN}" health \
-      --endpoints="127.0.0.1:${port}")" || {
-    echo "FAIL: chaos-fleet health probe failed on :${port}"; exit 1
-  }
-  echo "${HEALTH_OUT}" | grep -q '"status":"ok"' || {
-    echo "FAIL: chaos-fleet replica :${port} reported unhealthy:"
-    echo "${HEALTH_OUT}"; exit 1
-  }
-done
-
-for pid in "${CHAOS_PIDS[@]}"; do kill -INT "${pid}"; done
-for idx in "${!CHAOS_PIDS[@]}"; do
-  rc=0
-  wait "${CHAOS_PIDS[$idx]}" || rc=$?
-  if [ "${rc}" -ne 0 ]; then
-    echo "FAIL: chaos-fleet server exited ${rc} after SIGINT, want 0"
-    cat "${CHAOS_LOGS[$idx]}"; exit 1
+# health answers "ok" with the server's drills still armed; a faulted
+# probe is simply sent again.
+HEALTH_OUT="${TSAN_DIR}/drill_health.txt"
+for i in $(seq 1 20); do
+  if "${CLIENT_BIN}" health --port="${DRILL_PORT}" >"${HEALTH_OUT}" \
+      2>/dev/null; then
+    break
   fi
-  grep -q "drained:" "${CHAOS_LOGS[$idx]}" || {
-    echo "FAIL: chaos-fleet server printed no drain summary"
-    cat "${CHAOS_LOGS[$idx]}"; exit 1
-  }
 done
+grep -q '"status":"ok"' "${HEALTH_OUT}" || {
+  echo "FAIL: serve-drill server reported unhealthy:"; cat "${HEALTH_OUT}"
+  exit 1
+}
+
+# The retired multi-endpoint flags are usage errors now.
+ENDPOINTS_RC=0
+"${CLIENT_BIN}" ping --endpoints="127.0.0.1:${DRILL_PORT}" >/dev/null 2>&1 \
+    || ENDPOINTS_RC=$?
+if [ "${ENDPOINTS_RC}" -ne 2 ]; then
+  echo "FAIL: codesign-client --endpoints exited ${ENDPOINTS_RC}, want 2"
+  exit 1
+fi
+
+kill -INT "${DRILL_PID}"
+DRILL_RC=0
+wait "${DRILL_PID}" || DRILL_RC=$?
+if [ "${DRILL_RC}" -ne 0 ]; then
+  echo "FAIL: serve-drill server exited ${DRILL_RC} after SIGINT, want 0"
+  cat "${DRILL_LOG}"; exit 1
+fi
+grep -q "drained:" "${DRILL_LOG}" || {
+  echo "FAIL: serve-drill server printed no drain summary"; cat "${DRILL_LOG}"
+  exit 1
+}
 
 echo "== sweep: matrix determinism + resume drill under tsan =="
 # The codesign.sweep report must be byte-identical at any thread count, and

@@ -22,7 +22,6 @@
 #include "common/json.hpp"
 #include "common/strings.hpp"
 #include "serve/client.hpp"
-#include "serve/fleet_client.hpp"
 
 namespace codesign {
 namespace {
@@ -30,9 +29,6 @@ namespace {
 constexpr const char* kUsage =
     "usage: codesign-client <op> [--host=127.0.0.1] [--port=8377]\n"
     "                       [--id=S] [--deadline-ms=N]\n"
-    "                       [--endpoints=host:port,host:port,...]\n"
-    "                       [--attempts=16] [--seed=1]\n"
-    "                       [--call-deadline-ms=30000]\n"
     "\n"
     "ops (flags mirror the request fields in docs/SERVING.md):\n"
     "  advise    --model=NAME | --custom=h=...,a=...,L=...  [--gpu=a100]\n"
@@ -59,20 +55,13 @@ constexpr const char* kUsage =
     "  ping      liveness probe\n"
     "  sleep     [--ms=10]  hold a worker (drain/overload drills)\n"
     "\n"
-    "--endpoints routes the request through the resilient FleetClient\n"
-    "(docs/SERVING.md \"Resilience\"): deadline-budgeted retries with\n"
-    "jittered backoff, failover between the listed replicas on overload\n"
-    "or connection death, and a per-endpoint circuit breaker. --attempts,\n"
-    "--seed, and --call-deadline-ms tune it; --host/--port are ignored.\n"
-    "\n"
     "The response payload is printed verbatim; the exit code is the\n"
     "response code (0 ok, 6 cancelled/partial, 75 overloaded/draining),\n"
     "or 7 when the server cannot be reached.\n";
 
 /// Flags every op accepts on top of its own field flags.
-const std::vector<std::string> kCommonFlags = {
-    "host", "port",     "id",   "deadline-ms",     "endpoints",
-    "attempts", "seed", "call-deadline-ms"};
+const std::vector<std::string> kCommonFlags = {"host", "port", "id",
+                                               "deadline-ms"};
 
 void reject_unknown_flags(const CliArgs& args,
                           std::vector<std::string> allowed) {
@@ -229,20 +218,9 @@ int run(int argc, char** argv) {
   // missing/bad flag is a usage error even when no server is reachable.
   const std::string request = build_request(args, op);
 
-  serve::Response r;
-  if (args.has("endpoints")) {
-    serve::FleetOptions fleet;
-    fleet.endpoints = serve::parse_endpoints(args.get_string("endpoints", ""));
-    fleet.max_attempts = static_cast<int>(args.get_int("attempts", 16));
-    fleet.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    fleet.call_deadline_ms = args.get_int("call-deadline-ms", 30000);
-    serve::FleetClient client(std::move(fleet));
-    r = client.call(request);
-  } else {
-    serve::ServeClient client(args.get_string("host", "127.0.0.1"),
-                              static_cast<int>(args.get_int("port", 8377)));
-    r = client.call(request);
-  }
+  serve::ServeClient client(args.get_string("host", "127.0.0.1"),
+                            static_cast<int>(args.get_int("port", 8377)));
+  const serve::Response r = client.call(request);
   if (r.overloaded()) {
     std::cerr << "codesign-client: " << r.error << " (retry after "
               << r.retry_after_ms << " ms)\n";
@@ -262,9 +240,8 @@ int run(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   try {
-    // CODESIGN_FAILPOINTS arms this process too: the chaos-fleet drill
-    // injects faults into the client's own socket helpers (serve.net.*)
-    // as well as the servers', and the FleetClient must absorb both.
+    // CODESIGN_FAILPOINTS arms this process's own socket helpers
+    // (serve.net.*) too, so a drill can fault both ends of the wire.
     codesign::fail::configure_from_env();
     return codesign::run(argc, argv);
   } catch (const codesign::Error& e) {
