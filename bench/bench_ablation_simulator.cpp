@@ -5,7 +5,6 @@
 //   * tile selection     (auto catalogue vs fixed 256x128)
 //   * DES vs closed form (scheduling arithmetic cross-check)
 #include "bench_common.hpp"
-#include "common/strings.hpp"
 #include "gemmsim/kernel_model.hpp"
 #include "gemmsim/simulator.hpp"
 #include "gemmsim/sm_scheduler.hpp"
@@ -18,11 +17,6 @@ namespace codesign {
 namespace {
 
 using gemm::GemmProblem;
-
-const bench::BenchSpec kSpec{
-    "bench_ablation_simulator",
-    "Ablation: what each modelled mechanism contributes",
-    {}};
 
 /// A GPU spec with the alignment ladder flattened to 1.0 everywhere.
 gpu::GpuSpec no_alignment(const gpu::GpuSpec& base) {
@@ -37,124 +31,107 @@ gpu::GpuSpec no_alignment(const gpu::GpuSpec& base) {
   return g;
 }
 
-int body(bench::BenchContext& ctx) {
-  ctx.banner("Ablation", "what each modelled mechanism contributes");
-
-  ctx.section("alignment ladder: GPT-3 2.7B trio with and without it");
-  const gpu::GpuSpec flat = no_alignment(ctx.gpu());
+void mechanisms(bench::Rows& out, const gemm::GemmSimulator& sim,
+                const CliArgs&) {
+  out.section("alignment ladder: GPT-3 2.7B trio with and without it");
+  const gpu::GpuSpec flat = no_alignment(sim.gpu());
   const gemm::GemmSimulator sim_flat(flat);
-  TableWriter ta({"model", "h/a", "TFLOP/s (full model)",
-                  "TFLOP/s (no alignment)", "alignment cost"});
+  out.table({"model", "h/a", "TFLOP/s (full model)", "TFLOP/s (no alignment)",
+             "alignment cost"});
   for (const char* name : {"gpt3-2.7b", "gpt3-2.7b-c1", "gpt3-2.7b-c2"}) {
     const auto cfg = tfm::model_by_name(name);
-    const auto full = tfm::analyze_layer(cfg, ctx.sim());
+    const auto full = tfm::analyze_layer(cfg, sim);
     const auto ablated = tfm::analyze_layer(cfg, sim_flat);
-    ta.new_row()
+    out.row()
         .cell(name)
         .cell(cfg.head_dim())
         .cell(full.throughput_tflops, 1)
         .cell(ablated.throughput_tflops, 1)
-        .cell(str_format("%.3fx", ablated.throughput_tflops /
-                                      full.throughput_tflops));
+        .cellf("%.3fx", ablated.throughput_tflops / full.throughput_tflops);
   }
-  ctx.emit(ta);
-  std::cout << "(without the ladder the Fig-1 shape family collapses to "
-               "near-identical throughput — the entire effect the paper "
-               "measures comes from alignment)\n";
+  out.note("(without the ladder the Fig-1 shape family collapses to "
+           "near-identical throughput — the entire effect the paper "
+           "measures comes from alignment)\n");
 
-  ctx.section("wave quantization: saw-tooth amplitude at fixed tile");
-  TableWriter tw({"n", "waves", "wave efficiency", "TFLOP/s",
-                  "TFLOP/s if fractional waves"});
+  out.section("wave quantization: saw-tooth amplitude at fixed tile");
+  out.table({"n", "waves", "wave efficiency", "TFLOP/s",
+             "TFLOP/s if fractional waves"});
   for (std::int64_t n : {1792, 1920, 2048, 2304, 2432}) {
     const auto est = gemm::estimate_with_tile(GemmProblem::gemm(n, n, n),
-                                              gpu::largest_tile(), ctx.gpu());
+                                              gpu::largest_tile(), sim.gpu());
     // Fractional-wave counterfactual: scale compute time by efficiency.
     const double frac_time =
         std::max(est.compute_time * est.wave_q.efficiency, est.memory_time) +
         est.launch_overhead;
-    tw.new_row()
+    out.row()
         .cell(n)
         .cell(est.wave_q.waves)
         .cell(est.wave_q.efficiency, 3)
         .cell(est.tflops(), 1)
         .cell(est.problem.flops() / frac_time / 1e12, 1);
   }
-  ctx.emit(tw);
+}
 
-  ctx.section("tile selection: worst-case gain of the auto heuristic");
-  TableWriter tt({"problem", "fixed 256x128 TFLOP/s", "auto TFLOP/s",
-                  "auto tile", "gain"});
+void tile_selection(bench::Rows& out, const gemm::GemmSimulator& sim,
+                    const CliArgs&) {
+  out.section("tile selection: worst-case gain of the auto heuristic");
+  out.table({"problem", "fixed 256x128 TFLOP/s", "auto TFLOP/s", "auto tile",
+             "gain"});
   // The auto tile comes from the kAuto scan directly, whatever --policy
   // says, and so bumps no gemmsim.estimate.* series.
-  const gemm::GemmSimulator autotile(ctx.gpu());
+  const gemm::GemmSimulator autotile(sim.gpu());
   for (const GemmProblem& p :
        {GemmProblem::bmm(128, 2048, 64, 2048), GemmProblem::gemm(320, 320, 4096),
         GemmProblem::gemm(1920, 1920, 1920),
         GemmProblem::gemm(8192, 8192, 8192)}) {
     const auto fixed =
-        gemm::estimate_with_tile(p, gpu::largest_tile(), ctx.gpu());
+        gemm::estimate_with_tile(p, gpu::largest_tile(), sim.gpu());
     const auto autosel = autotile.prepared().estimate_one(p);
-    tt.new_row()
-        .cell(p.to_string())
+    out.row()
+        .cell(p)
         .cell(fixed.tflops(), 1)
         .cell(autosel.tflops(), 1)
-        .cell(autosel.tile.name())
-        .cell(str_format("%.2fx", autosel.tflops() / fixed.tflops()));
+        .cell(autosel.tile)
+        .cellf("%.2fx", autosel.tflops() / fixed.tflops());
   }
-  ctx.emit(tt);
+}
 
-  ctx.section("DES cross-check: event-driven scheduler vs closed form");
-  TableWriter td({"problem", "analytical body", "DES makespan", "rel err",
-                  "DES busy fraction"});
+void des_cross_check(bench::Rows& out, const gemm::GemmSimulator& sim,
+                     const CliArgs&) {
+  out.section("DES cross-check: event-driven scheduler vs closed form");
+  out.table({"problem", "analytical body", "DES makespan", "rel err",
+             "DES busy fraction"});
+  const gemm::GemmSimulator autotile(sim.gpu());
   for (const GemmProblem& p :
        {GemmProblem::gemm(4096, 4096, 4096), GemmProblem::gemm(1920, 1920, 1920),
         GemmProblem::bmm(128, 2048, 2048, 64)}) {
     const auto est = autotile.prepared().estimate_one(p);
-    const auto des = gemm::simulate_kernel(p, est.tile, ctx.gpu());
+    const auto des = gemm::simulate_kernel(p, est.tile, sim.gpu());
     const double body = est.time - est.launch_overhead;
-    td.new_row()
-        .cell(p.to_string())
-        .cell(human_time(body))
-        .cell(human_time(des.makespan))
-        .cell(str_format("%.2e", std::abs(des.makespan - body) / body))
+    out.row()
+        .cell(p)
+        .cell(body, human_time)
+        .cell(des.makespan, human_time)
+        .cellf("%.2e", std::abs(des.makespan - body) / body)
         .cell(des.busy_fraction, 3);
   }
-  ctx.emit(td);
-  return 0;
 }
+
+const bench::BenchSpec kSpec{
+    "bench_ablation_simulator",
+    "Ablation: what each modelled mechanism contributes",
+    {},
+    "Ablation",
+    "what each modelled mechanism contributes",
+    {{"ablation.mechanisms", mechanisms,
+      "alignment/wave ablations plus the DES cross-check",
+      {benchlib::kSuiteExt}},
+     {"ablation.tile_selection", tile_selection,
+      "fixed 256x128 tile vs the auto tile scan on four problems",
+      {benchlib::kSuiteExt}},
+     {"ablation.mechanisms", des_cross_check}}};
 
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(ablation_simulator) {
-  using namespace codesign;
-  reg.add({"ablation.mechanisms", "bench_ablation_simulator",
-           "alignment/wave/tile ablations plus the DES cross-check",
-           {benchlib::kSuiteExt},
-           [](benchlib::CaseContext& c) {
-             const gpu::GpuSpec flat = no_alignment(c.gpu());
-             const gemm::GemmSimulator sim_flat(flat);
-             for (const char* name :
-                  {"gpt3-2.7b", "gpt3-2.7b-c1", "gpt3-2.7b-c2"}) {
-               const auto cfg = tfm::model_by_name(name);
-               c.consume(tfm::analyze_layer(cfg, c.sim()).throughput_tflops);
-               c.consume(tfm::analyze_layer(cfg, sim_flat).throughput_tflops);
-             }
-             for (std::int64_t n : {1792, 1920, 2048, 2304, 2432}) {
-               c.consume(gemm::estimate_with_tile(GemmProblem::gemm(n, n, n),
-                                                  gpu::largest_tile(), c.gpu())
-                             .tflops());
-             }
-             const gemm::GemmSimulator autotile(c.gpu());
-             for (const GemmProblem& p :
-                  {GemmProblem::gemm(4096, 4096, 4096),
-                   GemmProblem::gemm(1920, 1920, 1920),
-                   GemmProblem::bmm(128, 2048, 2048, 64)}) {
-               const auto est = autotile.prepared().estimate_one(p);
-               c.consume(est.tflops());
-               c.consume(gemm::simulate_kernel(p, est.tile, c.gpu()).makespan);
-             }
-           }});
-}
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);
+CODESIGN_BENCH_FIGURE(ablation_simulator, codesign::kSpec);

@@ -3,21 +3,17 @@
 // ratio that matches kernel-level throughput. Runs a representative
 // transformer kernel set across every GPU in the registry and reports the
 // cross-device ratios.
+#include <array>
+
 #include "bench_common.hpp"
 #include "common/stats.hpp"
-#include "common/strings.hpp"
-#include "gemmsim/simulator.hpp"
 #include "transformer/gemm_mapping.hpp"
 #include "transformer/model_zoo.hpp"
 
 namespace codesign {
 namespace {
 
-const bench::BenchSpec kSpec{
-    "bench_case_hw_ratio",
-    "Case study: kernel-level hardware comparison (§VIII)",
-    {}};
-
+/// The Table-II GEMMs of a BERT-large-scale and a GPT-3-2.7B-scale layer.
 std::vector<gemm::GemmProblem> representative_kernels() {
   std::vector<gemm::GemmProblem> kernels;
   tfm::TransformerConfig bert;
@@ -35,78 +31,59 @@ std::vector<gemm::GemmProblem> representative_kernels() {
   return kernels;
 }
 
-int body(bench::BenchContext& ctx) {
-  ctx.banner("Case study: kernel-level hardware comparison",
-             "representative transformer GEMMs across devices (§VIII)");
-
-  // Representative kernel set: the Table-II GEMMs of a BERT-large-scale
-  // and a GPT-3-2.7B-scale layer.
+void geomean_per_device(bench::Rows& out, const gemm::GemmSimulator&,
+                        const CliArgs&) {
   const std::vector<gemm::GemmProblem> kernels = representative_kernels();
-
-  const std::vector<std::string> gpus = {"v100-16gb", "a100-40gb",
-                                         "a100-80gb", "h100-sxm",
-                                         "mi250x-gcd"};
-  ctx.section("geometric-mean kernel throughput per device");
-  TableWriter t({"gpu", "geomean TFLOP/s", "vs a100-40gb"});
-  double a100_geo = 0.0;
-  std::vector<double> geos;
-  for (const auto& id : gpus) {
-    const gemm::GemmSimulator sim = gemm::GemmSimulator::for_gpu(id);
+  const std::array<const char*, 5> gpus = {"v100-16gb", "a100-40gb",
+                                           "a100-80gb", "h100-sxm",
+                                           "mi250x-gcd"};
+  std::array<double, 5> geos{};
+  for (std::size_t i = 0; i < gpus.size(); ++i) {
+    const gemm::GemmSimulator sim = gemm::GemmSimulator::for_gpu(gpus[i]);
     std::vector<double> tfs;
     for (const auto& k : kernels) tfs.push_back(sim.throughput_tflops(k));
-    const double geo = geomean(tfs);
-    geos.push_back(geo);
-    if (id == "a100-40gb") a100_geo = geo;
+    geos[i] = geomean(tfs);
   }
-  for (std::size_t i = 0; i < gpus.size(); ++i) {
-    t.new_row()
-        .cell(gpus[i])
-        .cell(geos[i], 1)
-        .cell(str_format("%.2fx", geos[i] / a100_geo));
-  }
-  ctx.emit(t);
 
-  ctx.section("per-kernel H100 : A100 ratio");
+  out.section("geometric-mean kernel throughput per device");
+  out.table({"gpu", "geomean TFLOP/s", "vs a100-40gb"});
+  for (std::size_t i = 0; i < gpus.size(); ++i) {
+    out.row().cell(gpus[i]).cell(geos[i], 1).cellf("%.2fx",
+                                                   geos[i] / geos[1]);
+  }
+}
+
+void h100_a100_per_kernel(bench::Rows& out, const gemm::GemmSimulator&,
+                          const CliArgs&) {
+  out.section("per-kernel H100 : A100 ratio");
   const gemm::GemmSimulator h100 = gemm::GemmSimulator::for_gpu("h100");
   const gemm::GemmSimulator a100 = gemm::GemmSimulator::for_gpu("a100");
-  TableWriter tk({"kernel", "A100 TFLOP/s", "H100 TFLOP/s", "ratio"});
-  for (const auto& k : kernels) {
+  out.table({"kernel", "A100 TFLOP/s", "H100 TFLOP/s", "ratio"});
+  for (const auto& k : representative_kernels()) {
     const double ta = a100.throughput_tflops(k);
     const double th = h100.throughput_tflops(k);
-    tk.new_row()
-        .cell(k.to_string())
-        .cell(ta, 1)
-        .cell(th, 1)
-        .cell(str_format("%.2fx", th / ta));
+    out.row().cell(k).cell(ta, 1).cell(th, 1).cellf("%.2fx", th / ta);
   }
-  ctx.emit(tk);
-  std::cout << "(paper §VIII: MLCommons BERT shows a consistent ~3:1 "
-               "H100:A100 ratio, matching kernel-level throughput — "
-               "compute-bound kernels above land near 3.2x, memory-bound "
-               "ones near the 2.2x bandwidth ratio)\n";
-  return 0;
+  out.note("(paper §VIII: MLCommons BERT shows a consistent ~3:1 "
+           "H100:A100 ratio, matching kernel-level throughput — "
+           "compute-bound kernels above land near 3.2x, memory-bound "
+           "ones near the 2.2x bandwidth ratio)\n");
 }
+
+const bench::BenchSpec kSpec{
+    "bench_case_hw_ratio",
+    "Case study: kernel-level hardware comparison (§VIII)",
+    {},
+    "Case study: kernel-level hardware comparison",
+    "representative transformer GEMMs across devices (§VIII)",
+    {{"case.hw_ratio", geomean_per_device,
+      "geomean kernel throughput of the representative set per device",
+      {benchlib::kSuiteExt, benchlib::kSuiteSmoke}},
+     {"case.hw_ratio_kernels", h100_a100_per_kernel,
+      "per-kernel H100:A100 throughput ratio of the representative set",
+      {benchlib::kSuiteExt}}}};
 
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(case_hw_ratio) {
-  using namespace codesign;
-  reg.add({"case.hw_ratio", "bench_case_hw_ratio",
-           "geomean kernel throughput of the representative set per device",
-           {benchlib::kSuiteExt, benchlib::kSuiteSmoke},
-           [](benchlib::CaseContext& c) {
-             const auto kernels = representative_kernels();
-             for (const char* id : {"v100-16gb", "a100-40gb", "a100-80gb",
-                                    "h100-sxm", "mi250x-gcd"}) {
-               const gemm::GemmSimulator sim = gemm::GemmSimulator::for_gpu(id);
-               std::vector<double> tfs;
-               for (const auto& k : kernels) {
-                 tfs.push_back(sim.throughput_tflops(k));
-               }
-               c.consume(geomean(tfs));
-             }
-           }});
-}
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);
+CODESIGN_BENCH_FIGURE(case_hw_ratio, codesign::kSpec);

@@ -4,7 +4,6 @@
 // to the shrunken QKV output width.
 #include "bench_common.hpp"
 #include "common/math_util.hpp"
-#include "common/strings.hpp"
 #include "transformer/gemm_mapping.hpp"
 #include "transformer/inference.hpp"
 #include "transformer/model_zoo.hpp"
@@ -13,64 +12,46 @@
 namespace codesign {
 namespace {
 
-const bench::BenchSpec kSpec{
-    "bench_ext_gqa",
-    "Extension: GQA KV-head sweep on the Llama-2-70B shape",
-    {}};
-
-int body(bench::BenchContext& ctx) {
-  ctx.banner("Extension: grouped-query attention",
-             "KV head sweep on the Llama-2-70B shape");
-
+void gqa_kv_sweep(bench::Rows& out, const gemm::GemmSimulator& sim,
+                  const CliArgs&) {
   const auto base = tfm::model_by_name("llama2-70b");  // a = 64, kv = 8
 
-  TableWriter t({"kv heads", "QKV n = (h+2·kv·d)/t", "pow2(n)",
-                 "QKV TFLOP/s", "params", "KV cache/step", "decode tok/s"});
+  out.table({"kv heads", "QKV n = (h+2·kv·d)/t", "pow2(n)", "QKV TFLOP/s",
+             "params", "KV cache/step", "decode tok/s"});
   for (const std::int64_t kv : {64, 32, 16, 8, 4, 2, 1}) {
     tfm::TransformerConfig cfg = base;
     cfg.num_kv_heads = kv;
     cfg.validate();
     const auto qkv = tfm::qkv_gemm(cfg);
-    const auto est = ctx.sim().estimate(qkv);
-    const auto inf = tfm::estimate_inference(cfg, ctx.sim());
-    t.new_row()
+    const auto est = sim.estimate(qkv);
+    const auto inf = tfm::estimate_inference(cfg, sim);
+    out.row()
         .cell(kv)
         .cell(qkv.n)
         .cell(static_cast<std::int64_t>(
             largest_pow2_dividing(static_cast<std::uint64_t>(qkv.n))))
         .cell(est.tflops(), 1)
-        .cell(human_count(static_cast<double>(tfm::exact_param_count(cfg))))
-        .cell(human_bytes(inf.kv_bytes_avg))
+        .cell(static_cast<double>(tfm::exact_param_count(cfg)), human_count)
+        .cell(inf.kv_bytes_avg, human_bytes)
         .cell(inf.tokens_per_second, 0);
   }
-  ctx.emit(t);
-  std::cout << "(KV heads shrink parameters and decode KV traffic without "
-               "touching the score/AOV GEMM shapes; with d = 128 every kv "
-               "count keeps the QKV width 64-aligned, so Llama-2-70B's "
-               "kv = 8 is a free win under the paper's rules)\n";
-  return 0;
+  out.note("(KV heads shrink parameters and decode KV traffic without "
+           "touching the score/AOV GEMM shapes; with d = 128 every kv "
+           "count keeps the QKV width 64-aligned, so Llama-2-70B's "
+           "kv = 8 is a free win under the paper's rules)\n");
 }
+
+const bench::BenchSpec kSpec{
+    "bench_ext_gqa",
+    "Extension: GQA KV-head sweep on the Llama-2-70B shape",
+    {},
+    "Extension: grouped-query attention",
+    "KV head sweep on the Llama-2-70B shape",
+    {{"ext.gqa_kv_sweep", gqa_kv_sweep,
+      "QKV shape + inference estimates across KV head counts",
+      {benchlib::kSuiteExt}}}};
 
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(ext_gqa) {
-  using namespace codesign;
-  reg.add({"ext.gqa_kv_sweep", "bench_ext_gqa",
-           "QKV shape + inference estimates across KV head counts",
-           {benchlib::kSuiteExt},
-           [](benchlib::CaseContext& c) {
-             const auto base = tfm::model_by_name("llama2-70b");
-             for (const std::int64_t kv : {64, 32, 16, 8, 4, 2, 1}) {
-               tfm::TransformerConfig cfg = base;
-               cfg.num_kv_heads = kv;
-               cfg.validate();
-               c.consume(c.sim().estimate(tfm::qkv_gemm(cfg)).tflops());
-               const auto inf = tfm::estimate_inference(cfg, c.sim());
-               c.consume(inf.kv_bytes_avg);
-               c.consume(inf.tokens_per_second);
-             }
-           }});
-}
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);
+CODESIGN_BENCH_FIGURE(ext_gqa, codesign::kSpec);

@@ -5,18 +5,12 @@
 // because the attention BMMs and softmax run far below the linear GEMMs'
 // efficiency), and (iii) how FlashAttention moves the crossover.
 #include "bench_common.hpp"
-#include "common/strings.hpp"
 #include "transformer/flops.hpp"
 #include "transformer/layer_model.hpp"
 #include "transformer/model_zoo.hpp"
 
 namespace codesign {
 namespace {
-
-const bench::BenchSpec kSpec{
-    "bench_ext_seqlen",
-    "Extension: attention share of layer FLOPs and time vs s",
-    {"model"}};
 
 double attention_time_share(const tfm::LayerLatencyReport& r) {
   double t = 0.0;
@@ -35,64 +29,49 @@ double attention_time_share(const tfm::LayerLatencyReport& r) {
   return t / r.total_time;
 }
 
-int body(bench::BenchContext& ctx) {
-  ctx.banner("Extension: sequence-length scaling",
-             "attention share of layer FLOPs and time vs s");
-
-  const std::string model = ctx.args().get_string("model", "gpt3-2.7b");
-  const tfm::TransformerConfig base = tfm::model_by_name(model);
+void seqlen_scaling(bench::Rows& out, const gemm::GemmSimulator& sim,
+                    const CliArgs& flags) {
+  const tfm::TransformerConfig base =
+      tfm::model_by_name(flags.get_string("model", "gpt3-2.7b"));
   const double h = static_cast<double>(base.hidden_size);
 
-  TableWriter t({"s", "attn FLOP share (s/(6h+s))", "attn time share (BMM)",
-                 "attn time share (flash)", "layer TFLOP/s (BMM)",
-                 "layer TFLOP/s (flash)"});
+  out.table({"s", "attn FLOP share (s/(6h+s))", "attn time share (BMM)",
+             "attn time share (flash)", "layer TFLOP/s (BMM)",
+             "layer TFLOP/s (flash)"});
   for (std::int64_t s = 512; s <= 32768; s *= 2) {
     tfm::TransformerConfig bmm_cfg = base.with_seq_len(s);
     tfm::TransformerConfig flash_cfg = bmm_cfg;
     flash_cfg.attention = tfm::AttentionImpl::kFlash;
-    const auto rb = tfm::analyze_layer(bmm_cfg, ctx.sim());
-    const auto rf = tfm::analyze_layer(flash_cfg, ctx.sim());
+    const auto rb = tfm::analyze_layer(bmm_cfg, sim);
+    const auto rf = tfm::analyze_layer(flash_cfg, sim);
     const double flop_share =
         static_cast<double>(s) / (6.0 * h + static_cast<double>(s));
-    t.new_row()
+    out.row()
         .cell(s)
-        .cell(str_format("%5.1f%%", 100.0 * flop_share))
-        .cell(str_format("%5.1f%%", 100.0 * attention_time_share(rb)))
-        .cell(str_format("%5.1f%%", 100.0 * attention_time_share(rf)))
+        .cellf("%5.1f%%", 100.0 * flop_share)
+        .cellf("%5.1f%%", 100.0 * attention_time_share(rb))
+        .cellf("%5.1f%%", 100.0 * attention_time_share(rf))
         .cell(rb.throughput_tflops, 1)
         .cell(rf.throughput_tflops, 1);
   }
-  ctx.emit(t);
-  std::cout << str_format(
-      "(FLOP crossover at s = 6h = %lld; the *time* crossover arrives much "
-      "earlier on the unfused path because attention runs memory-bound, "
-      "and much later with FlashAttention — the paper's §VI-C3 advice)\n",
-      static_cast<long long>(6 * base.hidden_size));
-  return 0;
+  out.note("(FLOP crossover at s = 6h = %lld; the *time* crossover arrives "
+           "much earlier on the unfused path because attention runs "
+           "memory-bound, and much later with FlashAttention — the paper's "
+           "§VI-C3 advice)\n",
+           static_cast<long long>(6 * base.hidden_size));
 }
+
+const bench::BenchSpec kSpec{
+    "bench_ext_seqlen",
+    "Extension: attention share of layer FLOPs and time vs s",
+    {"model"},
+    "Extension: sequence-length scaling",
+    "attention share of layer FLOPs and time vs s",
+    {{"ext.seqlen_scaling", seqlen_scaling,
+      "layer analysis over s with BMM and flash attention",
+      {benchlib::kSuiteExt}}}};
 
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(ext_seqlen) {
-  using namespace codesign;
-  reg.add({"ext.seqlen_scaling", "bench_ext_seqlen",
-           "layer analysis over s with BMM and flash attention",
-           {benchlib::kSuiteExt},
-           [](benchlib::CaseContext& c) {
-             const auto base = tfm::model_by_name("gpt3-2.7b");
-             for (std::int64_t s = 512; s <= 32768; s *= 2) {
-               tfm::TransformerConfig bmm_cfg = base.with_seq_len(s);
-               tfm::TransformerConfig flash_cfg = bmm_cfg;
-               flash_cfg.attention = tfm::AttentionImpl::kFlash;
-               const auto rb = tfm::analyze_layer(bmm_cfg, c.sim());
-               const auto rf = tfm::analyze_layer(flash_cfg, c.sim());
-               c.consume(attention_time_share(rb));
-               c.consume(attention_time_share(rf));
-               c.consume(rb.throughput_tflops);
-               c.consume(rf.throughput_tflops);
-             }
-           }});
-}
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);
+CODESIGN_BENCH_FIGURE(ext_seqlen, codesign::kSpec);

@@ -1,6 +1,6 @@
 // Extension — the scenario matrix engine (docs/SWEEP.md): a small
 // workload x hardware sweep run end-to-end through the SweepDriver, both
-// as a standalone cross-hardware ranking table and as the timed
+// as the cross-hardware winner table (`ext.sweep_winners`) and as the timed
 // `sweep.matrix_small` case guarding the matrix-planning + grid-search
 // hot path in the smoke/perf suites. `sweep.report_render` (perf suite)
 // times the codesign.sweep report of a fixed, larger matrix on its own, and
@@ -8,7 +8,6 @@
 // checkpoint, so the difference of the two is the checkpoint's share.
 #include "advisor/checkpoint.hpp"
 #include "bench_common.hpp"
-#include "common/strings.hpp"
 #include "gemmsim/estimate_cache.hpp"
 #include "sweep/driver.hpp"
 #include "sweep/plan.hpp"
@@ -115,34 +114,35 @@ struct ScratchCheckpoint {
   }
 };
 
-const bench::BenchSpec kSpec{
-    "bench_ext_sweep_matrix",
-    "Extension: workload x hardware scenario matrix (codesign sweep)",
-    {}};
-
-int body(bench::BenchContext& ctx) {
-  ctx.banner("Extension: scenario matrix",
-             "2 workload families x {a100, npu-edge} through the SweepDriver");
-
+void sweep_winners(bench::Rows& out, const gemm::GemmSimulator&,
+                   const CliArgs&) {
   const sweep::SweepResult result = run_small_matrix(
       sweep::parse_sweep_config(kMatrixConfig, "bench-matrix"), nullptr);
 
-  TableWriter t({"workload", "gpu", "winner", "time/token", "TFLOP/s"});
+  out.table({"workload", "gpu", "winner", "time/token", "TFLOP/s"});
   for (const sweep::SweepCell& c : result.cells) {
     const sweep::SweepVariantResult& win = c.variants.front();
-    t.new_row()
+    out.row()
         .cell(c.workload)
         .cell(c.gpu)
         .cell(win.label)
-        .cell(human_time(win.time_per_token))
+        .cell(win.time_per_token, human_time)
         .cell(win.layer_tflops, 1);
   }
-  ctx.emit(t);
-  std::cout << "(the full matrix — 5 families x 4 parts with checkpointed "
-               "resume — runs via `codesign sweep "
-               "--config=examples/sweeps/full_matrix.conf`)\n";
-  return 0;
+  out.note("(the full matrix — 5 families x 4 parts with checkpointed "
+           "resume — runs via `codesign sweep "
+           "--config=examples/sweeps/full_matrix.conf`)\n");
 }
+
+const bench::BenchSpec kSpec{
+    "bench_ext_sweep_matrix",
+    "Extension: workload x hardware scenario matrix (codesign sweep)",
+    {},
+    "Extension: scenario matrix",
+    "2 workload families x {a100, npu-edge} through the SweepDriver",
+    {{"ext.sweep_winners", sweep_winners,
+      "winning variant per cell of the 4-cell scenario matrix",
+      {benchlib::kSuiteExt}}}};
 
 }  // namespace
 }  // namespace codesign
@@ -187,4 +187,4 @@ CODESIGN_BENCH_CASES(ext_sweep_matrix) {
            }});
 }
 
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);
+CODESIGN_BENCH_FIGURE(ext_sweep_matrix, codesign::kSpec);

@@ -4,27 +4,18 @@
 // dependence.
 #include "bench_common.hpp"
 #include "common/math_util.hpp"
-#include "common/strings.hpp"
 #include "transformer/gemm_mapping.hpp"
 
 namespace codesign {
 namespace {
 
-const bench::BenchSpec kSpec{
-    "bench_fig17_18_attention_appendix",
-    "Figs 17/18: KQ^T and score-times-values GEMMs vs h at a = 128",
-    {"a", "b", "s"}};
+void appendix_attention(bench::Rows& out, const gemm::GemmSimulator& sim,
+                        const CliArgs& flags) {
+  const std::int64_t a = flags.get_int("a", 128);
+  const std::int64_t b = flags.get_int("b", 4);
+  const std::int64_t s = flags.get_int("s", 2048);
 
-int body(bench::BenchContext& ctx) {
-  ctx.banner("Figures 17/18",
-             "KQ^T and score-times-values GEMMs vs h at a = 128");
-
-  const std::int64_t a = ctx.args().get_int("a", 128);
-  const std::int64_t b = ctx.args().get_int("b", 4);
-  const std::int64_t s = ctx.args().get_int("s", 2048);
-
-  TableWriter t({"h", "h/a", "pow2(h/a)", "KQ^T TFLOP/s",
-                 "score*V TFLOP/s"});
+  out.table({"h", "h/a", "pow2(h/a)", "KQ^T TFLOP/s", "score*V TFLOP/s"});
   for (std::int64_t h = a * 8; h <= a * 104; h += a * 8) {
     tfm::TransformerConfig cfg;
     cfg.name = "sweep";
@@ -34,9 +25,9 @@ int body(bench::BenchContext& ctx) {
     cfg.seq_len = s;
     cfg.microbatch = b;
     cfg.vocab_size = 50304;
-    const auto score = ctx.sim().estimate(tfm::attention_score_bmm(cfg));
-    const auto aov = ctx.sim().estimate(tfm::attention_over_value_bmm(cfg));
-    t.new_row()
+    const auto score = sim.estimate(tfm::attention_score_bmm(cfg));
+    const auto aov = sim.estimate(tfm::attention_over_value_bmm(cfg));
+    out.row()
         .cell(h)
         .cell(cfg.head_dim())
         .cell(static_cast<std::int64_t>(largest_pow2_dividing(
@@ -44,35 +35,19 @@ int body(bench::BenchContext& ctx) {
         .cell(score.tflops(), 1)
         .cell(aov.tflops(), 1);
   }
-  ctx.emit(t);
-  return 0;
 }
+
+const bench::BenchSpec kSpec{
+    "bench_fig17_18_attention_appendix",
+    "Figs 17/18: KQ^T and score-times-values GEMMs vs h at a = 128",
+    {"a", "b", "s"},
+    "Figures 17/18",
+    "KQ^T and score-times-values GEMMs vs h at a = 128",
+    {{"fig17_18.appendix_attention", appendix_attention,
+      "score + AOV BMM estimates vs h at a = 128",
+      {benchlib::kSuiteFig}}}};
 
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(fig17_18_attention_appendix) {
-  using namespace codesign;
-  reg.add({"fig17_18.appendix_attention", "bench_fig17_18_attention_appendix",
-           "score + AOV BMM estimates vs h at a = 128",
-           {benchlib::kSuiteFig},
-           [](benchlib::CaseContext& c) {
-             for (std::int64_t h = 128 * 8; h <= 128 * 104; h += 128 * 8) {
-               tfm::TransformerConfig cfg;
-               cfg.name = "sweep";
-               cfg.hidden_size = h;
-               cfg.num_heads = 128;
-               cfg.num_layers = 1;
-               cfg.seq_len = 2048;
-               cfg.microbatch = 4;
-               cfg.vocab_size = 50304;
-               c.consume(
-                   c.sim().estimate(tfm::attention_score_bmm(cfg)).tflops());
-               c.consume(c.sim()
-                             .estimate(tfm::attention_over_value_bmm(cfg))
-                             .tflops());
-             }
-           }});
-}
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);
+CODESIGN_BENCH_FIGURE(fig17_18_attention_appendix, codesign::kSpec);

@@ -465,13 +465,6 @@ int body(BenchContext& ctx) {
     std::cerr << "FAIL: response payloads differ across clients/phases\n";
     return 1;
   }
-  if (warm_rps < cold_rps) {
-    // Not fatal for the figure output, but worth a loud line: the shared
-    // cache should make the second pass at least as fast as the first.
-    std::cerr << "WARNING: warm throughput below cold ("
-              << str_format("%.1f < %.1f req/s", warm_rps, cold_rps)
-              << ")\n";
-  }
   return 0;
 }
 

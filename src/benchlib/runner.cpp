@@ -11,7 +11,7 @@ namespace codesign::benchlib {
 gemm::TilePolicy parse_tile_policy(const std::string& name) {
   if (name == "auto") return gemm::TilePolicy::kAuto;
   if (name == "fixed") return gemm::TilePolicy::kFixedLargest;
-  throw Error("--policy must be 'auto' or 'fixed', got '" + name + "'");
+  throw UsageError("--policy must be 'auto' or 'fixed', got '" + name + "'");
 }
 
 const char* tile_policy_name(gemm::TilePolicy policy) {

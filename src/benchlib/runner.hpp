@@ -25,7 +25,7 @@ struct RunOptions {
   std::size_t threads = 1;  ///< workers timing cases concurrently
 };
 
-/// Parse "auto"/"fixed"; throws codesign::Error on anything else.
+/// Parse "auto"/"fixed"; throws UsageError on anything else.
 gemm::TilePolicy parse_tile_policy(const std::string& name);
 const char* tile_policy_name(gemm::TilePolicy policy);
 

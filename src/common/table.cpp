@@ -14,7 +14,7 @@ TableFormat parse_table_format(const std::string& name) {
   if (fmt == "ascii") return TableFormat::kAscii;
   if (fmt == "csv") return TableFormat::kCsv;
   if (fmt == "markdown" || fmt == "md") return TableFormat::kMarkdown;
-  throw Error("--format must be ascii, csv, or markdown; got '" + fmt + "'");
+  throw UsageError("--format must be ascii, csv, or markdown; got '" + fmt + "'");
 }
 
 TableWriter::TableWriter(std::vector<std::string> header)

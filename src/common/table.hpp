@@ -15,7 +15,7 @@ namespace codesign {
 
 enum class TableFormat { kAscii, kCsv, kMarkdown };
 
-/// Parse "ascii" / "csv" / "markdown" (alias "md"); throws codesign::Error
+/// Parse "ascii" / "csv" / "markdown" (alias "md"); throws UsageError
 /// naming the bad value. Shared by the bench harness and codesign-bench.
 TableFormat parse_table_format(const std::string& name);
 

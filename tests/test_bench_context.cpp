@@ -1,12 +1,17 @@
 // Tests for bench/bench_common.hpp — the shared harness every figure
 // binary is built on (flag parsing, unknown-flag rejection, banner/
-// section/table emission, exit-code taxonomy).
+// section/table emission, exit-code taxonomy, the Rows sink) — and for
+// the one-definition contract of bench/bench_cases.hpp: every figure case
+// folds exactly what its binary prints at default flags.
 #include "bench_common.hpp"
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <vector>
 
+#include "bench_cases.hpp"
 #include "common/error.hpp"
 
 namespace codesign::bench {
@@ -33,25 +38,18 @@ TEST(BenchContext, GpuFlag) {
   EXPECT_THROW(make({"--gpu=tpu"}), LookupError);
 }
 
-TEST(BenchContext, SpecDefaultGpu) {
-  BenchSpec spec;
-  spec.default_gpu = "v100";
-  EXPECT_EQ(make({}, spec).gpu().id, "v100-16gb");
-  EXPECT_EQ(make({"--gpu=h100"}, spec).gpu().id, "h100-sxm");
-}
-
 TEST(BenchContext, PolicyFlag) {
   EXPECT_EQ(make({"--policy=fixed"}).sim().policy(),
             gemm::TilePolicy::kFixedLargest);
   EXPECT_EQ(make({"--policy=auto"}).sim().policy(), gemm::TilePolicy::kAuto);
-  EXPECT_THROW(make({"--policy=greedy"}), Error);
+  EXPECT_THROW(make({"--policy=greedy"}), UsageError);
 }
 
 TEST(BenchContext, FormatFlag) {
   EXPECT_EQ(make({"--format=csv"}).format(), TableFormat::kCsv);
   EXPECT_EQ(make({"--format=markdown"}).format(), TableFormat::kMarkdown);
   EXPECT_EQ(make({"--format=md"}).format(), TableFormat::kMarkdown);
-  EXPECT_THROW(make({"--format=xml"}), Error);
+  EXPECT_THROW(make({"--format=xml"}), UsageError);
 }
 
 TEST(BenchContext, DeclaredFlagsReachableViaArgs) {
@@ -115,6 +113,90 @@ TEST(RunBench, BodyReturnCodePropagates) {
   const char* argv[] = {"bench"};
   EXPECT_EQ(run_bench(1, argv, [](BenchContext&) { return 0; }), 0);
   EXPECT_EQ(run_bench(1, argv, [](BenchContext&) { return 7; }), 7);
+}
+
+void sample_figure(Rows& out, const gemm::GemmSimulator&,
+                   const CliArgs& flags) {
+  out.section("part %d", 1);
+  out.table({"name", "n", "x", "t"});
+  out.row().cell("a").cell(flags.get_int("n", 3)).cell(1.25, 2).cell(
+      2e-3, human_time);
+  out.note("(a note)\n");
+  out.line("ratio %.2fx\n", 1.5);
+}
+
+const BenchSpec kSampleSpec{"bench_sample", "sample", {"n"}, "Figure S",
+                            "sample",
+                            {{"sample.part", sample_figure, "the sample",
+                              {benchlib::kSuiteFig}}}};
+
+TEST(Rows, RendersTablesBeforeTheLinesThatFollowThem) {
+  const BenchContext ctx = make({"--format=csv"}, kSampleSpec);
+  ::testing::internal::CaptureStdout();
+  render_part(ctx, kSampleSpec.parts.front());
+  EXPECT_EQ(::testing::internal::GetCapturedStdout(),
+            "\n# --- part 1 ---\nname,n,x,t\na,3,1.25,2.000 ms\n(a note)\n"
+            "ratio 1.50x\n");
+}
+
+TEST(Rows, CaseFoldsWhatTheRenderedFigureFolds) {
+  benchlib::BenchRegistry reg;
+  add_cases(reg, kSampleSpec);
+  ASSERT_EQ(reg.size(), 1u);
+  EXPECT_EQ(reg.cases().front().bench, "bench_sample");
+
+  const BenchContext ctx = make({}, kSampleSpec);
+  benchlib::CaseContext timed(ctx.gpu(), ctx.sim().policy());
+  reg.cases().front().fn(timed);
+  benchlib::CaseContext rendered(ctx.gpu(), ctx.sim().policy());
+  ::testing::internal::CaptureStdout();
+  render_part(ctx, kSampleSpec.parts.front(), &rendered);
+  ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(timed.checksum(), rendered.checksum());
+  EXPECT_NE(timed.checksum(), benchlib::kChecksumSeed);
+
+  // A flag the figure reads moves the fold.
+  const BenchContext other = make({"--n=4"}, kSampleSpec);
+  benchlib::CaseContext moved(other.gpu(), other.sim().policy());
+  ::testing::internal::CaptureStdout();
+  render_part(other, kSampleSpec.parts.front(), &moved);
+  ::testing::internal::GetCapturedStdout();
+  EXPECT_NE(moved.checksum(), timed.checksum());
+}
+
+// The one-definition contract: each figure case's checksum is the fold of
+// the rows its binary prints at default flags (a100, auto tiles). A case
+// that ran its figure at other parameters than the binary's defaults, or
+// folded values the binary does not print, fails here by name.
+TEST(FigureCases, EachCaseFoldsWhatItsBinaryPrintsAtDefaultFlags) {
+  benchlib::BenchRegistry reg;
+  register_all_cases(reg);
+  std::set<std::string> checked;
+  for (const BenchSpec* spec : figure_specs()) {
+    const BenchContext ctx = make({}, *spec);
+    std::map<std::string, benchlib::CaseContext> rendered;
+    ::testing::internal::CaptureStdout();
+    for (const Part& part : spec->parts) {
+      auto it = rendered.try_emplace(part.name, ctx.gpu(), ctx.sim().policy())
+                    .first;
+      render_part(ctx, part, &it->second);
+    }
+    const std::string printed = ::testing::internal::GetCapturedStdout();
+    EXPECT_FALSE(printed.empty()) << spec->name;
+    for (const auto& [name, fold] : rendered) {
+      const benchlib::BenchCase* c = reg.find(name);
+      ASSERT_NE(c, nullptr) << name;
+      EXPECT_EQ(c->bench, spec->name);
+      benchlib::CaseContext timed(ctx.gpu(), ctx.sim().policy());
+      c->fn(timed);
+      EXPECT_EQ(timed.checksum(), fold.checksum())
+          << name << " does not fold what " << spec->name
+          << " prints at its default flags";
+      EXPECT_TRUE(checked.insert(name).second) << name;
+    }
+  }
+  EXPECT_EQ(figure_specs().size(), 30u);
+  EXPECT_EQ(checked.size(), 38u);
 }
 
 }  // namespace

@@ -279,7 +279,7 @@ TEST(RunSuite, ProducesThreadCountInvariantReport) {
 TEST(RunnerHelpers, TilePolicyNames) {
   EXPECT_EQ(parse_tile_policy("auto"), gemm::TilePolicy::kAuto);
   EXPECT_EQ(parse_tile_policy("fixed"), gemm::TilePolicy::kFixedLargest);
-  EXPECT_THROW(parse_tile_policy("greedy"), Error);
+  EXPECT_THROW(parse_tile_policy("greedy"), UsageError);
   EXPECT_STREQ(tile_policy_name(gemm::TilePolicy::kAuto), "auto");
   EXPECT_STREQ(tile_policy_name(gemm::TilePolicy::kFixedLargest), "fixed");
 }
