@@ -6,14 +6,17 @@ Each non-comment manifest line is four tab-separated fields:
     <id>  <exit code>  <hashes>  <command>
 
 <command> is split like a shell word list; its program path is relative to
-the build tree. It runs in a fresh scratch directory, so a file it writes
-to a relative path lands there. <hashes> is "stdout=<h>" followed by
+the build tree, and "{src}" in any word stands for the source tree (an input
+such as a sweep config). It runs in a fresh scratch directory, so a file it
+writes to a relative path lands there. <hashes> is "stdout=<h>" followed by
 ",<file>=<h>" for every file the command left in the scratch directory, in
 name order; <h> is the FNV-1a 64 hash of the bytes, as 16 hex digits.
 stderr is not compared.
 
     tools/golden_outputs.py --build-dir=build tests/golden/outputs.tsv
     tools/golden_outputs.py --build-dir=build --record tests/golden/outputs.tsv
+
+--src-dir names the source tree (default: the tree this script is in).
 
 Checking exits 1 and names every line whose exit code or hashes differ.
 --record rewrites the fields of every line from a run of the current build,
@@ -56,10 +59,10 @@ def parse(path):
     return lines, entries
 
 
-def run(build_dir, command):
+def run(build_dir, src_dir, command):
     """Runs one command; returns (exit code, hashes field)."""
     with tempfile.TemporaryDirectory(prefix="golden_") as tmp:
-        argv = shlex.split(command)
+        argv = [w.replace("{src}", src_dir) for w in shlex.split(command)]
         argv[0] = os.path.join(build_dir, argv[0])
         r = subprocess.run(argv, cwd=tmp, stdout=subprocess.PIPE,
                            stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
@@ -73,14 +76,17 @@ def run(build_dir, command):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--build-dir", required=True)
+    ap.add_argument("--src-dir", default=os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), os.pardir))
     ap.add_argument("--record", action="store_true")
     ap.add_argument("manifest")
     args = ap.parse_args()
 
     build_dir = os.path.abspath(args.build_dir)
+    src_dir = os.path.abspath(args.src_dir)
     lines, entries = parse(args.manifest)
     with concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
-        results = list(pool.map(lambda e: run(build_dir, e[4]), entries))
+        results = list(pool.map(lambda e: run(build_dir, src_dir, e[4]), entries))
 
     if args.record:
         for (i, ident, _, _, command), (code, hashes) in zip(entries,
