@@ -39,7 +39,7 @@ void latency_breakdown(bench::Rows& out, const gemm::GemmSimulator& sim,
   out.table({"component", "time", "share", "TFLOP/s", "kind"});
   for (const auto& o : r.ops) {
     out.row()
-        .cell(o.name)
+        .cell(std::string(o.name))
         .cell(o.time, human_time)
         .cellf("%5.2f%%", 100.0 * o.time / r.total_time)
         .cell(o.tflops, 1)

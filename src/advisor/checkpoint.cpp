@@ -47,10 +47,14 @@ std::string sanitize(std::string s) {
   return s;
 }
 
-// One record line per entry, rendered once when the entry is recorded.
-// Doubles are C99 hexfloats, parsed back bit-exactly by strtod.
+// One record line per entry, rendered once when the entry is recorded,
+// into a buffer reserved for the whole line. Doubles are C99 hexfloats (at
+// most 24 bytes each), parsed back bit-exactly by strtod.
 std::string shape_line(const std::string& name, const CheckpointShapeEntry& e) {
-  std::string line = "C\t" + name;
+  std::string line;
+  line.reserve(name.size() + 5 * 25 + 5);
+  line += "C\t";
+  line += name;
   for (const double v : {e.layer_time, e.layer_tflops, e.speedup_vs_base,
                          e.param_count, e.param_delta_frac}) {
     line += '\t';
@@ -79,9 +83,9 @@ std::string skip_line(const std::string& key, const CheckpointSkipEntry& e) {
 /// Store `line` under `key`; returns the stored line, or null when the key
 /// already held that line.
 template <class Key>
-const std::string* upsert(std::map<Key, std::string>& lines, const Key& key,
+const std::string* upsert(std::map<Key, std::string>& lines, Key key,
                           std::string line) {
-  const auto [it, inserted] = lines.try_emplace(key);
+  const auto [it, inserted] = lines.try_emplace(std::move(key));
   if (!inserted && it->second == line) return nullptr;
   it->second = std::move(line);
   return &it->second;
@@ -258,10 +262,10 @@ void CheckpointWriter::seed_from(const SearchCheckpoint& resumed) {
 
 void CheckpointWriter::record_shape(const std::string& name,
                                     const CheckpointShapeEntry& e) {
-  const std::string key = sanitize(name);
+  std::string key = sanitize(name);
   std::string line = shape_line(key, e);
   std::unique_lock<std::mutex> lock(mu_);
-  note(lock, upsert(shapes_, key, std::move(line)));
+  note(lock, upsert(shapes_, std::move(key), std::move(line)));
 }
 
 void CheckpointWriter::record_mlp(std::int64_t d_ff,
@@ -273,11 +277,11 @@ void CheckpointWriter::record_mlp(std::int64_t d_ff,
 
 void CheckpointWriter::record_skip(const std::string& key,
                                    const CheckpointSkipEntry& e) {
-  const std::string clean_key = sanitize(key);
+  std::string clean_key = sanitize(key);
   std::string line =
       skip_line(clean_key, {e.attempts, sanitize(e.reason)});
   std::unique_lock<std::mutex> lock(mu_);
-  note(lock, upsert(skips_, clean_key, std::move(line)));
+  note(lock, upsert(skips_, std::move(clean_key), std::move(line)));
 }
 
 std::string CheckpointWriter::file_locked() const {

@@ -33,7 +33,7 @@ std::string advise(const TransformerConfig& config,
   TableWriter ops({"operator", "time", "share", "TFLOP/s", "detail"});
   for (const tfm::OpLatency& o : layer.ops) {
     ops.new_row()
-        .cell(o.name)
+        .cell(std::string(o.name))
         .cell(human_time(o.time))
         .cell(str_format("%5.1f%%", 100.0 * o.time / layer.total_time))
         .cell(o.tflops, 1)

@@ -35,9 +35,9 @@ struct BaselineContext {
 };
 
 BaselineContext make_baseline(const TransformerConfig& base,
-                              const gemm::GemmSimulator& sim) {
+                              const gemm::GemmSimulator& sim,
+                              tfm::LayerWorkspace& ws) {
   BaselineContext ctx;
-  tfm::LayerWorkspace ws;
   ctx.layer_time = tfm::layer_total_time(base, sim, ws);
   ctx.param_count = static_cast<double>(tfm::exact_param_count(base));
   return ctx;
@@ -188,9 +188,11 @@ struct SweptSlots {
 /// The guarded sweep every search runs over its `n` generated candidates,
 /// with per-candidate fault isolation, cancellation and checkpoint/resume:
 ///   1. slots a resumed checkpoint holds are filled from it, bit-exact;
-///   2. the rest evaluate under run_guarded, inline at one thread or in
-///      pool chunks that each own one Scratch (so buffer setup amortizes
-///      across the chunk while a fault still touches exactly one slot);
+///   2. the rest evaluate under run_guarded, inline at one thread with the
+///      caller's `serial` scratch (already warm from the caller's own
+///      work), or in pool chunks that each own one Scratch (so buffer setup
+///      amortizes across the chunk while a fault still touches exactly one
+///      slot);
 ///   3. each completion and skip goes to the checkpoint at its own cadence
 ///      (the final flush is the entry point's);
 ///   4. `outcome` receives the counts, the skip report (generation order)
@@ -203,9 +205,9 @@ struct SweptSlots {
 template <typename Scratch, typename Key, typename Resumed, typename Evaluate,
           typename Record, typename ConfigOf>
 auto guarded_sweep(std::size_t n, const SearchOptions& options,
-                   SweepRecord& outcome, const Key& key, const Resumed& resumed,
-                   const Evaluate& evaluate, const Record& record,
-                   const ConfigOf& config_of) {
+                   SweepRecord& outcome, Scratch& serial, const Key& key,
+                   const Resumed& resumed, const Evaluate& evaluate,
+                   const Record& record, const ConfigOf& config_of) {
   using Slot = std::invoke_result_t<Evaluate, std::size_t, Scratch&>;
   SweptSlots<Slot> out;
   out.slots.resize(n);
@@ -247,8 +249,7 @@ auto guarded_sweep(std::size_t n, const SearchOptions& options,
     }
   };
   if (options.threads == 1) {
-    Scratch scratch;
-    for (std::size_t i = 0; i < n; ++i) evaluate_one(i, scratch);
+    for (std::size_t i = 0; i < n; ++i) evaluate_one(i, serial);
   } else {
     ThreadPool pool(options.threads);
     pool.parallel_for_ranges(n, [&](std::size_t begin, std::size_t end) {
@@ -328,16 +329,18 @@ SearchOutcome evaluate_pipeline(
   // takes no locks and reads no clocks.
 
   // The baseline context is evaluated unguarded: without it no candidate
-  // can be scored, so a fault here aborts the sweep in any policy.
-  const BaselineContext base = make_baseline(baseline, sim);
+  // can be scored, so a fault here aborts the sweep in any policy. Its
+  // workspace is the one-thread sweep's.
+  tfm::LayerWorkspace ws;
+  const BaselineContext base = make_baseline(baseline, sim, ws);
 
   SearchOutcome outcome;
   SweptSlots<ShapeScores> swept;
   {
     obs::ScopedEvent span("search", "evaluate");
     obs::ScopedTimer timer("advisor.search.evaluate_us");
-    swept = guarded_sweep<tfm::LayerWorkspace>(
-        configs.size(), options, outcome,
+    swept = guarded_sweep(
+        configs.size(), options, outcome, ws,
         [&](std::size_t i) -> const std::string& { return configs[i].name; },
         [&](const SearchCheckpoint& cp, std::size_t i) {
           return cp.shape(configs[i].name);
@@ -595,8 +598,8 @@ ShapeCandidate evaluate_candidate(const TransformerConfig& config,
                                   const TransformerConfig& baseline,
                                   const gemm::GemmSimulator& sim) {
   tfm::LayerWorkspace ws;
-  return make_candidate(
-      config, evaluate_against(config, make_baseline(baseline, sim), sim, ws));
+  const BaselineContext base = make_baseline(baseline, sim, ws);
+  return make_candidate(config, evaluate_against(config, base, sim, ws));
 }
 
 SearchOutcome run_grid_search(const std::vector<TransformerConfig>& configs,
@@ -803,8 +806,9 @@ MlpSearchOutcome run_mlp_search(const TransformerConfig& base,
   };
 
   MlpSearchOutcome outcome;
-  const SweptSlots<CheckpointMlpEntry> swept = guarded_sweep<MlpScratch>(
-      widths.size(), options, outcome, skip_key,
+  MlpScratch serial;
+  const SweptSlots<CheckpointMlpEntry> swept = guarded_sweep(
+      widths.size(), options, outcome, serial, skip_key,
       [&](const SearchCheckpoint& cp, std::size_t i) {
         return cp.mlp(widths[i]);
       },

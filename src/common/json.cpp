@@ -1,9 +1,12 @@
 #include "common/json.hpp"
 
+#include <array>
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <ostream>
 
 #include "common/error.hpp"
@@ -341,9 +344,37 @@ void Value::set(std::string key, Value v) {
 
 namespace {
 
+/// True when a byte of `s` is below 0x20, '"' or '\\', eight bytes at a
+/// time (the exact zero-byte and byte-below-n tests of "Bit Twiddling
+/// Hacks"); the last word is padded with a byte that needs no escape.
+bool needs_escape(std::string_view s) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+  constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
+  const auto zero_byte = [](std::uint64_t x) {
+    return (x - kOnes) & ~x & kHigh;
+  };
+  const auto any = [&](std::uint64_t w) {
+    return (((w - kOnes * 0x20) & ~w & kHigh) | zero_byte(w ^ (kOnes * '"')) |
+            zero_byte(w ^ (kOnes * '\\'))) != 0;
+  };
+  std::uint64_t w = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= s.size(); i += 8) {
+    std::memcpy(&w, s.data() + i, sizeof(w));
+    if (any(w)) return true;
+  }
+  w = kOnes * 'a';
+  std::memcpy(&w, s.data() + i, s.size() - i);
+  return any(w);
+}
+
 /// escape() and format_double(), appending to `out` with no temporary.
 void append_escaped(std::string& out, std::string_view s) {
   static constexpr char kHex[] = "0123456789abcdef";
+  if (!needs_escape(s)) {
+    out += s;
+    return;
+  }
   std::size_t run = 0;  // start of the pending run of bytes that need no escape
   for (std::size_t i = 0; i < s.size(); ++i) {
     const unsigned char c = static_cast<unsigned char>(s[i]);
@@ -365,11 +396,110 @@ void append_escaped(std::string& out, std::string_view s) {
   out.append(s.data() + run, s.size() - run);
 }
 
+/// Lays out the `n` significant digits `d` (no trailing zeros) of a value
+/// with decimal exponent `exp` as printf's %.<precision>g does: style f
+/// when precision > exp >= -4, else style e with two exponent digits or more.
+void append_g(std::string& out, bool negative, const char* d, int n, int exp,
+              int precision) {
+  const auto z = [](int k) { return static_cast<std::size_t>(k); };
+  if (negative) out += '-';
+  if (exp < -4 || exp >= precision) {
+    out += d[0];
+    if (n > 1) out.append(1, '.').append(d + 1, z(n - 1));
+    out.append(exp < 0 ? "e-" : "e+", 2);
+    if (exp > -10 && exp < 10) out += '0';
+    append_int(out, exp < 0 ? -exp : exp);
+  } else if (exp < 0) {
+    out.append("0.", 2).append(z(-exp - 1), '0').append(d, z(n));
+  } else if (n <= exp + 1) {
+    out.append(d, z(n)).append(z(exp + 1 - n), '0');
+  } else {
+    out.append(d, z(exp + 1)).append(1, '.');
+    out.append(d + exp + 1, z(n - exp - 1));
+  }
+}
+
+using u128 = unsigned __int128;
+
+constexpr auto kPow5 = [] {
+  std::array<u128, 33> t{};  // m * 5^32 < 2^53 * 2^75 still fits 128 bits
+  t[0] = 1;
+  for (std::size_t i = 1; i < t.size(); ++i) t[i] = t[i - 1] * 5;
+  return t;
+}();
+
+/// |v| * 10^p as the exact quotient a / 2^shift, for |v| = m * 2^q; set()
+/// fails when that does not fit (an integer or a too fine scale).
+struct Scaled {
+  u128 a = 0;
+  int shift = 0;
+  bool set(std::uint64_t m, int q, int p) {
+    shift = -(q + p);
+    a = m * kPow5[static_cast<std::size_t>(p < 0 || p > 32 ? 0 : p)];
+    return p >= 0 && p <= 32 && shift >= 1 && shift <= 125;
+  }
+  u128 floor() const { return a >> shift; }
+  u128 rem() const { return a - (floor() << shift); }
+  /// Rounded half to even, the way printf rounds an exact value; returns
+  /// the digits, without trailing zeros, in `d` and their count.
+  int digits(char* d, int* exp, int count) const {
+    const u128 half = u128{1} << (shift - 1);
+    auto n = static_cast<std::uint64_t>(floor());
+    if (rem() > half || (rem() == half && (n & 1) != 0)) ++n;
+    char* end = std::to_chars(d, d + 20, n).ptr;
+    if (end - d > count) ++*exp;  // rounded up into the next decade
+    while (end > d + 1 && end[-1] == '0') --end;
+    return static_cast<int>(end - d);
+  }
+};
+
+/// format_double's rule for a normal double, in 128-bit integers. With
+/// |v| = m * 2^q and p chosen so |v| * 10^p has 15 integer digits, its
+/// half-even rounding R15 is %.15g's digits. R15 reads back as v (parsing
+/// rounds to nearest, ties to even) exactly when it lies within half the
+/// gap to v's neighbour on its side: 2^q, scaled to 5^p, and half that
+/// below a power of two; the bound itself counts when m is even.
+/// Otherwise the digits are %.17g's, the same quotient at p + 2. Returns
+/// false, appending nothing, when a quotient does not fit 128 bits (|v|
+/// outside about 1e-18 .. 1e14).
+bool append_double_exact(std::string& out, double v) {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  const std::uint64_t m = (bits & ((std::uint64_t{1} << 52) - 1)) |
+                          (std::uint64_t{1} << 52);
+  const int e2 = static_cast<int>((bits >> 52) & 0x7FF) - 1023;
+  const int q = e2 - 52;
+  // exp = floor(log10 |v|); this estimate is never above it and at most
+  // two below, so step up while the quotient has 16 integer digits.
+  int exp = (e2 * 78913) >> 18;
+  Scaled s;
+  for (;; ++exp) {
+    if (!s.set(m, q, 14 - exp)) return false;
+    if (s.floor() < 1000000000000000ULL) break;
+  }
+  const u128 half = u128{1} << (s.shift - 1);
+  const bool down =
+      s.rem() < half || (s.rem() == half && (s.floor() & 1) == 0);
+  const u128 off = down ? s.rem() : (u128{1} << s.shift) - s.rem();
+  const u128 twice_off = off * (down && m == (std::uint64_t{1} << 52) ? 4 : 2);
+  const u128 gap = kPow5[static_cast<std::size_t>(14 - exp)];
+  const bool r15 = twice_off < gap || (twice_off == gap && (m & 1) == 0);
+  if (!r15 && !s.set(m, q, 16 - exp)) return false;
+  char d[20];
+  const int n = s.digits(d, &exp, r15 ? 15 : 17);
+  append_g(out, v < 0.0, d, n, exp, r15 ? 15 : 17);
+  return true;
+}
+
+/// format_double's rule: printf's %.15g when it reads back as `v`, else
+/// %.17g. Normal doubles of ordinary magnitude take append_double_exact();
+/// the rest (zero, subnormals, non-finite values, far exponents) run the
+/// rule itself: %.15g, a std::from_chars round trip, else %.17g.
 void append_double(std::string& out, double v) {
+  if (std::isnormal(v) && append_double_exact(out, v)) return;
   // %.17g is at most 24 characters ("-1.7976931348623157e+308").
   char buf[32];
-  auto r = std::to_chars(buf, buf + sizeof(buf), v,
-                         std::chars_format::general, 15);
+  auto r = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                         15);
   double back = 0.0;
   const auto parsed = std::from_chars(buf, r.ptr, back);
   if (parsed.ec != std::errc() || back != v) {

@@ -12,11 +12,13 @@
 // The writing half is json::Writer. It appends to a std::string with
 // automatic comma/key management and per-container compact/pretty styles;
 // every report and serve payload goes through it, so "emits JSON" means one
-// code path. Strings are escaped in place. Numbers come from <charconv>:
-// integers from std::to_chars, doubles from format_double's
-// %.15g-else-%.17g rule, computed with std::to_chars and a std::from_chars
-// round trip (the bytes printf gives). The std::ostream form fills the same
-// string and writes it to the stream once, when the document completes.
+// code path. Strings are escaped in place; one that needs no escape
+// (checked eight bytes at a time) is appended whole. Numbers come from
+// <charconv>: integers from std::to_chars, doubles from format_double's
+// %.15g-else-%.17g rule (the bytes printf gives), computed in 128-bit
+// integers for ordinary magnitudes and with std::to_chars otherwise. The
+// std::ostream form fills the same string and writes it to the stream
+// once, when the document completes.
 // json::escape and json::format_double remain exposed for callers that
 // splice fragments by hand.
 #pragma once

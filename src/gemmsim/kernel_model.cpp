@@ -48,24 +48,27 @@ BoundBreakdown bound_breakdown(const KernelEstimate& e) {
 
 KernelEstimate estimate_with_tile(const GemmProblem& problem,
                                   const gpu::TileConfig& tile,
-                                  const gpu::GpuSpec& gpu) {
-  problem.validate();
+                                  const gpu::GpuSpec& gpu,
+                                  const ProblemTerms* terms) {
+  if (terms == nullptr) problem.validate();
   KernelEstimate e;
   e.problem = problem;
   e.tile = tile;
   e.tile_q = tile_quantization(problem, tile);
   e.wave_q = wave_quantization(e.tile_q.tiles_total, tile, gpu);
-  const ProblemTerms terms = problem_terms(
-      problem, gpu,
-      gpu::alignment_efficiency(problem.m, problem.n, problem.k,
-                                problem.dtype, gpu));
-  e.alignment = terms.alignment;
+  const ProblemTerms t =
+      terms != nullptr
+          ? *terms
+          : problem_terms(problem, gpu,
+                          gpu::alignment_efficiency(problem.m, problem.n,
+                                                    problem.k, problem.dtype,
+                                                    gpu));
+  e.alignment = t.alignment;
   const TileTiming timing =
-      tile_timing(e.tile_q, e.wave_q.efficiency, tile.intrinsic_efficiency,
-                  terms);
+      tile_timing(e.tile_q, e.wave_q.efficiency, tile.intrinsic_efficiency, t);
   e.compute_time = timing.compute_time;
   e.memory_time = timing.memory_time;
-  e.launch_overhead = terms.launch_overhead;
+  e.launch_overhead = t.launch_overhead;
   e.time = timing.time;
   e.bound = timing.bound;
   return e;

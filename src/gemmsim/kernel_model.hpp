@@ -79,11 +79,6 @@ struct BoundBreakdown {
 /// breakdowns because their KernelEstimates are already bit-identical.
 BoundBreakdown bound_breakdown(const KernelEstimate& estimate);
 
-/// Evaluate the model for a specific tile configuration.
-KernelEstimate estimate_with_tile(const GemmProblem& problem,
-                                  const gpu::TileConfig& tile,
-                                  const gpu::GpuSpec& gpu);
-
 /// Problem-level terms of the tile loop — everything in the latency model
 /// that does not depend on the candidate tile, computed once per problem
 /// and shared across the whole catalogue. estimate_with_tile() and the
@@ -115,6 +110,14 @@ inline ProblemTerms problem_terms(const GemmProblem& problem,
   t.accumulate_into_c = problem.accumulate_into_c;
   return t;
 }
+
+/// Evaluate the model for a specific tile configuration. Without `terms`
+/// it validates the problem and walks the alignment ladder; a caller that
+/// already has the terms (the PreparedCatalogue's table) passes them.
+KernelEstimate estimate_with_tile(const GemmProblem& problem,
+                                  const gpu::TileConfig& tile,
+                                  const gpu::GpuSpec& gpu,
+                                  const ProblemTerms* terms = nullptr);
 
 /// Per-tile timing outputs of the shared core.
 struct TileTiming {

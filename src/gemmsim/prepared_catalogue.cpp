@@ -119,6 +119,7 @@ PreparedCatalogue::PreparedCatalogue(
 }
 
 std::size_t PreparedCatalogue::select(const GemmProblem& problem,
+                                      ProblemTerms* terms_out,
                                       double* best_time) const {
   const bool selecting = policy_ == TilePolicy::kAuto;
   // The failpoint fires per selection with the problem hash as its token,
@@ -127,13 +128,14 @@ std::size_t PreparedCatalogue::select(const GemmProblem& problem,
     CODESIGN_FAILPOINT_T("gemmsim.select_kernel", problem.hash_value());
   }
   problem.validate();
+  const ProblemTerms terms = problem_terms(
+      problem, *gpu_,
+      alignment_.evaluate(problem.m, problem.n, problem.k, problem.dtype));
+  if (terms_out != nullptr) *terms_out = terms;
   if (obs::EventRecorder* recorder = obs::EventRecorder::active();
       selecting && recorder != nullptr) {
     return select_traced(problem, *gpu_, tiles_, *recorder, best_time);
   }
-  const ProblemTerms terms = problem_terms(
-      problem, *gpu_,
-      alignment_.evaluate(problem.m, problem.n, problem.k, problem.dtype));
   // tile_timing() checks the rate of each tile it times; the rate is
   // monotone in the efficiency, so this covers the skipped tiles too.
   CODESIGN_CHECK(terms.math_base * min_intrinsic_ > 0.0,
@@ -166,7 +168,7 @@ std::size_t PreparedCatalogue::select(const GemmProblem& problem,
         std::max(useful_flops / (terms.math_base * t.intrinsic_efficiency),
                  memory_floor) +
         terms.launch_overhead;
-    if (bound > best) {
+    if (i > 0 && bound >= best) {  // at best a tie: the earlier entry wins
       if (sorted_) break;  // later bounds are no smaller
       continue;
     }
@@ -209,13 +211,15 @@ std::size_t PreparedCatalogue::select(const GemmProblem& problem,
 
 KernelEstimate PreparedCatalogue::estimate_one(
     const GemmProblem& problem) const {
+  ProblemTerms terms;
   double time = 0.0;
-  return estimate_with_tile(problem, tiles_[select(problem, &time)], *gpu_);
+  const std::size_t best = select(problem, &terms, &time);
+  return estimate_with_tile(problem, tiles_[best], *gpu_, &terms);
 }
 
 double PreparedCatalogue::time_one(const GemmProblem& problem) const {
   double time = 0.0;
-  select(problem, &time);
+  select(problem, nullptr, &time);
   return time;
 }
 

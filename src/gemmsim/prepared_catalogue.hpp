@@ -11,11 +11,12 @@
 //                 unpadded_traffic / bandwidth) + launch,
 // tile_timing()'s expressions with the real dims in place of the padded
 // ones and no wave padding. IEEE rounding is monotone, so bound_i never
-// exceeds tile i's time; a tile is skipped only when bound_i is strictly
-// greater than the best time so far, so it could not have won and ties
-// still go to the earlier entry. When the efficiencies never increase along
-// the catalogue (checked at construction) the bounds never decrease and the
-// scan stops at the first skip. Power-of-two tile dims quantize by shifts.
+// exceeds tile i's time; a tile after the first is skipped when bound_i is
+// at least the best time so far: it could at best tie, and ties go to the
+// earlier entry. When the efficiencies never increase along the catalogue
+// (checked at construction) the bounds never decrease and the scan stops
+// at the first skip. Power-of-two tile dims quantize by shifts. The winner's
+// full estimate reuses the scan's problem terms, alignment included.
 //
 // Under kAuto with an obs::EventRecorder installed the scan prunes nothing:
 // it times every tile through estimate_with_tile() and records the
@@ -66,9 +67,11 @@ class PreparedCatalogue {
 
  private:
   /// The shared preamble (failpoint, validation, metrics) and the scan, or
-  /// the traced walk under a recorder; returns the winning tile's index
-  /// and stores its time in `best_time`.
-  std::size_t select(const GemmProblem& problem, double* best_time) const;
+  /// the traced walk under a recorder; returns the winning tile's index,
+  /// stores the problem's terms (alignment from the table) in `terms` when
+  /// it is not null, and the winning time in `best_time`.
+  std::size_t select(const GemmProblem& problem, ProblemTerms* terms,
+                     double* best_time) const;
 
   const gpu::GpuSpec* gpu_;  ///< registry- or caller-owned, never null
   TilePolicy policy_;

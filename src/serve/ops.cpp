@@ -230,7 +230,7 @@ OpResult op_advise(const Request& request, const OpContext& context) {
   advisor::ReportOptions options;  // threads = 1: concurrency is per-request
   std::ostringstream os;
   render_advise(os, cfg, sim, options);
-  OpResult result{kExitOk, os.str()};
+  OpResult result{kExitOk, os.str(), {}};
   if (request.body.bool_or("attribution", false)) {
     // Compact (single-line) so the envelope stays one frame of the
     // newline-delimited protocol. Sensitivity probes are a CLI-side
@@ -290,7 +290,7 @@ OpResult op_advise_many(const Request& request, const OpContext& context) {
   }
   w.end_array();
   payload += '\n';
-  OpResult result{kExitOk, std::move(payload)};
+  OpResult result{kExitOk, std::move(payload), {}};
   if (want_attribution) {
     aw.end_array();
     result.attribution = std::move(attribution);
@@ -320,7 +320,7 @@ OpResult op_search(const Request& request, const OpContext& context) {
   const gemm::GemmSimulator sim = sim_from_body(request.body, context);
   std::ostringstream os;
   const int code = render_search(os, sr, sim);
-  return {code, os.str()};
+  return {code, os.str(), {}};
 }
 
 OpResult op_estimate(const Request& request, const OpContext& context) {
@@ -329,7 +329,7 @@ OpResult op_estimate(const Request& request, const OpContext& context) {
   const gemm::GemmSimulator sim = sim_from_body(request.body, context);
   std::ostringstream os;
   render_estimate(os, p, sim);
-  return {kExitOk, os.str()};
+  return {kExitOk, os.str(), {}};
 }
 
 OpResult op_explain(const Request& request, const OpContext& context) {
@@ -338,7 +338,7 @@ OpResult op_explain(const Request& request, const OpContext& context) {
   const gemm::GemmSimulator sim = sim_from_body(request.body, context);
   std::ostringstream os;
   render_explain(os, p, sim);
-  return {kExitOk, os.str()};
+  return {kExitOk, os.str(), {}};
 }
 
 /// Run a declarative workload x hardware scenario matrix (docs/SWEEP.md).
@@ -364,7 +364,7 @@ OpResult op_sweep(const Request& request, const OpContext& context) {
   options.cancel = context.cancel;
   const sweep::SweepResult result = sweep::run_sweep(plan, options);
   return {result.truncated ? kExitCancelled : kExitOk,
-          sweep::sweep_report_json(result, /*compact=*/true) + "\n"};
+          sweep::sweep_report_json(result, /*compact=*/true) + "\n", {}};
 }
 
 /// Best-effort process health gauges folded into a stats snapshot: resident
@@ -427,7 +427,7 @@ OpResult op_stats(const Request& request, const OpContext& context) {
       {.include_best_effort = true});
   if (context.cache != nullptr) context.cache->append_metrics(snap);
   append_process_series(snap, context);
-  return {kExitOk, format == "prom" ? snap.to_prom() : snap.to_json()};
+  return {kExitOk, format == "prom" ? snap.to_prom() : snap.to_json(), {}};
 }
 
 /// Last-N completed requests with phase breakdowns, newest (or slowest)
@@ -445,7 +445,7 @@ OpResult op_tail(const Request& request, const OpContext& context) {
   if (raw_n < 1) throw UsageError("tail: \"n\" must be >= 1");
   const auto n = static_cast<std::size_t>(std::min<std::int64_t>(raw_n, 4096));
   const std::string filter = request.body.string_or("filter", "slow");
-  return {kExitOk, render_tail(context.trace_log->tail(n, filter))};
+  return {kExitOk, render_tail(context.trace_log->tail(n, filter)), {}};
 }
 
 /// Liveness + load in one probe. Bypasses admission control (the moment a
@@ -477,7 +477,7 @@ OpResult op_health(const Request& request, const OpContext& context) {
   w.member("uptime_s", static_cast<long long>(h.uptime_s));
   w.end_object();
   payload += '\n';
-  return {kExitOk, std::move(payload)};
+  return {kExitOk, std::move(payload), {}};
 }
 
 /// Diagnostic op: hold a worker for "ms" (capped at 10 s), polling the
@@ -492,7 +492,8 @@ OpResult op_sleep(const Request& request, const OpContext& context) {
     check_deadline(context, "sleep completed");
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  return {kExitOk, str_format("slept %lld ms\n", static_cast<long long>(ms))};
+  return {kExitOk, str_format("slept %lld ms\n", static_cast<long long>(ms)),
+          {}};
 }
 
 }  // namespace
@@ -508,7 +509,7 @@ OpResult execute_op(const Request& request, const OpContext& context) {
   if (request.op == "tail") return op_tail(request, context);
   if (request.op == "health") return op_health(request, context);
   if (request.op == "sleep") return op_sleep(request, context);
-  if (request.op == "ping") return {kExitOk, "pong\n"};
+  if (request.op == "ping") return {kExitOk, "pong\n", {}};
   throw UsageError("unknown op '" + request.op +
                    "' (advise|advise_many|search|sweep|estimate|explain|stats|"
                    "tail|health|ping|sleep)");

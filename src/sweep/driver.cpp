@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string_view>
 #include <utility>
 
 #include "common/error.hpp"
@@ -9,18 +10,6 @@
 #include "gpuarch/gpu_spec.hpp"
 
 namespace codesign::sweep {
-
-namespace {
-
-/// Cell-unique candidate name: the search checkpoint keys records by
-/// config name, and the whole matrix shares one checkpoint file, so every
-/// (workload, variant, gpu) triple must map to a distinct name.
-std::string candidate_name(const WorkloadSpec& wl, const WorkloadVariant& v,
-                           const std::string& gpu) {
-  return wl.name + "/" + v.label + "@" + gpu;
-}
-
-}  // namespace
 
 SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
   // run_grid_search leaves fingerprint validation to its caller; the sweep
@@ -35,6 +24,7 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
   result.name = plan.name;
   result.gpus = plan.gpus;
   result.planned_cells = plan.cells();
+  result.cells.reserve(plan.cells());
   for (const WorkloadSpec& wl : plan.workloads) {
     result.workloads.push_back(
         {wl.name, wl.family, wl.base.to_string(), wl.variants.size()});
@@ -50,6 +40,14 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
   }
 
   for (const WorkloadSpec& wl : plan.workloads) {
+    // The workload's variants by label, and its candidate configs, built
+    // once for all of its cells; each cell only renames the configs.
+    std::map<std::string_view, const WorkloadVariant*> by_label;
+    for (const WorkloadVariant& v : wl.variants) by_label.emplace(v.label, &v);
+    std::vector<tfm::TransformerConfig> configs;
+    configs.reserve(wl.variants.size());
+    for (const WorkloadVariant& v : wl.variants) configs.push_back(v.config);
+
     for (std::size_t g = 0; g < plan.gpus.size(); ++g) {
       const std::string& gpu = plan.gpus[g];
       const gemm::GemmSimulator& sim = sims[g];
@@ -58,18 +56,23 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
         result.cancel_reason = options.cancel->reason();
         break;
       }
-      const std::string cell_key = wl.name + "@" + gpu;
-      CODESIGN_FAILPOINT_T("sweep.cell", fail::token(cell_key));
+      CODESIGN_FAILPOINT_T("sweep.cell", fail::token(wl.name + "@" + gpu));
 
-      std::vector<tfm::TransformerConfig> configs;
-      configs.reserve(wl.variants.size());
-      std::map<std::string, const WorkloadVariant*> by_name;
-      for (const WorkloadVariant& v : wl.variants) {
-        tfm::TransformerConfig c = v.config;
-        c.name = candidate_name(wl, v, gpu);
-        by_name.emplace(c.name, &v);
-        configs.push_back(std::move(c));
+      // Cell-unique candidate names, "workload/label@gpu": the search
+      // checkpoint keys records by config name, and the whole matrix shares
+      // one checkpoint file, so every (workload, variant, gpu) triple must
+      // map to a distinct name. The label is the name minus the known
+      // prefix and suffix.
+      for (std::size_t i = 0; i < configs.size(); ++i) {
+        configs[i].name.assign(wl.name).append(1, '/');
+        configs[i].name.append(wl.variants[i].label).append(1, '@');
+        configs[i].name.append(gpu);
       }
+      const auto variant_of =
+          [&](const std::string& name) -> const WorkloadVariant& {
+        return *by_label.at(std::string_view(name).substr(
+            wl.name.size() + 1, name.size() - wl.name.size() - gpu.size() - 2));
+      };
 
       advisor::SearchOptions so;
       so.threads = options.threads;
@@ -78,7 +81,7 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
       so.cancel = options.cancel;
       so.checkpoint = options.checkpoint;
       so.resume = options.resume;
-      const advisor::SearchOutcome outcome =
+      advisor::SearchOutcome outcome =
           advisor::run_grid_search(configs, wl.base, sim, so);
 
       result.evaluated += outcome.evaluated;
@@ -95,33 +98,34 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
       cell.workload = wl.name;
       cell.family = wl.family;
       cell.gpu = gpu;
-      for (const advisor::ShapeCandidate& cand : outcome.ranked) {
-        const WorkloadVariant& v = *by_name.at(cand.config.name);
+      cell.variants.reserve(outcome.ranked.size());
+      for (advisor::ShapeCandidate& cand : outcome.ranked) {
+        const WorkloadVariant& v = variant_of(cand.config.name);
         SweepVariantResult vr;
         vr.label = v.label;
         vr.note = v.note;
-        vr.config = cand.config;
         vr.layer_time = cand.layer_time;
         vr.layer_tflops = cand.layer_tflops;
         vr.time_per_token =
             cand.layer_time / static_cast<double>(cand.config.tokens());
         vr.param_count = cand.param_count;
         vr.rules_pass = cand.rules_pass;
+        vr.config = std::move(cand.config);
         cell.variants.push_back(std::move(vr));
       }
       // Families vary seq_len within one cell, so the comparable score is
-      // time per token, not raw layer time; (tpt, label) is a total order.
-      std::stable_sort(cell.variants.begin(), cell.variants.end(),
-                       [](const SweepVariantResult& a,
-                          const SweepVariantResult& b) {
-                         if (a.time_per_token != b.time_per_token) {
-                           return a.time_per_token < b.time_per_token;
-                         }
-                         return a.label < b.label;
-                       });
+      // time per token, not raw layer time; labels are unique within a
+      // workload, so (tpt, label) is a total order.
+      std::sort(cell.variants.begin(), cell.variants.end(),
+                [](const SweepVariantResult& a, const SweepVariantResult& b) {
+                  if (a.time_per_token != b.time_per_token) {
+                    return a.time_per_token < b.time_per_token;
+                  }
+                  return a.label < b.label;
+                });
       for (const advisor::SkippedCandidate& s : outcome.skipped) {
         cell.skipped.push_back(
-            {by_name.at(s.config.name)->label, s.reason, s.attempts});
+            {variant_of(s.config.name).label, s.reason, s.attempts});
       }
       if (!cell.variants.empty()) {
         cell.attribution =

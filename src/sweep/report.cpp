@@ -21,17 +21,18 @@ struct RankRow {
 std::vector<RankRow> rank_workload(const SweepResult& r,
                                    const std::string& workload) {
   std::vector<RankRow> rows;
+  rows.reserve(r.gpus.size());
   for (const SweepCell& c : r.cells) {
     if (c.workload != workload || c.variants.empty()) continue;
     rows.push_back({&c, c.variants.front().time_per_token});
   }
-  std::stable_sort(rows.begin(), rows.end(),
-                   [](const RankRow& a, const RankRow& b) {
-                     if (a.time_per_token != b.time_per_token) {
-                       return a.time_per_token < b.time_per_token;
-                     }
-                     return a.cell->gpu < b.cell->gpu;
-                   });
+  // A workload has one cell per GPU, so (tpt, gpu) is a total order.
+  std::sort(rows.begin(), rows.end(), [](const RankRow& a, const RankRow& b) {
+    if (a.time_per_token != b.time_per_token) {
+      return a.time_per_token < b.time_per_token;
+    }
+    return a.cell->gpu < b.cell->gpu;
+  });
   return rows;
 }
 

@@ -1,5 +1,7 @@
 #include "transformer/attribution.hpp"
 
+#include <algorithm>
+
 namespace codesign::tfm {
 
 namespace {
@@ -40,7 +42,7 @@ gemm::Bound dominant_bound(const BoundHistogram& h) {
 FamilyAttribution family_of(OpLatency&& o) {
   FamilyAttribution f;
   f.op = o.op;
-  f.name = std::move(o.name);
+  f.name = o.name;
   f.count = 1;
   f.time = o.time;
   f.bound = o.breakdown.bound;
@@ -66,6 +68,8 @@ LayerAttribution fold_layer(LayerLatencyReport&& layer) {
   r.gemm_time = layer.gemm_time;
   r.non_gemm_time = layer.non_gemm_time;
   r.total_time = layer.total_time;
+  r.gemms.reserve(static_cast<std::size_t>(std::count_if(
+      layer.ops.begin(), layer.ops.end(), [](auto& o) { return o.is_gemm; })));
   gemm::BoundBreakdown acc;
   for (OpLatency& o : layer.ops) {
     add_op(r.histogram, acc, o);
@@ -118,7 +122,7 @@ ModelAttribution attribute_model(const TransformerConfig& config,
   // model-level ops, so the totals are its totals.
   ModelLatencyReport model = analyze_model(config, sim);
   ModelAttribution r;
-  r.config = config;
+  r.config = std::move(model.config);
   r.layer = fold_layer(std::move(model.layer));
   r.embedding_time = model.embedding_time;
   r.final_ln_time = model.final_ln_time;
@@ -126,6 +130,7 @@ ModelAttribution attribute_model(const TransformerConfig& config,
   r.total_time = model.total_time;
   const double layers = static_cast<double>(config.num_layers);
 
+  r.gemms.reserve(r.layer.gemms.size() + model.model_level.size());
   for (const FamilyAttribution& f : r.layer.gemms) {
     FamilyAttribution g = f;
     g.count = static_cast<std::uint64_t>(config.num_layers);

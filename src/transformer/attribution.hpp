@@ -19,6 +19,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gemmsim/kernel_model.hpp"
@@ -33,7 +34,7 @@ namespace codesign::tfm {
 /// FlashAttention op) within a layer or a whole forward pass.
 struct FamilyAttribution {
   LayerOp op = LayerOp::kQkvTransform;
-  std::string name;     ///< op_name(op)
+  std::string_view name;  ///< op_name(op), a static string
   std::uint64_t count = 0;  ///< instances (1 per layer; L or 1 per model)
   double time = 0.0;    ///< seconds (summed over instances)
   double share = 0.0;   ///< time / total GEMM time of the rollup

@@ -205,6 +205,7 @@ void layer_ops_into(const ValidatedConfig& valid, std::vector<MappedOp>& ops) {
   const double e = d.esize;
 
   ops.clear();
+  ops.reserve(14);  // the longest schedule: rotary, SwiGLU, not parallel
 
   // LayerNorm 1: read x, write y (running stats stay on chip).
   ops.push_back(elementwise_op(LayerOp::kLayerNorm1,

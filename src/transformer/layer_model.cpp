@@ -111,6 +111,7 @@ double walk_layer(const ValidatedConfig& config,
                   std::vector<OpLatency>* records) {
   layer_ops_into(config, ws.ops);
   ws.gemms.clear();
+  ws.gemms.reserve(ws.ops.size());
   for (const MappedOp& op : ws.ops) {
     if (op.gemm.has_value()) ws.gemms.push_back(*op.gemm);
   }
@@ -120,6 +121,7 @@ double walk_layer(const ValidatedConfig& config,
   } else {
     ws.estimates.resize(ws.gemms.size());
     sim.estimate_many(ws.gemms, ws.estimates, ws.batch);
+    records->reserve(records->size() + ws.ops.size());
   }
   double total = 0.0;
   std::size_t g = 0;

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gemmsim/simulator.hpp"
@@ -47,7 +48,7 @@ std::string detail_text(const OpDetail& detail);
 /// Latency of a single operator instance.
 struct OpLatency {
   LayerOp op;
-  std::string name;       ///< op_name(op)
+  std::string_view name;  ///< op_name(op), a static string
   bool is_gemm = false;
   double time = 0.0;      ///< seconds
   double flops = 0.0;     ///< useful math

@@ -31,8 +31,9 @@ ProfileResult profile_model(const TransformerConfig& config,
         sim.simulate(*op.gemm);
       }
       obs::TraceEvent span;
-      span.name = str_format("L%lld.%s", static_cast<long long>(l),
-                             lat.name.c_str());
+      span.name = str_format("L%lld.%.*s", static_cast<long long>(l),
+                             static_cast<int>(lat.name.size()),
+                             lat.name.data());
       span.category = "op";
       span.tid = lat.is_gemm ? obs::kTidGemmOps : obs::kTidOtherOps;
       span.ts_us = clock_us;

@@ -22,7 +22,7 @@ std::string trace_json(const TransformerConfig& config,
 
   // One complete (ph=X) event at the running clock: GEMMs on tid 1,
   // non-GEMM kernels on tid 2.
-  auto emit_op = [&](const std::string& name, const OpLatency& op) {
+  auto emit_op = [&](std::string_view name, const OpLatency& op) {
     const double dur_us = to_us(op.time);
     w.begin_object()
         .member("name", name)
@@ -50,8 +50,8 @@ std::string trace_json(const TransformerConfig& config,
   emit_model_level(true);
   for (std::int64_t l = 0; l < options.layers; ++l) {
     for (const OpLatency& op : model.layer.ops) {
-      emit_op(str_format("L%lld.%s", static_cast<long long>(l),
-                         op.name.c_str()),
+      emit_op(str_format("L%lld.%.*s", static_cast<long long>(l),
+                         static_cast<int>(op.name.size()), op.name.data()),
               op);
     }
   }

@@ -378,6 +378,36 @@ TEST(PreparedCatalogue, PrunedCounterIsBestEffort) {
   reg.reset_values();
 }
 
+// A tile whose bound reaches the best time so far can at best tie, and a
+// tie keeps the earlier entry: on a problem every tile times identically
+// (no tile padding, whole waves) the scan times tile 0 and prunes the rest.
+TEST(PreparedCatalogue, TiesArePrunedAndKeepTheFirstTile) {
+  const gpu::GpuSpec& gpu = gpu::gpu_by_name("a100");
+  const std::vector<gpu::TileConfig> tiles = {{128, 128, 32, 0.80, 1},
+                                              {64, 128, 32, 0.80, 2},
+                                              {128, 64, 32, 0.80, 2},
+                                              {64, 64, 32, 0.80, 4}};
+  const GemmProblem p = problem(128 * gpu.sm_count, 128, 4096);
+  for (const gpu::TileConfig& t : tiles) {
+    ASSERT_EQ(estimate_with_tile(p, t, gpu).time,
+              estimate_with_tile(p, tiles[0], gpu).time);
+  }
+  auto& reg = obs::MetricsRegistry::global();
+  reg.reset_values();
+  obs::MetricsRegistry::set_enabled(true);
+  const PreparedCatalogue prepared(gpu, TilePolicy::kAuto, tiles);
+  const KernelEstimate e = prepared.estimate_one(p);
+  obs::MetricsRegistry::set_enabled(false);
+  EXPECT_EQ(e.tile.tm, 128);
+  EXPECT_EQ(e.tile.tn, 128);
+  EXPECT_EQ(e.tile.blocks_per_sm, 1);
+  EXPECT_EQ(reg.counter("gemmsim.select.pruned", {},
+                        obs::Stability::kBestEffort)
+                .value(),
+            prepared.tile_count() - 1);
+  reg.reset_values();
+}
+
 TEST(PreparedCatalogue, FixedLargestDegeneratesToOneTile) {
   const gpu::GpuSpec& gpu = gpu::gpu_by_name("v100");
   const PreparedCatalogue prepared(gpu, TilePolicy::kFixedLargest);

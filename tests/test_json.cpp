@@ -180,8 +180,24 @@ TEST(JsonWrite, InPlaceEscapingMatchesEscapeForEveryByte) {
             all);
 }
 
-/// format_double's rule as it was written with printf: %.15g, an sscanf
-/// round trip, and %.17g when the short form does not read back.
+// The escape check reads eight bytes at a time, the last word padded:
+// every byte, at every offset of a run longer than two words, and twice.
+TEST(JsonWrite, EscapingFindsABytePastWholeWords) {
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    for (std::size_t at = 0; at < 20; ++at) {
+      std::string s(20, 'k');
+      s[at] = c;
+      EXPECT_EQ(json::escape(s), reference_escape(s)) << b << " at " << at;
+      s[19 - at] = c;
+      EXPECT_EQ(json::escape(s), reference_escape(s)) << b << " at " << at;
+    }
+  }
+}
+
+/// The oracle for format_double: its rule as it was written with printf,
+/// %.15g, an sscanf round trip, and %.17g when the short form does not
+/// read back.
 std::string reference_format_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.15g", v);
@@ -225,6 +241,31 @@ TEST(JsonWrite, FormatDoubleMatchesThePrintfRule) {
     double v = 0.0;
     std::memcpy(&v, &b, sizeof(v));
     values.push_back(v);
+  }
+  // The decade edges where %g switches between fixed and exponent form,
+  // and where the digit count of the shortest form changes.
+  for (const double edge : {1e-5, 1e-4, 1e15, 1e16, 1e17}) {
+    for (const double sign : {1.0, -1.0}) {
+      double up = sign * edge;
+      double down = up;
+      for (int i = 0; i < 2000; ++i) {
+        values.insert(values.end(), {up, down});
+        up = std::nextafter(up, sign * HUGE_VAL);
+        down = std::nextafter(down, 0.0);
+      }
+    }
+  }
+  // Exact ties at the 17th digit: small odd multiples of powers of two
+  // have exact decimal expansions that end in 5.
+  for (std::int64_t odd = 1; odd < 2048; odd += 2) {
+    for (int e = 1; e <= 100; ++e) {
+      values.push_back(std::ldexp(static_cast<double>(odd), -e));
+    }
+  }
+  // Report-like quantities: fractions, seconds and rates.
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int i = 0; i < 200000; ++i) {
+    values.push_back(unit(rng) * std::pow(10.0, static_cast<int>(i % 16) - 9));
   }
   std::size_t mismatches = 0;
   for (const double v : values) {

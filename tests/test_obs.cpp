@@ -321,7 +321,9 @@ TEST_F(ObsTest, ScopedTimerInertWhenDisabled) {
   }
   const auto snap = MetricsRegistry::global().snapshot();
   for (const auto& s : snap.series) {
-    if (s.name == "obs_test.timer_us") EXPECT_EQ(s.count, 0u);
+    if (s.name == "obs_test.timer_us") {
+      EXPECT_EQ(s.count, 0u);
+    }
   }
 }
 

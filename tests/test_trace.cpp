@@ -115,14 +115,14 @@ std::string reference_trace(const TransformerConfig& cfg,
     if (!opt.include_model_level) return;
     for (const OpLatency& op : model.model_level) {
       if ((op.op == LayerOp::kEmbeddingLookup) == before_stack) {
-        event(op.name, op);
+        event(std::string(op.name), op);
       }
     }
   };
   model_level(true);
   for (std::int64_t l = 0; l < opt.layers; ++l) {
     for (const OpLatency& op : model.layer.ops) {
-      event("L" + std::to_string(l) + "." + op.name, op);
+      event("L" + std::to_string(l) + "." + std::string(op.name), op);
     }
   }
   model_level(false);

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # check.sh — the full local gate:
 #   tier 1  build + full ctest suite
+#   werror  the whole tree (sources, tests, benches, tools) built again with
+#           -DCODESIGN_WERROR=ON, so a new -Wall -Wextra warning fails
 #   e2e     byte identity of the end-to-end benchmark: every e2ebench input
 #           set (grid_search, sweep_matrix and serve_mix, 64 seeds each)
 #           run with --checksum-only must reproduce e2ebench/checksums.json;
@@ -54,12 +56,17 @@ SRC_DIR="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 BUILD_DIR="${CODESIGN_CHECK_BUILD_DIR:-${SRC_DIR}/build}"
 TSAN_DIR="${CODESIGN_CHECK_TSAN_DIR:-${SRC_DIR}/build-tsan}"
 ASAN_DIR="${CODESIGN_CHECK_ASAN_DIR:-${SRC_DIR}/build-asan}"
+WERROR_DIR="${CODESIGN_CHECK_WERROR_DIR:-${SRC_DIR}/build-werror}"
 JOBS="${CODESIGN_CHECK_JOBS:-$(nproc 2>/dev/null || echo 4)}"
 
 echo "== tier 1: build + ctest (${BUILD_DIR}) =="
 cmake -B "${BUILD_DIR}" -S "${SRC_DIR}"
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
+
+echo "== werror: build with -DCODESIGN_WERROR=ON (${WERROR_DIR}) =="
+cmake -B "${WERROR_DIR}" -S "${SRC_DIR}" -DCODESIGN_WERROR=ON
+cmake --build "${WERROR_DIR}" -j "${JOBS}"
 
 echo "== e2e: e2ebench output checksums =="
 "${SRC_DIR}/tools/e2e_checksums.sh" "${SRC_DIR}"
