@@ -61,10 +61,11 @@ void gemm_share(bench::Rows& out, const gemm::GemmSimulator& sim,
   for (const char* name :
        {"gpt3-125m", "gpt3-760m", "gpt3-2.7b", "gpt3-6.7b", "gpt3-13b",
         "gpt3-175b"}) {
-    const auto r = tfm::analyze_layer(tfm::model_by_name(name), sim);
+    const tfm::TransformerConfig cfg = tfm::model_by_name(name);
+    const auto r = tfm::analyze_layer(cfg, sim);
     out.row()
         .cell(name)
-        .cell(r.config.hidden_size)
+        .cell(cfg.hidden_size)
         .cellf("%.1f%%", 100.0 * r.gemm_fraction);
   }
 }

@@ -14,8 +14,9 @@ void gemm_proportions(bench::Rows& out, const gemm::GemmSimulator& sim,
              "mlp 4h->h"});
   for (const char* name : {"gpt3-125m", "gpt3-760m", "gpt3-2.7b", "gpt3-6.7b",
                            "gpt3-13b", "gpt3-175b"}) {
-    const auto r = tfm::analyze_layer(tfm::model_by_name(name), sim);
-    out.row().cell(name).cell(r.config.hidden_size);
+    const tfm::TransformerConfig cfg = tfm::model_by_name(name);
+    const auto r = tfm::analyze_layer(cfg, sim);
+    out.row().cell(name).cell(cfg.hidden_size);
     for (const auto op :
          {tfm::LayerOp::kQkvTransform, tfm::LayerOp::kAttentionScore,
           tfm::LayerOp::kAttentionOverValue, tfm::LayerOp::kPostAttnProjection,

@@ -375,12 +375,8 @@ void append_escaped(std::string& out, std::string_view s) {
     out += s;
     return;
   }
-  std::size_t run = 0;  // start of the pending run of bytes that need no escape
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const unsigned char c = static_cast<unsigned char>(s[i]);
-    if (c >= 0x20 && c != '"' && c != '\\') continue;
-    out.append(s.data() + run, i - run);
-    run = i + 1;
+  for (const char ch : s) {
+    const auto c = static_cast<unsigned char>(ch);
     switch (c) {
       case '"': out.append("\\\"", 2); break;
       case '\\': out.append("\\\\", 2); break;
@@ -388,12 +384,15 @@ void append_escaped(std::string& out, std::string_view s) {
       case '\r': out.append("\\r", 2); break;
       case '\t': out.append("\\t", 2); break;
       default: {
+        if (c >= 0x20) {
+          out += ch;
+          break;
+        }
         const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
         out.append(u, sizeof(u));
       }
     }
   }
-  out.append(s.data() + run, s.size() - run);
 }
 
 /// Lays out the `n` significant digits `d` (no trailing zeros) of a value
@@ -428,65 +427,53 @@ constexpr auto kPow5 = [] {
   return t;
 }();
 
-/// |v| * 10^p as the exact quotient a / 2^shift, for |v| = m * 2^q; set()
-/// fails when that does not fit (an integer or a too fine scale).
-struct Scaled {
-  u128 a = 0;
-  int shift = 0;
-  bool set(std::uint64_t m, int q, int p) {
-    shift = -(q + p);
-    a = m * kPow5[static_cast<std::size_t>(p < 0 || p > 32 ? 0 : p)];
-    return p >= 0 && p <= 32 && shift >= 1 && shift <= 125;
-  }
-  u128 floor() const { return a >> shift; }
-  u128 rem() const { return a - (floor() << shift); }
-  /// Rounded half to even, the way printf rounds an exact value; returns
-  /// the digits, without trailing zeros, in `d` and their count.
-  int digits(char* d, int* exp, int count) const {
-    const u128 half = u128{1} << (shift - 1);
-    auto n = static_cast<std::uint64_t>(floor());
-    if (rem() > half || (rem() == half && (n & 1) != 0)) ++n;
-    char* end = std::to_chars(d, d + 20, n).ptr;
-    if (end - d > count) ++*exp;  // rounded up into the next decade
-    while (end > d + 1 && end[-1] == '0') --end;
-    return static_cast<int>(end - d);
-  }
-};
-
-/// format_double's rule for a normal double, in 128-bit integers. With
-/// |v| = m * 2^q and p chosen so |v| * 10^p has 15 integer digits, its
-/// half-even rounding R15 is %.15g's digits. R15 reads back as v (parsing
-/// rounds to nearest, ties to even) exactly when it lies within half the
-/// gap to v's neighbour on its side: 2^q, scaled to 5^p, and half that
-/// below a power of two; the bound itself counts when m is even.
-/// Otherwise the digits are %.17g's, the same quotient at p + 2. Returns
-/// false, appending nothing, when a quotient does not fit 128 bits (|v|
+/// format_double's rule for a normal double, in 128-bit integers. For
+/// |v| = m * 2^q, x = |v| * 10^p = m * 5^p / 2^-(q+p) exactly. At the p
+/// where x has 15 integer digits, x rounded half to even is %.15g's
+/// digits. They read back as v exactly when they lie within half the gap
+/// to v's neighbour on their side: 5^p on the x scale, half that below a
+/// power of two. They never lie on that bound, where parsing's ties to
+/// even would decide: in units of 2^(q+p), 2 or 4 times their distance is
+/// even and 5^p is odd. Otherwise the digits are %.17g's, x at p + 2.
+/// Returns false, appending nothing, when x does not fit 128 bits (|v|
 /// outside about 1e-18 .. 1e14).
 bool append_double_exact(std::string& out, double v) {
   const auto bits = std::bit_cast<std::uint64_t>(v);
-  const std::uint64_t m = (bits & ((std::uint64_t{1} << 52) - 1)) |
-                          (std::uint64_t{1} << 52);
   const int e2 = static_cast<int>((bits >> 52) & 0x7FF) - 1023;
-  const int q = e2 - 52;
+  const std::uint64_t m =
+      (bits & ((std::uint64_t{1} << 52) - 1)) | (std::uint64_t{1} << 52);
+  u128 whole = 0, rem = 0, half = 0;  // x = whole + rem / (2 * half)
+  const auto scale = [&](int p) {
+    const int shift = 52 - e2 - p;
+    if (p < 0 || p > 32 || shift < 1 || shift > 125) return false;
+    const u128 x = m * kPow5[static_cast<std::size_t>(p)];
+    whole = x >> shift;
+    rem = x - (whole << shift);
+    half = u128{1} << (shift - 1);
+    return true;
+  };
+  const auto round_up = [&] {
+    return rem > half || (rem == half && (whole & 1) != 0);
+  };
   // exp = floor(log10 |v|); this estimate is never above it and at most
-  // two below, so step up while the quotient has 16 integer digits.
+  // two below, so step up while x has 16 integer digits.
   int exp = (e2 * 78913) >> 18;
-  Scaled s;
   for (;; ++exp) {
-    if (!s.set(m, q, 14 - exp)) return false;
-    if (s.floor() < 1000000000000000ULL) break;
+    if (!scale(14 - exp)) return false;
+    if (whole < 1000000000000000ULL) break;
   }
-  const u128 half = u128{1} << (s.shift - 1);
-  const bool down =
-      s.rem() < half || (s.rem() == half && (s.floor() & 1) == 0);
-  const u128 off = down ? s.rem() : (u128{1} << s.shift) - s.rem();
-  const u128 twice_off = off * (down && m == (std::uint64_t{1} << 52) ? 4 : 2);
+  const u128 off = (round_up() ? 2 * half - rem : rem) *
+                   (!round_up() && m == (std::uint64_t{1} << 52) ? 4 : 2);
   const u128 gap = kPow5[static_cast<std::size_t>(14 - exp)];
-  const bool r15 = twice_off < gap || (twice_off == gap && (m & 1) == 0);
-  if (!r15 && !s.set(m, q, 16 - exp)) return false;
+  const int precision = off < gap ? 15 : 17;
+  if (precision == 17 && !scale(16 - exp)) return false;
   char d[20];
-  const int n = s.digits(d, &exp, r15 ? 15 : 17);
-  append_g(out, v < 0.0, d, n, exp, r15 ? 15 : 17);
+  char* end =
+      std::to_chars(d, d + 20, static_cast<std::uint64_t>(whole) + round_up())
+          .ptr;
+  if (end - d > precision) ++exp;  // rounded up into the next decade
+  while (end > d + 1 && end[-1] == '0') --end;
+  append_g(out, v < 0.0, d, static_cast<int>(end - d), exp, precision);
   return true;
 }
 
@@ -498,8 +485,8 @@ void append_double(std::string& out, double v) {
   if (std::isnormal(v) && append_double_exact(out, v)) return;
   // %.17g is at most 24 characters ("-1.7976931348623157e+308").
   char buf[32];
-  auto r = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
-                         15);
+  auto r = std::to_chars(buf, buf + sizeof(buf), v,
+                         std::chars_format::general, 15);
   double back = 0.0;
   const auto parsed = std::from_chars(buf, r.ptr, back);
   if (parsed.ec != std::errc() || back != v) {

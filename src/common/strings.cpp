@@ -32,24 +32,19 @@ std::string str_format(const char* fmt, ...) {
 void append_hexfloat(std::string& out, double v) {
   // Spelled out from the bit pattern: std::to_chars' hex form is not the
   // same on every standard library (GCC 14's normalizes subnormals, "%a"
-  // does not). Built in a local buffer and appended once.
+  // does not).
   static constexpr char kHex[] = "0123456789abcdef";
   std::uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(v));
   std::memcpy(&bits, &v, sizeof(bits));
   const std::uint64_t exponent = (bits >> 52) & 0x7FF;
   std::uint64_t fraction = bits & ((std::uint64_t{1} << 52) - 1);
-  char buf[32];  // "-0x1.fffffffffffffp+1023" is 24 bytes
-  char* p = buf;
-  if (bits >> 63) *p++ = '-';
+  if (bits >> 63) out += '-';
   if (exponent == 0x7FF) {
-    out.append(buf, p);
     out += fraction == 0 ? "inf" : "nan";
     return;
   }
-  *p++ = '0';
-  *p++ = 'x';
-  *p++ = exponent == 0 ? '0' : '1';
+  out += exponent == 0 ? "0x0" : "0x1";
   // Zero prints "p+0"; subnormals keep the smallest normal's exponent.
   const long long e2 = exponent != 0   ? static_cast<long long>(exponent) - 1023
                        : fraction == 0 ? 0
@@ -57,16 +52,15 @@ void append_hexfloat(std::string& out, double v) {
   if (fraction != 0) {
     int digits = 13;  // 52 fraction bits, trailing zero digits dropped
     for (; (fraction & 0xF) == 0; fraction >>= 4) --digits;
-    *p++ = '.';
+    char buf[13];
     for (int i = digits - 1; i >= 0; --i, fraction >>= 4) {
-      p[i] = kHex[fraction & 0xF];
+      buf[i] = kHex[fraction & 0xF];
     }
-    p += digits;
+    out += '.';
+    out.append(buf, static_cast<std::size_t>(digits));
   }
-  *p++ = 'p';
-  if (e2 >= 0) *p++ = '+';
-  p = std::to_chars(p, buf + sizeof(buf), e2).ptr;
-  out.append(buf, p);
+  out += e2 < 0 ? "p" : "p+";
+  append_int(out, e2);
 }
 
 std::vector<std::string> split(std::string_view s, char sep) {

@@ -1,7 +1,5 @@
 #include "transformer/attribution.hpp"
 
-#include <algorithm>
-
 namespace codesign::tfm {
 
 namespace {
@@ -64,12 +62,10 @@ void add_op(BoundHistogram& h, gemm::BoundBreakdown& acc, const OpLatency& o) {
 /// analyze_layer() sums, so the totals are its totals.
 LayerAttribution fold_layer(LayerLatencyReport&& layer) {
   LayerAttribution r;
-  r.config = std::move(layer.config);
   r.gemm_time = layer.gemm_time;
   r.non_gemm_time = layer.non_gemm_time;
   r.total_time = layer.total_time;
-  r.gemms.reserve(static_cast<std::size_t>(std::count_if(
-      layer.ops.begin(), layer.ops.end(), [](auto& o) { return o.is_gemm; })));
+  r.gemms.reserve(layer.ops.size());
   gemm::BoundBreakdown acc;
   for (OpLatency& o : layer.ops) {
     add_op(r.histogram, acc, o);
@@ -122,7 +118,6 @@ ModelAttribution attribute_model(const TransformerConfig& config,
   // model-level ops, so the totals are its totals.
   ModelLatencyReport model = analyze_model(config, sim);
   ModelAttribution r;
-  r.config = std::move(model.config);
   r.layer = fold_layer(std::move(model.layer));
   r.embedding_time = model.embedding_time;
   r.final_ln_time = model.final_ln_time;

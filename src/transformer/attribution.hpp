@@ -56,7 +56,6 @@ LayerBranch op_branch(LayerOp op);
 
 /// Full attribution of one transformer layer.
 struct LayerAttribution {
-  TransformerConfig config;
   std::vector<FamilyAttribution> gemms;  ///< execution order, incl. flash
 
   double gemm_time = 0.0;
@@ -80,7 +79,6 @@ LayerAttribution attribute_layer(const TransformerConfig& config,
 /// Whole-forward-pass attribution: L identical layers plus the model-level
 /// ops (embedding lookup, final LayerNorm, logit projection).
 struct ModelAttribution {
-  TransformerConfig config;
   LayerAttribution layer;  ///< one representative layer
 
   /// Model-level family rollup: each layer family scaled by L, plus the

@@ -91,7 +91,6 @@ OpLatency record_op(const MappedOp& op, const gemm::GemmSimulator& sim,
     out.detail.seq = op.flash->seq;
     out.detail.head_dim = op.flash->head_dim;
   } else {
-    out.bytes = op.elementwise_bytes;
     out.detail.bytes = op.elementwise_bytes;
   }
   return out;
@@ -205,7 +204,6 @@ LayerLatencyReport analyze_layer(const TransformerConfig& config,
                                  const gemm::GemmSimulator& sim) {
   LayerWorkspace ws;
   LayerLatencyReport r;
-  r.config = config;
   r.total_time = walk_layer(config, sim, ws, &r.ops);
   for (const OpLatency& o : r.ops) {
     (o.is_gemm ? r.gemm_time : r.non_gemm_time) += o.time;
@@ -219,7 +217,6 @@ LayerLatencyReport analyze_layer(const TransformerConfig& config,
 ModelLatencyReport analyze_model(const TransformerConfig& config,
                                  const gemm::GemmSimulator& sim) {
   ModelLatencyReport r;
-  r.config = config;
   r.layer = analyze_layer(config, sim);
   const double layers = static_cast<double>(config.num_layers);
   r.total_time = layers * r.layer.total_time;

@@ -52,7 +52,6 @@ struct OpLatency {
   bool is_gemm = false;
   double time = 0.0;      ///< seconds
   double flops = 0.0;     ///< useful math
-  double bytes = 0.0;     ///< DRAM traffic (non-GEMM ops; 0 for GEMMs)
   double tflops = 0.0;    ///< flops / time / 1e12 (0 for pure data movement)
   OpDetail detail;        ///< the GEMM size, tile and bound; see detail_text()
   /// Roof split of `time`; breakdown.bound is the limiting mechanism.
@@ -62,7 +61,6 @@ struct OpLatency {
 };
 
 struct LayerLatencyReport {
-  TransformerConfig config;
   std::vector<OpLatency> ops;
 
   double gemm_time = 0.0;
@@ -108,7 +106,6 @@ double layer_total_time(const ValidatedConfig& config,
 double layer_forward_flops(const LayerWorkspace& ws);
 
 struct ModelLatencyReport {
-  TransformerConfig config;
   LayerLatencyReport layer;        ///< one representative layer
   /// One record per model_level_ops() entry, in that order: embedding
   /// lookup, final LayerNorm, logit projection.
