@@ -130,7 +130,7 @@ std::size_t PreparedCatalogue::select(const GemmProblem& problem,
   problem.validate();
   const ProblemTerms terms = problem_terms(
       problem, *gpu_,
-      alignment_.evaluate(problem.m, problem.n, problem.k, problem.dtype));
+      alignment_.factors(problem.m, problem.n, problem.k, problem.dtype));
   if (terms_out != nullptr) *terms_out = terms;
   if (obs::EventRecorder* recorder = obs::EventRecorder::active();
       selecting && recorder != nullptr) {
@@ -214,6 +214,7 @@ KernelEstimate PreparedCatalogue::estimate_one(
   ProblemTerms terms;
   double time = 0.0;
   const std::size_t best = select(problem, &terms, &time);
+  terms.alignment.set_pow2(problem.m, problem.n, problem.k);
   return estimate_with_tile(problem, tiles_[best], *gpu_, &terms);
 }
 

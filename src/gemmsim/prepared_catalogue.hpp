@@ -16,7 +16,8 @@
 // earlier entry. When the efficiencies never increase along the catalogue
 // (checked at construction) the bounds never decrease and the scan stops
 // at the first skip. Power-of-two tile dims quantize by shifts. The winner's
-// full estimate reuses the scan's problem terms, alignment included.
+// full estimate reuses the scan's problem terms, alignment included, and
+// adds the report-only pow2_* keys, which the scan does not compute.
 //
 // Under kAuto with an obs::EventRecorder installed the scan prunes nothing:
 // it times every tile through estimate_with_tile() and records the

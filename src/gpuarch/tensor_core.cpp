@@ -1,6 +1,7 @@
 #include "gpuarch/tensor_core.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.hpp"
 #include "common/math_util.hpp"
@@ -29,6 +30,13 @@ double ladder_efficiency(std::int64_t granule_bytes, const GpuSpec& gpu) {
   return gpu.alignment_ladder.back().efficiency;
 }
 
+/// A dimension's terms from its byte granule.
+detail::DimFactor dim_factor(std::int64_t granule_bytes, const GpuSpec& gpu) {
+  const double efficiency = ladder_efficiency(granule_bytes, gpu);
+  return {efficiency, std::sqrt(efficiency),
+          granule_bytes >= gpu.tc_min_alignment_bytes};
+}
+
 }  // namespace
 
 double dim_alignment_efficiency(std::int64_t dim, DType dtype,
@@ -44,13 +52,12 @@ bool dim_tensor_core_eligible(std::int64_t dim, DType dtype,
 AlignmentEfficiency alignment_efficiency(std::int64_t m, std::int64_t n,
                                          std::int64_t k, DType dtype,
                                          const GpuSpec& gpu) {
-  const double eff[3] = {dim_alignment_efficiency(m, dtype, gpu),
-                         dim_alignment_efficiency(n, dtype, gpu),
-                         dim_alignment_efficiency(k, dtype, gpu)};
-  const bool eligible = dim_tensor_core_eligible(m, dtype, gpu) &&
-                        dim_tensor_core_eligible(n, dtype, gpu) &&
-                        dim_tensor_core_eligible(k, dtype, gpu);
-  return detail::combine(m, n, k, eff, eligible, dtype, gpu);
+  AlignmentEfficiency out = detail::combine(
+      dim_factor(byte_granule(m, dtype, gpu), gpu),
+      dim_factor(byte_granule(n, dtype, gpu), gpu),
+      dim_factor(byte_granule(k, dtype, gpu), gpu), dtype, gpu);
+  out.set_pow2(m, n, k);
+  return out;
 }
 
 AlignmentTable::AlignmentTable(const GpuSpec& gpu) : gpu_(&gpu) {
@@ -62,9 +69,7 @@ AlignmentTable::AlignmentTable(const GpuSpec& gpu) : gpu_(&gpu) {
         static_cast<std::int64_t>(c < 64 ? std::uint64_t{1} << c : 0);
     const std::int64_t granule =
         std::min<std::int64_t>(low, gpu.tc_full_alignment_bytes);
-    by_byte_ctz_[c].efficiency = ladder_efficiency(granule, gpu);
-    by_byte_ctz_[c].tensor_core_eligible =
-        granule >= gpu.tc_min_alignment_bytes;
+    by_byte_ctz_[c] = dim_factor(granule, gpu);
   }
 }
 

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 
 #include "common/math_util.hpp"
@@ -47,10 +46,17 @@ struct AlignmentEfficiency {
   bool tensor_cores = true;
 
   /// Largest power of two (in elements) dividing each dim — the quantity
-  /// the paper's appendix figures use as the series key.
+  /// the paper's appendix figures use as the series key. Only reported:
+  /// no factor above reads them, so the time-only scan leaves them at 1.
   std::int64_t pow2_m = 1;
   std::int64_t pow2_n = 1;
   std::int64_t pow2_k = 1;
+
+  void set_pow2(std::int64_t dim_m, std::int64_t dim_n, std::int64_t dim_k) {
+    pow2_m = static_cast<std::int64_t>(largest_pow2_dividing(dim_m));
+    pow2_n = static_cast<std::int64_t>(largest_pow2_dividing(dim_n));
+    pow2_k = static_cast<std::int64_t>(largest_pow2_dividing(dim_k));
+  }
 };
 
 /// Evaluate the alignment model for GEMM C(m×n) = A(m×k) · B(k×n).
@@ -60,27 +66,31 @@ AlignmentEfficiency alignment_efficiency(std::int64_t m, std::int64_t n,
 
 namespace detail {
 
-/// The part of alignment_efficiency() past the per-dimension lookups,
-/// shared by the direct path and AlignmentTable.
-inline AlignmentEfficiency combine(std::int64_t m, std::int64_t n,
-                                   std::int64_t k, const double eff[3],
-                                   bool all_eligible, DType dtype,
+/// One dimension's alignment terms: its ladder efficiency, that
+/// efficiency's square root, and whether tensor cores can run it.
+struct DimFactor {
+  double efficiency = 1.0;
+  double root = 1.0;
+  bool tensor_core_eligible = true;
+};
+
+/// The factors of alignment_efficiency() from its three dimensions' terms,
+/// shared by the direct path and AlignmentTable. The pow2_* fields stay 1.
+inline AlignmentEfficiency combine(const DimFactor& m, const DimFactor& n,
+                                   const DimFactor& k, DType dtype,
                                    const GpuSpec& gpu) {
   AlignmentEfficiency out;
-  out.m = eff[0];
-  out.n = eff[1];
-  out.k = eff[2];
-  out.pow2_m = static_cast<std::int64_t>(largest_pow2_dividing(m));
-  out.pow2_n = static_cast<std::int64_t>(largest_pow2_dividing(n));
-  out.pow2_k = static_cast<std::int64_t>(largest_pow2_dividing(k));
-
-  // The smallest and the middle of the three (what sorting them gives).
-  const double lo = std::min({out.m, out.n, out.k});
-  const double mid = std::max(std::min(out.m, out.n),
-                              std::min(std::max(out.m, out.n), out.k));
-  out.combined = lo * std::sqrt(mid);
-
-  out.tensor_cores = gpu.tensor_flops(dtype) > 0 && all_eligible;
+  out.m = m.efficiency;
+  out.n = n.efficiency;
+  out.k = k.efficiency;
+  // The smallest efficiency times the root of the middle one (what sorting
+  // them gives). sqrt is monotone, so the middle root is that root.
+  const double lo = std::min(std::min(out.m, out.n), out.k);
+  const double mid_root = std::max(std::min(m.root, n.root),
+                                   std::min(std::max(m.root, n.root), k.root));
+  out.combined = lo * mid_root;
+  out.tensor_cores = gpu.tensor_flops(dtype) > 0 && m.tensor_core_eligible &&
+                     n.tensor_core_eligible && k.tensor_core_eligible;
   return out;
 }
 
@@ -88,41 +98,31 @@ inline AlignmentEfficiency combine(std::int64_t m, std::int64_t n,
 
 /// alignment_efficiency() with the per-dimension ladder lookups
 /// precomputed for one GPU. A dimension's granule depends only on the
-/// trailing-zero count of its byte size, so the table holds one ladder step
-/// per count and evaluate() replaces the granule and ladder walks with an
-/// index. Bit-identical to alignment_efficiency() for positive dims.
+/// trailing-zero count of its byte size, so the table holds one DimFactor
+/// per count and factors() replaces the granule and ladder walks with an
+/// index. Bit-identical to alignment_efficiency() for positive dims, apart
+/// from the report-only pow2_* fields.
 class AlignmentTable {
  public:
   /// Validates `gpu`, which must outlive the table.
   explicit AlignmentTable(const GpuSpec& gpu);
 
-  /// alignment_efficiency(m, n, k, dtype, gpu). Dims must be positive.
-  AlignmentEfficiency evaluate(std::int64_t m, std::int64_t n, std::int64_t k,
-                               DType dtype) const {
+  /// alignment_efficiency(m, n, k, dtype, gpu) with pow2_* left at 1 (see
+  /// AlignmentEfficiency::set_pow2()). Dims must be positive.
+  AlignmentEfficiency factors(std::int64_t m, std::int64_t n, std::int64_t k,
+                              DType dtype) const {
     const auto size = static_cast<std::uint64_t>(dtype_size(dtype));
-    const auto step = [&](std::int64_t dim) -> const Step& {
-      return by_byte_ctz_[std::countr_zero(static_cast<std::uint64_t>(dim) *
+    const auto dim = [&](std::int64_t d) -> const detail::DimFactor& {
+      return by_byte_ctz_[std::countr_zero(static_cast<std::uint64_t>(d) *
                                            size)];
     };
-    const Step& sm = step(m);
-    const Step& sn = step(n);
-    const Step& sk = step(k);
-    const double eff[3] = {sm.efficiency, sn.efficiency, sk.efficiency};
-    return detail::combine(m, n, k, eff,
-                           sm.tensor_core_eligible &&
-                               sn.tensor_core_eligible &&
-                               sk.tensor_core_eligible,
-                           dtype, *gpu_);
+    return detail::combine(dim(m), dim(n), dim(k), dtype, *gpu_);
   }
 
  private:
-  struct Step {
-    double efficiency = 1.0;
-    bool tensor_core_eligible = true;
-  };
   /// Indexed by std::countr_zero of the dimension's byte size (64 = the
   /// byte size wrapped to 0, granule 0).
-  std::array<Step, 65> by_byte_ctz_;
+  std::array<detail::DimFactor, 65> by_byte_ctz_;
   const GpuSpec* gpu_;
 };
 

@@ -127,17 +127,12 @@ double act_bytes(const LayerDims& d, double width) {
   return static_cast<double>(d.tokens) * width * d.esize;
 }
 
-MappedOp gemm_op(LayerOp op, GemmProblem p) {
-  MappedOp m;
+/// Writes one op into the slot `m` with every field set, so nothing of an
+/// op an earlier schedule left in a reused slot survives.
+MappedOp& write_op(MappedOp& m, LayerOp op, double bytes, double flops) {
   m.op = op;
-  m.flops = p.flops();
-  m.gemm = std::move(p);
-  return m;
-}
-
-MappedOp elementwise_op(LayerOp op, double bytes, double flops = 0.0) {
-  MappedOp m;
-  m.op = op;
+  m.gemm.reset();
+  m.flash.reset();
   m.elementwise_bytes = bytes;
   m.flops = flops;
   return m;
@@ -186,14 +181,14 @@ std::vector<MappedOp> layer_schedule(const ValidatedConfig& c) {
 }
 
 std::vector<GemmProblem> layer_gemms(const ValidatedConfig& c) {
-  std::vector<GemmProblem> out;
-  for (MappedOp& op : layer_schedule(c)) {
-    if (op.gemm.has_value()) out.push_back(std::move(*op.gemm));
-  }
-  return out;
+  std::vector<MappedOp> ops;
+  std::vector<GemmProblem> gemms;
+  layer_ops_into(c, ops, &gemms);
+  return gemms;
 }
 
-void layer_ops_into(const ValidatedConfig& valid, std::vector<MappedOp>& ops) {
+void layer_ops_into(const ValidatedConfig& valid, std::vector<MappedOp>& ops,
+                    std::vector<GemmProblem>* gemms) {
   const TransformerConfig& c = *valid;
   const LayerDims d(c);
   const double h = static_cast<double>(c.hidden_size);
@@ -204,86 +199,87 @@ void layer_ops_into(const ValidatedConfig& valid, std::vector<MappedOp>& ops) {
   const double heads_tp = static_cast<double>(d.heads_tp);
   const double e = d.esize;
 
-  ops.clear();
-  ops.reserve(14);  // the longest schedule: rotary, SwiGLU, not parallel
+  const bool rotary = c.pos_embedding == PosEmbedding::kRotary;
+  const bool flash = c.attention == AttentionImpl::kFlash;
+  const bool swiglu = c.activation == Activation::kSwiGlu;
+  // Sized once: LayerNorm 1, QKV, projection, MLP up and down (the four
+  // GEMMs), activation and residual add 2 always run; flags add the rest.
+  ops.resize(7 + rotary + (flash ? 1 : 3) + (c.parallel_layers ? 0 : 2) +
+             swiglu);
+  if (gemms != nullptr) gemms->resize(4 + (flash ? 0 : 2) + swiglu);
+  MappedOp* next = ops.data();
+  GemmProblem* next_gemm = gemms != nullptr ? gemms->data() : nullptr;
+  const auto gemm = [&](LayerOp op, const GemmProblem& p) {
+    write_op(*next++, op, 0.0, p.flops()).gemm = p;
+    if (next_gemm != nullptr) *next_gemm++ = p;
+  };
 
   // LayerNorm 1: read x, write y (running stats stay on chip).
-  ops.push_back(elementwise_op(LayerOp::kLayerNorm1,
-                               2.0 * act_bytes(d, h), 5.0 * bs * h));
+  write_op(*next++, LayerOp::kLayerNorm1, 2.0 * act_bytes(d, h), 5.0 * bs * h);
 
-  ops.push_back(gemm_op(LayerOp::kQkvTransform, qkv_gemm(c, d)));
+  gemm(LayerOp::kQkvTransform, qkv_gemm(c, d));
 
-  if (c.pos_embedding == PosEmbedding::kRotary) {
+  if (rotary) {
     // Rotate Q and K in place: read + write of 2 of the 3 QKV streams.
-    ops.push_back(elementwise_op(LayerOp::kRotaryEmbedding,
-                                 4.0 * act_bytes(d, h_tp), 6.0 * bs * h_tp));
+    write_op(*next++, LayerOp::kRotaryEmbedding, 4.0 * act_bytes(d, h_tp),
+             6.0 * bs * h_tp);
   }
 
-  if (c.attention == AttentionImpl::kFlash) {
-    MappedOp m;
-    m.op = LayerOp::kFlashAttention;
-    m.flash = flash_attention_problem(c, d);
-    m.flops = m.flash->flops();
-    ops.push_back(std::move(m));
+  if (flash) {
+    const FlashAttentionProblem fp = flash_attention_problem(c, d);
+    write_op(*next++, LayerOp::kFlashAttention, 0.0, fp.flops()).flash = fp;
   } else {
-    ops.push_back(
-        gemm_op(LayerOp::kAttentionScore, attention_score_bmm(c, d)));
+    gemm(LayerOp::kAttentionScore, attention_score_bmm(c, d));
     // Softmax materializes the (b·a/t, s, s) score tensor: read + write.
     const double score_bytes =
         2.0 * static_cast<double>(c.microbatch) * heads_tp * s * s * e;
-    ops.push_back(elementwise_op(LayerOp::kSoftmax, score_bytes,
-                                 5.0 * c.microbatch * heads_tp * s * s));
-    ops.push_back(
-        gemm_op(LayerOp::kAttentionOverValue, attention_over_value_bmm(c, d)));
+    write_op(*next++, LayerOp::kSoftmax, score_bytes,
+             5.0 * c.microbatch * heads_tp * s * s);
+    gemm(LayerOp::kAttentionOverValue, attention_over_value_bmm(c, d));
   }
 
-  ops.push_back(
-      gemm_op(LayerOp::kPostAttnProjection, post_attn_projection_gemm(c, d)));
+  gemm(LayerOp::kPostAttnProjection, post_attn_projection_gemm(c, d));
 
   // Parallel layers share LayerNorm 1 between the branches and fuse the
   // two residual adds into the last one.
   if (!c.parallel_layers) {
     // Residual add: read both operands, write the sum.
-    ops.push_back(elementwise_op(LayerOp::kResidualAdd1,
-                                 3.0 * act_bytes(d, h), bs * h));
-    ops.push_back(elementwise_op(LayerOp::kLayerNorm2,
-                                 2.0 * act_bytes(d, h), 5.0 * bs * h));
+    write_op(*next++, LayerOp::kResidualAdd1, 3.0 * act_bytes(d, h), bs * h);
+    write_op(*next++, LayerOp::kLayerNorm2, 2.0 * act_bytes(d, h),
+             5.0 * bs * h);
   }
 
-  ops.push_back(gemm_op(LayerOp::kMlpUp, mlp_up_gemm(c, d)));
-  if (c.activation == Activation::kSwiGlu) {
-    ops.push_back(gemm_op(LayerOp::kMlpGate, mlp_up_gemm(c, d)));
+  gemm(LayerOp::kMlpUp, mlp_up_gemm(c, d));
+  if (swiglu) {
+    gemm(LayerOp::kMlpGate, mlp_up_gemm(c, d));
     // swiglu combine: read gate + up, write one stream.
-    ops.push_back(elementwise_op(LayerOp::kActivation,
-                                 3.0 * act_bytes(d, ff_tp),
-                                 4.0 * bs * ff_tp));
+    write_op(*next++, LayerOp::kActivation, 3.0 * act_bytes(d, ff_tp),
+             4.0 * bs * ff_tp);
   } else {
     // GELU: read + write the d_ff-wide stream.
-    ops.push_back(elementwise_op(LayerOp::kActivation,
-                                 2.0 * act_bytes(d, ff_tp),
-                                 8.0 * bs * ff_tp));
+    write_op(*next++, LayerOp::kActivation, 2.0 * act_bytes(d, ff_tp),
+             8.0 * bs * ff_tp);
   }
-  ops.push_back(gemm_op(LayerOp::kMlpDown, mlp_down_gemm(c, d)));
+  gemm(LayerOp::kMlpDown, mlp_down_gemm(c, d));
 
-  ops.push_back(elementwise_op(LayerOp::kResidualAdd2,
-                               3.0 * act_bytes(d, h), bs * h));
+  write_op(*next, LayerOp::kResidualAdd2, 3.0 * act_bytes(d, h), bs * h);
 }
 
 std::vector<MappedOp> model_level_ops(const TransformerConfig& c) {
   const ValidatedConfig valid(c);
   const LayerDims d(c);
   const double h = static_cast<double>(c.hidden_size);
-  std::vector<MappedOp> ops;
+  std::vector<MappedOp> ops(3);
   // Embedding lookup: gather b·s rows of h (read) + write; positional add
   // folded in for learned embeddings.
   const double embed_factor =
       c.pos_embedding == PosEmbedding::kLearned ? 3.0 : 2.0;
-  ops.push_back(elementwise_op(LayerOp::kEmbeddingLookup,
-                               embed_factor * act_bytes(d, h)));
-  ops.push_back(elementwise_op(LayerOp::kFinalLayerNorm,
-                               2.0 * act_bytes(d, h),
-                               5.0 * static_cast<double>(c.tokens()) * h));
-  ops.push_back(gemm_op(LayerOp::kLogitProjection, logit_gemm(valid)));
+  write_op(ops[0], LayerOp::kEmbeddingLookup, embed_factor * act_bytes(d, h),
+           0.0);
+  write_op(ops[1], LayerOp::kFinalLayerNorm, 2.0 * act_bytes(d, h),
+           5.0 * static_cast<double>(c.tokens()) * h);
+  const GemmProblem logit = logit_gemm(valid);
+  write_op(ops[2], LayerOp::kLogitProjection, 0.0, logit.flops()).gemm = logit;
   return ops;
 }
 

@@ -85,11 +85,13 @@ gemm::FlashAttentionProblem flash_attention_problem(
 /// layer walk) derives from them.
 std::vector<MappedOp> layer_schedule(const ValidatedConfig& config);
 
-/// Allocation-reusing form of layer_schedule(): clears `out` and fills it
-/// with the identical schedule, keeping the vector's capacity. The batched
-/// search hot path calls this once per candidate with a per-worker buffer.
-void layer_ops_into(const ValidatedConfig& config,
-                    std::vector<MappedOp>& out);
+/// Allocation-reusing form of layer_schedule(): clears `out` and builds
+/// the identical schedule in it, each op in its own slot, keeping the
+/// vector's capacity. With `gemms` set it also clears that and appends the
+/// schedule's GEMMs in op order, as layer_gemms() lists them. The layer
+/// walk calls this once per candidate with per-worker buffers.
+void layer_ops_into(const ValidatedConfig& config, std::vector<MappedOp>& out,
+                    std::vector<gemm::GemmProblem>* gemms = nullptr);
 
 /// The GEMMs of layer_schedule(), in execution order (QKV, score, AOV,
 /// projection, MLP up [, gate], MLP down). FlashAttention configs have no

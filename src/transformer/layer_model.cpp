@@ -97,23 +97,18 @@ OpLatency record_op(const MappedOp& op, const gemm::GemmSimulator& sim,
 }
 
 /// The one layer walk every layer-level entry point reads. Fills ws.ops
-/// with the layer schedule of the validated config, resolves the layer's
-/// GEMMs with one batched simulator call and returns the ops' times summed
-/// in schedule order. With `records` null that call is estimate_times() —
-/// the search hot path, no per-op work beyond the sum; otherwise it is
-/// estimate_many() and every op's record is appended to `records`. Both
-/// batched calls equal N scalar estimate() calls bit for bit (traced runs
-/// take exactly those calls, in op order), so every reader adds the same
-/// doubles in the same order.
+/// with the layer schedule of the validated config and ws.gemms with its
+/// GEMMs in one pass, resolves those with one batched simulator call and
+/// returns the ops' times summed in schedule order. With `records` null
+/// that call is estimate_times() — the search hot path, no per-op work
+/// beyond the sum; otherwise it is estimate_many() and every op's record
+/// is appended to `records`. Both batched calls equal N scalar estimate()
+/// calls bit for bit (traced runs take exactly those calls, in op order),
+/// so every reader adds the same doubles in the same order.
 double walk_layer(const ValidatedConfig& config,
                   const gemm::GemmSimulator& sim, LayerWorkspace& ws,
                   std::vector<OpLatency>* records) {
-  layer_ops_into(config, ws.ops);
-  ws.gemms.clear();
-  ws.gemms.reserve(ws.ops.size());
-  for (const MappedOp& op : ws.ops) {
-    if (op.gemm.has_value()) ws.gemms.push_back(*op.gemm);
-  }
+  layer_ops_into(config, ws.ops, &ws.gemms);
   if (records == nullptr) {
     ws.gemm_times.resize(ws.gemms.size());
     sim.estimate_times(ws.gemms, ws.gemm_times, ws.batch);

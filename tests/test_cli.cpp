@@ -130,6 +130,36 @@ TEST(CodesignSearch, MaxBelowOneIsAUsageError) {
       << err;
 }
 
+TEST(CodesignCli, BadCommandLinesAreUsageErrors) {
+  // Each is rejected before any work starts (serve before it binds).
+  std::string err;
+  for (const char* args :
+       {"search", "advise", "search gpt3-125m --threads=-1",
+        "search gpt3-125m --mode=heads --deadline-ms=0",
+        "search gpt3-125m --resume", "compare gpt3-125m", "serve --threads=-1",
+        "serve --queue=-1", "serve --deadline-ms=0",
+        "serve --idle-timeout-ms=-1", "serve --write-timeout-ms=-1",
+        "serve --brownout=-1", "serve --tail=-1", "serve --slo-p99-ms=-1"}) {
+    EXPECT_EQ(run_codesign(args, &err), 2) << args << ": " << err;
+    EXPECT_EQ(err.find("check failed"), std::string::npos) << args << ": "
+                                                          << err;
+  }
+  run_codesign("search", &err);
+  EXPECT_NE(err.find("expected a model name"), std::string::npos) << err;
+}
+
+TEST(CodesignCli, UnwritableOutputFileIsAnIoError) {
+  std::string err;
+  for (const char* args :
+       {"trace gpt3-125m --out=/nonexistent-dir/trace.json",
+        "analyze gpt3-125m --out=/nonexistent-dir/report.json",
+        "search gpt3-125m --mode=heads --metrics=/nonexistent-dir/m.txt"}) {
+    EXPECT_EQ(run_codesign(args, &err), 7) << args << ": " << err;
+    EXPECT_NE(err.find("cannot open '/nonexistent-dir/"), std::string::npos)
+        << args << ": " << err;
+  }
+}
+
 TEST(CodesignPlan, GqaKvHeadsMakeATensorDegreeInfeasibleNotAConfigError) {
   // t=8 does not divide kv=4: that layout is listed as infeasible, and the
   // plan still lists every other layout.

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <random>
+
 #include "common/error.hpp"
+#include "support/allocation_counter.hpp"
 
 #include "transformer/attribution.hpp"
 #include "transformer/flops.hpp"
@@ -275,6 +279,138 @@ TEST(Schedule, EveryReaderAgreesWithTheSchedule) {
       }
     }
   }
+}
+
+/// One config per schedule shape: every combination of BMM or flash
+/// attention, rotary or learned positions, GELU or SwiGLU and sequential
+/// or parallel layers (8 to 14 ops, 4 to 7 GEMMs).
+std::vector<TransformerConfig> schedule_shapes() {
+  std::vector<TransformerConfig> out;
+  for (const AttentionImpl attention :
+       {AttentionImpl::kBmm, AttentionImpl::kFlash}) {
+    for (const PosEmbedding pos :
+         {PosEmbedding::kLearned, PosEmbedding::kRotary}) {
+      for (const Activation act : {Activation::kGelu, Activation::kSwiGlu}) {
+        for (const bool parallel : {false, true}) {
+          TransformerConfig c = cfg();
+          c.attention = attention;
+          c.pos_embedding = pos;
+          c.activation = act;
+          c.parallel_layers = parallel;
+          out.push_back(c);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Field-for-field equality of two schedule ops, doubles bit for bit.
+void expect_same_op(const MappedOp& got, const MappedOp& want) {
+  EXPECT_EQ(got.op, want.op);
+  EXPECT_EQ(got.gemm, want.gemm);
+  ASSERT_EQ(got.flash.has_value(), want.flash.has_value());
+  if (want.flash.has_value()) {
+    EXPECT_EQ(got.flash->batch, want.flash->batch);
+    EXPECT_EQ(got.flash->heads, want.flash->heads);
+    EXPECT_EQ(got.flash->seq, want.flash->seq);
+    EXPECT_EQ(got.flash->head_dim, want.flash->head_dim);
+    EXPECT_EQ(got.flash->causal, want.flash->causal);
+    EXPECT_EQ(got.flash->dtype, want.flash->dtype);
+  }
+  EXPECT_EQ(bits(got.elementwise_bytes), bits(want.elementwise_bytes));
+  EXPECT_EQ(bits(got.flops), bits(want.flops));
+}
+
+/// The public, validating builder of a schedule GEMM.
+GemmProblem public_builder(LayerOp op, const TransformerConfig& c) {
+  switch (op) {
+    case LayerOp::kQkvTransform: return qkv_gemm(c);
+    case LayerOp::kAttentionScore: return attention_score_bmm(c);
+    case LayerOp::kAttentionOverValue: return attention_over_value_bmm(c);
+    case LayerOp::kPostAttnProjection: return post_attn_projection_gemm(c);
+    case LayerOp::kMlpUp:
+    case LayerOp::kMlpGate: return mlp_up_gemm(c);
+    case LayerOp::kMlpDown: return mlp_down_gemm(c);
+    default: break;
+  }
+  ADD_FAILURE() << "no builder for " << op_name(op);
+  return {};
+}
+
+// layer_ops_into() writes each op into a slot a longer or different
+// schedule may have used. Walking one workspace through every shape, in
+// both directions, must leave exactly what a fresh schedule holds.
+TEST(Schedule, ReusedBufferLeavesNoStaleOp) {
+  const gemm::GemmSimulator sim = gemm::GemmSimulator::for_gpu("a100");
+  std::vector<TransformerConfig> walk = schedule_shapes();
+  const std::vector<TransformerConfig> shapes = walk;
+  walk.insert(walk.end(), shapes.rbegin(), shapes.rend());
+  LayerWorkspace ws;
+  std::vector<MappedOp> ops;  // layer_ops_into without the GEMM list
+  for (const TransformerConfig& c : walk) {
+    SCOPED_TRACE(c.to_string());
+    const std::vector<MappedOp> fresh = layer_schedule(c);
+    const double reused_time = layer_total_time(c, sim, ws);
+    layer_ops_into(c, ops);
+    ASSERT_EQ(ws.ops.size(), fresh.size());
+    ASSERT_EQ(ops.size(), fresh.size());
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      expect_same_op(ws.ops[i], fresh[i]);
+      expect_same_op(ops[i], fresh[i]);
+    }
+    std::vector<GemmProblem> gemms;
+    for (const MappedOp& op : ws.ops) {
+      if (op.gemm.has_value()) {
+        EXPECT_EQ(*op.gemm, public_builder(op.op, c)) << op_name(op.op);
+        gemms.push_back(*op.gemm);
+      } else if (op.flash.has_value()) {
+        MappedOp want;
+        want.op = op.op;
+        want.flash = flash_attention_problem(c);
+        want.flops = want.flash->flops();
+        expect_same_op(op, want);
+      }
+    }
+    EXPECT_EQ(ws.gemms, gemms);
+    EXPECT_EQ(ws.gemms, layer_gemms(c));
+    LayerWorkspace fresh_ws;
+    EXPECT_EQ(bits(reused_time), bits(layer_total_time(c, sim, fresh_ws)));
+  }
+}
+
+// LayerWorkspace's promise: after warm-up, evaluating a candidate
+// allocates nothing, whatever shapes the candidates take.
+TEST(Schedule, WarmWorkspaceWalkAllocatesNothing) {
+  const gemm::GemmSimulator sim = gemm::GemmSimulator::for_gpu("a100");
+  const std::vector<TransformerConfig> shapes = schedule_shapes();
+  std::vector<TransformerConfig> grid;
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 512; ++i) {
+    const TransformerConfig& shape = shapes[rng() % shapes.size()];
+    const std::int64_t h = 512 + 64 * static_cast<std::int64_t>(rng() % 64);
+    std::int64_t a = h / 64;
+    if (rng() % 2 == 0 && h % (a * 2) == 0) a *= 2;
+    grid.push_back(shape.with_hidden(h)
+                       .with_heads(a)
+                       .with_microbatch(std::int64_t{1} << (rng() % 5))
+                       .with_seq_len(512 << (rng() % 4)));
+  }
+  LayerWorkspace ws;
+  double sink = 0.0;
+  for (const TransformerConfig& c : shapes) {
+    sink += layer_total_time(c, sim, ws);  // warm-up
+  }
+  const long before = testing::allocations();
+  for (const TransformerConfig& c : grid) sink += layer_total_time(c, sim, ws);
+  EXPECT_EQ(testing::allocations(), before);
+  EXPECT_GT(sink, 0.0);
+  // Control: the counter does see a cold workspace's buffers.
+  LayerWorkspace cold;
+  layer_total_time(grid.front(), sim, cold);
+  EXPECT_GT(testing::allocations(), before);
 }
 
 }  // namespace

@@ -3,26 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "common/error.hpp"
+#include "support/allocation_counter.hpp"
 #include "transformer/model_zoo.hpp"
-
-// Every heap allocation in this binary, so a test can assert that a call
-// allocates nothing.
-namespace {
-std::atomic<long> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace codesign::advisor {
 namespace {
@@ -190,15 +173,15 @@ TEST(Rules, PerCandidateVerdictAllocatesNothing) {
     for (int stages : {1, 3}) {
       RuleContext ctx = a100_ctx();
       ctx.pipeline_stages = stages;
-      const long before = g_allocations.load();
+      const long before = testing::allocations();
       const bool pass = satisfies_performance_rules(valid, ctx);
-      EXPECT_EQ(g_allocations.load(), before) << name << " pass=" << pass;
+      EXPECT_EQ(testing::allocations(), before) << name << " pass=" << pass;
     }
   }
   // Control: the counter does see check_rules' messages.
-  const long before = g_allocations.load();
+  const long before = testing::allocations();
   EXPECT_FALSE(check_rules(model_by_name("gpt3-2.7b"), a100_ctx()).empty());
-  EXPECT_GT(g_allocations.load(), before);
+  EXPECT_GT(testing::allocations(), before);
 }
 
 TEST(Rules, NamesForAllRules) {

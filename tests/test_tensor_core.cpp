@@ -154,7 +154,8 @@ TEST(EffectiveMathRate, ScalesWithCombined) {
 }
 
 // AlignmentTable replaces the per-dimension ladder walk with a lookup; it
-// must agree with alignment_efficiency() in every field, bit for bit.
+// must agree with alignment_efficiency() in every factor, bit for bit. The
+// report-only pow2_* keys stay 1 until set_pow2() fills them.
 TEST(AlignmentTable, MatchesAlignmentEfficiencyBitwise) {
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   std::vector<std::int64_t> dims;
@@ -174,7 +175,7 @@ TEST(AlignmentTable, MatchesAlignmentEfficiencyBitwise) {
         const std::int64_t k = dims[(i * 13 + 5) % dims.size()];
         const AlignmentEfficiency want =
             alignment_efficiency(m, n, k, dtype, gpu);
-        const AlignmentEfficiency got = table.evaluate(m, n, k, dtype);
+        AlignmentEfficiency got = table.factors(m, n, k, dtype);
         SCOPED_TRACE(id + " " + dtype_name(dtype) + " " + std::to_string(m) +
                      "x" + std::to_string(n) + "x" + std::to_string(k));
         EXPECT_EQ(bits(got.m), bits(want.m));
@@ -182,6 +183,10 @@ TEST(AlignmentTable, MatchesAlignmentEfficiencyBitwise) {
         EXPECT_EQ(bits(got.k), bits(want.k));
         EXPECT_EQ(bits(got.combined), bits(want.combined));
         EXPECT_EQ(got.tensor_cores, want.tensor_cores);
+        EXPECT_EQ(got.pow2_m, 1);
+        EXPECT_EQ(got.pow2_n, 1);
+        EXPECT_EQ(got.pow2_k, 1);
+        got.set_pow2(m, n, k);
         EXPECT_EQ(got.pow2_m, want.pow2_m);
         EXPECT_EQ(got.pow2_n, want.pow2_n);
         EXPECT_EQ(got.pow2_k, want.pow2_k);

@@ -135,9 +135,14 @@ gemm::GemmSimulator sim_for(const CliArgs& args) {
   return sim;
 }
 
+/// A bad command line is a usage error (exit 2), not a failed check.
+void usage_check(bool ok, const char* what) {
+  if (!ok) throw UsageError(what);
+}
+
 std::size_t threads_arg(const CliArgs& args) {
   const std::int64_t n = args.get_int("threads", 1);
-  CODESIGN_CHECK(n >= 0, "--threads must be >= 0 (0 = all hardware threads)");
+  usage_check(n >= 0, "--threads must be >= 0 (0 = all hardware threads)");
   return static_cast<std::size_t>(n);
 }
 
@@ -151,8 +156,8 @@ void checkpoint_args(const CliArgs& args, const std::string& fingerprint,
                      std::optional<advisor::CheckpointWriter>& writer,
                      Options& options) {
   if (!args.has("checkpoint")) {
-    CODESIGN_CHECK(!args.get_bool("resume", false),
-                   "--resume requires --checkpoint=<file>");
+    usage_check(!args.get_bool("resume", false),
+                "--resume requires --checkpoint=<file>");
     return;
   }
   const std::int64_t every = args.get_int("checkpoint-every", 64);
@@ -173,12 +178,13 @@ void checkpoint_args(const CliArgs& args, const std::string& fingerprint,
   options.checkpoint = &*writer;
 }
 
-/// Write a file or die with a clean error.
+/// Write a whole file or die with a typed IoError (exit 7).
 void write_file(const std::string& path, const std::string& contents) {
   std::ofstream f(path);
-  CODESIGN_CHECK(f.good(), "cannot open '" + path + "' for writing");
+  if (!f.good()) throw IoError("cannot open '" + path + "' for writing");
   f << contents;
-  CODESIGN_CHECK(f.good(), "failed writing '" + path + "'");
+  f.flush();
+  if (!f.good()) throw IoError("failed writing '" + path + "'");
 }
 
 /// --metrics=<file>: enable the registry up front; returns true if set.
@@ -213,9 +219,9 @@ tfm::TransformerConfig model_arg(const CliArgs& args, std::size_t index = 1) {
   if (args.has("custom")) {
     return tfm::parse_config_string(args.get_string("custom", ""));
   }
-  CODESIGN_CHECK(args.positional().size() > index,
-                 "expected a model name (or --custom=h=...,a=...,L=...); "
-                 "run `codesign models` for the list");
+  usage_check(args.positional().size() > index,
+              "expected a model name (or --custom=h=...,a=...,L=...); "
+              "run `codesign models` for the list");
   return tfm::model_by_name(args.positional()[index]);
 }
 
@@ -364,7 +370,7 @@ int cmd_search(const CliArgs& args) {
   cancel.link_to_sigint();
   if (args.has("deadline-ms")) {
     const std::int64_t ms = args.get_int("deadline-ms", 0);
-    CODESIGN_CHECK(ms > 0, "--deadline-ms must be positive");
+    usage_check(ms > 0, "--deadline-ms must be positive");
     cancel.deadline_after(std::chrono::milliseconds(ms));
   }
   options.cancel = &cancel;
@@ -447,7 +453,7 @@ int cmd_sweep(const CliArgs& args) {
   cancel.link_to_sigint();
   if (args.has("deadline-ms")) {
     const std::int64_t ms = args.get_int("deadline-ms", 0);
-    CODESIGN_CHECK(ms > 0, "--deadline-ms must be positive");
+    usage_check(ms > 0, "--deadline-ms must be positive");
     cancel.deadline_after(std::chrono::milliseconds(ms));
   }
   options.cancel = &cancel;
@@ -618,10 +624,7 @@ int cmd_trace(const CliArgs& args) {
   opt.include_model_level = args.get_bool("model-level", true);
   const std::string json = tfm::trace_json(cfg, sim, opt);
   const std::string out = args.get_string("out", "trace.json");
-  std::ofstream f(out);
-  CODESIGN_CHECK(f.good(), "cannot open '" + out + "' for writing");
-  f << json;
-  f.close();
+  write_file(out, json);
   std::cout << "wrote " << json.size() << " bytes to " << out
             << " — open with chrome://tracing or https://ui.perfetto.dev\n";
   return 0;
@@ -655,8 +658,8 @@ int cmd_plan(const CliArgs& args) {
 }
 
 int cmd_compare(const CliArgs& args) {
-  CODESIGN_CHECK(args.positional().size() >= 3,
-                 "compare needs two model names");
+  usage_check(args.positional().size() >= 3,
+              "compare needs two model names");
   const auto& a = tfm::model_by_name(args.positional()[1]);
   const auto& b = tfm::model_by_name(args.positional()[2]);
   std::cout << advisor::compare_configs(a, b, sim_for(args)).to_string();
@@ -705,42 +708,42 @@ int cmd_serve(const CliArgs& args) {
   options.host = args.get_string("host", "127.0.0.1");
   options.port = static_cast<int>(args.get_int("port", 8377));
   const std::int64_t threads = args.get_int("threads", 4);
-  CODESIGN_CHECK(threads >= 0,
-                 "--threads must be >= 0 (0 = all hardware threads)");
+  usage_check(threads >= 0,
+              "--threads must be >= 0 (0 = all hardware threads)");
   options.threads = static_cast<std::size_t>(threads);
   if (options.threads == 0) options.threads = ThreadPool::hardware_threads();
   const std::int64_t queue = args.get_int("queue", 0);
-  CODESIGN_CHECK(queue >= 0, "--queue must be >= 0 (0 = 4 x threads)");
+  usage_check(queue >= 0, "--queue must be >= 0 (0 = 4 x threads)");
   options.queue_capacity = static_cast<std::size_t>(queue);
   if (options.queue_capacity == 0) options.queue_capacity = 4 * options.threads;
   if (args.has("deadline-ms")) {
     const std::int64_t ms = args.get_int("deadline-ms", 0);
-    CODESIGN_CHECK(ms > 0, "--deadline-ms must be positive");
+    usage_check(ms > 0, "--deadline-ms must be positive");
     options.default_deadline_ms = ms;
   }
   options.watch_sigint = true;
 
   // Resilience knobs (docs/SERVING.md "Resilience").
   const std::int64_t idle_ms = args.get_int("idle-timeout-ms", 30000);
-  CODESIGN_CHECK(idle_ms >= 0, "--idle-timeout-ms must be >= 0 (0 = never)");
+  usage_check(idle_ms >= 0, "--idle-timeout-ms must be >= 0 (0 = never)");
   options.idle_timeout_ms = idle_ms;
   const std::int64_t write_ms = args.get_int("write-timeout-ms", 5000);
-  CODESIGN_CHECK(write_ms >= 0,
-                 "--write-timeout-ms must be >= 0 (0 = wait forever)");
+  usage_check(write_ms >= 0,
+              "--write-timeout-ms must be >= 0 (0 = wait forever)");
   options.write_timeout_ms = write_ms;
   const std::int64_t brownout = args.get_int("brownout", 0);
-  CODESIGN_CHECK(brownout >= 0,
-                 "--brownout must be >= 0 (0 = 3/4 of the queue capacity)");
+  usage_check(brownout >= 0,
+              "--brownout must be >= 0 (0 = 3/4 of the queue capacity)");
   options.brownout_watermark = static_cast<std::size_t>(brownout);
 
   // Every request is traced. --tail sizes the recent-request ring only
   // (0 keeps no records), --slo-p99-ms sets the declarative latency SLO
   // reported at drain, --trace captures per-request chrome-trace spans.
   const std::int64_t tail = args.get_int("tail", 256);
-  CODESIGN_CHECK(tail >= 0, "--tail must be >= 0 (0 keeps no records)");
+  usage_check(tail >= 0, "--tail must be >= 0 (0 keeps no records)");
   options.trace.ring_capacity = static_cast<std::size_t>(tail);
   const double slo_p99 = args.get_double("slo-p99-ms", 0.0);
-  CODESIGN_CHECK(slo_p99 >= 0.0, "--slo-p99-ms must be >= 0");
+  usage_check(slo_p99 >= 0.0, "--slo-p99-ms must be >= 0");
   options.trace.slo_p99_ms = slo_p99;
 
   std::unique_ptr<obs::ScopedRecorder> scoped_recorder;
