@@ -5,6 +5,8 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <mutex>
+#include <queue>
 #include <type_traits>
 #include <utility>
 
@@ -51,16 +53,18 @@ using ShapeScores = CheckpointShapeEntry;
 ShapeScores evaluate_against(const TransformerConfig& config,
                              const BaselineContext& base,
                              const gemm::GemmSimulator& sim,
-                             tfm::LayerWorkspace& ws) {
+                             tfm::LayerWorkspace& ws,
+                             double cutoff = tfm::kNoCutoff) {
   // layer_total_time is analyze_layer's walk without the per-op records:
   // bit-identical total, none of the report the search never reads, and
   // the candidate's GEMM list resolves through one estimate_times() call
   // against `ws`. One view validates the candidate once for the walk, the
   // parameter count and the rule verdict.
   const tfm::ValidatedConfig valid(config);
-  const double layer_time = tfm::layer_total_time(valid, sim, ws);
+  const double layer_time = tfm::layer_total_time(valid, sim, ws, cutoff);
   ShapeScores s;
   s.layer_time = layer_time;
+  if (layer_time > cutoff) return s;  // past the cut: nothing else is read
   s.layer_tflops = tfm::layer_forward_flops(ws) / layer_time / 1e12;
   s.speedup_vs_base = base.layer_time / layer_time;
   s.param_count = static_cast<double>(tfm::exact_param_count(valid));
@@ -129,6 +133,12 @@ enum class SlotState : std::uint8_t {
 struct SkipInfo {
   std::string reason;
   int attempts = 1;
+};
+
+/// A shape search worker's buffers and its k best exact layer times.
+struct ShapeScratch {
+  tfm::LayerWorkspace ws;
+  std::priority_queue<double> best;
 };
 
 /// Deterministic fault-handling counters, shared across workers.
@@ -212,7 +222,8 @@ auto guarded_sweep(std::size_t n, const SearchOptions& options,
   SweptSlots<Slot> out;
   out.slots.resize(n);
   std::vector<SlotState> state(n, SlotState::kPending);
-  std::vector<SkipInfo> skips(n);
+  std::vector<std::pair<std::size_t, SkipInfo>> skips;  // skipped slots only
+  std::mutex skips_mu;
   GuardCounters counters;
   outcome.total_candidates = n;
 
@@ -224,7 +235,7 @@ auto guarded_sweep(std::size_t n, const SearchOptions& options,
         ++outcome.resumed;
       } else if (const CheckpointSkipEntry* s = options.resume->skip(key(i))) {
         state[i] = SlotState::kSkipped;
-        skips[i] = {s->reason, s->attempts};
+        skips.push_back({i, {s->reason, s->attempts}});
         ++outcome.resumed;
       }
     }
@@ -239,11 +250,11 @@ auto guarded_sweep(std::size_t n, const SearchOptions& options,
     });
     state[i] = s;
     if (s == SlotState::kSkipped) {
-      skips[i] = std::move(skip);
       if (options.checkpoint != nullptr) {
-        options.checkpoint->record_skip(key(i),
-                                        {skips[i].attempts, skips[i].reason});
+        options.checkpoint->record_skip(key(i), {skip.attempts, skip.reason});
       }
+      const std::lock_guard lock(skips_mu);
+      skips.emplace_back(i, std::move(skip));
     } else if (s == SlotState::kDone && options.checkpoint != nullptr) {
       record(*options.checkpoint, i, out.slots[i]);
     }
@@ -260,18 +271,12 @@ auto guarded_sweep(std::size_t n, const SearchOptions& options,
 
   out.done.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    switch (state[i]) {
-      case SlotState::kDone:
-        out.done.push_back(i);
-        break;
-      case SlotState::kSkipped:
-        outcome.skipped.push_back(
-            {config_of(i), skips[i].reason, skips[i].attempts});
-        break;
-      case SlotState::kPending:  // cancelled before its chunk ran
-      case SlotState::kUnreached:
-        break;
-    }
+    if (state[i] == SlotState::kDone) out.done.push_back(i);
+  }
+  std::ranges::sort(skips, {}, [](const auto& s) { return s.first; });
+  for (auto& [i, skip] : skips) {
+    outcome.skipped.push_back(
+        {config_of(i), std::move(skip.reason), skip.attempts});
   }
   outcome.evaluated = out.done.size();
   outcome.retries =
@@ -331,8 +336,15 @@ SearchOutcome evaluate_pipeline(
   // The baseline context is evaluated unguarded: without it no candidate
   // can be scored, so a fault here aborts the sweep in any policy. Its
   // workspace is the one-thread sweep's.
-  tfm::LayerWorkspace ws;
-  const BaselineContext base = make_baseline(baseline, sim, ws);
+  ShapeScratch serial;
+  const BaselineContext base = make_baseline(baseline, sim, serial.ws);
+
+  // Pruning (docs/search_pipeline.md): keeping k < n on the lean path with
+  // no checkpoint, cut a candidate off at its worker's k-th best exact time,
+  // never below the grid's; not the baseline (rank_top_k may keep it).
+  const bool prunes = options.checkpoint == nullptr && sim.lean_times() &&
+                      options.max_candidates < configs.size();
+  const std::size_t keep = prunes ? options.max_candidates : 0;
 
   SearchOutcome outcome;
   SweptSlots<ShapeScores> swept;
@@ -340,13 +352,24 @@ SearchOutcome evaluate_pipeline(
     obs::ScopedEvent span("search", "evaluate");
     obs::ScopedTimer timer("advisor.search.evaluate_us");
     swept = guarded_sweep(
-        configs.size(), options, outcome, ws,
+        configs.size(), options, outcome, serial,
         [&](std::size_t i) -> const std::string& { return configs[i].name; },
         [&](const SearchCheckpoint& cp, std::size_t i) {
           return cp.shape(configs[i].name);
         },
-        [&](std::size_t i, tfm::LayerWorkspace& ws) {
-          return evaluate_against(configs[i], base, sim, ws);
+        [&](std::size_t i, ShapeScratch& scratch) {
+          auto& best = scratch.best;
+          const double cutoff =
+              keep > 0 && best.size() == keep && !(configs[i] == baseline)
+                  ? best.top()
+                  : tfm::kNoCutoff;
+          const ShapeScores s =
+              evaluate_against(configs[i], base, sim, scratch.ws, cutoff);
+          if (keep > 0 && s.layer_time <= cutoff) {
+            best.push(s.layer_time);
+            if (best.size() > keep) best.pop();
+          }
+          return s;
         },
         [&](CheckpointWriter& cp, std::size_t i, const ShapeScores& s) {
           cp.record_shape(configs[i].name, s);

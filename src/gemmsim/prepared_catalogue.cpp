@@ -113,45 +113,49 @@ PreparedCatalogue::PreparedCatalogue(
     sorted_ = sorted_ && (i == 0 || t.intrinsic_efficiency <=
                                         tiles_[i - 1].intrinsic_efficiency);
     min_intrinsic_ = std::min(min_intrinsic_, t.intrinsic_efficiency);
+    max_intrinsic_ = std::max(max_intrinsic_, t.intrinsic_efficiency);
     blocks_per_wave_.push_back(static_cast<std::int64_t>(gpu.sm_count) *
                                t.blocks_per_sm);
   }
 }
 
-std::size_t PreparedCatalogue::select(const GemmProblem& problem,
-                                      ProblemTerms* terms_out,
-                                      double* best_time) const {
-  const bool selecting = policy_ == TilePolicy::kAuto;
+PreparedCatalogue::Preamble PreparedCatalogue::prepare(
+    const GemmProblem& problem) const {
   // The failpoint fires per selection with the problem hash as its token,
   // so prob:P:seed drills skip the same candidates on every path.
-  if (selecting) {
+  if (policy_ == TilePolicy::kAuto) {
     CODESIGN_FAILPOINT_T("gemmsim.select_kernel", problem.hash_value());
   }
   problem.validate();
-  const ProblemTerms terms = problem_terms(
+  Preamble p;
+  p.terms = problem_terms(
       problem, *gpu_,
       alignment_.factors(problem.m, problem.n, problem.k, problem.dtype));
-  if (terms_out != nullptr) *terms_out = terms;
-  if (obs::EventRecorder* recorder = obs::EventRecorder::active();
-      selecting && recorder != nullptr) {
-    return select_traced(problem, *gpu_, tiles_, *recorder, best_time);
-  }
+  const ProblemTerms& terms = p.terms;
   // tile_timing() checks the rate of each tile it times; the rate is
   // monotone in the efficiency, so this covers the skipped tiles too.
   CODESIGN_CHECK(terms.math_base * min_intrinsic_ > 0.0,
                  "math rate must be positive");
-
   // The tile-independent parts of the bound (see the header).
   const double m = static_cast<double>(problem.m);
   const double n = static_cast<double>(problem.n);
   const double k = static_cast<double>(problem.k);
-  const double useful_flops = 2.0 * m * n * k * terms.batch;
+  p.useful_flops = 2.0 * m * n * k * terms.batch;
   const double c_store_bytes = m * n * terms.esize;
   const double c_bytes =
       terms.accumulate_into_c ? 2.0 * c_store_bytes : c_store_bytes;
-  const double memory_floor =
-      (m * k * terms.esize + k * n * terms.esize + c_bytes) * terms.batch /
-      terms.bandwidth;
+  p.memory_floor = (m * k * terms.esize + k * n * terms.esize + c_bytes) *
+                   terms.batch / terms.bandwidth;
+  return p;
+}
+
+std::size_t PreparedCatalogue::select(const GemmProblem& problem,
+                                      const Preamble& p,
+                                      double* best_time) const {
+  if (obs::EventRecorder* recorder = obs::EventRecorder::active();
+      policy_ == TilePolicy::kAuto && recorder != nullptr) {
+    return select_traced(problem, *gpu_, tiles_, *recorder, best_time);
+  }
   // ceil(a / b): a shift when every tile dim is a power of two.
   const auto tiles = [this](std::int64_t a, std::int64_t b) {
     return pow2_dims_
@@ -164,11 +168,8 @@ std::size_t PreparedCatalogue::select(const GemmProblem& problem,
   std::size_t visited = 0;
   for (std::size_t i = 0; i < tiles_.size(); ++i) {
     const gpu::TileConfig& t = tiles_[i];
-    const double bound =
-        std::max(useful_flops / (terms.math_base * t.intrinsic_efficiency),
-                 memory_floor) +
-        terms.launch_overhead;
-    if (i > 0 && bound >= best) {  // at best a tie: the earlier entry wins
+    // At best a tie, and ties go to the earlier entry.
+    if (i > 0 && p.bound(t.intrinsic_efficiency) >= best) {
       if (sorted_) break;  // later bounds are no smaller
       continue;
     }
@@ -187,14 +188,14 @@ std::size_t PreparedCatalogue::select(const GemmProblem& problem,
         static_cast<double>(tile_q.tiles_total) /
         static_cast<double>(waves * blocks_per_wave);
     const TileTiming timing =
-        tile_timing(tile_q, wave_efficiency, t.intrinsic_efficiency, terms);
+        tile_timing(tile_q, wave_efficiency, t.intrinsic_efficiency, p.terms);
     if (i == 0 || timing.time < best) {  // ties keep the earlier entry
       best_index = i;
       best = timing.time;
     }
   }
 
-  if (selecting && obs::MetricsRegistry::enabled()) {
+  if (policy_ == TilePolicy::kAuto && obs::MetricsRegistry::enabled()) {
     // Resolved once (registry references live as long as the registry), so
     // a metrics-on scan takes no registry lock.
     static obs::Counter& computed = select_counter("gemmsim.select.computed");
@@ -211,16 +212,17 @@ std::size_t PreparedCatalogue::select(const GemmProblem& problem,
 
 KernelEstimate PreparedCatalogue::estimate_one(
     const GemmProblem& problem) const {
-  ProblemTerms terms;
+  Preamble p = prepare(problem);
   double time = 0.0;
-  const std::size_t best = select(problem, &terms, &time);
-  terms.alignment.set_pow2(problem.m, problem.n, problem.k);
-  return estimate_with_tile(problem, tiles_[best], *gpu_, &terms);
+  const std::size_t best = select(problem, p, &time);
+  p.terms.alignment.set_pow2(problem.m, problem.n, problem.k);
+  return estimate_with_tile(problem, tiles_[best], *gpu_, &p.terms);
 }
 
-double PreparedCatalogue::time_one(const GemmProblem& problem) const {
+double PreparedCatalogue::time_one(const GemmProblem& problem,
+                                   const Preamble& p) const {
   double time = 0.0;
-  select(problem, nullptr, &time);
+  select(problem, p, &time);
   return time;
 }
 

@@ -6,18 +6,18 @@
 // and a gpu::AlignmentTable, built once and shared, so a scan allocates
 // nothing and skips the alignment ladder walk.
 //
-// The scan is pruned but exact. Before timing tile i it evaluates
-//   bound_i = max(2·m·n·k·batch / (math_base·eff_i),
-//                 unpadded_traffic / bandwidth) + launch,
-// tile_timing()'s expressions with the real dims in place of the padded
-// ones and no wave padding. IEEE rounding is monotone, so bound_i never
-// exceeds tile i's time; a tile after the first is skipped when bound_i is
-// at least the best time so far: it could at best tie, and ties go to the
-// earlier entry. When the efficiencies never increase along the catalogue
-// (checked at construction) the bounds never decrease and the scan stops
-// at the first skip. Power-of-two tile dims quantize by shifts. The winner's
-// full estimate reuses the scan's problem terms, alignment included, and
-// adds the report-only pow2_* keys, which the scan does not compute.
+// A selection is a preamble, prepare(), and a scan that reads it. The scan
+// is pruned but exact: before timing tile i it evaluates Preamble::bound()
+//   max(2·m·n·k·batch / (math_base·eff_i), unpadded_traffic / bandwidth)
+//   + launch, tile_timing()'s expressions with the real dims in place of
+// the padded ones and no wave padding. IEEE rounding is monotone, so it
+// never exceeds tile i's time, and a later tile is skipped when it is at
+// least the best time so far (ties go to the earlier entry). Efficiencies
+// that never increase along the catalogue (checked at construction) stop
+// the scan at the first skip. No tile beats lower_bound(), the bound of the
+// most efficient one. Power-of-two tile dims quantize by shifts. The
+// winner's full estimate reuses the preamble's terms and adds the
+// report-only pow2_* keys, which the scan does not compute.
 //
 // Under kAuto with an obs::EventRecorder installed the scan prunes nothing:
 // it times every tile through estimate_with_tile() and records the
@@ -31,6 +31,7 @@
 // exhaustive walk in tests/support/reference_select.hpp.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "gemmsim/kernel_model.hpp"
@@ -63,15 +64,31 @@ class PreparedCatalogue {
   /// kAuto, so fault drills land on the same candidates on every path.
   KernelEstimate estimate_one(const GemmProblem& problem) const;
 
-  /// Just the winning time: bit-identical to estimate_one(problem).time.
-  double time_one(const GemmProblem& problem) const;
+  /// What the scan reads of one problem besides the tiles.
+  struct Preamble {
+    ProblemTerms terms;
+    double useful_flops = 0.0;  ///< 2·m·n·k·batch
+    double memory_floor = 0.0;  ///< unpadded operand traffic / bandwidth
+    double bound(double eff) const {
+      return std::max(useful_flops / (terms.math_base * eff), memory_floor) +
+             terms.launch_overhead;
+    }
+  };
+  /// A selection's preamble: the gemmsim.select_kernel failpoint (kAuto),
+  /// validation and the terms. Everything a selection throws, it throws.
+  Preamble prepare(const GemmProblem& problem) const;
+  /// No tile is faster: the bound of the most efficient one.
+  double lower_bound(const Preamble& p) const {
+    return p.bound(max_intrinsic_);
+  }
+  /// Just the winning time, from the problem's prepare(): bit-identical to
+  /// estimate_one(problem).time.
+  double time_one(const GemmProblem& problem, const Preamble& p) const;
 
  private:
-  /// The shared preamble (failpoint, validation, metrics) and the scan, or
-  /// the traced walk under a recorder; returns the winning tile's index,
-  /// stores the problem's terms (alignment from the table) in `terms` when
-  /// it is not null, and the winning time in `best_time`.
-  std::size_t select(const GemmProblem& problem, ProblemTerms* terms,
+  /// The scan (the traced walk under a recorder); returns the winning
+  /// tile's index and stores its time in `best_time`.
+  std::size_t select(const GemmProblem& problem, const Preamble& p,
                      double* best_time) const;
 
   const gpu::GpuSpec* gpu_;  ///< registry- or caller-owned, never null
@@ -82,6 +99,7 @@ class PreparedCatalogue {
   bool pow2_dims_ = true;  ///< every tm/tn/tk is a power of two
   bool sorted_ = true;     ///< intrinsic efficiencies never increase
   double min_intrinsic_ = 1.0;
+  double max_intrinsic_ = 0.0;
 };
 
 }  // namespace codesign::gemm

@@ -159,7 +159,8 @@ void GemmSimulator::estimate_times(std::span<const GemmProblem> problems,
   }
   if (cache_ == nullptr) {
     for (std::size_t i = 0; i < n; ++i) {
-      out[i] = prepared_->time_one(problems[i]);
+      const GemmProblem& p = problems[i];
+      out[i] = prepared_->time_one(p, prepared_->prepare(p));
     }
     if (auto* rs = obs::RequestScope::current()) rs->estimates += n;
     return;
@@ -191,6 +192,11 @@ void GemmSimulator::estimate_times(std::span<const GemmProblem> problems,
                         workspace.hit.data(), workspace.scratch);
   }
   if (auto* rs = obs::RequestScope::current()) rs->estimates += n;
+}
+
+bool GemmSimulator::lean_times() const {
+  return cache_ == nullptr && obs::EventRecorder::active() == nullptr &&
+         !obs::MetricsRegistry::enabled();
 }
 
 double GemmSimulator::sequence_latency(std::span<const GemmProblem> problems,

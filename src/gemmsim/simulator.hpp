@@ -87,6 +87,9 @@ class GemmSimulator {
   void estimate_times(std::span<const GemmProblem> problems,
                       std::span<double> out, BatchWorkspace& workspace) const;
 
+  /// estimate_times() takes its lean path: no cache, metrics or recorder.
+  bool lean_times() const;
+
   /// Batched overload of sequence_latency: sums estimate_times() outputs in
   /// input order — bit-identical to the scalar overload.
   double sequence_latency(std::span<const GemmProblem> problems,

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
+#include "obs/req_scope.hpp"
 #include "transformer/flops.hpp"
 
 namespace codesign::tfm {
@@ -107,33 +108,53 @@ OpLatency record_op(const MappedOp& op, const gemm::GemmSimulator& sim,
 /// so every reader adds the same doubles in the same order.
 double walk_layer(const ValidatedConfig& config,
                   const gemm::GemmSimulator& sim, LayerWorkspace& ws,
-                  std::vector<OpLatency>* records) {
+                  std::vector<OpLatency>* records, double cutoff) {
   layer_ops_into(config, ws.ops, &ws.gemms);
-  if (records == nullptr) {
-    ws.gemm_times.resize(ws.gemms.size());
-    sim.estimate_times(ws.gemms, ws.gemm_times, ws.batch);
-  } else {
+  const auto sum_ops = [&] {
+    double total = 0.0;
+    std::size_t g = 0;
+    for (const MappedOp& op : ws.ops) {
+      if (records != nullptr) {
+        const gemm::KernelEstimate* est =
+            op.gemm.has_value() ? &ws.estimates[g++] : nullptr;
+        records->push_back(record_op(op, sim, est));
+        total += records->back().time;
+      } else if (op.gemm.has_value()) {
+        total += ws.gemm_times[g++];
+      } else if (op.flash.has_value()) {
+        total += sim.estimate_flash(*op.flash).time;
+      } else {
+        total += elementwise_time(op.elementwise_bytes, sim.gpu());
+      }
+    }
+    return total;
+  };
+  if (records != nullptr) {
     ws.estimates.resize(ws.gemms.size());
     sim.estimate_many(ws.gemms, ws.estimates, ws.batch);
     records->reserve(records->size() + ws.ops.size());
+    return sum_ops();
   }
-  double total = 0.0;
-  std::size_t g = 0;
-  for (const MappedOp& op : ws.ops) {
-    if (records != nullptr) {
-      const gemm::KernelEstimate* est =
-          op.gemm.has_value() ? &ws.estimates[g++] : nullptr;
-      records->push_back(record_op(op, sim, est));
-      total += records->back().time;
-    } else if (op.gemm.has_value()) {
-      total += ws.gemm_times[g++];
-    } else if (op.flash.has_value()) {
-      total += sim.estimate_flash(*op.flash).time;
-    } else {
-      total += elementwise_time(op.elementwise_bytes, sim.gpu());
+  const std::size_t n = ws.gemms.size();
+  ws.gemm_times.resize(n);
+  if (cutoff < kNoCutoff && sim.lean_times()) {
+    // Each GEMM passes its preamble once, in op order. IEEE rounding is
+    // monotone, so the bounds' sum never exceeds the exact sum.
+    const gemm::PreparedCatalogue& catalogue = sim.prepared();
+    ws.preambles.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ws.preambles[i] = catalogue.prepare(ws.gemms[i]);
+      ws.gemm_times[i] = catalogue.lower_bound(ws.preambles[i]);
     }
+    if (const double bound = sum_ops(); bound > cutoff) return bound;
+    for (std::size_t i = 0; i < n; ++i) {
+      ws.gemm_times[i] = catalogue.time_one(ws.gemms[i], ws.preambles[i]);
+    }
+    if (auto* rs = obs::RequestScope::current()) rs->estimates += n;
+  } else {
+    sim.estimate_times(ws.gemms, ws.gemm_times, ws.batch);
   }
-  return total;
+  return sum_ops();
 }
 
 }  // namespace
@@ -187,8 +208,9 @@ double LayerLatencyReport::gemm_share_of(LayerOp op) const {
 }
 
 double layer_total_time(const ValidatedConfig& config,
-                        const gemm::GemmSimulator& sim, LayerWorkspace& ws) {
-  return walk_layer(config, sim, ws, nullptr);
+                        const gemm::GemmSimulator& sim, LayerWorkspace& ws,
+                        double cutoff) {
+  return walk_layer(config, sim, ws, nullptr, cutoff);
 }
 
 double layer_forward_flops(const LayerWorkspace& ws) {
@@ -199,7 +221,7 @@ LayerLatencyReport analyze_layer(const TransformerConfig& config,
                                  const gemm::GemmSimulator& sim) {
   LayerWorkspace ws;
   LayerLatencyReport r;
-  r.total_time = walk_layer(config, sim, ws, &r.ops);
+  r.total_time = walk_layer(config, sim, ws, &r.ops, kNoCutoff);
   for (const OpLatency& o : r.ops) {
     (o.is_gemm ? r.gemm_time : r.non_gemm_time) += o.time;
   }

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -89,16 +90,21 @@ struct LayerWorkspace {
   std::vector<gemm::GemmProblem> gemms;    ///< the layer's GEMMs, in op order
   std::vector<double> gemm_times;
   std::vector<gemm::KernelEstimate> estimates;  ///< when records are built
+  std::vector<gemm::PreparedCatalogue::Preamble> preambles;  ///< with a cutoff
   gemm::GemmSimulator::BatchWorkspace batch;
 };
 
-/// Just the layer's total time, bit-identical to
-/// analyze_layer().total_time: the same walk without the per-op records,
-/// its GEMMs resolved by one
-/// GemmSimulator::estimate_times() call. The search hot path: a
-/// design-space sweep only ranks by this number.
+inline constexpr double kNoCutoff = std::numeric_limits<double>::infinity();
+
+/// Just the layer's total time, bit-identical to analyze_layer().total_time:
+/// the same walk without the per-op records, its GEMMs resolved by one
+/// GemmSimulator::estimate_times() call. The search hot path. With a finite
+/// `cutoff` and sim.lean_times() the walk first sums a lower bound
+/// (PreparedCatalogue::lower_bound() per GEMM) and returns it, with no tile
+/// scan, when it is above `cutoff` (a cutoff of 0 returns it).
 double layer_total_time(const ValidatedConfig& config,
-                        const gemm::GemmSimulator& sim, LayerWorkspace& ws);
+                        const gemm::GemmSimulator& sim, LayerWorkspace& ws,
+                        double cutoff = kNoCutoff);
 
 /// layer_forward_flops() of the config the last layer_total_time() call
 /// walked with `ws`: the same sum over the schedule the walk already

@@ -88,7 +88,8 @@ void expect_identical(const KernelEstimate& a, const KernelEstimate& b) {
 
 /// The pruned scan against the exhaustive walk (oracle::reference_select
 /// over the same catalogue) for one problem: the same estimate field for
-/// field, the same time from time_one(), or the same failure.
+/// field, the same time from time_one(), or the same failure; and no
+/// lower_bound() above the reference time.
 void expect_scan_matches_reference(const PreparedCatalogue& prepared,
                                    const std::vector<gpu::TileConfig>& tiles,
                                    const GemmProblem& p) {
@@ -100,11 +101,13 @@ void expect_scan_matches_reference(const PreparedCatalogue& prepared,
   } catch (const Error&) {
     // e.g. fp64 on a GPU with no fp64 math path: the scan must refuse too.
     EXPECT_THROW(prepared.estimate_one(p), Error);
-    EXPECT_THROW(prepared.time_one(p), Error);
+    EXPECT_THROW(prepared.time_one(p, prepared.prepare(p)), Error);
     return;
   }
   expect_identical(reference, prepared.estimate_one(p));
-  EXPECT_EQ(bits(reference.time), bits(prepared.time_one(p)));
+  const PreparedCatalogue::Preamble preamble = prepared.prepare(p);
+  EXPECT_EQ(bits(reference.time), bits(prepared.time_one(p, preamble)));
+  EXPECT_LE(prepared.lower_bound(preamble), reference.time);
 }
 
 /// A GEMM dim in [1, 2^17]: powers of two and their neighbours, primes,
@@ -154,7 +157,8 @@ TEST(PreparedCatalogue, EstimateOneMatchesTheReferenceWalk) {
   EXPECT_EQ(prepared.tile_count(), gpu::default_tile_catalogue().size());
   for (const GemmProblem& p : shape_set()) {
     expect_identical(oracle::reference_select(p, gpu), prepared.estimate_one(p));
-    EXPECT_EQ(prepared.time_one(p), prepared.estimate_one(p).time);
+    EXPECT_EQ(prepared.time_one(p, prepared.prepare(p)),
+              prepared.estimate_one(p).time);
   }
 }
 
@@ -253,7 +257,7 @@ bool expect_trail_matches_reference(const PreparedCatalogue& prepared,
   }
   {
     obs::ScopedRecorder scoped;
-    prepared.time_one(p);
+    prepared.time_one(p, prepared.prepare(p));
     expect_trail(scoped.recorder());
   }
   return true;
@@ -360,7 +364,8 @@ TEST(PreparedCatalogue, PrunedCounterIsBestEffort) {
   const PreparedCatalogue prepared(gpu::gpu_by_name("a100"),
                                    TilePolicy::kAuto);
   // A large aligned GEMM: the first tiles win, the small ones are skipped.
-  prepared.time_one(problem(8192, 8192, 8192));
+  const GemmProblem big = problem(8192, 8192, 8192);
+  prepared.time_one(big, prepared.prepare(big));
   obs::MetricsRegistry::set_enabled(false);
   const std::uint64_t pruned =
       reg.counter("gemmsim.select.pruned", {}, obs::Stability::kBestEffort)
@@ -415,7 +420,8 @@ TEST(PreparedCatalogue, FixedLargestDegeneratesToOneTile) {
   for (const GemmProblem& p : shape_set()) {
     expect_identical(estimate_with_tile(p, gpu::largest_tile(), gpu),
                      prepared.estimate_one(p));
-    EXPECT_EQ(prepared.time_one(p), prepared.estimate_one(p).time);
+    EXPECT_EQ(prepared.time_one(p, prepared.prepare(p)),
+              prepared.estimate_one(p).time);
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -164,6 +165,38 @@ TEST(LayerModel, LeanTotalTimeIsBitIdenticalToTheReport) {
         EXPECT_EQ(analyze_layer(c, records_first).total_time, total) << tag;
         EXPECT_EQ(layer_total_time(c, records_first, ws), total) << tag;
       }
+    }
+  }
+}
+
+TEST(LayerModel, LowerBoundNeverExceedsTheTotal) {
+  // With a cutoff of 0 the lean walk returns its lower bound: each GEMM's
+  // bound for the most efficient tile, the other ops exact, summed in op
+  // order. It must never exceed the exact total, bit for bit, on every
+  // registry GPU and tile policy. A cutoff at the bound itself lets the
+  // walk finish with the exact total; one just below returns the bound.
+  const std::vector<TransformerConfig> configs = identity_configs();
+  LayerWorkspace ws;
+  for (const std::string& id : gpu::known_gpus()) {
+    for (const gemm::TilePolicy policy :
+         {gemm::TilePolicy::kAuto, gemm::TilePolicy::kFixedLargest}) {
+      const gemm::GemmSimulator s(gpu::gpu_by_name(id), policy);
+      std::size_t below = 0;
+      for (const TransformerConfig& c : configs) {
+        const std::string tag =
+            id + " policy=" + std::to_string(static_cast<int>(policy)) + " " +
+            c.to_string();
+        const double total = layer_total_time(c, s, ws);
+        const double bound = layer_total_time(c, s, ws, 0.0);
+        ASSERT_GT(bound, 0.0) << tag;
+        ASSERT_LE(bound, total) << tag;
+        below += bound < total ? 1 : 0;
+        ASSERT_EQ(bits(layer_total_time(c, s, ws, bound)), bits(total)) << tag;
+        ASSERT_EQ(bits(layer_total_time(c, s, ws, std::nextafter(bound, 0.0))),
+                  bits(bound))
+            << tag;
+      }
+      EXPECT_GT(below, configs.size() / 2) << id;  // the bound path ran
     }
   }
 }

@@ -18,6 +18,8 @@
 #include "advisor/rules.hpp"
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
+#include "gpuarch/gpu_spec.hpp"
+#include "obs/req_scope.hpp"
 #include "transformer/flops.hpp"
 #include "transformer/model_zoo.hpp"
 #include "transformer/params.hpp"
@@ -665,6 +667,181 @@ TEST(SearchMerge, ShapeSearchesMatchTheOracle) {
                        resumed);
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pruning. A call that keeps k < n candidates never times one whose layer
+// lower bound is above its worker's k-th best exact time; its outcome must
+// be the unpruned (k = n) call's ranking, trimmed, with the same counts.
+
+/// `n` configs drawn like e2ebench's grid_search on the gpt3-2.7b base: h
+/// on multiples of 64 in [512, 4544], every legal a with h/a <= 256, t in
+/// {1, 2, 4, 8}, and its b, s, L and v, plus coin flips for GQA kv heads,
+/// flash, SwiGLU and parallel layers. Names are unique.
+std::vector<tfm::TransformerConfig> drawn_grid(std::uint64_t seed,
+                                               std::size_t n) {
+  const tfm::TransformerConfig base = model_by_name("gpt3-2.7b");
+  const std::int64_t bs[] = {1, 2, 4, 8, 16, 32};
+  const std::int64_t ss[] = {512, 1024, 2048, 4096};
+  const std::int64_t ls[] = {12, 16, 24, 32, 40};
+  const std::int64_t vs[] = {32000, 50304, 50432, 51200, 65024};
+  std::mt19937_64 rng(seed);
+  const auto pick = [&rng](const std::vector<std::int64_t>& v) {
+    return v[rng() % v.size()];
+  };
+  std::vector<tfm::TransformerConfig> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto h = static_cast<std::int64_t>(64 * (8 + rng() % 64));
+    std::vector<std::int64_t> heads, tps, groups;
+    for (std::int64_t a = 1; a <= h / 32; ++a) {
+      if (h % a == 0 && h / a <= 256) heads.push_back(a);
+    }
+    const std::int64_t a = pick(heads);
+    for (const std::int64_t t : {1, 2, 4, 8}) {
+      if (a % t == 0 && h % t == 0) tps.push_back(t);
+    }
+    const std::int64_t t = pick(tps);
+    tfm::TransformerConfig c = base.with_hidden(h)
+                                   .with_heads(a)
+                                   .with_tensor_parallel(t)
+                                   .with_microbatch(bs[rng() % 6])
+                                   .with_seq_len(ss[rng() % 4])
+                                   .with_layers(ls[rng() % 5])
+                                   .with_vocab(vs[rng() % 5]);
+    if (rng() % 2 == 1) {
+      for (std::int64_t kv = t; kv <= a; kv += t) {  // t | kv | a
+        if (a % kv == 0) groups.push_back(kv);
+      }
+      c.num_kv_heads = pick(groups);
+    }
+    if (rng() % 2 == 1) c.attention = tfm::AttentionImpl::kFlash;
+    if (rng() % 2 == 1) {
+      c.activation = tfm::Activation::kSwiGlu;
+      if (c.d_ff() % t != 0) c.mlp_intermediate = (c.d_ff() / t + 1) * t;
+    }
+    c.parallel_layers = rng() % 2 == 1;
+    c.name = "d" + std::to_string(i);
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// run_grid_search at k in {1, 3, 16, 64} and at 1 and 4 threads against
+/// the k = n call trimmed by the same order (the baseline, when past the
+/// cut, in the last slot): names and scores bit for bit, the counts and
+/// the skip report. At one thread the pruned call must also run fewer
+/// scans (RequestScope estimates) than the k = n call.
+void check_pruning(const std::vector<tfm::TransformerConfig>& configs,
+                   const tfm::TransformerConfig& baseline,
+                   const gemm::GemmSimulator& s, const std::string& what) {
+  SearchOptions all_opt;
+  all_opt.max_candidates = configs.size();
+  obs::RequestScopeCounters all_work;
+  SearchOutcome all;
+  {
+    const obs::RequestScope::Bind bind(all_work);
+    all = run_grid_search(configs, baseline, s, all_opt);
+  }
+  const auto base_it = std::find_if(
+      all.ranked.begin(), all.ranked.end(),
+      [&](const ShapeCandidate& c) { return c.config == baseline; });
+  for (const std::size_t k : {1, 3, 16, 64}) {
+    std::vector<ShapeCandidate> want(
+        all.ranked.begin(),
+        all.ranked.begin() +
+            static_cast<std::ptrdiff_t>(std::min(k, all.ranked.size())));
+    if (base_it - all.ranked.begin() >= static_cast<std::ptrdiff_t>(k) &&
+        base_it != all.ranked.end()) {
+      want.back() = *base_it;
+    }
+    for (const std::size_t threads : {1, 4}) {
+      SearchOptions options;
+      options.max_candidates = k;
+      options.threads = threads;
+      obs::RequestScopeCounters work;
+      SearchOutcome out;
+      {
+        const obs::RequestScope::Bind bind(work);
+        out = run_grid_search(configs, baseline, s, options);
+      }
+      const std::string label = what + " k=" + std::to_string(k) +
+                                " threads=" + std::to_string(threads);
+      ASSERT_EQ(out.ranked.size(), want.size()) << label;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        const ShapeCandidate& g = out.ranked[i];
+        const ShapeCandidate& w = want[i];
+        ASSERT_EQ(g.config.name, w.config.name) << label << " rank " << i;
+        EXPECT_EQ(bits(g.layer_time), bits(w.layer_time)) << label;
+        EXPECT_EQ(bits(g.layer_tflops), bits(w.layer_tflops)) << label;
+        EXPECT_EQ(bits(g.speedup_vs_base), bits(w.speedup_vs_base)) << label;
+        EXPECT_EQ(bits(g.param_count), bits(w.param_count)) << label;
+        EXPECT_EQ(bits(g.param_delta_frac), bits(w.param_delta_frac))
+            << label;
+        EXPECT_EQ(g.rules_pass, w.rules_pass) << label;
+      }
+      EXPECT_EQ(out.evaluated, all.evaluated) << label;
+      EXPECT_EQ(out.skipped, all.skipped) << label;
+      EXPECT_EQ(out.retries, all.retries) << label;
+      if (threads == 1) {
+        EXPECT_LT(work.estimates, all_work.estimates) << label;
+      }
+    }
+  }
+}
+
+TEST(SearchPruning, MatchesTheUnprunedRankingOnEveryGpu) {
+  const tfm::TransformerConfig base = model_by_name("gpt3-2.7b");
+  const std::vector<std::string> gpus = gpu::known_gpus();
+  for (std::size_t g = 0; g < gpus.size(); ++g) {
+    const gemm::GemmSimulator s = gemm::GemmSimulator::for_gpu(gpus[g]);
+    const std::size_t n = std::size_t{512} << (g % 4);  // 512 .. 4096
+    check_pruning(drawn_grid(100 + g, n), base, s,
+                  gpus[g] + " n=" + std::to_string(n));
+  }
+}
+
+TEST(SearchPruning, BaselinePastTheCutAndInvalidConfigs) {
+  // The baseline runs at b = 32, s = 4096, so it ranks past every cut; it
+  // is never pruned and takes the last slot with its exact scores. The
+  // invalid config is skipped with the same reason as in the k = n call.
+  const tfm::TransformerConfig base =
+      model_by_name("gpt3-2.7b").with_microbatch(32).with_seq_len(4096);
+  for (const std::string& gpu : gpu::known_gpus()) {
+    const gemm::GemmSimulator s = gemm::GemmSimulator::for_gpu(gpu);
+    std::vector<tfm::TransformerConfig> grid = drawn_grid(7, 512);
+    grid.insert(grid.begin() + 300, base);
+    grid[11].num_heads = grid[11].hidden_size / 32 + 1;  // h/a < 32
+    SearchOptions options;
+    options.max_candidates = grid.size();
+    const SearchOutcome all = run_grid_search(grid, base, s, options);
+    ASSERT_EQ(all.skipped.size(), 1u) << gpu;
+    EXPECT_EQ(all.skipped[0].config.name, "d11") << gpu;
+    std::size_t rank = 0;
+    while (!(all.ranked[rank].config == base)) ++rank;
+    ASSERT_GE(rank, 64u) << gpu;
+    check_pruning(grid, base, s, gpu + " baseline + invalid");
+  }
+}
+
+TEST(SearchPruning, SelectKernelFailpointSkipsTheSameCandidates) {
+  // Every GEMM still passes gemmsim.select_kernel once, so a pruned call
+  // skips the same candidates, for the same reasons, after the same
+  // retries.
+  const FailpointsOff off;
+  fail::configure("gemmsim.select_kernel=prob:0.05:7");
+  const tfm::TransformerConfig base = model_by_name("gpt3-2.7b");
+  for (const std::string& gpu : gpu::known_gpus()) {
+    const gemm::GemmSimulator s = gemm::GemmSimulator::for_gpu(gpu);
+    std::vector<tfm::TransformerConfig> grid = drawn_grid(41, 512);
+    grid.push_back(base);
+    SearchOptions options;
+    options.max_candidates = grid.size();
+    ASSERT_GT(run_grid_search(grid, base, s, options).skipped.size(), 10u)
+        << gpu;
+    check_pruning(grid, base, s, gpu + " select_kernel failpoint");
   }
 }
 

@@ -373,6 +373,21 @@ grep -q '^| gpt3-2.7b ' "${TSAN_DIR}/search_max3_t1.txt" || {
   echo "FAIL: search --max=3 dropped the baseline row"
   exit 1
 }
+# A wider grid kept at --max=2 prunes candidates on their layer-time lower
+# bound (docs/search_pipeline.md): per-worker cutoffs must not move the
+# ranking, and the baseline, never pruned, must still take the last row.
+"${SERVE_BIN}" search gpt3-2.7b --mode=joint --radius=0.25 --max=2 \
+    --threads=1 | tail -n +2 >"${TSAN_DIR}/search_prune_t1.txt"
+"${SERVE_BIN}" search gpt3-2.7b --mode=joint --radius=0.25 --max=2 \
+    --threads=8 | tail -n +2 >"${TSAN_DIR}/search_prune_t8.txt"
+diff -u "${TSAN_DIR}/search_prune_t1.txt" "${TSAN_DIR}/search_prune_t8.txt" || {
+  echo "FAIL: pruned search --max=2 ranking drifted across thread counts"
+  exit 1
+}
+grep -q '^| gpt3-2.7b ' "${TSAN_DIR}/search_prune_t1.txt" || {
+  echo "FAIL: pruned search --max=2 dropped the baseline row"
+  exit 1
+}
 # A GQA joint grid keeps kv | a at every hidden size: the search must exit
 # 0 with a ranked table, byte-identical through the pool.
 "${SERVE_BIN}" search mistral-7b --mode=joint --threads=1 \
