@@ -8,7 +8,6 @@
 // checkpoint, so the difference of the two is the checkpoint's share.
 #include "advisor/checkpoint.hpp"
 #include "bench_common.hpp"
-#include "gemmsim/estimate_cache.hpp"
 #include "sweep/driver.hpp"
 #include "sweep/plan.hpp"
 #include "sweep/report.hpp"
@@ -18,7 +17,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <sstream>
 
 namespace codesign {
@@ -95,7 +93,6 @@ sweep::SweepResult run_small_matrix(const sweep::SweepPlan& plan,
                                     advisor::CheckpointWriter* checkpoint) {
   sweep::SweepOptions options;
   options.threads = 1;
-  options.cache = std::make_shared<gemm::EstimateCache>();
   options.checkpoint = checkpoint;
   return sweep::run_sweep(plan, options);
 }

@@ -1,38 +1,27 @@
-// bench_search_parallel — design-space search throughput: cold vs. warm
-// estimate cache, 1 vs. N evaluation threads, seed path vs. pipeline.
+// bench_search_parallel — design-space search throughput at 1 vs. N
+// evaluation threads.
 //
 // The paper's workflow (Figs 5-10, 21-47) sweeps thousands of transformer
 // shapes through the GEMM model; this bench tracks how fast this repo can
-// do that. It measures the joint heads × hidden grid search three ways:
-//   * seed      — the pre-pipeline code path: one thread, no cache, the
-//                 baseline layer re-analyzed for every candidate, and the
-//                 reporting-weight evaluation (full analyze_layer report,
-//                 per-tensor weight enumeration, formatted rule messages)
-//                 the searches used before the lean twins existed.
-//   * pipeline  — the shared search pipeline at 1..N threads, cache off.
-//   * cached    — the pipeline with the estimate cache, cold then warm.
-// It also asserts the determinism contract (identical ranking at every
-// thread count / cache setting) and writes BENCH_search.json so future PRs
-// can track the trajectory.
+// do that. It times the joint heads × hidden grid search through the shared
+// search pipeline at 1 and N threads, and a >=1e5-candidate grid through
+// run_grid_search. It asserts the determinism contract (identical ranking
+// at every thread count) and writes BENCH_search.json so future PRs can
+// track the trajectory.
 //
 // Flags: --model= --radius= --threads= --repeat= --out= --smoke (tiny,
 // fast configuration for ctest), plus the standard --gpu/--policy/--format.
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <string>
 #include <vector>
 
-#include "advisor/rules.hpp"
 #include "advisor/search.hpp"
 #include "bench_common.hpp"
 #include "benchlib/bench_report.hpp"
 #include "benchlib/runner.hpp"
 #include "common/error.hpp"
 #include "common/strings.hpp"
-#include "transformer/layer_model.hpp"
 #include "transformer/model_zoo.hpp"
-#include "transformer/params.hpp"
 
 namespace codesign::bench {
 namespace {
@@ -42,7 +31,7 @@ using advisor::ShapeCandidate;
 
 const BenchSpec kSpec{
     "bench_search_parallel",
-    "search throughput: seed path vs parallel pipeline with estimate cache",
+    "search throughput: the search pipeline at 1 vs N threads",
     {"model", "radius", "threads", "repeat", "out", "smoke"}};
 
 double now_seconds() {
@@ -70,75 +59,6 @@ Timing best_of(int repeat, F&& fn) {
   return best;
 }
 
-/// One candidate evaluation exactly as the seed advisor did it: a full
-/// analyze_layer report for the baseline AND the candidate (the baseline
-/// was re-derived per call), parameter counts by enumerating every named
-/// weight tensor, and the rules verdict by folding over check_rules with
-/// all its formatted diagnostics. The optimized pipeline replaces each of
-/// these with a lean twin; this keeps the seed cost profile measurable.
-ShapeCandidate seed_evaluate(const tfm::TransformerConfig& config,
-                             const tfm::TransformerConfig& base,
-                             const gemm::GemmSimulator& sim) {
-  const auto enumerated_params = [](const tfm::TransformerConfig& c) {
-    std::int64_t total = 0;
-    for (const tfm::WeightInfo& w : tfm::enumerate_weights(c)) {
-      total += w.count;
-    }
-    return static_cast<double>(total);
-  };
-  const double base_time = tfm::analyze_layer(base, sim).total_time;
-  const double base_params = enumerated_params(base);
-  const tfm::LayerLatencyReport report = tfm::analyze_layer(config, sim);
-  ShapeCandidate c;
-  c.config = config;
-  c.layer_time = report.total_time;
-  c.layer_tflops = report.throughput_tflops;
-  c.speedup_vs_base = base_time / report.total_time;
-  c.param_count = enumerated_params(config);
-  c.param_delta_frac = (c.param_count - base_params) / base_params;
-  advisor::RuleContext ctx;
-  ctx.gpu = &sim.gpu();
-  c.rules_pass = true;
-  for (const advisor::RuleResult& r : advisor::check_rules(config, ctx)) {
-    if (!r.passed && r.severity != advisor::RuleSeverity::kAdvisory) {
-      c.rules_pass = false;
-    }
-  }
-  return c;
-}
-
-/// The seed evaluation path: enumerate the same joint grid inline and
-/// evaluate every candidate through seed_evaluate, single-threaded, with
-/// no cache. The param-delta bound is the pipeline's, but applied after
-/// evaluation as in the seed, so every grid point pays full cost.
-std::size_t run_seed_path(const tfm::TransformerConfig& base,
-                          const gemm::GemmSimulator& sim, double radius) {
-  const std::int64_t step = 64 * base.tensor_parallel;
-  const auto r = static_cast<std::int64_t>(
-      radius * static_cast<double>(base.hidden_size));
-  std::vector<ShapeCandidate> cands;
-  for (std::int64_t h = ((std::max(step, base.hidden_size - r) + step - 1) /
-                         step) * step;
-       h <= base.hidden_size + r; h += step) {
-    for (std::int64_t a = 1; a <= h; ++a) {
-      if (h % a != 0 || a % base.tensor_parallel != 0) continue;
-      const std::int64_t head_dim = h / a;
-      if (head_dim < 32 || head_dim > 256) continue;
-      tfm::TransformerConfig cfg = base.with_hidden(h).with_heads(a);
-      ShapeCandidate c = seed_evaluate(cfg, base, sim);
-      if (h == base.hidden_size ||
-          std::fabs(c.param_delta_frac) <= advisor::kMaxParamDeltaFrac) {
-        cands.push_back(std::move(c));
-      }
-    }
-  }
-  std::sort(cands.begin(), cands.end(),
-            [](const ShapeCandidate& x, const ShapeCandidate& y) {
-              return x.layer_time < y.layer_time;
-            });
-  return cands.size();
-}
-
 bool same_ranking(const std::vector<ShapeCandidate>& a,
                   const std::vector<ShapeCandidate>& b) {
   return a == b;  // field-exact, including every double, bit pattern aside
@@ -147,9 +67,8 @@ bool same_ranking(const std::vector<ShapeCandidate>& a,
 /// The >=`target`-candidate grid for the batched raw-throughput path
 /// (run_grid_search): every legal (h, a) joint point in [256, 4096],
 /// crossed with microbatch / sequence / depth / vocab variants until the
-/// target count is reached. Depth and vocab do not change the layer time,
-/// so the warm estimate cache sees realistic hit rates while the candidate
-/// count scales far past what the neighbourhood searches generate. Names
+/// target count is reached, so the candidate count scales far past what
+/// the neighbourhood searches generate. Names
 /// are unique, so the (layer_time, name) ranking stays a total order.
 std::vector<tfm::TransformerConfig> batched_grid(
     const tfm::TransformerConfig& base, std::size_t target) {
@@ -212,79 +131,51 @@ int body(BenchContext& ctx) {
   options.max_candidates = 1 << 20;  // rank everything; no trim noise
 
   ctx.banner("search throughput",
-             "joint heads x hidden design-space search: seed path vs. "
-             "parallel pipeline with memoized GEMM estimates");
+             "joint heads x hidden design-space search through the "
+             "parallel pipeline");
 
-  // Candidate ranking ground truth: 1 thread, no cache.
+  // Candidate ranking ground truth: 1 thread.
   const std::vector<ShapeCandidate> reference =
       advisor::search_joint(base, ctx.sim(), radius, 0, options);
   CODESIGN_CHECK(!reference.empty(), "joint grid produced no candidates");
 
-  // --- determinism: every thread count / cache setting, same ranking ----
+  // --- determinism: every thread count, same ranking --------------------
   bool deterministic = true;
   for (std::size_t t : {std::size_t{2}, threads}) {
     SearchOptions opt = options;
     opt.threads = t;
-    gemm::GemmSimulator cached = ctx.sim();
-    cached.enable_cache();
     deterministic =
         deterministic &&
         same_ranking(reference,
-                     advisor::search_joint(base, ctx.sim(), radius, 0, opt)) &&
-        same_ranking(reference,
-                     advisor::search_joint(base, cached, radius, 0, opt)) &&
-        same_ranking(reference,
-                     advisor::search_joint(base, cached, radius, 0, opt));
+                     advisor::search_joint(base, ctx.sim(), radius, 0, opt));
   }
 
   // --- timings ----------------------------------------------------------
-  const Timing seed = best_of(repeat, [&] {
-    return run_seed_path(base, ctx.sim(), radius);
-  });
-
-  const auto run_pipeline = [&](std::size_t nthreads,
-                                gemm::GemmSimulator& sim) {
+  const auto run_pipeline = [&](std::size_t nthreads) {
     SearchOptions opt = options;
     opt.threads = nthreads;
-    return advisor::search_joint(base, sim, radius, 0, opt).size();
+    return advisor::search_joint(base, ctx.sim(), radius, 0, opt).size();
   };
-
-  gemm::GemmSimulator plain = ctx.sim();
-  const Timing pipe1 = best_of(repeat, [&] { return run_pipeline(1, plain); });
-  const Timing pipeN =
-      best_of(repeat, [&] { return run_pipeline(threads, plain); });
-
-  gemm::GemmSimulator cached = ctx.sim();
-  cached.enable_cache();
-  const Timing cold = best_of(1, [&] { return run_pipeline(1, cached); });
-  const Timing warm1 =
-      best_of(repeat, [&] { return run_pipeline(1, cached); });
-  const Timing warmN =
-      best_of(repeat, [&] { return run_pipeline(threads, cached); });
-  const gemm::CacheStats cache_stats = cached.cache()->stats();
-
-  const double speedup_warmN = seed.seconds / warmN.seconds;
-  const double speedup_warm1 = seed.seconds / warm1.seconds;
+  const Timing pipe1 = best_of(repeat, [&] { return run_pipeline(1); });
+  const Timing pipeN = best_of(repeat, [&] { return run_pipeline(threads); });
 
   // --- batched grid: run_grid_search raw throughput ---------------------
   // The joint sweep above has a few hundred candidates; the batched
   // estimation engine is sized for sweeps two orders of magnitude larger.
   // This phase pushes a >=1e5-candidate grid (2e3 under --smoke) through
-  // run_grid_search with a warm cache and checks the ranking is identical
-  // at 1 and N threads.
+  // run_grid_search and checks the ranking is identical at 1 and N
+  // threads.
   const std::size_t grid_target = smoke ? 2000 : 100000;
   const std::vector<tfm::TransformerConfig> grid =
       batched_grid(base, grid_target);
   SearchOptions grid_opt;
   grid_opt.max_candidates = 64;  // rank everything, keep the head
-  gemm::GemmSimulator grid_sim = ctx.sim();
-  grid_sim.enable_cache();
   const auto run_grid = [&](std::size_t nthreads) {
     SearchOptions o = grid_opt;
     o.threads = nthreads;
-    return advisor::run_grid_search(grid, base, grid_sim, o);
+    return advisor::run_grid_search(grid, base, ctx.sim(), o);
   };
-  const advisor::SearchOutcome grid_ref = run_grid(1);  // also warms cache
+  const advisor::SearchOutcome grid_ref = run_grid(1);
   CODESIGN_CHECK(grid_ref.evaluated == grid.size(),
                  "batched grid evaluation skipped candidates");
   const bool grid_deterministic =
@@ -294,50 +185,26 @@ int body(BenchContext& ctx) {
   const Timing gridN =
       best_of(repeat, [&] { return run_grid(threads).evaluated; });
 
-  TableWriter t({"configuration", "threads", "cache", "time", "candidates",
-                 "evals/s", "speedup vs seed"});
+  TableWriter t({"configuration", "threads", "time", "candidates",
+                 "evals/s"});
   const auto row = [&](const std::string& name, std::size_t nthreads,
-                       const std::string& cache_state, const Timing& timing) {
+                       const Timing& timing) {
     t.new_row()
         .cell(name)
         .cell(static_cast<std::int64_t>(nthreads))
-        .cell(cache_state)
-        .cell(human_time(timing.seconds))
-        .cell(static_cast<std::int64_t>(timing.candidates))
-        .cell(static_cast<double>(timing.candidates) / timing.seconds, 0)
-        .cell(str_format("%.2fx", seed.seconds / timing.seconds));
-  };
-  row("seed (per-candidate baseline)", 1, "off", seed);
-  row("pipeline", 1, "off", pipe1);
-  row("pipeline", threads, "off", pipeN);
-  row("pipeline", 1, "cold", cold);
-  row("pipeline", 1, "warm", warm1);
-  row("pipeline", threads, "warm", warmN);
-  ctx.emit(t);
-
-  ctx.section("batched grid (run_grid_search)");
-  TableWriter tg({"configuration", "threads", "cache", "time", "candidates",
-                  "evals/s"});
-  const auto grid_row = [&](std::size_t nthreads, const Timing& timing) {
-    tg.new_row()
-        .cell("grid (batched)")
-        .cell(static_cast<std::int64_t>(nthreads))
-        .cell("warm")
         .cell(human_time(timing.seconds))
         .cell(static_cast<std::int64_t>(timing.candidates))
         .cell(static_cast<double>(timing.candidates) / timing.seconds, 0);
   };
-  grid_row(1, grid1);
-  grid_row(threads, gridN);
-  ctx.emit(tg);
+  row("pipeline", 1, pipe1);
+  row("pipeline", threads, pipeN);
+  row("grid (batched)", 1, grid1);
+  row("grid (batched)", threads, gridN);
+  ctx.emit(t);
 
-  std::cout << str_format(
-      "deterministic ranking: %s (joint) / %s (grid) | cache: %llu hits / "
-      "%llu misses (%.1f%% hit rate)\n",
-      deterministic ? "yes" : "NO", grid_deterministic ? "yes" : "NO",
-      static_cast<unsigned long long>(cache_stats.hits),
-      static_cast<unsigned long long>(cache_stats.misses),
-      100.0 * cache_stats.hit_rate());
+  std::cout << str_format("deterministic ranking: %s (joint) / %s (grid)\n",
+                          deterministic ? "yes" : "NO",
+                          grid_deterministic ? "yes" : "NO");
 
   // --- JSON trajectory record (schema: codesign.bench_report) -----------
   // The reference ranking is the data checksum: every configuration must
@@ -365,16 +232,6 @@ int body(BenchContext& ctx) {
   report.context["radius_frac"] = str_format("%g", radius);
   report.context["candidates"] = std::to_string(reference.size());
   report.context["deterministic"] = deterministic ? "true" : "false";
-  report.context["speedup_warm_1t_vs_seed"] =
-      str_format("%.3f", speedup_warm1);
-  report.context["speedup_warm_Nt_vs_seed"] =
-      str_format("%.3f", speedup_warmN);
-  report.context["cache_hits"] = std::to_string(cache_stats.hits);
-  report.context["cache_misses"] = std::to_string(cache_stats.misses);
-  report.context["cache_hit_rate"] = str_format("%.4f",
-                                                cache_stats.hit_rate());
-  report.context["cache_entries"] = std::to_string(cache_stats.entries);
-  report.context["cache_evictions"] = std::to_string(cache_stats.evictions);
   report.context["grid_candidates"] = std::to_string(grid.size());
   report.context["grid_deterministic"] = grid_deterministic ? "true" : "false";
   report.context["grid_evals_per_sec_1t"] =
@@ -392,12 +249,8 @@ int body(BenchContext& ctx) {
     benchlib::summarize(s);
     report.cases.push_back(std::move(s));
   };
-  add_case("search.seed_1t_nocache", seed);
   add_case("search.pipeline_1t_nocache", pipe1);
   add_case("search.pipeline_Nt_nocache", pipeN);
-  add_case("search.pipeline_1t_coldcache", cold);
-  add_case("search.pipeline_1t_warmcache", warm1);
-  add_case("search.pipeline_Nt_warmcache", warmN);
 
   // The batched grid ranks a different candidate set, so it carries its
   // own checksum (folded over the kept head of the ranking).
@@ -421,7 +274,7 @@ int body(BenchContext& ctx) {
   std::cout << "wrote " << out_path << "\n";
 
   if (!deterministic || !grid_deterministic) {
-    std::cerr << "FAIL: ranking depends on thread count or cache state\n";
+    std::cerr << "FAIL: ranking depends on thread count\n";
     return 1;
   }
   return 0;
@@ -433,23 +286,21 @@ int body(BenchContext& ctx) {
 CODESIGN_BENCH_CASES(search_parallel) {
   using namespace codesign;
   reg.add({"search.joint_pipeline", "bench_search_parallel",
-           "joint heads x hidden search on pythia-160m, cold + warm cache",
+           "joint heads x hidden search on pythia-160m, two rounds",
            {benchlib::kSuitePerf, benchlib::kSuiteSmoke},
            [](benchlib::CaseContext& c) {
              const auto base = tfm::model_by_name("pythia-160m");
              advisor::SearchOptions options;
              options.max_candidates = 1 << 20;
-             gemm::GemmSimulator cached = c.sim();
-             cached.enable_cache();
-             for (int round = 0; round < 2; ++round) {  // cold, then warm
+             for (int round = 0; round < 2; ++round) {
                const auto cands =
-                   advisor::search_joint(base, cached, 0.05, 0, options);
+                   advisor::search_joint(base, c.sim(), 0.05, 0, options);
                c.consume(static_cast<std::int64_t>(cands.size()));
                for (const auto& cand : cands) c.consume(cand.layer_time);
              }
            }});
   reg.add({"search.pipeline_batched", "bench_search_parallel",
-           "run_grid_search over a 1e5-candidate grid, warm cache, 4 threads",
+           "run_grid_search over a 1e5-candidate grid, 4 threads",
            {benchlib::kSuitePerf, benchlib::kSuiteSmoke},
            [](benchlib::CaseContext& c) {
              const auto base = tfm::model_by_name("pythia-160m");
@@ -457,36 +308,12 @@ CODESIGN_BENCH_CASES(search_parallel) {
              advisor::SearchOptions options;
              options.threads = 4;
              options.max_candidates = 64;
-             gemm::GemmSimulator cached = c.sim();
-             cached.enable_cache();
              const advisor::SearchOutcome outcome =
-                 advisor::run_grid_search(grid, base, cached, options);
+                 advisor::run_grid_search(grid, base, c.sim(), options);
              c.consume(static_cast<std::int64_t>(grid.size()));
              c.consume(static_cast<std::int64_t>(outcome.evaluated));
              for (const auto& cand : outcome.ranked) {
                c.consume(cand.layer_time);
-             }
-           }});
-  reg.add({"estimate.many_warm", "bench_search_parallel",
-           "estimate_times over a 512-problem batch, 256 warm passes",
-           {benchlib::kSuitePerf, benchlib::kSuiteSmoke},
-           [](benchlib::CaseContext& c) {
-             gemm::GemmSimulator sim = c.sim();
-             sim.enable_cache();
-             std::vector<gemm::GemmProblem> batch;
-             batch.reserve(512);
-             for (int i = 0; i < 512; ++i) {
-               batch.push_back(gemm::GemmProblem::gemm(
-                   256 + 64 * (i % 32), 512 + 128 * (i % 17),
-                   768 + 64 * (i % 23)));
-             }
-             gemm::GemmSimulator::BatchWorkspace ws;
-             std::vector<double> times(batch.size());
-             for (int round = 0; round < 256; ++round) {  // round 0 = cold
-               sim.estimate_times(batch, times, ws);
-               double sum = 0.0;
-               for (const double t : times) sum += t;
-               c.consume(sum);
              }
            }});
 }

@@ -284,9 +284,9 @@ int body(BenchContext& ctx) {
     }
   }
   // Batched advisory: one advise_many carrying 64 (model, gpu) tuples vs
-  // the same tuples as scalar advise calls. Estimates inside are warm
-  // shared-cache hits by now for the repeated models; repeats keep the
-  // best batched time and every repeat must reproduce the same checksum.
+  // the same tuples as scalar advise calls. An advise walks its layers in
+  // batches, which never read the shared cache; repeats keep the best
+  // batched time and every repeat must reproduce the same checksum.
   const std::size_t advise_tuples = 64;
   AdviseManyResult amany =
       run_advise_many_phase(server.port(), advise_tuples, ctx.gpu().id);

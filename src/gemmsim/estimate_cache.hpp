@@ -1,12 +1,10 @@
 // estimate_cache.hpp — a sharded, mutex-striped LRU memo of KernelEstimates.
 //
-// The design-space searches of the advisor evaluate thousands of candidate
-// transformer shapes, and identical GEMM problems recur constantly across
-// candidates (a head sweep never changes the QKV or projection GEMM, a
-// hidden sweep re-visits the same attention BMMs, the joint grid repeats
-// both). Each miss runs a tile-catalogue scan (PreparedCatalogue), so
-// memoizing (problem, policy, GPU) → KernelEstimate turns that scan into a
-// hash lookup.
+// Only scalar GemmSimulator::estimate() consults it; the batched
+// estimate_many / estimate_times never do. Its one user is `codesign
+// serve`, whose process-wide cache memoizes the estimate and explain ops
+// and the model-level GEMMs of model-walking ops. A miss runs one
+// PreparedCatalogue scan; a hit returns a copy of what that scan computed.
 //
 // Keying and invalidation rules (see docs/search_pipeline.md):
 //   * The key is the full GemmProblem value, the tile-selection policy, and
@@ -28,7 +26,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -70,10 +67,6 @@ class EstimateCache {
     GemmProblem problem;
     TilePolicy policy;
     const gpu::GpuSpec* gpu = nullptr;
-    /// Memoized hash_value(); 0 = not yet computed (a genuine 0 hash just
-    /// recomputes — harmless). Excluded from equality. Mutation is safe:
-    /// keys are per-call values or shard-lock-protected cache entries.
-    mutable std::size_t memo_hash = 0;
 
     bool operator==(const Key& o) const {
       return problem == o.problem && policy == o.policy && gpu == o.gpu;
@@ -93,36 +86,6 @@ class EstimateCache {
   bool lookup(const Key& key, KernelEstimate* out);
   void insert(const Key& key, const KernelEstimate& estimate);
 
-  /// Reusable index scratch for the batch API: callers keep one per worker
-  /// and pass it to every lookup_many/insert_many call so the batch path
-  /// allocates nothing in steady state.
-  struct BatchScratch {
-    std::vector<std::uint32_t> order;  ///< key indices sorted by shard
-  };
-
-  /// Batched probe: for each key, set `hit[i]` and (on a hit) copy the
-  /// estimate into `out[i]`. Returns the hit count. Probes are grouped by
-  /// shard so each stripe lock is taken at most once per call instead of
-  /// once per key; within a shard, LRU touch order follows input order.
-  /// Fires the gemmsim.cache.lookup failpoint per key in input order —
-  /// exactly the sequence N scalar get_or_compute calls would fire.
-  std::size_t lookup_many(std::span<const Key> keys, KernelEstimate* out,
-                          std::uint8_t* hit, BatchScratch& scratch);
-
-  /// Times-only twin of lookup_many: copies just `.time` into `out[i]`,
-  /// skipping the ~250-byte KernelEstimate copy per hit. Identical hit/miss
-  /// accounting, LRU behavior, and failpoint sequence.
-  std::size_t lookup_times_many(std::span<const Key> keys, double* out,
-                                std::uint8_t* hit, BatchScratch& scratch);
-
-  /// Batched insert of the entries whose `miss[i]` is nonzero (pass the
-  /// `hit` array from lookup_many negated, or all-ones to insert
-  /// everything). Grouped by shard like lookup_many; keys already present
-  /// are left untouched, mirroring get_or_compute's racing-miss semantics.
-  void insert_many(std::span<const Key> keys,
-                   std::span<const KernelEstimate> estimates,
-                   const std::uint8_t* miss, BatchScratch& scratch);
-
   /// Drop every entry (counters keep accumulating).
   void clear();
 
@@ -139,8 +102,6 @@ class EstimateCache {
   /// serve stats op) report cache state side-effect-free — two back-to-back
   /// reads with no traffic in between produce identical documents.
   void append_metrics(obs::MetricsSnapshot& snapshot) const;
-
-  const CacheOptions& options() const { return options_; }
 
  private:
   struct KeyHash {
@@ -164,14 +125,7 @@ class EstimateCache {
   Shard& shard_for(const Key& key);
   void insert_locked(Shard& shard, const Key& key,
                      const KernelEstimate& estimate);
-  /// Shared core of lookup_many/lookup_times_many; `on_hit(i, estimate)`
-  /// copies out whatever the caller wants. Defined in the .cpp — both
-  /// instantiations live there.
-  template <typename OnHit>
-  std::size_t probe_many(std::span<const Key> keys, std::uint8_t* hit,
-                         BatchScratch& scratch, OnHit&& on_hit);
 
-  CacheOptions options_;
   std::size_t per_shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };

@@ -17,8 +17,8 @@ namespace codesign::gemm {
 
 namespace {
 
-/// A gemmsim.select.* counter. kBestEffort: with a cache attached a
-/// selection only runs on misses, so the counts depend on hit patterns.
+/// A gemmsim.select.* counter. kBestEffort: with a cache attached (serve) a
+/// scalar estimate only selects on a miss, so the counts depend on hits.
 obs::Counter& select_counter(const char* name) {
   return obs::MetricsRegistry::global().counter(name, {},
                                                 obs::Stability::kBestEffort);

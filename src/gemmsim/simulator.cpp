@@ -21,10 +21,9 @@ GemmSimulator GemmSimulator::for_gpu(const std::string& gpu_name,
 
 namespace {
 
-/// Per-estimate counters, recorded from the *returned* estimate so the
-/// numbers are identical whether it came from the cache or a fresh compute
-/// — which makes them deterministic at any thread count and cache state
-/// (a hit returns exactly what the miss computed).
+/// Per-estimate counters, recorded from the returned estimate, so a cache
+/// hit counts exactly what its miss computed: deterministic at any thread
+/// count and cache state.
 void record_estimate_metrics(const KernelEstimate& est) {
   auto& reg = obs::MetricsRegistry::global();
   reg.counter("gemmsim.estimate.calls").add();
@@ -55,10 +54,6 @@ KernelEstimate GemmSimulator::estimate(const GemmProblem& problem) const {
   return est;
 }
 
-void GemmSimulator::enable_cache(const CacheOptions& options) {
-  cache_ = std::make_shared<EstimateCache>(options);
-}
-
 void GemmSimulator::set_cache(std::shared_ptr<EstimateCache> cache) {
   cache_ = std::move(cache);
 }
@@ -71,74 +66,18 @@ double GemmSimulator::throughput_tflops(const GemmProblem& problem) const {
   return estimate(problem).tflops();
 }
 
-double GemmSimulator::sequence_latency(
-    const std::vector<GemmProblem>& problems) const {
-  // Delegates to the batched overload: per-kernel times come from one
-  // estimate_times() call and are summed in sequence order, bit-identical
-  // to a latency() loop (a batch item is exactly an estimate() call).
-  BatchWorkspace workspace;
-  return sequence_latency(std::span<const GemmProblem>(problems), workspace);
-}
-
 void GemmSimulator::estimate_many(std::span<const GemmProblem> problems,
-                                  std::span<KernelEstimate> out,
-                                  BatchWorkspace& workspace) const {
+                                  std::span<KernelEstimate> out) const {
   CODESIGN_CHECK(problems.size() == out.size(),
                  "estimate_many: problems/out size mismatch");
   const std::size_t n = problems.size();
-  if (n == 0) return;
-  if (obs::EventRecorder::active() != nullptr) {
-    // Trace fidelity: the scan emits one selection trail per uncached
-    // selection. With a cache, a batch that holds one problem twice (a
-    // SwiGLU layer's up and gate GEMMs) computes it twice, so it would
-    // record two trails where the scalar path records one; traced runs
-    // take the scalar path.
-    for (std::size_t i = 0; i < n; ++i) out[i] = estimate(problems[i]);
-    return;
-  }
-  if (cache_ == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = prepared_->estimate_one(problems[i]);
-    }
-  } else {
-    workspace.keys.clear();
-    workspace.keys.reserve(n);
-    for (const GemmProblem& p : problems) {
-      workspace.keys.push_back(EstimateCache::Key{p, policy_, gpu_});
-    }
-    workspace.hit.resize(n);
-    cache_->lookup_many(workspace.keys, out.data(), workspace.hit.data(),
-                        workspace.scratch);
-    bool any_miss = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (workspace.hit[i] == 0) {
-        out[i] = prepared_->estimate_one(problems[i]);
-        any_miss = true;
-      }
-    }
-    if (any_miss) {
-      // Flip hit flags into miss flags for the grouped insert. A duplicate
-      // problem within one batch computes twice (bit-identical results) and
-      // stores once — the same racing-miss rule two scalar threads follow.
-      for (std::size_t i = 0; i < n; ++i) workspace.hit[i] ^= 1;
-      cache_->insert_many(workspace.keys, out, workspace.hit.data(),
-                          workspace.scratch);
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = prepared_->estimate_one(problems[i]);
   }
   if (obs::MetricsRegistry::enabled()) {
-    // Recorded from the returned estimates in input order, exactly as N
-    // scalar estimate() calls would — deterministic counters stay identical.
     for (std::size_t i = 0; i < n; ++i) record_estimate_metrics(out[i]);
   }
-  // Request attribution (serve): a batch item is exactly one estimate. The
-  // traced path above already counted through the scalar calls.
   if (auto* rs = obs::RequestScope::current()) rs->estimates += n;
-}
-
-void GemmSimulator::estimate_many(std::span<const GemmProblem> problems,
-                                  std::span<KernelEstimate> out) const {
-  BatchWorkspace workspace;
-  estimate_many(problems, out, workspace);
 }
 
 void GemmSimulator::estimate_times(std::span<const GemmProblem> problems,
@@ -147,66 +86,23 @@ void GemmSimulator::estimate_times(std::span<const GemmProblem> problems,
   CODESIGN_CHECK(problems.size() == out.size(),
                  "estimate_times: problems/out size mismatch");
   const std::size_t n = problems.size();
-  if (n == 0) return;
-  if (obs::EventRecorder::active() != nullptr ||
-      obs::MetricsRegistry::enabled()) {
-    // Metrics want the full estimate per item (tile/bound/wave counters),
-    // so observability runs route through estimate_many and copy the times.
+  if (!lean_times()) {
+    // Metrics want the full estimate per item (tile/bound/wave counters).
     workspace.estimates.resize(n);
-    estimate_many(problems, workspace.estimates, workspace);
+    estimate_many(problems, workspace.estimates);
     for (std::size_t i = 0; i < n; ++i) out[i] = workspace.estimates[i].time;
     return;
   }
-  if (cache_ == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const GemmProblem& p = problems[i];
-      out[i] = prepared_->time_one(p, prepared_->prepare(p));
-    }
-    if (auto* rs = obs::RequestScope::current()) rs->estimates += n;
-    return;
-  }
-  workspace.keys.clear();
-  workspace.keys.reserve(n);
-  for (const GemmProblem& p : problems) {
-    workspace.keys.push_back(EstimateCache::Key{p, policy_, gpu_});
-  }
-  workspace.hit.resize(n);
-  cache_->lookup_times_many(workspace.keys, out.data(), workspace.hit.data(),
-                            workspace.scratch);
-  bool any_miss = false;
   for (std::size_t i = 0; i < n; ++i) {
-    if (workspace.hit[i] == 0) {
-      if (!any_miss) {
-        workspace.estimates.resize(n);
-        any_miss = true;
-      }
-      // Misses materialize the full estimate so the insert below leaves the
-      // cache in exactly the state N scalar estimate() calls would.
-      workspace.estimates[i] = prepared_->estimate_one(problems[i]);
-      out[i] = workspace.estimates[i].time;
-    }
-  }
-  if (any_miss) {
-    for (std::size_t i = 0; i < n; ++i) workspace.hit[i] ^= 1;
-    cache_->insert_many(workspace.keys, workspace.estimates,
-                        workspace.hit.data(), workspace.scratch);
+    const GemmProblem& p = problems[i];
+    out[i] = prepared_->time_one(p, prepared_->prepare(p));
   }
   if (auto* rs = obs::RequestScope::current()) rs->estimates += n;
 }
 
 bool GemmSimulator::lean_times() const {
-  return cache_ == nullptr && obs::EventRecorder::active() == nullptr &&
+  return obs::EventRecorder::active() == nullptr &&
          !obs::MetricsRegistry::enabled();
-}
-
-double GemmSimulator::sequence_latency(std::span<const GemmProblem> problems,
-                                       BatchWorkspace& workspace) const {
-  CODESIGN_CHECK(!problems.empty(), "empty kernel sequence");
-  workspace.times.resize(problems.size());
-  estimate_times(problems, workspace.times, workspace);
-  double total = 0.0;
-  for (const double t : workspace.times) total += t;
-  return total;
 }
 
 DesResult GemmSimulator::simulate(const GemmProblem& problem,

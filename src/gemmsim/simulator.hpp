@@ -40,6 +40,7 @@ class GemmSimulator {
   TilePolicy policy() const { return policy_; }
 
   /// Predicted execution of one (batched) GEMM under the active policy.
+  /// The only entry point that consults an attached cache (set_cache).
   KernelEstimate estimate(const GemmProblem& problem) const;
 
   /// Seconds for one GEMM (shortcut for estimate().time).
@@ -48,54 +49,30 @@ class GemmSimulator {
   /// TFLOP/s of useful work (the y-axis of all the paper's figures).
   double throughput_tflops(const GemmProblem& problem) const;
 
-  /// Sum of per-kernel latencies for a kernel sequence (one CUDA stream).
-  double sequence_latency(const std::vector<GemmProblem>& problems) const;
-
-  /// Reusable scratch for the batched entry points below. Keep one per
-  /// worker thread and pass it to every call — steady-state batch calls
-  /// then allocate nothing.
+  /// Reusable scratch for estimate_times(). Keep one per worker thread and
+  /// pass it to every call — steady-state calls then allocate nothing.
   struct BatchWorkspace {
-    std::vector<EstimateCache::Key> keys;
-    std::vector<std::uint8_t> hit;
-    std::vector<KernelEstimate> estimates;
-    std::vector<double> times;
-    EstimateCache::BatchScratch scratch;
+    std::vector<KernelEstimate> estimates;  ///< metrics/recorder route
   };
 
-  /// Batched estimate: fills out[i] with exactly what estimate(problems[i])
-  /// returns — bit-identical, any cache state, any thread count. The batch
-  /// amortizes the per-call costs of the scalar path: cache probes are
-  /// grouped per stripe lock (EstimateCache::lookup_many), misses run the
-  /// PreparedCatalogue scan, and validation /
-  /// metrics / failpoint checks run per batch item without per-call setup.
-  /// Divergences from N scalar calls are confined to best-effort
-  /// observability: cache hit/miss counter splits, LRU recency order, and
-  /// order-dependent (once:/every:) failpoint triggers — see
-  /// docs/search_pipeline.md for the contract.
-  void estimate_many(std::span<const GemmProblem> problems,
-                     std::span<KernelEstimate> out,
-                     BatchWorkspace& workspace) const;
-
-  /// Convenience overload with a throwaway workspace.
+  /// Batched estimate: out[i] is bit-identical to what an uncached
+  /// estimate(problems[i]) returns, at any thread count; the batch never
+  /// reads or fills the cache. Each item runs the PreparedCatalogue scan
+  /// (which records its selection trail under a recorder); metrics and
+  /// request counts are recorded per item, as N scalar calls record them.
   void estimate_many(std::span<const GemmProblem> problems,
                      std::span<KernelEstimate> out) const;
 
-  /// Times-only batch: out[i] == estimate(problems[i]).time bit-identically,
-  /// but cache hits copy one double instead of a full KernelEstimate. The
-  /// hot call of the batched search pipeline. Misses still compute and
-  /// insert the full estimate, so cache population matches the scalar path.
+  /// Times-only batch: out[i] == estimate_many's out[i].time bit-identically.
+  /// The hot call of the search pipeline. With metrics or a recorder on it
+  /// goes through estimate_many (the counters want the full estimate).
   void estimate_times(std::span<const GemmProblem> problems,
                       std::span<double> out, BatchWorkspace& workspace) const;
 
-  /// estimate_times() takes its lean path: no cache, metrics or recorder.
+  /// estimate_times() takes its lean path: no metrics and no recorder.
   bool lean_times() const;
 
-  /// Batched overload of sequence_latency: sums estimate_times() outputs in
-  /// input order — bit-identical to the scalar overload.
-  double sequence_latency(std::span<const GemmProblem> problems,
-                          BatchWorkspace& workspace) const;
-
-  /// The prepared catalogue whose scan every cache miss runs.
+  /// The prepared catalogue every estimate's scan runs on.
   const PreparedCatalogue& prepared() const { return *prepared_; }
 
   /// Discrete-event cross-check of the analytical estimate.
@@ -106,14 +83,9 @@ class GemmSimulator {
   FlashAttentionEstimate estimate_flash(
       const FlashAttentionProblem& problem) const;
 
-  /// Opt in to memoizing estimate() results (off by default). Copies of
-  /// this simulator share the cache; results are bit-identical to the
-  /// uncached path. Thread-safe (the cache is mutex-striped).
-  void enable_cache(const CacheOptions& options = {});
-
-  /// Share an existing cache (e.g. across simulators for several GPUs —
-  /// the cache key includes the GPU identity and tile policy). nullptr
-  /// disables caching.
+  /// Memoize estimate() in `cache` (serve shares one across requests and
+  /// GPUs — the key includes the GPU identity and tile policy). nullptr
+  /// disables it. Copies of this simulator share the cache.
   void set_cache(std::shared_ptr<EstimateCache> cache);
 
   /// The active cache, or nullptr when caching is off.

@@ -246,9 +246,8 @@ OpResult op_advise(const Request& request, const OpContext& context) {
 /// the response payload is one JSON array of strings, element i being
 /// byte-identical to the scalar advise payload for tuple i (asserted by
 /// test_serve and the bench_serve_throughput checksum mix). Amortizes the
-/// request round-trip and shares the process-wide estimate cache across
-/// tuples; the deadline is re-checked between tuples so a slow batch
-/// cancels cleanly instead of overrunning.
+/// request round-trip; the deadline is re-checked between tuples so a slow
+/// batch cancels cleanly instead of overrunning.
 OpResult op_advise_many(const Request& request, const OpContext& context) {
   check_deadline(context, "advise_many");
   const json::Value* items = request.body.get("items");
@@ -357,7 +356,6 @@ OpResult op_sweep(const Request& request, const OpContext& context) {
       text->as_string(), request.body.string_or("origin", "request"));
   sweep::SweepOptions options;
   options.threads = 1;  // the worker pool parallelizes across requests
-  options.cache = context.cache;
   options.faults.strict = request.body.bool_or("strict", false);
   options.faults.max_retries =
       static_cast<int>(int_field(request.body, "retries", 2));

@@ -4,8 +4,8 @@
 // advise/search/estimate/explain requests render through these functions,
 // so a server response payload is byte-identical to the one-shot CLI's
 // stdout for the same inputs (asserted by tests/test_serve.cpp). The CLI
-// keeps only its flag parsing and CLI-only epilogues (cache summary,
-// --metrics files, --trace capture) on top.
+// keeps only its flag parsing and CLI-only epilogues (--metrics and
+// --attribution files, --trace capture) on top.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +62,9 @@ void render_explain(std::ostream& os, const gemm::GemmProblem& problem,
                     const gemm::GemmSimulator& sim);
 
 /// Banner + ranked table + skip/retry/resume/truncation epilogue
-/// (`codesign search`, sans the CLI-only cache summary). Returns the exit
+/// (`codesign search`). The banner says ", cached" when `sim` has a cache
+/// attached (serve's memo; the search's batched walks never read it), so a
+/// served search reads "(1 thread, cached)". Returns the exit
 /// code: kExitCancelled when the sweep was truncated, else kExitOk.
 int render_search(std::ostream& os, const SearchRequest& request,
                   const gemm::GemmSimulator& sim);
@@ -83,7 +85,8 @@ struct HealthInfo {
 
 /// Server-side request execution context.
 struct OpContext {
-  /// The process-wide estimate cache shared across requests (may be null).
+  /// The process-wide memo of scalar estimate() shared across requests (may
+  /// be null); attached to every request's simulator.
   std::shared_ptr<gemm::EstimateCache> cache;
   /// Per-request deadline token (may be null). Searches truncate with the
   /// banner; other ops throw CancelledError once it trips.

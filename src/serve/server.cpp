@@ -59,7 +59,7 @@ void Server::start() {
                             ? opt_.brownout_watermark
                             : std::max<std::size_t>(1, 3 * opt_.queue_capacity / 4);
   start_time_ = Clock::now();
-  cache_ = std::make_shared<gemm::EstimateCache>(opt_.cache);
+  cache_ = std::make_shared<gemm::EstimateCache>();
   pool_ = std::make_unique<ThreadPool>(opt_.threads);
 
   sockaddr_in addr{};

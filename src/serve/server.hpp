@@ -13,8 +13,11 @@
 //     unfinished. Excess requests are rejected immediately on the loop
 //     with a typed `overloaded` response carrying a retry_after_ms hint —
 //     the server never queues unboundedly;
-//   * one process-wide sharded EstimateCache shared by every request, so
-//     repeat shape queries are warm-cache hits;
+//   * one process-wide EstimateCache, the memo of scalar
+//     GemmSimulator::estimate(): the estimate and explain ops and the
+//     model-level GEMMs of model-walking ops read it, so a repeated shape
+//     query is a hit. Batched layer walks (search, advise, sweep) never
+//     consult it;
 //   * per-request deadlines through CancelToken (request deadline_ms, or
 //     the server default), with search truncation-banner semantics;
 //   * slow-loris protection: connections idle past idle_timeout_ms are
@@ -89,8 +92,6 @@ struct ServerOptions {
   /// Test knob: SO_SNDBUF for accepted sockets (0 = kernel default).
   /// Shrinking it makes the write deadline reachable with small payloads.
   int sndbuf_bytes = 0;
-  /// Shared estimate-cache geometry.
-  gemm::CacheOptions cache;
   /// Request tracing, always on: trace.ring_capacity sizes the `tail` ring
   /// (0 keeps no records), trace.slo_p99_ms the drain verdict (CLI
   /// --tail/--slo-p99-ms).

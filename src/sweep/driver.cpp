@@ -36,7 +36,6 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
   sims.reserve(plan.gpus.size());
   for (const std::string& gpu : plan.gpus) {
     sims.emplace_back(gpu::gpu_by_name(gpu), gemm::TilePolicy::kAuto);
-    if (options.cache != nullptr) sims.back().set_cache(options.cache);
   }
 
   for (const WorkloadSpec& wl : plan.workloads) {

@@ -3,10 +3,10 @@
 // The SweepDriver walks the plan's cells in a fixed order — workloads in
 // file order, GPUs in file order within each workload — and evaluates each
 // cell's variants through advisor::run_grid_search: per-candidate fault
-// isolation, transient retries, cancellation, the shared EstimateCache,
-// and the thread pool all come from that one pipeline, so a sweep inherits
-// the search's determinism guarantee (byte-identical results at any thread
-// count or cache state).
+// isolation, transient retries, cancellation and the thread pool all come
+// from that one pipeline, so a sweep inherits the search's determinism
+// guarantee (byte-identical results at any thread count). Estimates are not
+// memoized: the layer walks are batched, and batches never read a cache.
 //
 // Checkpoint/resume reuses the search checkpoint format: the whole matrix
 // shares one CheckpointWriter keyed by cell-unique variant names
@@ -27,14 +27,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "advisor/checkpoint.hpp"
 #include "advisor/search.hpp"
 #include "common/cancel.hpp"
-#include "gemmsim/estimate_cache.hpp"
 #include "gemmsim/simulator.hpp"
 #include "sweep/plan.hpp"
 #include "transformer/attribution.hpp"
@@ -43,9 +41,6 @@ namespace codesign::sweep {
 
 struct SweepOptions {
   std::size_t threads = 1;
-  /// Shared across every cell (and safe to share across GPUs: cache keys
-  /// include the GpuSpec). Null leaves estimation uncached.
-  std::shared_ptr<gemm::EstimateCache> cache;
   advisor::FaultPolicy faults;
   const CancelToken* cancel = nullptr;
   /// Both optional; the caller owns fingerprint validation via

@@ -103,9 +103,9 @@ OpLatency record_op(const MappedOp& op, const gemm::GemmSimulator& sim,
 /// returns the ops' times summed in schedule order. With `records` null
 /// that call is estimate_times() — the search hot path, no per-op work
 /// beyond the sum; otherwise it is estimate_many() and every op's record
-/// is appended to `records`. Both batched calls equal N scalar estimate()
-/// calls bit for bit (traced runs take exactly those calls, in op order),
-/// so every reader adds the same doubles in the same order.
+/// is appended to `records`. Both batched calls equal N uncached scalar
+/// estimate() calls bit for bit, so every reader adds the same doubles in
+/// the same order.
 double walk_layer(const ValidatedConfig& config,
                   const gemm::GemmSimulator& sim, LayerWorkspace& ws,
                   std::vector<OpLatency>* records, double cutoff) {
@@ -131,7 +131,7 @@ double walk_layer(const ValidatedConfig& config,
   };
   if (records != nullptr) {
     ws.estimates.resize(ws.gemms.size());
-    sim.estimate_many(ws.gemms, ws.estimates, ws.batch);
+    sim.estimate_many(ws.gemms, ws.estimates);
     records->reserve(records->size() + ws.ops.size());
     return sum_ops();
   }

@@ -59,9 +59,6 @@ ProfileResult profile_model(const TransformerConfig& config,
       "layers", std::to_string(options.layers));
   r.trace_json = recorder.chrome_trace_json(trace_options);
 
-  if (sim.cache() != nullptr) {
-    sim.cache()->publish_metrics(obs::MetricsRegistry::global());
-  }
   r.metrics = obs::MetricsRegistry::global().snapshot();
 
   obs::MetricsRegistry::set_enabled(metrics_were_on);

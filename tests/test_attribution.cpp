@@ -1,8 +1,8 @@
 // Tests for the attribution & sensitivity layer (PR 9's tentpole):
 //   * gemm::bound_breakdown is a complete decomposition (fractions sum to
 //     1) and is bit-identical between the scalar estimate() path and the
-//     batched estimate_many() path — including a shared cache hammered by
-//     8 threads and the kFixedLargest degenerate-tile corner,
+//     batched estimate_many() path — including one simulator shared by 8
+//     threads and the kFixedLargest degenerate-tile corner,
 //   * tfm::attribute_layer / attribute_model reproduce analyze_layer /
 //     analyze_model totals bit-for-bit and their rollups are internally
 //     consistent (shares, branch split, bound histogram),
@@ -127,12 +127,11 @@ TEST(BoundBreakdown, ScalarAndBatchedPathsAreBitIdentical) {
   }
 }
 
-TEST(BoundBreakdown, SharedCacheEightThreadLockstep) {
-  GemmSimulator sim = GemmSimulator::for_gpu("a100");
-  sim.enable_cache();
+TEST(BoundBreakdown, SharedSimulatorEightThreadLockstep) {
+  const GemmSimulator sim = GemmSimulator::for_gpu("a100");
   const std::vector<GemmProblem> problems = problem_mix();
-  // Scalar reference first — the batched workers below will mostly hit the
-  // cache those calls populated, which must not change a single bit.
+  // Scalar reference first; eight workers then batch the same problems
+  // through the one simulator, which must not change a single bit.
   std::vector<BoundBreakdown> reference;
   reference.reserve(problems.size());
   for (const GemmProblem& p : problems) {
@@ -145,9 +144,8 @@ TEST(BoundBreakdown, SharedCacheEightThreadLockstep) {
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
-      GemmSimulator::BatchWorkspace workspace;
       std::vector<KernelEstimate> out(problems.size());
-      sim.estimate_many(problems, out, workspace);
+      sim.estimate_many(problems, out);
       for (std::size_t i = 0; i < problems.size(); ++i) {
         results[static_cast<std::size_t>(t)][i] =
             gemm::bound_breakdown(out[i]);

@@ -148,6 +148,18 @@ TEST(CodesignCli, BadCommandLinesAreUsageErrors) {
   EXPECT_NE(err.find("expected a model name"), std::string::npos) << err;
 }
 
+TEST(CodesignCli, TheRemovedCacheFlagIsAUsageError) {
+  // Only `codesign serve` memoizes estimates now; a leftover --cache must
+  // fail loudly instead of being silently ignored.
+  std::string err;
+  for (const char* args : {"search gpt3-125m --mode=heads --cache",
+                           "advise gpt3-125m --cache",
+                           "sweep --config=x.conf --cache"}) {
+    EXPECT_EQ(run_codesign(args, &err), 2) << args << ": " << err;
+    EXPECT_NE(err.find("--cache was removed"), std::string::npos) << err;
+  }
+}
+
 TEST(CodesignCli, UnwritableOutputFileIsAnIoError) {
   std::string err;
   for (const char* args :

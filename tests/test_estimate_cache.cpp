@@ -1,13 +1,17 @@
 // Tests for gemmsim/estimate_cache.hpp — the sharded LRU memo of
-// KernelEstimates and its wiring into GemmSimulator::estimate.
+// KernelEstimates and its wiring into GemmSimulator::estimate, the one
+// entry point that consults it.
 #include "gemmsim/estimate_cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/failpoint.hpp"
 #include "gemmsim/simulator.hpp"
 #include "support/reference_select.hpp"
 
@@ -60,7 +64,7 @@ TEST(GemmProblemHash, DistinguishesAllFields) {
 
 TEST(EstimateCache, HitAndMissCounters) {
   GemmSimulator sim = GemmSimulator::for_gpu("a100");
-  sim.enable_cache();
+  sim.set_cache(std::make_shared<EstimateCache>());
 
   const GemmProblem p = problem(4096, 4096, 1024);
   sim.estimate(p);
@@ -87,7 +91,7 @@ TEST(EstimateCache, CachedEqualsUncachedBitForBit) {
   const gpu::GpuSpec& gpu = gpu::gpu_by_name("a100");
   GemmSimulator uncached(gpu);
   GemmSimulator cached(gpu);
-  cached.enable_cache();
+  cached.set_cache(std::make_shared<EstimateCache>());
 
   const std::vector<GemmProblem> shapes = {
       problem(2048, 2560, 2560),   problem(80, 80, 2560),
@@ -106,7 +110,7 @@ TEST(EstimateCache, CachedEqualsUncachedBitForBit) {
 TEST(EstimateCache, FixedPolicyCachedEqualsEstimateWithTile) {
   const gpu::GpuSpec& gpu = gpu::gpu_by_name("v100");
   GemmSimulator fixed(gpu, TilePolicy::kFixedLargest);
-  fixed.enable_cache();
+  fixed.set_cache(std::make_shared<EstimateCache>());
   const GemmProblem p = problem(1000, 1000, 1000);
   const KernelEstimate direct = estimate_with_tile(p, gpu::largest_tile(), gpu);
   expect_identical(direct, fixed.estimate(p));
@@ -181,7 +185,7 @@ TEST(EstimateCache, TouchRefreshesLruOrder) {
 
 TEST(EstimateCache, ClearDropsEntriesKeepsCounters) {
   GemmSimulator sim = GemmSimulator::for_gpu("a100");
-  sim.enable_cache();
+  sim.set_cache(std::make_shared<EstimateCache>());
   sim.estimate(problem(512, 512, 512));
   sim.estimate(problem(512, 512, 512));
   sim.cache()->clear();
@@ -213,7 +217,7 @@ TEST(EstimateCache, RejectsZeroCapacity) {
 
 TEST(EstimateCache, ConcurrentMixedWorkloadStaysExact) {
   GemmSimulator sim = GemmSimulator::for_gpu("a100");
-  sim.enable_cache();
+  sim.set_cache(std::make_shared<EstimateCache>());
   GemmSimulator reference = GemmSimulator::for_gpu("a100");
 
   // 8 threads hammer an overlapping working set; every answer must match
@@ -236,6 +240,68 @@ TEST(EstimateCache, ConcurrentMixedWorkloadStaysExact) {
   const CacheStats s = sim.cache()->stats();
   EXPECT_EQ(s.hits + s.misses, 8u * 40u);
   EXPECT_LE(s.entries, 10u);  // only 10 distinct shapes exist
+}
+
+TEST(EstimateCache, BatchesNeverConsultTheCache) {
+  GemmSimulator sim = GemmSimulator::for_gpu("a100");
+  sim.set_cache(std::make_shared<EstimateCache>());
+  const std::vector<GemmProblem> shapes = {
+      problem(2048, 2560, 2560), problem(2048, 2560, 2560),
+      GemmProblem::bmm(64, 2048, 2048, 80), problem(1000, 1000, 1000)};
+  std::vector<KernelEstimate> estimates(shapes.size());
+  std::vector<double> times(shapes.size());
+  GemmSimulator::BatchWorkspace ws;
+  sim.estimate_many(shapes, estimates);
+  sim.estimate_times(shapes, times, ws);
+  CacheStats s = sim.cache()->stats();
+  EXPECT_EQ(s.hits + s.misses, 0u);
+  EXPECT_EQ(s.entries, 0u);
+  const GemmSimulator reference = GemmSimulator::for_gpu("a100");
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    expect_identical(reference.estimate(shapes[i]), estimates[i]);
+    EXPECT_EQ(reference.estimate(shapes[i]).time, times[i]);
+  }
+  // A scalar estimate of the same shape is the first lookup: a miss.
+  sim.estimate(shapes[0]);
+  s = sim.cache()->stats();
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, 0u);
+}
+
+TEST(EstimateCache, LookupDrillFiresOnTheProblemHash) {
+  // The lookup fires with the problem's own hash, the token
+  // gemmsim.select_kernel uses, so a prob: drill picks the same problems in
+  // every run — the key's hash would mix in the GpuSpec's address.
+  const std::vector<GemmProblem> shapes = {
+      problem(2048, 2560, 2560), problem(80, 80, 2560),
+      problem(4096, 50304, 2560), GemmProblem::bmm(64, 2048, 2048, 80),
+      problem(1, 1, 1), problem(96, 96, 4096), problem(1000, 1000, 1000),
+      problem(2048, 2730, 2560)};
+  fail::clear();
+  fail::configure("gemmsim.cache.lookup=prob:0.5:77");
+  std::vector<bool> expected;
+  std::vector<bool> got;
+  for (const GemmProblem& p : shapes) {
+    bool f = false;
+    try {
+      fail::hit("gemmsim.cache.lookup", p.hash_value());
+    } catch (const fail::InjectedFault&) {
+      f = true;
+    }
+    expected.push_back(f);
+    GemmSimulator sim = GemmSimulator::for_gpu("a100");
+    sim.set_cache(std::make_shared<EstimateCache>());
+    f = false;
+    try {
+      sim.estimate(p);
+    } catch (const fail::InjectedFault&) {
+      f = true;
+    }
+    got.push_back(f);
+  }
+  fail::clear();
+  EXPECT_EQ(got, expected);
+  EXPECT_NE(std::count(expected.begin(), expected.end(), true), 0);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Tests for the batched estimation engine: GemmSimulator::estimate_many /
-// estimate_times, PreparedCatalogue, and EstimateCache::lookup_many /
-// insert_many. The contract under test is lockstep bit-identity — a batch
-// of N problems returns exactly what N scalar estimate() calls return, in
-// every cache state, at any thread count, and under failpoint drills the
+// estimate_times and PreparedCatalogue. The contract under test is
+// lockstep bit-identity — a batch of N problems returns exactly what N
+// uncached scalar estimate() calls return, and under failpoint drills the
 // same candidates fault either way.
 #include <gtest/gtest.h>
 
@@ -12,12 +11,10 @@
 #include <cstdint>
 #include <iterator>
 #include <random>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
-#include "gemmsim/estimate_cache.hpp"
 #include "gemmsim/prepared_catalogue.hpp"
 #include "gemmsim/simulator.hpp"
 #include "obs/events.hpp"
@@ -438,37 +435,8 @@ TEST(EstimateMany, ColdNoCacheLockstep) {
   }
 }
 
-TEST(EstimateMany, ColdAndWarmCacheLockstep) {
-  const gpu::GpuSpec& gpu = gpu::gpu_by_name("a100");
-  GemmSimulator scalar(gpu);
-  GemmSimulator batched(gpu);
-  scalar.enable_cache();
-  batched.enable_cache();
-
-  const std::vector<GemmProblem> shapes = shape_set();
-  std::vector<KernelEstimate> scalar_out;
-  for (const GemmProblem& p : shapes) scalar_out.push_back(scalar.estimate(p));
-
-  GemmSimulator::BatchWorkspace ws;
-  std::vector<KernelEstimate> cold(shapes.size());
-  batched.estimate_many(shapes, cold, ws);  // all misses
-  std::vector<KernelEstimate> warm(shapes.size());
-  batched.estimate_many(shapes, warm, ws);  // all hits
-  const CacheStats stats = batched.cache()->stats();
-  EXPECT_EQ(stats.misses, shapes.size());
-  EXPECT_EQ(stats.hits, shapes.size());
-
-  for (std::size_t i = 0; i < shapes.size(); ++i) {
-    expect_identical(scalar_out[i], cold[i]);
-    expect_identical(scalar_out[i], warm[i]);
-    // Crossover: the batch-populated cache serves scalar reads bit-exactly.
-    expect_identical(scalar_out[i], batched.estimate(shapes[i]));
-  }
-}
-
 TEST(EstimateMany, DuplicateProblemsWithinOneBatch) {
-  GemmSimulator sim = GemmSimulator::for_gpu("a100");
-  sim.enable_cache();
+  const GemmSimulator sim = GemmSimulator::for_gpu("a100");
   const GemmProblem p = problem(640, 640, 640);
   const std::vector<GemmProblem> shapes = {p, p, p};
   std::vector<KernelEstimate> out(shapes.size());
@@ -476,51 +444,30 @@ TEST(EstimateMany, DuplicateProblemsWithinOneBatch) {
   const KernelEstimate reference =
       oracle::reference_select(p, gpu::gpu_by_name("a100"));
   for (const KernelEstimate& e : out) expect_identical(reference, e);
-  EXPECT_EQ(sim.cache()->stats().entries, 1u);  // stored once
 }
 
 TEST(EstimateMany, EstimateTimesMatchesEstimateBitForBit) {
-  GemmSimulator sim = GemmSimulator::for_gpu("a100");
-  sim.enable_cache();
+  const GemmSimulator sim = GemmSimulator::for_gpu("a100");
   const std::vector<GemmProblem> shapes = shape_set();
   GemmSimulator::BatchWorkspace ws;
-  std::vector<double> cold(shapes.size());
-  sim.estimate_times(shapes, cold, ws);
-  std::vector<double> warm(shapes.size());
-  sim.estimate_times(shapes, warm, ws);
-  GemmSimulator reference = GemmSimulator::for_gpu("a100");
+  std::vector<double> first(shapes.size());
+  sim.estimate_times(shapes, first, ws);
+  std::vector<double> again(shapes.size());  // the same workspace, reused
+  sim.estimate_times(shapes, again, ws);
   for (std::size_t i = 0; i < shapes.size(); ++i) {
-    const double expected = reference.estimate(shapes[i]).time;
-    EXPECT_EQ(expected, cold[i]);
-    EXPECT_EQ(expected, warm[i]);
+    const double expected = sim.estimate(shapes[i]).time;
+    EXPECT_EQ(expected, first[i]);
+    EXPECT_EQ(expected, again[i]);
   }
-  // The times-only path still populated the cache with full estimates.
-  for (std::size_t i = 0; i < shapes.size(); ++i) {
-    expect_identical(reference.estimate(shapes[i]), sim.estimate(shapes[i]));
-  }
-}
-
-TEST(EstimateMany, SequenceLatencyBatchedMatchesScalar) {
-  const std::vector<GemmProblem> seq = {
-      problem(2048, 2560, 2560), problem(2048, 2560, 2560),
-      problem(80, 80, 2560), GemmProblem::bmm(64, 2048, 2048, 80)};
-  GemmSimulator sim = GemmSimulator::for_gpu("a100");
-  double expected = 0.0;
-  for (const GemmProblem& p : seq) expected += sim.estimate(p).time;
-  GemmSimulator::BatchWorkspace ws;
-  EXPECT_EQ(expected, sim.sequence_latency(std::span<const GemmProblem>(seq),
-                                           ws));
-  EXPECT_EQ(expected, sim.sequence_latency(seq));
 }
 
 TEST(EstimateMany, MetricsOnPathStaysLockstep) {
   obs::MetricsRegistry::set_enabled(true);
   const std::vector<GemmProblem> shapes = shape_set();
-  GemmSimulator sim = GemmSimulator::for_gpu("a100");
-  sim.enable_cache();
+  const GemmSimulator sim = GemmSimulator::for_gpu("a100");
   GemmSimulator::BatchWorkspace ws;
   std::vector<KernelEstimate> out(shapes.size());
-  sim.estimate_many(shapes, out, ws);
+  sim.estimate_many(shapes, out);
   std::vector<double> times(shapes.size());
   sim.estimate_times(shapes, times, ws);
   obs::MetricsRegistry::set_enabled(false);
@@ -531,110 +478,14 @@ TEST(EstimateMany, MetricsOnPathStaysLockstep) {
   }
 }
 
-TEST(EstimateMany, SharedCacheAcrossThreadsStaysExact) {
-  GemmSimulator sim = GemmSimulator::for_gpu("a100");
-  sim.enable_cache();
-  const GemmSimulator reference = GemmSimulator::for_gpu("a100");
-
-  // 8 threads push overlapping batches through one shared cache; every
-  // element of every batch must match the uncached scalar answer exactly.
-  std::vector<std::thread> workers;
-  std::vector<int> failures(8, 0);
-  for (int w = 0; w < 8; ++w) {
-    workers.emplace_back([w, &sim, &reference, &failures] {
-      GemmSimulator::BatchWorkspace ws;
-      std::vector<GemmProblem> batch;
-      std::vector<KernelEstimate> out;
-      for (int round = 0; round < 20; ++round) {
-        batch.clear();
-        for (int j = 0; j < 6; ++j) {
-          const std::int64_t m = 64 * (1 + (w + round + j) % 10);
-          batch.push_back(GemmProblem::gemm(m, 2560, 2560));
-        }
-        out.resize(batch.size());
-        sim.estimate_many(batch, out, ws);
-        for (std::size_t j = 0; j < batch.size(); ++j) {
-          if (out[j].time != reference.estimate(batch[j]).time) {
-            ++failures[static_cast<std::size_t>(w)];
-          }
-        }
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  for (int f : failures) EXPECT_EQ(f, 0);
-  EXPECT_LE(sim.cache()->stats().entries, 10u);  // 10 distinct shapes
-}
-
-TEST(EstimateCacheBatch, LookupManyInsertManyRoundTrip) {
-  EstimateCache cache;
-  const gpu::GpuSpec& gpu = gpu::gpu_by_name("a100");
-  const std::vector<GemmProblem> shapes = shape_set();
-
-  std::vector<EstimateCache::Key> keys;
-  std::vector<KernelEstimate> estimates;
-  for (const GemmProblem& p : shapes) {
-    keys.push_back(EstimateCache::Key{p, TilePolicy::kAuto, &gpu});
-    estimates.push_back(oracle::reference_select(p, gpu));
-  }
-
-  EstimateCache::BatchScratch scratch;
-  std::vector<KernelEstimate> out(keys.size());
-  std::vector<std::uint8_t> hit(keys.size(), 2);
-  EXPECT_EQ(cache.lookup_many(keys, out.data(), hit.data(), scratch), 0u);
-  for (const std::uint8_t h : hit) EXPECT_EQ(h, 0);
-
-  // Insert only the odd-indexed keys; the rest stay absent.
-  std::vector<std::uint8_t> miss(keys.size(), 0);
-  for (std::size_t i = 1; i < keys.size(); i += 2) miss[i] = 1;
-  cache.insert_many(keys, estimates, miss.data(), scratch);
-
-  std::fill(hit.begin(), hit.end(), 2);
-  const std::size_t hits =
-      cache.lookup_many(keys, out.data(), hit.data(), scratch);
-  EXPECT_EQ(hits, keys.size() / 2);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(hit[i], i % 2 == 0 ? 0 : 1);
-    if (hit[i]) expect_identical(estimates[i], out[i]);
-  }
-
-  // Times-only twin: same hit set, just the .time field.
-  std::vector<double> times(keys.size(), -1.0);
-  std::fill(hit.begin(), hit.end(), 2);
-  EXPECT_EQ(cache.lookup_times_many(keys, times.data(), hit.data(), scratch),
-            keys.size() / 2);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (hit[i]) {
-      EXPECT_EQ(times[i], estimates[i].time);
-    }
-  }
-
-  // insert_many never clobbers present entries (racing-miss semantics), and
-  // a null miss mask means "insert everything absent".
-  cache.insert_many(keys, estimates, nullptr, scratch);
-  EXPECT_EQ(cache.stats().entries, keys.size());
-}
-
-TEST(EstimateCacheBatch, KeyHashMemoIsTransparent) {
-  const gpu::GpuSpec& gpu = gpu::gpu_by_name("a100");
-  const EstimateCache::Key a{problem(512, 512, 512), TilePolicy::kAuto, &gpu};
-  EstimateCache::Key b = a;
-  const std::size_t h = a.hash_value();  // memoizes inside a
-  EXPECT_EQ(h, a.hash_value());
-  EXPECT_EQ(h, b.hash_value());
-  EXPECT_EQ(a, b);  // memo state never affects equality
-}
-
 /// Which problems of the set fault, evaluated one way or the other. The
 /// failpoint contract: prob:P:seed triggers hash a stable per-operation
 /// token, so the fire set is identical for scalar and batched evaluation
 /// at candidate granularity.
-std::vector<bool> scalar_fault_set(const std::vector<GemmProblem>& shapes,
-                                   bool with_cache) {
+std::vector<bool> scalar_fault_set(const std::vector<GemmProblem>& shapes) {
   std::vector<bool> faulted;
+  const GemmSimulator sim = GemmSimulator::for_gpu("a100");
   for (const GemmProblem& p : shapes) {
-    GemmSimulator sim = GemmSimulator::for_gpu("a100");
-    if (with_cache) sim.enable_cache();
     bool f = false;
     try {
       sim.estimate(p);
@@ -646,19 +497,16 @@ std::vector<bool> scalar_fault_set(const std::vector<GemmProblem>& shapes,
   return faulted;
 }
 
-std::vector<bool> batched_fault_set(const std::vector<GemmProblem>& shapes,
-                                    bool with_cache) {
+std::vector<bool> batched_fault_set(const std::vector<GemmProblem>& shapes) {
   std::vector<bool> faulted;
-  GemmSimulator::BatchWorkspace ws;
+  const GemmSimulator sim = GemmSimulator::for_gpu("a100");
   for (const GemmProblem& p : shapes) {
-    GemmSimulator sim = GemmSimulator::for_gpu("a100");
-    if (with_cache) sim.enable_cache();
     // One candidate's GEMMs per batch, the search pipeline's granularity.
     const std::vector<GemmProblem> batch = {p};
     std::vector<KernelEstimate> out(batch.size());
     bool f = false;
     try {
-      sim.estimate_many(batch, out, ws);
+      sim.estimate_many(batch, out);
     } catch (const fail::InjectedFault&) {
       f = true;
     }
@@ -671,55 +519,19 @@ TEST(EstimateMany, SelectKernelDrillFaultsSameCandidates) {
   const std::vector<GemmProblem> shapes = shape_set();
   fail::clear();
   fail::configure("gemmsim.select_kernel=prob:0.5:1234");
-  const std::vector<bool> scalar = scalar_fault_set(shapes, false);
-  const std::vector<bool> batched = batched_fault_set(shapes, false);
+  const std::vector<bool> scalar = scalar_fault_set(shapes);
+  const std::vector<bool> batched = batched_fault_set(shapes);
   fail::clear();
   EXPECT_EQ(scalar, batched);
   // The drill must actually bite for the comparison to mean anything.
   EXPECT_NE(std::count(scalar.begin(), scalar.end(), true), 0);
 }
 
-TEST(EstimateMany, CacheLookupDrillFaultsSameCandidates) {
-  const std::vector<GemmProblem> shapes = shape_set();
-  fail::clear();
-  fail::configure("gemmsim.cache.lookup=prob:0.5:77");
-  const std::vector<bool> scalar = scalar_fault_set(shapes, true);
-  const std::vector<bool> batched = batched_fault_set(shapes, true);
-  fail::clear();
-  EXPECT_EQ(scalar, batched);
-  EXPECT_NE(std::count(scalar.begin(), scalar.end(), true), 0);
-}
-
-TEST(EstimateMany, CacheLookupDrillFiresOnTheProblemHash) {
-  // The cache path fires with the problem's own hash, the token
-  // gemmsim.select_kernel uses, so a prob: drill picks the same problems in
-  // every run — the key's hash would mix in the GpuSpec's address.
-  const std::vector<GemmProblem> shapes = shape_set();
-  fail::clear();
-  fail::configure("gemmsim.cache.lookup=prob:0.5:77");
-  std::vector<bool> expected;
-  for (const GemmProblem& p : shapes) {
-    bool f = false;
-    try {
-      fail::hit("gemmsim.cache.lookup", p.hash_value());
-    } catch (const fail::InjectedFault&) {
-      f = true;
-    }
-    expected.push_back(f);
-  }
-  const std::vector<bool> scalar = scalar_fault_set(shapes, true);
-  const std::vector<bool> batched = batched_fault_set(shapes, true);
-  fail::clear();
-  EXPECT_EQ(scalar, expected);
-  EXPECT_EQ(batched, expected);
-  EXPECT_NE(std::count(expected.begin(), expected.end(), true), 0);
-}
-
 TEST(EstimateMany, MultiProblemBatchThrowsIffAnyMemberFaults) {
   const std::vector<GemmProblem> shapes = shape_set();
   fail::clear();
   fail::configure("gemmsim.select_kernel=prob:0.5:1234");
-  const std::vector<bool> scalar = scalar_fault_set(shapes, false);
+  const std::vector<bool> scalar = scalar_fault_set(shapes);
   const bool any_scalar =
       std::count(scalar.begin(), scalar.end(), true) != 0;
   const GemmSimulator sim = GemmSimulator::for_gpu("a100");
@@ -744,8 +556,7 @@ TEST(LayerWorkspace, BatchedLayerTotalTimeMatchesAnalyzeLayer) {
   LayerWorkspace ws;
   for (const char* name : {"pythia-70m", "gpt3-2.7b", "llama2-7b"}) {
     const TransformerConfig cfg = model_by_name(name);
-    gemm::GemmSimulator sim = gemm::GemmSimulator::for_gpu("a100");
-    sim.enable_cache();
+    const gemm::GemmSimulator sim = gemm::GemmSimulator::for_gpu("a100");
     const double batched = layer_total_time(cfg, sim, ws);
     EXPECT_EQ(batched, analyze_layer(cfg, sim).total_time);
     EXPECT_EQ(batched, attribute_layer(cfg, sim).total_time);

@@ -573,8 +573,7 @@ TEST_F(ObsTest, DeterministicSeriesByteIdenticalAcrossThreadCounts) {
 
   auto run = [&base](std::size_t threads) {
     MetricsRegistry::global().reset_values();
-    auto sim = gemm::GemmSimulator::for_gpu("a100");
-    sim.enable_cache();
+    const auto sim = gemm::GemmSimulator::for_gpu("a100");
     advisor::SearchOptions options;
     options.threads = threads;
     advisor::search_joint(base, sim, 0.05, 0, options);
@@ -597,8 +596,8 @@ TEST_F(ObsTest, SelectionTraceByteIdenticalAcrossThreadCounts) {
 
   auto run = [&base](std::size_t threads) {
     obs::ScopedRecorder scoped;
-    // No cache: every estimate computes, so the recorded selection trails
-    // are the same multiset regardless of scheduling.
+    // Every estimate computes, so the recorded selection trails are the
+    // same multiset regardless of scheduling.
     const auto sim = gemm::GemmSimulator::for_gpu("a100");
     advisor::SearchOptions options;
     options.threads = threads;

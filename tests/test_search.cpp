@@ -252,19 +252,6 @@ TEST(SearchJoint, GqaModelsKeepWholeKvGroups) {
   }
 }
 
-TEST(SearchJoint, CachedSimulatorGetsHighHitRate) {
-  // The cache is what makes the joint grid tractable: a head sweep never
-  // changes the MLP GEMMs and a hidden sweep re-visits whole layers, so
-  // most estimates repeat.
-  auto cached = sim();
-  cached.enable_cache();
-  SearchOptions opt;
-  opt.max_candidates = 1000;
-  search_joint(model_by_name("pythia-410m"), cached, 0.1, 0, opt);
-  const gemm::CacheStats s = cached.cache()->stats();
-  EXPECT_GT(s.hits, s.misses);  // majority of estimates served from cache
-}
-
 TEST(SearchMlp, Validation) {
   EXPECT_THROW(
       search_mlp_intermediate(model_by_name("gpt3-2.7b"), sim(), 100, 50),

@@ -357,8 +357,9 @@ std::string expected_advise(const std::string& model) {
   return os.str();
 }
 
-/// The bytes `codesign search <model> --mode=<mode> --cache` prints with
-/// the server's per-request settings (one thread, shared cache attached).
+/// The bytes a served `search` answers with: the server's per-request
+/// settings (one thread) and a cache attached, as the server attaches its
+/// memo, which puts ", cached" in the banner.
 std::string expected_search(const std::string& model, const std::string& mode) {
   serve::SearchRequest sr;
   sr.config = tfm::model_by_name(model);
@@ -498,8 +499,8 @@ TEST_F(ServeTest, SearchPayloadMatchesTheCliBytesWithTheCachedBanner) {
       client.call_op("search", R"("model":"gpt3-125m","mode":"heads")");
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(r.code, kExitOk);
-  // Per-request searches run single-threaded against the shared cache, and
-  // the banner says so — exactly like `codesign search --threads=1 --cache`.
+  // Per-request searches run single-threaded on a simulator with the shared
+  // memo attached, and the banner says so.
   EXPECT_NE(r.payload.find("(1 thread, cached)"), std::string::npos);
   EXPECT_EQ(r.payload, expected_search("gpt3-125m", "heads"));
 
@@ -561,7 +562,6 @@ TEST_F(ServeTest, SweepPayloadMatchesTheCliJsonBytes) {
   const sweep::SweepPlan plan = sweep::parse_sweep_config(config_text, "t");
   sweep::SweepOptions sweep_options;
   sweep_options.threads = 1;
-  sweep_options.cache = std::make_shared<gemm::EstimateCache>();
   const std::string expected =
       sweep::sweep_report_json(sweep::run_sweep(plan, sweep_options),
                                /*compact=*/true) +
@@ -892,6 +892,62 @@ TEST_F(ServeTest, ParseAndDispatchFailpointsAnswerTypedErrors) {
   // Disarmed, the same connection serves normally again.
   fail::clear();
   EXPECT_TRUE(client.call_op("ping").ok());
+
+  client.close();
+  shut_down(server);
+}
+
+TEST_F(ServeTest, CacheLookupFailpointAnswersATypedError) {
+  serve::Server server(options(2));
+  server.start();
+  ServeClient client("127.0.0.1", server.port());
+
+  // The shared memo's lookup is a drill site: an armed fault fails the
+  // estimate with a typed retryable rejection naming the site.
+  fail::configure("gemmsim.cache.lookup=always");
+  const serve::Response fault =
+      client.call_op("estimate", R"("m":4096,"n":4096,"k":4096)");
+  EXPECT_EQ(fault.status, "overloaded");
+  EXPECT_EQ(fault.code, kExitUnavailable);
+  EXPECT_NE(fault.error.find("gemmsim.cache.lookup"), std::string::npos)
+      << fault.error;
+
+  // Disarmed, the next request on the same connection succeeds.
+  fail::clear();
+  const serve::Response ok =
+      client.call_op("estimate", R"("m":4096,"n":4096,"k":4096)");
+  ASSERT_TRUE(ok.ok()) << ok.error;
+  EXPECT_EQ(ok.payload, expected_estimate(4096, 4096, 4096));
+
+  client.close();
+  shut_down(server);
+}
+
+TEST_F(ServeTest, OnlyScalarEstimatesReadTheSharedCache) {
+  serve::Server server(options(2));
+  server.start();
+  ServeClient client("127.0.0.1", server.port());
+  const auto lookups = [&server] {
+    const gemm::CacheStats s = server.cache()->stats();
+    return s.hits + s.misses;
+  };
+
+  // A repeated estimate is a hit in the process-wide memo.
+  ASSERT_TRUE(client.call_op("estimate", R"("m":2048,"n":2560,"k":2560)").ok());
+  const std::uint64_t hits = server.cache()->stats().hits;
+  ASSERT_TRUE(client.call_op("estimate", R"("m":2048,"n":2560,"k":2560)").ok());
+  EXPECT_EQ(server.cache()->stats().hits, hits + 1);
+
+  // Search and advise walk their layers in batches, which never consult it.
+  const std::uint64_t before = lookups();
+  const serve::Response search =
+      client.call_op("search", R"("model":"gpt3-125m","mode":"heads")");
+  ASSERT_TRUE(search.ok()) << search.error;
+  EXPECT_EQ(lookups(), before);
+  const serve::Response advise =
+      client.call_op("advise", R"("model":"gpt3-125m")");
+  ASSERT_TRUE(advise.ok()) << advise.error;
+  EXPECT_EQ(lookups(), before);
 
   client.close();
   shut_down(server);

@@ -33,13 +33,6 @@ TEST(GemmSimulator, LatencyAndThroughputAgree) {
   EXPECT_DOUBLE_EQ(sim.throughput_tflops(p), est.tflops());
 }
 
-TEST(GemmSimulator, SequenceLatencySumsKernels) {
-  const GemmSimulator sim = GemmSimulator::for_gpu("a100");
-  const GemmProblem p = GemmProblem::gemm(2048, 2048, 2048);
-  EXPECT_NEAR(sim.sequence_latency({p, p, p}), 3.0 * sim.latency(p), 1e-12);
-  EXPECT_THROW(sim.sequence_latency({}), Error);
-}
-
 TEST(GemmSimulator, SimulateAgreesWithEstimate) {
   const GemmSimulator sim = GemmSimulator::for_gpu("a100");
   const GemmProblem p = GemmProblem::gemm(4096, 4096, 1024);

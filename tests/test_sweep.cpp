@@ -24,7 +24,6 @@
 #include "advisor/checkpoint.hpp"
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
-#include "gemmsim/estimate_cache.hpp"
 #include "gpuarch/gpu_spec.hpp"
 #include "sweep/plan.hpp"
 #include "sweep/report.hpp"
@@ -224,9 +223,6 @@ constexpr const char* kSmallMatrix =
 SweepResult run_matrix(const SweepPlan& plan, std::size_t threads,
                        SweepOptions extra = {}) {
   extra.threads = threads;
-  if (extra.cache == nullptr) {
-    extra.cache = std::make_shared<gemm::EstimateCache>();
-  }
   return sweep::run_sweep(plan, extra);
 }
 

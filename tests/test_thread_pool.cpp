@@ -106,23 +106,14 @@ TEST(ThreadPool, SearchHeadsIdenticalAt1And8Threads) {
   EXPECT_EQ(seq, par);  // field-exact, every double included
 }
 
-TEST(ThreadPool, SearchJointIdenticalAt1And8ThreadsAndWithCache) {
+TEST(ThreadPool, SearchJointIdenticalAt1And8Threads) {
   const auto base = tfm::model_by_name("pythia-160m");
-  const auto plain = gemm::GemmSimulator::for_gpu("a100");
-  gemm::GemmSimulator cached = plain;
-  cached.enable_cache();
-
-  const auto reference = advisor::search_joint(base, plain, 0.1, 0,
+  const auto sim = gemm::GemmSimulator::for_gpu("a100");
+  const auto reference = advisor::search_joint(base, sim, 0.1, 0,
                                                with_threads(1));
   ASSERT_FALSE(reference.empty());
   EXPECT_EQ(reference,
-            advisor::search_joint(base, plain, 0.1, 0, with_threads(8)));
-  EXPECT_EQ(reference,
-            advisor::search_joint(base, cached, 0.1, 0, with_threads(8)));
-  // Warm cache, again: hits must reproduce the same bits.
-  EXPECT_EQ(reference,
-            advisor::search_joint(base, cached, 0.1, 0, with_threads(8)));
-  EXPECT_GT(cached.cache()->stats().hits, 0u);
+            advisor::search_joint(base, sim, 0.1, 0, with_threads(8)));
 }
 
 TEST(ThreadPool, MlpScanIdenticalAt1And8Threads) {

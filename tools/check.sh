@@ -96,8 +96,8 @@ done
 
 echo "== smoke: fault-injected search degrades gracefully =="
 SMOKE_OUT="$("${BUILD_DIR}/tools/codesign" search gpt3-2.7b --mode=joint \
-    --threads=8 --cache \
-    --failpoints='gemmsim.cache.lookup=prob:0.05:7,advisor.search.evaluate=prob:0.05:42')"
+    --threads=8 \
+    --failpoints='gemmsim.select_kernel=prob:0.05:7,advisor.search.evaluate=prob:0.05:42')"
 echo "${SMOKE_OUT}" | grep -q "skipped .* candidate" || {
   echo "FAIL: fault-injected search printed no skipped-candidate report"
   exit 1
@@ -521,9 +521,9 @@ echo "== sweep: matrix determinism + resume drill under tsan =="
 # a run interrupted at the "sweep.cell" failpoint must resume from its
 # checkpoint into the exact bytes of an uninterrupted run (docs/SWEEP.md).
 SWEEP_CONF="${SRC_DIR}/examples/sweeps/full_matrix.conf"
-"${SERVE_BIN}" sweep --config="${SWEEP_CONF}" --threads=1 --cache \
+"${SERVE_BIN}" sweep --config="${SWEEP_CONF}" --threads=1 \
     --out="${TSAN_DIR}/sweep_t1.json" >/dev/null
-"${SERVE_BIN}" sweep --config="${SWEEP_CONF}" --threads=8 --cache \
+"${SERVE_BIN}" sweep --config="${SWEEP_CONF}" --threads=8 \
     --out="${TSAN_DIR}/sweep_t8.json" >/dev/null
 diff -u "${TSAN_DIR}/sweep_t1.json" "${TSAN_DIR}/sweep_t8.json" || {
   echo "FAIL: sweep report drifted across thread counts"

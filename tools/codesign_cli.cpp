@@ -58,15 +58,15 @@ int usage() {
          "  gpus                         list known GPUs\n"
          "  clusters                     list the Table-III systems\n"
          "  models                       list the model zoo\n"
-         "  advise <model> [--gpu=] [--threads=N] [--cache] [--metrics=<f>]\n"
+         "  advise <model> [--gpu=] [--threads=N] [--metrics=<f>]\n"
          "         [--attribution=<f>]   sizing-rule report + re-shapes\n"
-         "  analyze <model> [--gpu=] [--cache] [--out=<f>] [--no-sensitivity]\n"
+         "  analyze <model> [--gpu=] [--out=<f>] [--no-sensitivity]\n"
          "                               attribution & sensitivity report\n"
          "                               (versioned JSON; byte-identical\n"
          "                               across thread counts — see\n"
          "                               docs/OBSERVABILITY.md)\n"
          "  search <model> [--mode=joint|heads|hidden|mlp] [--radius=0.1]\n"
-         "         [--max=16] [--threads=N] [--cache] [--metrics=<f>]\n"
+         "         [--max=16] [--threads=N] [--metrics=<f>]\n"
          "         [--attribution=<f>]   attribution & sensitivity report of\n"
          "                               the base (one probe round, counted\n"
          "                               in advisor.sensitivity.* when\n"
@@ -77,7 +77,7 @@ int usage() {
          "         [--checkpoint-every=64]\n"
          "                               ranked shape search (resumable;\n"
          "                               see docs/ROBUSTNESS.md)\n"
-         "  sweep --config=<f> [--threads=N] [--cache] [--json] [--out=<f>]\n"
+         "  sweep --config=<f> [--threads=N] [--json] [--out=<f>]\n"
          "        [--strict] [--retries=2] [--failpoints=<spec>]\n"
          "        [--deadline-ms=N] [--checkpoint=<f>] [--resume]\n"
          "        [--checkpoint-every=64]\n"
@@ -129,10 +129,7 @@ int usage() {
 }
 
 gemm::GemmSimulator sim_for(const CliArgs& args) {
-  gemm::GemmSimulator sim =
-      gemm::GemmSimulator::for_gpu(args.get_string("gpu", "a100"));
-  if (args.get_bool("cache", false)) sim.enable_cache();
-  return sim;
+  return gemm::GemmSimulator::for_gpu(args.get_string("gpu", "a100"));
 }
 
 /// A bad command line is a usage error (exit 2), not a failed check.
@@ -200,17 +197,6 @@ void write_metrics_file(const std::string& path,
   write_file(path, std::string(path).ends_with(".csv") ? snapshot.to_csv()
                                                        : snapshot.to_json());
   std::cout << "wrote metrics to " << path << "\n";
-}
-
-void print_cache_summary(const gemm::GemmSimulator& sim) {
-  if (!sim.cache()) return;
-  const gemm::CacheStats s = sim.cache()->stats();
-  std::cout << str_format(
-      "cache: %llu hits / %llu misses (%.1f%% hit rate), %llu evictions, "
-      "%zu entries\n",
-      static_cast<unsigned long long>(s.hits),
-      static_cast<unsigned long long>(s.misses), 100.0 * s.hit_rate(),
-      static_cast<unsigned long long>(s.evictions), s.entries);
 }
 
 /// Resolve the model from either a zoo name (positional) or a --custom=
@@ -309,7 +295,6 @@ int cmd_analyze(const CliArgs& args) {
   } else {
     std::cout << advisor::attribution_report(cfg, sim, sensitivity);
   }
-  print_cache_summary(sim);
   return 0;
 }
 
@@ -324,9 +309,6 @@ int cmd_advise(const CliArgs& args) {
     write_attribution_file(args, cfg, sim, advisor::sensitivity_probe(cfg, sim));
   }
   if (metrics) {
-    if (sim.cache()) {
-      sim.cache()->publish_metrics(obs::MetricsRegistry::global());
-    }
     // Deterministic series only: the file is byte-identical across
     // --threads values (see docs/OBSERVABILITY.md).
     write_metrics_file(
@@ -343,7 +325,7 @@ int cmd_search(const CliArgs& args) {
   }
   // The banner/table/epilogue rendering lives in serve/ops.cpp so that a
   // server-side search response is byte-identical to this command's output
-  // (minus the CLI-only cache summary and metrics epilogues below).
+  // (minus the CLI-only attribution and metrics epilogues below).
   serve::SearchRequest request;
   request.config = model_arg(args);
   const auto sim = sim_for(args);
@@ -391,22 +373,14 @@ int cmd_search(const CliArgs& args) {
   checkpoint_args(args, fingerprint, resumed, writer, options);
 
   const int rc = serve::render_search(std::cout, request, sim);
-  // --attribution probes the base once, after the sweep and before the
-  // cache summary, so the summary counts the round. The probes run
+  // --attribution probes the base once, after the sweep. The probes run
   // sequentially: the report and its advisor.sensitivity.* series are
   // byte-identical at any --threads value.
-  std::vector<advisor::DimensionSensitivity> sensitivity;
   if (args.has("attribution")) {
-    sensitivity = advisor::sensitivity_probe(request.config, sim);
-  }
-  print_cache_summary(sim);
-  if (args.has("attribution")) {
-    write_attribution_file(args, request.config, sim, sensitivity);
+    write_attribution_file(args, request.config, sim,
+                           advisor::sensitivity_probe(request.config, sim));
   }
   if (metrics) {
-    if (sim.cache()) {
-      sim.cache()->publish_metrics(obs::MetricsRegistry::global());
-    }
     // Deterministic series only: the file is byte-identical across
     // --threads values (see docs/OBSERVABILITY.md).
     write_metrics_file(
@@ -440,11 +414,6 @@ int cmd_sweep(const CliArgs& args) {
   sweep::SweepOptions options;
   options.threads = threads_arg(args);
   if (options.threads == 0) options.threads = ThreadPool::hardware_threads();
-  if (args.get_bool("cache", false)) {
-    // One cache for the whole matrix: estimates are keyed on (problem,
-    // policy, gpu), so cells on different GPUs share it safely.
-    options.cache = std::make_shared<gemm::EstimateCache>();
-  }
   options.faults.strict = args.get_bool("strict", false);
   options.faults.max_retries = static_cast<int>(args.get_int("retries", 2));
 
@@ -537,7 +506,6 @@ int cmd_profile(const CliArgs& args) {
                    r.select_events, r.des_events)
             << "  wrote " << r.trace_json.size() << " bytes to " << out
             << " — open with chrome://tracing or https://ui.perfetto.dev\n";
-  print_cache_summary(sim);
   if (metrics) {
     write_metrics_file(args.get_string("metrics", ""), r.metrics);
   }
@@ -811,6 +779,8 @@ int cmd_serve(const CliArgs& args) {
 
 int dispatch(int argc, const char* const* argv) {
   const CliArgs args = CliArgs::parse(argc, argv);
+  usage_check(!args.has("cache"),
+              "--cache was removed: estimates are memoized only by serve");
   if (args.positional().empty()) return usage();
   const std::string& cmd = args.positional()[0];
   if (cmd == "gpus") return cmd_gpus();
