@@ -37,10 +37,10 @@ void bert_serving(bench::Rows& out, const gemm::GemmSimulator& sim,
            "same kernels dominate)\n");
 
   out.section("BERT's own vocabulary flaw (30522 -> 30528)");
-  const double odd =
-      sim.throughput_tflops(tfm::logit_gemm(bert.with_microbatch(batch)));
-  const double pad = sim.throughput_tflops(
-      tfm::logit_gemm(bert.with_microbatch(batch).with_vocab(30528)));
+  const tfm::TransformerConfig mlm = bert.with_microbatch(batch);
+  const double odd = sim.estimate(tfm::logit_gemm(mlm)).tflops();
+  const double pad =
+      sim.estimate(tfm::logit_gemm(mlm.with_vocab(30528))).tflops();
   out.line("MLM head GEMM: v=30522: %.1f TFLOP/s; v=30528: %.1f TFLOP/s "
            "(%.2fx — the padding MLPerf submissions apply)\n",
            odd, pad, pad / odd);

@@ -41,7 +41,7 @@ void geomean_per_device(bench::Rows& out, const gemm::GemmSimulator&,
   for (std::size_t i = 0; i < gpus.size(); ++i) {
     const gemm::GemmSimulator sim = gemm::GemmSimulator::for_gpu(gpus[i]);
     std::vector<double> tfs;
-    for (const auto& k : kernels) tfs.push_back(sim.throughput_tflops(k));
+    for (const auto& k : kernels) tfs.push_back(sim.estimate(k).tflops());
     geos[i] = geomean(tfs);
   }
 
@@ -60,8 +60,8 @@ void h100_a100_per_kernel(bench::Rows& out, const gemm::GemmSimulator&,
   const gemm::GemmSimulator a100 = gemm::GemmSimulator::for_gpu("a100");
   out.table({"kernel", "A100 TFLOP/s", "H100 TFLOP/s", "ratio"});
   for (const auto& k : representative_kernels()) {
-    const double ta = a100.throughput_tflops(k);
-    const double th = h100.throughput_tflops(k);
+    const double ta = a100.estimate(k).tflops();
+    const double th = h100.estimate(k).tflops();
     out.row().cell(k).cell(ta, 1).cell(th, 1).cellf("%.2fx", th / ta);
   }
   out.note("(paper §VIII: MLCommons BERT shows a consistent ~3:1 "

@@ -23,9 +23,9 @@ void dim_order(bench::Rows& out, const gemm::GemmSimulator& sim,
     const auto c = gemm::GemmProblem::gemm(8192, 3 * n, n);
     out.row()
         .cell(n)
-        .cell(sim.throughput_tflops(a), 1)
-        .cell(sim.throughput_tflops(b), 1)
-        .cell(sim.throughput_tflops(c), 1);
+        .cell(sim.estimate(a).tflops(), 1)
+        .cell(sim.estimate(b).tflops(), 1)
+        .cell(sim.estimate(c).tflops(), 1);
   }
 
   out.section("numerical check on the CPU substrate (small shapes)");

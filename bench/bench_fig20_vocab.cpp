@@ -28,7 +28,7 @@ void coarse_sweeps(bench::Rows& out, const gemm::GemmSimulator& sim,
         .cell(v)
         .cell(static_cast<std::int64_t>(
             largest_pow2_dividing(static_cast<std::uint64_t>(v))))
-        .cell(sim.throughput_tflops(logit(bs, v, 2560)), 1);
+        .cell(sim.estimate(logit(bs, v, 2560)).tflops(), 1);
   }
 
   out.section("Fig 20a — sweep over hidden size (v = 50304)");
@@ -38,7 +38,7 @@ void coarse_sweeps(bench::Rows& out, const gemm::GemmSimulator& sim,
         .cell(h)
         .cell(static_cast<std::int64_t>(
             largest_pow2_dividing(static_cast<std::uint64_t>(h))))
-        .cell(sim.throughput_tflops(logit(bs, 50304, h)), 1);
+        .cell(sim.estimate(logit(bs, 50304, h)).tflops(), 1);
   }
 }
 
@@ -53,7 +53,7 @@ void zoomed_sweep(bench::Rows& out, const gemm::GemmSimulator& sim,
         .cell(v)
         .cell(static_cast<std::int64_t>(
             largest_pow2_dividing(static_cast<std::uint64_t>(v))))
-        .cell(sim.throughput_tflops(logit(bs, v, 2560)), 1)
+        .cell(sim.estimate(logit(bs, v, 2560)).tflops(), 1)
         .cell(v % 64 == 0 ? "multiple of 64" : "");
   }
 }
@@ -62,8 +62,8 @@ void gpt2_vocab(bench::Rows& out, const gemm::GemmSimulator& sim,
                 const CliArgs& flags) {
   const std::int64_t bs = tokens(flags);
   out.section("the GPT-2 vocabulary example");
-  const double odd = sim.throughput_tflops(logit(bs, 50257, 2560));
-  const double pad = sim.throughput_tflops(logit(bs, 50304, 2560));
+  const double odd = sim.estimate(logit(bs, 50257, 2560)).tflops();
+  const double pad = sim.estimate(logit(bs, 50304, 2560)).tflops();
   out.line("v = 50257 (odd): %.1f TFLOP/s;  v = 50304 (64-aligned): %.1f "
            "TFLOP/s;  padding speedup %.2fx on the logit GEMM\n",
            odd, pad, pad / odd);

@@ -42,9 +42,9 @@ int main(int argc, char** argv) {
 
     // 3. Fig 20 / the vocab rule.
     const double odd =
-        sim.throughput_tflops(gemm::GemmProblem::gemm(8192, 50257, 2560));
+        sim.estimate(gemm::GemmProblem::gemm(8192, 50257, 2560)).tflops();
     const double pad =
-        sim.throughput_tflops(gemm::GemmProblem::gemm(8192, 50304, 2560));
+        sim.estimate(gemm::GemmProblem::gemm(8192, 50304, 2560)).tflops();
     std::cout << str_format(
         "3. Padding the vocabulary 50257 -> 50304 (a multiple of 64) makes "
         "the logit GEMM %.1fx faster\n   (the famous nanoGPT trick).\n\n",

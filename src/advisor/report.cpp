@@ -49,7 +49,6 @@ std::string advise(const TransformerConfig& config,
   // --- rules ------------------------------------------------------------------
   RuleContext ctx;
   ctx.gpu = &sim.gpu();
-  ctx.pipeline_stages = options.pipeline_stages;
   TableWriter rules({"rule", "severity", "status", "explanation"});
   for (const RuleResult& r : check_rules(config, ctx)) {
     rules.new_row()

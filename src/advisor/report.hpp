@@ -15,7 +15,6 @@ namespace codesign::advisor {
 using tfm::TransformerConfig;
 
 struct ReportOptions {
-  std::int64_t pipeline_stages = 1;
   /// Include head-count and hidden-size search suggestions.
   bool include_suggestions = true;
   /// Number of alternatives listed per search.

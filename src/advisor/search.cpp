@@ -617,14 +617,6 @@ const char* search_mode_name(SearchMode mode) {
   return "unknown";
 }
 
-ShapeCandidate evaluate_candidate(const TransformerConfig& config,
-                                  const TransformerConfig& baseline,
-                                  const gemm::GemmSimulator& sim) {
-  tfm::LayerWorkspace ws;
-  const BaselineContext base = make_baseline(baseline, sim, ws);
-  return make_candidate(config, evaluate_against(config, base, sim, ws));
-}
-
 SearchOutcome run_grid_search(const std::vector<TransformerConfig>& configs,
                               const TransformerConfig& baseline,
                               const gemm::GemmSimulator& sim,
@@ -795,8 +787,9 @@ MlpSearchOutcome run_mlp_search(const TransformerConfig& base,
   // Batched width evaluation: the 2–3 MLP GEMMs of a candidate resolve
   // through one estimate_times() call. The sum order matches the scalar
   // formulation — (up + down) + gate — so the result is bit-identical to
-  // a latency() loop (the gate twin repeats the up shape; a batch computes
-  // it from the same expressions a second scalar call would).
+  // a loop of scalar estimate() times (the gate twin repeats the up shape;
+  // a batch computes it from the same expressions a second scalar call
+  // would).
   struct MlpScratch {
     std::vector<gemm::GemmProblem> problems;
     std::vector<double> times;

@@ -169,11 +169,6 @@ using SearchOutcome = RankedSweep<ShapeCandidate>;
 enum class SearchMode { kHeads, kHidden, kJoint };
 const char* search_mode_name(SearchMode mode);
 
-/// Evaluate a config's single-layer time/throughput (shared helper).
-ShapeCandidate evaluate_candidate(const TransformerConfig& config,
-                                  const TransformerConfig& baseline,
-                                  const gemm::GemmSimulator& sim);
-
 /// Evaluate an arbitrary caller-built candidate grid through the shared
 /// "evaluate in parallel → deterministically merge" pipeline: per-candidate
 /// fault isolation, cancellation, batched GEMM estimation, and the

@@ -11,7 +11,7 @@
 
 #include <cstdint>
 
-#include "gemmsim/roofline.hpp"
+#include "gemmsim/kernel_model.hpp"
 #include "gpuarch/gpu_spec.hpp"
 
 namespace codesign::gemm {

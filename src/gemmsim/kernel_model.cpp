@@ -4,6 +4,15 @@
 
 namespace codesign::gemm {
 
+const char* bound_name(Bound b) {
+  switch (b) {
+    case Bound::kCompute: return "compute";
+    case Bound::kMemory: return "memory";
+    case Bound::kLaunch: return "launch";
+  }
+  return "?";
+}
+
 double KernelEstimate::flops_per_second() const {
   return time > 0.0 ? problem.flops() / time : 0.0;
 }

@@ -20,12 +20,19 @@
 #include "common/error.hpp"
 #include "gemmsim/gemm_problem.hpp"
 #include "gemmsim/quantization.hpp"
-#include "gemmsim/roofline.hpp"
 #include "gpuarch/gpu_spec.hpp"
 #include "gpuarch/tensor_core.hpp"
 #include "gpuarch/tile_config.hpp"
 
 namespace codesign::gemm {
+
+/// Which roof limits a kernel: the math pipeline, DRAM traffic, or the
+/// launch floor. Small GEMMs and the attention BMMs sit left of the ridge
+/// point and are memory-bound (paper §V); the big MLP/QKV GEMMs are
+/// compute-bound.
+enum class Bound { kCompute, kMemory, kLaunch };
+
+const char* bound_name(Bound b);
 
 /// Full prediction for one kernel configuration.
 struct KernelEstimate {

@@ -1,7 +1,6 @@
 #include "gemmsim/simulator.hpp"
 
 #include "common/error.hpp"
-#include "gemmsim/roofline.hpp"
 #include "gpuarch/tile_config.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
@@ -56,14 +55,6 @@ KernelEstimate GemmSimulator::estimate(const GemmProblem& problem) const {
 
 void GemmSimulator::set_cache(std::shared_ptr<EstimateCache> cache) {
   cache_ = std::move(cache);
-}
-
-double GemmSimulator::latency(const GemmProblem& problem) const {
-  return estimate(problem).time;
-}
-
-double GemmSimulator::throughput_tflops(const GemmProblem& problem) const {
-  return estimate(problem).tflops();
 }
 
 void GemmSimulator::estimate_many(std::span<const GemmProblem> problems,

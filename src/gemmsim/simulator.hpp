@@ -43,12 +43,6 @@ class GemmSimulator {
   /// The only entry point that consults an attached cache (set_cache).
   KernelEstimate estimate(const GemmProblem& problem) const;
 
-  /// Seconds for one GEMM (shortcut for estimate().time).
-  double latency(const GemmProblem& problem) const;
-
-  /// TFLOP/s of useful work (the y-axis of all the paper's figures).
-  double throughput_tflops(const GemmProblem& problem) const;
-
   /// Reusable scratch for estimate_times(). Keep one per worker thread and
   /// pass it to every call — steady-state calls then allocate nothing.
   struct BatchWorkspace {

@@ -12,7 +12,7 @@ std::string shape_to_string(const Shape& shape) {
   std::vector<std::string> parts;
   parts.reserve(shape.size());
   for (std::int64_t d : shape) parts.push_back(std::to_string(d));
-  return "(" + join(parts, ", ") + ")";
+  return str_format("(%s)", join(parts, ", ").c_str());
 }
 
 std::int64_t shape_numel(const Shape& shape) {

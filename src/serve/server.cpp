@@ -257,7 +257,7 @@ void Server::read_ready(const ConnPtr& conn) {
   if (c.in.size() > opt_.max_line_bytes) {
     n_parse_errors_.fetch_add(1, std::memory_order_relaxed);
     RequestTrace trace = trace_log_.begin_request();
-    trace.record().op = "?";
+    trace.record().op = '?';
     respond(c, trace, "error", kExitUsage,
             str_format("request line exceeds %zu bytes", opt_.max_line_bytes),
             "parse");

@@ -1,33 +1,15 @@
 #include "sweep/plan.hpp"
 
-#include <cstdint>
 #include <set>
 
 #include "common/error.hpp"
+#include "common/failpoint.hpp"
 #include "common/strings.hpp"
 #include "gpuarch/gpu_spec.hpp"
 
 namespace codesign::sweep {
 
-namespace {
-
-std::string where(const std::string& origin, int line) {
-  return origin + ":" + std::to_string(line) + ": ";
-}
-
-/// FNV-1a 64 over the full matrix description. The fingerprint line in a
-/// checkpoint stays one short token while still covering every lowered
-/// variant config.
-std::uint64_t fnv64(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
+using tfm::where;
 
 SweepPlan parse_sweep_config(const std::string& text,
                              const std::string& origin) {
@@ -102,10 +84,13 @@ std::string sweep_fingerprint(const SweepPlan& plan, gemm::TilePolicy policy) {
       desc += ";" + v.label + "=" + v.config.to_string();
     }
   }
+  // The signature is the FNV-1a 64 hash of the full matrix description
+  // (fail::token), so the fingerprint line in a checkpoint stays one short
+  // token while still covering every lowered variant config.
   return str_format("sweep name=%s policy=%d gpus=%s workloads=%zu sig=%016llx",
                     plan.name.c_str(), static_cast<int>(policy),
                     join(plan.gpus, ",").c_str(), plan.workloads.size(),
-                    static_cast<unsigned long long>(fnv64(desc)));
+                    static_cast<unsigned long long>(fail::token(desc)));
 }
 
 }  // namespace codesign::sweep

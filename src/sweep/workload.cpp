@@ -8,11 +8,9 @@
 
 namespace codesign::sweep {
 
-namespace {
+using tfm::where;
 
-std::string where(const std::string& origin, int line) {
-  return origin + ":" + std::to_string(line) + ": ";
-}
+namespace {
 
 std::int64_t entry_int(const tfm::ConfigEntry& e, const std::string& origin) {
   try {

@@ -129,6 +129,10 @@ TransformerConfig parse_config_string(const std::string& spec) {
   return c;
 }
 
+std::string where(const std::string& origin, int line) {
+  return origin + ":" + std::to_string(line) + ": ";
+}
+
 const ConfigEntry* ConfigSection::find(const std::string& key) const {
   for (const ConfigEntry& e : entries) {
     if (e.key == key) return &e;
@@ -138,10 +142,6 @@ const ConfigEntry* ConfigSection::find(const std::string& key) const {
 
 std::vector<ConfigSection> parse_config_sections(const std::string& text,
                                                  const std::string& origin) {
-  const auto where = [&](int line) {
-    return origin + ":" + std::to_string(line) + ": ";
-  };
-
   std::vector<ConfigSection> sections;
   int line_no = 0;
   for (const std::string& raw : split(text, '\n')) {
@@ -154,13 +154,14 @@ std::vector<ConfigSection> parse_config_sections(const std::string& text,
 
     if (line.front() == '[') {
       if (line.back() != ']' || line.size() < 3) {
-        throw ConfigError(where(line_no) + "malformed section header '" +
-                          line + "' (want [name])");
+        throw ConfigError(where(origin, line_no) +
+                          "malformed section header '" + line +
+                          "' (want [name])");
       }
       const std::string name =
           to_lower(std::string{trim(line.substr(1, line.size() - 2))});
       if (name.empty()) {
-        throw ConfigError(where(line_no) + "empty section name");
+        throw ConfigError(where(origin, line_no) + "empty section name");
       }
       sections.push_back({name, line_no, {}});
       continue;
@@ -168,11 +169,12 @@ std::vector<ConfigSection> parse_config_sections(const std::string& text,
 
     const auto eq = line.find('=');
     if (eq == std::string::npos || eq == 0) {
-      throw ConfigError(where(line_no) + "expected 'key = value' or " +
+      throw ConfigError(where(origin, line_no) + "expected 'key = value' or " +
                         "'[section]', got '" + line + "'");
     }
     if (sections.empty()) {
-      throw ConfigError(where(line_no) + "entry before any [section] header");
+      throw ConfigError(where(origin, line_no) +
+                        "entry before any [section] header");
     }
     ConfigSection& section = sections.back();
     ConfigEntry entry;
@@ -180,11 +182,11 @@ std::vector<ConfigSection> parse_config_sections(const std::string& text,
     entry.value = std::string{trim(line.substr(eq + 1))};
     entry.line = line_no;
     if (entry.value.empty()) {
-      throw ConfigError(where(line_no) + "key '" + entry.key +
+      throw ConfigError(where(origin, line_no) + "key '" + entry.key +
                         "' has an empty value");
     }
     if (const ConfigEntry* prior = section.find(entry.key)) {
-      throw ConfigError(where(line_no) + "duplicate key '" + entry.key +
+      throw ConfigError(where(origin, line_no) + "duplicate key '" + entry.key +
                         "' in section [" + section.name + "] (first at line " +
                         std::to_string(prior->line) + ")");
     }

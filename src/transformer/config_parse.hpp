@@ -56,6 +56,9 @@ struct ConfigSection {
   const ConfigEntry* find(const std::string& key) const;
 };
 
+/// "origin:line: ", the prefix of every diagnostic that names a config line.
+std::string where(const std::string& origin, int line);
+
 /// Parse a sectioned config file. `origin` is the path (or any label for
 /// in-memory text) used in diagnostics. Throws ConfigError on entries
 /// before the first section header, duplicate keys within a section, or

@@ -47,7 +47,7 @@ double layer_backward_time(const TransformerConfig& config,
                            const gemm::GemmSimulator& sim) {
   double layer_bwd = 0.0;
   for (const GemmProblem& p : layer_backward_gemms(config)) {
-    layer_bwd += sim.latency(p);
+    layer_bwd += sim.estimate(p).time;
   }
   const LayerLatencyReport forward = analyze_layer(config, sim);
   for (const OpLatency& op : forward.ops) {
@@ -77,7 +77,8 @@ TrainingStepReport analyze_training_step(const TransformerConfig& config,
   for (const MappedOp& op : model_level_ops(config)) {
     if (!op.gemm.has_value()) continue;
     const BackwardPair p = backward_of(*op.gemm);
-    model_level_bwd += sim.latency(p.dgrad) + sim.latency(p.wgrad);
+    model_level_bwd +=
+        sim.estimate(p.dgrad).time + sim.estimate(p.wgrad).time;
   }
 
   r.backward_time = static_cast<double>(config.num_layers) *

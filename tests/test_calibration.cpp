@@ -74,8 +74,10 @@ TEST(Calibration, VocabPaddingCliff) {
   // Fig 20b / Karpathy: padding 50257 → 50304 speeds the logit GEMM by
   // well over 1.5x.
   const GemmSimulator sim = a100();
-  const double odd = sim.throughput_tflops(GemmProblem::gemm(8192, 50257, 2560));
-  const double pad = sim.throughput_tflops(GemmProblem::gemm(8192, 50304, 2560));
+  const double odd =
+      sim.estimate(GemmProblem::gemm(8192, 50257, 2560)).tflops();
+  const double pad =
+      sim.estimate(GemmProblem::gemm(8192, 50304, 2560)).tflops();
   EXPECT_GT(pad / odd, 1.5);
   EXPECT_LT(pad / odd, 10.0);  // but not absurdly so
 }
@@ -94,7 +96,7 @@ TEST(Calibration, H100ToA100KernelRatio) {
   };
   double ratio_sum = 0.0;
   for (const auto& k : kernels) {
-    ratio_sum += h100.throughput_tflops(k) / a.throughput_tflops(k);
+    ratio_sum += h100.estimate(k).tflops() / a.estimate(k).tflops();
   }
   const double mean_ratio = ratio_sum / static_cast<double>(kernels.size());
   EXPECT_GE(mean_ratio, 1.8);
@@ -106,7 +108,7 @@ TEST(Calibration, Fig7PowerOfTwoOrdering) {
   // largest power of two dividing h/a, saturating at 64.
   const GemmSimulator sim = a100();
   auto score_tput = [&sim](std::int64_t head_dim) {
-    return sim.throughput_tflops(GemmProblem::bmm(128, 2048, 2048, head_dim));
+    return sim.estimate(GemmProblem::bmm(128, 2048, 2048, head_dim)).tflops();
   };
   const double odd = score_tput(65);
   const double p2 = score_tput(66);    // granule 2
@@ -125,7 +127,7 @@ TEST(Calibration, LargeGemmEfficiencyRealistic) {
   // cuBLAS reaches ~85-90% of peak on large aligned fp16 GEMMs; our model's
   // achievable ceiling should land in [0.6, 0.95] of datasheet peak.
   const double tf =
-      a100().throughput_tflops(GemmProblem::gemm(8192, 8192, 8192));
+      a100().estimate(GemmProblem::gemm(8192, 8192, 8192)).tflops();
   EXPECT_GE(tf, 0.60 * 312.0);
   EXPECT_LE(tf, 0.95 * 312.0);
 }
@@ -133,7 +135,7 @@ TEST(Calibration, LargeGemmEfficiencyRealistic) {
 TEST(Calibration, MemoryBoundSmallGemmRealistic) {
   // A (2048, 64) x (64, 2048)-scale GEMM is memory-bound: tens of TFLOP/s
   // on A100, nowhere near peak.
-  const double tf = a100().throughput_tflops(GemmProblem::gemm(2048, 2048, 64));
+  const double tf = a100().estimate(GemmProblem::gemm(2048, 2048, 64)).tflops();
   EXPECT_LT(tf, 150.0);
   EXPECT_GT(tf, 10.0);
 }
@@ -172,7 +174,7 @@ TEST(Calibration, V100BehindA100EverywhereThatMatters) {
   for (const auto& p :
        {GemmProblem::gemm(8192, 8192, 8192), GemmProblem::gemm(8192, 7680, 2560),
         GemmProblem::bmm(128, 2048, 2048, 64)}) {
-    EXPECT_LT(v100.throughput_tflops(p), a100().throughput_tflops(p))
+    EXPECT_LT(v100.estimate(p).tflops(), a100().estimate(p).tflops())
         << p.to_string();
   }
 }

@@ -102,8 +102,8 @@ TEST(Encoder, ForwardIsBidirectional) {
 TEST(Encoder, VocabPaddingHelpsBertToo) {
   // The MLPerf 30522 -> 30528 padding, reproduced.
   const auto& c = model_by_name("bert-large");
-  const double odd = sim().throughput_tflops(logit_gemm(c));
-  const double pad = sim().throughput_tflops(logit_gemm(c.with_vocab(30528)));
+  const double odd = sim().estimate(logit_gemm(c)).tflops();
+  const double pad = sim().estimate(logit_gemm(c.with_vocab(30528))).tflops();
   EXPECT_GT(pad / odd, 1.5);
 }
 

@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 
 #include "common/units.hpp"
-#include "gemmsim/roofline.hpp"
 #include "gemmsim/simulator.hpp"
 
 namespace codesign::gemm {
@@ -161,23 +160,6 @@ TEST(KernelModel, V100HasNoFp32TensorPath) {
 
 TEST(KernelModel, EmptyCatalogueRejected) {
   EXPECT_THROW(PreparedCatalogue(a100(), TilePolicy::kAuto, {}), Error);
-}
-
-TEST(Roofline, RidgeAndAttainable) {
-  const Roofline r = device_roofline(a100(), gpu::DType::kFP16);
-  EXPECT_GT(r.ridge_point(), 50.0);   // A100 fp16 ridge ~200 FLOP/B
-  EXPECT_LT(r.ridge_point(), 500.0);
-  EXPECT_DOUBLE_EQ(r.attainable_flops(1e9), r.math_rate);
-  EXPECT_LT(r.attainable_flops(1.0), r.math_rate);
-  EXPECT_EQ(r.bound_for(1e12, 1.0), Bound::kCompute);
-  EXPECT_EQ(r.bound_for(1.0, 1e12), Bound::kMemory);
-}
-
-TEST(Roofline, TimeIsMaxOfBothPaths) {
-  const Roofline r{2e12, 1e12};
-  EXPECT_DOUBLE_EQ(r.time(2e12, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(r.time(0.0, 2e12), 2.0);
-  EXPECT_DOUBLE_EQ(r.time(2e12, 2e12), 2.0);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/logging.hpp"
+#include "common/strings.hpp"
 
 namespace codesign {
 namespace {
@@ -122,8 +123,7 @@ TEST_F(LoggingTest, ConcurrentLoggingAndInitIsSafe) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([t] {
       for (int i = 0; i < 50; ++i) {
-        log_message(LogLevel::kInfo,
-                    "t" + std::to_string(t) + " i" + std::to_string(i));
+        log_message(LogLevel::kInfo, str_format("t%d i%d", t, i));
         (void)log_level();
       }
     });

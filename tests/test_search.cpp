@@ -18,6 +18,7 @@
 #include "advisor/rules.hpp"
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
+#include "common/strings.hpp"
 #include "gpuarch/gpu_spec.hpp"
 #include "obs/req_scope.hpp"
 #include "transformer/flops.hpp"
@@ -30,6 +31,16 @@ namespace {
 using tfm::model_by_name;
 
 gemm::GemmSimulator sim() { return gemm::GemmSimulator::for_gpu("a100"); }
+
+/// One config scored as a search scores it: a one-config grid, strict so
+/// that an invalid config throws instead of being skipped.
+ShapeCandidate evaluate_one(const tfm::TransformerConfig& config,
+                            const tfm::TransformerConfig& baseline,
+                            const gemm::GemmSimulator& s) {
+  SearchOptions options;
+  options.faults.strict = true;
+  return run_grid_search({config}, baseline, s, options).ranked.at(0);
+}
 
 TEST(SearchHeads, FindsTheC2Reshape) {
   // The paper's headline: for GPT-3 2.7B the advisor must rank a head count
@@ -270,11 +281,11 @@ TEST(PadVocab, PaperExamples) {
 
 TEST(EvaluateCandidate, SpeedupIsRelative) {
   const auto base = model_by_name("gpt3-2.7b");
-  const ShapeCandidate self = evaluate_candidate(base, base, sim());
+  const ShapeCandidate self = evaluate_one(base, base, sim());
   EXPECT_DOUBLE_EQ(self.speedup_vs_base, 1.0);
   EXPECT_DOUBLE_EQ(self.param_delta_frac, 0.0);
   const ShapeCandidate c2 =
-      evaluate_candidate(model_by_name("gpt3-2.7b-c2"), base, sim());
+      evaluate_one(model_by_name("gpt3-2.7b-c2"), base, sim());
   EXPECT_GT(c2.speedup_vs_base, 1.0);
 }
 
@@ -309,7 +320,7 @@ TEST(EvaluateCandidate, LayerTflopsMatchesLayerForwardFlopsBitwise) {
     return tfm::layer_forward_flops(c.config) / c.layer_time / 1e12;
   };
   for (const tfm::TransformerConfig& cfg : configs) {
-    const ShapeCandidate c = evaluate_candidate(cfg, gpt, sim());
+    const ShapeCandidate c = evaluate_one(cfg, gpt, sim());
     EXPECT_EQ(bits(c.layer_tflops), bits(expected(c))) << cfg.name;
   }
   // One workspace reused across every schedule shape, as a search does.
@@ -334,7 +345,7 @@ TEST(EvaluateCandidate, PublicCountAndRulesStillValidate) {
   ctx.gpu = &s.gpu();
   EXPECT_THROW(tfm::exact_param_count(bad), ConfigError);
   EXPECT_THROW(satisfies_performance_rules(bad, ctx), ConfigError);
-  EXPECT_THROW(evaluate_candidate(bad, base, s), ConfigError);
+  EXPECT_THROW(evaluate_one(bad, base, s), ConfigError);
 
   const SearchOutcome out = run_grid_search({bad, base}, base, s);
   ASSERT_EQ(out.skipped.size(), 1u);
@@ -429,7 +440,7 @@ std::vector<tfm::TransformerConfig> tie_grid(std::uint64_t seed,
     tfm::TransformerConfig c = base.with_heads(heads[rng() % 5])
                                    .with_layers(layers[rng() % 2])
                                    .with_vocab(vocabs[rng() % 2]);
-    c.name = i % 5 == 4 ? out[rng() % out.size()].name : "g" + std::to_string(i);
+    c.name = i % 5 == 4 ? out[rng() % out.size()].name : str_format("g%zu", i);
     out.push_back(std::move(c));
   }
   return out;
@@ -457,13 +468,16 @@ void check_grid(const std::vector<tfm::TransformerConfig>& configs,
   const gemm::GemmSimulator s = sim();
   std::vector<ShapeCandidate> evaluated;
   for (const tfm::TransformerConfig& cfg : configs) {
-    ShapeCandidate c = evaluate_candidate(cfg, baseline, s);
-    if (resume != nullptr) {
-      if (const CheckpointShapeEntry* e = resume->shape(cfg.name)) {
-        c = with_entry(std::move(c), *e);
+    // An armed failpoint fires by name, so a config it skips in the grid
+    // is skipped in its one-config grid too and comes back unranked.
+    for (ShapeCandidate& c : run_grid_search({cfg}, baseline, s).ranked) {
+      if (resume != nullptr) {
+        if (const CheckpointShapeEntry* e = resume->shape(cfg.name)) {
+          c = with_entry(std::move(c), *e);
+        }
       }
+      evaluated.push_back(std::move(c));
     }
-    evaluated.push_back(std::move(c));
   }
   for (const std::size_t max : cut_sizes(configs.size())) {
     for (const std::size_t threads : {1, 4}) {
@@ -525,8 +539,8 @@ TEST(SearchMerge, ResumedAndSkippedSlotsMatchTheOracle) {
   grid.insert(grid.begin() + 3, base);
   grid.push_back(base);
   const gemm::GemmSimulator s = sim();
-  const ShapeCandidate g0 = evaluate_candidate(grid[0], base, s);
-  const ShapeCandidate b = evaluate_candidate(base, base, s);
+  const ShapeCandidate g0 = evaluate_one(grid[0], base, s);
+  const ShapeCandidate b = evaluate_one(base, base, s);
 
   for (const double base_time : {1e-9, 1.0}) {  // inside / past every cut
     const std::string path =
@@ -568,7 +582,7 @@ TEST(SearchMerge, ShapeSearchesMatchTheOracle) {
         run_shape_search(mode, base, s, 0.1, 0, all_opt).ranked;
     ASSERT_GE(all.size(), 3u);
     for (const ShapeCandidate& c : all) {
-      ShapeCandidate fresh = evaluate_candidate(c.config, base, s);
+      ShapeCandidate fresh = evaluate_one(c.config, base, s);
       fresh.note = c.note;
       EXPECT_EQ(fresh, c) << c.config.name;
       if (c.config.hidden_size != base.hidden_size) {

@@ -27,6 +27,7 @@
 #include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
+#include "common/strings.hpp"
 #include "transformer/model_zoo.hpp"
 
 namespace codesign::advisor {
@@ -457,7 +458,7 @@ TEST_F(SearchFaultsTest, JournalWritesEachRecordOnceBeforeCompaction) {
     std::string before;
     for (std::size_t i = 0; i < n; ++i) {
       // Descending keys: a sorted rewrite would not keep the prefix.
-      w.record_shape("c" + std::to_string(2000 - i), e);
+      w.record_shape(str_format("c%zu", 2000 - i), e);
       if ((i + 1) % 8 != 0) continue;
       const std::string now = slurp(journal.path());
       EXPECT_EQ(now.compare(0, before.size(), before), 0) << "record " << i;

@@ -22,15 +22,7 @@ TEST(GemmSimulator, PolicyChangesSelection) {
   const GemmProblem p = GemmProblem::bmm(128, 2048, 64, 2048);
   EXPECT_EQ(fixed.estimate(p).tile.name(), "256x128");
   EXPECT_NE(autosel.estimate(p).tile.name(), "256x128");
-  EXPECT_LT(autosel.latency(p), fixed.latency(p));
-}
-
-TEST(GemmSimulator, LatencyAndThroughputAgree) {
-  const GemmSimulator sim = GemmSimulator::for_gpu("a100");
-  const GemmProblem p = GemmProblem::gemm(4096, 4096, 4096);
-  const KernelEstimate est = sim.estimate(p);
-  EXPECT_DOUBLE_EQ(sim.latency(p), est.time);
-  EXPECT_DOUBLE_EQ(sim.throughput_tflops(p), est.tflops());
+  EXPECT_LT(autosel.estimate(p).time, fixed.estimate(p).time);
 }
 
 TEST(GemmSimulator, SimulateAgreesWithEstimate) {
@@ -54,9 +46,9 @@ TEST(GemmSimulator, FlashEstimateExposed) {
 
 TEST(GemmSimulator, DifferentGpusDifferentAnswers) {
   const GemmProblem p = GemmProblem::gemm(8192, 8192, 8192);
-  const double a100 = GemmSimulator::for_gpu("a100").throughput_tflops(p);
-  const double v100 = GemmSimulator::for_gpu("v100").throughput_tflops(p);
-  const double h100 = GemmSimulator::for_gpu("h100").throughput_tflops(p);
+  const double a100 = GemmSimulator::for_gpu("a100").estimate(p).tflops();
+  const double v100 = GemmSimulator::for_gpu("v100").estimate(p).tflops();
+  const double h100 = GemmSimulator::for_gpu("h100").estimate(p).tflops();
   EXPECT_GT(a100, v100);
   EXPECT_GT(h100, a100);
 }

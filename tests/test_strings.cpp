@@ -165,7 +165,7 @@ TEST(AppendHexfloat, MatchesPrintfPercentA) {
   for (const double v : values) {
     std::string got = "x";
     append_hexfloat(got, v);
-    const std::string want = "x" + str_format("%a", v);
+    const std::string want = str_format("x%a", v);
     if (got != want && ++mismatches <= 10) {
       ADD_FAILURE() << got << " vs " << want;
     }

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/strings.hpp"
 #include "common/units.hpp"
 #include "transformer/layer_model.hpp"
 #include "transformer/model_zoo.hpp"
@@ -122,7 +123,9 @@ std::string reference_trace(const TransformerConfig& cfg,
   model_level(true);
   for (std::int64_t l = 0; l < opt.layers; ++l) {
     for (const OpLatency& op : model.layer.ops) {
-      event("L" + std::to_string(l) + "." + std::string(op.name), op);
+      event(str_format("L%lld.%.*s", static_cast<long long>(l),
+                       static_cast<int>(op.name.size()), op.name.data()),
+            op);
     }
   }
   model_level(false);

@@ -2,7 +2,10 @@
 # check.sh — the full local gate:
 #   tier 1  build + full ctest suite
 #   werror  the whole tree (sources, tests, benches, tools) built again with
-#           -DCODESIGN_WERROR=ON, so a new -Wall -Wextra warning fails
+#           -DCODESIGN_WERROR=ON under Release (-O3, the configuration the
+#           e2ebench build and build/ use, where GCC's inlining shows
+#           warnings such as -Wrestrict), so a new -Wall -Wextra warning
+#           fails
 #   e2e     byte identity of the end-to-end benchmark: every e2ebench input
 #           set (grid_search, sweep_matrix and serve_mix, 64 seeds each)
 #           run with --checksum-only must reproduce e2ebench/checksums.json;
@@ -64,8 +67,9 @@ cmake -B "${BUILD_DIR}" -S "${SRC_DIR}"
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
-echo "== werror: build with -DCODESIGN_WERROR=ON (${WERROR_DIR}) =="
-cmake -B "${WERROR_DIR}" -S "${SRC_DIR}" -DCODESIGN_WERROR=ON
+echo "== werror: Release build with -DCODESIGN_WERROR=ON (${WERROR_DIR}) =="
+cmake -B "${WERROR_DIR}" -S "${SRC_DIR}" -DCMAKE_BUILD_TYPE=Release \
+    -DCODESIGN_WERROR=ON
 cmake --build "${WERROR_DIR}" -j "${JOBS}"
 
 echo "== e2e: e2ebench output checksums =="
