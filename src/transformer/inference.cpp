@@ -18,15 +18,18 @@ InferenceEstimate estimate_inference(const TransformerConfig& config,
                                      const gemm::GemmSimulator& sim,
                                      const InferenceWorkload& workload) {
   config.validate();
-  CODESIGN_CHECK(config.kind == ModelKind::kDecoder,
-                 "autoregressive inference needs a decoder-only model; "
-                 "encoders run a single forward pass (use analyze_model)");
-  CODESIGN_CHECK(workload.prompt_len > 0 && workload.generate_tokens > 0 &&
-                     workload.batch > 0,
-                 "inference workload values must be positive");
-  CODESIGN_CHECK(workload.prompt_len + workload.generate_tokens <=
-                     config.seq_len,
-                 "prompt + generation exceeds the model's context length");
+  if (config.kind != ModelKind::kDecoder) {
+    throw ConfigError(
+        "autoregressive inference needs a decoder-only model; encoders run "
+        "a single forward pass (use analyze_model)");
+  }
+  if (workload.prompt_len <= 0 || workload.generate_tokens <= 0 ||
+      workload.batch <= 0) {
+    throw ConfigError("inference workload values must be positive");
+  }
+  if (workload.prompt_len + workload.generate_tokens > config.seq_len) {
+    throw ConfigError("prompt + generation exceeds the model's context length");
+  }
 
   const gpu::GpuSpec& g = sim.gpu();
   InferenceEstimate e;

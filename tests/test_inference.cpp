@@ -106,11 +106,13 @@ TEST(Inference, WorkloadValidation) {
   const TransformerConfig c = model_by_name("pythia-1b");
   InferenceWorkload bad;
   bad.prompt_len = 0;
-  EXPECT_THROW(estimate_inference(c, sim(), bad), Error);
+  EXPECT_THROW(estimate_inference(c, sim(), bad), ConfigError);
   bad = InferenceWorkload{};
   bad.prompt_len = 2000;
   bad.generate_tokens = 2000;  // exceeds s = 2048
-  EXPECT_THROW(estimate_inference(c, sim(), bad), Error);
+  EXPECT_THROW(estimate_inference(c, sim(), bad), ConfigError);
+  EXPECT_THROW(estimate_inference(model_by_name("bert-base"), sim()),
+               ConfigError);  // an encoder
 }
 
 TEST(Inference, FasterGpuFasterDecode) {
