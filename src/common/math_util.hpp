@@ -43,23 +43,6 @@ constexpr std::uint64_t largest_pow2_dividing(std::uint64_t x) {
   return x == 0 ? 0 : (x & (~x + 1));  // isolate lowest set bit
 }
 
-/// log2 of a power of two (exact). Returns the trailing-zero count.
-constexpr int log2_exact(std::uint64_t x) {
-  int n = 0;
-  while (x > 1) {
-    x >>= 1;
-    ++n;
-  }
-  return n;
-}
-
-/// Largest power of two <= x (x > 0).
-constexpr std::uint64_t floor_pow2(std::uint64_t x) {
-  std::uint64_t p = 1;
-  while (p * 2 <= x) p *= 2;
-  return p;
-}
-
 /// Greatest common divisor.
 constexpr std::uint64_t gcd_u64(std::uint64_t a, std::uint64_t b) {
   while (b != 0) {
@@ -68,17 +51,6 @@ constexpr std::uint64_t gcd_u64(std::uint64_t a, std::uint64_t b) {
     b = t;
   }
   return a;
-}
-
-/// Clamp helper (std::clamp needs <algorithm>; this stays header-light).
-template <typename T>
-constexpr T clamp_val(T v, T lo, T hi) {
-  return v < lo ? lo : (v > hi ? hi : v);
-}
-
-/// Linear interpolation between a and b with t in [0, 1].
-constexpr double lerp_val(double a, double b, double t) {
-  return a + (b - a) * t;
 }
 
 }  // namespace codesign

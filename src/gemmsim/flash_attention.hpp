@@ -32,8 +32,6 @@ struct FlashAttentionProblem {
   /// algorithm), plus the softmax statistics.
   double bytes() const;
 
-  double arithmetic_intensity() const { return flops() / bytes(); }
-
   void validate() const;
 };
 

@@ -20,10 +20,6 @@ double GemmProblem::min_bytes() const {
   return (a + b + c_traffic) * e * static_cast<double>(batch);
 }
 
-double GemmProblem::arithmetic_intensity() const {
-  return flops() / min_bytes();
-}
-
 std::size_t GemmProblem::hash_value() const noexcept {
   // FNV-1a over the distinguishing fields; good enough dispersion for the
   // few thousand distinct shapes a design-space sweep touches.

@@ -61,10 +61,6 @@ struct GemmProblem {
   /// kernel, which holds for the transformer-sized operands studied here.
   double min_bytes() const;
 
-  /// flops() / min_bytes(): compared against the GPU's ridge point to
-  /// classify the problem as compute- or memory-bound.
-  double arithmetic_intensity() const;
-
   bool operator==(const GemmProblem&) const = default;
 
   /// Combined hash of all fields (shape, batch, dtype, accumulate flag).

@@ -41,14 +41,4 @@ WaveQuantization wave_quantization(std::int64_t total_tiles,
   return w;
 }
 
-bool wave_quantization_free(std::int64_t x, std::int64_t y,
-                            const gpu::TileConfig& tile,
-                            const gpu::GpuSpec& gpu) {
-  CODESIGN_CHECK(x > 0 && y > 0, "dimensions must be positive");
-  const std::int64_t sms = gpu.sm_count;
-  const std::int64_t a = ceil_div(x, tile.tm) * ceil_div(y, tile.tn);
-  const std::int64_t b = ceil_div(x, tile.tn) * ceil_div(y, tile.tm);
-  return a % sms == 0 || b % sms == 0;
-}
-
 }  // namespace codesign::gemm

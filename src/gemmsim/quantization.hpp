@@ -47,12 +47,4 @@ WaveQuantization wave_quantization(std::int64_t total_tiles,
                                    const gpu::TileConfig& tile,
                                    const gpu::GpuSpec& gpu);
 
-/// Paper §VI-B exact condition: an (X, Y) output has no wave-quantization
-/// inefficiency for tile t1×t2 iff
-///   ceil(X/t1)*ceil(Y/t2) ≡ 0  or  ceil(X/t2)*ceil(Y/t1) ≡ 0  (mod #SMs)
-/// (either orientation of the tile may be used).
-bool wave_quantization_free(std::int64_t x, std::int64_t y,
-                            const gpu::TileConfig& tile,
-                            const gpu::GpuSpec& gpu);
-
 }  // namespace codesign::gemm

@@ -101,10 +101,6 @@ struct GpuSpec {
   double achievable_bandwidth() const {
     return hbm_bandwidth * achievable_mem_fraction;
   }
-  /// Per-SM share of the tensor math rate.
-  double tensor_flops_per_sm(DType t) const {
-    return tensor_flops(t) / static_cast<double>(sm_count);
-  }
 
   /// Sanity checks (positive rates, ladder well-formed); throws ConfigError.
   void validate() const;

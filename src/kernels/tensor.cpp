@@ -136,12 +136,6 @@ void Tensor::quantize_fp16() {
   for (float& v : data_) v = round_to_half(v);
 }
 
-float Tensor::max_abs() const {
-  float m = 0.0f;
-  for (float v : data_) m = std::max(m, std::fabs(v));
-  return m;
-}
-
 float Tensor::sum() const {
   double s = 0.0;
   for (float v : data_) s += v;

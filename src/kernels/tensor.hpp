@@ -66,7 +66,6 @@ class Tensor {
   void quantize_fp16();
 
   /// Elementwise helpers used by tests.
-  float max_abs() const;
   float sum() const;
   bool all_finite() const;
 

@@ -40,8 +40,4 @@ double model_training_flops(const TransformerConfig& c) {
   return 3.0 * model_forward_flops(c);
 }
 
-double flops_per_token(const TransformerConfig& c) {
-  return model_forward_flops(c) / static_cast<double>(c.tokens());
-}
-
 }  // namespace codesign::tfm

@@ -33,7 +33,4 @@ double model_forward_flops(const TransformerConfig& config);
 /// standard Megatron accounting the paper builds on.
 double model_training_flops(const TransformerConfig& config);
 
-/// Model FLOPs per token processed in the forward pass.
-double flops_per_token(const TransformerConfig& config);
-
 }  // namespace codesign::tfm

@@ -109,10 +109,4 @@ double formula_param_count(const TransformerConfig& config) {
   return 12.0 * h * h * l + 13.0 * h * l + (v + s) * h;
 }
 
-double approx_param_count(const TransformerConfig& config) {
-  const double h = static_cast<double>(config.hidden_size);
-  const double l = static_cast<double>(config.num_layers);
-  return 12.0 * h * h * l;
-}
-
 }  // namespace codesign::tfm

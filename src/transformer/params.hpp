@@ -38,7 +38,4 @@ std::int64_t exact_param_count(const ValidatedConfig& config);
 /// exact_param_count.
 double formula_param_count(const TransformerConfig& config);
 
-/// Leading-order approximation P ≈ 12h²L.
-double approx_param_count(const TransformerConfig& config);
-
 }  // namespace codesign::tfm

@@ -94,7 +94,6 @@ TEST(GpuSpec, AchievableBelowPeak) {
               g.tensor_flops(DType::kFP16) + 1.0)
         << name;
     EXPECT_LT(g.achievable_bandwidth(), g.hbm_bandwidth + 1.0) << name;
-    EXPECT_GT(g.tensor_flops_per_sm(DType::kFP16), 0.0) << name;
   }
 }
 

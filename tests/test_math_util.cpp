@@ -72,36 +72,12 @@ INSTANTIATE_TEST_SUITE_P(Grid, Pow2Property,
                                            100, 128, 2560, 4096, 50257, 50304,
                                            11008, 28672, 65535, 65536));
 
-TEST(Log2Exact, Values) {
-  EXPECT_EQ(log2_exact(1), 0);
-  EXPECT_EQ(log2_exact(2), 1);
-  EXPECT_EQ(log2_exact(64), 6);
-  EXPECT_EQ(log2_exact(1ULL << 30), 30);
-}
-
-TEST(FloorPow2, Values) {
-  EXPECT_EQ(floor_pow2(1), 1u);
-  EXPECT_EQ(floor_pow2(2), 2u);
-  EXPECT_EQ(floor_pow2(3), 2u);
-  EXPECT_EQ(floor_pow2(80), 64u);
-  EXPECT_EQ(floor_pow2(64), 64u);
-}
-
 TEST(Gcd, Values) {
   EXPECT_EQ(gcd_u64(12, 18), 6u);
   EXPECT_EQ(gcd_u64(64, 6), 2u);
   EXPECT_EQ(gcd_u64(7, 13), 1u);
   EXPECT_EQ(gcd_u64(0, 5), 5u);
   EXPECT_EQ(gcd_u64(5, 0), 5u);
-}
-
-TEST(ClampLerp, Values) {
-  EXPECT_EQ(clamp_val(5, 0, 10), 5);
-  EXPECT_EQ(clamp_val(-5, 0, 10), 0);
-  EXPECT_EQ(clamp_val(15, 0, 10), 10);
-  EXPECT_DOUBLE_EQ(lerp_val(0.0, 10.0, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(lerp_val(2.0, 4.0, 0.0), 2.0);
-  EXPECT_DOUBLE_EQ(lerp_val(2.0, 4.0, 1.0), 4.0);
 }
 
 TEST(CheckMacro, ThrowsCodesignError) {

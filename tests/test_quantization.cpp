@@ -111,35 +111,12 @@ INSTANTIATE_TEST_SUITE_P(Grid, WaveProperty,
                          ::testing::Values(1, 2, 107, 108, 109, 215, 216, 217,
                                            1000, 1080, 1081, 16384));
 
-TEST(WaveQuantizationFree, PaperFormula) {
-  // The §VI-B condition with t = 256x128 on 108 SMs: X=1728, Y=2048 gives
-  // ceil(1728/256)*ceil(2048/128) = 7*16 = 112 ≢ 0, and the transposed
-  // orientation ceil(1728/128)*ceil(2048/256) = 14*8 = 112 ≢ 0 → not free.
-  EXPECT_FALSE(wave_quantization_free(1728, 2048, tile_256x128(), a100()));
-  // X=3456, Y=2048: 14*16 = 224 ≢ 0 but 27*8 = 216 ≡ 0 (mod 108) → free.
-  EXPECT_TRUE(wave_quantization_free(3456, 2048, tile_256x128(), a100()));
-}
-
-TEST(WaveQuantizationFree, MatchesDirectComputation) {
-  const gpu::TileConfig t = tile_256x128();
-  for (std::int64_t x : {128, 1024, 2048, 2560, 3456, 4096}) {
-    for (std::int64_t y : {128, 1024, 2048, 2560, 3456, 4096}) {
-      const bool expect =
-          (ceil_div(x, t.tm) * ceil_div(y, t.tn)) % a100().sm_count == 0 ||
-          (ceil_div(x, t.tn) * ceil_div(y, t.tm)) % a100().sm_count == 0;
-      EXPECT_EQ(wave_quantization_free(x, y, t, a100()), expect)
-          << x << "x" << y;
-    }
-  }
-}
-
 TEST(GemmProblem, FlopsAndBytes) {
   const auto p = GemmProblem::gemm(100, 200, 300);
   EXPECT_DOUBLE_EQ(p.flops(), 2.0 * 100 * 200 * 300);
   // fp16: (A + B + C) * 2 bytes.
   EXPECT_DOUBLE_EQ(p.min_bytes(),
                    (100.0 * 300 + 300.0 * 200 + 100.0 * 200) * 2.0);
-  EXPECT_DOUBLE_EQ(p.arithmetic_intensity(), p.flops() / p.min_bytes());
 }
 
 TEST(GemmProblem, AccumulateDoublesOutputTraffic) {
@@ -154,8 +131,6 @@ TEST(GemmProblem, BatchScalesEverything) {
   const auto p8 = GemmProblem::bmm(8, 64, 64, 64);
   EXPECT_DOUBLE_EQ(p8.flops(), 8.0 * p1.flops());
   EXPECT_DOUBLE_EQ(p8.min_bytes(), 8.0 * p1.min_bytes());
-  // Intensity is batch-invariant.
-  EXPECT_DOUBLE_EQ(p8.arithmetic_intensity(), p1.arithmetic_intensity());
 }
 
 TEST(GemmProblem, Folded3dEquals2d) {
