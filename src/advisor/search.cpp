@@ -6,7 +6,8 @@
 #include <cmath>
 #include <functional>
 #include <mutex>
-#include <queue>
+#include <numeric>
+#include <optional>
 #include <type_traits>
 #include <utility>
 
@@ -54,7 +55,11 @@ ShapeScores evaluate_against(const TransformerConfig& config,
                              const BaselineContext& base,
                              const gemm::GemmSimulator& sim,
                              tfm::LayerWorkspace& ws,
-                             double cutoff = tfm::kNoCutoff) {
+                             double cutoff = tfm::kNoCutoff,
+                             double floor = 0.0) {
+  ShapeScores s;
+  s.layer_time = floor;
+  if (floor > cutoff) return s;  // tier 0: past the cut, nothing else runs
   // layer_total_time is analyze_layer's walk without the per-op records:
   // bit-identical total, none of the report the search never reads, and
   // the candidate's GEMM list resolves through one estimate_times() call
@@ -62,7 +67,6 @@ ShapeScores evaluate_against(const TransformerConfig& config,
   // parameter count and the rule verdict.
   const tfm::ValidatedConfig valid(config);
   const double layer_time = tfm::layer_total_time(valid, sim, ws, cutoff);
-  ShapeScores s;
   s.layer_time = layer_time;
   if (layer_time > cutoff) return s;  // past the cut: nothing else is read
   s.layer_tflops = tfm::layer_forward_flops(ws) / layer_time / 1e12;
@@ -135,12 +139,6 @@ struct SkipInfo {
   int attempts = 1;
 };
 
-/// A shape search worker's buffers and its k best exact layer times.
-struct ShapeScratch {
-  tfm::LayerWorkspace ws;
-  std::priority_queue<double> best;
-};
-
 /// Deterministic fault-handling counters, shared across workers.
 struct GuardCounters {
   std::atomic<std::uint64_t> retries{0};
@@ -198,14 +196,17 @@ struct SweptSlots {
 /// The guarded sweep every search runs over its `n` generated candidates,
 /// with per-candidate fault isolation, cancellation and checkpoint/resume:
 ///   1. slots a resumed checkpoint holds are filled from it, bit-exact;
-///   2. the rest evaluate under run_guarded, inline at one thread with the
+///   2. seed(pool, run) may first run slots on the calling thread: run(i)
+///      returns slot i if it completed, else nullptr (`pool`, the call's
+///      one pool, is null at one thread);
+///   3. the rest evaluate under run_guarded, inline at one thread with the
 ///      caller's `serial` scratch (already warm from the caller's own
 ///      work), or in pool chunks that each own one Scratch (so buffer setup
 ///      amortizes across the chunk while a fault still touches exactly one
 ///      slot);
-///   3. each completion and skip goes to the checkpoint at its own cadence
+///   4. each completion and skip goes to the checkpoint at its own cadence
 ///      (the final flush is the entry point's);
-///   4. `outcome` receives the counts, the skip report (generation order)
+///   5. `outcome` receives the counts, the skip report (generation order)
 ///      and the truncation record.
 /// Callbacks: key(i) is the candidate's skip/failpoint key; resumed(cp, i)
 /// its checkpointed payload or nullptr; evaluate(i, scratch) its slot;
@@ -213,11 +214,12 @@ struct SweptSlots {
 /// config a skip reports. A slot's fate depends only on its index, so the
 /// result is byte-identical at any thread count.
 template <typename Scratch, typename Key, typename Resumed, typename Evaluate,
-          typename Record, typename ConfigOf>
+          typename Record, typename ConfigOf, typename Seed>
 auto guarded_sweep(std::size_t n, const SearchOptions& options,
                    SweepRecord& outcome, Scratch& serial, const Key& key,
                    const Resumed& resumed, const Evaluate& evaluate,
-                   const Record& record, const ConfigOf& config_of) {
+                   const Record& record, const ConfigOf& config_of,
+                   const Seed& seed) {
   using Slot = std::invoke_result_t<Evaluate, std::size_t, Scratch&>;
   SweptSlots<Slot> out;
   out.slots.resize(n);
@@ -259,11 +261,16 @@ auto guarded_sweep(std::size_t n, const SearchOptions& options,
       record(*options.checkpoint, i, out.slots[i]);
     }
   };
-  if (options.threads == 1) {
+  std::optional<ThreadPool> pool;
+  if (options.threads != 1) pool.emplace(options.threads);
+  seed(pool ? &*pool : nullptr, [&](std::size_t i) -> const Slot* {
+    evaluate_one(i, serial);
+    return state[i] == SlotState::kDone ? &out.slots[i] : nullptr;
+  });
+  if (!pool) {
     for (std::size_t i = 0; i < n; ++i) evaluate_one(i, serial);
   } else {
-    ThreadPool pool(options.threads);
-    pool.parallel_for_ranges(n, [&](std::size_t begin, std::size_t end) {
+    pool->parallel_for_ranges(n, [&](std::size_t begin, std::size_t end) {
       Scratch scratch;
       for (std::size_t i = begin; i < end; ++i) evaluate_one(i, scratch);
     });
@@ -336,15 +343,67 @@ SearchOutcome evaluate_pipeline(
   // The baseline context is evaluated unguarded: without it no candidate
   // can be scored, so a fault here aborts the sweep in any policy. Its
   // workspace is the one-thread sweep's.
-  ShapeScratch serial;
-  const BaselineContext base = make_baseline(baseline, sim, serial.ws);
+  tfm::LayerWorkspace serial;
+  const BaselineContext base = make_baseline(baseline, sim, serial);
 
   // Pruning (docs/search_pipeline.md): keeping k < n on the lean path with
-  // no checkpoint, cut a candidate off at its worker's k-th best exact time,
-  // never below the grid's; not the baseline (rank_top_k may keep it).
-  const bool prunes = options.checkpoint == nullptr && sim.lean_times() &&
-                      options.max_candidates < configs.size();
-  const std::size_t keep = prunes ? options.max_candidates : 0;
+  // no checkpoint, k seeds walked exactly fix a threshold T before the main
+  // pass. There a candidate whose tier-0 floor is above T stops before its
+  // GEMM preambles, and one whose layer bound is above T before its tile
+  // scans; never the baseline (rank_top_k may keep it).
+  const std::size_t n = configs.size();
+  const std::size_t k = options.max_candidates;
+  const bool prunes =
+      options.checkpoint == nullptr && sim.lean_times() && 0 < k && k < n;
+  std::vector<double> floors;  // tier 0, per slot
+  double threshold = tfm::kNoCutoff;  // T
+  std::atomic<std::size_t> scanned{0};
+  const auto seed = [&](ThreadPool* pool, const auto& run) {
+    if (!prunes) return;
+    // Armed failpoints leave every floor 0, so the seeds are the first k
+    // completed candidates and GEMMs meet the failpoints in index order. A
+    // config whose floor throws is a seed, skipped with the k = n reason.
+    floors.assign(n, 0.0);
+    const auto floor_range = [&](std::size_t begin, std::size_t end) {
+      tfm::LayerWorkspace ws;
+      for (std::size_t i = begin; i < end; ++i) {
+        try {
+          floors[i] = tfm::layer_time_floor(configs[i], sim, ws);
+        } catch (const std::exception&) {
+          floors[i] = -tfm::kNoCutoff;
+        }
+      }
+    };
+    if (fail::any_armed()) {
+      // every floor stays 0
+    } else if (pool != nullptr) {
+      pool->parallel_for_ranges(n, floor_range);
+    } else {
+      floor_range(0, n);
+    }
+    // Walk in (floor, index) order until k complete; T is the largest of
+    // their times. A batch sorted into place is at least as long as the
+    // walk so far, so skipped seeds cost few sorts.
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    const auto before = [&](std::size_t a, std::size_t b) {
+      return std::pair(floors[a], a) < std::pair(floors[b], b);
+    };
+    double kth = 0.0;
+    std::size_t done = 0;
+    for (std::size_t next = 0, sorted = 0; done < k && next < n; ++next) {
+      if (next == sorted) {
+        sorted = std::min(n, next + std::max(k - done, next));
+        std::partial_sort(order.data() + next, order.data() + sorted,
+                          order.data() + n, before);
+      }
+      if (const ShapeScores* s = run(order[next])) {
+        kth = std::max(kth, s->layer_time);
+        ++done;
+      }
+    }
+    if (done == k) threshold = kth;
+  };
 
   SearchOutcome outcome;
   SweptSlots<ShapeScores> swept;
@@ -352,35 +411,30 @@ SearchOutcome evaluate_pipeline(
     obs::ScopedEvent span("search", "evaluate");
     obs::ScopedTimer timer("advisor.search.evaluate_us");
     swept = guarded_sweep(
-        configs.size(), options, outcome, serial,
+        n, options, outcome, serial,
         [&](std::size_t i) -> const std::string& { return configs[i].name; },
         [&](const SearchCheckpoint& cp, std::size_t i) {
           return cp.shape(configs[i].name);
         },
-        [&](std::size_t i, ShapeScratch& scratch) {
-          auto& best = scratch.best;
+        [&](std::size_t i, tfm::LayerWorkspace& ws) {
           const double cutoff =
-              keep > 0 && best.size() == keep && !(configs[i] == baseline)
-                  ? best.top()
-                  : tfm::kNoCutoff;
-          const ShapeScores s =
-              evaluate_against(configs[i], base, sim, scratch.ws, cutoff);
-          if (keep > 0 && s.layer_time <= cutoff) {
-            best.push(s.layer_time);
-            if (best.size() > keep) best.pop();
-          }
+              configs[i] == baseline ? tfm::kNoCutoff : threshold;
+          const ShapeScores s = evaluate_against(
+              configs[i], base, sim, ws, cutoff, prunes ? floors[i] : 0.0);
+          if (s.layer_time <= cutoff) ++scanned;
           return s;
         },
         [&](CheckpointWriter& cp, std::size_t i, const ShapeScores& s) {
           cp.record_shape(configs[i].name, s);
         },
-        [&](std::size_t i) { return configs[i]; });
+        [&](std::size_t i) { return configs[i]; }, seed);
+    outcome.scanned = scanned.load(std::memory_order_relaxed);
     if (timer.active() && !configs.empty()) {
       const double us = timer.elapsed_us();
       if (us > 0.0) {
         obs::MetricsRegistry::global()
             .gauge("advisor.search.candidates_per_sec")
-            .update_max(static_cast<double>(configs.size()) * 1e6 / us);
+            .update_max(static_cast<double>(n) * 1e6 / us);
       }
     }
   }
@@ -837,7 +891,8 @@ MlpSearchOutcome run_mlp_search(const TransformerConfig& base,
         cfg.mlp_intermediate = widths[i];
         cfg.name = base.name + "-dff" + std::to_string(widths[i]);
         return cfg;
-      });
+      },
+      [](ThreadPool*, const auto&) {});
 
   std::vector<MlpCandidate> out;
   out.reserve(swept.done.size());

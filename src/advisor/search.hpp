@@ -147,6 +147,9 @@ struct SweepRecord {
   std::size_t resumed = 0;           ///< filled from the checkpoint
   std::size_t retries = 0;           ///< transient-fault retry attempts
   std::uint64_t backoff_units = 0;   ///< deterministic 2^attempt accounting
+  /// Shape searches: candidates whose layer walk ran its tile scans. It
+  /// depends only on the inputs, not on the thread count.
+  std::size_t scanned = 0;
   bool truncated = false;            ///< cancel/deadline stopped the sweep
   CancelReason cancel_reason = CancelReason::kNone;
 

@@ -58,6 +58,8 @@ class PreparedCatalogue {
   const gpu::GpuSpec& gpu() const { return *gpu_; }
   TilePolicy policy() const { return policy_; }
   std::size_t tile_count() const { return tiles_.size(); }
+  /// The best intrinsic efficiency in the table.
+  double max_intrinsic() const { return max_intrinsic_; }
 
   /// Full estimate for one problem — bit-identical to the exhaustive walk.
   /// Fires the gemmsim.select_kernel failpoint once per selection under

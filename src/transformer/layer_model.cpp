@@ -105,10 +105,11 @@ OpLatency record_op(const MappedOp& op, const gemm::GemmSimulator& sim,
 /// beyond the sum; otherwise it is estimate_many() and every op's record
 /// is appended to `records`. Both batched calls equal N uncached scalar
 /// estimate() calls bit for bit, so every reader adds the same doubles in
-/// the same order.
+/// the same order. With `tier0` it returns layer_time_floor() instead.
 double walk_layer(const ValidatedConfig& config,
                   const gemm::GemmSimulator& sim, LayerWorkspace& ws,
-                  std::vector<OpLatency>* records, double cutoff) {
+                  std::vector<OpLatency>* records, double cutoff,
+                  bool tier0 = false) {
   layer_ops_into(config, ws.ops, &ws.gemms);
   const auto sum_ops = [&] {
     double total = 0.0;
@@ -137,7 +138,21 @@ double walk_layer(const ValidatedConfig& config,
   }
   const std::size_t n = ws.gemms.size();
   ws.gemm_times.resize(n);
-  if (cutoff < kNoCutoff && sim.lean_times()) {
+  if (tier0) {
+    // gpu::effective_math_rate() scales one of these two rates by an
+    // alignment factor of at most 1, and no tile beats the best intrinsic
+    // efficiency, so each term is at most the GEMM's preamble bound.
+    const gpu::GpuSpec& g = sim.gpu();
+    for (std::size_t i = 0; i < n; ++i) {
+      const gpu::DType t = ws.gemms[i].dtype;
+      const double rate =
+          std::max(g.achievable_tensor_flops(t),
+                   g.vector_flops(t) * g.achievable_math_fraction) *
+          sim.prepared().max_intrinsic();
+      CODESIGN_CHECK(rate > 0.0, "math rate must be positive");
+      ws.gemm_times[i] = ws.gemms[i].flops() / rate + g.kernel_launch_overhead;
+    }
+  } else if (cutoff < kNoCutoff && sim.lean_times()) {
     // Each GEMM passes its preamble once, in op order. IEEE rounding is
     // monotone, so the bounds' sum never exceeds the exact sum.
     const gemm::PreparedCatalogue& catalogue = sim.prepared();
@@ -211,6 +226,11 @@ double layer_total_time(const ValidatedConfig& config,
                         const gemm::GemmSimulator& sim, LayerWorkspace& ws,
                         double cutoff) {
   return walk_layer(config, sim, ws, nullptr, cutoff);
+}
+
+double layer_time_floor(const ValidatedConfig& config,
+                        const gemm::GemmSimulator& sim, LayerWorkspace& ws) {
+  return walk_layer(config, sim, ws, nullptr, kNoCutoff, true);
 }
 
 double layer_forward_flops(const LayerWorkspace& ws) {

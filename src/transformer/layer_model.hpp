@@ -106,6 +106,12 @@ double layer_total_time(const ValidatedConfig& config,
                         const gemm::GemmSimulator& sim, LayerWorkspace& ws,
                         double cutoff = kNoCutoff);
 
+/// Tier 0 of the search's pruning (docs/search_pipeline.md): the same walk
+/// with each GEMM at flops / R + launch and no preamble, R the best math
+/// rate any tile reaches for its dtype; it never exceeds the cutoff-0 bound.
+double layer_time_floor(const ValidatedConfig& config,
+                        const gemm::GemmSimulator& sim, LayerWorkspace& ws);
+
 /// layer_forward_flops() of the config the last layer_total_time() call
 /// walked with `ws`: the same sum over the schedule the walk already
 /// built, instead of rebuilding it.

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "gpuarch/gpu_spec.hpp"
 #include "transformer/attribution.hpp"
@@ -180,6 +181,51 @@ TEST(LayerModel, LowerBoundNeverExceedsTheTotal) {
             << tag;
       }
       EXPECT_GT(below, configs.size() / 2) << id;  // the bound path ran
+    }
+  }
+}
+
+TEST(LayerModel, TierZeroNeverExceedsThePreambleBound) {
+  // The search's tier-0 floor prices each GEMM at the GPU's best achievable
+  // rate for its dtype and the catalogue's best tile: it must never exceed
+  // the preamble bound (the walk at cutoff 0), nor that the exact total,
+  // bit for bit, on every registry GPU, every dtype it rates and both tile
+  // policies.
+  const std::vector<TransformerConfig> configs = identity_configs();
+  LayerWorkspace ws;
+  for (const std::string& id : gpu::known_gpus()) {
+    const gpu::GpuSpec& g = gpu::gpu_by_name(id);
+    for (const gpu::DType dtype :
+         {gpu::DType::kFP16, gpu::DType::kBF16, gpu::DType::kFP32,
+          gpu::DType::kTF32, gpu::DType::kFP64, gpu::DType::kINT8}) {
+      if (g.tensor_flops(dtype) <= 0.0 && g.vector_flops(dtype) <= 0.0) {
+        continue;
+      }
+      for (const gemm::TilePolicy policy :
+           {gemm::TilePolicy::kAuto, gemm::TilePolicy::kFixedLargest}) {
+        const gemm::GemmSimulator s(g, policy);
+        for (TransformerConfig c : configs) {
+          c.dtype = dtype;
+          const std::string tag = id + " " + gpu::dtype_name(dtype) +
+                                  " policy=" +
+                                  std::to_string(static_cast<int>(policy)) +
+                                  " " + c.to_string();
+          double total = 0.0;
+          try {
+            total = layer_total_time(c, s, ws);
+          } catch (const Error&) {
+            // E.g. flash with no tensor-core path: the floor must throw
+            // too, or a search would cut what the k = n call skips.
+            EXPECT_THROW(layer_time_floor(c, s, ws), Error) << tag;
+            continue;
+          }
+          const double floor = layer_time_floor(c, s, ws);
+          const double bound = layer_total_time(c, s, ws, 0.0);
+          ASSERT_GT(floor, 0.0) << tag;
+          ASSERT_LE(floor, bound) << tag;
+          ASSERT_LE(bound, total) << tag;
+        }
+      }
     }
   }
 }

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <random>
 #include <set>
 #include <string>
@@ -678,10 +679,11 @@ TEST(SearchMerge, ShapeSearchesMatchTheOracle) {
 
 /// `n` configs drawn like e2ebench's grid_search on the gpt3-2.7b base: h
 /// on multiples of 64 in [512, 4544], every legal a with h/a <= 256, t in
-/// {1, 2, 4, 8}, and its b, s, L and v, plus coin flips for GQA kv heads,
-/// flash, SwiGLU and parallel layers. Names are unique.
+/// {1, 2, 4, 8}, and its b, s, L and v, plus (with `variants`) coin flips
+/// for GQA kv heads, flash, SwiGLU and parallel layers. Names are unique.
 std::vector<tfm::TransformerConfig> drawn_grid(std::uint64_t seed,
-                                               std::size_t n) {
+                                               std::size_t n,
+                                               bool variants = true) {
   const tfm::TransformerConfig base = model_by_name("gpt3-2.7b");
   const std::int64_t bs[] = {1, 2, 4, 8, 16, 32};
   const std::int64_t ss[] = {512, 1024, 2048, 4096};
@@ -710,6 +712,11 @@ std::vector<tfm::TransformerConfig> drawn_grid(std::uint64_t seed,
                                    .with_seq_len(ss[rng() % 4])
                                    .with_layers(ls[rng() % 5])
                                    .with_vocab(vs[rng() % 5]);
+    c.name = "d" + std::to_string(i);
+    if (!variants) {
+      out.push_back(std::move(c));
+      continue;
+    }
     if (rng() % 2 == 1) {
       for (std::int64_t kv = t; kv <= a; kv += t) {  // t | kv | a
         if (a % kv == 0) groups.push_back(kv);
@@ -722,7 +729,6 @@ std::vector<tfm::TransformerConfig> drawn_grid(std::uint64_t seed,
       if (c.d_ff() % t != 0) c.mlp_intermediate = (c.d_ff() / t + 1) * t;
     }
     c.parallel_layers = rng() % 2 == 1;
-    c.name = "d" + std::to_string(i);
     out.push_back(std::move(c));
   }
   return out;
@@ -730,22 +736,29 @@ std::vector<tfm::TransformerConfig> drawn_grid(std::uint64_t seed,
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-/// run_grid_search at k in {1, 3, 16, 64} and at 1 and 4 threads against
-/// the k = n call trimmed by the same order (the baseline, when past the
-/// cut, in the last slot): names and scores bit for bit, the counts and
-/// the skip report. At one thread the pruned call must also run fewer
-/// scans (RequestScope estimates) than the k = n call.
+/// run_grid_search at k in {1, 3, 16, 64} and at each of `thread_counts`
+/// against the k = n call trimmed by the same order (the baseline, when
+/// past the cut, in the last slot): names and scores bit for bit, the
+/// counts and the skip report. The candidates scanned must be equal at
+/// every thread count; at one thread the pruned call must also run fewer
+/// scans (RequestScope estimates) than the k = n call. `arm`, if set, is
+/// a failpoint spec configured afresh before each call.
 void check_pruning(const std::vector<tfm::TransformerConfig>& configs,
                    const tfm::TransformerConfig& baseline,
-                   const gemm::GemmSimulator& s, const std::string& what) {
+                   const gemm::GemmSimulator& s, const std::string& what,
+                   std::initializer_list<std::size_t> thread_counts = {1, 4,
+                                                                       8},
+                   const char* arm = nullptr) {
+  const auto search = [&](const SearchOptions& options,
+                          obs::RequestScopeCounters& work) {
+    if (arm != nullptr) fail::configure(arm);
+    const obs::RequestScope::Bind bind(work);
+    return run_grid_search(configs, baseline, s, options);
+  };
   SearchOptions all_opt;
   all_opt.max_candidates = configs.size();
   obs::RequestScopeCounters all_work;
-  SearchOutcome all;
-  {
-    const obs::RequestScope::Bind bind(all_work);
-    all = run_grid_search(configs, baseline, s, all_opt);
-  }
+  const SearchOutcome all = search(all_opt, all_work);
   const auto base_it = std::find_if(
       all.ranked.begin(), all.ranked.end(),
       [&](const ShapeCandidate& c) { return c.config == baseline; });
@@ -758,16 +771,13 @@ void check_pruning(const std::vector<tfm::TransformerConfig>& configs,
         base_it != all.ranked.end()) {
       want.back() = *base_it;
     }
-    for (const std::size_t threads : {1, 4}) {
+    std::size_t scanned = 0;
+    for (const std::size_t threads : thread_counts) {
       SearchOptions options;
       options.max_candidates = k;
       options.threads = threads;
       obs::RequestScopeCounters work;
-      SearchOutcome out;
-      {
-        const obs::RequestScope::Bind bind(work);
-        out = run_grid_search(configs, baseline, s, options);
-      }
+      const SearchOutcome out = search(options, work);
       const std::string label = what + " k=" + std::to_string(k) +
                                 " threads=" + std::to_string(threads);
       ASSERT_EQ(out.ranked.size(), want.size()) << label;
@@ -788,7 +798,10 @@ void check_pruning(const std::vector<tfm::TransformerConfig>& configs,
       EXPECT_EQ(out.retries, all.retries) << label;
       if (threads == 1) {
         EXPECT_LT(work.estimates, all_work.estimates) << label;
+        scanned = out.scanned;
       }
+      EXPECT_EQ(out.scanned, scanned) << label;
+      EXPECT_LT(out.scanned, all.scanned) << label;
     }
   }
 }
@@ -843,6 +856,49 @@ TEST(SearchPruning, SelectKernelFailpointSkipsTheSameCandidates) {
     ASSERT_GT(run_grid_search(grid, base, s, options).skipped.size(), 10u)
         << gpu;
     check_pruning(grid, base, s, gpu + " select_kernel failpoint");
+  }
+}
+
+TEST(SearchPruning, SelectKernelOnceFailpointSkipsTheSameCandidate) {
+  // A counted trigger fires on the Nth GEMM selection in program order. At
+  // one thread an armed call walks every candidate in index order, so the
+  // pruned call loses the same candidate as the k = n call.
+  const FailpointsOff off;
+  const char* const arm = "gemmsim.select_kernel=once:1500:fatal";
+  const tfm::TransformerConfig base = model_by_name("gpt3-2.7b");
+  const gemm::GemmSimulator s = gemm::GemmSimulator::for_gpu("a100-40gb");
+  const std::vector<tfm::TransformerConfig> grid = drawn_grid(43, 512);
+  SearchOptions options;
+  options.max_candidates = grid.size();
+  fail::configure(arm);
+  const SearchOutcome all = run_grid_search(grid, base, s, options);
+  ASSERT_EQ(all.skipped.size(), 1u);
+  // Past the seeds of every k check_pruning tries.
+  ASSERT_GE(std::stoul(all.skipped[0].config.name.substr(1)), 64u);
+  check_pruning(grid, base, s, "select_kernel once", {1}, arm);
+}
+
+TEST(SearchPruning, ScansStayUnderFourPercentOnE2eLikeCalls) {
+  // Calls drawn like e2ebench's grid_search (4,096 candidates, k = 16):
+  // besides the k seeds, at most 4% of the candidates reach a tile scan,
+  // and the count does not depend on the thread count.
+  const tfm::TransformerConfig base = model_by_name("gpt3-2.7b");
+  for (const char* gpu : {"a100-40gb", "h100-sxm"}) {
+    const gemm::GemmSimulator s = gemm::GemmSimulator::for_gpu(gpu);
+    for (const std::uint64_t seed : {7, 41, 53}) {
+      const std::vector<tfm::TransformerConfig> grid =
+          drawn_grid(seed, 4096, false);
+      SearchOptions options;
+      const SearchOutcome one = run_grid_search(grid, base, s, options);
+      options.threads = 4;
+      const SearchOutcome four = run_grid_search(grid, base, s, options);
+      const std::string label = std::string(gpu) + " seed " +
+                                std::to_string(seed);
+      EXPECT_EQ(one.scanned, four.scanned) << label;
+      EXPECT_LE(one.scanned, grid.size() * 4 / 100 + options.max_candidates)
+          << label;
+      EXPECT_EQ(one.evaluated, grid.size()) << label;
+    }
   }
 }
 
