@@ -346,15 +346,15 @@ SearchOutcome evaluate_pipeline(
   tfm::LayerWorkspace serial;
   const BaselineContext base = make_baseline(baseline, sim, serial);
 
-  // Pruning (docs/search_pipeline.md): keeping k < n on the lean path with
-  // no checkpoint, k seeds walked exactly fix a threshold T before the main
+  // Pruning (docs/search_pipeline.md): keeping 0 < k < n with no
+  // checkpoint, k seeds walked exactly fix a threshold T before the main
   // pass. There a candidate whose tier-0 floor is above T stops before its
   // GEMM preambles, and one whose layer bound is above T before its tile
   // scans; never the baseline (rank_top_k may keep it).
   const std::size_t n = configs.size();
   const std::size_t k = options.max_candidates;
   const bool prunes =
-      options.checkpoint == nullptr && sim.lean_times() && 0 < k && k < n;
+      options.checkpoint == nullptr && 0 < k && k < n;
   std::vector<double> floors;  // tier 0, per slot
   double threshold = tfm::kNoCutoff;  // T
   std::atomic<std::size_t> scanned{0};

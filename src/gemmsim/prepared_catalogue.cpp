@@ -36,9 +36,9 @@ std::string format_arg(const char* fmt, double v) {
 /// weighed and why the tile lost (or won). Returns the winning index;
 /// ties keep the earlier entry, as in the scan. Prunes nothing, so it
 /// leaves gemmsim.select.pruned alone.
-std::size_t select_traced(const GemmProblem& problem, const gpu::GpuSpec& gpu,
-                          const std::vector<gpu::TileConfig>& tiles,
-                          obs::EventRecorder& recorder, double* best_time) {
+PreparedCatalogue::Selection select_traced(
+    const GemmProblem& problem, const gpu::GpuSpec& gpu,
+    const std::vector<gpu::TileConfig>& tiles, obs::EventRecorder& recorder) {
   std::vector<KernelEstimate> all;
   all.reserve(tiles.size());
   std::size_t best_index = 0;
@@ -83,8 +83,8 @@ std::size_t select_traced(const GemmProblem& problem, const gpu::GpuSpec& gpu,
     }
     recorder.record(std::move(ev));
   }
-  *best_time = best.time;
-  return best_index;
+  return {best_index, best.time, best.tile_q.tiles_total, best.wave_q.waves,
+          best.bound};
 }
 
 }  // namespace
@@ -149,12 +149,11 @@ PreparedCatalogue::Preamble PreparedCatalogue::prepare(
   return p;
 }
 
-std::size_t PreparedCatalogue::select(const GemmProblem& problem,
-                                      const Preamble& p,
-                                      double* best_time) const {
+PreparedCatalogue::Selection PreparedCatalogue::scan(
+    const GemmProblem& problem, const Preamble& p) const {
   if (obs::EventRecorder* recorder = obs::EventRecorder::active();
       policy_ == TilePolicy::kAuto && recorder != nullptr) {
-    return select_traced(problem, *gpu_, tiles_, *recorder, best_time);
+    return select_traced(problem, *gpu_, tiles_, *recorder);
   }
   // ceil(a / b): a shift when every tile dim is a power of two.
   const auto tiles = [this](std::int64_t a, std::int64_t b) {
@@ -163,13 +162,13 @@ std::size_t PreparedCatalogue::select(const GemmProblem& problem,
                : ceil_div(a, b);
   };
 
-  std::size_t best_index = 0;
-  double best = std::numeric_limits<double>::infinity();
+  Selection best;
+  best.time = std::numeric_limits<double>::infinity();
   std::size_t visited = 0;
   for (std::size_t i = 0; i < tiles_.size(); ++i) {
     const gpu::TileConfig& t = tiles_[i];
     // At best a tie, and ties go to the earlier entry.
-    if (i > 0 && p.bound(t.intrinsic_efficiency) >= best) {
+    if (i > 0 && p.bound(t.intrinsic_efficiency) >= best.time) {
       if (sorted_) break;  // later bounds are no smaller
       continue;
     }
@@ -189,9 +188,8 @@ std::size_t PreparedCatalogue::select(const GemmProblem& problem,
         static_cast<double>(waves * blocks_per_wave);
     const TileTiming timing =
         tile_timing(tile_q, wave_efficiency, t.intrinsic_efficiency, p.terms);
-    if (i == 0 || timing.time < best) {  // ties keep the earlier entry
-      best_index = i;
-      best = timing.time;
+    if (i == 0 || timing.time < best.time) {  // ties keep the earlier entry
+      best = {i, timing.time, tile_q.tiles_total, waves, timing.bound};
     }
   }
 
@@ -206,24 +204,15 @@ std::size_t PreparedCatalogue::select(const GemmProblem& problem,
     candidates.add(tiles_.size());
     pruned.add(tiles_.size() - visited);
   }
-  *best_time = best;
-  return best_index;
+  return best;
 }
 
 KernelEstimate PreparedCatalogue::estimate_one(
     const GemmProblem& problem) const {
   Preamble p = prepare(problem);
-  double time = 0.0;
-  const std::size_t best = select(problem, p, &time);
+  const std::size_t best = scan(problem, p).index;
   p.terms.alignment.set_pow2(problem.m, problem.n, problem.k);
   return estimate_with_tile(problem, tiles_[best], *gpu_, &p.terms);
-}
-
-double PreparedCatalogue::time_one(const GemmProblem& problem,
-                                   const Preamble& p) const {
-  double time = 0.0;
-  select(problem, p, &time);
-  return time;
 }
 
 }  // namespace codesign::gemm

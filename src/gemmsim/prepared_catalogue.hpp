@@ -6,8 +6,8 @@
 // and a gpu::AlignmentTable, built once and shared, so a scan allocates
 // nothing and skips the alignment ladder walk.
 //
-// A selection is a preamble, prepare(), and a scan that reads it. The scan
-// is pruned but exact: before timing tile i it evaluates Preamble::bound()
+// A selection is a preamble, prepare(), and a scan() that reads it. The
+// scan is pruned but exact: before timing tile i it evaluates Preamble::bound()
 //   max(2·m·n·k·batch / (math_base·eff_i), unpadded_traffic / bandwidth)
 //   + launch, tile_timing()'s expressions with the real dims in place of
 // the padded ones and no wave padding. IEEE rounding is monotone, so it
@@ -83,16 +83,23 @@ class PreparedCatalogue {
   double lower_bound(const Preamble& p) const {
     return p.bound(max_intrinsic_);
   }
-  /// Just the winning time, from the problem's prepare(): bit-identical to
-  /// estimate_one(problem).time.
-  double time_one(const GemmProblem& problem, const Preamble& p) const;
+
+  /// A scan's winner: its index into tile() and the fields of
+  /// estimate_one(problem) that GemmSimulator's per-estimate counters read,
+  /// each equal to estimate_one's (`time` bit for bit).
+  struct Selection {
+    std::size_t index = 0;
+    double time = 0.0;
+    std::int64_t tiles_total = 0;  ///< tile_q.tiles_total
+    std::int64_t waves = 0;        ///< wave_q.waves
+    Bound bound = Bound::kCompute;
+  };
+  /// The scan, from the problem's prepare() (the traced walk under a
+  /// recorder).
+  Selection scan(const GemmProblem& problem, const Preamble& p) const;
+  const gpu::TileConfig& tile(std::size_t i) const { return tiles_[i]; }
 
  private:
-  /// The scan (the traced walk under a recorder); returns the winning
-  /// tile's index and stores its time in `best_time`.
-  std::size_t select(const GemmProblem& problem, const Preamble& p,
-                     double* best_time) const;
-
   const gpu::GpuSpec* gpu_;  ///< registry- or caller-owned, never null
   TilePolicy policy_;
   gpu::AlignmentTable alignment_;

@@ -2,7 +2,6 @@
 
 #include "common/error.hpp"
 #include "gpuarch/tile_config.hpp"
-#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/req_scope.hpp"
 
@@ -20,20 +19,26 @@ GemmSimulator GemmSimulator::for_gpu(const std::string& gpu_name,
 
 namespace {
 
-/// Per-estimate counters, recorded from the returned estimate, so a cache
-/// hit counts exactly what its miss computed: deterministic at any thread
-/// count and cache state.
-void record_estimate_metrics(const KernelEstimate& est) {
+/// Per-estimate counters, recorded from the winner's fields (a full
+/// estimate's or a times-only scan's, which are equal), so a cache hit
+/// counts exactly what its miss computed: deterministic at any thread count
+/// and cache state.
+void record_estimate_metrics(const gpu::TileConfig& tile, Bound bound,
+                             std::int64_t waves, std::int64_t blocks) {
   auto& reg = obs::MetricsRegistry::global();
   reg.counter("gemmsim.estimate.calls").add();
-  reg.counter("gemmsim.estimate.tile", "tile=" + est.tile.name()).add();
+  reg.counter("gemmsim.estimate.tile", "tile=" + tile.name()).add();
   reg.counter("gemmsim.estimate.bound",
-              std::string("bound=") + bound_name(est.bound))
+              std::string("bound=") + bound_name(bound))
       .add();
-  reg.counter("gemmsim.estimate.waves")
-      .add(static_cast<std::uint64_t>(est.wave_q.waves));
+  reg.counter("gemmsim.estimate.waves").add(static_cast<std::uint64_t>(waves));
   reg.counter("gemmsim.estimate.blocks")
-      .add(static_cast<std::uint64_t>(est.tile_q.tiles_total));
+      .add(static_cast<std::uint64_t>(blocks));
+}
+
+void record_estimate_metrics(const KernelEstimate& est) {
+  record_estimate_metrics(est.tile, est.bound, est.wave_q.waves,
+                          est.tile_q.tiles_total);
 }
 
 }  // namespace
@@ -74,26 +79,32 @@ void GemmSimulator::estimate_many(std::span<const GemmProblem> problems,
 void GemmSimulator::estimate_times(std::span<const GemmProblem> problems,
                                    std::span<double> out,
                                    BatchWorkspace& workspace) const {
-  CODESIGN_CHECK(problems.size() == out.size(),
-                 "estimate_times: problems/out size mismatch");
-  const std::size_t n = problems.size();
-  if (!lean_times()) {
-    // Metrics want the full estimate per item (tile/bound/wave counters).
-    workspace.estimates.resize(n);
-    estimate_many(problems, workspace.estimates);
-    for (std::size_t i = 0; i < n; ++i) out[i] = workspace.estimates[i].time;
-    return;
+  workspace.preambles.resize(problems.size());
+  for (std::size_t i = 0; i < problems.size(); ++i) {
+    workspace.preambles[i] = prepared_->prepare(problems[i]);
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    const GemmProblem& p = problems[i];
-    out[i] = prepared_->time_one(p, prepared_->prepare(p));
-  }
-  if (auto* rs = obs::RequestScope::current()) rs->estimates += n;
+  estimate_times(problems, workspace.preambles, out);
 }
 
-bool GemmSimulator::lean_times() const {
-  return obs::EventRecorder::active() == nullptr &&
-         !obs::MetricsRegistry::enabled();
+void GemmSimulator::estimate_times(
+    std::span<const GemmProblem> problems,
+    std::span<const PreparedCatalogue::Preamble> preambles,
+    std::span<double> out) const {
+  CODESIGN_CHECK(problems.size() == out.size() &&
+                     preambles.size() == out.size(),
+                 "estimate_times: problems/preambles/out size mismatch");
+  const std::size_t n = problems.size();
+  const bool metrics = obs::MetricsRegistry::enabled();
+  for (std::size_t i = 0; i < n; ++i) {
+    const PreparedCatalogue::Selection s =
+        prepared_->scan(problems[i], preambles[i]);
+    out[i] = s.time;
+    if (metrics) {
+      record_estimate_metrics(prepared_->tile(s.index), s.bound, s.waves,
+                              s.tiles_total);
+    }
+  }
+  if (auto* rs = obs::RequestScope::current()) rs->estimates += n;
 }
 
 DesResult GemmSimulator::simulate(const GemmProblem& problem,

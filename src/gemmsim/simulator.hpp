@@ -4,6 +4,10 @@
 // one-call latency/throughput queries the transformer model, the advisor,
 // and every bench binary use. It also exposes the discrete-event backend so
 // callers can cross-check the analytical answer by simulation.
+//
+// Every estimate, scalar or batched, full or times-only, records the same
+// bookkeeping here, once per scan it runs: the deterministic
+// gemmsim.estimate.* counters (metrics on) and RequestScope::estimates.
 #pragma once
 
 #include <memory>
@@ -46,25 +50,29 @@ class GemmSimulator {
   /// Reusable scratch for estimate_times(). Keep one per worker thread and
   /// pass it to every call — steady-state calls then allocate nothing.
   struct BatchWorkspace {
-    std::vector<KernelEstimate> estimates;  ///< metrics/recorder route
+    std::vector<PreparedCatalogue::Preamble> preambles;
   };
 
   /// Batched estimate: out[i] is bit-identical to what an uncached
   /// estimate(problems[i]) returns, at any thread count; the batch never
   /// reads or fills the cache. Each item runs the PreparedCatalogue scan
-  /// (which records its selection trail under a recorder); metrics and
-  /// request counts are recorded per item, as N scalar calls record them.
+  /// (which records its selection trail under a recorder).
   void estimate_many(std::span<const GemmProblem> problems,
                      std::span<KernelEstimate> out) const;
 
   /// Times-only batch: out[i] == estimate_many's out[i].time bit-identically.
-  /// The hot call of the search pipeline. With metrics or a recorder on it
-  /// goes through estimate_many (the counters want the full estimate).
+  /// The hot call of the search pipeline: every preamble first, then the
+  /// scans.
   void estimate_times(std::span<const GemmProblem> problems,
                       std::span<double> out, BatchWorkspace& workspace) const;
 
-  /// estimate_times() takes its lean path: no metrics and no recorder.
-  bool lean_times() const;
+  /// The scans of estimate_times() from the problems' preambles
+  /// (PreparedCatalogue::prepare), which the layer walk reads first for its
+  /// bound.
+  void estimate_times(
+      std::span<const GemmProblem> problems,
+      std::span<const PreparedCatalogue::Preamble> preambles,
+      std::span<double> out) const;
 
   /// The prepared catalogue every estimate's scan runs on.
   const PreparedCatalogue& prepared() const { return *prepared_; }

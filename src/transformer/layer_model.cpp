@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
-#include "obs/req_scope.hpp"
 #include "transformer/flops.hpp"
 
 namespace codesign::tfm {
@@ -101,9 +100,9 @@ OpLatency record_op(const MappedOp& op, const gemm::GemmSimulator& sim,
 /// with the layer schedule of the validated config and ws.gemms with its
 /// GEMMs in one pass, resolves those with one batched simulator call and
 /// returns the ops' times summed in schedule order. With `records` null
-/// that call is estimate_times() — the search hot path, no per-op work
-/// beyond the sum; otherwise it is estimate_many() and every op's record
-/// is appended to `records`. Both batched calls equal N uncached scalar
+/// that call is estimate_times() from the walk's own preambles — the search
+/// hot path, no per-op work beyond the sum; otherwise it is estimate_many()
+/// and every op's record is appended to `records`. Both batched calls equal N uncached scalar
 /// estimate() calls bit for bit, so every reader adds the same doubles in
 /// the same order. With `tier0` it returns layer_time_floor() instead.
 double walk_layer(const ValidatedConfig& config,
@@ -152,22 +151,20 @@ double walk_layer(const ValidatedConfig& config,
       CODESIGN_CHECK(rate > 0.0, "math rate must be positive");
       ws.gemm_times[i] = ws.gemms[i].flops() / rate + g.kernel_launch_overhead;
     }
-  } else if (cutoff < kNoCutoff && sim.lean_times()) {
-    // Each GEMM passes its preamble once, in op order. IEEE rounding is
-    // monotone, so the bounds' sum never exceeds the exact sum.
+  } else {
+    // Each GEMM passes its preamble once, in op order; with a finite cutoff
+    // the bounds' sum is the cut before any scan. IEEE rounding is
+    // monotone, so it never exceeds the exact sum.
     const gemm::PreparedCatalogue& catalogue = sim.prepared();
     ws.preambles.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       ws.preambles[i] = catalogue.prepare(ws.gemms[i]);
       ws.gemm_times[i] = catalogue.lower_bound(ws.preambles[i]);
     }
-    if (const double bound = sum_ops(); bound > cutoff) return bound;
-    for (std::size_t i = 0; i < n; ++i) {
-      ws.gemm_times[i] = catalogue.time_one(ws.gemms[i], ws.preambles[i]);
+    if (cutoff < kNoCutoff) {
+      if (const double bound = sum_ops(); bound > cutoff) return bound;
     }
-    if (auto* rs = obs::RequestScope::current()) rs->estimates += n;
-  } else {
-    sim.estimate_times(ws.gemms, ws.gemm_times, ws.batch);
+    sim.estimate_times(ws.gemms, ws.preambles, ws.gemm_times);
   }
   return sum_ops();
 }

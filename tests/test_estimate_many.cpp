@@ -85,7 +85,7 @@ void expect_identical(const KernelEstimate& a, const KernelEstimate& b) {
 
 /// The pruned scan against the exhaustive walk (oracle::reference_select
 /// over the same catalogue) for one problem: the same estimate field for
-/// field, the same time from time_one(), or the same failure; and no
+/// field, the same time from scan(), or the same failure; and no
 /// lower_bound() above the reference time.
 void expect_scan_matches_reference(const PreparedCatalogue& prepared,
                                    const std::vector<gpu::TileConfig>& tiles,
@@ -98,12 +98,12 @@ void expect_scan_matches_reference(const PreparedCatalogue& prepared,
   } catch (const Error&) {
     // e.g. fp64 on a GPU with no fp64 math path: the scan must refuse too.
     EXPECT_THROW(prepared.estimate_one(p), Error);
-    EXPECT_THROW(prepared.time_one(p, prepared.prepare(p)), Error);
+    EXPECT_THROW(prepared.scan(p, prepared.prepare(p)), Error);
     return;
   }
   expect_identical(reference, prepared.estimate_one(p));
   const PreparedCatalogue::Preamble preamble = prepared.prepare(p);
-  EXPECT_EQ(bits(reference.time), bits(prepared.time_one(p, preamble)));
+  EXPECT_EQ(bits(reference.time), bits(prepared.scan(p, preamble).time));
   EXPECT_LE(prepared.lower_bound(preamble), reference.time);
 }
 
@@ -154,7 +154,7 @@ TEST(PreparedCatalogue, EstimateOneMatchesTheReferenceWalk) {
   EXPECT_EQ(prepared.tile_count(), gpu::default_tile_catalogue().size());
   for (const GemmProblem& p : shape_set()) {
     expect_identical(oracle::reference_select(p, gpu), prepared.estimate_one(p));
-    EXPECT_EQ(prepared.time_one(p, prepared.prepare(p)),
+    EXPECT_EQ(prepared.scan(p, prepared.prepare(p)).time,
               prepared.estimate_one(p).time);
   }
 }
@@ -216,7 +216,7 @@ TEST(PreparedCatalogue, PrunedScanMatchesReferenceOnCustomCatalogues) {
 
 /// One traced selection against the oracle's trail: under a recorder the
 /// scan must emit exactly reference_trail() — names, every arg string,
-/// order — from estimate_one() and again from time_one(), and return the
+/// order — from estimate_one() and again from scan(), and return the
 /// reference estimate. A problem the walk refuses records nothing. Returns
 /// whether the selection succeeded.
 bool expect_trail_matches_reference(const PreparedCatalogue& prepared,
@@ -254,7 +254,7 @@ bool expect_trail_matches_reference(const PreparedCatalogue& prepared,
   }
   {
     obs::ScopedRecorder scoped;
-    prepared.time_one(p, prepared.prepare(p));
+    prepared.scan(p, prepared.prepare(p));
     expect_trail(scoped.recorder());
   }
   return true;
@@ -277,7 +277,7 @@ TEST(PreparedCatalogue, SelectionTrailMatchesTheReferenceWalk) {
                        const std::vector<gpu::TileConfig>& tiles,
                        const GemmProblem& p) {
     if (expect_trail_matches_reference(prepared, tiles, p)) {
-      selections += 2;  // estimate_one() and time_one()
+      selections += 2;  // estimate_one() and scan()
       candidates += 2 * tiles.size();
     }
   };
@@ -362,7 +362,7 @@ TEST(PreparedCatalogue, PrunedCounterIsBestEffort) {
                                    TilePolicy::kAuto);
   // A large aligned GEMM: the first tiles win, the small ones are skipped.
   const GemmProblem big = problem(8192, 8192, 8192);
-  prepared.time_one(big, prepared.prepare(big));
+  prepared.scan(big, prepared.prepare(big));
   obs::MetricsRegistry::set_enabled(false);
   const std::uint64_t pruned =
       reg.counter("gemmsim.select.pruned", {}, obs::Stability::kBestEffort)
@@ -417,7 +417,7 @@ TEST(PreparedCatalogue, FixedLargestDegeneratesToOneTile) {
   for (const GemmProblem& p : shape_set()) {
     expect_identical(estimate_with_tile(p, gpu::largest_tile(), gpu),
                      prepared.estimate_one(p));
-    EXPECT_EQ(prepared.time_one(p, prepared.prepare(p)),
+    EXPECT_EQ(prepared.scan(p, prepared.prepare(p)).time,
               prepared.estimate_one(p).time);
   }
 }
