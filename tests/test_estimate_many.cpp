@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <iterator>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -462,15 +463,31 @@ TEST(EstimateMany, EstimateTimesMatchesEstimateBitForBit) {
 }
 
 TEST(EstimateMany, MetricsOnPathStaysLockstep) {
-  obs::MetricsRegistry::set_enabled(true);
+  auto& reg = obs::MetricsRegistry::global();
+  const auto deterministic_after = [&reg](const auto& run) {
+    reg.reset_values();
+    obs::MetricsRegistry::set_enabled(true);
+    run();
+    obs::MetricsRegistry::set_enabled(false);
+    std::string out = reg.snapshot({.include_best_effort = false}).to_json();
+    reg.reset_values();
+    return out;
+  };
   const std::vector<GemmProblem> shapes = shape_set();
   const GemmSimulator sim = GemmSimulator::for_gpu("a100");
   GemmSimulator::BatchWorkspace ws;
   std::vector<KernelEstimate> out(shapes.size());
-  sim.estimate_many(shapes, out);
   std::vector<double> times(shapes.size());
-  sim.estimate_times(shapes, times, ws);
-  obs::MetricsRegistry::set_enabled(false);
+  const std::string scalar = deterministic_after([&] {
+    for (const GemmProblem& p : shapes) sim.estimate(p);
+  });
+  // The scan's own fields feed the counters a times-only estimate records:
+  // they must count what N full estimates count.
+  EXPECT_EQ(deterministic_after([&] { sim.estimate_many(shapes, out); }),
+            scalar);
+  EXPECT_EQ(deterministic_after([&] { sim.estimate_times(shapes, times, ws); }),
+            scalar);
+  EXPECT_NE(scalar.find("gemmsim.estimate.calls"), std::string::npos);
   const GemmSimulator reference = GemmSimulator::for_gpu("a100");
   for (std::size_t i = 0; i < shapes.size(); ++i) {
     expect_identical(reference.estimate(shapes[i]), out[i]);

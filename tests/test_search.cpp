@@ -21,6 +21,7 @@
 #include "common/failpoint.hpp"
 #include "common/strings.hpp"
 #include "gpuarch/gpu_spec.hpp"
+#include "obs/metrics.hpp"
 #include "obs/req_scope.hpp"
 #include "transformer/flops.hpp"
 #include "transformer/model_zoo.hpp"
@@ -742,13 +743,17 @@ std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 /// counts and the skip report. The candidates scanned must be equal at
 /// every thread count; at one thread the pruned call must also run fewer
 /// scans (RequestScope estimates) than the k = n call. `arm`, if set, is
-/// a failpoint spec configured afresh before each call.
+/// a failpoint spec configured afresh before each call. With `metrics`
+/// each pruned call runs again with the metrics registry on: it must prune
+/// the same way, gemmsim.estimate.calls must count its scans (at one
+/// thread, against RequestScope), and its deterministic snapshot must be
+/// byte-identical at every thread count.
 void check_pruning(const std::vector<tfm::TransformerConfig>& configs,
                    const tfm::TransformerConfig& baseline,
                    const gemm::GemmSimulator& s, const std::string& what,
                    std::initializer_list<std::size_t> thread_counts = {1, 4,
                                                                        8},
-                   const char* arm = nullptr) {
+                   const char* arm = nullptr, bool metrics = false) {
   const auto search = [&](const SearchOptions& options,
                           obs::RequestScopeCounters& work) {
     if (arm != nullptr) fail::configure(arm);
@@ -762,6 +767,7 @@ void check_pruning(const std::vector<tfm::TransformerConfig>& configs,
   const auto base_it = std::find_if(
       all.ranked.begin(), all.ranked.end(),
       [&](const ShapeCandidate& c) { return c.config == baseline; });
+  auto& reg = obs::MetricsRegistry::global();
   for (const std::size_t k : {1, 3, 16, 64}) {
     std::vector<ShapeCandidate> want(
         all.ranked.begin(),
@@ -771,15 +777,8 @@ void check_pruning(const std::vector<tfm::TransformerConfig>& configs,
         base_it != all.ranked.end()) {
       want.back() = *base_it;
     }
-    std::size_t scanned = 0;
-    for (const std::size_t threads : thread_counts) {
-      SearchOptions options;
-      options.max_candidates = k;
-      options.threads = threads;
-      obs::RequestScopeCounters work;
-      const SearchOutcome out = search(options, work);
-      const std::string label = what + " k=" + std::to_string(k) +
-                                " threads=" + std::to_string(threads);
+    const auto expect_trimmed = [&](const SearchOutcome& out,
+                                    const std::string& label) {
       ASSERT_EQ(out.ranked.size(), want.size()) << label;
       for (std::size_t i = 0; i < want.size(); ++i) {
         const ShapeCandidate& g = out.ranked[i];
@@ -796,12 +795,43 @@ void check_pruning(const std::vector<tfm::TransformerConfig>& configs,
       EXPECT_EQ(out.evaluated, all.evaluated) << label;
       EXPECT_EQ(out.skipped, all.skipped) << label;
       EXPECT_EQ(out.retries, all.retries) << label;
+    };
+    std::size_t scanned = 0;
+    std::string snapshot;
+    for (const std::size_t threads : thread_counts) {
+      SearchOptions options;
+      options.max_candidates = k;
+      options.threads = threads;
+      obs::RequestScopeCounters work;
+      const SearchOutcome out = search(options, work);
+      const std::string label = what + " k=" + std::to_string(k) +
+                                " threads=" + std::to_string(threads);
+      expect_trimmed(out, label);
       if (threads == 1) {
         EXPECT_LT(work.estimates, all_work.estimates) << label;
         scanned = out.scanned;
       }
       EXPECT_EQ(out.scanned, scanned) << label;
       EXPECT_LT(out.scanned, all.scanned) << label;
+      if (!metrics) continue;
+      reg.reset_values();
+      obs::MetricsRegistry::set_enabled(true);
+      obs::RequestScopeCounters on_work;
+      const SearchOutcome on = search(options, on_work);
+      obs::MetricsRegistry::set_enabled(false);
+      expect_trimmed(on, label + " metrics");
+      EXPECT_EQ(on.scanned, out.scanned) << label;
+      EXPECT_EQ(on_work.estimates, work.estimates) << label;
+      if (threads == 1) {  // a pool's workers count into no request scope
+        EXPECT_EQ(reg.counter("gemmsim.estimate.calls").value(),
+                  work.estimates)
+            << label;
+      }
+      const std::string got =
+          reg.snapshot({.include_best_effort = false}).to_json();
+      if (snapshot.empty()) snapshot = got;
+      EXPECT_EQ(got, snapshot) << label;
+      reg.reset_values();
     }
   }
 }
@@ -813,7 +843,8 @@ TEST(SearchPruning, MatchesTheUnprunedRankingOnEveryGpu) {
     const gemm::GemmSimulator s = gemm::GemmSimulator::for_gpu(gpus[g]);
     const std::size_t n = std::size_t{512} << (g % 4);  // 512 .. 4096
     check_pruning(drawn_grid(100 + g, n), base, s,
-                  gpus[g] + " n=" + std::to_string(n));
+                  gpus[g] + " n=" + std::to_string(n), {1, 4, 8}, nullptr,
+                  true);
   }
 }
 
@@ -855,7 +886,8 @@ TEST(SearchPruning, SelectKernelFailpointSkipsTheSameCandidates) {
     options.max_candidates = grid.size();
     ASSERT_GT(run_grid_search(grid, base, s, options).skipped.size(), 10u)
         << gpu;
-    check_pruning(grid, base, s, gpu + " select_kernel failpoint");
+    check_pruning(grid, base, s, gpu + " select_kernel failpoint", {1, 4, 8},
+                  nullptr, true);
   }
 }
 

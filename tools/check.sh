@@ -378,7 +378,7 @@ grep -q '^| gpt3-2.7b ' "${TSAN_DIR}/search_max3_t1.txt" || {
   exit 1
 }
 # A wider grid kept at --max=2 prunes candidates on their layer-time lower
-# bound (docs/search_pipeline.md): per-worker cutoffs must not move the
+# bound (docs/search_pipeline.md): the seeded threshold must not move the
 # ranking, and the baseline, never pruned, must still take the last row.
 "${SERVE_BIN}" search gpt3-2.7b --mode=joint --radius=0.25 --max=2 \
     --threads=1 | tail -n +2 >"${TSAN_DIR}/search_prune_t1.txt"
@@ -390,6 +390,24 @@ diff -u "${TSAN_DIR}/search_prune_t1.txt" "${TSAN_DIR}/search_prune_t8.txt" || {
 }
 grep -q '^| gpt3-2.7b ' "${TSAN_DIR}/search_prune_t1.txt" || {
   echo "FAIL: pruned search --max=2 dropped the baseline row"
+  exit 1
+}
+# With --metrics the same search prunes too: its deterministic metrics file
+# (gemmsim.estimate.* counts the scans run) must be byte-identical through
+# the pool, and its ranking must equal the metrics-off one.
+for t in 1 8; do
+  "${SERVE_BIN}" search gpt3-2.7b --mode=joint --radius=0.25 --max=2 \
+      --threads="${t}" --metrics="${TSAN_DIR}/search_prune_m_t${t}.json" \
+      | grep '^|' >"${TSAN_DIR}/search_prune_m_t${t}.txt"
+done
+diff -u "${TSAN_DIR}/search_prune_m_t1.json" \
+    "${TSAN_DIR}/search_prune_m_t8.json" || {
+  echo "FAIL: pruned search --max=2 --metrics drifted across thread counts"
+  exit 1
+}
+grep '^|' "${TSAN_DIR}/search_prune_t1.txt" \
+    | diff -u - "${TSAN_DIR}/search_prune_m_t8.txt" || {
+  echo "FAIL: --metrics changed the pruned search --max=2 ranking"
   exit 1
 }
 # A GQA joint grid keeps kv | a at every hidden size: the search must exit
