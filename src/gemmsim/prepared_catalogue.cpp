@@ -83,8 +83,8 @@ PreparedCatalogue::Selection select_traced(
     }
     recorder.record(std::move(ev));
   }
-  return {best_index, best.time, best.tile_q.tiles_total, best.wave_q.waves,
-          best.bound};
+  return {&tiles[best_index], best.time, best.tile_q.tiles_total,
+          best.wave_q.waves, best.bound};
 }
 
 }  // namespace
@@ -189,7 +189,7 @@ PreparedCatalogue::Selection PreparedCatalogue::scan(
     const TileTiming timing =
         tile_timing(tile_q, wave_efficiency, t.intrinsic_efficiency, p.terms);
     if (i == 0 || timing.time < best.time) {  // ties keep the earlier entry
-      best = {i, timing.time, tile_q.tiles_total, waves, timing.bound};
+      best = {&t, timing.time, tile_q.tiles_total, waves, timing.bound};
     }
   }
 
@@ -210,9 +210,9 @@ PreparedCatalogue::Selection PreparedCatalogue::scan(
 KernelEstimate PreparedCatalogue::estimate_one(
     const GemmProblem& problem) const {
   Preamble p = prepare(problem);
-  const std::size_t best = scan(problem, p).index;
+  const gpu::TileConfig& best = *scan(problem, p).tile;
   p.terms.alignment.set_pow2(problem.m, problem.n, problem.k);
-  return estimate_with_tile(problem, tiles_[best], *gpu_, &p.terms);
+  return estimate_with_tile(problem, best, *gpu_, &p.terms);
 }
 
 }  // namespace codesign::gemm

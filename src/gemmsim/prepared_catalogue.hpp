@@ -6,8 +6,9 @@
 // and a gpu::AlignmentTable, built once and shared, so a scan allocates
 // nothing and skips the alignment ladder walk.
 //
-// A selection is a preamble, prepare(), and a scan() that reads it. The
-// scan is pruned but exact: before timing tile i it evaluates Preamble::bound()
+// A selection is a preamble, prepare(), and a scan() that reads it (the
+// layer walk reads the preambles first for its bound). The scan is pruned
+// but exact: before timing tile i it evaluates Preamble::bound()
 //   max(2·m·n·k·batch / (math_base·eff_i), unpadded_traffic / bandwidth)
 //   + launch, tile_timing()'s expressions with the real dims in place of
 // the padded ones and no wave padding. IEEE rounding is monotone, so it
@@ -84,20 +85,17 @@ class PreparedCatalogue {
     return p.bound(max_intrinsic_);
   }
 
-  /// A scan's winner: its index into tile() and the fields of
-  /// estimate_one(problem) that GemmSimulator's per-estimate counters read,
-  /// each equal to estimate_one's (`time` bit for bit).
+  /// What the per-estimate counters read of a scan's winner, each field
+  /// equal to estimate_one(problem)'s (`time` bit for bit).
   struct Selection {
-    std::size_t index = 0;
+    const gpu::TileConfig* tile = nullptr;
     double time = 0.0;
     std::int64_t tiles_total = 0;  ///< tile_q.tiles_total
     std::int64_t waves = 0;        ///< wave_q.waves
     Bound bound = Bound::kCompute;
   };
-  /// The scan, from the problem's prepare() (the traced walk under a
-  /// recorder).
+  /// The scan from the problem's prepare() (traced under a recorder).
   Selection scan(const GemmProblem& problem, const Preamble& p) const;
-  const gpu::TileConfig& tile(std::size_t i) const { return tiles_[i]; }
 
  private:
   const gpu::GpuSpec* gpu_;  ///< registry- or caller-owned, never null

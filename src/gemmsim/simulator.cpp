@@ -19,26 +19,25 @@ GemmSimulator GemmSimulator::for_gpu(const std::string& gpu_name,
 
 namespace {
 
-/// Per-estimate counters, recorded from the winner's fields (a full
-/// estimate's or a times-only scan's, which are equal), so a cache hit
-/// counts exactly what its miss computed: deterministic at any thread count
-/// and cache state.
-void record_estimate_metrics(const gpu::TileConfig& tile, Bound bound,
-                             std::int64_t waves, std::int64_t blocks) {
+/// Per-estimate counters, from the winner's fields (a full estimate's or a
+/// scan's), so a cache hit counts exactly what its miss computed:
+/// deterministic at any thread count and cache state.
+void record_estimate_metrics(const PreparedCatalogue::Selection& s) {
   auto& reg = obs::MetricsRegistry::global();
   reg.counter("gemmsim.estimate.calls").add();
-  reg.counter("gemmsim.estimate.tile", "tile=" + tile.name()).add();
+  reg.counter("gemmsim.estimate.tile", "tile=" + s.tile->name()).add();
   reg.counter("gemmsim.estimate.bound",
-              std::string("bound=") + bound_name(bound))
+              std::string("bound=") + bound_name(s.bound))
       .add();
-  reg.counter("gemmsim.estimate.waves").add(static_cast<std::uint64_t>(waves));
+  reg.counter("gemmsim.estimate.waves")
+      .add(static_cast<std::uint64_t>(s.waves));
   reg.counter("gemmsim.estimate.blocks")
-      .add(static_cast<std::uint64_t>(blocks));
+      .add(static_cast<std::uint64_t>(s.tiles_total));
 }
 
-void record_estimate_metrics(const KernelEstimate& est) {
-  record_estimate_metrics(est.tile, est.bound, est.wave_q.waves,
-                          est.tile_q.tiles_total);
+void record_estimate_metrics(const KernelEstimate& e) {
+  record_estimate_metrics(
+      {&e.tile, e.time, e.tile_q.tiles_total, e.wave_q.waves, e.bound});
 }
 
 }  // namespace
@@ -96,13 +95,9 @@ void GemmSimulator::estimate_times(
   const std::size_t n = problems.size();
   const bool metrics = obs::MetricsRegistry::enabled();
   for (std::size_t i = 0; i < n; ++i) {
-    const PreparedCatalogue::Selection s =
-        prepared_->scan(problems[i], preambles[i]);
+    const auto s = prepared_->scan(problems[i], preambles[i]);
     out[i] = s.time;
-    if (metrics) {
-      record_estimate_metrics(prepared_->tile(s.index), s.bound, s.waves,
-                              s.tiles_total);
-    }
+    if (metrics) record_estimate_metrics(s);
   }
   if (auto* rs = obs::RequestScope::current()) rs->estimates += n;
 }

@@ -3,11 +3,9 @@
 // GemmSimulator binds a GPU spec to a tile-selection policy and exposes the
 // one-call latency/throughput queries the transformer model, the advisor,
 // and every bench binary use. It also exposes the discrete-event backend so
-// callers can cross-check the analytical answer by simulation.
-//
-// Every estimate, scalar or batched, full or times-only, records the same
-// bookkeeping here, once per scan it runs: the deterministic
-// gemmsim.estimate.* counters (metrics on) and RequestScope::estimates.
+// callers can cross-check the analytical answer by simulation. Every
+// estimate records its gemmsim.estimate.* counters and RequestScope count
+// here, the same for a full or a times-only one.
 #pragma once
 
 #include <memory>
@@ -61,18 +59,13 @@ class GemmSimulator {
                      std::span<KernelEstimate> out) const;
 
   /// Times-only batch: out[i] == estimate_many's out[i].time bit-identically.
-  /// The hot call of the search pipeline: every preamble first, then the
-  /// scans.
+  /// Every preamble first, then the scans.
   void estimate_times(std::span<const GemmProblem> problems,
                       std::span<double> out, BatchWorkspace& workspace) const;
-
-  /// The scans of estimate_times() from the problems' preambles
-  /// (PreparedCatalogue::prepare), which the layer walk reads first for its
-  /// bound.
-  void estimate_times(
-      std::span<const GemmProblem> problems,
-      std::span<const PreparedCatalogue::Preamble> preambles,
-      std::span<double> out) const;
+  /// Just the scans, from the problems' prepare()d preambles.
+  void estimate_times(std::span<const GemmProblem> problems,
+                      std::span<const PreparedCatalogue::Preamble> preambles,
+                      std::span<double> out) const;
 
   /// The prepared catalogue every estimate's scan runs on.
   const PreparedCatalogue& prepared() const { return *prepared_; }

@@ -100,8 +100,7 @@ inline constexpr double kNoCutoff = std::numeric_limits<double>::infinity();
 /// GemmSimulator::estimate_times() call. The search hot path. With a finite
 /// `cutoff` the walk first sums a lower bound (PreparedCatalogue::
 /// lower_bound() per GEMM) and returns it, with no tile scan, when it is
-/// above `cutoff` (a cutoff of 0 returns it). Metrics, a recorder or a
-/// cache change neither the cut nor the result.
+/// above `cutoff` (a cutoff of 0 returns it).
 double layer_total_time(const ValidatedConfig& config,
                         const gemm::GemmSimulator& sim, LayerWorkspace& ws,
                         double cutoff = kNoCutoff);
