@@ -102,9 +102,10 @@ OpLatency record_op(const MappedOp& op, const gemm::GemmSimulator& sim,
 /// returns the ops' times summed in schedule order. With `records` null
 /// that call is estimate_times() from the walk's own preambles — the search
 /// hot path, no per-op work beyond the sum; otherwise it is estimate_many()
-/// and every op's record is appended to `records`. Both batched calls equal N uncached scalar
-/// estimate() calls bit for bit, so every reader adds the same doubles in
-/// the same order. With `tier0` it returns layer_time_floor() instead.
+/// and every op's record is appended to `records`. Both batched calls equal
+/// N uncached scalar estimate() calls bit for bit, so every reader adds the
+/// same doubles in the same order. With `tier0` it returns
+/// layer_time_floor() instead.
 double walk_layer(const ValidatedConfig& config,
                   const gemm::GemmSimulator& sim, LayerWorkspace& ws,
                   std::vector<OpLatency>* records, double cutoff,
